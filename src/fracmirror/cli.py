@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cohom import (
     CohomRing,
@@ -66,7 +67,7 @@ def _max_order():
     try:
         return int(raw) if raw else 64
     except ValueError:
-        return 64
+        raise _InputError(f"FRACMIRROR_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _series_text(s, var):
@@ -102,10 +103,36 @@ def _load(path):
         raise _InputError(f"invalid nef-partition input: {exc}") from exc
 
 
-def _gkz_chain(data):
-    g = build_gkz(data)
-    ell = principal_kernel_vector(g)
-    return g, ell
+@dataclass
+class _Context:
+    """One job's input and the stages built from it, each at most once.
+
+    Stages call the module globals at call time, so the hooks that
+    perfbench/spans.py installs on them see every call.
+    """
+
+    config: JobConfig
+    data: NefPartition
+
+    @cached_property
+    def topology(self):
+        return euler_double_cover(self.data)
+
+    @cached_property
+    def gkz(self):
+        return build_gkz(self.data)
+
+    @cached_property
+    def ell(self):
+        return principal_kernel_vector(self.gkz)
+
+    @cached_property
+    def op(self):
+        return theta_conjugate(self.ell, self.gkz.alpha)
+
+    @cached_property
+    def pair(self):
+        return frobenius_pair(self.ell, self.gkz.alpha, self.config.N)
 
 
 def _normalization(config):
@@ -114,9 +141,9 @@ def _normalization(config):
     return classical_normalization(2, 1)
 
 
-def _cmd_dual_nef(config, data):
-    parts, nabla, nabla_dual = dual_nef_partition(data)
-    dual = data.dual_data()
+def _cmd_dual_nef(ctx):
+    parts, nabla, nabla_dual = dual_nef_partition(ctx.data)
+    dual = ctx.data.dual_data()
     payload = {
         "nabla_parts": [P.to_dict() for P in parts],
         "nabla": nabla.to_dict(),
@@ -144,8 +171,8 @@ def _topology_lines(topo):
     ]
 
 
-def _cmd_euler(config, data):
-    topo = euler_double_cover(data)
+def _cmd_euler(ctx):
+    topo = ctx.topology
     return topo.to_json(), _topology_lines(topo), []
 
 
@@ -158,8 +185,8 @@ def _hodge_lines(label, table):
     return lines
 
 
-def _cmd_hodge(config, data):
-    topo = euler_double_cover(data)
+def _cmd_hodge(ctx):
+    topo = ctx.topology
     payload = {
         "hodge": topo.hodge.to_json(),
         "hodge_dual": topo.hodge_dual.to_json(),
@@ -170,8 +197,8 @@ def _cmd_hodge(config, data):
     return payload, lines, []
 
 
-def _cmd_gkz(config, data):
-    g = build_gkz(data)
+def _cmd_gkz(ctx):
+    g = ctx.gkz
     payload = g.to_json()
     rows, beta = g.display_rows()
     payload["display"] = {
@@ -188,17 +215,15 @@ def _cmd_gkz(config, data):
     return payload, lines, []
 
 
-def _cmd_pf(config, data):
-    g, ell = _gkz_chain(data)
-    op = theta_conjugate(ell, g.alpha)
+def _cmd_pf(ctx):
+    ell, op = ctx.ell, ctx.op
     payload = {"kernel_vector": list(ell), "operator": op.to_json()}
     lines = [f"kernel vector: {list(ell)}", f"operator: {op.display()}"]
     return payload, lines, []
 
 
-def _cmd_mirror_map(config, data):
-    g, ell = _gkz_chain(data)
-    pair = frobenius_pair(ell, g.alpha, config.N)
+def _cmd_mirror_map(ctx):
+    pair = ctx.pair
     q_of_z, z_of_q = mirror_map(pair)
     payload = {
         "scale": pair.scale,
@@ -217,9 +242,8 @@ def _cmd_mirror_map(config, data):
     return payload, lines, []
 
 
-def _cmd_yukawa(config, data):
-    g, ell = _gkz_chain(data)
-    op = theta_conjugate(ell, g.alpha)
+def _cmd_yukawa(ctx):
+    op = ctx.op
     if op.degree != 4:
         reason = "Yukawa ODE defined for threefold operators"
         return (
@@ -227,9 +251,8 @@ def _cmd_yukawa(config, data):
             [f"skipped: {reason} (operator degree {op.degree})"],
             [],
         )
-    C = _normalization(config)
-    pair = frobenius_pair(ell, g.alpha, config.N)
-    ydata = a_model_correlation(op, pair, C, config.N)
+    C = _normalization(ctx.config)
+    ydata = a_model_correlation(op, ctx.pair, C, ctx.config.N)
     payload = ydata.to_json()
     lines = [
         f"normalization C = {fraction_str(ydata.C)}",
@@ -239,12 +262,12 @@ def _cmd_yukawa(config, data):
     return payload, lines, []
 
 
-def _cmd_ifunction(config, data):
-    g, ell = _gkz_chain(data)
-    num, den = i_weights_from_kernel(ell, g.alpha)
+def _cmd_ifunction(ctx):
+    ell = ctx.ell
+    num, den = i_weights_from_kernel(ell, ctx.gkz.alpha)
     d = sum(le for le in ell if le > 0)
     m = d + 1
-    I = i_function_untwisted(num, den, m, config.N)
+    I = i_function_untwisted(num, den, m, ctx.config.N)
     ratio = i_function_mirror_map(I)
     payload = {
         "num_weights": list(num),
@@ -261,15 +284,15 @@ def _cmd_ifunction(config, data):
     return payload, lines, []
 
 
-def _cmd_bseries(config, data):
-    g, ell = _gkz_chain(data)
+def _cmd_bseries(ctx):
+    g, ell = ctx.gkz, ctx.ell
     d = sum(le for le in ell if le > 0)
-    C = _normalization(config)
+    C = _normalization(ctx.config)
     classes = {
         f"D_{i}_{j}": ell[e] for e, (i, j) in enumerate(g.column_labels)
     }
     ring = CohomRing(d, classes, integral_scale=C)
-    B = b_series(ring, ell, g.alpha, config.N)
+    B = b_series(ring, ell, g.alpha, ctx.config.N)
     payload = {
         "ring": {
             "m": ring.m,
@@ -286,7 +309,7 @@ def _cmd_bseries(config, data):
     return payload, lines, []
 
 
-def _cmd_all(config, data):
+def _cmd_all(ctx):
     payload = {}
     lines = []
     warnings = []
@@ -299,7 +322,7 @@ def _cmd_all(config, data):
         ("yukawa", _cmd_yukawa),
     )
     for name, fn in sections:
-        sub_payload, sub_lines, sub_warn = fn(config, data)
+        sub_payload, sub_lines, sub_warn = fn(ctx)
         payload[name.replace("-", "_")] = sub_payload
         lines.append(f"== {name} ==")
         lines.extend(sub_lines)
@@ -346,7 +369,7 @@ def run(config):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        payload, lines, warnings = _DISPATCH[config.command](config, data)
+        payload, lines, warnings = _DISPATCH[config.command](_Context(config, data))
     except FracmirrorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,11 @@
 """Cohomology-valued solutions: nilpotent deformations, B-series, I-functions.
 
+All of them are ``gkz.hypergeometric_series`` over Q[eps]/(eps^m).
 Deforming the holomorphic solution coefficientwise by n -> n + rho, with
 rho nilpotent of order m, produces the full Frobenius tower in one object:
 the rho^k-slices of z^rho * deformed are omega0, omega0 log z + tau, and the
-higher partners.  The same shape with weight data (w_a; u_b) gives the
-untwisted I-function
+higher partners, so tau is the eps^1 slice of the same kernel.  The same
+series with weight data (w_a; u_b) gives the untwisted I-function
 
     I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
                      / prod_b prod_(t=1)^(u_b d) (u_b eps + t),
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
+from .gkz import _series_factors, hypergeometric_series
 from .picard_fuchs import apply
-from .series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
+from .series import EpsPoly, LogSeries
 
 __all__ = [
     "CohomRing",
@@ -76,14 +78,6 @@ class CohomRing:
         return x.coeff(self.m - 1) * self.integral_scale
 
 
-def _rising_eps(base, count):
-    """(base)(base+1)...(base+count-1) for an EpsPoly base."""
-    out = EpsPoly.constant(base.m, 1)
-    for t in range(count):
-        out = out * (base + t)
-    return out
-
-
 def deformed_solution(ell, alpha, N, m):
     """Coefficients deformed by n -> n + rho with rho^m = 0.
 
@@ -91,42 +85,15 @@ def deformed_solution(ell, alpha, N, m):
              / prod_(l_e>0) prod_(t=1)^(l_e n)     (a_e + l_e rho + t),
 
     normalized so c_0 = 1 (the rho-dependent constant is a unit and has been
-    divided out).  Slice rho^1 of the result is the tau-series of the
-    log partner.
+    divided out): ``hypergeometric_series`` at order m.  Slice rho^1 of the
+    result is the tau-series of the log partner.
     """
-    ell = tuple(int(x) for x in ell)
-    alpha = tuple(Fraction(a) for a in alpha)
     d = sum(le for le in ell if le > 0)
     if m > d + 1:
         raise FracmirrorError(
             "nilpotency order m exceeds operator degree + 1"
         )
-    if m == 1:
-        from .gkz import holo_solution
-
-        plain = holo_solution(ell, alpha, N)
-        return NilpotentSeries(
-            1, [EpsPoly.constant(1, c) for c in plain.c], N
-        )
-    coeffs = []
-    for n in range(N + 1):
-        num = EpsPoly.constant(m, 1)
-        den = EpsPoly.constant(m, 1)
-        for le, ae in zip(ell, alpha):
-            if le < 0:
-                if ae.denominator == 1:
-                    raise FracmirrorError(
-                        "unsupported shape: negative kernel entry on an "
-                        "integer-exponent column"
-                    )
-                k = -le
-                base = EpsPoly(m, (-ae, k))
-                num = num * _rising_eps(base, k * n)
-            elif le > 0:
-                base = EpsPoly(m, (ae + 1, le))
-                den = den * _rising_eps(base, le * n)
-        coeffs.append(num / den)
-    return NilpotentSeries(m, coeffs, N)
+    return hypergeometric_series(*_series_factors(ell, alpha), m, N)
 
 
 def _log_prefactor(deformed):
@@ -206,19 +173,11 @@ def i_weights_from_kernel(ell, alpha):
 
 def i_function_untwisted(num_weights, den_weights, m, N):
     """I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d)(w_a eps + t) /
-    prod_b prod_(t=1)^(u_b d)(u_b eps + t), an eps-truncated series."""
-    coeffs = []
-    for d in range(N + 1):
-        num = EpsPoly.constant(m, 1)
-        den = EpsPoly.constant(m, 1)
-        for w in num_weights:
-            base = EpsPoly(m, (1, w))
-            num = num * _rising_eps(base, w * d)
-        for u in den_weights:
-            base = EpsPoly(m, (1, u))
-            den = den * _rising_eps(base, u * d)
-        coeffs.append(num / den)
-    return NilpotentSeries(m, coeffs, N)
+    prod_b prod_(t=1)^(u_b d)(u_b eps + t), an eps-truncated series:
+    ``hypergeometric_series`` with factors (1, w_a) over (1, u_b)."""
+    return hypergeometric_series(
+        [(1, w) for w in num_weights], [(1, u) for u in den_weights], m, N
+    )
 
 
 def i_function_mirror_map(I):

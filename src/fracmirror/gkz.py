@@ -7,9 +7,10 @@ Kronecker rows last; ``display_rows`` re-orders for display with the Kronecker
 block on top.  The exponent vector alpha puts -1/2 on each distinguished
 column, so beta = A·alpha has the shape (0, ..., 0, -1/2, ..., -1/2).
 
-The holomorphic series solution in the one-parameter case is assembled from
-rising factorials of half-integers; no transcendental Gamma value is ever
-evaluated.
+Every series solution in the one-parameter case comes from one kernel,
+``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
+built order by order from linear factors, so no transcendental Gamma value is
+ever evaluated.  The holomorphic solution is its eps^0 slice.
 """
 
 from dataclasses import dataclass
@@ -17,12 +18,13 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import RationalSeries
+from .series import EpsPoly, NilpotentSeries
 
 __all__ = [
     "GkzSystem",
     "build_gkz",
     "principal_kernel_vector",
+    "hypergeometric_series",
     "holo_solution",
     "box_annihilation_check",
     "gkz_solution_terms",
@@ -143,22 +145,43 @@ def _series_factors(ell, alpha):
     return num, den
 
 
+def hypergeometric_series(num, den, m, N):
+    """sum_n c_n z^n over Q[eps]/(eps^m), truncated at order N, where
+
+        c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
+            / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
+
+    c_0 = 1, and c_n is c_(n-1) times the k new linear factors of each pair
+    (a, k), so each order costs one division in Q[eps]/(eps^m).
+    """
+    c = EpsPoly.constant(m, 1)
+    coeffs = [c]
+    for n in range(1, N + 1):
+        c = c * _new_factors(num, n, m) / _new_factors(den, n, m)
+        coeffs.append(c)
+    return NilpotentSeries(m, coeffs, N)
+
+
+def _new_factors(factors, n, m):
+    """prod_((a, k)) prod_(j=k(n-1))^(k n - 1) (a + k eps + j): what order n adds."""
+    p = [1] + [0] * (m - 1)
+    for a, k in factors:
+        for j in range(k * (n - 1), k * n):
+            # p *= (a + j) + k eps, top coefficient first
+            for i in range(m - 1, 0, -1):
+                p[i] = (a + j) * p[i] + k * p[i - 1]
+            p[0] *= a + j
+    return EpsPoly(m, p)
+
+
 def holo_solution(ell, alpha, N):
     """The holomorphic solution sum c_n z^n of the rank-1 GKZ system.
 
     c_n multiplies rising factorials over the negative kernel entries and
-    divides by rising factorials over the positive ones; c_0 = 1.
+    divides by rising factorials over the positive ones; c_0 = 1.  It is the
+    eps^0 slice of ``hypergeometric_series`` at m = 1.
     """
-    num, den = _series_factors(ell, alpha)
-    coeffs = []
-    for n in range(N + 1):
-        c = Fraction(1)
-        for base, step in num:
-            c *= rising(base, step * n)
-        for base, step in den:
-            c /= rising(base, step * n)
-        coeffs.append(c)
-    return RationalSeries(coeffs, N)
+    return hypergeometric_series(*_series_factors(ell, alpha), 1, N).eps_slice(0)
 
 
 def box_annihilation_check(ell, alpha, N, series=None):

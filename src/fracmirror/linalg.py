@@ -19,6 +19,7 @@ __all__ = [
     "smith_normal_form",
     "kernel_basis",
     "solve_integer",
+    "rational_inverse",
     "inverse_unimodular",
     "SmithRelations",
     "smith_relations",
@@ -226,13 +227,10 @@ def solve_integer(M, b):
     return tuple(int(v) for v in x)
 
 
-def inverse_unimodular(U):
-    """Exact inverse of an integer matrix with det +-1."""
-    A = as_int_matrix(U)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("matrix must be square")
-    aug = [[Fraction(int(A[i, j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+def rational_inverse(rows):
+    """Exact inverse over Q of a square matrix, as lists of Fractions."""
+    n = len(rows)
+    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
@@ -245,10 +243,18 @@ def inverse_unimodular(U):
             if i != col and aug[i][col] != 0:
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def inverse_unimodular(U):
+    """Exact inverse of an integer matrix with det +-1."""
+    A = as_int_matrix(U)
+    n = A.shape[0]
+    if A.shape[1] != n:
+        raise ValueError("matrix must be square")
     out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
+    for i, row in enumerate(rational_inverse(A.tolist())):
+        for j, v in enumerate(row):
             if v.denominator != 1:
                 raise ValueError("matrix is not unimodular")
             out[i, j] = int(v)

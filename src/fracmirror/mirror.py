@@ -1,15 +1,18 @@
 """Mirror map and Yukawa couplings from the Frobenius basis.
 
 The logarithmic Frobenius partner of the holomorphic solution omega0 is
-omega1 = omega0 * log z + tau, whose non-log part has coefficients
-tau_n = c_n * R_n with
+omega1 = omega0 * log z + tau.  Both come from one hypergeometric series
+over Q[eps]/(eps^2) (``gkz.hypergeometric_series``): omega0 is its eps^0
+slice and tau its eps^1 slice.  Differentiating the product of linear
+factors gives tau_n = c_n * R_n with
 
     R_n =  sum_(l_e < 0) k_e * sum_(m=0)^(k_e n - 1) 1/(m + 1/2)
-         - sum_(l_e > 0) l_e * sum_(m=1)^(l_e n)     1/m,
+         - sum_(l_e > 0) l_e * sum_(m=1)^(l_e n)     1/m
 
-valid when every negative kernel entry carries exponent -1/2.  The base
-point of the half-integer digamma sums shifts log z by the constant
--log(s) with s = 2^(2 sum k_e), an exact integer; the mirror map is
+when every negative kernel entry carries exponent -1/2 (and every positive
+one exponent 0, as in ``build_gkz``).  The base point of the half-integer
+digamma sums shifts log z by the constant -log(s) with s = 2^(2 sum k_e), an
+exact integer; the mirror map is
 
     q(z) = (z / s) * exp(tau / omega0).
 
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
-from .gkz import holo_solution
+from .gkz import _series_factors, hypergeometric_series
+from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import yukawa_ode_rhs
 from .series import LogSeries, RationalSeries
 
@@ -95,18 +99,8 @@ def frobenius_pair(ell, alpha, N):
                     "exponent -1/2"
                 )
             k_total += -le
-    omega0 = holo_solution(ell, alpha, N)
-    tau_coeffs = [Fraction(0)]
-    for n in range(1, N + 1):
-        R = Fraction(0)
-        for le, _ae in zip(ell, alpha):
-            if le < 0:
-                k = -le
-                R += k * sum(Fraction(1, 2 * m + 1) * 2 for m in range(k * n))
-            elif le > 0:
-                R -= le * sum(Fraction(1, m) for m in range(1, le * n + 1))
-        tau_coeffs.append(omega0.coeff(n) * R)
-    tau = RationalSeries(tau_coeffs, N)
+    series = hypergeometric_series(*_series_factors(ell, alpha), 2, N)
+    omega0, tau = series.eps_slice(0), series.eps_slice(1)
     return FrobeniusPair(omega0=omega0, tau=tau, scale=2 ** (2 * k_total), N=N)
 
 

@@ -19,7 +19,7 @@ yielding a nef-partition on ``nabla`` whose double dual is the original.
 from functools import cached_property
 
 from .errors import InvalidNefPartition
-from .polytope import LatticePolytope, _dd_extreme_rays
+from .polytope import LatticePolytope, _dd_extreme_rays, _require_ints
 
 __all__ = [
     "NefPartition",
@@ -197,6 +197,8 @@ class NefPartition:
     def from_dict(cls, d):
         if not isinstance(d, dict) or "delta" not in d or "parts" not in d:
             raise ValueError('nef-partition JSON needs "delta" and "parts"')
+        for part in d["parts"]:
+            _require_ints(part, "part index")
         return cls(LatticePolytope.from_dict(d["delta"]), d["parts"])
 
     def __eq__(self, other):

@@ -37,6 +37,13 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _require_ints(values, what):
+    """Reject JSON input that ``int()`` would coerce: floats, bools, strings."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not an integer")
+
+
 def _dd_extreme_rays(rows):
     """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}.
 
@@ -78,7 +85,7 @@ def _dd_extreme_rays(rows):
     S = [rows[i] for i in seed_idx]
     d = linalg.det(S)
     # adjugate columns scaled by sign(d) give the simplicial seed rays
-    Sinv = _fraction_inverse(S)
+    Sinv = linalg.rational_inverse(S)
     sgn = 1 if d > 0 else -1
     rays = []
     for j in range(k):
@@ -139,27 +146,6 @@ def _dd_extreme_rays(rows):
             rays.append(r)
             masks.append(m)
     return tuple(sorted(rays))
-
-
-def _fraction_inverse(rows):
-    n = len(rows)
-    aug = [
-        [Fraction(rows[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
 class LatticePolytope:
@@ -419,6 +405,9 @@ class LatticePolytope:
     def from_dict(cls, d):
         if not isinstance(d, dict) or "dim" not in d or "vertices" not in d:
             raise ValueError('polytope JSON needs "dim" and "vertices"')
+        _require_ints([d["dim"]], "dim")
+        for v in d["vertices"]:
+            _require_ints(v, "vertex coordinate")
         return cls(d["vertices"], ambient_dim=d["dim"])
 
     def __eq__(self, other):

@@ -58,6 +58,34 @@ def test_invalid_partition_is_input_error(tmp_path, capsys):
     assert "invalid nef-partition input" in capsys.readouterr().err
 
 
+QUARTIC_DOC = {
+    "delta": {"dim": 3, "vertices": [[3, -1, -1], [-1, 3, -1], [-1, -1, 3], [-1, -1, -1]]},
+    "parts": [[0, 1, 2, 3]],
+}
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("parts", 0, 0), 0.7, "part index 0.7 is not an integer"),
+        (("parts", 0, 1), True, "part index True is not an integer"),
+        (("delta", "vertices", 0, 0), 3.9, "vertex coordinate 3.9 is not an integer"),
+        (("delta", "vertices", 1, 2), False, "vertex coordinate False is not an integer"),
+        (("delta", "dim"), 3.5, "dim 3.5 is not an integer"),
+    ],
+)
+def test_non_integer_json_field_is_input_error(tmp_path, capsys, path, value, message):
+    doc = json.loads(json.dumps(QUARTIC_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["euler", str(bad)]) == 2
+    assert f"invalid nef-partition input: {message}" in capsys.readouterr().err
+
+
 def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
     assert main(["mirror-map", hexagon_file]) == 3
     assert "multiparameter moduli unsupported" in capsys.readouterr().err
@@ -82,6 +110,9 @@ def test_series_order_cap(capsys, monkeypatch):
     assert "exceeds the cap 5" in capsys.readouterr().err
     monkeypatch.setenv("FRACMIRROR_MAX_N", "8")
     assert main(["mirror-map", _data("p3_quartic.json"), "-N", "8"]) == 0
+    monkeypatch.setenv("FRACMIRROR_MAX_N", "abc")
+    assert main(["mirror-map", _data("p3_quartic.json"), "-N", "60"]) == 2
+    assert "FRACMIRROR_MAX_N must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ subcommands

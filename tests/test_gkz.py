@@ -11,12 +11,13 @@ from fracmirror.gkz import (
     build_gkz,
     gkz_solution_terms,
     holo_solution,
+    hypergeometric_series,
     principal_kernel_vector,
     rising,
 )
 from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import RationalSeries
+from fracmirror.series import EpsPoly, RationalSeries
 
 
 def test_rising_factorial():
@@ -124,6 +125,25 @@ def test_holo_solution_eight_hyperplanes(eight_hyperplanes):
     assert s.coeff(1) == Fraction(1, 16)
     for n in range(4):
         assert s.coeff(n) == (rising(Fraction(1, 2), n) / rising(1, n)) ** 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_hypergeometric_series_matches_rebuilt_products(m):
+    # Reference: every c_n rebuilt from all of its linear factors.
+    num = [(Fraction(1, 2), 3), (Fraction(1, 3), 1)]
+    den = [(Fraction(1), 2), (Fraction(5, 4), 1), (Fraction(1), 1)]
+
+    def product(factors, n):
+        out = EpsPoly.constant(m, 1)
+        for a, k in factors:
+            for j in range(k * n):
+                out = out * EpsPoly(m, (a + j, k))
+        return out
+
+    s = hypergeometric_series(num, den, m, 7)
+    assert s.m == m and s.N == 7
+    for n in range(8):
+        assert s.coeff(n) == product(num, n) / product(den, n)
 
 
 def test_holo_solution_rejects_integer_exponent_negatives():
