@@ -1,41 +1,27 @@
-"""Lattice-point counting and enumeration kernels.
+"""Lattice-point counting and enumeration: one prefix→interval scan.
 
-The hot loop counts integer points of a box ``lo <= x <= hi`` subject to
-affine constraints ``A x + c >= 0``.  Three interchangeable backends:
-
-* ``"numba"``  -- an @njit odometer that walks the box prefix and counts the
-  feasible interval in the last axis (default when numba imports),
-* ``"numpy"``  -- a chunked, vectorized mixed-radix version of the same scan,
-* ``"python"`` -- exact big-int scan, engaged automatically whenever int64
-  intermediates could overflow.
-
-Set ``FRACMIRROR_PURE_NUMPY=1`` to skip numba even when it is installed.
+Both entry points scan the box ``lo <= x <= hi`` under ``A x + c >= 0`` the
+same way.  Every prefix of all axes but the last is visited in lex order, and
+the constraints cut the last axis above it to an interval ``[tlo, thi]``.
+``count_points`` sums the interval lengths; ``enumerate_points`` expands the
+intervals into points.  The scan runs chunked in int64 NumPy, or on NumPy
+object arrays of exact Python ints when ``_int64_safe`` says int64
+intermediates could overflow.
 """
 
-import itertools
-import os
+import math
 
 import numpy as np
 
 __all__ = ["backend_name", "count_points", "enumerate_points"]
 
-_PURE_ENV = os.environ.get("FRACMIRROR_PURE_NUMPY", "").strip() not in ("", "0")
-
-if _PURE_ENV:
-    numba = None
-else:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - exercised via the env flag path
-        numba = None
-
 _INT64_LIMIT = 2 ** 62
-_CHUNK = 1 << 15
+_CHUNK = 1 << 12
 
 
 def backend_name():
-    """Name of the default compiled backend: "numba" or "numpy"."""
-    return "numba" if numba is not None else "numpy"
+    """Name of the array backend the scan runs on."""
+    return "numpy"
 
 
 def _int64_safe(lo, hi, A, c):
@@ -49,203 +35,75 @@ def _int64_safe(lo, hi, A, c):
     return all(abs(v) < _INT64_LIMIT for v in list(lo) + list(hi))
 
 
-_numba_count = None
+def _scan(lo, hi, A, c):
+    """Yield ``(P, tlo, thi)`` per chunk of box prefixes.
 
-
-def _get_numba_count():
-    global _numba_count
-    if _numba_count is None:
-        @numba.njit(cache=True)
-        def kernel(lo, hi, A, c):  # pragma: no cover - compiled
-            d = lo.shape[0]
-            m = A.shape[0]
-            last = d - 1
-            total = 0
-            x = lo.copy()
-            base = c.copy()
-            for i in range(m):
-                for j in range(last):
-                    base[i] += A[i, j] * lo[j]
-            while True:
-                tlo = lo[last]
-                thi = hi[last]
-                ok = True
-                for i in range(m):
-                    a = A[i, last]
-                    b = base[i]
-                    if a > 0:
-                        t = -(b // a)
-                        if t > tlo:
-                            tlo = t
-                    elif a < 0:
-                        t = b // (-a)
-                        if t < thi:
-                            thi = t
-                    elif b < 0:
-                        ok = False
-                        break
-                if ok and thi >= tlo:
-                    total += thi - tlo + 1
-                j = last - 1
-                while j >= 0:
-                    if x[j] < hi[j]:
-                        x[j] += 1
-                        for i in range(m):
-                            base[i] += A[i, j]
-                        break
-                    span = hi[j] - lo[j]
-                    for i in range(m):
-                        base[i] -= A[i, j] * span
-                    x[j] = lo[j]
-                    j -= 1
-                if j < 0:
-                    break
-            return total
-
-        _numba_count = kernel
-    return _numba_count
-
-
-def _count_python(lo, hi, A, c):
-    d = len(lo)
-    last = d - 1
-    total = 0
-    m = len(A)
-    for prefix in itertools.product(*(range(lo[j], hi[j] + 1) for j in range(last))):
-        tlo, thi = lo[last], hi[last]
-        ok = True
-        for i in range(m):
-            b = c[i] + sum(A[i][j] * prefix[j] for j in range(last))
-            a = A[i][last]
-            if a > 0:
-                t = -(b // a)
-                if t > tlo:
-                    tlo = t
-            elif a < 0:
-                t = b // (-a)
-                if t < thi:
-                    thi = t
-            elif b < 0:
-                ok = False
-                break
-        if ok and thi >= tlo:
-            total += thi - tlo + 1
-    return total
-
-
-def _prefix_chunks(lo, hi, last):
-    """Yield int64 arrays of box-prefix points, chunked."""
+    Column ``P[:, k]`` is a point of the box over all axes but the last, in
+    lex order; ``[tlo[k], thi[k]]`` is the last-axis interval that
+    ``A x + c >= 0`` leaves above it (empty where ``thi < tlo``).
+    """
+    d, m, last = len(lo), len(A), len(lo) - 1
+    dtype = np.int64 if _int64_safe(lo, hi, A, c) else object
+    An = np.array(A, dtype=dtype).reshape(m, d)
+    cn = np.array(c, dtype=dtype).reshape(m, 1)
     ranges = [hi[j] - lo[j] + 1 for j in range(last)]
-    total = 1
-    for r in ranges:
-        total *= r
+    total = math.prod(ranges)
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        P = np.empty((idx.size, last), dtype=np.int64)
-        rem = idx
+        rem = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        k = rem.size
+        P = np.empty((last, k), dtype=dtype)
+        B = np.repeat(cn, k, axis=1)  # A x + c over the prefix axes
         for j in range(last - 1, -1, -1):
-            rem, digit = np.divmod(rem, ranges[j])
-            P[:, j] = digit + lo[j]
-        yield P
-    if total == 0:
-        return
+            rem, P[j] = np.divmod(rem, ranges[j])
+            P[j] += lo[j]
+            B += An[:, j, None] * P[j]
+        tlo = np.full(k, lo[last], dtype=dtype)
+        thi = np.full(k, hi[last], dtype=dtype)
+        for a, b in zip(An[:, last].tolist(), B):
+            if a > 0:
+                np.maximum(tlo, -(b // a), out=tlo)
+            elif a < 0:
+                np.minimum(thi, b // -a, out=thi)
+            else:
+                # tlo never drops below lo[last], so this stays empty
+                thi[b < 0] = lo[last] - 1
+        yield P, tlo, thi
 
 
-def _count_numpy(lo, hi, A, c):
-    d = len(lo)
-    last = d - 1
-    m = len(A)
-    An = np.array(A, dtype=np.int64).reshape(m, d)
-    cn = np.array(c, dtype=np.int64)
-    total = 0
-    for P in _prefix_chunks(lo, hi, last):
-        k = P.shape[0]
-        tlo = np.full(k, lo[last], dtype=np.int64)
-        thi = np.full(k, hi[last], dtype=np.int64)
-        ok = np.ones(k, dtype=bool)
-        if m:
-            B = P @ An[:, :last].T + cn
-            for i in range(m):
-                a = int(An[i, last])
-                col = B[:, i]
-                if a > 0:
-                    np.maximum(tlo, -(col // a), out=tlo)
-                elif a < 0:
-                    np.minimum(thi, col // (-a), out=thi)
-                else:
-                    ok &= col >= 0
-        cnt = thi - tlo + 1
-        total += int(np.where(ok & (cnt > 0), cnt, 0).sum())
-    return total
+def _ints(lo, hi, A, c):
+    return ([int(v) for v in lo], [int(v) for v in hi],
+            [[int(v) for v in row] for row in A], [int(v) for v in c])
 
 
-def count_points(lo, hi, A, c, force=None):
+def count_points(lo, hi, A, c):
     """Count integer points in the box subject to ``A x + c >= 0``.
 
     ``lo``/``hi`` are int sequences (inclusive bounds), ``A`` an m x d int
-    matrix, ``c`` length-m ints.  ``force`` picks a backend by name.
+    matrix, ``c`` length-m ints.
     """
-    lo = [int(v) for v in lo]
-    hi = [int(v) for v in hi]
-    A = [[int(v) for v in row] for row in A]
-    c = [int(v) for v in c]
-    d = len(lo)
+    lo, hi, A, c = _ints(lo, hi, A, c)
     if any(l > h for l, h in zip(lo, hi)):
         return 0
-    if d == 0:
+    if not lo:
         return 1 if all(v >= 0 for v in c) else 0
-    if force is None:
-        if not _int64_safe(lo, hi, A, c):
-            force = "python"
-        elif numba is not None:
-            force = "numba"
-        else:
-            force = "numpy"
-    if force == "python":
-        return _count_python(lo, hi, A, c)
-    if force == "numba":
-        if numba is None:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        kernel = _get_numba_count()
-        return int(kernel(
-            np.array(lo, dtype=np.int64),
-            np.array(hi, dtype=np.int64),
-            np.array(A, dtype=np.int64).reshape(len(A), d),
-            np.array(c, dtype=np.int64),
-        ))
-    if force == "numpy":
-        return _count_numpy(lo, hi, A, c)
-    raise ValueError(f"unknown backend {force!r}")
-
-
-def _enumerate_python(lo, hi, A, c):
-    out = []
-    for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if all(ci + sum(a * x for a, x in zip(row, p)) >= 0 for row, ci in zip(A, c)):
-            out.append(p)
-    return out
+    total = 0
+    for _, tlo, thi in _scan(lo, hi, A, c):
+        cnt = thi - tlo + 1
+        total += int(cnt[cnt > 0].sum())
+    return total
 
 
 def enumerate_points(lo, hi, A, c):
-    """List the integer points of the box with ``A x + c >= 0``, as tuples."""
-    lo = [int(v) for v in lo]
-    hi = [int(v) for v in hi]
-    A = [[int(v) for v in row] for row in A]
-    c = [int(v) for v in c]
-    d = len(lo)
+    """List the integer points of the box with ``A x + c >= 0``, as tuples in
+    lex order."""
+    lo, hi, A, c = _ints(lo, hi, A, c)
     if any(l > h for l, h in zip(lo, hi)):
         return []
-    if d == 0:
+    if not lo:
         return [()] if all(v >= 0 for v in c) else []
-    if not _int64_safe(lo, hi, A, c):
-        return _enumerate_python(lo, hi, A, c)
-    m = len(A)
-    An = np.array(A, dtype=np.int64).reshape(m, d)
-    cn = np.array(c, dtype=np.int64)
     out = []
-    for P in _prefix_chunks(lo, hi, d):
-        if m:
-            mask = ((P @ An.T + cn) >= 0).all(axis=1)
-            P = P[mask]
-        out.extend(tuple(int(v) for v in row) for row in P)
+    for P, tlo, thi in _scan(lo, hi, A, c):
+        keep = thi >= tlo
+        for row, a, b in zip(P.T[keep].tolist(), tlo[keep].tolist(), thi[keep].tolist()):
+            out.extend((*row, t) for t in range(a, b + 1))
     return out

@@ -58,7 +58,7 @@ class JobConfig:
     command: str
     input: str
     N: int = 10
-    normalization: Fraction | None = None
+    normalization: Fraction | str | None = None
     fmt: str = "table"
 
 
@@ -361,7 +361,7 @@ def run(config):
             raise _InputError(f"unknown format {config.fmt!r}")
         if config.normalization is not None:
             try:
-                config.normalization = Fraction(config.normalization)
+                Fraction(config.normalization)
             except (ValueError, ZeroDivisionError) as exc:
                 raise _InputError(f"bad normalization: {exc}") from exc
         data = _load(config.input)

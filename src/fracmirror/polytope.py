@@ -4,7 +4,7 @@ Everything is integer/rational arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone; volumes are
 normalized lattice volumes computed in the affine span (simplex determinant
 fast path, Ehrhart finite differences otherwise); lattice-point scans run on
-the accelerated kernels in ``_accel``.
+the one prefix→interval scan in ``_accel``.
 """
 
 import math

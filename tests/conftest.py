@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from fracmirror import NefPartition
+from fracmirror.topology import euler_double_cover
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -27,6 +28,12 @@ def quartic():
 @pytest.fixture(scope="session")
 def eight_hyperplanes():
     return load_case("p3_eight_hyperplanes")
+
+
+@pytest.fixture(scope="session")
+def eight_hyperplanes_topology(eight_hyperplanes):
+    """Euler data of the eight-hyperplane double cover, computed once."""
+    return euler_double_cover(eight_hyperplanes)
 
 
 @pytest.fixture(scope="session")

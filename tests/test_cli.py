@@ -177,6 +177,18 @@ def test_yukawa_normalization_override(capsys):
     assert payload["C"] == "3" and payload["K_q"]["coeffs"][0] == "3"
 
 
+def test_run_leaves_the_callers_config_unchanged(capsys):
+    config = JobConfig(command="yukawa", input=_data("p3_quartic.json"),
+                       N=6, normalization="3", fmt="json")
+    outputs = []
+    for _ in range(2):
+        assert run(config) == 0
+        assert config.normalization == "3"
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["C"] == "3"
+
+
 def test_yukawa_skips_k3_surface(capsys):
     assert main(["yukawa", _data("p2_k3.json")]) == 0
     out = capsys.readouterr().out

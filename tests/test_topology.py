@@ -90,16 +90,15 @@ def test_euler_double_cover_quartic(quartic):
     assert h.get(1, 1) == hd.get(2, 1) and h.get(2, 1) == hd.get(1, 1)
 
 
-def test_euler_double_cover_eight_hyperplanes(eight_hyperplanes):
-    topo = euler_double_cover(eight_hyperplanes)
+def test_euler_double_cover_eight_hyperplanes(eight_hyperplanes_topology):
+    topo = eight_hyperplanes_topology
     assert topo.chi_Y == -16 and topo.chi_Y_dual == 16
     assert topo.hodge.get(1, 1) == 1 and topo.hodge.get(2, 1) == 9
     assert topo.hodge_dual.get(1, 1) == 9 and topo.hodge_dual.get(2, 1) == 1
 
 
-def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes):
-    for data in (quartic, eight_hyperplanes):
-        topo = euler_double_cover(data)
+def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
+    for topo in (euler_double_cover(quartic), eight_hyperplanes_topology):
         assert topo.chi_Y == -topo.chi_Y_dual
 
 
