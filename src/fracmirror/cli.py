@@ -134,6 +134,10 @@ class _Context:
     def pair(self):
         return frobenius_pair(self.ell, self.gkz.alpha, self.config.N)
 
+    @cached_property
+    def mirror(self):
+        return mirror_map(self.pair)
+
 
 def _normalization(config):
     if config.normalization is not None:
@@ -224,7 +228,7 @@ def _cmd_pf(ctx):
 
 def _cmd_mirror_map(ctx):
     pair = ctx.pair
-    q_of_z, z_of_q = mirror_map(pair)
+    q_of_z, z_of_q = ctx.mirror
     payload = {
         "scale": pair.scale,
         "omega0": pair.omega0.to_json(),
@@ -252,7 +256,7 @@ def _cmd_yukawa(ctx):
             [],
         )
     C = _normalization(ctx.config)
-    ydata = a_model_correlation(op, ctx.pair, C, ctx.config.N)
+    ydata = a_model_correlation(op, ctx.pair, ctx.mirror[1], C, ctx.config.N)
     payload = ydata.to_json()
     lines = [
         f"normalization C = {fraction_str(ydata.C)}",

@@ -17,7 +17,6 @@ __all__ = [
     "det",
     "rank",
     "smith_normal_form",
-    "kernel_basis",
     "solve_integer",
     "rational_inverse",
     "inverse_unimodular",
@@ -199,15 +198,6 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def kernel_basis(M):
-    """Basis of the saturated right kernel {x : M x = 0}, as int tuples."""
-    A = as_int_matrix(M)
-    D, U, V = smith_normal_form(A)
-    r = sum(1 for i in range(min(A.shape)) if D[i, i] != 0)
-    n = A.shape[1]
-    return tuple(tuple(int(x) for x in V[:, j]) for j in range(r, n))
-
-
 def solve_integer(M, b):
     """One integer solution x of M x = b, or None if none exists."""
     A = as_int_matrix(M)
@@ -263,18 +253,15 @@ def inverse_unimodular(U):
 
 @dataclass(frozen=True)
 class SmithRelations:
-    """Smith data of an integer matrix: kernel, image index, invariant factors."""
+    """Smith data of an integer matrix: saturated kernel, rank, image index."""
 
-    diagonal: tuple
-    transform_left: tuple
-    transform_right: tuple
     kernel: tuple
     rank: int
     index: int  # index of the column span inside its saturation
 
 
 def smith_relations(M):
-    """Kernel basis, saturation index, and Smith form of ``M``.
+    """Saturated kernel basis, rank and saturation index of ``M``.
 
     ``index`` is the product of the nonzero invariant factors: the index of
     the lattice generated by the columns inside its saturation in Z^rows.
@@ -287,12 +274,4 @@ def smith_relations(M):
     index = 1
     for i in range(r):
         index *= int(D[i, i])
-    to_tuple = lambda W: tuple(tuple(int(x) for x in row) for row in W)
-    return SmithRelations(
-        diagonal=tuple(int(D[i, i]) for i in range(min(A.shape))),
-        transform_left=to_tuple(U),
-        transform_right=to_tuple(V),
-        kernel=kernel,
-        rank=r,
-        index=index,
-    )
+    return SmithRelations(kernel=kernel, rank=r, index=index)

@@ -128,21 +128,21 @@ def classical_normalization(cover_degree, base_intersection):
     return Fraction(cover_degree) * Fraction(base_intersection)
 
 
-def a_model_correlation(op, pair, C, N=None):
+def a_model_correlation(op, pair, z_of_q, C, N=None):
     """A-model correlation K(q) = Y_z(z(q)) * (theta_q log z(q))^3.
 
-    The q-series is exact through order N-1 (one order is consumed by the
-    unit factor z(q)/(s q)).
+    ``z_of_q`` is the inverse mirror map, the second series that
+    ``mirror_map(pair)`` returns.  The q-series is exact through order N-1
+    (one order is consumed by the unit factor z(q)/(s q)).
     """
     if N is None:
         N = pair.N
     N = min(N, pair.N)
     Y = yukawa_z(op, pair, C, N)
-    q_of_z, z_of_q = mirror_map(pair)
     z_of_q = z_of_q.truncate(N)
-    # v = z(q)/(s q), a unit series in q of order N-1
+    # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = RationalSeries(z_of_q.c[1:], N - 1) * Fraction(1, pair.scale)
-    dlog = v.log().theta() + 1
+    dlog = v.theta() / v + 1
     factor = dlog * dlog * dlog
     K = Y.compose(z_of_q).truncate(N - 1) * factor
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)

@@ -55,48 +55,46 @@ def polytope_of_part(delta, part_rays, all_rays):
     return LatticePolytope(verts, n)
 
 
-def validate_nef_partition(delta, parts):
-    """Diagnostics for a proposed nef-partition; empty list means valid."""
-    issues = []
+def _derive(delta, parts):
+    """Check a proposed nef-partition and build its polytopes in one pass.
+
+    Returns ``(issues, built)``: the diagnostics (empty means valid) and
+    ``(rays, parts_delta, nabla_parts, nabla)``, or None when a check
+    stopped the build early.
+    """
     if not isinstance(delta, LatticePolytope):
-        return ["delta is not a lattice polytope"]
+        return ["delta is not a lattice polytope"], None
     if not delta.is_reflexive():
-        return ["delta is not reflexive"]
+        return ["delta is not reflexive"], None
     if not parts:
-        return ["no parts given: not a partition"]
-    dual = delta.polar_dual()
-    rays = dual.vertices
+        return ["no parts given: not a partition"], None
+    rays = delta.polar_dual().vertices
     k = len(rays)
+    issues = []
     seen = set()
-    structural = False
     for i, part in enumerate(parts):
         if len(part) == 0:
             issues.append(f"part {i} is empty")
-            structural = True
         for idx in part:
             if not isinstance(idx, int) or not 0 <= idx < k:
                 issues.append(f"part {i} has an out-of-range vertex index")
-                structural = True
             elif idx in seen:
                 issues.append(
                     f"vertex index {idx} appears in more than one part: not a partition"
                 )
-                structural = True
             else:
                 seen.add(idx)
-    if len(seen) != k and not structural:
+    if len(seen) != k and not issues:
         issues.append("parts do not cover every dual vertex: not a partition")
-        structural = True
-    if structural:
-        return issues
+    if issues:
+        return issues, None
 
     try:
-        parts_delta = [
+        parts_delta = tuple(
             polytope_of_part(delta, [rays[j] for j in part], rays) for part in parts
-        ]
+        )
     except InvalidNefPartition as exc:
-        issues.append(str(exc))
-        return issues
+        return [str(exc)], None
 
     total = parts_delta[0]
     for P in parts_delta[1:]:
@@ -104,67 +102,44 @@ def validate_nef_partition(delta, parts):
     if total != delta:
         issues.append("Minkowski sum of part polytopes differs from delta")
     origin = tuple([0] * delta.ambient_dim)
-    nabla = None
-    for part in parts:
-        piece = LatticePolytope([origin] + [rays[j] for j in part])
-        nabla = piece if nabla is None else nabla + piece
+    nabla_parts = tuple(
+        LatticePolytope([origin] + [rays[j] for j in part]) for part in parts
+    )
+    nabla = nabla_parts[0]
+    for P in nabla_parts[1:]:
+        nabla = nabla + P
     if not nabla.is_reflexive():
         issues.append("nabla is not reflexive")
-    return issues
+    return issues, (rays, parts_delta, nabla_parts, nabla)
+
+
+def validate_nef_partition(delta, parts):
+    """Diagnostics for a proposed nef-partition; empty list means valid."""
+    return _derive(delta, parts)[0]
 
 
 class NefPartition:
     """A reflexive polytope with a validated nef-partition of its dual rays.
 
     ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
-    dual; all derived polytopes are computed lazily and cached.
+    dual.  Validation builds the derived polytopes once and keeps them:
+    ``rays``, ``parts_delta`` (the Delta_i), ``nabla_parts`` and ``nabla``.
     """
 
     def __init__(self, delta, parts):
         if not isinstance(delta, LatticePolytope):
             delta = LatticePolytope(delta)
         parts = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
-        issues = validate_nef_partition(delta, parts)
+        issues, built = _derive(delta, parts)
         if issues:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
+        self.rays, self.parts_delta, self.nabla_parts, self.nabla = built
 
     @property
     def r(self):
         return len(self.ray_parts)
-
-    @cached_property
-    def dual_polytope(self):
-        return self.delta.polar_dual()
-
-    @cached_property
-    def rays(self):
-        return self.dual_polytope.vertices
-
-    @cached_property
-    def parts_delta(self):
-        rays = self.rays
-        return tuple(
-            polytope_of_part(self.delta, [rays[j] for j in part], rays)
-            for part in self.ray_parts
-        )
-
-    @cached_property
-    def nabla_parts(self):
-        origin = tuple([0] * self.delta.ambient_dim)
-        rays = self.rays
-        return tuple(
-            LatticePolytope([origin] + [rays[j] for j in part])
-            for part in self.ray_parts
-        )
-
-    @cached_property
-    def nabla(self):
-        total = self.nabla_parts[0]
-        for P in self.nabla_parts[1:]:
-            total = total + P
-        return total
 
     @cached_property
     def nabla_dual(self):

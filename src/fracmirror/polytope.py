@@ -83,14 +83,14 @@ def _dd_extreme_rays(rows):
         raise ValueError("cone is not pointed: constraints do not span")
 
     S = [rows[i] for i in seed_idx]
-    d = linalg.det(S)
-    # adjugate columns scaled by sign(d) give the simplicial seed rays
+    # seed row i meets column j of S^-1 at delta_ij >= 0: each column, made
+    # integral and primitive, is a ray of the simplicial seed cone
     Sinv = linalg.rational_inverse(S)
-    sgn = 1 if d > 0 else -1
     rays = []
     for j in range(k):
-        col = [Sinv[i][j] * d * sgn for i in range(k)]
-        rays.append(_primitive([int(x) for x in col]))
+        col = [Sinv[i][j] for i in range(k)]
+        scale = math.lcm(*(x.denominator for x in col))
+        rays.append(_primitive([int(x * scale) for x in col]))
 
     seed_set = set(seed_idx)
     active = list(S)
@@ -168,6 +168,7 @@ class LatticePolytope:
         "_span_vertices",
         "_span_facets",
         "_lattice_points",
+        "_polar_dual",
     )
 
     def __init__(self, points, ambient_dim=None):
@@ -180,6 +181,7 @@ class LatticePolytope:
         self.points = tuple(pts)
         self.ambient_dim = D
         self._lattice_points = None
+        self._polar_dual = None
 
         if len(pts) == 1 or D == 0:
             self.affine_dim = 0
@@ -295,15 +297,18 @@ class LatticePolytope:
     # -- duality ----------------------------------------------------------
 
     def polar_dual(self):
-        if self.affine_dim != self.ambient_dim or self.ambient_dim == 0:
-            raise FracmirrorError("polar dual requires a full-dimensional polytope")
-        if any(c <= 0 for _, c in self.facets):
-            raise FracmirrorError("origin is not an interior point")
-        if any(c != 1 for _, c in self.facets):
-            raise FracmirrorError(
-                "polytope is not reflexive: polar dual is not a lattice polytope"
-            )
-        return LatticePolytope([g for g, _ in self.facets])
+        """The polar dual of a reflexive polytope, built once and kept."""
+        if self._polar_dual is None:
+            if self.affine_dim != self.ambient_dim or self.ambient_dim == 0:
+                raise FracmirrorError("polar dual requires a full-dimensional polytope")
+            if any(c <= 0 for _, c in self.facets):
+                raise FracmirrorError("origin is not an interior point")
+            if any(c != 1 for _, c in self.facets):
+                raise FracmirrorError(
+                    "polytope is not reflexive: polar dual is not a lattice polytope"
+                )
+            self._polar_dual = LatticePolytope([g for g, _ in self.facets])
+        return self._polar_dual
 
     # -- lattice points ---------------------------------------------------
 

@@ -220,7 +220,7 @@ def test_classical_normalization():
 def test_a_model_quartic(quartic):
     pair, ell, alpha = _pair(quartic)
     op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, classical_normalization(2, 1))
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], classical_normalization(2, 1))
     assert data.C == 2
     assert [data.K_q.coeff(n) for n in range(4)] == [
         2,
@@ -234,7 +234,7 @@ def test_a_model_quartic(quartic):
 def test_a_model_eight_hyperplanes(eight_hyperplanes):
     pair, ell, alpha = _pair(eight_hyperplanes)
     op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, classical_normalization(2, 1))
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], classical_normalization(2, 1))
     assert [data.K_q.coeff(n) for n in range(6)] == [
         2,
         64,
@@ -248,8 +248,30 @@ def test_a_model_eight_hyperplanes(eight_hyperplanes):
 def test_a_model_integrality(quartic):
     pair, ell, alpha = _pair(quartic)
     op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, 2)
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     assert all(data.K_q.coeff(n).denominator == 1 for n in range(10))
+
+
+@pytest.mark.parametrize(
+    "case,first",
+    [
+        ("quartic", [29504, 128834912, 1423720546880]),
+        ("eight_hyperplanes", [64, 1216, 52032]),
+    ],
+)
+def test_instanton_numbers_are_integers(case, first, request):
+    # multiple-cover formula K(q) = C + sum_d n_d d^3 q^d / (1 - q^d):
+    # [q^k] K = sum_(d | k) n_d d^3, solved for n_k one order at a time
+    pair, ell, alpha = _pair(request.getfixturevalue(case), 11)
+    op = theta_conjugate(ell, alpha)
+    K = a_model_correlation(op, pair, mirror_map(pair)[1], 2).K_q
+    assert K.N == 10
+    n = {}
+    for k in range(1, 11):
+        rest = sum(n[d] * d**3 for d in range(1, k) if k % d == 0)
+        n[k] = (K.coeff(k) - rest) / k**3
+    assert all(v.denominator == 1 for v in n.values())
+    assert [n[1], n[2], n[3]] == first
 
 
 def test_json_shapes(quartic):
@@ -257,6 +279,6 @@ def test_json_shapes(quartic):
     j = pair.to_json()
     assert set(j) == {"omega0", "tau", "scale", "N"}
     op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, 2)
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     dj = data.to_json()
     assert dj["C"] == "2" and set(dj) == {"C", "Y_z", "K_q"}

@@ -242,6 +242,15 @@ def test_polar_dual_known_pairs():
     assert Q.polar_dual().vertices == ((-1, -1, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
+def test_polar_dual_is_kept_and_failures_repeat():
+    Q = LatticePolytope(QUARTIC)
+    assert Q.polar_dual() is Q.polar_dual()
+    P = LatticePolytope([(2, 0), (0, 2), (-2, 0), (0, -2)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not reflexive"):
+            P.polar_dual()
+
+
 def test_polar_dual_requires_interior_origin():
     shifted = LatticePolytope([(1, 1), (3, 1), (1, 3)])
     with pytest.raises(ValueError, match="origin is not an interior point"):

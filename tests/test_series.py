@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmirror.series import (
     EpsPoly,
@@ -166,6 +168,48 @@ def test_reversion_round_trip_and_catalan():
     assert [z_of_q.coeff(i) for i in range(5)] == [0, 1, -1, 2, -5]
     with pytest.raises(ValueError, match="invertible linear coefficient"):
         RationalSeries([0, 0, 1], 2).reversion()
+
+
+# ------------------------------------------------------- series properties
+
+_coeffs = st.integers(-5, 5)
+
+
+@st.composite
+def _unit_series(draw):
+    """Constant term 1, small integer coefficients, order N <= 8."""
+    N = draw(st.integers(1, 8))
+    return RationalSeries([1] + draw(st.lists(_coeffs, min_size=N, max_size=N)), N)
+
+
+@st.composite
+def _invertible_series(draw):
+    """Zero constant term and a nonzero linear coefficient, order N <= 8."""
+    N = draw(st.integers(1, 8))
+    c1 = draw(_coeffs.filter(bool))
+    tail = draw(st.lists(_coeffs, min_size=N - 1, max_size=N - 1))
+    return RationalSeries([0, c1] + tail, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_invertible_series())
+def test_reversion_is_a_two_sided_inverse(s):
+    z = RationalSeries.z(s.N)
+    assert s.compose(s.reversion()).matches(z, s.N)
+    assert s.reversion().compose(s).matches(z, s.N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_unit_series())
+def test_exp_undoes_log(s):
+    assert s.log().exp() == s
+
+
+@settings(max_examples=40, deadline=None)
+@given(_unit_series())
+def test_theta_of_log_is_logarithmic_derivative(s):
+    # a_model_correlation takes theta log v as theta(v)/v
+    assert s.log().theta() == s.theta() / s
 
 
 # ----------------------------------------------------------- nilpotent part

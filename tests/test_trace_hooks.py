@@ -23,17 +23,36 @@ def _load_spans():
     return module
 
 
-def test_spans_record_each_stage_once_per_job():
+def _traced(*commands, shape):
+    """Run each command at N=4 on one bundled shape under the real hooks."""
     spans = _load_spans()
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
-        for command in ("bseries", "all"):
-            config = cli.JobConfig(command=command, input=str(DATA / "p2_k3.json"), N=4, fmt="json")
+        for command in commands:
+            config = cli.JobConfig(command=command, input=str(DATA / f"{shape}.json"), N=4, fmt="json")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.run(config) == 0
     finally:
         undo()
+    return tracer
+
+
+def test_spans_record_each_stage_once_per_job():
+    tracer = _traced("bseries", "all", shape="p2_k3")
     assert cli.euler_double_cover is topology.euler_double_cover
     assert tracer.calls["cohom.deformed_solution"] == 1
     assert tracer.calls["topology.euler_double_cover"] == 1
+
+
+def test_all_computes_the_mirror_map_once():
+    # `all` prints z(q) and feeds the same series to the A-model
+    assert _traced("all", shape="p3_quartic").calls["mirror.mirror_map"] == 1
+
+
+def test_euler_builds_each_polytope_once():
+    # euler on the quartic (r = 1): Delta, Delta*, Delta_1, nabla_1 = nabla,
+    # nabla*, the dual partition's Delta'_1 and nabla'_1, and the Cayley
+    # polytope and pyramid of Lambda and of Lambda_dual; each polar dual
+    # is built once however often it is asked for
+    assert _traced("euler", shape="p3_quartic").calls["polytope.hull"] == 11
