@@ -2,23 +2,25 @@
 
 Matrices are 2-D numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever overflows.  Provides Smith normal form with its unimodular
-transforms, saturated kernel bases, sublattice indices, exact determinants,
-and integer linear solves -- the workhorse layer for the polytope engine.
+transforms, saturated kernels, sublattice indices and integer solves.  One
+fraction-free elimination (Bareiss 1968) lies behind ``det``, ``adjugate``,
+``rank``, ``independent_rows`` and ``inverse_unimodular``: no rational is formed.
 """
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "as_int_matrix",
     "exgcd",
+    "adjugate",
     "det",
+    "independent_rows",
     "rank",
     "smith_normal_form",
     "solve_integer",
-    "rational_inverse",
     "inverse_unimodular",
     "SmithRelations",
     "smith_relations",
@@ -55,53 +57,66 @@ def exgcd(a, b):
     return old_r, old_x, old_y
 
 
-def det(M):
-    """Exact determinant via Bareiss fraction-free elimination."""
+def adjugate(M):
+    """``(det M, adj M)`` by fraction-free Gauss–Jordan elimination on [M | I].
+
+    Rows become ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev
+    the last one), an exact division.  ``adj M`` is a list of integer rows
+    with M·adj = det·I, or None when M is singular.
+    """
     A = [[int(x) for x in row] for row in M]
     n = len(A)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in A):
-        raise ValueError("determinant requires a square matrix")
+        raise ValueError("matrix must be square")
+    A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p, pivot_row = A[k][k], A[k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+
+
+def det(M):
+    """Exact determinant of a square integer matrix."""
+    return adjugate(M)[0]
+
+
+def independent_rows(M):
+    """Indices of the rows of M outside the span of the rows before them.
+
+    Each row is reduced against the basis kept so far: ``v ← b[p]·v − v[p]·b``
+    clears the pivot column p of basis row b, and a row that stays nonzero
+    joins the basis divided by its gcd.
+    """
+    basis = []  # (row index, pivot column, primitive reduced row)
+    for idx, row in enumerate(M):
+        v = [int(x) for x in row]
+        if len(basis) == len(v):
+            break
+        for _, p, b in basis:
+            if v[p] != 0:
+                v = [b[p] * a - v[p] * c for a, c in zip(v, b)]
+        piv = next((j for j, a in enumerate(v) if a != 0), None)
+        if piv is not None:
+            g = math.gcd(*v)
+            basis.append((idx, piv, [a // g for a in v]))
+    return [idx for idx, _, _ in basis]
 
 
 def rank(M):
-    """Rank over Q, by fraction-free elimination."""
-    A = [[int(x) for x in row] for row in M]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    r = 0
-    col = 0
-    while r < m and col < n:
-        piv = next((i for i in range(r, m) if A[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        for i in range(r + 1, m):
-            if A[i][col] != 0:
-                a, b = A[r][col], A[i][col]
-                A[i] = [a * A[i][j] - b * A[r][j] for j in range(n)]
-        r += 1
-        col += 1
-    return r
+    """Rank over Q."""
+    return len(independent_rows(M))
 
 
 def smith_normal_form(M):
@@ -217,38 +232,12 @@ def solve_integer(M, b):
     return tuple(int(v) for v in x)
 
 
-def rational_inverse(rows):
-    """Exact inverse over Q of a square matrix, as lists of Fractions."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def inverse_unimodular(U):
     """Exact inverse of an integer matrix with det +-1."""
-    A = as_int_matrix(U)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError("matrix must be square")
-    out = np.zeros((n, n), dtype=object)
-    for i, row in enumerate(rational_inverse(A.tolist())):
-        for j, v in enumerate(row):
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out[i, j] = int(v)
-    return out
+    d, adj = adjugate(U)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return np.array([[d * x for x in row] for row in adj], dtype=object)
 
 
 @dataclass(frozen=True)

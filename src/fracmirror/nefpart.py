@@ -16,8 +16,6 @@ construction swaps the roles of
 yielding a nef-partition on ``nabla`` whose double dual is the original.
 """
 
-from functools import cached_property
-
 from .errors import InvalidNefPartition
 from .polytope import LatticePolytope, _dd_extreme_rays, _require_ints
 
@@ -141,10 +139,10 @@ class NefPartition:
     def r(self):
         return len(self.ray_parts)
 
-    @cached_property
+    @property
     def nabla_dual(self):
-        pts = [v for P in self.parts_delta for v in P.vertices]
-        return LatticePolytope(pts, self.delta.ambient_dim)
+        """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), read off as polar(nabla)."""
+        return self.nabla.polar_dual()
 
     def dual_data(self):
         """The dual nef-partition, packaged the same way (delta' = nabla)."""

@@ -62,35 +62,16 @@ def _dd_extreme_rays(rows):
         raise ValueError("cone needs at least one constraint")
     k = len(rows[0])
 
-    # greedy seed: k linearly independent rows
-    reduced = []  # (pivot, Fraction row)
-    seed_idx = []
-    for idx, r in enumerate(rows):
-        v = [Fraction(x) for x in r]
-        for piv, b in reduced:
-            if v[piv] != 0:
-                f = v[piv]
-                v = [a - f * c for a, c in zip(v, b)]
-        piv = next((i for i, a in enumerate(v) if a != 0), None)
-        if piv is not None:
-            inv = v[piv]
-            v = [a / inv for a in v]
-            reduced.append((piv, v))
-            seed_idx.append(idx)
-            if len(seed_idx) == k:
-                break
+    seed_idx = linalg.independent_rows(rows)
     if len(seed_idx) < k:
         raise ValueError("cone is not pointed: constraints do not span")
 
     S = [rows[i] for i in seed_idx]
-    # seed row i meets column j of S^-1 at delta_ij >= 0: each column, made
-    # integral and primitive, is a ray of the simplicial seed cone
-    Sinv = linalg.rational_inverse(S)
-    rays = []
-    for j in range(k):
-        col = [Sinv[i][j] for i in range(k)]
-        scale = math.lcm(*(x.denominator for x in col))
-        rays.append(_primitive([int(x * scale) for x in col]))
+    # seed row i meets column j of adj(S) at det(S)·δ_ij: each column, signed
+    # by det(S) and made primitive, is a ray of the simplicial seed cone
+    d, adj = linalg.adjugate(S)
+    sign = 1 if d > 0 else -1
+    rays = [_primitive([sign * adj[i][j] for i in range(k)]) for j in range(k)]
 
     seed_set = set(seed_idx)
     active = list(S)
@@ -277,7 +258,10 @@ class LatticePolytope:
     # -- predicates -------------------------------------------------------
 
     def contains(self, point):
-        p = tuple(int(x) for x in point)
+        """Whether a point with int or Fraction coordinates lies in P."""
+        p = tuple(point)
+        if any(type(x) not in (int, Fraction) for x in p):
+            raise TypeError("point coordinates must be int or Fraction")
         if len(p) != self.ambient_dim:
             raise ValueError("point has wrong dimension")
         y = self._project(p)

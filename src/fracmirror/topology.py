@@ -79,16 +79,17 @@ class HodgeTable:
         }
 
 
-def hodge_numbers(data, chi):
+def hodge_numbers(delta, chi):
     """Hodge numbers of the double cover Y with Euler characteristic chi.
 
-    Off-middle numbers are those of the smooth toric base, with
-    h^{1,1} = (#boundary lattice points of the dual polytope) - n; the middle
-    row comes from chi in dimensions 2 and 3.  For n > 3 the off-middle part
-    is returned with ``complete=False``.
+    ``delta`` is the reflexive polytope of the toric base (``data.delta``
+    for Y, ``data.nabla`` for its mirror).  Off-middle numbers are those of
+    the smooth toric base, with h^{1,1} = (#boundary lattice points of the
+    polar dual of delta) - n; the middle row comes from chi in dimensions 2
+    and 3.  For n > 3 the off-middle part is returned with ``complete=False``.
     """
-    n = data.delta.ambient_dim
-    rays = data.delta.polar_dual().boundary_lattice_point_count()
+    n = delta.ambient_dim
+    rays = delta.polar_dual().boundary_lattice_point_count()
     h11 = rays - n
     table = {}
     if n == 2:
@@ -164,8 +165,8 @@ def euler_double_cover(data):
             f"vol(Λ) ≠ χ(X∨): {vol_lambda} != {chi_X_dual}; "
             "smoothness hypothesis violated"
         )
-    dual = data.dual_data()
-    lam_dual = pyramid_over(cayley_polytope(dual.parts_delta))
+    # the dual partition lives on nabla and its part polytopes are the nabla_i
+    lam_dual = pyramid_over(cayley_polytope(data.nabla_parts))
     vol_lambda_dual = lam_dual.normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(
@@ -182,8 +183,8 @@ def euler_double_cover(data):
         vol_Lambda_dual=vol_lambda_dual,
         chi_Y=chi_Y,
         chi_Y_dual=chi_Y_dual,
-        hodge=hodge_numbers(data, chi_Y),
-        hodge_dual=hodge_numbers(dual, chi_Y_dual),
+        hodge=hodge_numbers(data.delta, chi_Y),
+        hodge_dual=hodge_numbers(data.nabla, chi_Y_dual),
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from fracmirror import linalg
 
@@ -55,6 +56,62 @@ def test_det_matches_fraction_oracle():
         n = rng.randint(1, 5)
         M = rand_matrix(rng, n, n)
         assert linalg.det(M) == frac_det(M.tolist())
+
+
+def _seeded_square_matrices(rng, count):
+    """Random square matrices with n <= 8: some singular (a row is a
+    combination of two others), some needing row swaps (zero leading block)."""
+    for t in range(count):
+        n = rng.randint(1, 8)
+        M = rand_matrix(rng, n, n, -4, 4)
+        if t % 3 == 1 and n >= 2:
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            M[i] = rng.randint(-2, 2) * M[j] + rng.randint(-2, 2) * M[k]
+        elif t % 3 == 2:
+            for i in range(rng.randint(1, n)):
+                M[i, : rng.randint(1, n)] = 0
+        yield M
+
+
+def test_adjugate_matches_fraction_and_sympy_oracles():
+    rng = random.Random(61)
+    singular = swapped = 0
+    for M in _seeded_square_matrices(rng, 300):
+        n = M.shape[0]
+        d, adj = linalg.adjugate(M)
+        assert d == frac_det(M.tolist())
+        if d == 0:
+            singular += 1
+            assert adj is None
+            continue
+        swapped += M[0, 0] == 0
+        A = np.array(adj, dtype=object)
+        assert (M @ A == d * np.eye(n, dtype=int).astype(object)).all()
+        assert (A @ M == d * np.eye(n, dtype=int).astype(object)).all()
+        if n <= 5:
+            assert A.tolist() == sympy.Matrix(M.tolist()).adjugate().tolist()
+    assert singular >= 50 and swapped >= 20
+    with pytest.raises(ValueError, match="square"):
+        linalg.adjugate([[1, 2, 3], [4, 5, 6]])
+
+
+def test_independent_rows_span_in_order():
+    rng = random.Random(67)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+        M = rand_matrix(rng, rows, cols, -3, 3)
+        for i in range(1, rows):
+            if rng.random() < 0.4:  # a combination of earlier rows
+                j, k = rng.randrange(i), rng.randrange(i)
+                M[i] = rng.randint(-2, 2) * M[j] + rng.randint(-2, 2) * M[k]
+        F = np.array(M.tolist(), dtype=float)
+        chosen = linalg.independent_rows(M)
+        assert chosen == sorted(chosen)
+        assert len(chosen) == np.linalg.matrix_rank(F) == linalg.rank(M)
+        for i in range(rows):
+            before = [c for c in chosen if c < i]
+            gained = np.linalg.matrix_rank(F[before + [i]]) > len(before)
+            assert gained == (i in chosen)
 
 
 def test_smith_normal_form_properties():

@@ -120,8 +120,10 @@ def test_dual_nef_partition_known_nablas(quartic, k3):
 
 
 def test_nabla_dual_is_polar_dual_of_nabla(quartic, eight_hyperplanes, k3):
+    # oracle: nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), built as its own hull
     for data in (quartic, eight_hyperplanes, k3):
-        assert data.nabla_dual == data.nabla.polar_dual()
+        union = [v for P in data.parts_delta for v in P.vertices]
+        assert data.nabla_dual == LatticePolytope(union, data.delta.ambient_dim)
 
 
 def test_duality_is_an_involution(quartic, eight_hyperplanes, k3):

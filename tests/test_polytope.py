@@ -15,6 +15,7 @@ import pytest
 
 from fracmirror.polytope import (
     LatticePolytope,
+    _dd_extreme_rays,
     cayley_polytope,
     ehrhart_polynomial,
     lattice_transform,
@@ -101,6 +102,24 @@ def test_interior_points_are_not_vertices():
     assert P.vertices == ((0, 0), (0, 2), (2, 0))
 
 
+def test_extreme_rays_do_not_depend_on_row_order():
+    # the seed cone comes from the first independent rows, so shuffling the
+    # rows changes the seed but never the primitive extreme rays returned
+    rng = random.Random(808)
+    checked = 0
+    while checked < 60:
+        d = rng.randint(1, 5)
+        n_pts = d + rng.randint(1, 4)
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n_pts)]
+        if LatticePolytope(pts).affine_dim != d:
+            continue
+        rows = [p + (1,) for p in pts]
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert _dd_extreme_rays(shuffled) == _dd_extreme_rays(rows)
+        checked += 1
+
+
 def test_no_points_error():
     with pytest.raises(ValueError, match="no points"):
         LatticePolytope([])
@@ -122,6 +141,13 @@ def test_contains():
     assert P.contains((3, -1, -1))
     assert not P.contains((2, 2, 2))
     assert P.contains((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)))
+    # rational coordinates are used exactly, never truncated
+    assert not P.contains((Fraction(-3, 2), 0, 0))
+    S = LatticePolytope([(0, 0, 0), (2, 4, 6)])
+    assert S.contains((Fraction(1, 2), 1, Fraction(3, 2)))
+    assert not S.contains((Fraction(1, 2), 1, 1))
+    with pytest.raises(TypeError):
+        P.contains((-1.5, 0, 0))
 
 
 # ---------------------------------------------------------------- counting

@@ -169,7 +169,7 @@ def test_snc_oracle_singleton_branch():
 
 
 def test_hodge_numbers_k3_table(k3):
-    table = hodge_numbers(k3, 12)
+    table = hodge_numbers(k3.delta, 12)
     assert table.get(1, 1) == 8
     assert table.get(0, 0) == 1 and table.get(2, 2) == 1
     assert table.get(1, 0) == 0
@@ -182,14 +182,14 @@ def test_hodge_two_routes_agree(quartic):
     h11 = rays - 3
     chi = euler_double_cover(quartic).chi_Y_dual
     h21 = h11 - chi // 2
-    table = hodge_numbers(data, chi)
+    table = hodge_numbers(data.delta, chi)
     assert table.get(1, 1) == h11 == 31
     assert table.get(2, 1) == h21 == 1
 
 
 def test_hodge_rejects_odd_chi(quartic):
     with pytest.raises(FracmirrorError, match="odd Euler characteristic"):
-        hodge_numbers(quartic, 7)
+        hodge_numbers(quartic.delta, 7)
 
 
 def test_hodge_higher_dimension_partial():
@@ -198,7 +198,7 @@ def test_hodge_higher_dimension_partial():
          (-1, -1, -1, -1)]
     )
     data = NefPartition(delta, [[0, 1, 2, 3, 4]])
-    table = hodge_numbers(data, 0)
+    table = hodge_numbers(data.delta, 0)
     assert not table.complete
     assert table.note == "middle Hodge numbers not determined"
     assert table.get(1, 1) == table.get(3, 3)

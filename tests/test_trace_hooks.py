@@ -52,7 +52,16 @@ def test_all_computes_the_mirror_map_once():
 
 def test_euler_builds_each_polytope_once():
     # euler on the quartic (r = 1): Delta, Delta*, Delta_1, nabla_1 = nabla,
-    # nabla*, the dual partition's Delta'_1 and nabla'_1, and the Cayley
-    # polytope and pyramid of Lambda and of Lambda_dual; each polar dual
-    # is built once however often it is asked for
-    assert _traced("euler", shape="p3_quartic").calls["polytope.hull"] == 11
+    # nabla*, and the Cayley polytope and pyramid of Lambda and of
+    # Lambda_dual; the dual side is read off the primal (its part polytopes
+    # are the nabla_i), so no dual nef-partition is loaded, and each polar
+    # dual is built once however often it is asked for
+    tracer = _traced("euler", shape="p3_quartic")
+    assert tracer.calls["polytope.hull"] == 9
+    assert tracer.calls["nefpart.load"] == 1
+
+
+def test_dual_nef_builds_each_polytope_once():
+    # Delta, Delta*, Delta_1, nabla_1 = nabla, nabla* (printed and reused by
+    # the dual partition), and the dual partition's Delta'_1 and nabla'_1
+    assert _traced("dual-nef", shape="p3_quartic").calls["polytope.hull"] == 7
