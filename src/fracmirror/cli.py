@@ -147,19 +147,19 @@ def _normalization(config):
 
 def _cmd_dual_nef(ctx):
     parts, nabla, nabla_dual = dual_nef_partition(ctx.data)
-    dual = ctx.data.dual_data()
+    dual_parts = ctx.data.dual_parts()
     payload = {
         "nabla_parts": [P.to_dict() for P in parts],
         "nabla": nabla.to_dict(),
         "nabla_dual": nabla_dual.to_dict(),
-        "dual_partition": dual.to_dict(),
+        "dual_partition": {"delta": nabla.to_dict(), "parts": dual_parts},
     }
     lines = []
     for i, P in enumerate(parts):
         lines.append(f"nabla_{i} vertices: {list(P.vertices)}")
     lines.append(f"nabla vertices: {list(nabla.vertices)}")
     lines.append(f"nabla_dual vertices: {list(nabla_dual.vertices)}")
-    lines.append(f"dual partition parts: {[list(p) for p in dual.ray_parts]}")
+    lines.append(f"dual partition parts: {dual_parts}")
     return payload, lines, [_SMOOTHNESS_WARNING]
 
 

@@ -2,17 +2,13 @@
 
 The logarithmic Frobenius partner of the holomorphic solution omega0 is
 omega1 = omega0 * log z + tau.  Both come from one hypergeometric series
-over Q[eps]/(eps^2) (``gkz.hypergeometric_series``): omega0 is its eps^0
-slice and tau its eps^1 slice.  Differentiating the product of linear
-factors gives tau_n = c_n * R_n with
-
-    R_n =  sum_(l_e < 0) k_e * sum_(m=0)^(k_e n - 1) 1/(m + 1/2)
-         - sum_(l_e > 0) l_e * sum_(m=1)^(l_e n)     1/m
-
-when every negative kernel entry carries exponent -1/2 (and every positive
-one exponent 0, as in ``build_gkz``).  The base point of the half-integer
-digamma sums shifts log z by the constant -log(s) with s = 2^(2 sum k_e), an
-exact integer; the mirror map is
+over Q[eps]/(eps^2) (``gkz.hypergeometric_series``), the coefficients
+c_n(eps) of the Frobenius deformation sum_n c_n(eps) z^(n+eps): omega0 is
+its eps^0 slice and tau its eps^1 slice, tau_n = c_n'(0).  Every negative
+kernel entry carries exponent -1/2 (every positive one exponent 0, as in
+``build_gkz``), and the half-integer base point of the negative factors
+shifts log z by the constant -log(s) with s = 2^(2 sum k_e), an exact
+integer; the mirror map is
 
     q(z) = (z / s) * exp(tau / omega0).
 

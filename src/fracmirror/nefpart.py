@@ -144,12 +144,10 @@ class NefPartition:
         """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), read off as polar(nabla)."""
         return self.nabla.polar_dual()
 
-    def dual_data(self):
-        """The dual nef-partition, packaged the same way (delta' = nabla)."""
-        nabla = self.nabla
-        dual_rays = nabla.polar_dual().vertices
+    def dual_parts(self):
+        """Dual parts: each vertex of nabla^* joins the first Delta_i holding it."""
         parts = [[] for _ in range(self.r)]
-        for idx, v in enumerate(dual_rays):
+        for idx, v in enumerate(self.nabla_dual.vertices):
             home = next(
                 (i for i, P in enumerate(self.parts_delta) if P.contains(v)), None
             )
@@ -158,7 +156,11 @@ class NefPartition:
                     "a dual vertex lies in no part polytope; partition is not nef"
                 )
             parts[home].append(idx)
-        return NefPartition(nabla, parts)
+        return parts
+
+    def dual_data(self):
+        """The dual nef-partition, packaged the same way (delta' = nabla)."""
+        return NefPartition(self.nabla, self.dual_parts())
 
     def to_dict(self):
         return {

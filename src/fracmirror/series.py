@@ -414,17 +414,24 @@ class _Series:
         return self._raw(out, self.N)
 
     def reversion(self):
-        """Compositional inverse T with self(T(q)) = q + O(q^(N+1))."""
+        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
+
+        Lagrange inversion: with c1 a unit and h = w / self(w) of order N-1,
+        [q^k] T = (1/k) [w^(k-1)] h^k, each the dot product of h^(k-1) and h.
+        """
+        if self.N < 1:
+            raise FracmirrorError("reversion needs a series of order N >= 1")
         if not self.ring.is_zero(self.c[0]):
             raise FracmirrorError("reversion needs a zero constant term")
         if self.ring.is_zero(self.c[1]):
             raise FracmirrorError("reversion needs an invertible linear coefficient")
-        inv1 = self.ring.invert(self.c[1])
-        out = [self.ring.zero, inv1] + [self.ring.zero] * (self.N - 1)
+        h = self._raw(self.c[1:], self.N - 1).inverse()
+        out, power = [self.ring.zero, h.c[0]], h  # power = h^(k-1)
         for k in range(2, self.N + 1):
-            partial = self._raw(out, self.N)
-            err = self.compose(partial).coeff(k)
-            out[k] = -(inv1 * err)
+            top = sum((power.c[i] * h.c[k - 1 - i] for i in range(k)), self.ring.zero)
+            out.append(top * Fraction(1, k))
+            if k < self.N:
+                power = power * h
         return self._raw(out, self.N)
 
     # -- identity -----------------------------------------------------------

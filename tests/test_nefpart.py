@@ -1,5 +1,6 @@
 """Nef-partitions: part polytopes, validation diagnostics, duality."""
 
+import copy
 import itertools
 
 import pytest
@@ -131,6 +132,22 @@ def test_duality_is_an_involution(quartic, eight_hyperplanes, k3):
         dd = data.dual_data().dual_data()
         assert dd.delta == data.delta
         assert dd.ray_parts == data.ray_parts
+
+
+def test_dual_parts_are_the_dual_partition(quartic, eight_hyperplanes, k3):
+    for data in (quartic, eight_hyperplanes, k3):
+        assert [tuple(p) for p in data.dual_parts()] == list(data.dual_data().ray_parts)
+
+
+def test_dual_parts_rejects_a_vertex_in_no_part(k3):
+    # shrink every part polytope to the origin: no dual vertex lies in one
+    bad = copy.copy(k3)
+    origin = LatticePolytope([(0,) * k3.delta.ambient_dim])
+    bad.parts_delta = (origin,) * k3.r
+    with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
+        bad.dual_parts()
+    with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
+        bad.dual_data()
 
 
 def test_eight_hyperplane_nabla_roundtrip(eight_hyperplanes):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reversion_by_composition
 
+from fracmirror.errors import FracmirrorError
 from fracmirror.series import (
     EpsPoly,
     LogSeries,
@@ -170,6 +172,36 @@ def test_reversion_round_trip_and_catalan():
         RationalSeries([0, 0, 1], 2).reversion()
 
 
+def test_reversion_needs_order_at_least_one():
+    for f in (RationalSeries([0], 0), NilpotentSeries(2, [], 0)):
+        with pytest.raises(FracmirrorError, match="order N >= 1"):
+            f.reversion()
+    assert RationalSeries([0, 2], 1).reversion() == RationalSeries([0, Fraction(1, 2)], 1)
+
+
+def test_nilpotent_reversion_matches_composition_oracle():
+    # Lagrange inversion holds over any commutative Q-algebra where c1 is a
+    # unit; c1 here has nonzero eps parts
+    rng = random.Random(55)
+
+    def eps_poly(m, unit=False):
+        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        if unit:
+            c[0] = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 2))
+            c[1] = c[1] or Fraction(1)
+        return EpsPoly(m, c)
+
+    for m in (2, 3):
+        for _ in range(4):
+            N = rng.randint(2, 7)
+            tail = [eps_poly(m) for _ in range(N - 1)]
+            f = NilpotentSeries(m, [EpsPoly(m), eps_poly(m, unit=True)] + tail, N)
+            g = f.reversion()
+            assert g == reversion_by_composition(f)
+            z = NilpotentSeries(m, [0, 1], N)
+            assert f.compose(g) == z and g.compose(f) == z
+
+
 # ------------------------------------------------------- series properties
 
 _coeffs = st.integers(-5, 5)
@@ -197,6 +229,37 @@ def test_reversion_is_a_two_sided_inverse(s):
     z = RationalSeries.z(s.N)
     assert s.compose(s.reversion()).matches(z, s.N)
     assert s.reversion().compose(s).matches(z, s.N)
+
+
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _series(draw, max_order=10, zero_const=False):
+    """Rational coefficients, order 1 <= N <= max_order."""
+    N = draw(st.integers(1, max_order))
+    coeffs = draw(st.lists(_fractions, min_size=N + 1, max_size=N + 1))
+    if zero_const:
+        coeffs[0] = 0
+    return RationalSeries(coeffs, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series(zero_const=True))
+def test_reversion_matches_composition_oracle(s):
+    if s.coeff(1) == 0:
+        s = s + RationalSeries([0, 1], s.N)
+    assert s.reversion() == reversion_by_composition(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _series(max_order=8),
+    _series(max_order=8, zero_const=True),
+    _series(max_order=8, zero_const=True),
+)
+def test_compose_is_associative(f, g, h):
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
 @settings(max_examples=40, deadline=None)

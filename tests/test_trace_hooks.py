@@ -62,6 +62,16 @@ def test_euler_builds_each_polytope_once():
 
 
 def test_dual_nef_builds_each_polytope_once():
-    # Delta, Delta*, Delta_1, nabla_1 = nabla, nabla* (printed and reused by
-    # the dual partition), and the dual partition's Delta'_1 and nabla'_1
-    assert _traced("dual-nef", shape="p3_quartic").calls["polytope.hull"] == 7
+    # Delta, Delta*, Delta_1, nabla_1 = nabla, nabla*; the dual partition's
+    # parts are read off nabla* and the Delta_i, and its own polytopes (the
+    # nabla_i, Delta_i, Delta and nabla) are not rebuilt
+    tracer = _traced("dual-nef", shape="p3_quartic")
+    assert tracer.calls["polytope.hull"] == 5
+    assert tracer.calls["nefpart.load"] == 1
+
+
+def test_mirror_map_reverts_without_composing():
+    # z(q) is one Lagrange reversion, which forms no composition
+    tracer = _traced("mirror-map", shape="p3_quartic")
+    assert tracer.calls["series.reversion.rational"] == 1
+    assert tracer.calls["series.compose.rational"] == 0
