@@ -10,8 +10,6 @@ from .errors import FracmirrorError, InvalidNefPartition, SmoothnessError
 from .polytope import (
     LatticePolytope,
     cayley_polytope,
-    ehrhart_polynomial,
-    lattice_transform,
     pyramid_over,
 )
 from .nefpart import (
@@ -81,8 +79,6 @@ __all__ = [
     "SmoothnessError",
     "LatticePolytope",
     "cayley_polytope",
-    "ehrhart_polynomial",
-    "lattice_transform",
     "pyramid_over",
     "NefPartition",
     "dual_nef_partition",

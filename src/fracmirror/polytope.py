@@ -2,9 +2,10 @@
 
 Everything is integer/rational arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone; volumes are
-normalized lattice volumes computed in the affine span (simplex determinant
-fast path, Ehrhart finite differences otherwise); lattice-point scans run on
-the one prefix→interval scan in ``_accel``.
+normalized lattice volumes in the affine span, summed over the simplices of a
+pulling triangulation read off the facet–vertex incidences (the dilated
+lattice-point counts of ``method="count"`` are the oracle); lattice-point
+scans run on the one prefix→interval scan in ``_accel``.
 """
 
 import math
@@ -19,8 +20,6 @@ __all__ = [
     "LatticePolytope",
     "cayley_polytope",
     "pyramid_over",
-    "lattice_transform",
-    "ehrhart_polynomial",
 ]
 
 
@@ -171,7 +170,7 @@ class LatticePolytope:
             self._v0 = pts[0]
             self._U = None
             self._B = None
-            self._span_vertices = ((),) if D else ((),)
+            self._span_vertices = ((),)
             self._span_facets = ()
             return
 
@@ -343,27 +342,67 @@ class LatticePolytope:
 
     # -- volume -----------------------------------------------------------
 
+    def _pulling_triangulation(self):
+        """Simplices of the pulling triangulation, as tuples of vertex indices.
+
+        Faces are bitmasks over ``_span_vertices``.  The facets of a face S
+        are the inclusion-maximal S ∩ F over the facets F of P that do not
+        contain S; S is coned from its smallest vertex over the triangulations
+        of its facets that miss that vertex (De Loera, Rambau & Santos,
+        "Triangulations", §4.3).  Each face is triangulated once.
+        """
+        Y = self._span_vertices
+        facets = [
+            sum(1 << i for i, y in enumerate(Y) if _dot(g, y) + c == 0)
+            for g, c in self._span_facets
+        ]
+        memo = {}
+
+        def pull(S):
+            if S not in memo:
+                v = (S & -S).bit_length() - 1
+                if S == 1 << v:
+                    memo[S] = [(v,)]
+                else:
+                    cuts = {S & F for F in facets if S & F != S}
+                    memo[S] = [
+                        (v,) + s
+                        for G in cuts
+                        if not G >> v & 1
+                        and not any(G != H and G & H == G for H in cuts)
+                        for s in pull(G)
+                    ]
+            return memo[S]
+
+        return pull((1 << len(Y)) - 1)
+
     def normalized_volume(self, method="auto"):
-        """Normalized lattice volume in the affine span (unit simplex = 1)."""
+        """Normalized lattice volume in the affine span (unit simplex = 1).
+
+        The volume is Σ |det(yᵢ − y₀)| over the simplices of the pulling
+        triangulation, in span coordinates; a simplex is its own
+        triangulation.  ``method="det"`` insists on a simplex, and
+        ``method="count"`` is the oracle: the alternating sum of a+1 dilated
+        lattice-point counts (the leading Ehrhart coefficient times a!).
+        """
         a = self.affine_dim
         if a == 0:
             return 1
-        is_simplex = len(self.vertices) == a + 1
         if method not in ("auto", "det", "count"):
             raise ValueError(f"unknown volume method {method!r}")
-        if method == "det" and not is_simplex:
+        if method == "det" and len(self.vertices) != a + 1:
             raise ValueError("determinant volume requires a simplex")
-        if is_simplex and method != "count":
-            y0 = self._span_vertices[0]
-            M = [
-                [y[i] - y0[i] for i in range(a)]
-                for y in self._span_vertices[1:]
-            ]
-            return abs(linalg.det(M))
-        counts = [self.dilate_lattice_point_count(k) for k in range(a + 1)]
+        if method == "count":
+            return sum(
+                (-1) ** (a - k) * math.comb(a, k) * self.dilate_lattice_point_count(k)
+                for k in range(a + 1)
+            )
+        Y = self._span_vertices
         vol = 0
-        for j in range(a + 1):
-            vol += (-1) ** (a - j) * math.comb(a, j) * counts[j]
+        for s in self._pulling_triangulation():
+            y0 = Y[s[0]]
+            M = [[Y[j][i] - y0[i] for i in range(a)] for j in s[1:]]
+            vol += abs(linalg.det(M))
         return vol
 
     # -- constructions ----------------------------------------------------
@@ -438,42 +477,3 @@ def pyramid_over(P):
     pts = list(P.vertices)
     pts.append(tuple([0] * P.ambient_dim))
     return LatticePolytope(pts, P.ambient_dim)
-
-
-def lattice_transform(U, X):
-    """Apply the integer matrix U (rows) to a polytope or a list of points."""
-    rows = [tuple(int(x) for x in row) for row in U]
-
-    def tf(p):
-        return tuple(_dot(row, p) for row in rows)
-
-    if isinstance(X, LatticePolytope):
-        return LatticePolytope([tf(v) for v in X.vertices], len(rows))
-    return tuple(tf(tuple(p)) for p in X)
-
-
-def ehrhart_polynomial(P):
-    """Coefficients (c₀..c_a) with |kP ∩ Z^D| = Σ cᵢ kⁱ, as Fractions."""
-    a = P.affine_dim
-    counts = [P.dilate_lattice_point_count(k) for k in range(a + 1)]
-    # Newton forward differences
-    diffs = [Fraction(c) for c in counts]
-    table = [diffs[0]]
-    work = diffs
-    for _ in range(a):
-        work = [work[i + 1] - work[i] for i in range(len(work) - 1)]
-        table.append(work[0])
-    # expand sum_j table[j] * C(k, j) into powers of k
-    coeffs = [Fraction(0)] * (a + 1)
-    # C(k, j) = k(k-1)...(k-j+1)/j!
-    for j, tj in enumerate(table):
-        poly = [Fraction(1)]  # product over (k - t)
-        for t in range(j):
-            poly = [
-                (poly[i - 1] if i else 0) - t * (poly[i] if i < len(poly) else 0)
-                for i in range(len(poly) + 1)
-            ]
-        fj = Fraction(1, math.factorial(j))
-        for i, ci in enumerate(poly):
-            coeffs[i] += tj * fj * ci
-    return tuple(coeffs)

@@ -17,10 +17,9 @@ from fracmirror.polytope import (
     LatticePolytope,
     _dd_extreme_rays,
     cayley_polytope,
-    ehrhart_polynomial,
-    lattice_transform,
     pyramid_over,
 )
+from oracles import ehrhart_polynomial, lattice_transform
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 
@@ -187,21 +186,37 @@ def test_lower_dimensional_counting():
 # ---------------------------------------------------------------- volumes
 
 
-def test_simplex_volume_det_vs_count_on_random_instances():
+def test_volume_matches_count_on_random_polytopes():
+    # points of a random affine sublattice of Z^D, D <= 5: the triangulation
+    # volume must equal the dilated-count oracle on simplices and
+    # non-simplices, full-dimensional or not, and det must agree on simplices
     rng = random.Random(101)
-    produced = 0
-    sizes = {2: 4, 3: 4, 4: 2, 5: 1}
-    while produced < 50:
-        d = rng.choice([2, 2, 2, 3, 3, 4, 5])
-        span = sizes[d]
-        verts = [
-            tuple(rng.randint(-span, span) for _ in range(d)) for _ in range(d + 1)
-        ]
-        P = LatticePolytope(verts)
-        if P.affine_dim != d or len(P.vertices) != d + 1:
+    seen = {"simplex": 0, "non-simplex": 0, "lower-dimensional": 0}
+    for _ in range(150):
+        D = rng.randint(1, 5)
+        a = rng.randint(1, D)
+        basis = [[rng.randint(-1, 1) for _ in range(D)] for _ in range(a)]
+        origin = [rng.randint(-2, 2) for _ in range(D)]
+        span = 2 if a <= 3 else 1
+        pts = []
+        for _ in range(a + rng.randint(1, 5)):
+            c = [rng.randint(-span, span) for _ in range(a)]
+            pts.append(
+                tuple(origin[i] + sum(c[j] * basis[j][i] for j in range(a)) for i in range(D))
+            )
+        P = LatticePolytope(pts)
+        if P.affine_dim == 0:
             continue
-        produced += 1
-        assert P.normalized_volume(method="det") == P.normalized_volume(method="count")
+        count = P.normalized_volume(method="count")
+        assert P.normalized_volume() == count
+        if len(P.vertices) == P.affine_dim + 1:
+            seen["simplex"] += 1
+            assert P.normalized_volume(method="det") == count
+        else:
+            seen["non-simplex"] += 1
+        if P.affine_dim < P.ambient_dim:
+            seen["lower-dimensional"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_volume_against_delaunay_oracle():

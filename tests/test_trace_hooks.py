@@ -61,6 +61,15 @@ def test_euler_builds_each_polytope_once():
     assert tracer.calls["nefpart.load"] == 1
 
 
+def test_euler_scans_no_dilations():
+    # every volume comes from the pulling triangulation of the polytope's
+    # own facet-vertex incidences: no dilated box is scanned and no face is
+    # built as a polytope of its own
+    tracer = _traced("euler", shape="p3_eight_hyperplanes")
+    assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
+    assert tracer.calls["polytope.hull"] == 21
+
+
 def test_dual_nef_builds_each_polytope_once():
     # Delta, Delta*, Delta_1, nabla_1 = nabla, nabla*; the dual partition's
     # parts are read off nabla* and the Delta_i, and its own polytopes (the
