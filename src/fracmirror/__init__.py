@@ -7,11 +7,7 @@ maps, Yukawa couplings, and cohomology-valued I-functions).
 """
 
 from .errors import FracmirrorError, InvalidNefPartition, SmoothnessError
-from .polytope import (
-    LatticePolytope,
-    cayley_polytope,
-    pyramid_over,
-)
+from .polytope import LatticePolytope, cayley_pyramid
 from .nefpart import (
     NefPartition,
     dual_nef_partition,
@@ -21,10 +17,8 @@ from .nefpart import (
 from .topology import (
     CoverTopology,
     HodgeTable,
-    dk_intersection_euler,
     euler_double_cover,
     euler_mpcp,
-    euler_snc_union_oracle,
     hodge_numbers,
 )
 from .series import (
@@ -78,18 +72,15 @@ __all__ = [
     "InvalidNefPartition",
     "SmoothnessError",
     "LatticePolytope",
-    "cayley_polytope",
-    "pyramid_over",
+    "cayley_pyramid",
     "NefPartition",
     "dual_nef_partition",
     "polytope_of_part",
     "validate_nef_partition",
     "CoverTopology",
     "HodgeTable",
-    "dk_intersection_euler",
     "euler_double_cover",
     "euler_mpcp",
-    "euler_snc_union_oracle",
     "hodge_numbers",
     "EpsPoly",
     "LogSeries",

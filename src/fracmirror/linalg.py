@@ -2,9 +2,10 @@
 
 Matrices are 2-D numpy arrays with ``dtype=object`` holding Python ints, so
 nothing ever overflows.  Provides Smith normal form with its unimodular
-transforms, saturated kernels, sublattice indices and integer solves.  One
-fraction-free elimination (Bareiss 1968) lies behind ``det``, ``adjugate``,
-``rank``, ``independent_rows`` and ``inverse_unimodular``: no rational is formed.
+transforms, saturated kernels and sublattice indices.  One fraction-free
+Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on M) and
+``adjugate`` and ``inverse_unimodular`` (on [M | I]); ``independent_rows``
+and ``rank`` reduce rows fraction-free too.  No rational is formed.
 """
 
 import math
@@ -20,7 +21,6 @@ __all__ = [
     "independent_rows",
     "rank",
     "smith_normal_form",
-    "solve_integer",
     "inverse_unimodular",
     "SmithRelations",
     "smith_relations",
@@ -57,24 +57,26 @@ def exgcd(a, b):
     return old_r, old_x, old_y
 
 
-def adjugate(M):
-    """``(det M, adj M)`` by fraction-free Gauss–Jordan elimination on [M | I].
+def _bareiss(M, augment=False):
+    """Fraction-free Gauss–Jordan elimination of the square M, or of [M | I].
 
     Rows become ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev
-    the last one), an exact division.  ``adj M`` is a list of integer rows
-    with M·adj = det·I, or None when M is singular.
+    the last one), an exact division.  Returns ``(sign, p, rows)``: det M =
+    sign·p, with sign that of the row swaps and p the last pivot, 0 when M is
+    singular.
     """
     A = [[int(x) for x in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
-    A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    if augment:
+        A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     sign = 1
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if A[i][k] != 0), None)
         if piv is None:
-            return 0, None
+            return sign, 0, A
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
@@ -84,12 +86,26 @@ def adjugate(M):
                 f = A[i][k]
                 A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
         prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+    return sign, prev, A
+
+
+def adjugate(M):
+    """``(det M, adj M)`` by the elimination of [M | I].
+
+    ``adj M`` is a list of integer rows with M·adj = det·I, or None when M is
+    singular.
+    """
+    sign, p, A = _bareiss(M, augment=True)
+    if p == 0:
+        return 0, None
+    n = len(A)
+    return sign * p, [[sign * x for x in row[n:]] for row in A]
 
 
 def det(M):
-    """Exact determinant of a square integer matrix."""
-    return adjugate(M)[0]
+    """Exact determinant of a square integer matrix, eliminating M alone."""
+    sign, p, _ = _bareiss(M)
+    return sign * p
 
 
 def independent_rows(M):
@@ -211,25 +227,6 @@ def smith_normal_form(M):
         else:
             i += 1
     return A, U, V
-
-
-def solve_integer(M, b):
-    """One integer solution x of M x = b, or None if none exists."""
-    A = as_int_matrix(M)
-    D, U, V = smith_normal_form(A)
-    m, n = A.shape
-    c = U @ np.array([int(x) for x in b], dtype=object)
-    r = sum(1 for i in range(min(m, n)) if D[i, i] != 0)
-    y = np.zeros(n, dtype=object)
-    for i in range(m):
-        if i < r:
-            if c[i] % D[i, i] != 0:
-                return None
-            y[i] = c[i] // D[i, i]
-        elif c[i] != 0:
-            return None
-    x = V @ y
-    return tuple(int(v) for v in x)
 
 
 def inverse_unimodular(U):

@@ -18,8 +18,7 @@ from .errors import FracmirrorError
 
 __all__ = [
     "LatticePolytope",
-    "cayley_polytope",
-    "pyramid_over",
+    "cayley_pyramid",
 ]
 
 
@@ -223,14 +222,13 @@ class LatticePolytope:
         if a == D:
             self.facets = self._span_facets
         else:
+            # on the span U·(x − v0) = (y, 0), so w = Σ_{i<a} g_i·U[i] gives
+            # w·(x − v0) = g·y; w is primitive because U is unimodular
+            cols = list(zip(*self._U[:a]))
             lifted = []
             for g, c in span_facets:
-                Bt = [[self._B[i][j] for i in range(D)] for j in range(a)]
-                w = linalg.solve_integer(Bt, g)
-                if w is None:  # pragma: no cover - B is a lattice basis
-                    raise FracmirrorError("failed to lift a facet normal")
-                off = c - _dot(w, v0)
-                lifted.append((tuple(w), off))
+                w = tuple(_dot(g, col) for col in cols)
+                lifted.append((w, c - _dot(w, v0)))
             self.facets = tuple(sorted(lifted))
 
     # -- affine span machinery -------------------------------------------
@@ -455,25 +453,22 @@ class LatticePolytope:
         )
 
 
-def cayley_polytope(polys):
-    """Cayley polytope of P₁..P_r: hull of (v, e_i) for v in P_i, in Z^(n+r)."""
+def cayley_pyramid(polys):
+    """Λ = conv({0} ∪ {(v, e_i) : v a vertex of P_i}) in Z^(n+r), one hull.
+
+    This is the pyramid over the Cayley polytope of P₁..P_r with apex at the
+    origin; the Cayley polytope's vertices are exactly the tagged vertices.
+    """
     polys = list(polys)
     if not polys:
-        raise ValueError("cayley_polytope needs at least one polytope")
+        raise ValueError("cayley_pyramid needs at least one polytope")
     n = polys[0].ambient_dim
     if any(P.ambient_dim != n for P in polys):
         raise ValueError("polytopes live in different ambient spaces")
     r = len(polys)
-    pts = []
+    pts = [(0,) * (n + r)]
     for i, P in enumerate(polys):
         tag = tuple(1 if t == i else 0 for t in range(r))
         for v in P.vertices:
             pts.append(v + tag)
     return LatticePolytope(pts, n + r)
-
-
-def pyramid_over(P):
-    """Hull of P and the origin of its ambient space."""
-    pts = list(P.vertices)
-    pts.append(tuple([0] * P.ambient_dim))
-    return LatticePolytope(pts, P.ambient_dim)

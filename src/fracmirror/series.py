@@ -152,8 +152,9 @@ class EpsPoly:
         return o * self.invert()
 
     def __eq__(self, other):
-        o = self._coerce(other) if isinstance(other, (EpsPoly, int, Fraction)) else None
-        return o is not None and self.c == o.c
+        if isinstance(other, (int, Fraction)):
+            other = EpsPoly.constant(self.m, other)
+        return isinstance(other, EpsPoly) and (self.m, self.c) == (other.m, other.c)
 
     def __hash__(self):
         return hash((self.m, self.c))

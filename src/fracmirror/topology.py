@@ -3,7 +3,7 @@
 For a nef-partition on a reflexive polytope the cover Y -> X is branched
 along the union of the nef divisors and the toric boundary.  Its Euler
 characteristic is governed by the lattice volume of the pyramid Lambda over
-the Cayley polytope of the part polytopes:
+the Cayley polytope of the part polytopes, built as one hull:
 
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
@@ -16,15 +16,13 @@ dimensions 2 and 3.
 from dataclasses import dataclass, field
 
 from .errors import FracmirrorError, SmoothnessError
-from .polytope import cayley_polytope, pyramid_over
+from .polytope import cayley_pyramid
 
 __all__ = [
     "CoverTopology",
     "HodgeTable",
     "euler_mpcp",
-    "dk_intersection_euler",
     "euler_double_cover",
-    "euler_snc_union_oracle",
     "hodge_numbers",
 ]
 
@@ -36,28 +34,6 @@ def euler_mpcp(delta):
     cones in a unimodular triangulation of its face fan).
     """
     return delta.polar_dual().normalized_volume()
-
-
-def dk_intersection_euler(part_polytopes, n):
-    """chi of the open intersection D_1 ∩ ... ∩ D_r ∩ T inside the torus.
-
-    Alternating sum over nonempty index subsets I of the normalized volumes
-    of the pyramids over the Cayley polytopes of the chosen parts; each
-    volume is taken in the affine span of its pyramid.
-    """
-    parts = list(part_polytopes)
-    if not parts:
-        raise ValueError("need at least one divisor polytope")
-    if any(P.ambient_dim != n for P in parts):
-        raise ValueError("part polytopes must live in rank-n lattice")
-    r = len(parts)
-    total = 0
-    for mask in range(1, 1 << r):
-        chosen = [parts[i] for i in range(r) if mask >> i & 1]
-        size = len(chosen)
-        lam = pyramid_over(cayley_polytope(chosen))
-        total += (-1) ** (n + size) * lam.normalized_volume()
-    return total
 
 
 @dataclass(frozen=True)
@@ -158,7 +134,7 @@ def euler_double_cover(data):
     n = data.delta.ambient_dim
     chi_X = euler_mpcp(data.delta)
     chi_X_dual = euler_mpcp(data.nabla)
-    lam = pyramid_over(cayley_polytope(data.parts_delta))
+    lam = cayley_pyramid(data.parts_delta)
     vol_lambda = lam.normalized_volume()
     if vol_lambda != chi_X_dual:
         raise SmoothnessError(
@@ -166,7 +142,7 @@ def euler_double_cover(data):
             "smoothness hypothesis violated"
         )
     # the dual partition lives on nabla and its part polytopes are the nabla_i
-    lam_dual = pyramid_over(cayley_polytope(data.nabla_parts))
+    lam_dual = cayley_pyramid(data.nabla_parts)
     vol_lambda_dual = lam_dual.normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(
@@ -187,34 +163,3 @@ def euler_double_cover(data):
         hodge_dual=hodge_numbers(data.nabla, chi_Y_dual),
     )
 
-
-def euler_snc_union_oracle(chi_X, strata):
-    """Inclusion–exclusion cross-check: chi(D) of an SNC union and chi(Y).
-
-    ``strata`` maps frozensets (or tuples) of component labels to the Euler
-    characteristic of the corresponding intersection; empty intersections
-    must be listed with value 0.  Returns ``(chi_D, chi_Y)`` with
-    chi(Y) = 2*chi(X) - chi(D).
-    """
-    table = {}
-    for key, value in strata.items():
-        if isinstance(key, (str, int)):
-            key = (key,)
-        table[frozenset(key)] = int(value)
-    components = sorted({c for key in table for c in key}, key=str)
-    if not components:
-        return 0, 2 * chi_X
-    missing = []
-    r = len(components)
-    chi_D = 0
-    for mask in range(1, 1 << r):
-        subset = frozenset(components[i] for i in range(r) if mask >> i & 1)
-        if subset not in table:
-            missing.append("∩".join(str(c) for c in sorted(subset, key=str)))
-            continue
-        chi_D += (-1) ** (len(subset) + 1) * table[subset]
-    if missing:
-        raise FracmirrorError(
-            "strata table is missing intersections: " + ", ".join(sorted(missing))
-        )
-    return chi_D, 2 * chi_X - chi_D

@@ -7,6 +7,7 @@ another way; the tests compare the two.
 import math
 from fractions import Fraction
 
+from fracmirror.errors import FracmirrorError
 from fracmirror.polytope import LatticePolytope
 
 
@@ -65,3 +66,82 @@ def ehrhart_polynomial(P):
         for i, ci in enumerate(poly):
             coeffs[i] += tj * fj * ci
     return tuple(coeffs)
+
+
+def cayley_polytope(polys):
+    """Cayley polytope of P₁..P_r: hull of (v, e_i) for v in P_i, in Z^(n+r)."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("cayley_polytope needs at least one polytope")
+    n = polys[0].ambient_dim
+    if any(P.ambient_dim != n for P in polys):
+        raise ValueError("polytopes live in different ambient spaces")
+    r = len(polys)
+    pts = []
+    for i, P in enumerate(polys):
+        tag = tuple(1 if t == i else 0 for t in range(r))
+        for v in P.vertices:
+            pts.append(v + tag)
+    return LatticePolytope(pts, n + r)
+
+
+def pyramid_over(P):
+    """Hull of P and the origin of its ambient space."""
+    pts = list(P.vertices)
+    pts.append(tuple([0] * P.ambient_dim))
+    return LatticePolytope(pts, P.ambient_dim)
+
+
+def dk_intersection_euler(part_polytopes, n):
+    """chi of the open intersection D_1 ∩ ... ∩ D_r ∩ T inside the torus.
+
+    Alternating sum over nonempty index subsets I of the normalized volumes
+    of the pyramids over the Cayley polytopes of the chosen parts (two hulls
+    each, the package's Λ route being one); each volume is taken in the
+    affine span of its pyramid.
+    """
+    parts = list(part_polytopes)
+    if not parts:
+        raise ValueError("need at least one divisor polytope")
+    if any(P.ambient_dim != n for P in parts):
+        raise ValueError("part polytopes must live in rank-n lattice")
+    r = len(parts)
+    total = 0
+    for mask in range(1, 1 << r):
+        chosen = [parts[i] for i in range(r) if mask >> i & 1]
+        size = len(chosen)
+        lam = pyramid_over(cayley_polytope(chosen))
+        total += (-1) ** (n + size) * lam.normalized_volume()
+    return total
+
+
+def euler_snc_union_oracle(chi_X, strata):
+    """Inclusion–exclusion cross-check: chi(D) of an SNC union and chi(Y).
+
+    ``strata`` maps frozensets (or tuples) of component labels to the Euler
+    characteristic of the corresponding intersection; empty intersections
+    must be listed with value 0.  Returns ``(chi_D, chi_Y)`` with
+    chi(Y) = 2*chi(X) - chi(D).
+    """
+    table = {}
+    for key, value in strata.items():
+        if isinstance(key, (str, int)):
+            key = (key,)
+        table[frozenset(key)] = int(value)
+    components = sorted({c for key in table for c in key}, key=str)
+    if not components:
+        return 0, 2 * chi_X
+    missing = []
+    r = len(components)
+    chi_D = 0
+    for mask in range(1, 1 << r):
+        subset = frozenset(components[i] for i in range(r) if mask >> i & 1)
+        if subset not in table:
+            missing.append("∩".join(str(c) for c in sorted(subset, key=str)))
+            continue
+        chi_D += (-1) ** (len(subset) + 1) * table[subset]
+    if missing:
+        raise FracmirrorError(
+            "strata table is missing intersections: " + ", ".join(sorted(missing))
+        )
+    return chi_D, 2 * chi_X - chi_D

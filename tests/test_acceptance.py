@@ -33,8 +33,8 @@ from fracmirror.nefpart import dual_nef_partition
 from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, RationalSeries
-from fracmirror.topology import euler_double_cover, euler_snc_union_oracle
-from oracles import lattice_transform
+from fracmirror.topology import euler_double_cover
+from oracles import euler_snc_union_oracle, lattice_transform
 from test_topology import quartic_plus_planes_strata
 
 

@@ -156,19 +156,6 @@ def test_kernel_basis_annihilates_and_saturates():
             assert all(d in (0, 1) for d in diag)
 
 
-def test_solve_integer_round_trip():
-    rng = random.Random(77)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        M = rand_matrix(rng, n, n)
-        if linalg.det(M) == 0:
-            continue
-        x = [rng.randint(-5, 5) for _ in range(n)]
-        b = [sum(int(M[i, j]) * x[j] for j in range(n)) for i in range(n)]
-        got = linalg.solve_integer(M, b)
-        assert got is not None and list(got) == x
-
-
 def test_inverse_unimodular():
     rng = random.Random(99)
     for _ in range(25):

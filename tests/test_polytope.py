@@ -13,13 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracmirror.polytope import (
-    LatticePolytope,
-    _dd_extreme_rays,
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramid
+from oracles import (
     cayley_polytope,
+    ehrhart_polynomial,
+    lattice_transform,
     pyramid_over,
 )
-from oracles import ehrhart_polynomial, lattice_transform
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 
@@ -356,6 +356,69 @@ def test_cayley_and_pyramid():
     # Cayley of a single polytope keeps the volume of the factor
     C1 = cayley_polytope([tri])
     assert C1.normalized_volume() == tri.normalized_volume()
+
+
+def test_cayley_pyramid_is_the_two_hull_pyramid():
+    # one hull of {0} and the tagged part vertices against the pyramid over
+    # the Cayley polytope; k <= n points make lower-dimensional parts
+    rng = random.Random(606)
+    singles = flat = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        r = rng.randint(1, 3)
+        parts = []
+        for _ in range(r):
+            k = rng.randint(1, n + 2)
+            pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+            parts.append(LatticePolytope(pts, n))
+        singles += r == 1
+        flat += any(P.affine_dim < n for P in parts)
+        lam = cayley_pyramid(parts)
+        ref = pyramid_over(cayley_polytope(parts))
+        assert lam == ref
+        assert lam.normalized_volume() == ref.normalized_volume()
+    assert singles and flat
+    with pytest.raises(ValueError, match="at least one polytope"):
+        cayley_pyramid([])
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        cayley_pyramid([LatticePolytope([(0, 0)]), LatticePolytope([(0, 0, 0)])])
+
+
+def _affine_rank(points):
+    if len(points) < 2:
+        return 0
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    return int(np.linalg.matrix_rank(np.array(diffs, dtype=float)))
+
+
+def test_lifted_facets_of_lower_dimensional_polytopes():
+    # points v0 + B·y with B an integer D×a matrix of rank a < D lie in a
+    # proper affine sublattice; each facet (w, c) is lifted from span
+    # coordinates and must be integral, valid and tight on a facet of P, and
+    # P has as many facets as conv(y) in Z^a
+    rng = random.Random(707)
+    checked = 0
+    while checked < 120:
+        D = rng.randint(2, 5)
+        a = rng.randint(1, D - 1)
+        B = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(D)]
+        k = a + rng.randint(1, 4)
+        ys = [tuple(rng.randint(-2, 2) for _ in range(a)) for _ in range(k)]
+        Q = LatticePolytope(ys)
+        if np.linalg.matrix_rank(np.array(B, dtype=float)) != a or Q.affine_dim != a:
+            continue
+        v0 = [rng.randint(-3, 3) for _ in range(D)]
+        pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
+        P = LatticePolytope(pts, D)
+        assert P.affine_dim == a
+        assert len(P.facets) == len(Q.facets)
+        for w, c in P.facets:
+            assert len(w) == D and all(type(x) is int for x in w) and type(c) is int
+            heights = [sum(x * v for x, v in zip(w, vert)) + c for vert in P.vertices]
+            assert all(h >= 0 for h in heights)
+            tight = [vert for vert, h in zip(P.vertices, heights) if h == 0]
+            assert tight and _affine_rank(tight) == a - 1
+        checked += 1
 
 
 def test_lattice_transform_on_points_and_polytopes():

@@ -63,6 +63,10 @@ def test_epspoly_inverse():
 def test_epspoly_order_mismatch():
     with pytest.raises(ValueError):
         EpsPoly(3, (1,)) + EpsPoly(4, (1,))
+    # elements of different rings are unequal, not an error
+    assert EpsPoly(2, (1,)) != EpsPoly(3, (1,))
+    assert not EpsPoly(2, (1,)) == EpsPoly(3, (1,))
+    assert EpsPoly(2, (1,)) == EpsPoly(2, (1, 0)) == 1
 
 
 # ------------------------------------------------------------- ring axioms

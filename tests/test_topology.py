@@ -4,13 +4,13 @@ import pytest
 
 from fracmirror.errors import FracmirrorError, SmoothnessError
 from fracmirror.nefpart import NefPartition
-from fracmirror.polytope import LatticePolytope, cayley_polytope, pyramid_over
-from fracmirror.topology import (
+from fracmirror.polytope import LatticePolytope
+from fracmirror.topology import euler_double_cover, euler_mpcp, hodge_numbers
+from oracles import (
+    cayley_polytope,
     dk_intersection_euler,
-    euler_double_cover,
-    euler_mpcp,
     euler_snc_union_oracle,
-    hodge_numbers,
+    pyramid_over,
 )
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]

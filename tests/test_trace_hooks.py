@@ -52,22 +52,25 @@ def test_all_computes_the_mirror_map_once():
 
 def test_euler_builds_each_polytope_once():
     # euler on the quartic (r = 1): Delta, Delta*, Delta_1, nabla_1 = nabla,
-    # nabla*, and the Cayley polytope and pyramid of Lambda and of
-    # Lambda_dual; the dual side is read off the primal (its part polytopes
-    # are the nabla_i), so no dual nef-partition is loaded, and each polar
-    # dual is built once however often it is asked for
+    # nabla*, and Lambda and Lambda_dual, each one hull of the origin and the
+    # tagged part vertices; the dual side is read off the primal (its part
+    # polytopes are the nabla_i), so no dual nef-partition is loaded, and
+    # each polar dual is built once however often it is asked for
     tracer = _traced("euler", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 9
+    assert tracer.calls["polytope.hull"] == 7
     assert tracer.calls["nefpart.load"] == 1
 
 
 def test_euler_scans_no_dilations():
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
-    # built as a polytope of its own
+    # built as a polytope of its own; a lower-dimensional hull lifts its
+    # facets through the Smith transform it already holds, so each hull
+    # runs one Smith form and no facet runs another
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
-    assert tracer.calls["polytope.hull"] == 21
+    assert tracer.calls["polytope.hull"] == 19
+    assert tracer.calls["linalg.smith_normal_form"] == tracer.calls["polytope.hull"]
 
 
 def test_dual_nef_builds_each_polytope_once():
