@@ -24,7 +24,7 @@ from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import yukawa_ode_rhs
-from .series import LogSeries, RationalSeries
+from .series import RationalSeries
 
 __all__ = [
     "FrobeniusPair",
@@ -46,10 +46,6 @@ class FrobeniusPair:
     tau: RationalSeries
     scale: int
     N: int
-
-    def omega1_log(self):
-        """omega1 as a LogSeries: tau + omega0 * L."""
-        return LogSeries([self.tau, self.omega0])
 
     def to_json(self):
         return {

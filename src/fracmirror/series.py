@@ -11,9 +11,22 @@ Three layers:
 
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
+
+Coefficients are stored as reduced ``Fraction``s, but the O(N^2) kernels over
+Q (product, ``inverse``, ``exp``) run on Python ints: the operands are
+brought to integer numerators over the lcm of their denominators, each output
+coefficient is one integer dot product, and one reduced ``Fraction`` is built
+per output coefficient.  A product is the integer convolution over
+D_a * D_b.  ``inverse`` and ``exp`` solve their recurrences with the
+coefficients found so far held as numerators over their running lcm, which
+grows only as fast as the reduced denominators do (scaling by powers of c0's
+numerator or by n! D^n instead grows the integers with every order).
+``log``, ``/``, ``compose`` and ``reversion`` are built from these.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import FracmirrorError
 
@@ -157,6 +170,9 @@ class EpsPoly:
         return isinstance(other, EpsPoly) and (self.m, self.c) == (other.m, other.c)
 
     def __hash__(self):
+        # a constant equals its c0 (see __eq__), so it must hash like it
+        if not any(self.c[1:]):
+            return hash(self.c[0])
         return hash((self.m, self.c))
 
     def __repr__(self):
@@ -165,6 +181,33 @@ class EpsPoly:
 
     def to_json(self):
         return [fraction_str(a) for a in self.c]
+
+
+def _over_lcm(coeffs):
+    """(nums, D) with coeffs[i] == nums[i] / D and D the lcm of the denominators."""
+    D = lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (D // x.denominator) for x in coeffs], D
+
+
+def _recurrence(x0, w, d):
+    """x_0 = x0 and x_n = (w_1 x_(n-1) + ... + w_n x_0) / d_n for 0 < n < len(w).
+
+    ``w`` and ``d`` are ints.  x_0..x_(n-1) are kept as numerators U over
+    their lcm E, so step n is one integer dot product and one reduced
+    Fraction; U is rescaled when x_n's denominator does not divide E.
+    """
+    out = [x0]
+    U, E = [x0.numerator], x0.denominator
+    for n in range(1, len(w)):
+        x = Fraction(sum(map(mul, w[1 : n + 1], reversed(U))), d[n] * E)
+        out.append(x)
+        t = x.denominator
+        if E % t:
+            k = t // gcd(E, t)
+            U = [u * k for u in U]
+            E *= k
+        U.append(x.numerator * (E // t))
+    return out
 
 
 class _RationalRing:
@@ -191,6 +234,25 @@ class _RationalRing:
 
     def to_json(self, x):
         return fraction_str(x)
+
+    def series_product(self, a, b, N):
+        """[z^n] a*b for n <= N: one integer convolution over D_a * D_b."""
+        A, Da = _over_lcm(a[: N + 1])
+        B, Db = _over_lcm(b[N::-1])  # b_N, ..., b_0
+        D = Da * Db
+        return [Fraction(sum(map(mul, A[: n + 1], B[N - n :])), D) for n in range(N + 1)]
+
+    def series_inverse(self, c):
+        """1/c: with c = A/D, u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
+        A, _ = _over_lcm(c)
+        return _recurrence(self.invert(c[0]), [-x for x in A], [A[0]] * len(A))
+
+    def series_exp(self, c):
+        """exp(c), c_0 = 0: with c = A/D, e_n = (sum_k k A_k e_(n-k)) / (n D)."""
+        A, D = _over_lcm(c)
+        return _recurrence(
+            Fraction(1), [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))]
+        )
 
     def __eq__(self, other):
         return isinstance(other, _RationalRing)
@@ -226,6 +288,37 @@ class _EpsRing:
 
     def to_json(self, x):
         return x.to_json()
+
+    def series_product(self, a, b, N):
+        out = [self.zero] * (N + 1)
+        for i in range(N + 1):
+            x = a[i]
+            if x.is_zero:
+                continue
+            for j in range(N + 1 - i):
+                y = b[j]
+                if not y.is_zero:
+                    out[i + j] = out[i + j] + x * y
+        return out
+
+    def series_inverse(self, c):
+        inv0 = self.invert(c[0])
+        out = [inv0] + [self.zero] * (len(c) - 1)
+        for n in range(1, len(c)):
+            acc = self.zero
+            for k in range(1, n + 1):
+                acc = acc + c[k] * out[n - k]
+            out[n] = -(inv0 * acc)
+        return out
+
+    def series_exp(self, c):
+        out = [self.one] + [self.zero] * (len(c) - 1)
+        for n in range(1, len(c)):
+            acc = self.zero
+            for k in range(1, n + 1):
+                acc = acc + (c[k] * Fraction(k)) * out[n - k]
+            out[n] = acc * Fraction(1, n)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, _EpsRing) and other.m == self.m
@@ -312,16 +405,7 @@ class _Series:
             if other.ring != self.ring:
                 raise TypeError("series live over different coefficient rings")
             N = min(self.N, other.N)
-            out = [self.ring.zero] * (N + 1)
-            for i in range(N + 1):
-                a = self.c[i]
-                if self.ring.is_zero(a):
-                    continue
-                for j in range(N + 1 - i):
-                    b = other.c[j]
-                    if not self.ring.is_zero(b):
-                        out[i + j] = out[i + j] + a * b
-            return self._raw(out, N)
+            return self._raw(self.ring.series_product(self.c, other.c, N), N)
         try:
             val = self.ring.coerce(other)
         except (TypeError, ValueError):
@@ -331,14 +415,7 @@ class _Series:
     __rmul__ = __mul__
 
     def inverse(self):
-        inv0 = self.ring.invert(self.c[0])
-        out = [inv0] + [self.ring.zero] * self.N
-        for n in range(1, self.N + 1):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + self.c[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return self._raw(out, self.N)
+        return self._raw(self.ring.series_inverse(self.c), self.N)
 
     def __truediv__(self, other):
         if isinstance(other, _Series):
@@ -371,16 +448,6 @@ class _Series:
             raise FracmirrorError("division by z is not defined for truncated series")
         return self._raw([self.ring.zero] * j + list(self.c), self.N)
 
-    def scale_arg(self, s):
-        """Substitute z -> s*z."""
-        s = self.ring.coerce(s)
-        out = []
-        p = self.ring.one
-        for x in self.c:
-            out.append(x * p)
-            p = p * s
-        return self._raw(out, self.N)
-
     def compose(self, inner):
         """Self evaluated at ``inner``; inner must have zero constant term."""
         if not isinstance(inner, _Series) or inner.ring != self.ring:
@@ -397,13 +464,7 @@ class _Series:
     def exp(self):
         if not self.ring.is_zero(self.c[0]):
             raise FracmirrorError("exp needs a zero constant term")
-        out = [self.ring.one] + [self.ring.zero] * self.N
-        for n in range(1, self.N + 1):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + (self.c[k] * Fraction(k)) * out[n - k]
-            out[n] = acc * Fraction(1, n)
-        return self._raw(out, self.N)
+        return self._raw(self.ring.series_exp(self.c), self.N)
 
     def log(self):
         if self.c[0] != self.ring.one:
@@ -418,7 +479,7 @@ class _Series:
         """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
 
         Lagrange inversion: with c1 a unit and h = w / self(w) of order N-1,
-        [q^k] T = (1/k) [w^(k-1)] h^k, each the dot product of h^(k-1) and h.
+        [q^k] T = (1/k) [w^(k-1)] h^k, read off the running powers of h.
         """
         if self.N < 1:
             raise FracmirrorError("reversion needs a series of order N >= 1")
@@ -427,12 +488,10 @@ class _Series:
         if self.ring.is_zero(self.c[1]):
             raise FracmirrorError("reversion needs an invertible linear coefficient")
         h = self._raw(self.c[1:], self.N - 1).inverse()
-        out, power = [self.ring.zero, h.c[0]], h  # power = h^(k-1)
+        out, power = [self.ring.zero, h.c[0]], h  # power = h^1
         for k in range(2, self.N + 1):
-            top = sum((power.c[i] * h.c[k - 1 - i] for i in range(k)), self.ring.zero)
-            out.append(top * Fraction(1, k))
-            if k < self.N:
-                power = power * h
+            power = power * h
+            out.append(power.c[k - 1] * Fraction(1, k))
         return self._raw(out, self.N)
 
     # -- identity -----------------------------------------------------------
@@ -447,10 +506,6 @@ class _Series:
 
     def __hash__(self):
         return hash((self.ring, self.N, self.c))
-
-    def matches(self, other, upto):
-        """Coefficientwise equality through order ``upto``."""
-        return all(self.coeff(n) == other.coeff(n) for n in range(upto + 1))
 
     def to_json(self):
         return {"N": self.N, "coeffs": [self.ring.to_json(x) for x in self.c]}

@@ -9,6 +9,70 @@ from fractions import Fraction
 
 from fracmirror.errors import FracmirrorError
 from fracmirror.polytope import LatticePolytope
+from fracmirror.series import LogSeries
+
+
+def product_term_by_term(a, b):
+    """a * b by the schoolbook convolution, one ring operation per term pair."""
+    ring = a.ring
+    N = min(a.N, b.N)
+    out = [ring.zero] * (N + 1)
+    for i in range(N + 1):
+        x = a.c[i]
+        if ring.is_zero(x):
+            continue
+        for j in range(N + 1 - i):
+            y = b.c[j]
+            if not ring.is_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return a._raw(out, N)
+
+
+def inverse_term_by_term(f):
+    """1/f by the recurrence g_n = -(1/c0) sum_(k=1..n) c_k g_(n-k)."""
+    ring = f.ring
+    inv0 = ring.invert(f.c[0])
+    out = [inv0] + [ring.zero] * f.N
+    for n in range(1, f.N + 1):
+        acc = ring.zero
+        for k in range(1, n + 1):
+            acc = acc + f.c[k] * out[n - k]
+        out[n] = -(inv0 * acc)
+    return f._raw(out, f.N)
+
+
+def exp_term_by_term(f):
+    """exp(f), f(0) = 0, by the recurrence n e_n = sum_(k=1..n) k f_k e_(n-k)."""
+    ring = f.ring
+    if not ring.is_zero(f.c[0]):
+        raise FracmirrorError("exp needs a zero constant term")
+    out = [ring.one] + [ring.zero] * f.N
+    for n in range(1, f.N + 1):
+        acc = ring.zero
+        for k in range(1, n + 1):
+            acc = acc + (f.c[k] * Fraction(k)) * out[n - k]
+        out[n] = acc * Fraction(1, n)
+    return f._raw(out, f.N)
+
+
+def scale_arg(f, s):
+    """f(s*z)."""
+    s = f.ring.coerce(s)
+    out, p = [], f.ring.one
+    for x in f.c:
+        out.append(x * p)
+        p = p * s
+    return f._raw(out, f.N)
+
+
+def matches(f, g, upto):
+    """Coefficientwise equality of two series through order ``upto``."""
+    return all(f.coeff(n) == g.coeff(n) for n in range(upto + 1))
+
+
+def omega1_log(pair):
+    """omega1 = omega0 * L + tau of a Frobenius pair, as a LogSeries in L = log z."""
+    return LogSeries([pair.tau, pair.omega0])
 
 
 def reversion_by_composition(f):

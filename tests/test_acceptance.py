@@ -34,7 +34,7 @@ from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, RationalSeries
 from fracmirror.topology import euler_double_cover
-from oracles import euler_snc_union_oracle, lattice_transform
+from oracles import euler_snc_union_oracle, lattice_transform, matches
 from test_topology import quartic_plus_planes_strata
 
 
@@ -255,8 +255,8 @@ def test_criterion_10_properties(quartic):
         ]
         f = RationalSeries(coeffs, N)
         g = f.reversion()
-        assert f.compose(g).matches(RationalSeries.z(N), N)
-        assert g.compose(f).matches(RationalSeries.z(N), N)
+        assert matches(f.compose(g), RationalSeries.z(N), N)
+        assert matches(g.compose(f), RationalSeries.z(N), N)
 
     gkz = build_gkz(quartic)
     ell = principal_kernel_vector(gkz)

@@ -1,9 +1,11 @@
 """Golden CLI outputs: stdout, stderr and exit code, compared byte for byte.
 
 Every command runs on the three bundled inputs at N = 10 with
-``--format json``, and in table format on the quartic.  The recorded
-outputs live in ``tests/golden/``: one ``.out`` file of stdout per case and
-``status.json`` with each case's exit code and stderr.  A refactor must
+``--format json``, and in table format on the quartic.  Two quantum commands
+also run at N = 32, where the series coefficients run to hundreds of bits:
+``yukawa`` on the quartic and ``mirror-map`` on the eight hyperplanes.  The
+recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
+case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
 rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and review
 the diff.
@@ -24,25 +26,31 @@ STATUS = GOLDEN / "status.json"
 SHAPES = ("p2_k3", "p3_quartic", "p3_eight_hyperplanes")
 N = 10
 
-CASES = [(shape, command, "json") for shape in SHAPES for command in _COMMANDS] + [
-    ("p3_quartic", command, "table") for command in _COMMANDS
+CASES = [(shape, command, "json", N) for shape in SHAPES for command in _COMMANDS] + [
+    ("p3_quartic", command, "table", N) for command in _COMMANDS
+]
+LARGE_N_CASES = [
+    ("p3_quartic", "yukawa", "json", 32),
+    ("p3_eight_hyperplanes", "mirror-map", "json", 32),
 ]
 
 
-def case_name(shape, command, fmt):
-    return f"{shape}.{command}.{fmt}"
+def case_name(shape, command, fmt, order):
+    return f"{shape}.{command}.{fmt}" if order == N else f"{shape}.{command}.N{order}.{fmt}"
 
 
-def run_case(shape, command, fmt):
+def run_case(shape, command, fmt, order):
     """(exit code, stdout, stderr) of one CLI call."""
-    argv = [command, str(REPO / "data" / f"{shape}.json"), "-N", str(N), "--format", fmt]
+    argv = [command, str(REPO / "data" / f"{shape}.json"), "-N", str(order), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case_name(*c) for c in CASES])
+@pytest.mark.parametrize(
+    "case", CASES + LARGE_N_CASES, ids=[case_name(*c) for c in CASES + LARGE_N_CASES]
+)
 def test_cli_matches_golden(case):
     name = case_name(*case)
     expected = json.loads(STATUS.read_text(encoding="utf-8"))[name]
@@ -54,7 +62,7 @@ def test_cli_matches_golden(case):
 def write_goldens():
     GOLDEN.mkdir(exist_ok=True)
     status = {}
-    for case in CASES:
+    for case in CASES + LARGE_N_CASES:
         name = case_name(*case)
         code, out, err = run_case(*case)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")

@@ -1,12 +1,20 @@
 """Truncated power series over Q and over nilpotent rings."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reversion_by_composition
+from oracles import (
+    exp_term_by_term,
+    inverse_term_by_term,
+    matches,
+    product_term_by_term,
+    reversion_by_composition,
+    scale_arg,
+)
 
 from fracmirror.errors import FracmirrorError
 from fracmirror.series import (
@@ -69,6 +77,13 @@ def test_epspoly_order_mismatch():
     assert EpsPoly(2, (1,)) == EpsPoly(2, (1, 0)) == 1
 
 
+def test_constant_epspoly_hashes_like_its_value():
+    # EpsPoly(2, (1,)) == 1, so sets and dicts must treat them as one key
+    assert len({EpsPoly(2, (1,)), 1}) == 1
+    assert {1: "x"}.get(EpsPoly(2, (1,))) == "x"
+    assert hash(EpsPoly(3, (Fraction(1, 2),))) == hash(Fraction(1, 2))
+
+
 # ------------------------------------------------------------- ring axioms
 
 
@@ -77,10 +92,10 @@ def test_ring_axioms_random():
     for _ in range(15):
         N = rng.randint(3, 8)
         a, b, c = (rand_series(rng, N) for _ in range(3))
-        assert ((a + b) + c).matches(a + (b + c), N)
-        assert (a * b).matches(b * a, N)
-        assert ((a * b) * c).matches(a * (b * c), N)
-        assert (a * (b + c)).matches(a * b + a * c, N)
+        assert matches((a + b) + c, a + (b + c), N)
+        assert matches(a * b, b * a, N)
+        assert matches((a * b) * c, a * (b * c), N)
+        assert matches(a * (b + c), a * b + a * c, N)
         assert (a - a).is_zero()
 
 
@@ -100,8 +115,8 @@ def test_geometric_inverse():
     N = 12
     g = geometric(N)
     one_minus_z = RationalSeries([1, -1] + [0] * (N - 1), N)
-    assert (g * one_minus_z).matches(RationalSeries.one(N), N)
-    assert one_minus_z.inverse().matches(g, N)
+    assert matches(g * one_minus_z, RationalSeries.one(N), N)
+    assert matches(one_minus_z.inverse(), g, N)
 
 
 def test_exp_log_round_trip():
@@ -109,12 +124,12 @@ def test_exp_log_round_trip():
     for _ in range(8):
         N = rng.randint(4, 10)
         f = rand_series(rng, N, zero_const=True)
-        assert f.exp().log().matches(f, N)
+        assert matches(f.exp().log(), f, N)
         g = rand_series(rng, N)
         g = g - RationalSeries([g.coeff(0) - 1], 0).truncate(0)  # force c0 = 1
         coeffs = [Fraction(1)] + [g.coeff(i) for i in range(1, N + 1)]
         g = RationalSeries(coeffs, N)
-        assert g.log().exp().matches(g, N)
+        assert matches(g.log().exp(), g, N)
 
 
 def test_exp_log_preconditions():
@@ -126,9 +141,9 @@ def test_exp_log_preconditions():
 
 def test_theta_antitheta():
     f = RationalSeries([5, 1, 2, 3], 3)
-    assert f.theta().matches(RationalSeries([0, 1, 4, 9], 3), 3)
+    assert matches(f.theta(), RationalSeries([0, 1, 4, 9], 3), 3)
     g = RationalSeries([0, 1, 4, 9], 3)
-    assert g.antitheta().matches(RationalSeries([0, 1, 2, 3], 3), 3)
+    assert matches(g.antitheta(), RationalSeries([0, 1, 2, 3], 3), 3)
     with pytest.raises(ValueError, match="antitheta needs a zero constant term"):
         RationalSeries([1, 1], 1).antitheta()
 
@@ -138,7 +153,7 @@ def test_shift_and_scale_arg():
     assert f.shift(1).coeff(1) == 1 and f.shift(1).coeff(0) == 0
     with pytest.raises(ValueError, match="division by z"):
         f.shift(-1)
-    s = f.scale_arg(2)
+    s = scale_arg(f, 2)
     assert [s.coeff(i) for i in range(3)] == [1, 4, 12]
 
 
@@ -153,7 +168,7 @@ def test_compose():
     for _ in range(N):
         acc = acc * inner
         expect = expect + acc
-    assert comp.matches(expect, N)
+    assert matches(comp, expect, N)
     with pytest.raises(ValueError, match="zero inner constant term"):
         f.compose(RationalSeries([1, 1], 1))
 
@@ -167,8 +182,8 @@ def test_reversion_round_trip_and_catalan():
         ]
         f = RationalSeries(coeffs, N)
         g = f.reversion()
-        assert f.compose(g).matches(RationalSeries.z(N), N)
-        assert g.compose(f).matches(RationalSeries.z(N), N)
+        assert matches(f.compose(g), RationalSeries.z(N), N)
+        assert matches(g.compose(f), RationalSeries.z(N), N)
     q = RationalSeries([0, 1, 1, 0, 0], 4)
     z_of_q = q.reversion()
     assert [z_of_q.coeff(i) for i in range(5)] == [0, 1, -1, 2, -5]
@@ -231,8 +246,8 @@ def _invertible_series(draw):
 @given(_invertible_series())
 def test_reversion_is_a_two_sided_inverse(s):
     z = RationalSeries.z(s.N)
-    assert s.compose(s.reversion()).matches(z, s.N)
-    assert s.reversion().compose(s).matches(z, s.N)
+    assert matches(s.compose(s.reversion()), z, s.N)
+    assert matches(s.reversion().compose(s), z, s.N)
 
 
 _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -279,6 +294,75 @@ def test_theta_of_log_is_logarithmic_derivative(s):
     assert s.log().theta() == s.theta() / s
 
 
+# ------------------------------------------- integer kernels vs Fraction loops
+
+# mixed denominators up to 50, negative coefficients and many zeros
+_q_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+)
+
+
+@st.composite
+def _q_series(draw, const=None):
+    """Order 0 <= N <= 12, sometimes the zero series; ``const`` fixes c0."""
+    N = draw(st.integers(0, 12))
+    if draw(st.integers(0, 9)) == 0:
+        coeffs = [0] * (N + 1)
+    else:
+        coeffs = draw(st.lists(_q_coeffs, min_size=N + 1, max_size=N + 1))
+    if const is not None:
+        coeffs[0] = draw(const)
+    return RationalSeries(coeffs, N)
+
+
+def _same_reduced_fractions(s, oracle):
+    assert s.N == oracle.N and s.c == oracle.c
+    assert all(
+        type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+        for x in s.c
+    )
+
+
+_nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_series(), _q_series())
+def test_product_matches_fraction_loop(a, b):
+    _same_reduced_fractions(a * b, product_term_by_term(a, b))
+    _same_reduced_fractions(a * a, product_term_by_term(a, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_series(const=st.one_of(st.just(Fraction(3, 7)), _nonzero)))
+def test_inverse_matches_fraction_loop(f):
+    _same_reduced_fractions(f.inverse(), inverse_term_by_term(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_series(const=st.just(Fraction(0))))
+def test_exp_matches_fraction_loop(f):
+    _same_reduced_fractions(f.exp(), exp_term_by_term(f))
+
+
+def test_kernels_match_fraction_loops_on_wide_coefficients():
+    # order 40 with numerators of several hundred bits over powers of a scale
+    # times small factors, the shape of deep mirror-map coefficients
+    rng = random.Random(40)
+    N = 40
+
+    def wide(n):
+        return Fraction(rng.choice((-1, 1)) * rng.getrandbits(300 + 8 * n), 256**n * rng.randint(1, 50))
+
+    a, b = (RationalSeries([wide(n) for n in range(N + 1)], N) for _ in range(2))
+    _same_reduced_fractions(a * b, product_term_by_term(a, b))
+    _same_reduced_fractions(a.inverse(), inverse_term_by_term(a))
+    f = a - a.coeff(0)
+    _same_reduced_fractions(f.exp(), exp_term_by_term(f))
+    assert max(x.numerator.bit_length() for x in (a * b).c) > 800
+
+
 # ----------------------------------------------------------- nilpotent part
 
 
@@ -286,11 +370,11 @@ def test_nilpotent_series_slices():
     m = 3
     coeffs = [EpsPoly(m, (1, 0, 0)), EpsPoly(m, (2, 3, 0)), EpsPoly(m, (0, 0, 4))]
     f = NilpotentSeries(m, coeffs, 2)
-    assert f.eps_slice(0).matches(RationalSeries([1, 2, 0], 2), 2)
-    assert f.eps_slice(1).matches(RationalSeries([0, 3, 0], 2), 2)
-    assert f.eps_slice(2).matches(RationalSeries([0, 0, 4], 2), 2)
+    assert matches(f.eps_slice(0), RationalSeries([1, 2, 0], 2), 2)
+    assert matches(f.eps_slice(1), RationalSeries([0, 3, 0], 2), 2)
+    assert matches(f.eps_slice(2), RationalSeries([0, 0, 4], 2), 2)
     g = f * f
-    assert g.eps_slice(0).matches(RationalSeries([1, 4, 4], 2), 2)
+    assert matches(g.eps_slice(0), RationalSeries([1, 4, 4], 2), 2)
 
 
 # ----------------------------------------------------------------- LogSeries
@@ -303,8 +387,8 @@ def test_log_series_theta_product_rule():
     L = LogSeries([f0, f1])
     assert L.log_degree == 1
     T = L.theta()
-    assert T.part(0).matches(f0.theta() + f1, 2)
-    assert T.part(1).matches(f1.theta(), 2)
+    assert matches(T.part(0), f0.theta() + f1, 2)
+    assert matches(T.part(1), f1.theta(), 2)
 
 
 def test_log_series_product():
@@ -312,16 +396,16 @@ def test_log_series_product():
     z = RationalSeries.z(4)
     # (1 + Lambda) * (z + Lambda) = z + (1+z) Lambda + Lambda^2
     L = LogSeries([one, one]) * LogSeries([z, one])
-    assert L.part(0).matches(z, 4)
-    assert L.part(1).matches(one + z, 4)
-    assert L.part(2).matches(one, 4)
+    assert matches(L.part(0), z, 4)
+    assert matches(L.part(1), one + z, 4)
+    assert matches(L.part(2), one, 4)
 
 
 def test_log_series_shift_and_zero():
     f = RationalSeries([1, 1], 1)
     L = LogSeries([f, f])
     S = L.shift(0)
-    assert S.part(0).matches(f, 1)
+    assert matches(S.part(0), f, 1)
     Z = L * Fraction(0)
     assert Z.is_zero()
 

@@ -2,16 +2,20 @@
 
 ``perfbench/run.py --trace 1`` patches module attributes by name; a rename
 in the package would make ``install`` fail or leave a span silent.  This
-runs the real hooks on two small jobs and checks the call counts.
+runs the real hooks on two small jobs and checks the call counts, and
+counts the work some layers do without timing them.
 """
 
 import contextlib
 import importlib.util
 import io
+import random
+from fractions import Fraction
 
 from conftest import DATA, REPO
 
 from fracmirror import cli, topology
+from fracmirror.series import RationalSeries
 
 
 def _load_spans():
@@ -87,3 +91,28 @@ def test_mirror_map_reverts_without_composing():
     tracer = _traced("mirror-map", shape="p3_quartic")
     assert tracer.calls["series.reversion.rational"] == 1
     assert tracer.calls["series.compose.rational"] == 0
+
+
+def test_rational_product_builds_one_fraction_per_coefficient(monkeypatch):
+    # the product runs on integer numerators over one denominator: its N + 1
+    # output coefficients and the zero that pads a series are the only
+    # Fractions it builds (the term-by-term loop builds ~N^2)
+    rng = random.Random(16)
+    N = 16
+    a, b = (
+        RationalSeries([Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(N + 1)], N)
+        for _ in range(2)
+    )
+    built = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    product = a * b
+    monkeypatch.undo()
+    assert product.N == N
+    assert built <= N + 2
