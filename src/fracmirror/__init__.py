@@ -31,12 +31,9 @@ from .series import (
 )
 from .gkz import (
     GkzSystem,
-    box_annihilation_check,
     build_gkz,
-    gkz_solution_terms,
     holo_solution,
     principal_kernel_vector,
-    rising,
 )
 from .picard_fuchs import (
     ThetaOperator,
@@ -89,12 +86,9 @@ __all__ = [
     "fraction_str",
     "parse_fraction",
     "GkzSystem",
-    "box_annihilation_check",
     "build_gkz",
-    "gkz_solution_terms",
     "holo_solution",
     "principal_kernel_vector",
-    "rising",
     "ThetaOperator",
     "apply",
     "holomorphic_kernel",

@@ -1,11 +1,13 @@
 """Cohomology-valued solutions: nilpotent deformations, B-series, I-functions.
 
-All of them are ``gkz.hypergeometric_series`` over Q[eps]/(eps^m).
-Deforming the holomorphic solution coefficientwise by n -> n + rho, with
-rho nilpotent of order m, produces the full Frobenius tower in one object:
-the rho^k-slices of z^rho * deformed are omega0, omega0 log z + tau, and the
-higher partners, so tau is the eps^1 slice of the same kernel.  The same
-series with weight data (w_a; u_b) gives the untwisted I-function
+All of them are ``gkz.hypergeometric_series`` over Q[eps]/(eps^m), whose
+recurrence runs on Python ints.  Deforming the holomorphic solution
+coefficientwise by n -> n + rho, with rho nilpotent of order m, produces the
+full Frobenius tower in one object: the rho^k-slices of z^rho * deformed are
+omega0, omega0 log z + tau, and the higher partners, so tau is the eps^1
+slice of the same kernel.  The prefactor z^rho contributes rho^k / k! to the
+L^k part, applied by shifting eps-slots rather than by EpsPoly products.  The
+same series with weight data (w_a; u_b) gives the untwisted I-function
 
     I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
                      / prod_b prod_(t=1)^(u_b d) (u_b eps + t),
@@ -20,7 +22,7 @@ from fractions import Fraction
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .picard_fuchs import apply
-from .series import EpsPoly, LogSeries
+from .series import EpsPoly, LogSeries, NilpotentSeries
 
 __all__ = [
     "CohomRing",
@@ -97,12 +99,16 @@ def deformed_solution(ell, alpha, N, m):
 
 
 def _log_prefactor(deformed):
-    """z^rho * deformed as a LogSeries: parts[k] = deformed * rho^k / k!."""
+    """z^rho * deformed as a LogSeries: parts[k] = deformed * rho^k / k!.
+
+    Multiplying by rho^k shifts each coefficient's rho-slots up by k.
+    """
     m = deformed.m
-    parts = []
-    for k in range(m):
-        scale = EpsPoly.eps(m, k) * Fraction(1, math.factorial(k))
-        parts.append(deformed * scale)
+    parts = [deformed]
+    for k in range(1, m):
+        f = math.factorial(k)
+        shifted = [EpsPoly(m, [0] * k + [v / f for v in x.c[: m - k]]) for x in deformed.c]
+        parts.append(NilpotentSeries(m, shifted, deformed.N))
     return LogSeries(parts)
 
 

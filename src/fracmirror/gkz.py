@@ -10,11 +10,15 @@ column, so beta = A·alpha has the shape (0, ..., 0, -1/2, ..., -1/2).
 Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
 built order by order from linear factors, so no transcendental Gamma value is
-ever evaluated.  The holomorphic solution is its eps^0 slice.
+ever evaluated.  Its recurrence runs on Python ints (integer numerators over
+one common denominator) and builds one Fraction per output coefficient.  The
+holomorphic solution is its eps^0 slice.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
@@ -26,19 +30,7 @@ __all__ = [
     "principal_kernel_vector",
     "hypergeometric_series",
     "holo_solution",
-    "box_annihilation_check",
-    "gkz_solution_terms",
-    "rising",
 ]
-
-
-def rising(a, k):
-    """Rising factorial a (a+1) ... (a+k-1) as an exact Fraction."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for m in range(k):
-        out *= a + m
-    return out
 
 
 @dataclass(frozen=True)
@@ -151,27 +143,58 @@ def hypergeometric_series(num, den, m, N):
         c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
             / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
 
-    c_0 = 1, and c_n is c_(n-1) times the k new linear factors of each pair
-    (a, k), so each order costs one division in Q[eps]/(eps^m).
+    c_0 = 1, and c_n is c_(n-1) times the k linear factors that order n adds
+    for each pair (a, k) of ``num``, divided by those of ``den``.  The
+    recurrence runs on Python ints: c_n is kept as integer numerators U over
+    one denominator E with their common content divided out, the new factors
+    are integer polynomials in eps over a power of the bases' denominators,
+    and the division by the denominator polynomial B is one fraction-free
+    triangular solve, brought to the denominator B_0^m.  One reduced Fraction
+    is built per output coefficient.
     """
-    c = EpsPoly.constant(m, 1)
-    coeffs = [c]
+    U, E = [1] + [0] * (m - 1), 1
+    coeffs = [EpsPoly.constant(m, 1)]
     for n in range(1, N + 1):
-        c = c * _new_factors(num, n, m) / _new_factors(den, n, m)
-        coeffs.append(c)
+        A, a_den = _new_factors(num, n, m)
+        B, b_den = _new_factors(den, n, m)
+        b0 = B[0]
+        if b0 == 0:
+            raise FracmirrorError(
+                f"denominator factor vanishes at order {n}: c_n is undefined"
+            )
+        # c_n = (U/E) (A/a_den) / (B/b_den) = (Y/B) / (E a_den) with
+        # Y = U A b_den; T_i = Y_i b0^i - sum_(j>=1) B_j T_(i-j) b0^(j-1)
+        # is (Y/B)_i b0^(i+1)
+        T = []
+        for i in range(m):
+            y = sum(map(mul, U[: i + 1], A[i::-1])) * b_den * b0**i
+            T.append(y - sum(B[j] * T[i - j] * b0 ** (j - 1) for j in range(1, i + 1)))
+        U = [t * b0 ** (m - 1 - i) for i, t in enumerate(T)]
+        E *= a_den * b0**m
+        g = gcd(E, *U)
+        U, E = [u // g for u in U], E // g
+        coeffs.append(EpsPoly(m, [Fraction(u, E) for u in U]))
     return NilpotentSeries(m, coeffs, N)
 
 
 def _new_factors(factors, n, m):
-    """prod_((a, k)) prod_(j=k(n-1))^(k n - 1) (a + k eps + j): what order n adds."""
-    p = [1] + [0] * (m - 1)
+    """What order n adds: prod_((a, k)) prod_(j=k(n-1))^(k n - 1) (a + k eps + j).
+
+    With a = p/q the factor is (p + q j + q k eps)/q, so the product is an
+    integer polynomial in eps (coefficients c_0..c_(m-1)) over prod q^k.
+    """
+    c = [1] + [0] * (m - 1)
+    d = 1
     for a, k in factors:
+        p, q = a.numerator, a.denominator
+        d *= q**k
         for j in range(k * (n - 1), k * n):
-            # p *= (a + j) + k eps, top coefficient first
+            # c *= (p + q j) + q k eps, top coefficient first
+            x, y = p + q * j, q * k
             for i in range(m - 1, 0, -1):
-                p[i] = (a + j) * p[i] + k * p[i - 1]
-            p[0] *= a + j
-    return EpsPoly(m, p)
+                c[i] = x * c[i] + y * c[i - 1]
+            c[0] *= x
+    return c, d
 
 
 def holo_solution(ell, alpha, N):
@@ -182,77 +205,3 @@ def holo_solution(ell, alpha, N):
     eps^0 slice of ``hypergeometric_series`` at m = 1.
     """
     return hypergeometric_series(*_series_factors(ell, alpha), 1, N).eps_slice(0)
-
-
-def box_annihilation_check(ell, alpha, N, series=None):
-    """Verify the two-term box-operator recurrence on a series (exactly).
-
-    With F(t) the product over positive kernel entries of
-    prod_(m=0)^(l_e - 1) (l_e t - m) and G(t) the matching product over
-    negative entries of prod_(m=0)^(k_e - 1) (k_e t - alpha_e + m), the
-    solution satisfies F(n) c_n = G(n-1) c_(n-1).  Defaults to checking
-    ``holo_solution``; pass ``series`` to test another candidate.
-    """
-    if series is None:
-        series = holo_solution(ell, alpha, N)
-    N = min(N, series.N)
-
-    def F(t):
-        out = Fraction(1)
-        for le, _ae in zip(ell, alpha):
-            if le > 0:
-                for m in range(le):
-                    out *= Fraction(le) * t - m
-        return out
-
-    def G(t):
-        out = Fraction(1)
-        for le, ae in zip(ell, alpha):
-            if le < 0:
-                k = -le
-                for m in range(k):
-                    out *= Fraction(k) * t + (-Fraction(ae)) + m
-        return out
-
-    for n in range(1, N + 1):
-        if series.coeff(n) * F(n) != series.coeff(n - 1) * G(n - 1):
-            return False
-    return True
-
-
-def gkz_solution_terms(gkz, cutoff):
-    """Formal multiparameter solution terms with kernel entries |l_e| <= cutoff.
-
-    Enumerates lattice vectors l in ker A reachable from the stored basis
-    with combination coefficients bounded by the cutoff, and returns the
-    sorted list of (l, coefficient) with coefficient
-    prod_e Gamma(alpha_e + 1)/Gamma(alpha_e + l_e + 1) as an exact rational
-    (zero where the Gamma ratio hits a pole).
-    """
-    import itertools
-
-    def term_coeff(vec):
-        c = Fraction(1)
-        for le, ae in zip(vec, gkz.alpha):
-            ae = Fraction(ae)
-            if le >= 0:
-                denom = rising(ae + 1, le)
-                if denom == 0:
-                    return Fraction(0)
-                c /= denom
-            else:
-                c *= rising(ae + le + 1, -le)
-        return c
-
-    k = len(gkz.kernel)
-    out = []
-    for combo in itertools.product(range(-cutoff, cutoff + 1), repeat=k):
-        vec = tuple(
-            sum(c * gkz.kernel[v][e] for v, c in enumerate(combo))
-            for e in range(len(gkz.alpha))
-        )
-        if any(abs(x) > cutoff for x in vec):
-            continue
-        out.append((vec, term_coeff(vec)))
-    out.sort(key=lambda t: t[0])
-    return out

@@ -66,7 +66,8 @@ class EpsPoly:
         if m < 1:
             raise ValueError("nilpotency order m must be at least 1")
         vals = [parse_fraction(x) for x in coeffs][:m]
-        vals += [Fraction(0)] * (m - len(vals))
+        if len(vals) < m:
+            vals += [Fraction(0)] * (m - len(vals))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", tuple(vals))
 

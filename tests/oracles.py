@@ -4,12 +4,14 @@ Each one is a slower, independent route to a result the package computes
 another way; the tests compare the two.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from fracmirror.errors import FracmirrorError
+from fracmirror.gkz import holo_solution
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import LogSeries
+from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries
 
 
 def product_term_by_term(a, b):
@@ -209,3 +211,111 @@ def euler_snc_union_oracle(chi_X, strata):
             "strata table is missing intersections: " + ", ".join(sorted(missing))
         )
     return chi_D, 2 * chi_X - chi_D
+
+
+def rising(a, k):
+    """Rising factorial a (a+1) ... (a+k-1) as an exact Fraction."""
+    a = Fraction(a)
+    out = Fraction(1)
+    for m in range(k):
+        out *= a + m
+    return out
+
+
+def hypergeometric_term_by_term(num, den, m, N):
+    """``gkz.hypergeometric_series`` by EpsPoly arithmetic, one order at a time.
+
+    c_n = c_(n-1) * P_n / Q_n, with P_n and Q_n the linear factors
+    (a + j + k eps), j = k(n-1)..kn-1, that order n adds for each pair (a, k)
+    of ``num`` and ``den``, multiplied out over Fraction bases; each order is
+    one EpsPoly product and one EpsPoly division.
+    """
+
+    def new_factors(factors, n):
+        p = [1] + [0] * (m - 1)
+        for a, k in factors:
+            for j in range(k * (n - 1), k * n):
+                for i in range(m - 1, 0, -1):
+                    p[i] = (a + j) * p[i] + k * p[i - 1]
+                p[0] *= a + j
+        return EpsPoly(m, p)
+
+    c = EpsPoly.constant(m, 1)
+    coeffs = [c]
+    for n in range(1, N + 1):
+        c = c * new_factors(num, n) / new_factors(den, n)
+        coeffs.append(c)
+    return NilpotentSeries(m, coeffs, N)
+
+
+def box_annihilation_check(ell, alpha, N, series=None):
+    """Verify the two-term box-operator recurrence on a series (exactly).
+
+    With F(t) the product over positive kernel entries of
+    prod_(m=0)^(l_e - 1) (l_e t - m) and G(t) the matching product over
+    negative entries of prod_(m=0)^(k_e - 1) (k_e t - alpha_e + m), the
+    solution satisfies F(n) c_n = G(n-1) c_(n-1).  Defaults to checking
+    ``holo_solution``; pass ``series`` to test another candidate.
+    """
+    if series is None:
+        series = holo_solution(ell, alpha, N)
+    N = min(N, series.N)
+
+    def F(t):
+        out = Fraction(1)
+        for le, _ae in zip(ell, alpha):
+            if le > 0:
+                for m in range(le):
+                    out *= Fraction(le) * t - m
+        return out
+
+    def G(t):
+        out = Fraction(1)
+        for le, ae in zip(ell, alpha):
+            if le < 0:
+                k = -le
+                for m in range(k):
+                    out *= Fraction(k) * t + (-Fraction(ae)) + m
+        return out
+
+    for n in range(1, N + 1):
+        if series.coeff(n) * F(n) != series.coeff(n - 1) * G(n - 1):
+            return False
+    return True
+
+
+def gkz_solution_terms(gkz, cutoff):
+    """Formal multiparameter solution terms with kernel entries |l_e| <= cutoff.
+
+    Enumerates lattice vectors l in ker A reachable from the stored basis
+    with combination coefficients bounded by the cutoff, and returns the
+    sorted list of (l, coefficient) with coefficient
+    prod_e Gamma(alpha_e + 1)/Gamma(alpha_e + l_e + 1) as an exact rational
+    (zero where the Gamma ratio hits a pole).
+    """
+
+    def term_coeff(vec):
+        c = Fraction(1)
+        for le, ae in zip(vec, gkz.alpha):
+            ae = Fraction(ae)
+            if le >= 0:
+                denom = rising(ae + 1, le)
+                if denom == 0:
+                    return Fraction(0)
+                c /= denom
+            else:
+                c *= rising(ae + le + 1, -le)
+        return c
+
+    k = len(gkz.kernel)
+    out = []
+    for combo in itertools.product(range(-cutoff, cutoff + 1), repeat=k):
+        vec = tuple(
+            sum(c * gkz.kernel[v][e] for v, c in enumerate(combo))
+            for e in range(len(gkz.alpha))
+        )
+        if any(abs(x) > cutoff for x in vec):
+            continue
+        out.append((vec, term_coeff(vec)))
+    out.sort(key=lambda t: t[0])
+    return out

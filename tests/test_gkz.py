@@ -4,16 +4,23 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    box_annihilation_check,
+    gkz_solution_terms,
+    hypergeometric_term_by_term,
+    rising,
+)
 
+from fracmirror.cohom import i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
-    box_annihilation_check,
+    _series_factors,
     build_gkz,
-    gkz_solution_terms,
     holo_solution,
     hypergeometric_series,
     principal_kernel_vector,
-    rising,
 )
 from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope
@@ -146,6 +153,74 @@ def test_hypergeometric_series_matches_rebuilt_products(m):
         assert s.coeff(n) == product(num, n) / product(den, n)
 
 
+def _same_reduced_coefficients(s, oracle):
+    assert (s.m, s.N) == (oracle.m, oracle.N) and s.c == oracle.c
+    assert all(
+        type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+        for c in s.c
+        for x in c.c
+    )
+
+
+_bases = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+_factor_lists = st.lists(st.tuples(_bases, st.integers(1, 5)), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_factor_lists, _factor_lists, st.integers(1, 5), st.integers(0, 20))
+def test_hypergeometric_series_matches_epspoly_loop(num, den, m, N):
+    # fractional and negative bases, empty num or den; a denominator factor
+    # that vanishes must raise in both
+    try:
+        oracle = hypergeometric_term_by_term(num, den, m, N)
+    except FracmirrorError:
+        with pytest.raises(FracmirrorError):
+            hypergeometric_series(num, den, m, N)
+        return
+    _same_reduced_coefficients(hypergeometric_series(num, den, m, N), oracle)
+
+
+def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_hyperplanes):
+    # the deformation, Frobenius and I-function kernels of both threefolds,
+    # where the coefficients run to hundreds of bits
+    for data in (quartic, eight_hyperplanes):
+        g = build_gkz(data)
+        ell = principal_kernel_vector(g)
+        num_w, den_w = i_weights_from_kernel(ell, g.alpha)
+        for num, den in (
+            _series_factors(ell, g.alpha),
+            ([(1, w) for w in num_w], [(1, u) for u in den_w]),
+        ):
+            for m in (2, 4):
+                s = hypergeometric_series(num, den, m, 64)
+                _same_reduced_coefficients(s, hypergeometric_term_by_term(num, den, m, 64))
+    assert max(x.numerator.bit_length() for x in s.c[64].c) > 600
+
+
+def test_hypergeometric_series_rejects_a_vanishing_denominator_factor():
+    # 1/2 + eps over (-2 + eps)(-1 + eps)(0 + eps): the third order divides by
+    # a factor with zero constant term, as the EpsPoly loop does
+    num, den = [(Fraction(1, 2), 1)], [(-2, 1)]
+    for kernel in (hypergeometric_series, hypergeometric_term_by_term):
+        with pytest.raises(FracmirrorError):
+            kernel(num, den, 2, 5)
+    assert hypergeometric_series(num, den, 2, 2).coeff(2) == hypergeometric_term_by_term(
+        num, den, 2, 2
+    ).coeff(2)
+
+
+def test_hypergeometric_series_vanishing_numerator_factor():
+    # (-1)(0)(1)...: every coefficient from order 2 on carries the factor 0
+    num, den = [(-1, 1)], [(1, 1)]
+    s = hypergeometric_series(num, den, 1, 6)
+    assert [c.coeff(0) for c in s.c] == [1, -1, 0, 0, 0, 0, 0]
+    # over eps^2 the zero factor becomes eps: only the eps^0 slice vanishes
+    s = hypergeometric_series(num, den, 2, 6)
+    assert s == hypergeometric_term_by_term(num, den, 2, 6)
+    assert s.eps_slice(0).c == (1, -1, 0, 0, 0, 0, 0)
+    assert all(s.coeff(n).coeff(1) != 0 for n in range(1, 7))
+
+
 def test_holo_solution_rejects_integer_exponent_negatives():
     with pytest.raises(FracmirrorError, match="unsupported shape"):
         holo_solution((-2, 1, 1), (0, 0, 0), 3)
@@ -155,6 +230,14 @@ def test_box_annihilation_quartic(quartic):
     g = build_gkz(quartic)
     ell = principal_kernel_vector(g)
     assert box_annihilation_check(ell, g.alpha, 20)
+
+
+def test_box_annihilation_at_order_40(quartic, eight_hyperplanes):
+    # the two-term recurrence checked on the integer kernel's holomorphic
+    # solution of both threefolds, deep enough for wide coefficients
+    for data in (quartic, eight_hyperplanes):
+        g = build_gkz(data)
+        assert box_annihilation_check(principal_kernel_vector(g), g.alpha, 40)
 
 
 def test_box_annihilation_negative_control(quartic):

@@ -1,9 +1,10 @@
 """Golden CLI outputs: stdout, stderr and exit code, compared byte for byte.
 
 Every command runs on the three bundled inputs at N = 10 with
-``--format json``, and in table format on the quartic.  Two quantum commands
-also run at N = 32, where the series coefficients run to hundreds of bits:
-``yukawa`` on the quartic and ``mirror-map`` on the eight hyperplanes.  The
+``--format json``, and in table format on the quartic.  Four series commands
+also run at N = 32, where the coefficients run to hundreds of bits:
+``yukawa`` and ``ifunction`` on the quartic, ``mirror-map`` and ``bseries`` on
+the eight hyperplanes.  The
 recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
 case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
@@ -32,6 +33,8 @@ CASES = [(shape, command, "json", N) for shape in SHAPES for command in _COMMAND
 LARGE_N_CASES = [
     ("p3_quartic", "yukawa", "json", 32),
     ("p3_eight_hyperplanes", "mirror-map", "json", 32),
+    ("p3_eight_hyperplanes", "bseries", "json", 32),
+    ("p3_quartic", "ifunction", "json", 32),
 ]
 
 

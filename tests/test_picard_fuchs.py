@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fracmirror.errors import FracmirrorError
-from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector, rising
+from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
 from fracmirror.picard_fuchs import (
     ThetaOperator,
     apply,
@@ -15,7 +15,7 @@ from fracmirror.picard_fuchs import (
     yukawa_ode_rhs,
 )
 from fracmirror.series import LogSeries, RationalSeries
-from oracles import matches
+from oracles import matches, rising
 
 
 def _operator(data):

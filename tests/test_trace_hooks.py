@@ -15,6 +15,7 @@ from fractions import Fraction
 from conftest import DATA, REPO
 
 from fracmirror import cli, topology
+from fracmirror.gkz import hypergeometric_series
 from fracmirror.series import RationalSeries
 
 
@@ -93,6 +94,44 @@ def test_mirror_map_reverts_without_composing():
     assert tracer.calls["series.compose.rational"] == 0
 
 
+def test_cohom_jobs_form_no_nilpotent_product():
+    # the B-series prefactor z^eps shifts eps-slots instead of multiplying
+    # each coefficient by eps^k / k!, and the kernel multiplies on ints
+    tracer = _traced("bseries", "ifunction", shape="p3_quartic")
+    assert tracer.calls["cohom.deformed_solution"] == 1
+    assert tracer.calls["series.mul.nilpotent"] == 0
+
+
+def _count_fractions(monkeypatch, build):
+    """(result of build(), number of Fraction objects constructed by it)."""
+    built = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    try:
+        result = build()
+    finally:
+        monkeypatch.undo()
+    return result, built
+
+
+def test_hypergeometric_kernel_builds_one_fraction_per_coefficient(monkeypatch):
+    # the recurrence runs on integer numerators over one denominator: one
+    # Fraction per output coefficient of c_1..c_N, plus c_0 = 1 and the zeros
+    # that pad c_0 and the series, are all it builds (the EpsPoly loop builds
+    # ~m^2 per order and more per factor)
+    m, N = 4, 16
+    num, den = [(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4
+    s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N))
+    assert (s.m, s.N) == (m, N)
+    assert built <= m * (N + 1) + 2
+
+
 def test_rational_product_builds_one_fraction_per_coefficient(monkeypatch):
     # the product runs on integer numerators over one denominator: its N + 1
     # output coefficients and the zero that pads a series are the only
@@ -103,16 +142,6 @@ def test_rational_product_builds_one_fraction_per_coefficient(monkeypatch):
         RationalSeries([Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(N + 1)], N)
         for _ in range(2)
     )
-    built = 0
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        nonlocal built
-        built += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    product = a * b
-    monkeypatch.undo()
+    product, built = _count_fractions(monkeypatch, lambda: a * b)
     assert product.N == N
     assert built <= N + 2
