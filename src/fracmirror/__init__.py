@@ -38,7 +38,6 @@ from .gkz import (
 from .picard_fuchs import (
     ThetaOperator,
     apply,
-    holomorphic_kernel,
     theta_conjugate,
     yukawa_ode_rhs,
 )
@@ -59,7 +58,6 @@ from .cohom import (
     i_function_mirror_map,
     i_function_untwisted,
     i_weights_from_kernel,
-    pairing_matrix,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,6 @@ __all__ = [
     "principal_kernel_vector",
     "ThetaOperator",
     "apply",
-    "holomorphic_kernel",
     "theta_conjugate",
     "yukawa_ode_rhs",
     "FrobeniusPair",
@@ -108,5 +105,4 @@ __all__ = [
     "i_function_mirror_map",
     "i_function_untwisted",
     "i_weights_from_kernel",
-    "pairing_matrix",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "i_function_untwisted",
     "i_function_mirror_map",
     "i_weights_from_kernel",
-    "pairing_matrix",
 ]
 
 
@@ -198,10 +197,3 @@ def i_function_mirror_map(I):
     B = I.eps_slice(1)
     return B / A
 
-
-def pairing_matrix(ring, basis):
-    """Gram matrix of ring.integral(b_i * b_j) over the given basis."""
-    basis = [b if isinstance(b, EpsPoly) else EpsPoly.constant(ring.m, b) for b in basis]
-    return tuple(
-        tuple(ring.integral(bi * bj) for bj in basis) for bi in basis
-    )

@@ -5,7 +5,7 @@ nothing ever overflows.  Provides Smith normal form with its unimodular
 transforms, saturated kernels and sublattice indices.  One fraction-free
 Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on M) and
 ``adjugate`` and ``inverse_unimodular`` (on [M | I]); ``independent_rows``
-and ``rank`` reduce rows fraction-free too.  No rational is formed.
+reduces rows fraction-free too.  No rational is formed.
 """
 
 import math
@@ -19,7 +19,6 @@ __all__ = [
     "adjugate",
     "det",
     "independent_rows",
-    "rank",
     "smith_normal_form",
     "inverse_unimodular",
     "SmithRelations",
@@ -128,11 +127,6 @@ def independent_rows(M):
             g = math.gcd(*v)
             basis.append((idx, piv, [a // g for a in v]))
     return [idx for idx, _, _ in basis]
-
-
-def rank(M):
-    """Rank over Q."""
-    return len(independent_rows(M))
 
 
 def smith_normal_form(M):

@@ -14,10 +14,19 @@ construction swaps the roles of
     nabla^*  = conv(Delta_1 union ... union Delta_r) = polar dual of nabla,
 
 yielding a nef-partition on ``nabla`` whose double dual is the original.
+
+Validation builds the Delta_i and tests their sum against Delta by support
+functions, with no hull of the sum and no nabla: once Delta_1 + ... +
+Delta_r = Delta, nabla is reflexive by the theorem of Borisov (1993) and
+Batyrev & Borisov (1996).  Only a rejected partition builds nabla, to report
+whether it is reflexive; a valid one builds the nabla_k and nabla on first
+read.
 """
 
+import functools
+
 from .errors import InvalidNefPartition
-from .polytope import LatticePolytope, _dd_extreme_rays, _require_ints
+from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _require_ints
 
 __all__ = [
     "NefPartition",
@@ -54,11 +63,10 @@ def polytope_of_part(delta, part_rays, all_rays):
 
 
 def _derive(delta, parts):
-    """Check a proposed nef-partition and build its polytopes in one pass.
+    """Check a proposed nef-partition, building the Delta_i on the way.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
-    ``(rays, parts_delta, nabla_parts, nabla)``, or None when a check
-    stopped the build early.
+    ``(rays, parts_delta)``, or None when a check stopped the build early.
     """
     if not isinstance(delta, LatticePolytope):
         return ["delta is not a lattice polytope"], None
@@ -94,21 +102,43 @@ def _derive(delta, parts):
     except InvalidNefPartition as exc:
         return [str(exc)], None
 
-    total = parts_delta[0]
-    for P in parts_delta[1:]:
-        total = total + P
-    if total != delta:
+    if not _sums_to(delta, parts_delta):
         issues.append("Minkowski sum of part polytopes differs from delta")
-    origin = tuple([0] * delta.ambient_dim)
-    nabla_parts = tuple(
-        LatticePolytope([origin] + [rays[j] for j in part]) for part in parts
-    )
-    nabla = nabla_parts[0]
-    for P in nabla_parts[1:]:
-        nabla = nabla + P
-    if not nabla.is_reflexive():
-        issues.append("nabla is not reflexive")
-    return issues, (rays, parts_delta, nabla_parts, nabla)
+        # a sum equal to delta makes nabla reflexive, so only a rejected
+        # partition builds nabla, for its second diagnostic
+        if not _minkowski(_nabla_parts(rays, parts)).is_reflexive():
+            issues.append("nabla is not reflexive")
+    return issues, (rays, parts_delta)
+
+
+def _nabla_parts(rays, parts):
+    """nabla_k = conv({0} and the rays of part k), for each part."""
+    origin = (0,) * len(rays[0])
+    return tuple(LatticePolytope([origin] + [rays[j] for j in part]) for part in parts)
+
+
+def _minkowski(polys):
+    """The Minkowski sum of ``polys``, summed pairwise."""
+    total = polys[0]
+    for P in polys[1:]:
+        total = total + P
+    return total
+
+
+def _sums_to(delta, parts_delta):
+    """Whether Delta_1 + ... + Delta_r, which lies in delta, equals it.
+
+    It does iff every vertex v of delta is in the sum: iff the sum's support
+    function at l_v, sum_i min over Delta_i of l_v, equals l_v(v), where l_v
+    is the sum of the facet normals of delta tight at v, a vector inside v's
+    normal cone, so delta attains its minimum of l_v at v alone (Ziegler,
+    "Lectures on Polytopes", ch. 7).  No hull is built.
+    """
+    for v in delta.vertices:
+        ell = [sum(col) for col in zip(*(g for g, c in delta.facets if _dot(g, v) + c == 0))]
+        if sum(min(_dot(ell, m) for m in P.vertices) for P in parts_delta) != _dot(ell, v):
+            return False
+    return True
 
 
 def validate_nef_partition(delta, parts):
@@ -120,8 +150,11 @@ class NefPartition:
     """A reflexive polytope with a validated nef-partition of its dual rays.
 
     ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
-    dual.  Validation builds the derived polytopes once and keeps them:
-    ``rays``, ``parts_delta`` (the Delta_i), ``nabla_parts`` and ``nabla``.
+    dual.  Validation keeps ``rays`` and ``parts_delta`` (the Delta_i) and
+    checks Delta_1 + ... + Delta_r = Delta by support functions, without
+    building the sum; nabla is then reflexive (Borisov 1993; Batyrev &
+    Borisov 1996), so ``nabla_parts`` (the nabla_k) and ``nabla`` are built
+    the first time they are read, and kept.
     """
 
     def __init__(self, delta, parts):
@@ -133,7 +166,15 @@ class NefPartition:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
-        self.rays, self.parts_delta, self.nabla_parts, self.nabla = built
+        self.rays, self.parts_delta = built
+
+    @functools.cached_property
+    def nabla_parts(self):
+        return _nabla_parts(self.rays, self.ray_parts)
+
+    @functools.cached_property
+    def nabla(self):
+        return _minkowski(self.nabla_parts)
 
     @property
     def r(self):

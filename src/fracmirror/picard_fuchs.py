@@ -28,7 +28,6 @@ __all__ = [
     "theta_conjugate",
     "apply",
     "yukawa_ode_rhs",
-    "holomorphic_kernel",
 ]
 
 
@@ -221,27 +220,3 @@ def yukawa_ode_rhs(op, N):
     p4 = RationalSeries(op.z_polys[4], N)
     return -(p3 / p4) * Fraction(1, 2)
 
-
-def holomorphic_kernel(op, N):
-    """The unique series solution with constant term 1 of op(S) = 0.
-
-    Requires the indicial polynomial to be nonzero at every positive
-    integer (true for normalized theta^d leading parts).
-    """
-    op = op.normalized()
-    ind = op.indicial()
-    coeffs = [Fraction(1)]
-    max_shift = max(len(p) for p in op.z_polys) - 1
-    for n in range(1, N + 1):
-        lead = sum(c * Fraction(n) ** k for k, c in enumerate(ind))
-        if lead == 0:
-            raise FracmirrorError(
-                f"indicial polynomial vanishes at n = {n}; no unique solution"
-            )
-        acc = Fraction(0)
-        for a in range(1, min(n, max_shift) + 1):
-            for k, poly in enumerate(op.z_polys):
-                if a < len(poly) and poly[a] != 0:
-                    acc += poly[a] * Fraction(n - a) ** k * coeffs[n - a]
-        coeffs.append(-acc / lead)
-    return RationalSeries(coeffs, N)

@@ -1,7 +1,9 @@
 """Exact lattice polytopes: hulls, duals, volumes, lattice points.
 
 Everything is integer/rational arithmetic.  Convex hulls come from an
-incremental double-description pass over the homogenization cone; volumes are
+incremental double-description pass over the homogenization cone, in the
+coordinates of a Smith transform only when the points span less than the
+ambient space, and vertices are read off the facet incidences; volumes are
 normalized lattice volumes in the affine span, summed over the simplices of a
 pulling triangulation read off the facet–vertex incidences (the dilated
 lattice-point counts of ``method="count"`` are the oracle); lattice-point
@@ -9,9 +11,8 @@ scans run on the one prefix→interval scan in ``_accel``.
 """
 
 import math
+import operator
 from fractions import Fraction
-
-import numpy as np
 
 from . import _accel, linalg
 from .errors import FracmirrorError
@@ -32,7 +33,7 @@ def _primitive(vec):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _require_ints(values, what):
@@ -151,10 +152,12 @@ class LatticePolytope:
     )
 
     def __init__(self, points, ambient_dim=None):
-        pts = sorted({tuple(int(x) for x in p) for p in points})
+        # operator.index takes Python and NumPy ints and rejects floats and
+        # Fractions instead of truncating them
+        pts = sorted({tuple(map(operator.index, p)) for p in points})
         if not pts:
             raise ValueError("no points: a polytope needs at least one point")
-        D = len(pts[0]) if ambient_dim is None else int(ambient_dim)
+        D = len(pts[0]) if ambient_dim is None else operator.index(ambient_dim)
         if any(len(p) != D for p in pts):
             raise ValueError("points have inconsistent dimension")
         self.points = tuple(pts)
@@ -174,11 +177,8 @@ class LatticePolytope:
             return
 
         v0 = pts[0]
-        E = np.array(
-            [[p[i] - v0[i] for p in pts[1:]] for i in range(D)], dtype=object
-        )
-        Dg, U, V = linalg.smith_normal_form(E)
-        a = sum(1 for i in range(min(E.shape)) if Dg[i, i] != 0)
+        diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
+        a = len(linalg.independent_rows(diffs))
         self.affine_dim = a
 
         if a == D:
@@ -187,6 +187,8 @@ class LatticePolytope:
             self._B = None
             span_pts = pts
         else:
+            # only a lower-dimensional span needs the transform U
+            _, U, _ = linalg.smith_normal_form(list(zip(*diffs)))
             self._v0 = v0
             self._U = tuple(tuple(int(x) for x in row) for row in U)
             B = linalg.inverse_unimodular(U)[:, :a]
@@ -211,13 +213,19 @@ class LatticePolytope:
         span_facets.sort()
         self._span_facets = tuple(span_facets)
 
-        verts = []
-        for p, y in zip(pts, span_pts):
-            tight = [g for g, c in span_facets if _dot(g, y) + c == 0]
-            if tight and linalg.rank(tight) == a:
-                verts.append((p, y))
-        self.vertices = tuple(p for p, _ in verts)
-        self._span_vertices = tuple(y for _, y in verts)
+        # a point is a vertex iff no other point lies on every facet it lies
+        # on: a face holding two input points has two vertices among them
+        masks = [
+            sum(1 << t for t, (g, c) in enumerate(span_facets) if _dot(g, y) + c == 0)
+            for y in span_pts
+        ]
+        verts = [
+            i
+            for i, m in enumerate(masks)
+            if not any(n & m == m for j, n in enumerate(masks) if j != i)
+        ]
+        self.vertices = tuple(pts[i] for i in verts)
+        self._span_vertices = tuple(span_pts[i] for i in verts)
 
         if a == D:
             self.facets = self._span_facets

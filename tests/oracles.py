@@ -8,10 +8,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from fracmirror.errors import FracmirrorError
+from fracmirror import linalg
+from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution
-from fracmirror.polytope import LatticePolytope
-from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries
+from fracmirror.nefpart import polytope_of_part
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays
+from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
 
 
 def product_term_by_term(a, b):
@@ -319,3 +321,107 @@ def gkz_solution_terms(gkz, cutoff):
         out.append((vec, term_coeff(vec)))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def hull_by_smith_and_rank(points, ambient_dim):
+    """``(affine_dim, vertices, facets)`` of conv(points), the long way round.
+
+    The affine dimension is the rank of the Smith form of the difference
+    matrix, and the hull runs in the span coordinates y = U·(x − x0) of its
+    transform U even when the points span the whole space; a point is a
+    vertex iff the normals of the facets tight at it have rank a.  Facets
+    are lifted back as (Σ gᵢ·U[i], c − w·x0) and lex-sorted.
+    """
+    pts = sorted({tuple(p) for p in points})
+    x0 = pts[0]
+    if len(pts) == 1 or ambient_dim == 0:
+        return 0, (x0,), ()
+    E = [[p[i] - x0[i] for p in pts[1:]] for i in range(ambient_dim)]
+    S, U, _ = linalg.smith_normal_form(E)
+    a = sum(1 for i in range(min(ambient_dim, len(pts) - 1)) if S[i, i] != 0)
+    if a == 0:
+        return 0, (x0,), ()
+    U = [[int(x) for x in row] for row in U[:a]]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    span = [tuple(dot(row, [x - y for x, y in zip(p, x0)]) for row in U) for p in pts]
+    rays = _dd_extreme_rays([y + (1,) for y in span])
+    facets = [(r[:-1], r[-1]) for r in rays if any(r[:-1])]
+    vertices = []
+    for p, y in zip(pts, span):
+        tight = [g for g, c in facets if dot(g, y) + c == 0]
+        if tight and len(linalg.independent_rows(tight)) == a:
+            vertices.append(p)
+    lifted = []
+    for g, c in facets:
+        w = tuple(dot(g, col) for col in zip(*U))
+        lifted.append((w, c - dot(w, x0)))
+    return a, tuple(vertices), tuple(sorted(lifted))
+
+
+def minkowski_sum_by_hulls(polys):
+    """P₁ + … + P_r as pairwise hulls of the vertex sums."""
+    total = polys[0]
+    for P in polys[1:]:
+        total = total + P
+    return total
+
+
+def nef_diagnostics_by_hulls(delta, parts):
+    """The diagnostics of ``validate_nef_partition`` past the partition checks.
+
+    ``parts`` must partition the indices of delta's dual vertices.  The sum
+    Δ₁ + … + Δ_r is built as pairwise Minkowski hulls and compared with
+    delta, and ∇ = Σ conv({0} ∪ part) is built the same way and tested for
+    reflexivity, whatever the first test found.
+    """
+    rays = delta.polar_dual().vertices
+    try:
+        parts_delta = [polytope_of_part(delta, [rays[j] for j in p], rays) for p in parts]
+    except InvalidNefPartition as exc:
+        return [str(exc)]
+    issues = []
+    if minkowski_sum_by_hulls(parts_delta) != delta:
+        issues.append("Minkowski sum of part polytopes differs from delta")
+    origin = (0,) * delta.ambient_dim
+    nabla = minkowski_sum_by_hulls(
+        [LatticePolytope([origin] + [rays[j] for j in p]) for p in parts]
+    )
+    if not nabla.is_reflexive():
+        issues.append("nabla is not reflexive")
+    return issues
+
+
+def holomorphic_kernel(op, N):
+    """The unique series solution with constant term 1 of op(S) = 0.
+
+    Requires the indicial polynomial to be nonzero at every positive
+    integer (true for normalized theta^d leading parts).
+    """
+    op = op.normalized()
+    ind = op.indicial()
+    coeffs = [Fraction(1)]
+    max_shift = max(len(p) for p in op.z_polys) - 1
+    for n in range(1, N + 1):
+        lead = sum(c * Fraction(n) ** k for k, c in enumerate(ind))
+        if lead == 0:
+            raise FracmirrorError(
+                f"indicial polynomial vanishes at n = {n}; no unique solution"
+            )
+        acc = Fraction(0)
+        for a in range(1, min(n, max_shift) + 1):
+            for k, poly in enumerate(op.z_polys):
+                if a < len(poly) and poly[a] != 0:
+                    acc += poly[a] * Fraction(n - a) ** k * coeffs[n - a]
+        coeffs.append(-acc / lead)
+    return RationalSeries(coeffs, N)
+
+
+def pairing_matrix(ring, basis):
+    """Gram matrix of ring.integral(b_i * b_j) over the given basis."""
+    basis = [b if isinstance(b, EpsPoly) else EpsPoly.constant(ring.m, b) for b in basis]
+    return tuple(
+        tuple(ring.integral(bi * bj) for bj in basis) for bi in basis
+    )

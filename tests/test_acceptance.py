@@ -19,7 +19,6 @@ from fracmirror.cohom import (
     CohomRing,
     deformed_solution,
     frobenius_residue,
-    pairing_matrix,
 )
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
 from fracmirror.linalg import smith_relations
@@ -34,7 +33,7 @@ from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, RationalSeries
 from fracmirror.topology import euler_double_cover
-from oracles import euler_snc_union_oracle, lattice_transform, matches
+from oracles import euler_snc_union_oracle, lattice_transform, matches, pairing_matrix
 from test_topology import quartic_plus_planes_strata
 
 

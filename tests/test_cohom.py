@@ -19,14 +19,13 @@ from fracmirror.cohom import (
     i_function_mirror_map,
     i_function_untwisted,
     i_weights_from_kernel,
-    pairing_matrix,
 )
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, principal_kernel_vector
 from fracmirror.mirror import frobenius_pair
 from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.series import EpsPoly, NilpotentSeries, RationalSeries
-from oracles import matches, scale_arg
+from oracles import matches, pairing_matrix, scale_arg
 
 
 def _kernel_data(data):

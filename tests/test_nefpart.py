@@ -2,17 +2,20 @@
 
 import copy
 import itertools
+import random
 
 import pytest
 
 from fracmirror.errors import InvalidNefPartition
 from fracmirror.nefpart import (
     NefPartition,
+    _sums_to,
     dual_nef_partition,
     polytope_of_part,
     validate_nef_partition,
 )
 from fracmirror.polytope import LatticePolytope
+from oracles import minkowski_sum_by_hulls, nef_diagnostics_by_hulls
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P2 = [(2, -1), (-1, 2), (-1, -1)]
@@ -168,3 +171,88 @@ def test_sign_corrupted_quartic_variant_is_rejected():
     # flipping the sign of three vertices breaks reflexivity outright
     bad = LatticePolytope([(-3, 1, 1), (1, -3, 1), (1, 1, -3), (-1, -1, -1)])
     assert validate_nef_partition(bad, [(0, 1, 2, 3)]) == ["delta is not reflexive"]
+
+
+SMALL_REFLEXIVE = {
+    "p2": P2,
+    "hexagon": HEXAGON,
+    "square": [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+    "quartic": QUARTIC,
+    "cube": list(itertools.product((-1, 1), repeat=3)),
+    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "p2_x_p1": [(x, y, z) for x, y in P2 for z in (1, -1)],
+}
+
+
+def _random_set_partition(rng, k):
+    labels = [rng.randrange(rng.randint(1, k)) for _ in range(k)]
+    blocks = {}
+    for idx, label in enumerate(labels):
+        blocks.setdefault(label, []).append(idx)
+    return [tuple(b) for b in blocks.values()]
+
+
+def test_support_test_matches_hull_oracle_on_set_partitions():
+    # the support-function test of sum Delta_i = Delta gives the messages of
+    # the pairwise Minkowski hulls, in order: a rejected partition whose nabla
+    # is not reflexive still says so; every accepted partition has a
+    # reflexive nabla (Borisov), which is why validation never builds it
+    rng = random.Random(2024)
+    kinds = set()
+    for name, verts in SMALL_REFLEXIVE.items():
+        delta = LatticePolytope(verts)
+        k = len(delta.polar_dual().vertices)
+        for _ in range(25):
+            parts = _random_set_partition(rng, k)
+            issues = validate_nef_partition(delta, parts)
+            assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
+            kinds.add(tuple(issues))
+            if not issues:
+                assert NefPartition(delta, parts).nabla.is_reflexive()
+    assert kinds >= {
+        (),
+        ("part polytope has non-lattice vertices",),
+        ("Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"),
+    }
+
+
+def test_valid_partition_builds_nabla_on_first_read():
+    delta = LatticePolytope(HEXAGON)
+    parts = next(p for p in _two_two_two_partitions(6) if not validate_nef_partition(delta, p))
+    data = NefPartition(delta, parts)
+    assert "nabla" not in vars(data) and "nabla_parts" not in vars(data)
+    nabla = data.nabla
+    assert data.nabla is nabla and data.nabla_parts is data.nabla_parts
+    assert nabla.is_reflexive()
+
+
+def test_support_test_sums_every_normal_tight_at_a_vertex():
+    # the triangle meets all four edges of the square but misses (1, 1):
+    # one edge normal tight there cannot tell, their sum (-1, -1) can
+    square = LatticePolytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    triangle = LatticePolytope([(-1, -1), (1, -1), (-1, 1)])
+    assert not _sums_to(square, [triangle])
+    segments = [LatticePolytope([(-1, 0), (1, 0)]), LatticePolytope([(0, -1), (0, 1)])]
+    assert _sums_to(square, segments)
+
+
+def test_support_test_matches_minkowski_hull_on_subpolytopes():
+    # conv(S - q) + {q} = conv(S) lies in delta for any S of its lattice
+    # points, so the support test must agree with the hull comparison
+    rng = random.Random(77)
+    seen = set()
+    for verts in SMALL_REFLEXIVE.values():
+        delta = LatticePolytope(verts)
+        points = delta.lattice_points()
+        n = delta.ambient_dim
+        for _ in range(15):
+            S = [p for p in points if rng.random() < 0.6]
+            if rng.random() < 0.5:
+                S += rng.sample(delta.vertices, len(delta.vertices) - rng.randint(0, 1))
+            S = S or [points[0]]
+            q = rng.choice(points)
+            parts = [LatticePolytope([tuple(x - y for x, y in zip(p, q)) for p in S], n), LatticePolytope([q])]
+            expect = minkowski_sum_by_hulls(parts) == delta
+            assert _sums_to(delta, parts) == expect
+            seen.add(expect)
+    assert seen == {True, False}

@@ -10,12 +10,11 @@ from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
 from fracmirror.picard_fuchs import (
     ThetaOperator,
     apply,
-    holomorphic_kernel,
     theta_conjugate,
     yukawa_ode_rhs,
 )
 from fracmirror.series import LogSeries, RationalSeries
-from oracles import matches, rising
+from oracles import holomorphic_kernel, matches, rising
 
 
 def _operator(data):

@@ -17,6 +17,7 @@ from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyrami
 from oracles import (
     cayley_polytope,
     ehrhart_polynomial,
+    hull_by_smith_and_rank,
     lattice_transform,
     pyramid_over,
 )
@@ -419,6 +420,43 @@ def test_lifted_facets_of_lower_dimensional_polytopes():
             tight = [vert for vert, h in zip(P.vertices, heights) if h == 0]
             assert tight and _affine_rank(tight) == a - 1
         checked += 1
+
+
+def test_incidence_vertices_match_rank_oracle():
+    # vertices read off the facet incidence masks, and the affine dimension
+    # from the independent difference rows, against the Smith form and one
+    # rank test per point; some sets lie in a proper affine sublattice, and
+    # points repeat, sit inside faces and in the interior
+    rng = random.Random(1111)
+    flat = 0
+    for _ in range(300):
+        D = rng.randint(1, 4)
+        a = rng.randint(0, D)
+        if rng.random() < 0.35 and a < D:
+            B = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(D)]
+        else:
+            a, B = D, [[int(i == j) for j in range(D)] for i in range(D)]
+        v0 = [rng.randint(-3, 3) for _ in range(D)]
+        ys = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(rng.randint(1, 9))]
+        pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
+        P = LatticePolytope(pts, D)
+        flat += 0 < P.affine_dim < D
+        assert (P.affine_dim, P.vertices, P.facets) == hull_by_smith_and_rank(pts, D)
+    assert flat >= 30
+
+
+def test_coordinates_must_be_integers():
+    # a float or a Fraction coordinate is refused, not truncated; NumPy ints
+    # are integers
+    with pytest.raises(TypeError):
+        LatticePolytope([(0, 0), (1.7, 0), (0, 1)])
+    with pytest.raises(TypeError):
+        LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
+    with pytest.raises(TypeError):
+        LatticePolytope([(0, 0), (1, 0)], ambient_dim=2.0)
+    P = LatticePolytope([(0, 0), (np.int64(1), 0), (0, np.int32(1))])
+    assert P.vertices == ((0, 0), (0, 1), (1, 0))
+    assert all(type(x) is int for v in P.vertices for x in v)
 
 
 def test_lattice_transform_on_points_and_polytopes():

@@ -16,6 +16,7 @@ from conftest import DATA, REPO
 
 from fracmirror import cli, topology
 from fracmirror.gkz import hypergeometric_series
+from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
 
 
@@ -29,9 +30,21 @@ def _load_spans():
 
 
 def _traced(*commands, shape):
-    """Run each command at N=4 on one bundled shape under the real hooks."""
+    """Run each command at N=4 on one bundled shape under the real hooks.
+
+    ``tracer.flat_hulls`` counts the hulls of lower dimension than their
+    ambient space, the ones that need a Smith transform.
+    """
     spans = _load_spans()
     tracer = spans.Tracer()
+    tracer.flat_hulls = 0
+    init = LatticePolytope.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tracer.flat_hulls += self.affine_dim < self.ambient_dim
+
+    LatticePolytope.__init__ = counting_init
     undo = spans.install(tracer)
     try:
         for command in commands:
@@ -40,6 +53,7 @@ def _traced(*commands, shape):
                 assert cli.run(config) == 0
     finally:
         undo()
+        LatticePolytope.__init__ = init
     return tracer
 
 
@@ -70,12 +84,25 @@ def test_euler_scans_no_dilations():
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
     # built as a polytope of its own; a lower-dimensional hull lifts its
-    # facets through the Smith transform it already holds, so each hull
-    # runs one Smith form and no facet runs another
+    # facets through the Smith transform it already holds, a full-dimensional
+    # one needs none, and no facet runs another; validation builds no hull of
+    # the Minkowski sum of the parts
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
-    assert tracer.calls["polytope.hull"] == 19
-    assert tracer.calls["linalg.smith_normal_form"] == tracer.calls["polytope.hull"]
+    assert tracer.calls["polytope.hull"] == 16
+    assert 0 < tracer.flat_hulls < tracer.calls["polytope.hull"]
+    assert tracer.calls["linalg.smith_normal_form"] == tracer.flat_hulls
+
+
+def test_quantum_and_cohom_jobs_build_no_nabla():
+    # Delta, Delta* and the four Delta_i; nabla is built only when read, so
+    # the one Smith form is the GKZ kernel's (smith_relations)
+    for command in ("mirror-map", "ifunction", "bseries"):
+        tracer = _traced(command, shape="p3_eight_hyperplanes")
+        assert tracer.calls["polytope.hull"] == 6
+        assert tracer.flat_hulls == 0
+        assert tracer.calls["linalg.smith_normal_form"] == 1
+        assert tracer.calls["gkz.build_gkz"] == 1
 
 
 def test_dual_nef_builds_each_polytope_once():
