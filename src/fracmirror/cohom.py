@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .picard_fuchs import apply
-from .series import EpsPoly, LogSeries, NilpotentSeries
+from .series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
 
 __all__ = [
     "CohomRing",
@@ -100,14 +100,14 @@ def deformed_solution(ell, alpha, N, m):
 def _log_prefactor(deformed):
     """z^rho * deformed as a LogSeries: parts[k] = deformed * rho^k / k!.
 
-    Multiplying by rho^k shifts each coefficient's rho-slots up by k.
+    Multiplying by rho^k shifts the rho-slices up by k: part k is k zero
+    slices followed by the first m - k slices, each times 1/k!.
     """
-    m = deformed.m
+    m, S = deformed.m, deformed.slices
     parts = [deformed]
     for k in range(1, m):
-        f = math.factorial(k)
-        shifted = [EpsPoly(m, [0] * k + [v / f for v in x.c[: m - k]]) for x in deformed.c]
-        parts.append(NilpotentSeries(m, shifted, deformed.N))
+        scaled = [s * Fraction(1, math.factorial(k)) for s in S[: m - k]]
+        parts.append(NilpotentSeries.from_slices([RationalSeries.zero(deformed.N)] * k + scaled))
     return LogSeries(parts)
 
 

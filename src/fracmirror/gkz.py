@@ -22,7 +22,7 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import EpsPoly, NilpotentSeries
+from .series import NilpotentSeries, RationalSeries
 
 __all__ = [
     "GkzSystem",
@@ -150,10 +150,10 @@ def hypergeometric_series(num, den, m, N):
     are integer polynomials in eps over a power of the bases' denominators,
     and the division by the denominator polynomial B is one fraction-free
     triangular solve, brought to the denominator B_0^m.  One reduced Fraction
-    is built per output coefficient.
+    is built per output coefficient, straight into the eps-slices.
     """
     U, E = [1] + [0] * (m - 1), 1
-    coeffs = [EpsPoly.constant(m, 1)]
+    slices = [[Fraction(u)] for u in U]
     for n in range(1, N + 1):
         A, a_den = _new_factors(num, n, m)
         B, b_den = _new_factors(den, n, m)
@@ -173,8 +173,9 @@ def hypergeometric_series(num, den, m, N):
         E *= a_den * b0**m
         g = gcd(E, *U)
         U, E = [u // g for u in U], E // g
-        coeffs.append(EpsPoly(m, [Fraction(u, E) for u in U]))
-    return NilpotentSeries(m, coeffs, N)
+        for s, u in zip(slices, U):
+            s.append(Fraction(u, E))
+    return NilpotentSeries.from_slices([RationalSeries(s, N) for s in slices])
 
 
 def _new_factors(factors, n, m):

@@ -24,6 +24,7 @@ read.
 """
 
 import functools
+from operator import index
 
 from .errors import InvalidNefPartition
 from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _require_ints
@@ -42,13 +43,13 @@ def polytope_of_part(delta, part_rays, all_rays):
     ``part_rays`` is the set of dual vertices with offset 1; every other
     element of ``all_rays`` gets offset 0.
     """
-    part = {tuple(int(x) for x in rho) for rho in part_rays}
+    part = {tuple(map(index, rho)) for rho in part_rays}
     if not part:
         raise InvalidNefPartition("empty part")
     n = delta.ambient_dim
     rows = []
     for rho in all_rays:
-        rho = tuple(int(x) for x in rho)
+        rho = tuple(map(index, rho))
         rows.append(rho + (1 if rho in part else 0,))
     rows.append(tuple([0] * n) + (1,))
     verts = []
@@ -160,7 +161,7 @@ class NefPartition:
     def __init__(self, delta, parts):
         if not isinstance(delta, LatticePolytope):
             delta = LatticePolytope(delta)
-        parts = tuple(tuple(sorted(int(i) for i in part)) for part in parts)
+        parts = tuple(tuple(sorted(map(index, part))) for part in parts)
         issues, built = _derive(delta, parts)
         if issues:
             raise InvalidNefPartition("; ".join(issues))

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
-from .series import (
-    LogSeries,
-    NilpotentSeries,
-    RationalSeries,
-    _Series,
-    fraction_str,
-)
+from .series import LogSeries, NilpotentSeries, RationalSeries, fraction_str
 
 __all__ = [
     "ThetaOperator",
@@ -190,7 +184,7 @@ def theta_conjugate(ell, alpha):
 
 def apply(op, obj):
     """Apply a theta-operator to a series or a log-extended series."""
-    if not isinstance(obj, (_Series, LogSeries)):
+    if not isinstance(obj, (RationalSeries, NilpotentSeries, LogSeries)):
         raise TypeError("operators act on series or LogSeries")
     total = None
     power = obj

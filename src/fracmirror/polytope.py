@@ -46,13 +46,13 @@ def _require_ints(values, what):
 def _dd_extreme_rays(rows):
     """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}.
 
-    ``rows`` are integer tuples that must span the ambient space (pointed
-    dual cone).  Returns lex-sorted primitive integer generators.
+    ``rows`` are integer tuples (floats raise TypeError) spanning the ambient
+    space (pointed dual cone).  Returns lex-sorted primitive integer generators.
     """
     seen = set()
     clean = []
     for r in rows:
-        t = tuple(int(x) for x in r)
+        t = tuple(map(operator.index, r))
         if any(t) and t not in seen:
             seen.add(t)
             clean.append(t)

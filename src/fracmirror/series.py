@@ -1,10 +1,16 @@
 """Truncated formal power series with exact rational coefficients.
 
-Three layers:
+Three classes:
 
-* ``RationalSeries`` — series in z over Q, truncated at a fixed order N.
-* ``NilpotentSeries`` — series over the ring Q[eps]/(eps^m) (``EpsPoly``
-  coefficients), used for cohomology-valued solutions.
+* ``RationalSeries`` — series in z over Q, truncated at a fixed order N.  It
+  holds every kernel: product, ``inverse``, ``exp``, ``log``, ``compose``,
+  ``reversion``, theta and its inverse.
+* ``NilpotentSeries`` — series over Q[eps]/(eps^m), used for
+  cohomology-valued solutions.  Since Q[eps]/(eps^m)[[z]] =
+  Q[[z]][eps]/(eps^m), it is stored as its m eps-slices, each a
+  ``RationalSeries``: +, -, scalar multiples, theta, shift and truncation act
+  slice by slice, a product is the truncated convolution
+  sum_(i+j=k) A_i B_j on the Q product, and ``coeff(n)`` reads an ``EpsPoly``.
 * ``LogSeries`` — polynomials in the formal symbol L = log z whose
   coefficients are series of either kind; theta = z d/dz acts by
   theta(L^k S) = k L^(k-1) S + L^k theta(S).
@@ -12,9 +18,9 @@ Three layers:
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
 
-Coefficients are stored as reduced ``Fraction``s, but the O(N^2) kernels over
-Q (product, ``inverse``, ``exp``) run on Python ints: the operands are
-brought to integer numerators over the lcm of their denominators, each output
+Coefficients are stored as reduced ``Fraction``s, but the O(N^2) kernels
+(product, ``inverse``, ``exp``) run on Python ints: the operands are brought
+to integer numerators over the lcm of their denominators, each output
 coefficient is one integer dot product, and one reduced ``Fraction`` is built
 per output coefficient.  A product is the integer convolution over
 D_a * D_b.  ``inverse`` and ``exp`` solve their recurrences with the
@@ -26,7 +32,7 @@ numerator or by n! D^n instead grows the integers with every order).
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, index, mul, neg
 
 from .errors import FracmirrorError
 
@@ -39,14 +45,14 @@ __all__ = [
     "fraction_str",
 ]
 
+_ZERO = Fraction(0)
+
 
 def parse_fraction(x):
     """Accept int, Fraction, or 'p/q' string."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -62,12 +68,11 @@ class EpsPoly:
     __slots__ = ("m", "c")
 
     def __init__(self, m, coeffs=()):
-        m = int(m)
+        m = index(m)
         if m < 1:
             raise ValueError("nilpotency order m must be at least 1")
         vals = [parse_fraction(x) for x in coeffs][:m]
-        if len(vals) < m:
-            vals += [Fraction(0)] * (m - len(vals))
+        vals += [_ZERO] * (m - len(vals))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "c", tuple(vals))
 
@@ -82,12 +87,10 @@ class EpsPoly:
     def eps(cls, m, power=1):
         if power < 0:
             raise ValueError("eps power must be nonnegative")
-        if power >= m:
-            return cls(m)
         return cls(m, (0,) * power + (1,))
 
     def coeff(self, k):
-        return self.c[k] if 0 <= k < self.m else Fraction(0)
+        return self.c[k] if 0 <= k < self.m else _ZERO
 
     @property
     def is_zero(self):
@@ -211,314 +214,64 @@ def _recurrence(x0, w, d):
     return out
 
 
-class _RationalRing:
+def _product(a, b, N):
+    """[z^n] a*b for n <= N from coefficient tuples: one integer convolution
+    over D_a * D_b."""
+    A, Da = _over_lcm(a[: N + 1])
+    B, Db = _over_lcm(b[N::-1])  # b_N, ..., b_0
+    D = Da * Db
+    return [Fraction(sum(map(mul, A[: n + 1], B[N - n :])), D) for n in range(N + 1)]
+
+
+def _invert(x):
+    if x == 0:
+        raise FracmirrorError("constant term is not invertible")
+    return 1 / x
+
+
+def _scalar(x, m=None):
+    """x as a Fraction (as an EpsPoly of order m when m is given), or None
+    when it is no such scalar."""
+    try:
+        return parse_fraction(x) if m is None else _eps(m, x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _rational(vals, N):
+    """The RationalSeries of the reduced Fractions ``vals``, cut or
+    zero-padded to order N."""
+    obj = object.__new__(RationalSeries)
+    object.__setattr__(obj, "N", N)
+    object.__setattr__(obj, "c", tuple(vals[: N + 1]) + (_ZERO,) * (N + 1 - len(vals)))
+    return obj
+
+
+class RationalSeries:
+    """Truncated series in z over Q."""
+
+    __slots__ = ("N", "c")
+
+    # perfbench/spans.py wraps the methods of ``series._Series`` and labels a
+    # span "rational" when ``args[0].ring.m is None``.  This ``m``, ``ring``
+    # and the ``_Series`` alias below exist only for it, and go when ROADMAP
+    # item 5 stages the spans inside the program.
     m = None
 
-    def coerce(self, x):
-        return parse_fraction(x)
-
     @property
-    def zero(self):
-        return Fraction(0)
+    def ring(self):
+        return self
 
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def is_zero(self, x):
-        return x == 0
-
-    def invert(self, x):
-        if x == 0:
-            raise FracmirrorError("constant term is not invertible")
-        return Fraction(1) / x
-
-    def to_json(self, x):
-        return fraction_str(x)
-
-    def series_product(self, a, b, N):
-        """[z^n] a*b for n <= N: one integer convolution over D_a * D_b."""
-        A, Da = _over_lcm(a[: N + 1])
-        B, Db = _over_lcm(b[N::-1])  # b_N, ..., b_0
-        D = Da * Db
-        return [Fraction(sum(map(mul, A[: n + 1], B[N - n :])), D) for n in range(N + 1)]
-
-    def series_inverse(self, c):
-        """1/c: with c = A/D, u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
-        A, _ = _over_lcm(c)
-        return _recurrence(self.invert(c[0]), [-x for x in A], [A[0]] * len(A))
-
-    def series_exp(self, c):
-        """exp(c), c_0 = 0: with c = A/D, e_n = (sum_k k A_k e_(n-k)) / (n D)."""
-        A, D = _over_lcm(c)
-        return _recurrence(
-            Fraction(1), [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, _RationalRing)
-
-    def __hash__(self):
-        return hash("Q")
-
-
-class _EpsRing:
-    def __init__(self, m):
-        self.m = int(m)
-
-    def coerce(self, x):
-        if isinstance(x, EpsPoly):
-            if x.m != self.m:
-                raise ValueError("EpsPoly has the wrong nilpotency order")
-            return x
-        return EpsPoly.constant(self.m, x)
-
-    @property
-    def zero(self):
-        return EpsPoly(self.m)
-
-    @property
-    def one(self):
-        return EpsPoly.constant(self.m, 1)
-
-    def is_zero(self, x):
-        return x.is_zero
-
-    def invert(self, x):
-        return x.invert()
-
-    def to_json(self, x):
-        return x.to_json()
-
-    def series_product(self, a, b, N):
-        out = [self.zero] * (N + 1)
-        for i in range(N + 1):
-            x = a[i]
-            if x.is_zero:
-                continue
-            for j in range(N + 1 - i):
-                y = b[j]
-                if not y.is_zero:
-                    out[i + j] = out[i + j] + x * y
-        return out
-
-    def series_inverse(self, c):
-        inv0 = self.invert(c[0])
-        out = [inv0] + [self.zero] * (len(c) - 1)
-        for n in range(1, len(c)):
-            acc = self.zero
-            for k in range(1, n + 1):
-                acc = acc + c[k] * out[n - k]
-            out[n] = -(inv0 * acc)
-        return out
-
-    def series_exp(self, c):
-        out = [self.one] + [self.zero] * (len(c) - 1)
-        for n in range(1, len(c)):
-            acc = self.zero
-            for k in range(1, n + 1):
-                acc = acc + (c[k] * Fraction(k)) * out[n - k]
-            out[n] = acc * Fraction(1, n)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, _EpsRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("Q[eps]", self.m))
-
-
-_RATIONALS = _RationalRing()
-
-
-class _Series:
-    """Common truncated-power-series machinery over a coefficient ring."""
-
-    __slots__ = ("ring", "N", "c")
-
-    def __init__(self, ring, coeffs, N):
-        vals = [ring.coerce(x) for x in coeffs]
-        if N is None:
-            N = max(len(vals) - 1, 0)
-        N = int(N)
+    def __init__(self, coeffs=(), N=None):
+        vals = [parse_fraction(x) for x in coeffs]
+        N = max(len(vals) - 1, 0) if N is None else index(N)
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
-        vals = vals[: N + 1]
-        vals += [ring.zero] * (N + 1 - len(vals))
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "c", tuple(vals))
+        object.__setattr__(self, "c", _rational(vals, N).c)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("series are immutable")
-
-    def _raw(self, coeffs, N):
-        obj = object.__new__(type(self))
-        object.__setattr__(obj, "ring", self.ring)
-        object.__setattr__(obj, "N", N)
-        vals = list(coeffs)[: N + 1]
-        vals += [self.ring.zero] * (N + 1 - len(vals))
-        object.__setattr__(obj, "c", tuple(vals))
-        return obj
-
-    # -- basics -----------------------------------------------------------
-
-    def coeff(self, n):
-        return self.c[n] if 0 <= n <= self.N else self.ring.zero
-
-    def is_zero(self):
-        return all(self.ring.is_zero(x) for x in self.c)
-
-    def truncate(self, N):
-        if N > self.N:
-            raise FracmirrorError("cannot extend a truncated series")
-        return self._raw(self.c[: N + 1], N)
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, _Series):
-            if other.ring != self.ring:
-                raise TypeError("series live over different coefficient rings")
-            N = min(self.N, other.N)
-            return self._raw(
-                [self.c[i] + other.c[i] for i in range(N + 1)], N
-            )
-        try:
-            val = self.ring.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self._raw([self.c[0] + val] + list(self.c[1:]), self.N)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._raw([-x for x in self.c], self.N)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, _Series) else -self.ring.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, _Series):
-            if other.ring != self.ring:
-                raise TypeError("series live over different coefficient rings")
-            N = min(self.N, other.N)
-            return self._raw(self.ring.series_product(self.c, other.c, N), N)
-        try:
-            val = self.ring.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self._raw([x * val for x in self.c], self.N)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return self._raw(self.ring.series_inverse(self.c), self.N)
-
-    def __truediv__(self, other):
-        if isinstance(other, _Series):
-            N = min(self.N, other.N)
-            return self.truncate(N) * other.truncate(N).inverse()
-        try:
-            val = self.ring.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self * self.ring.invert(val)
-
-    # -- calculus -----------------------------------------------------------
-
-    def theta(self):
-        """z d/dz."""
-        return self._raw([x * Fraction(n) for n, x in enumerate(self.c)], self.N)
-
-    def antitheta(self):
-        """Inverse of theta on series with zero constant term."""
-        if not self.ring.is_zero(self.c[0]):
-            raise FracmirrorError("antitheta needs a zero constant term")
-        out = [self.ring.zero]
-        for n in range(1, self.N + 1):
-            out.append(self.c[n] * Fraction(1, n))
-        return self._raw(out, self.N)
-
-    def shift(self, j):
-        """Multiply by z^j (j >= 0), truncating at the same order."""
-        if j < 0:
-            raise FracmirrorError("division by z is not defined for truncated series")
-        return self._raw([self.ring.zero] * j + list(self.c), self.N)
-
-    def compose(self, inner):
-        """Self evaluated at ``inner``; inner must have zero constant term."""
-        if not isinstance(inner, _Series) or inner.ring != self.ring:
-            raise TypeError("composition requires a series over the same ring")
-        if not self.ring.is_zero(inner.c[0]):
-            raise FracmirrorError("composition requires a zero inner constant term")
-        N = min(self.N, inner.N)
-        inner = inner.truncate(N)
-        res = inner._raw([self.coeff(N)] + [self.ring.zero] * N, N)
-        for k in range(N - 1, -1, -1):
-            res = res * inner + self.coeff(k)
-        return res
-
-    def exp(self):
-        if not self.ring.is_zero(self.c[0]):
-            raise FracmirrorError("exp needs a zero constant term")
-        return self._raw(self.ring.series_exp(self.c), self.N)
-
-    def log(self):
-        if self.c[0] != self.ring.one:
-            raise FracmirrorError("log needs constant term 1")
-        d = self.theta() / self
-        out = [self.ring.zero]
-        for n in range(1, self.N + 1):
-            out.append(d.c[n] * Fraction(1, n))
-        return self._raw(out, self.N)
-
-    def reversion(self):
-        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
-
-        Lagrange inversion: with c1 a unit and h = w / self(w) of order N-1,
-        [q^k] T = (1/k) [w^(k-1)] h^k, read off the running powers of h.
-        """
-        if self.N < 1:
-            raise FracmirrorError("reversion needs a series of order N >= 1")
-        if not self.ring.is_zero(self.c[0]):
-            raise FracmirrorError("reversion needs a zero constant term")
-        if self.ring.is_zero(self.c[1]):
-            raise FracmirrorError("reversion needs an invertible linear coefficient")
-        h = self._raw(self.c[1:], self.N - 1).inverse()
-        out, power = [self.ring.zero, h.c[0]], h  # power = h^1
-        for k in range(2, self.N + 1):
-            power = power * h
-            out.append(power.c[k - 1] * Fraction(1, k))
-        return self._raw(out, self.N)
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _Series)
-            and self.ring == other.ring
-            and self.N == other.N
-            and self.c == other.c
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.N, self.c))
-
-    def to_json(self):
-        return {"N": self.N, "coeffs": [self.ring.to_json(x) for x in self.c]}
-
-
-class RationalSeries(_Series):
-    """Truncated series in z over Q."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=(), N=None):
-        super().__init__(_RATIONALS, coeffs, N)
 
     @classmethod
     def zero(cls, N):
@@ -532,40 +285,276 @@ class RationalSeries(_Series):
     def z(cls, N):
         return cls((0, 1), N)
 
+    # -- basics -----------------------------------------------------------
+
+    def coeff(self, n):
+        return self.c[n] if 0 <= n <= self.N else _ZERO
+
+    def is_zero(self):
+        return not any(self.c)
+
+    def truncate(self, N):
+        if N > self.N:
+            raise FracmirrorError("cannot extend a truncated series")
+        return _rational(self.c, N)
+
+    # -- ring operations ----------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, RationalSeries):
+            return _rational(list(map(add, self.c, other.c)), min(self.N, other.N))
+        x = _scalar(other)
+        if x is None:
+            return NotImplemented
+        return _rational((self.c[0] + x,) + self.c[1:], self.N)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _rational([-x for x in self.c], self.N)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, RationalSeries) else -parse_fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, RationalSeries):
+            N = min(self.N, other.N)
+            return _rational(_product(self.c, other.c, N), N)
+        x = _scalar(other)
+        if x is None:
+            return NotImplemented
+        return _rational([y * x for y in self.c], self.N)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """1/self: with c = A/D, u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
+        A, _ = _over_lcm(self.c)
+        return _rational(_recurrence(_invert(self.c[0]), [-x for x in A], [A[0]] * len(A)), self.N)
+
+    def __truediv__(self, other):
+        if isinstance(other, RationalSeries):
+            N = min(self.N, other.N)
+            return self.truncate(N) * other.truncate(N).inverse()
+        x = _scalar(other)
+        if x is None:
+            return NotImplemented
+        return self * _invert(x)
+
+    # -- calculus -----------------------------------------------------------
+
+    def theta(self):
+        """z d/dz."""
+        return _rational([x * n for n, x in enumerate(self.c)], self.N)
+
+    def antitheta(self):
+        """Inverse of theta on series with zero constant term."""
+        if self.c[0]:
+            raise FracmirrorError("antitheta needs a zero constant term")
+        return _rational([_ZERO] + [self.c[n] / n for n in range(1, self.N + 1)], self.N)
+
+    def shift(self, j):
+        """Multiply by z^j (j >= 0), truncating at the same order."""
+        if j < 0:
+            raise FracmirrorError("division by z is not defined for truncated series")
+        return _rational((_ZERO,) * j + self.c, self.N)
+
+    def compose(self, inner):
+        """Self evaluated at ``inner``; inner must have zero constant term."""
+        if not isinstance(inner, RationalSeries):
+            raise TypeError("composition requires a RationalSeries")
+        if inner.c[0]:
+            raise FracmirrorError("composition requires a zero inner constant term")
+        N = min(self.N, inner.N)
+        inner = inner.truncate(N)
+        res = _rational([self.c[N]], N)
+        for k in range(N - 1, -1, -1):
+            res = res * inner + self.c[k]
+        return res
+
+    def exp(self):
+        """exp(self), c_0 = 0: with c = A/D, e_n = (sum_k k A_k e_(n-k)) / (n D)."""
+        if self.c[0]:
+            raise FracmirrorError("exp needs a zero constant term")
+        A, D = _over_lcm(self.c)
+        e = _recurrence(Fraction(1), [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))])
+        return _rational(e, self.N)
+
+    def log(self):
+        if self.c[0] != 1:
+            raise FracmirrorError("log needs constant term 1")
+        return (self.theta() / self).antitheta()
+
+    def reversion(self):
+        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
+
+        Lagrange inversion: with c1 nonzero and h = w / self(w) of order N-1,
+        [q^k] T = (1/k) [w^(k-1)] h^k, read off the running powers of h.
+        """
+        if self.N < 1:
+            raise FracmirrorError("reversion needs a series of order N >= 1")
+        if self.c[0]:
+            raise FracmirrorError("reversion needs a zero constant term")
+        if not self.c[1]:
+            raise FracmirrorError("reversion needs an invertible linear coefficient")
+        h = _rational(self.c[1:], self.N - 1).inverse()
+        out, power = [_ZERO, h.c[0]], h  # power = h^1
+        for k in range(2, self.N + 1):
+            power = power * h
+            out.append(power.c[k - 1] / k)
+        return _rational(out, self.N)
+
+    # -- identity -----------------------------------------------------------
+
+    def __eq__(self, other):
+        return isinstance(other, RationalSeries) and (self.N, self.c) == (other.N, other.c)
+
+    def __hash__(self):
+        return hash((self.N, self.c))
+
     def __repr__(self):
-        terms = [
-            f"{fraction_str(x)}*z^{n}" for n, x in enumerate(self.c) if x != 0
-        ]
+        terms = [f"{fraction_str(x)}*z^{n}" for n, x in enumerate(self.c) if x != 0]
         body = " + ".join(terms) if terms else "0"
         return f"RationalSeries({body} + O(z^{self.N + 1}))"
 
+    def to_json(self):
+        return {"N": self.N, "coeffs": [fraction_str(x) for x in self.c]}
 
-class NilpotentSeries(_Series):
-    """Truncated series in z over Q[eps]/(eps^m)."""
 
-    __slots__ = ()
+_Series = RationalSeries  # for perfbench/spans.py until ROADMAP item 5
+
+
+def _eps(m, x):
+    """x as an element of Q[eps]/(eps^m)."""
+    if isinstance(x, EpsPoly):
+        if x.m != m:
+            raise ValueError("EpsPoly has the wrong nilpotency order")
+        return x
+    return EpsPoly.constant(m, x)
+
+
+class NilpotentSeries:
+    """Truncated series in z over Q[eps]/(eps^m), held as its m eps-slices.
+
+    ``slices[k]`` is the RationalSeries multiplying eps^k.
+    """
+
+    __slots__ = ("m", "N", "slices")
 
     def __init__(self, m, coeffs=(), N=None):
-        super().__init__(_EpsRing(m), coeffs, N)
+        m = index(m)
+        if m < 1:
+            raise ValueError("nilpotency order m must be at least 1")
+        vals = [_eps(m, x) for x in coeffs]
+        self._hold([RationalSeries([x.c[k] for x in vals], N) for k in range(m)])
+
+    @classmethod
+    def from_slices(cls, slices):
+        """sum_k slices[k] eps^k, truncated at the smallest order among them."""
+        obj = object.__new__(cls)
+        obj._hold(list(slices))
+        return obj
+
+    def _hold(self, slices):
+        if not slices:
+            raise ValueError("a nilpotent series needs at least one eps-slice")
+        if not all(isinstance(s, RationalSeries) for s in slices):
+            raise TypeError("eps-slices must be RationalSeries")
+        N = min(s.N for s in slices)
+        object.__setattr__(self, "m", len(slices))
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "slices", tuple(s.truncate(N) for s in slices))
+
+    def __setattr__(self, name, value):  # immutable
+        raise AttributeError("series are immutable")
+
+    def _map(self, f):
+        return NilpotentSeries.from_slices([f(s) for s in self.slices])
+
+    def _slices_of(self, other):
+        if other.m != self.m:
+            raise TypeError("series live over different coefficient rings")
+        return other.slices
+
+    def coeff(self, n):
+        return EpsPoly(self.m, [s.coeff(n) for s in self.slices])
 
     @property
-    def m(self):
-        return self.ring.m
+    def c(self):
+        return tuple(self.coeff(n) for n in range(self.N + 1))
 
     def eps_slice(self, k):
         """The RationalSeries multiplying eps^k."""
-        return RationalSeries([x.coeff(k) for x in self.c], self.N)
+        return self.slices[k] if 0 <= k < self.m else RationalSeries.zero(self.N)
+
+    def is_zero(self):
+        return all(s.is_zero() for s in self.slices)
+
+    def truncate(self, N):
+        return self._map(lambda s: s.truncate(N))
+
+    def __add__(self, other):
+        if isinstance(other, NilpotentSeries):
+            return NilpotentSeries.from_slices(list(map(add, self.slices, self._slices_of(other))))
+        x = _scalar(other, self.m)
+        if x is None:
+            return NotImplemented
+        return NilpotentSeries.from_slices(list(map(add, self.slices, x.c)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._map(neg)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, NilpotentSeries) else -_eps(self.m, other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, NilpotentSeries):
+            x = _scalar(other, self.m)
+            if x is None:
+                return NotImplemented
+            if not any(x.c[1:]):
+                return self._map(lambda s: s * x.c[0])
+            other = NilpotentSeries(self.m, [x], self.N)
+        B = self._slices_of(other)
+        out = [RationalSeries.zero(min(self.N, other.N))] * self.m
+        for i, a in enumerate(self.slices):
+            if a.is_zero():
+                continue
+            for j in range(self.m - i):
+                if not B[j].is_zero():
+                    out[i + j] = out[i + j] + a * B[j]
+        return NilpotentSeries.from_slices(out)
+
+    __rmul__ = __mul__
+
+    def theta(self):
+        """z d/dz."""
+        return self._map(RationalSeries.theta)
+
+    def shift(self, j):
+        """Multiply by z^j (j >= 0), truncating at the same order."""
+        return self._map(lambda s: s.shift(j))
+
+    def __eq__(self, other):
+        return isinstance(other, NilpotentSeries) and self.slices == other.slices
+
+    def __hash__(self):
+        return hash(self.slices)
 
     def __repr__(self):
-        return (
-            f"NilpotentSeries(m={self.m}, N={self.N}, "
-            f"c0={self.c[0]!r}, ...)"
-        )
+        return f"NilpotentSeries(m={self.m}, N={self.N}, c0={self.coeff(0)!r}, ...)"
 
     def to_json(self):
-        d = super().to_json()
-        d["m"] = self.m
-        return d
+        rows = zip(*(s.c for s in self.slices))
+        return {"N": self.N, "coeffs": [[fraction_str(x) for x in row] for row in rows], "m": self.m}
 
 
 class LogSeries:
@@ -581,10 +570,9 @@ class LogSeries:
         parts = list(parts)
         if not parts:
             raise ValueError("LogSeries needs at least one part")
-        if any(not isinstance(p, _Series) for p in parts):
+        if not all(isinstance(p, (RationalSeries, NilpotentSeries)) for p in parts):
             raise TypeError("LogSeries parts must be series")
-        ring = parts[0].ring
-        if any(p.ring != ring for p in parts):
+        if len({(type(p), getattr(p, "m", None)) for p in parts}) > 1:
             raise TypeError("LogSeries parts live over different rings")
         N = min(p.N for p in parts)
         parts = [p.truncate(N) for p in parts]
@@ -606,7 +594,7 @@ class LogSeries:
     def part(self, k):
         if 0 <= k < len(self.parts):
             return self.parts[k]
-        return self.parts[0]._raw([], self.N)
+        return self.parts[0] * 0
 
     def __add__(self, other):
         if isinstance(other, LogSeries):
@@ -620,30 +608,22 @@ class LogSeries:
         return LogSeries([-p for p in self.parts])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LogSeries) else -(
-            self.parts[0]._raw([], self.N) + other
-        ))
+        return self + (-other if isinstance(other, LogSeries) else -(self.parts[0] * 0 + other))
 
     def __mul__(self, other):
         if isinstance(other, LogSeries):
-            n = len(self.parts) + len(other.parts) - 1
-            acc = [self.parts[0]._raw([], min(self.N, other.N)) for _ in range(n)]
+            acc = [None] * (len(self.parts) + len(other.parts) - 1)
             for i, p in enumerate(self.parts):
                 for j, q in enumerate(other.parts):
-                    acc[i + j] = acc[i + j] + p * q
+                    acc[i + j] = p * q if acc[i + j] is None else acc[i + j] + p * q
             return LogSeries(acc)
         return LogSeries([p * other for p in self.parts])
 
     __rmul__ = __mul__
 
     def theta(self):
-        out = []
-        for k in range(len(self.parts)):
-            term = self.parts[k].theta()
-            if k + 1 < len(self.parts):
-                term = term + self.parts[k + 1] * Fraction(k + 1)
-            out.append(term)
-        return LogSeries(out)
+        P = self.parts + (self.parts[0] * 0,)
+        return LogSeries([P[k].theta() + P[k + 1] * (k + 1) for k in range(len(self.parts))])
 
     def shift(self, j):
         return LogSeries([p.shift(j) for p in self.parts])
@@ -664,10 +644,5 @@ class LogSeries:
         return f"LogSeries(log_degree={self.log_degree}, N={self.N})"
 
     def to_json(self):
-        return {
-            "N": self.N,
-            "log_degree": self.log_degree,
-            "parts": [
-                {"log_power": k, **p.to_json()} for k, p in enumerate(self.parts)
-            ],
-        }
+        parts = [{"log_power": k, **p.to_json()} for k, p in enumerate(self.parts)]
+        return {"N": self.N, "log_degree": self.log_degree, "parts": parts}

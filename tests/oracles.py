@@ -17,56 +17,65 @@ from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSerie
 
 
 def product_term_by_term(a, b):
-    """a * b by the schoolbook convolution, one ring operation per term pair."""
-    ring = a.ring
+    """a * b by the schoolbook convolution, one Fraction product per term pair."""
     N = min(a.N, b.N)
-    out = [ring.zero] * (N + 1)
+    out = [Fraction(0)] * (N + 1)
     for i in range(N + 1):
         x = a.c[i]
-        if ring.is_zero(x):
+        if x == 0:
             continue
         for j in range(N + 1 - i):
             y = b.c[j]
-            if not ring.is_zero(y):
+            if y != 0:
+                out[i + j] += x * y
+    return RationalSeries(out, N)
+
+
+def nilpotent_product_term_by_term(a, b):
+    """a * b over Q[eps]/(eps^m) by the schoolbook convolution of the EpsPoly
+    coefficients, one EpsPoly product per term pair."""
+    N = min(a.N, b.N)
+    out = [EpsPoly(a.m)] * (N + 1)
+    for i in range(N + 1):
+        x = a.coeff(i)
+        if x.is_zero:
+            continue
+        for j in range(N + 1 - i):
+            y = b.coeff(j)
+            if not y.is_zero:
                 out[i + j] = out[i + j] + x * y
-    return a._raw(out, N)
+    return NilpotentSeries(a.m, out, N)
 
 
 def inverse_term_by_term(f):
     """1/f by the recurrence g_n = -(1/c0) sum_(k=1..n) c_k g_(n-k)."""
-    ring = f.ring
-    inv0 = ring.invert(f.c[0])
-    out = [inv0] + [ring.zero] * f.N
+    inv0 = 1 / f.c[0]
+    out = [inv0] + [Fraction(0)] * f.N
     for n in range(1, f.N + 1):
-        acc = ring.zero
+        acc = Fraction(0)
         for k in range(1, n + 1):
-            acc = acc + f.c[k] * out[n - k]
-        out[n] = -(inv0 * acc)
-    return f._raw(out, f.N)
+            acc += f.c[k] * out[n - k]
+        out[n] = -inv0 * acc
+    return RationalSeries(out, f.N)
 
 
 def exp_term_by_term(f):
     """exp(f), f(0) = 0, by the recurrence n e_n = sum_(k=1..n) k f_k e_(n-k)."""
-    ring = f.ring
-    if not ring.is_zero(f.c[0]):
+    if f.c[0] != 0:
         raise FracmirrorError("exp needs a zero constant term")
-    out = [ring.one] + [ring.zero] * f.N
+    out = [Fraction(1)] + [Fraction(0)] * f.N
     for n in range(1, f.N + 1):
-        acc = ring.zero
+        acc = Fraction(0)
         for k in range(1, n + 1):
-            acc = acc + (f.c[k] * Fraction(k)) * out[n - k]
-        out[n] = acc * Fraction(1, n)
-    return f._raw(out, f.N)
+            acc += k * f.c[k] * out[n - k]
+        out[n] = acc / n
+    return RationalSeries(out, f.N)
 
 
 def scale_arg(f, s):
     """f(s*z)."""
-    s = f.ring.coerce(s)
-    out, p = [], f.ring.one
-    for x in f.c:
-        out.append(x * p)
-        p = p * s
-    return f._raw(out, f.N)
+    s = Fraction(s)
+    return RationalSeries([x * s**n for n, x in enumerate(f.c)], f.N)
 
 
 def matches(f, g, upto):
@@ -83,14 +92,14 @@ def reversion_by_composition(f):
     """Compositional inverse of ``f`` one coefficient at a time.
 
     T_1 = 1/c1, and T_k = -(1/c1) [q^k] f(T_1 q + ... + T_(k-1) q^(k-1)):
-    N compositions of the whole series, O(N^4) ring operations.
+    N compositions of the whole series, O(N^4) Fraction operations.
     """
-    inv1 = f.ring.invert(f.c[1])
-    out = [f.ring.zero, inv1] + [f.ring.zero] * (f.N - 1)
+    inv1 = 1 / f.c[1]
+    out = [Fraction(0), inv1] + [Fraction(0)] * (f.N - 1)
     for k in range(2, f.N + 1):
-        err = f.compose(f._raw(out, f.N)).coeff(k)
-        out[k] = -(inv1 * err)
-    return f._raw(out, f.N)
+        err = f.compose(RationalSeries(out, f.N)).coeff(k)
+        out[k] = -inv1 * err
+    return RationalSeries(out, f.N)
 
 
 def lattice_transform(U, X):

@@ -59,6 +59,21 @@ def test_polytope_of_part_errors():
         polytope_of_part(delta, [rays[0]], rays[:2])
 
 
+def test_float_rays_and_part_indices_are_refused():
+    # floats are refused, not truncated: rays shifted by 0.4 would turn -0.6
+    # into 0, and the indices 0.7..3.7 would load as parts (0, 1, 2, 3)
+    delta = LatticePolytope(QUARTIC)
+    rays = delta.polar_dual().vertices
+    shifted = [tuple(x + 0.4 for x in rho) for rho in rays]
+    with pytest.raises(TypeError):
+        polytope_of_part(delta, shifted, shifted)
+    with pytest.raises(TypeError):
+        polytope_of_part(delta, rays, [tuple(map(float, rho)) for rho in rays])
+    with pytest.raises(TypeError):
+        NefPartition(delta, [[0.7, 1.7, 2.7, 3.7]])
+    assert NefPartition(delta, [[3, 2, 1, 0]]).ray_parts == ((0, 1, 2, 3),)
+
+
 def test_validate_diagnostics():
     delta = LatticePolytope(QUARTIC)
     assert validate_nef_partition(delta, [(0, 1, 2, 3)]) == []

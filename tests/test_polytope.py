@@ -459,6 +459,16 @@ def test_coordinates_must_be_integers():
     assert all(type(x) is int for v in P.vertices for x in v)
 
 
+def test_extreme_rays_refuse_float_rows():
+    # (1.7, 0) is refused, not truncated to the row (1, 0); NumPy ints are
+    # integers
+    with pytest.raises(TypeError):
+        _dd_extreme_rays([(1.7, 0), (0, 1)])
+    with pytest.raises(TypeError):
+        _dd_extreme_rays([(Fraction(1, 2), 0), (0, 1)])
+    assert _dd_extreme_rays([(np.int64(1), 0), (0, np.int32(1))]) == ((0, 1), (1, 0))
+
+
 def test_lattice_transform_on_points_and_polytopes():
     U = [[0, -1], [1, 0]]
     pts = [(1, 0), (0, 1)]

@@ -11,6 +11,7 @@ from oracles import (
     exp_term_by_term,
     inverse_term_by_term,
     matches,
+    nilpotent_product_term_by_term,
     product_term_by_term,
     reversion_by_composition,
     scale_arg,
@@ -192,33 +193,9 @@ def test_reversion_round_trip_and_catalan():
 
 
 def test_reversion_needs_order_at_least_one():
-    for f in (RationalSeries([0], 0), NilpotentSeries(2, [], 0)):
-        with pytest.raises(FracmirrorError, match="order N >= 1"):
-            f.reversion()
+    with pytest.raises(FracmirrorError, match="order N >= 1"):
+        RationalSeries([0], 0).reversion()
     assert RationalSeries([0, 2], 1).reversion() == RationalSeries([0, Fraction(1, 2)], 1)
-
-
-def test_nilpotent_reversion_matches_composition_oracle():
-    # Lagrange inversion holds over any commutative Q-algebra where c1 is a
-    # unit; c1 here has nonzero eps parts
-    rng = random.Random(55)
-
-    def eps_poly(m, unit=False):
-        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-        if unit:
-            c[0] = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 2))
-            c[1] = c[1] or Fraction(1)
-        return EpsPoly(m, c)
-
-    for m in (2, 3):
-        for _ in range(4):
-            N = rng.randint(2, 7)
-            tail = [eps_poly(m) for _ in range(N - 1)]
-            f = NilpotentSeries(m, [EpsPoly(m), eps_poly(m, unit=True)] + tail, N)
-            g = f.reversion()
-            assert g == reversion_by_composition(f)
-            z = NilpotentSeries(m, [0, 1], N)
-            assert f.compose(g) == z and g.compose(f) == z
 
 
 # ------------------------------------------------------- series properties
@@ -364,6 +341,72 @@ def test_kernels_match_fraction_loops_on_wide_coefficients():
 
 
 # ----------------------------------------------------------- nilpotent part
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RationalSeries([1, 2, 3], 2.5),
+        lambda: RationalSeries.zero(3.0),
+        lambda: EpsPoly(2.7, (1, 2)),
+        lambda: NilpotentSeries(2.9, [1], 1),
+        lambda: NilpotentSeries(2, [1], 1.5),
+    ],
+    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
+)
+def test_orders_refuse_floats(build):
+    # a float order is refused, not truncated to int
+    with pytest.raises(TypeError):
+        build()
+
+
+def _eps_coefficients(rng, m, N):
+    """N + 1 EpsPoly coefficients; each eps-slice is zero with chance 1/3."""
+    zero = {k for k in range(m) if rng.random() < 1 / 3}
+    return [
+        EpsPoly(
+            m,
+            [0 if k in zero or rng.random() < 0.2 else Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in range(m)],
+        )
+        for _ in range(N + 1)
+    ]
+
+
+def test_slice_operations_match_epspoly_route():
+    # a NilpotentSeries is its m eps-slices; every operation must agree with
+    # the same operation done coefficient by coefficient on EpsPoly values
+    rng = random.Random(2022)
+    zero_slices = 0
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        A = _eps_coefficients(rng, m, rng.randint(0, 10))
+        B = _eps_coefficients(rng, m, rng.randint(0, 10))
+        a, b = NilpotentSeries(m, A), NilpotentSeries(m, B)
+        N = min(a.N, b.N)
+        zero_slices += sum(s.is_zero() for s in a.slices)
+        assert a.c == tuple(A) and (a.m, a.N) == (m, len(A) - 1)
+        assert NilpotentSeries.from_slices(a.eps_slice(k) for k in range(m)) == a
+        assert a * b == nilpotent_product_term_by_term(a, b)
+        assert a * a == nilpotent_product_term_by_term(a, a)
+        assert a + b == NilpotentSeries(m, [x + y for x, y in zip(A, B)], N)
+        assert a - b == NilpotentSeries(m, [x - y for x, y in zip(A, B)], N)
+        assert a + B[0] == NilpotentSeries(m, [A[0] + B[0]] + A[1:])
+        assert a * B[0] == NilpotentSeries(m, [x * B[0] for x in A])
+        assert a.theta() == NilpotentSeries(m, [x * n for n, x in enumerate(A)])
+        j = rng.randint(0, a.N + 1)
+        assert a.shift(j) == NilpotentSeries(m, [EpsPoly(m)] * j + A, a.N)
+        assert a.to_json() == {"N": a.N, "coeffs": [x.to_json() for x in A], "m": m}
+    assert zero_slices > 100
+
+
+def test_nilpotent_series_refuses_mixed_orders():
+    a = NilpotentSeries(2, [1, 2])
+    with pytest.raises(TypeError, match="different coefficient rings"):
+        a + NilpotentSeries(3, [1, 2])
+    with pytest.raises(TypeError):
+        a * RationalSeries([1, 2])
+    with pytest.raises(ValueError, match="at least one eps-slice"):
+        NilpotentSeries.from_slices([])
 
 
 def test_nilpotent_series_slices():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, topology
+from fracmirror import cli, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -127,6 +127,29 @@ def test_cohom_jobs_form_no_nilpotent_product():
     tracer = _traced("bseries", "ifunction", shape="p3_quartic")
     assert tracer.calls["cohom.deformed_solution"] == 1
     assert tracer.calls["series.mul.nilpotent"] == 0
+
+
+def test_series_products_per_job(monkeypatch):
+    # calls of the Q product kernel at N = 4: the B-series multiplies no two
+    # series (z^eps shifts eps-slices), the I-function forms one product
+    # (B/A), and the mirror map four (tau/omega0, then h^2, h^3, h^4 in the
+    # Lagrange reversion)
+    calls = 0
+    product = series._product
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return product(*args)
+
+    monkeypatch.setattr(series, "_product", counting)
+    for shape in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes"):
+        for command, expected in (("bseries", 0), ("ifunction", 1), ("mirror-map", 4)):
+            calls = 0
+            config = cli.JobConfig(command=command, input=str(DATA / f"{shape}.json"), N=4, fmt="json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(config) == 0
+            assert (shape, command, calls) == (shape, command, expected)
 
 
 def _count_fractions(monkeypatch, build):
