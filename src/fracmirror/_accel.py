@@ -1,73 +1,68 @@
 """Lattice-point counting and enumeration: one prefix→interval scan.
 
 Both entry points scan the box ``lo <= x <= hi`` under ``A x + c >= 0`` the
-same way.  Every prefix of all axes but the last is visited in lex order, and
-the constraints cut the last axis above it to an interval ``[tlo, thi]``.
-``count_points`` sums the interval lengths; ``enumerate_points`` expands the
-intervals into points.  The scan runs chunked in int64 NumPy, or on NumPy
-object arrays of exact Python ints when ``_int64_safe`` says int64
-intermediates could overflow.
+same way, on Python ints, so no coordinate or constraint value can overflow.
+The scan fixes one axis at a time in lex order and carries ``b = A x + c``
+over the axes fixed so far.  At axis j every row cuts x_j to the values for
+which it can still reach 0 over the free axes after j (each free axis at its
+best end of the box), so a prefix that no completion can satisfy is never
+extended; at the last axis this cut is exact.  ``count_points`` sums the
+last-axis interval lengths; ``enumerate_points`` expands them into points.
 """
-
-import math
-
-import numpy as np
 
 __all__ = ["backend_name", "count_points", "enumerate_points"]
 
-_INT64_LIMIT = 2 ** 62
-_CHUNK = 1 << 12
-
 
 def backend_name():
-    """Name of the array backend the scan runs on."""
-    return "numpy"
+    """Name of the arithmetic the scan runs on."""
+    return "python"
 
 
-def _int64_safe(lo, hi, A, c):
-    # Bound |c_i + A_i . x| over the box; stay clear of int64 edges.
-    for i, row in enumerate(A):
-        bound = abs(c[i])
-        for j, a in enumerate(row):
-            bound += max(abs(a * lo[j]), abs(a * hi[j]))
-        if bound >= _INT64_LIMIT:
-            return False
-    return all(abs(v) < _INT64_LIMIT for v in list(lo) + list(hi))
+# Name-only shim for perfbench/spans.py, which wraps _int64_safe by name to
+# count big-integer scans; nothing calls it, since every scan runs on Python
+# ints.  Goes with the other patch-only shims in ROADMAP item 5.
+_int64_safe = None
 
 
 def _scan(lo, hi, A, c):
-    """Yield ``(P, tlo, thi)`` per chunk of box prefixes.
+    """Yield ``(prefix, tlo, thi)`` for the box prefixes over all axes but
+    the last, in lex order; ``[tlo, thi]`` is the nonempty last-axis interval
+    that ``A x + c >= 0`` leaves above ``prefix``.  Prefixes with an empty
+    interval are skipped."""
+    d = len(lo)
+    cols = [[row[j] for row in A] for j in range(d)]
+    # reach[j][i]: the largest value row i gains over axes j..d-1 in the box
+    reach = [[0] * len(A)]
+    for j in range(d - 1, -1, -1):
+        best = [max(a * lo[j], a * hi[j]) for a in cols[j]]
+        reach.append([r + g for r, g in zip(reach[-1], best)])
+    reach.reverse()
 
-    Column ``P[:, k]`` is a point of the box over all axes but the last, in
-    lex order; ``[tlo[k], thi[k]]`` is the last-axis interval that
-    ``A x + c >= 0`` leaves above it (empty where ``thi < tlo``).
-    """
-    d, m, last = len(lo), len(A), len(lo) - 1
-    dtype = np.int64 if _int64_safe(lo, hi, A, c) else object
-    An = np.array(A, dtype=dtype).reshape(m, d)
-    cn = np.array(c, dtype=dtype).reshape(m, 1)
-    ranges = [hi[j] - lo[j] + 1 for j in range(last)]
-    total = math.prod(ranges)
-    for start in range(0, total, _CHUNK):
-        rem = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        k = rem.size
-        P = np.empty((last, k), dtype=dtype)
-        B = np.repeat(cn, k, axis=1)  # A x + c over the prefix axes
-        for j in range(last - 1, -1, -1):
-            rem, P[j] = np.divmod(rem, ranges[j])
-            P[j] += lo[j]
-            B += An[:, j, None] * P[j]
-        tlo = np.full(k, lo[last], dtype=dtype)
-        thi = np.full(k, hi[last], dtype=dtype)
-        for a, b in zip(An[:, last].tolist(), B):
+    def cut(j, b):
+        tlo, thi = lo[j], hi[j]
+        for a, bi, r in zip(cols[j], b, reach[j + 1]):
+            s = bi + r  # row i holds for some completion iff a x_j + s >= 0
             if a > 0:
-                np.maximum(tlo, -(b // a), out=tlo)
+                if -(s // a) > tlo:
+                    tlo = -(s // a)
             elif a < 0:
-                np.minimum(thi, b // -a, out=thi)
-            else:
-                # tlo never drops below lo[last], so this stays empty
-                thi[b < 0] = lo[last] - 1
-        yield P, tlo, thi
+                if s // -a < thi:
+                    thi = s // -a
+            elif s < 0:
+                return tlo, tlo - 1
+        return tlo, thi
+
+    def walk(j, prefix, b):
+        tlo, thi = cut(j, b)
+        if j == d - 1:
+            if tlo <= thi:
+                yield prefix, tlo, thi
+            return
+        col = cols[j]
+        for x in range(tlo, thi + 1):
+            yield from walk(j + 1, prefix + (x,), [bi + a * x for bi, a in zip(b, col)])
+
+    return walk(0, (), c)
 
 
 def _ints(lo, hi, A, c):
@@ -82,28 +77,18 @@ def count_points(lo, hi, A, c):
     matrix, ``c`` length-m ints.
     """
     lo, hi, A, c = _ints(lo, hi, A, c)
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0
     if not lo:
         return 1 if all(v >= 0 for v in c) else 0
-    total = 0
-    for _, tlo, thi in _scan(lo, hi, A, c):
-        cnt = thi - tlo + 1
-        total += int(cnt[cnt > 0].sum())
-    return total
+    return sum(thi - tlo + 1 for _, tlo, thi in _scan(lo, hi, A, c))
 
 
 def enumerate_points(lo, hi, A, c):
     """List the integer points of the box with ``A x + c >= 0``, as tuples in
     lex order."""
     lo, hi, A, c = _ints(lo, hi, A, c)
-    if any(l > h for l, h in zip(lo, hi)):
-        return []
     if not lo:
         return [()] if all(v >= 0 for v in c) else []
     out = []
-    for P, tlo, thi in _scan(lo, hi, A, c):
-        keep = thi >= tlo
-        for row, a, b in zip(P.T[keep].tolist(), tlo[keep].tolist(), thi[keep].tolist()):
-            out.extend((*row, t) for t in range(a, b + 1))
+    for prefix, tlo, thi in _scan(lo, hi, A, c):
+        out.extend(prefix + (t,) for t in range(tlo, thi + 1))
     return out

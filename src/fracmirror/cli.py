@@ -353,6 +353,8 @@ def run(config):
     try:
         if config.command not in _DISPATCH:
             raise _InputError(f"unknown command {config.command!r}")
+        if type(config.N) is not int:
+            raise _InputError(f"series order N must be an integer, got {config.N!r}")
         if config.N < 1:
             raise _InputError("series order N must be at least 1")
         cap = _max_order()

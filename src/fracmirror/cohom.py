@@ -16,6 +16,7 @@ whose eps^0 and eps^1 slices encode the mirror map.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,13 +51,13 @@ class CohomRing:
     rank: int = 1
 
     def __init__(self, m, classes, integral_scale, rank=1, distinguished=None):
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", operator.index(m))
         if isinstance(classes, dict):
             classes = classes.items()
         pairs = tuple((str(k), Fraction(v)) for k, v in classes)
         object.__setattr__(self, "classes", pairs)
         object.__setattr__(self, "integral_scale", Fraction(integral_scale))
-        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "rank", operator.index(rank))
         if distinguished is not None:
             mult = dict(pairs)
             rest = sum(

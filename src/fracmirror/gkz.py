@@ -89,8 +89,7 @@ def build_gkz(data):
     alpha = tuple(
         Fraction(-1, 2) if lab[1] == 0 else Fraction(0) for lab in labels
     )
-    rel = linalg.smith_relations([list(row) for row in A])
-    kernel = tuple(tuple(int(x) for x in v) for v in rel.kernel)
+    kernel = linalg.smith_relations(A).kernel
     return GkzSystem(
         A=A,
         beta=beta,

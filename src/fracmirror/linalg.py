@@ -1,20 +1,17 @@
-"""Exact integer linear algebra on numpy object arrays.
+"""Exact integer linear algebra on lists of Python ints.
 
-Matrices are 2-D numpy arrays with ``dtype=object`` holding Python ints, so
-nothing ever overflows.  Provides Smith normal form with its unimodular
-transforms, saturated kernels and sublattice indices.  One fraction-free
-Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on M) and
-``adjugate`` and ``inverse_unimodular`` (on [M | I]); ``independent_rows``
-reduces rows fraction-free too.  No rational is formed.
+A matrix is a sequence of equal-length rows; results are lists of rows of
+Python ints, so nothing ever overflows.  Provides Smith normal form with its
+unimodular transforms, saturated kernels and sublattice indices.  One
+fraction-free Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on
+M) and ``adjugate`` and ``inverse_unimodular`` (on [M | I]);
+``independent_rows`` reduces rows fraction-free too.  No rational is formed.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "as_int_matrix",
     "exgcd",
     "adjugate",
     "det",
@@ -26,19 +23,8 @@ __all__ = [
 ]
 
 
-def as_int_matrix(rows):
-    """Copy ``rows`` into a 2-D object array of Python ints."""
-    M = np.array([[int(x) for x in row] for row in rows], dtype=object)
-    if M.ndim != 2:
-        raise ValueError("matrix rows must have equal length")
-    return M
-
-
 def _identity(k):
-    I = np.zeros((k, k), dtype=object)
-    for i in range(k):
-        I[i, i] = 1
-    return I
+    return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def exgcd(a, b):
@@ -132,50 +118,57 @@ def independent_rows(M):
 def smith_normal_form(M):
     """Smith normal form.
 
-    Returns (D, U, V) with U @ M @ V = D, U and V unimodular, D diagonal with
-    nonnegative entries satisfying D[i,i] | D[i+1,i+1].
+    Returns (D, U, V) as lists of integer rows with U·M·V = D, U and V
+    unimodular, D diagonal with nonnegative entries satisfying
+    D[i][i] | D[i+1][i+1].
     """
-    A = as_int_matrix(M)
-    m, n = A.shape
+    A = [[int(x) for x in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows must have equal length")
     U = _identity(m)
     V = _identity(n)
 
+    def rows(R, t, i, x, y, z, w):
+        # (R[t], R[i]) <- (x R[t] + y R[i], z R[t] + w R[i])
+        R[t], R[i] = ([x * a + y * b for a, b in zip(R[t], R[i])],
+                      [z * a + w * b for a, b in zip(R[t], R[i])])
+
+    def cols(R, t, j, x, y, z, w):
+        # (column t, column j) <- (x col t + y col j, z col t + w col j)
+        for row in R:
+            a, b = row[t], row[j]
+            row[t], row[j] = x * a + y * b, z * a + w * b
+
     def clear_at(t):
-        # Make A[t, t] the only nonzero entry in its row and column.
+        # Make A[t][t] the only nonzero entry in its row and column.
         while True:
             done = True
             for i in range(m):
-                if i != t and A[i, t] != 0:
+                if i != t and A[i][t] != 0:
                     done = False
-                    a, b = A[t, t], A[i, t]
+                    a, b = A[t][t], A[i][t]
                     if a != 0 and b % a == 0:
                         f = b // a
-                        A[i, :] = A[i, :] - f * A[t, :]
-                        U[i, :] = U[i, :] - f * U[t, :]
+                        A[i] = [x - f * y for x, y in zip(A[i], A[t])]
+                        U[i] = [x - f * y for x, y in zip(U[i], U[t])]
                     else:
                         g, x, y = exgcd(a, b)
-                        rt = x * A[t, :] + y * A[i, :]
-                        ri = (-(b // g)) * A[t, :] + (a // g) * A[i, :]
-                        A[t, :], A[i, :] = rt, ri
-                        ut = x * U[t, :] + y * U[i, :]
-                        ui = (-(b // g)) * U[t, :] + (a // g) * U[i, :]
-                        U[t, :], U[i, :] = ut, ui
+                        rows(A, t, i, x, y, -(b // g), a // g)
+                        rows(U, t, i, x, y, -(b // g), a // g)
             for j in range(n):
-                if j != t and A[t, j] != 0:
+                if j != t and A[t][j] != 0:
                     done = False
-                    a, b = A[t, t], A[t, j]
+                    a, b = A[t][t], A[t][j]
                     if a != 0 and b % a == 0:
                         f = b // a
-                        A[:, j] = A[:, j] - f * A[:, t]
-                        V[:, j] = V[:, j] - f * V[:, t]
+                        cols(A, t, j, 1, 0, -f, 1)
+                        cols(V, t, j, 1, 0, -f, 1)
                     else:
                         g, x, y = exgcd(a, b)
-                        ct = x * A[:, t] + y * A[:, j]
-                        cj = (-(b // g)) * A[:, t] + (a // g) * A[:, j]
-                        A[:, t], A[:, j] = ct, cj
-                        vt = x * V[:, t] + y * V[:, j]
-                        vj = (-(b // g)) * V[:, t] + (a // g) * V[:, j]
-                        V[:, t], V[:, j] = vt, vj
+                        cols(A, t, j, x, y, -(b // g), a // g)
+                        cols(V, t, j, x, y, -(b // g), a // g)
             if done:
                 return
 
@@ -186,7 +179,7 @@ def smith_normal_form(M):
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                a = A[i, j]
+                a = A[i][j]
                 if a != 0 and (best is None or abs(a) < best):
                     best = abs(a)
                     piv = (i, j)
@@ -194,29 +187,29 @@ def smith_normal_form(M):
             break
         pi, pj = piv
         if pi != t:
-            A[[t, pi], :] = A[[pi, t], :]
-            U[[t, pi], :] = U[[pi, t], :]
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
         if pj != t:
-            A[:, [t, pj]] = A[:, [pj, t]]
-            V[:, [t, pj]] = V[:, [pj, t]]
+            cols(A, t, pj, 0, 1, 1, 0)
+            cols(V, t, pj, 0, 1, 1, 0)
         clear_at(t)
         t += 1
 
     r = t
     for i in range(r):
-        if A[i, i] < 0:
-            A[i, :] = -A[i, :]
-            U[i, :] = -U[i, :]
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
     # enforce the divisibility chain
     i = 0
     while i < r - 1:
-        if A[i + 1, i + 1] % A[i, i] != 0:
-            A[:, i] = A[:, i] + A[:, i + 1]
-            V[:, i] = V[:, i] + V[:, i + 1]
+        if A[i + 1][i + 1] % A[i][i] != 0:
+            cols(A, i, i + 1, 1, 1, 0, 1)
+            cols(V, i, i + 1, 1, 1, 0, 1)
             clear_at(i)
-            if A[i, i] < 0:
-                A[i, :] = -A[i, :]
-                U[i, :] = -U[i, :]
+            if A[i][i] < 0:
+                A[i] = [-x for x in A[i]]
+                U[i] = [-x for x in U[i]]
             i = max(i - 1, 0)
         else:
             i += 1
@@ -224,11 +217,11 @@ def smith_normal_form(M):
 
 
 def inverse_unimodular(U):
-    """Exact inverse of an integer matrix with det +-1."""
+    """Exact inverse of an integer matrix with det +-1, as integer rows."""
     d, adj = adjugate(U)
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return np.array([[d * x for x in row] for row in adj], dtype=object)
+    return [[d * x for x in row] for row in adj]
 
 
 @dataclass(frozen=True)
@@ -246,12 +239,7 @@ def smith_relations(M):
     ``index`` is the product of the nonzero invariant factors: the index of
     the lattice generated by the columns inside its saturation in Z^rows.
     """
-    A = as_int_matrix(M)
-    D, U, V = smith_normal_form(A)
-    r = sum(1 for i in range(min(A.shape)) if D[i, i] != 0)
-    n = A.shape[1]
-    kernel = tuple(tuple(int(x) for x in V[:, j]) for j in range(r, n))
-    index = 1
-    for i in range(r):
-        index *= int(D[i, i])
-    return SmithRelations(kernel=kernel, rank=r, index=index)
+    D, _, V = smith_normal_form(M)
+    r = sum(1 for i in range(min(len(D), len(V))) if D[i][i] != 0)
+    kernel = tuple(tuple(row[j] for row in V) for j in range(r, len(V)))
+    return SmithRelations(kernel=kernel, rank=r, index=math.prod(D[i][i] for i in range(r)))

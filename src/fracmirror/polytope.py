@@ -7,7 +7,8 @@ ambient space, and vertices are read off the facet incidences; volumes are
 normalized lattice volumes in the affine span, summed over the simplices of a
 pulling triangulation read off the facet–vertex incidences (the dilated
 lattice-point counts of ``method="count"`` are the oracle); lattice-point
-scans run on the one prefix→interval scan in ``_accel``.
+scans run on the one exact-int prefix→interval scan in ``_accel``, and Smith
+forms come from ``linalg`` as lists of integer rows.
 """
 
 import math
@@ -190,9 +191,8 @@ class LatticePolytope:
             # only a lower-dimensional span needs the transform U
             _, U, _ = linalg.smith_normal_form(list(zip(*diffs)))
             self._v0 = v0
-            self._U = tuple(tuple(int(x) for x in row) for row in U)
-            B = linalg.inverse_unimodular(U)[:, :a]
-            self._B = tuple(tuple(int(x) for x in row) for row in B)
+            self._U = U
+            self._B = [row[:a] for row in linalg.inverse_unimodular(U)]
             span_pts = [self._project(p) for p in pts]
 
         if a == 0:
@@ -309,7 +309,7 @@ class LatticePolytope:
 
     def dilate_lattice_point_count(self, k):
         """Number of lattice points in k·P (k a nonnegative integer)."""
-        k = int(k)
+        k = operator.index(k)
         if k < 0:
             raise ValueError("dilation factor must be nonnegative")
         if k == 0 or self.affine_dim == 0:

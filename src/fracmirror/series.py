@@ -58,7 +58,8 @@ def parse_fraction(x):
 
 
 def fraction_str(q):
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

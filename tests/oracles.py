@@ -346,15 +346,17 @@ def hull_by_smith_and_rank(points, ambient_dim):
     if len(pts) == 1 or ambient_dim == 0:
         return 0, (x0,), ()
     E = [[p[i] - x0[i] for p in pts[1:]] for i in range(ambient_dim)]
-    S, U, _ = linalg.smith_normal_form(E)
-    a = sum(1 for i in range(min(ambient_dim, len(pts) - 1)) if S[i, i] != 0)
-    if a == 0:
-        return 0, (x0,), ()
-    U = [[int(x) for x in row] for row in U[:a]]
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
+    S, U, V = linalg.smith_normal_form(E)
+    UE = [[dot(row, col) for col in zip(*E)] for row in U]
+    assert [[dot(row, col) for col in zip(*V)] for row in UE] == S  # U·E·V = S
+    a = sum(1 for i in range(min(ambient_dim, len(pts) - 1)) if S[i][i] != 0)
+    if a == 0:
+        return 0, (x0,), ()
+    U = U[:a]
     span = [tuple(dot(row, [x - y for x, y in zip(p, x0)]) for row in U) for p in pts]
     rays = _dd_extreme_rays([y + (1,) for y in span])
     facets = [(r[:-1], r[-1]) for r in rays if any(r[:-1])]

@@ -1,7 +1,10 @@
-"""Lattice-point scan: int64 and exact-int arithmetic against brute force."""
+"""Lattice-point scan: the one exact-int scan against brute force."""
 
+import contextlib
 import itertools
+import math
 import random
+import signal
 
 from fracmirror import _accel
 
@@ -25,22 +28,17 @@ def random_instance(rng, d):
     return lo, hi, A, c
 
 
-def test_backends_agree_with_brute_force(monkeypatch):
+def test_scan_agrees_with_brute_force():
     rng = random.Random(5)
     cases = [random_instance(rng, rng.randint(1, 4)) for _ in range(200)]
+    rng = random.Random(6)
+    cases += [random_instance(rng, 5) for _ in range(40)]
     assert any(row[-1] == 0 for _, _, A, _ in cases for row in A)
     assert any(l > h for lo, hi, _, _ in cases for l, h in zip(lo, hi))
-    expected = [brute_points(*case) for case in cases]
-    # int64 and forced exact-int arithmetic, each in one chunk and in chunks
-    # of 7 prefixes that split the prefix axes mid-row
-    for exact, chunk in itertools.product((False, True), (_accel._CHUNK, 7)):
-        with monkeypatch.context() as mp:
-            if exact:
-                mp.setattr(_accel, "_int64_safe", lambda *a: False)
-            mp.setattr(_accel, "_CHUNK", chunk)
-            for case, expect in zip(cases, expected):
-                assert _accel.count_points(*case) == len(expect)
-                assert _accel.enumerate_points(*case) == expect
+    for case in cases:
+        expect = brute_points(*case)
+        assert _accel.count_points(*case) == len(expect)
+        assert _accel.enumerate_points(*case) == expect
 
 
 def test_enumerate_matches_count_and_is_sorted():
@@ -61,20 +59,18 @@ def test_zero_dimensional_and_empty_boxes():
     assert _accel.enumerate_points([0], [-1], [], []) == []
 
 
-def test_overflow_falls_back_to_exact_bigints():
+def test_offsets_past_int64_stay_exact():
     # constraints whose intermediates exceed int64: x >= huge is asked of a
     # shifted unit box
     big = 2 ** 63
     lo, hi = [big], [big + 3]
     A, c = [[1]], [-big - 1]
-    assert not _accel._int64_safe(lo, hi, A, c)
     assert _accel.count_points(lo, hi, A, c) == 3
     assert _accel.enumerate_points(lo, hi, A, c) == [(big + 1,), (big + 2,), (big + 3,)]
-    # d = 3: the prefix axes carry huge offsets too, so the exact prefix
-    # loop runs; x0 + x1 + x2 >= 2 big + 3 and x2 <= big + 2
+    # d = 3: the prefix axes carry huge offsets too;
+    # x0 + x1 + x2 >= 2 big + 3 and x2 <= big + 2
     lo, hi = [big, 0, big], [big + 2, 1, big + 3]
     A, c = [[1, 1, 1], [0, 0, -1]], [-2 * big - 3, big + 2]
-    assert not _accel._int64_safe(lo, hi, A, c)
     expect = [
         p for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
         if sum(p) >= 2 * big + 3 and p[2] <= big + 2
@@ -84,5 +80,36 @@ def test_overflow_falls_back_to_exact_bigints():
     assert _accel.enumerate_points(lo, hi, A, c) == expect
 
 
-def test_backend_name_is_numpy():
-    assert _accel.backend_name() == "numpy"
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a scan that does not finish into a failure instead of a hang."""
+    def fail(signum, frame):
+        raise TimeoutError(f"scan did not finish in {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@deadline(10)
+def test_scan_prunes_prefixes_no_completion_satisfies():
+    # boxes of 10^54 points: each finishes only because a prefix that no
+    # completion can satisfy is cut before its subtree is walked
+    d, big = 6, 10 ** 9
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    # x >= 0, x0 + ... + x5 <= 3: C(9, 6) points
+    A, c = [[-1] * d] + eye, [3] + [0] * d
+    assert _accel.count_points([0] * d, [big] * d, A, c) == math.comb(9, 6)
+    pts = _accel.enumerate_points([0] * d, [big] * d, A, c)
+    assert len(pts) == math.comb(9, 6) and max(map(sum, pts)) == 3
+    # only the last axis is constrained, beyond its box: empty at once
+    A, c = [[0] * (d - 1) + [1]], [-big - 1]
+    assert _accel.count_points([0] * d, [big] * d, A, c) == 0
+
+
+def test_backend_name_is_python():
+    assert _accel.backend_name() == "python"

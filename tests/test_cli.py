@@ -98,6 +98,9 @@ def test_bad_flags(capsys, monkeypatch):
     assert "unknown format" in capsys.readouterr().err
     assert main(["mirror-map", _data("p3_quartic.json"), "-N", "0"]) == 2
     assert "at least 1" in capsys.readouterr().err
+    for N in (10.5, "10", True):
+        assert run(JobConfig(command="mirror-map", input=_data("p3_quartic.json"), N=N)) == 2
+        assert f"series order N must be an integer, got {N!r}" in capsys.readouterr().err
     assert main(["yukawa", _data("p3_quartic.json"), "--normalization", "x/y"]) == 2
     assert "bad normalization" in capsys.readouterr().err
     with pytest.raises(SystemExit):
@@ -223,6 +226,16 @@ def test_json_output_is_byte_stable(capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # parses cleanly
+
+
+def test_cli_import_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fracmirror.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point():

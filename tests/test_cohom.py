@@ -221,6 +221,9 @@ def test_ring_classes_and_integral():
 def test_ring_distinguished_guard():
     with pytest.raises(FracmirrorError, match="minus the sum"):
         CohomRing(4, {"a": 1, "b": 2, "c": -2}, 2, distinguished="a")
+    for m, rank in ((2.7, 1), (4, 1.0)):  # not truncated to m = 2 or rank = 1
+        with pytest.raises(TypeError):
+            CohomRing(m, {"H": 1}, 1, rank=rank)
 
 
 def test_pairing_anti_diagonal():

@@ -120,15 +120,21 @@ def test_smith_normal_form_properties():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = rand_matrix(rng, rows, cols)
         D, U, V = linalg.smith_normal_form(M)
-        assert (np.array(U, dtype=object) @ M @ np.array(V, dtype=object) == D).all()
+        # lists of rows of Python ints, checked against an object-array product
+        for R, shape in ((D, (rows, cols)), (U, (rows, rows)), (V, (cols, cols))):
+            assert isinstance(R, list) and len(R) == shape[0]
+            assert all(isinstance(row, list) and len(row) == shape[1] for row in R)
+            assert all(type(x) is int for row in R for x in row)
+        UMV = np.array(U, dtype=object) @ M @ np.array(V, dtype=object)
+        assert UMV.tolist() == D
         assert abs(linalg.det(U)) == 1
         assert abs(linalg.det(V)) == 1
-        diag = [int(D[i, i]) for i in range(min(rows, cols))]
+        diag = [D[i][i] for i in range(min(rows, cols))]
         # off-diagonal zero, nonnegative divisibility chain
         for i in range(rows):
             for j in range(cols):
                 if i != j:
-                    assert D[i, j] == 0
+                    assert D[i][j] == 0
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             if b != 0:
@@ -152,7 +158,7 @@ def test_kernel_basis_annihilates_and_saturates():
         if rel.kernel:
             K = np.array(rel.kernel, dtype=object).T
             D, _, _ = linalg.smith_normal_form(K)
-            diag = [int(D[i, i]) for i in range(min(K.shape))]
+            diag = [D[i][i] for i in range(min(K.shape))]
             assert all(d in (0, 1) for d in diag)
 
 
@@ -168,6 +174,7 @@ def test_inverse_unimodular():
             if i != j:
                 M[i] = M[i] + rng.randint(-2, 2) * M[j]
         W = linalg.inverse_unimodular(M)
+        assert all(type(x) is int for row in W for x in row)
         assert (np.array(W, dtype=object) @ M == np.eye(n, dtype=object)).all()
 
 

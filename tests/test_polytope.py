@@ -168,6 +168,8 @@ def test_dilate_counts_against_oracle():
         scaled = [tuple(k * x for x in v) for v in QUARTIC]
         expect = len(brute_points_of_simplex(scaled)) if k else 1
         assert P.dilate_lattice_point_count(k) == expect
+    with pytest.raises(TypeError):  # not truncated to k = 2
+        P.dilate_lattice_point_count(2.5)
 
 
 def test_lower_dimensional_counting():
