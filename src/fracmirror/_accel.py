@@ -10,6 +10,8 @@ extended; at the last axis this cut is exact.  ``count_points`` sums the
 last-axis interval lengths; ``enumerate_points`` expands them into points.
 """
 
+import operator
+
 __all__ = ["backend_name", "count_points", "enumerate_points"]
 
 
@@ -66,15 +68,16 @@ def _scan(lo, hi, A, c):
 
 
 def _ints(lo, hi, A, c):
-    return ([int(v) for v in lo], [int(v) for v in hi],
-            [[int(v) for v in row] for row in A], [int(v) for v in c])
+    ints = operator.index  # takes Python and NumPy ints, refuses floats
+    return ([ints(v) for v in lo], [ints(v) for v in hi],
+            [[ints(v) for v in row] for row in A], [ints(v) for v in c])
 
 
 def count_points(lo, hi, A, c):
     """Count integer points in the box subject to ``A x + c >= 0``.
 
     ``lo``/``hi`` are int sequences (inclusive bounds), ``A`` an m x d int
-    matrix, ``c`` length-m ints.
+    matrix, ``c`` length-m ints; a float raises TypeError.
     """
     lo, hi, A, c = _ints(lo, hi, A, c)
     if not lo:

@@ -1,7 +1,8 @@
 """Exact integer linear algebra on lists of Python ints.
 
-A matrix is a sequence of equal-length rows; results are lists of rows of
-Python ints, so nothing ever overflows.  Provides Smith normal form with its
+A matrix is a sequence of equal-length rows of Python or NumPy ints (a float
+raises TypeError, never truncated); results are lists of rows of Python ints,
+so nothing ever overflows.  Provides Smith normal form with its
 unimodular transforms, saturated kernels and sublattice indices.  One
 fraction-free Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on
 M) and ``adjugate`` and ``inverse_unimodular`` (on [M | I]);
@@ -9,6 +10,7 @@ M) and ``adjugate`` and ``inverse_unimodular`` (on [M | I]);
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -50,7 +52,7 @@ def _bareiss(M, augment=False):
     sign·p, with sign that of the row swaps and p the last pivot, 0 when M is
     singular.
     """
-    A = [[int(x) for x in row] for row in M]
+    A = [[operator.index(x) for x in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
@@ -102,7 +104,7 @@ def independent_rows(M):
     """
     basis = []  # (row index, pivot column, primitive reduced row)
     for idx, row in enumerate(M):
-        v = [int(x) for x in row]
+        v = [operator.index(x) for x in row]
         if len(basis) == len(v):
             break
         for _, p, b in basis:
@@ -122,7 +124,7 @@ def smith_normal_form(M):
     unimodular, D diagonal with nonnegative entries satisfying
     D[i][i] | D[i+1][i+1].
     """
-    A = [[int(x) for x in row] for row in M]
+    A = [[operator.index(x) for x in row] for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):

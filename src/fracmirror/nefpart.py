@@ -53,7 +53,7 @@ def polytope_of_part(delta, part_rays, all_rays):
         rows.append(rho + (1 if rho in part else 0,))
     rows.append(tuple([0] * n) + (1,))
     verts = []
-    for ray in _dd_extreme_rays(rows):
+    for ray, _ in _dd_extreme_rays(rows):
         m, t = ray[:-1], ray[-1]
         if t == 0:
             raise InvalidNefPartition("part polytope is unbounded")

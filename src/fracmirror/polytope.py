@@ -3,12 +3,15 @@
 Everything is integer/rational arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone, in the
 coordinates of a Smith transform only when the points span less than the
-ambient space, and vertices are read off the facet incidences; volumes are
-normalized lattice volumes in the affine span, summed over the simplices of a
-pulling triangulation read off the facet–vertex incidences (the dilated
-lattice-point counts of ``method="count"`` are the oracle); lattice-point
-scans run on the one exact-int prefix→interval scan in ``_accel``, and Smith
-forms come from ``linalg`` as lists of integer rows.
+ambient space.  One rank test on the homogenized points gives the affine
+dimension and seeds the pass, which returns each facet with the bitmask of
+the input points on it, formed without a dot product; the vertices are read
+off those masks.  Volumes are normalized lattice volumes in the affine span,
+summed over the simplices of a pulling triangulation read off the
+facet–vertex incidences (the dilated lattice-point counts of
+``method="count"`` are the oracle); lattice-point scans run on the one
+exact-int prefix→interval scan in ``_accel``, and Smith forms come from
+``linalg`` as lists of integer rows.
 """
 
 import math
@@ -44,89 +47,82 @@ def _require_ints(values, what):
             raise ValueError(f"{what} {x!r} is not an integer")
 
 
-def _dd_extreme_rays(rows):
-    """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}.
+def _dd_extreme_rays(rows, seed=None):
+    """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}, with
+    the rows each one is tight on.
 
     ``rows`` are integer tuples (floats raise TypeError) spanning the ambient
-    space (pointed dual cone).  Returns lex-sorted primitive integer generators.
+    space R^k (pointed dual cone).  Zero and repeated rows are dropped; bit i
+    of a mask stands for the i-th distinct nonzero row, which is row i when
+    the rows are distinct and nonzero.  ``seed`` lists k linearly independent
+    rows by those indices, as a caller's own rank test found them; without it
+    the first independent rows seed the pass.  Returns lex-sorted pairs
+    ``(ray, mask)``: a primitive integer generator and the bitmask of the rows
+    r with r·ray = 0.
+
+    No mask costs a dot product.  Seed ray j is tight on every seed row but
+    its own (S·adj S = det·I).  The ray s₊·r₋ − s₋·r₊ formed at row t is tight
+    on t and on exactly the inserted rows its two parents share, since both
+    terms are >= 0 on an inserted row and the weights are positive.  Adjacent
+    rays share at least k − 2 tight rows, and distinct adjacent pairs give
+    distinct rays, each inside its own 2-face, so none is formed twice.
     """
-    seen = set()
-    clean = []
+    index = {}
     for r in rows:
         t = tuple(map(operator.index, r))
-        if any(t) and t not in seen:
-            seen.add(t)
-            clean.append(t)
-    rows = clean
+        if any(t):
+            index.setdefault(t, len(index))
+    rows = list(index)
     if not rows:
         raise ValueError("cone needs at least one constraint")
     k = len(rows[0])
 
-    seed_idx = linalg.independent_rows(rows)
-    if len(seed_idx) < k:
+    if seed is None:
+        seed = linalg.independent_rows(rows)
+    if len(seed) < k:
         raise ValueError("cone is not pointed: constraints do not span")
 
-    S = [rows[i] for i in seed_idx]
     # seed row i meets column j of adj(S) at det(S)·δ_ij: each column, signed
     # by det(S) and made primitive, is a ray of the simplicial seed cone
-    d, adj = linalg.adjugate(S)
+    d, adj = linalg.adjugate([rows[i] for i in seed])
     sign = 1 if d > 0 else -1
     rays = [_primitive([sign * adj[i][j] for i in range(k)]) for j in range(k)]
+    full = sum(1 << i for i in seed)
+    masks = [full ^ (1 << i) for i in seed]
 
-    seed_set = set(seed_idx)
-    active = list(S)
-    masks = []
-    for r in rays:
-        m = 0
-        for t, arow in enumerate(active):
-            if _dot(arow, r) == 0:
-                m |= 1 << t
-        masks.append(m)
-
+    seeded = set(seed)
     for idx, row in enumerate(rows):
-        if idx in seed_set:
+        if idx in seeded:
             continue
+        bit = 1 << idx
         s = [_dot(row, r) for r in rays]
+        masks = [m | bit if v == 0 else m for m, v in zip(masks, s)]
         minus = [j for j, v in enumerate(s) if v < 0]
         if not minus:
-            active.append(row)
-            bit = 1 << (len(active) - 1)
-            masks = [m | bit if s[j] == 0 else m for j, m in enumerate(masks)]
             continue
-        plus = [j for j, v in enumerate(s) if v > 0]
-        zero = [j for j, v in enumerate(s) if v == 0]
-        new_rays = []
-        for jp in plus:
-            for jm in minus:
-                common = masks[jp] & masks[jm]
-                adjacent = True
-                for jt in range(len(rays)):
-                    if jt != jp and jt != jm and (masks[jt] & common) == common:
-                        adjacent = False
-                        break
-                if adjacent:
-                    comb = tuple(
-                        s[jp] * rays[jm][t] - s[jm] * rays[jp][t] for t in range(k)
-                    )
-                    new_rays.append(_primitive(comb))
-        keep = plus + zero
-        rays = [rays[j] for j in keep]
-        masks = [masks[j] for j in keep]
-        active.append(row)
-        bit = 1 << (len(active) - 1)
-        for t, j in enumerate(keep):
-            if s[j] == 0:
-                masks[t] |= bit
-        for r in new_rays:
-            if r in rays:
+        new_rays, new_masks = [], []
+        for jp, sp in enumerate(s):
+            if sp <= 0:
                 continue
-            m = 0
-            for t, arow in enumerate(active):
-                if _dot(arow, r) == 0:
-                    m |= 1 << t
-            rays.append(r)
-            masks.append(m)
-    return tuple(sorted(rays))
+            for jm in minus:
+                # neither parent is tight on the new row, so the bit set on
+                # the zero rays above does not change this test
+                common = masks[jp] & masks[jm]
+                if common.bit_count() < k - 2 or any(
+                    m & common == common
+                    for j, m in enumerate(masks)
+                    if j != jp and j != jm
+                ):
+                    continue
+                sm = s[jm]
+                new_rays.append(
+                    _primitive([sp * b - sm * a for a, b in zip(rays[jp], rays[jm])])
+                )
+                new_masks.append(common | bit)
+        keep = [j for j, v in enumerate(s) if v >= 0]
+        rays = [rays[j] for j in keep] + new_rays
+        masks = [masks[j] for j in keep] + new_masks
+    return tuple(sorted(zip(rays, masks)))
 
 
 class LatticePolytope:
@@ -177,10 +173,12 @@ class LatticePolytope:
             self._span_facets = ()
             return
 
-        v0 = pts[0]
-        diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
-        a = len(linalg.independent_rows(diffs))
-        self.affine_dim = a
+        # one rank test: the independent homogenized points give the affine
+        # dimension and seed the DD, in span coordinates too, since the
+        # projection onto the span keeps affine independence
+        rows = [p + (1,) for p in pts]
+        seed = linalg.independent_rows(rows)
+        a = self.affine_dim = len(seed) - 1
 
         if a == D:
             self._v0 = tuple([0] * D)
@@ -189,41 +187,30 @@ class LatticePolytope:
             span_pts = pts
         else:
             # only a lower-dimensional span needs the transform U
+            v0 = pts[0]
+            diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
             _, U, _ = linalg.smith_normal_form(list(zip(*diffs)))
             self._v0 = v0
             self._U = U
             self._B = [row[:a] for row in linalg.inverse_unimodular(U)]
             span_pts = [self._project(p) for p in pts]
+            rows = [y + (1,) for y in span_pts]
 
-        if a == 0:
-            self.vertices = (pts[0],)
-            self.facets = ()
-            self._span_vertices = ((),)
-            self._span_facets = ()
-            return
-
-        hull_rows = [y + (1,) for y in span_pts]
-        rays = _dd_extreme_rays(hull_rows)
-        span_facets = []
-        for ray in rays:
-            g, c = ray[:-1], ray[-1]
-            if not any(g):
-                continue
-            span_facets.append((g, c))
-        span_facets.sort()
-        self._span_facets = tuple(span_facets)
+        # the rows are distinct and nonzero, so mask bit i is point i
+        rays = _dd_extreme_rays(rows, seed)
+        self._span_facets = tuple((r[:-1], r[-1]) for r, _ in rays)
 
         # a point is a vertex iff no other point lies on every facet it lies
-        # on: a face holding two input points has two vertices among them
-        masks = [
-            sum(1 << t for t, (g, c) in enumerate(span_facets) if _dot(g, y) + c == 0)
-            for y in span_pts
-        ]
-        verts = [
-            i
-            for i, m in enumerate(masks)
-            if not any(n & m == m for j, n in enumerate(masks) if j != i)
-        ]
+        # on (a face holding two input points has two vertices among them):
+        # the facet masks through point i meet in bit i alone
+        verts = []
+        for i in range(len(pts)):
+            face = -1
+            for _, m in rays:
+                if m >> i & 1:
+                    face &= m
+            if face == 1 << i:
+                verts.append(i)
         self.vertices = tuple(pts[i] for i in verts)
         self._span_vertices = tuple(span_pts[i] for i in verts)
 
@@ -234,7 +221,7 @@ class LatticePolytope:
             # w·(x − v0) = g·y; w is primitive because U is unimodular
             cols = list(zip(*self._U[:a]))
             lifted = []
-            for g, c in span_facets:
+            for g, c in self._span_facets:
                 w = tuple(_dot(g, col) for col in cols)
                 lifted.append((w, c - _dot(w, v0)))
             self.facets = tuple(sorted(lifted))

@@ -12,7 +12,7 @@ from fracmirror import linalg
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution
 from fracmirror.nefpart import polytope_of_part
-from fracmirror.polytope import LatticePolytope, _dd_extreme_rays
+from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
 
 
@@ -332,12 +332,64 @@ def gkz_solution_terms(gkz, cutoff):
     return out
 
 
+def _kernel_line(rows, k):
+    """A nonzero v in Q^k with r·v = 0 for each of the k − 1 ``rows``, or None
+    when they have rank below k − 1 (Gauss–Jordan over Fraction)."""
+    A = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(k):
+        t = len(pivots)
+        i = next((i for i in range(t, len(A)) if A[i][col] != 0), None)
+        if i is None:
+            continue
+        A[t], A[i] = A[i], A[t]
+        A[t] = [x / A[t][col] for x in A[t]]
+        for j in range(len(A)):
+            if j != t and A[j][col] != 0:
+                f = A[j][col]
+                A[j] = [x - f * y for x, y in zip(A[j], A[t])]
+        pivots.append(col)
+    if len(pivots) != k - 1:
+        return None
+    free = next(c for c in range(k) if c not in pivots)
+    v = [Fraction(0)] * k
+    v[free] = Fraction(1)
+    for t, col in enumerate(pivots):
+        v[col] = -A[t][free]
+    return v
+
+
+def extreme_rays_by_subsets(rows):
+    """Lex-sorted primitive extreme rays of the pointed cone {y : r·y >= 0}.
+
+    An extreme ray spans the kernel of k − 1 of the rows of rank k − 1; each
+    such subset gives a kernel line ±v, and a sign is kept when no row is
+    negative on it.  Shares no code with ``polytope._dd_extreme_rays``.
+    """
+    k = len(rows[0])
+    rows = list(dict.fromkeys(tuple(r) for r in rows if any(r)))  # same cone
+    rays = set()
+    for sub in itertools.combinations(rows, k - 1):
+        v = _kernel_line(sub, k)
+        if v is None:
+            continue
+        scale = math.lcm(*(x.denominator for x in v))
+        w = [int(x * scale) for x in v]
+        g = math.gcd(*w)
+        for sign in (1, -1):
+            ray = tuple(sign * x // g for x in w)
+            if all(sum(a * b for a, b in zip(r, ray)) >= 0 for r in rows):
+                rays.add(ray)
+    return sorted(rays)
+
+
 def hull_by_smith_and_rank(points, ambient_dim):
     """``(affine_dim, vertices, facets)`` of conv(points), the long way round.
 
     The affine dimension is the rank of the Smith form of the difference
-    matrix, and the hull runs in the span coordinates y = U·(x − x0) of its
-    transform U even when the points span the whole space; a point is a
+    matrix, and the facets are the extreme rays of the homogenization cone
+    by ``extreme_rays_by_subsets``, in the span coordinates y = U·(x − x0) of
+    its transform U even when the points span the whole space; a point is a
     vertex iff the normals of the facets tight at it have rank a.  Facets
     are lifted back as (Σ gᵢ·U[i], c − w·x0) and lex-sorted.
     """
@@ -358,7 +410,7 @@ def hull_by_smith_and_rank(points, ambient_dim):
         return 0, (x0,), ()
     U = U[:a]
     span = [tuple(dot(row, [x - y for x, y in zip(p, x0)]) for row in U) for p in pts]
-    rays = _dd_extreme_rays([y + (1,) for y in span])
+    rays = extreme_rays_by_subsets([y + (1,) for y in span])
     facets = [(r[:-1], r[-1]) for r in rays if any(r[:-1])]
     vertices = []
     for p, y in zip(pts, span):

@@ -6,6 +6,8 @@ import math
 import random
 import signal
 
+import pytest
+
 from fracmirror import _accel
 
 
@@ -57,6 +59,12 @@ def test_zero_dimensional_and_empty_boxes():
     assert _accel.count_points([], [], [[]], [-1]) == 0
     assert _accel.count_points([0], [-1], [], []) == 0
     assert _accel.enumerate_points([0], [-1], [], []) == []
+    # a float bound or coefficient is refused, not truncated ([0, 2.9] would
+    # count 3 points)
+    with pytest.raises(TypeError):
+        _accel.count_points([0], [2.9], [], [])
+    with pytest.raises(TypeError):
+        _accel.enumerate_points([0], [2], [[1.5]], [0])
 
 
 def test_offsets_past_int64_stay_exact():

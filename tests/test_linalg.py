@@ -56,6 +56,10 @@ def test_det_matches_fraction_oracle():
         n = rng.randint(1, 5)
         M = rand_matrix(rng, n, n)
         assert linalg.det(M) == frac_det(M.tolist())
+    # NumPy ints are integers; a float is refused, not truncated (was 2)
+    assert linalg.det(np.array([[2, 1], [1, 3]], dtype=np.int64)) == 5
+    with pytest.raises(TypeError):
+        linalg.det([[2.5]])
 
 
 def _seeded_square_matrices(rng, count):
@@ -93,6 +97,8 @@ def test_adjugate_matches_fraction_and_sympy_oracles():
     assert singular >= 50 and swapped >= 20
     with pytest.raises(ValueError, match="square"):
         linalg.adjugate([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(TypeError):
+        linalg.adjugate([[2.5, 0], [0, 1]])
 
 
 def test_independent_rows_span_in_order():
@@ -112,6 +118,8 @@ def test_independent_rows_span_in_order():
             before = [c for c in chosen if c < i]
             gained = np.linalg.matrix_rank(F[before + [i]]) > len(before)
             assert gained == (i in chosen)
+    with pytest.raises(TypeError):
+        linalg.independent_rows([[1, 0], [0.5, 1]])
 
 
 def test_smith_normal_form_properties():
@@ -139,6 +147,8 @@ def test_smith_normal_form_properties():
         for a, b in zip(diag, diag[1:]):
             if b != 0:
                 assert a != 0 and b % a == 0
+    with pytest.raises(TypeError):
+        linalg.smith_normal_form([[2.5]])
 
 
 def test_kernel_basis_annihilates_and_saturates():

@@ -13,10 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracmirror import linalg
 from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramid
 from oracles import (
     cayley_polytope,
     ehrhart_polynomial,
+    extreme_rays_by_subsets,
     hull_by_smith_and_rank,
     lattice_transform,
     pyramid_over,
@@ -104,7 +106,8 @@ def test_interior_points_are_not_vertices():
 
 def test_extreme_rays_do_not_depend_on_row_order():
     # the seed cone comes from the first independent rows, so shuffling the
-    # rows changes the seed but never the primitive extreme rays returned
+    # rows changes the seed but never the primitive extreme rays returned;
+    # mask bits index the distinct rows, so they follow the shuffle
     rng = random.Random(808)
     checked = 0
     while checked < 60:
@@ -116,8 +119,58 @@ def test_extreme_rays_do_not_depend_on_row_order():
         rows = [p + (1,) for p in pts]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert _dd_extreme_rays(shuffled) == _dd_extreme_rays(rows)
+        rays, moved = _dd_extreme_rays(rows), _dd_extreme_rays(shuffled)
+        assert [r for r, _ in moved] == [r for r, _ in rays]
+        distinct, moved_distinct = list(dict.fromkeys(rows)), list(dict.fromkeys(shuffled))
+        where = [moved_distinct.index(r) for r in distinct]
+        for (_, m), (_, n) in zip(rays, moved):
+            assert n == sum(1 << where[i] for i in range(len(distinct)) if m >> i & 1)
         checked += 1
+
+
+def _seeded_cones(rng, count):
+    """Row lists of pointed cones in Z^k, k <= 6: half are homogenized point
+    sets of dimension d <= 5 with the midpoint of two of their points (on a
+    face or inside), half are random rows positive on one direction; each
+    gets a redundant row (the sum of two rows), a repeated row and a zero
+    row."""
+    made = 0
+    while made < count:
+        d = rng.randint(1, 5)
+        if made % 2:
+            pts = [tuple(2 * rng.randint(-2, 2) for _ in range(d)) for _ in range(d + rng.randint(1, 3))]
+            pts.append(tuple((x + y) // 2 for x, y in zip(*rng.sample(pts, 2))))
+            rows = [p + (1,) for p in pts]
+        else:
+            c = [rng.randint(-2, 2) for _ in range(d)]
+            rows = [r for r in (tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(2 * d + 4))
+                    if sum(a * b for a, b in zip(r, c)) > 0]
+        if len(rows) < 2 or len(linalg.independent_rows(rows)) < len(rows[0]):
+            continue
+        a, b = rng.sample(rows, 2)
+        rows.append(tuple(x + y for x, y in zip(a, b)))
+        rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+        rows.insert(rng.randint(0, len(rows)), (0,) * len(rows[0]))
+        made += 1
+        yield rows
+
+
+def test_extreme_rays_match_subset_oracle():
+    # the rays against one kernel line per rank-(k−1) row subset, and each
+    # mask against the distinct nonzero rows tight on its ray; the seed is
+    # either the pass's own or an independent set taken in a shuffled order
+    rng = random.Random(1414)
+    for rows in _seeded_cones(rng, 80):
+        distinct = list(dict.fromkeys(r for r in rows if any(r)))
+        order = list(range(len(distinct)))
+        rng.shuffle(order)
+        seed = [order[i] for i in linalg.independent_rows([distinct[j] for j in order])]
+        expect = extreme_rays_by_subsets(rows)
+        for got in (_dd_extreme_rays(rows), _dd_extreme_rays(rows, seed)):
+            assert [r for r, _ in got] == expect
+            for ray, mask in got:
+                tight = [sum(a * b for a, b in zip(r, ray)) == 0 for r in distinct]
+                assert mask == sum(1 << i for i, t in enumerate(tight) if t)
 
 
 def test_no_points_error():
@@ -426,9 +479,10 @@ def test_lifted_facets_of_lower_dimensional_polytopes():
 
 def test_incidence_vertices_match_rank_oracle():
     # vertices read off the facet incidence masks, and the affine dimension
-    # from the independent difference rows, against the Smith form and one
-    # rank test per point; some sets lie in a proper affine sublattice, and
-    # points repeat, sit inside faces and in the interior
+    # from the independent homogenized points, against the Smith form, the
+    # subset ray oracle and one rank test per point; some sets lie in a
+    # proper affine sublattice, and points repeat, sit inside faces and in
+    # the interior
     rng = random.Random(1111)
     flat = 0
     for _ in range(300):
@@ -468,7 +522,7 @@ def test_extreme_rays_refuse_float_rows():
         _dd_extreme_rays([(1.7, 0), (0, 1)])
     with pytest.raises(TypeError):
         _dd_extreme_rays([(Fraction(1, 2), 0), (0, 1)])
-    assert _dd_extreme_rays([(np.int64(1), 0), (0, np.int32(1))]) == ((0, 1), (1, 0))
+    assert _dd_extreme_rays([(np.int64(1), 0), (0, np.int32(1))]) == (((0, 1), 0b01), ((1, 0), 0b10))
 
 
 def test_lattice_transform_on_points_and_polytopes():

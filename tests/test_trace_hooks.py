@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, series, topology
+from fracmirror import cli, linalg, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -78,6 +78,39 @@ def test_euler_builds_each_polytope_once():
     tracer = _traced("euler", shape="p3_quartic")
     assert tracer.calls["polytope.hull"] == 7
     assert tracer.calls["nefpart.load"] == 1
+
+
+def test_one_elimination_per_hull(monkeypatch):
+    # one rank test on the homogenized points gives the affine dimension and
+    # the DD seed, and one adjugate gives the seed rays: a full-dimensional
+    # hull runs one of each; a flat one adds the adjugate that inverts its
+    # Smith transform; euler on the quartic builds 7 hulls and cuts out
+    # Delta_1 with one more DD pass
+    calls = {"independent_rows": 0, "adjugate": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(linalg, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+
+    def counted(build):
+        for name in calls:
+            calls[name] = 0
+        build()
+        return dict(calls)
+
+    full = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0)]
+    assert counted(lambda: LatticePolytope(full)) == {"independent_rows": 1, "adjugate": 1}
+    flat = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0)]
+    assert counted(lambda: LatticePolytope(flat)) == {"independent_rows": 1, "adjugate": 2}
+
+    def euler():
+        config = cli.JobConfig(command="euler", input=str(DATA / "p3_quartic.json"), N=4, fmt="json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(config) == 0
+
+    assert counted(euler) == {"independent_rows": 8, "adjugate": 8}
 
 
 def test_euler_scans_no_dilations():
