@@ -30,19 +30,6 @@ from .topology import euler_double_cover
 
 __all__ = ["JobConfig", "run", "main"]
 
-_COMMANDS = (
-    "dual-nef",
-    "euler",
-    "hodge",
-    "gkz",
-    "pf",
-    "mirror-map",
-    "yukawa",
-    "ifunction",
-    "bseries",
-    "all",
-)
-
 _SMOOTHNESS_WARNING = (
     "warning: Euler-characteristic and Hodge formulas assume the smoothness "
     "hypothesis (crepant resolutions on both sides)"
@@ -398,7 +385,7 @@ def main(argv=None):
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name)
         sp.add_argument("input", help="nef-partition JSON file")
         sp.add_argument("-N", type=int, default=10, dest="N",

@@ -89,7 +89,13 @@ def build_gkz(data):
     alpha = tuple(
         Fraction(-1, 2) if lab[1] == 0 else Fraction(0) for lab in labels
     )
-    kernel = linalg.smith_relations(A).kernel
+    # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
+    # each vector is signed so its first nonzero entry is negative
+    rank, U = linalg.echelon(list(zip(*A)))
+    kernel = tuple(
+        tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
+        for v in U[rank:]
+    )
     return GkzSystem(
         A=A,
         beta=beta,

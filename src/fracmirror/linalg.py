@@ -2,31 +2,25 @@
 
 A matrix is a sequence of equal-length rows of Python or NumPy ints (a float
 raises TypeError, never truncated); results are lists of rows of Python ints,
-so nothing ever overflows.  Provides Smith normal form with its
-unimodular transforms, saturated kernels and sublattice indices.  One
-fraction-free Gauss–Jordan elimination (Bareiss 1968) lies behind ``det`` (on
-M) and ``adjugate`` and ``inverse_unimodular`` (on [M | I]);
-``independent_rows`` reduces rows fraction-free too.  No rational is formed.
+so nothing ever overflows.  ``echelon`` triangularizes by unimodular 2×2
+gcd row steps; its transform gives lattice bases of affine spans and
+saturated kernels.  One fraction-free Gauss–Jordan elimination (Bareiss
+1968) lies behind ``det`` (on M) and ``adjugate`` and ``inverse_unimodular``
+(on [M | I]); ``independent_rows`` reduces rows fraction-free too.  No
+rational is formed.
 """
 
 import math
 import operator
-from dataclasses import dataclass
 
 __all__ = [
     "exgcd",
     "adjugate",
     "det",
     "independent_rows",
-    "smith_normal_form",
+    "echelon",
     "inverse_unimodular",
-    "SmithRelations",
-    "smith_relations",
 ]
-
-
-def _identity(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def exgcd(a, b):
@@ -117,105 +111,37 @@ def independent_rows(M):
     return [idx for idx, _, _ in basis]
 
 
-def smith_normal_form(M):
-    """Smith normal form.
+def echelon(M):
+    """Row echelon form of M reached by unimodular row steps: ``(r, U)``.
 
-    Returns (D, U, V) as lists of integer rows with U·M·V = D, U and V
-    unimodular, D diagonal with nonnegative entries satisfying
-    D[i][i] | D[i+1][i+1].
+    U is unimodular, given as lists of Python ints, and rows r.. of U·M are
+    zero, so r is the rank of M and ``U[r:]`` is a saturated basis of the
+    lattice of integer v with v·M = 0.  Each column's pivot is the gcd of its
+    entries at or below row r, brought up by 2×2 ``exgcd`` steps applied to
+    both A and U (Cohen, *A Course in Computational Algebraic Number Theory*,
+    §2.4).
     """
     A = [[operator.index(x) for x in row] for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows must have equal length")
-    U = _identity(m)
-    V = _identity(n)
-
-    def rows(R, t, i, x, y, z, w):
-        # (R[t], R[i]) <- (x R[t] + y R[i], z R[t] + w R[i])
-        R[t], R[i] = ([x * a + y * b for a, b in zip(R[t], R[i])],
-                      [z * a + w * b for a, b in zip(R[t], R[i])])
-
-    def cols(R, t, j, x, y, z, w):
-        # (column t, column j) <- (x col t + y col j, z col t + w col j)
-        for row in R:
-            a, b = row[t], row[j]
-            row[t], row[j] = x * a + y * b, z * a + w * b
-
-    def clear_at(t):
-        # Make A[t][t] the only nonzero entry in its row and column.
-        while True:
-            done = True
-            for i in range(m):
-                if i != t and A[i][t] != 0:
-                    done = False
-                    a, b = A[t][t], A[i][t]
-                    if a != 0 and b % a == 0:
-                        f = b // a
-                        A[i] = [x - f * y for x, y in zip(A[i], A[t])]
-                        U[i] = [x - f * y for x, y in zip(U[i], U[t])]
-                    else:
-                        g, x, y = exgcd(a, b)
-                        rows(A, t, i, x, y, -(b // g), a // g)
-                        rows(U, t, i, x, y, -(b // g), a // g)
-            for j in range(n):
-                if j != t and A[t][j] != 0:
-                    done = False
-                    a, b = A[t][t], A[t][j]
-                    if a != 0 and b % a == 0:
-                        f = b // a
-                        cols(A, t, j, 1, 0, -f, 1)
-                        cols(V, t, j, 1, 0, -f, 1)
-                    else:
-                        g, x, y = exgcd(a, b)
-                        cols(A, t, j, x, y, -(b // g), a // g)
-                        cols(V, t, j, x, y, -(b // g), a // g)
-            if done:
-                return
-
-    t = 0
-    while t < min(m, n):
-        # smallest-magnitude pivot in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for j in range(n):
+        if r == m:
             break
-        pi, pj = piv
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            cols(A, t, pj, 0, 1, 1, 0)
-            cols(V, t, pj, 0, 1, 1, 0)
-        clear_at(t)
-        t += 1
-
-    r = t
-    for i in range(r):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    # enforce the divisibility chain
-    i = 0
-    while i < r - 1:
-        if A[i + 1][i + 1] % A[i][i] != 0:
-            cols(A, i, i + 1, 1, 1, 0, 1)
-            cols(V, i, i + 1, 1, 1, 0, 1)
-            clear_at(i)
-            if A[i][i] < 0:
-                A[i] = [-x for x in A[i]]
-                U[i] = [-x for x in U[i]]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return A, U, V
+        for i in range(r + 1, m):
+            a, b = A[r][j], A[i][j]
+            if b:
+                # (row r, row i) <- (x·row r + y·row i, −b/g·row r + a/g·row i)
+                g, x, y = exgcd(a, b)
+                p, q = a // g, b // g
+                for R in (A, U):
+                    R[r], R[i] = ([x * s + y * t for s, t in zip(R[r], R[i])],
+                                  [p * t - q * s for s, t in zip(R[r], R[i])])
+        r += A[r][j] != 0
+    return r, U
 
 
 def inverse_unimodular(U):
@@ -226,22 +152,4 @@ def inverse_unimodular(U):
     return [[d * x for x in row] for row in adj]
 
 
-@dataclass(frozen=True)
-class SmithRelations:
-    """Smith data of an integer matrix: saturated kernel, rank, image index."""
-
-    kernel: tuple
-    rank: int
-    index: int  # index of the column span inside its saturation
-
-
-def smith_relations(M):
-    """Saturated kernel basis, rank and saturation index of ``M``.
-
-    ``index`` is the product of the nonzero invariant factors: the index of
-    the lattice generated by the columns inside its saturation in Z^rows.
-    """
-    D, _, V = smith_normal_form(M)
-    r = sum(1 for i in range(min(len(D), len(V))) if D[i][i] != 0)
-    kernel = tuple(tuple(row[j] for row in V) for j in range(r, len(V)))
-    return SmithRelations(kernel=kernel, rank=r, index=math.prod(D[i][i] for i in range(r)))
+smith_normal_form = None  # for perfbench/spans.py until ROADMAP item 5

@@ -2,16 +2,15 @@
 
 Everything is integer/rational arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone, in the
-coordinates of a Smith transform only when the points span less than the
-ambient space.  One rank test on the homogenized points gives the affine
-dimension and seeds the pass, which returns each facet with the bitmask of
-the input points on it, formed without a dot product; the vertices are read
-off those masks.  Volumes are normalized lattice volumes in the affine span,
-summed over the simplices of a pulling triangulation read off the
-facet–vertex incidences (the dilated lattice-point counts of
-``method="count"`` are the oracle); lattice-point scans run on the one
-exact-int prefix→interval scan in ``_accel``, and Smith forms come from
-``linalg`` as lists of integer rows.
+coordinates of a unimodular echelon transform only when the points span less
+than the ambient space.  One rank test on the homogenized points gives the
+affine dimension and seeds the pass, which returns each facet with the
+bitmask of the input points on it, formed without a dot product; the
+vertices are read off those masks, which are kept as the facet–vertex
+incidences.  Volumes
+are normalized lattice volumes in the affine span, summed over the simplices
+of a pulling triangulation read off those incidences; lattice-point scans
+run on the one exact-int prefix→interval scan in ``_accel``.
 """
 
 import math
@@ -144,6 +143,7 @@ class LatticePolytope:
         "_B",
         "_span_vertices",
         "_span_facets",
+        "_incidences",
         "_lattice_points",
         "_polar_dual",
     )
@@ -171,6 +171,7 @@ class LatticePolytope:
             self._B = None
             self._span_vertices = ((),)
             self._span_facets = ()
+            self._incidences = ()
             return
 
         # one rank test: the independent homogenized points give the affine
@@ -186,10 +187,11 @@ class LatticePolytope:
             self._B = None
             span_pts = pts
         else:
-            # only a lower-dimensional span needs the transform U
+            # only a lower-dimensional span needs the transform U: rows a.. of
+            # U·diffsᵀ vanish, so U[:a] maps the span's lattice onto Z^a
             v0 = pts[0]
             diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
-            _, U, _ = linalg.smith_normal_form(list(zip(*diffs)))
+            _, U = linalg.echelon(list(zip(*diffs)))
             self._v0 = v0
             self._U = U
             self._B = [row[:a] for row in linalg.inverse_unimodular(U)]
@@ -213,6 +215,10 @@ class LatticePolytope:
                 verts.append(i)
         self.vertices = tuple(pts[i] for i in verts)
         self._span_vertices = tuple(span_pts[i] for i in verts)
+        # the facet masks over the vertices: bit k is vertex k
+        self._incidences = tuple(
+            sum(1 << k for k, i in enumerate(verts) if m >> i & 1) for _, m in rays
+        )
 
         if a == D:
             self.facets = self._span_facets
@@ -339,16 +345,12 @@ class LatticePolytope:
         """Simplices of the pulling triangulation, as tuples of vertex indices.
 
         Faces are bitmasks over ``_span_vertices``.  The facets of a face S
-        are the inclusion-maximal S ∩ F over the facets F of P that do not
-        contain S; S is coned from its smallest vertex over the triangulations
-        of its facets that miss that vertex (De Loera, Rambau & Santos,
-        "Triangulations", §4.3).  Each face is triangulated once.
+        are the inclusion-maximal S ∩ F over the facets F of P (their masks
+        ``_incidences``) that do not contain S; S is coned from its smallest
+        vertex over the triangulations of its facets that miss that vertex
+        (De Loera, Rambau & Santos, "Triangulations", §4.3).  Each face is
+        triangulated once.
         """
-        Y = self._span_vertices
-        facets = [
-            sum(1 << i for i, y in enumerate(Y) if _dot(g, y) + c == 0)
-            for g, c in self._span_facets
-        ]
         memo = {}
 
         def pull(S):
@@ -357,7 +359,7 @@ class LatticePolytope:
                 if S == 1 << v:
                     memo[S] = [(v,)]
                 else:
-                    cuts = {S & F for F in facets if S & F != S}
+                    cuts = {S & F for F in self._incidences if S & F != S}
                     memo[S] = [
                         (v,) + s
                         for G in cuts
@@ -367,29 +369,18 @@ class LatticePolytope:
                     ]
             return memo[S]
 
-        return pull((1 << len(Y)) - 1)
+        return pull((1 << len(self._span_vertices)) - 1)
 
-    def normalized_volume(self, method="auto"):
+    def normalized_volume(self):
         """Normalized lattice volume in the affine span (unit simplex = 1).
 
         The volume is Σ |det(yᵢ − y₀)| over the simplices of the pulling
         triangulation, in span coordinates; a simplex is its own
-        triangulation.  ``method="det"`` insists on a simplex, and
-        ``method="count"`` is the oracle: the alternating sum of a+1 dilated
-        lattice-point counts (the leading Ehrhart coefficient times a!).
+        triangulation.
         """
         a = self.affine_dim
         if a == 0:
             return 1
-        if method not in ("auto", "det", "count"):
-            raise ValueError(f"unknown volume method {method!r}")
-        if method == "det" and len(self.vertices) != a + 1:
-            raise ValueError("determinant volume requires a simplex")
-        if method == "count":
-            return sum(
-                (-1) ** (a - k) * math.comb(a, k) * self.dilate_lattice_point_count(k)
-                for k in range(a + 1)
-            )
         Y = self._span_vertices
         vol = 0
         for s in self._pulling_triangulation():

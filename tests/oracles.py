@@ -6,7 +6,9 @@ another way; the tests compare the two.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
@@ -100,6 +102,137 @@ def reversion_by_composition(f):
         err = f.compose(RationalSeries(out, f.N)).coeff(k)
         out[k] = -inv1 * err
     return RationalSeries(out, f.N)
+
+
+def smith_normal_form(M):
+    """Smith normal form, the reference ``linalg.echelon`` is checked against.
+
+    Returns (D, U, V) as lists of integer rows with U·M·V = D, U and V
+    unimodular, D diagonal with nonnegative entries satisfying
+    D[i][i] | D[i+1][i+1].
+    """
+    A = [[operator.index(x) for x in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows must have equal length")
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def rows(R, t, i, x, y, z, w):
+        # (R[t], R[i]) <- (x R[t] + y R[i], z R[t] + w R[i])
+        R[t], R[i] = ([x * a + y * b for a, b in zip(R[t], R[i])],
+                      [z * a + w * b for a, b in zip(R[t], R[i])])
+
+    def cols(R, t, j, x, y, z, w):
+        # (column t, column j) <- (x col t + y col j, z col t + w col j)
+        for row in R:
+            a, b = row[t], row[j]
+            row[t], row[j] = x * a + y * b, z * a + w * b
+
+    def clear_at(t):
+        # Make A[t][t] the only nonzero entry in its row and column.
+        while True:
+            done = True
+            for i in range(m):
+                if i != t and A[i][t] != 0:
+                    done = False
+                    a, b = A[t][t], A[i][t]
+                    if a != 0 and b % a == 0:
+                        f = b // a
+                        A[i] = [x - f * y for x, y in zip(A[i], A[t])]
+                        U[i] = [x - f * y for x, y in zip(U[i], U[t])]
+                    else:
+                        g, x, y = linalg.exgcd(a, b)
+                        rows(A, t, i, x, y, -(b // g), a // g)
+                        rows(U, t, i, x, y, -(b // g), a // g)
+            for j in range(n):
+                if j != t and A[t][j] != 0:
+                    done = False
+                    a, b = A[t][t], A[t][j]
+                    if a != 0 and b % a == 0:
+                        f = b // a
+                        cols(A, t, j, 1, 0, -f, 1)
+                        cols(V, t, j, 1, 0, -f, 1)
+                    else:
+                        g, x, y = linalg.exgcd(a, b)
+                        cols(A, t, j, x, y, -(b // g), a // g)
+                        cols(V, t, j, x, y, -(b // g), a // g)
+            if done:
+                return
+
+    t = 0
+    while t < min(m, n):
+        # smallest-magnitude pivot in the remaining block
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                a = A[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            cols(A, t, pj, 0, 1, 1, 0)
+            cols(V, t, pj, 0, 1, 1, 0)
+        clear_at(t)
+        t += 1
+
+    r = t
+    for i in range(r):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    # enforce the divisibility chain
+    i = 0
+    while i < r - 1:
+        if A[i + 1][i + 1] % A[i][i] != 0:
+            cols(A, i, i + 1, 1, 1, 0, 1)
+            cols(V, i, i + 1, 1, 1, 0, 1)
+            clear_at(i)
+            if A[i][i] < 0:
+                A[i] = [-x for x in A[i]]
+                U[i] = [-x for x in U[i]]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return A, U, V
+
+
+class SmithRelations(NamedTuple):
+    """Smith data of an integer matrix: saturated kernel, rank, image index."""
+
+    kernel: tuple
+    rank: int
+    index: int  # index of the column span inside its saturation
+
+
+def smith_relations(M):
+    """Saturated kernel basis, rank and saturation index of ``M``.
+
+    ``index`` is the product of the nonzero invariant factors: the index of
+    the lattice generated by the columns inside its saturation in Z^rows.
+    """
+    D, _, V = smith_normal_form(M)
+    r = sum(1 for i in range(min(len(D), len(V))) if D[i][i] != 0)
+    kernel = tuple(tuple(row[j] for row in V) for j in range(r, len(V)))
+    return SmithRelations(kernel=kernel, rank=r, index=math.prod(D[i][i] for i in range(r)))
+
+
+def volume_by_dilation_counts(P):
+    """Normalized volume as the alternating sum of a+1 dilated lattice-point
+    counts (the leading Ehrhart coefficient times a!)."""
+    a = P.affine_dim
+    return sum(
+        (-1) ** (a - k) * math.comb(a, k) * P.dilate_lattice_point_count(k)
+        for k in range(a + 1)
+    )
 
 
 def lattice_transform(U, X):
@@ -402,7 +535,7 @@ def hull_by_smith_and_rank(points, ambient_dim):
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    S, U, V = linalg.smith_normal_form(E)
+    S, U, V = smith_normal_form(E)
     UE = [[dot(row, col) for col in zip(*E)] for row in U]
     assert [[dot(row, col) for col in zip(*V)] for row in UE] == S  # U·E·V = S
     a = sum(1 for i in range(min(ambient_dim, len(pts) - 1)) if S[i][i] != 0)

@@ -21,7 +21,6 @@ from fracmirror.cohom import (
     frobenius_residue,
 )
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
-from fracmirror.linalg import smith_relations
 from fracmirror.mirror import (
     a_model_correlation,
     classical_normalization,
@@ -33,7 +32,14 @@ from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, RationalSeries
 from fracmirror.topology import euler_double_cover
-from oracles import euler_snc_union_oracle, lattice_transform, matches, pairing_matrix
+from oracles import (
+    euler_snc_union_oracle,
+    lattice_transform,
+    matches,
+    pairing_matrix,
+    smith_relations,
+    volume_by_dilation_counts,
+)
 from test_topology import quartic_plus_planes_strata
 
 
@@ -245,7 +251,7 @@ def test_criterion_10_properties(quartic):
         if P.affine_dim != d or len(P.vertices) != d + 1:
             continue
         produced += 1
-        assert P.normalized_volume(method="det") == P.normalized_volume(method="count")
+        assert P.normalized_volume() == volume_by_dilation_counts(P)
 
     N = 16
     for _ in range(3):

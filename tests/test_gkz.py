@@ -11,6 +11,8 @@ from oracles import (
     gkz_solution_terms,
     hypergeometric_term_by_term,
     rising,
+    smith_normal_form,
+    smith_relations,
 )
 
 from fracmirror.cohom import i_weights_from_kernel
@@ -91,6 +93,23 @@ def test_three_part_hexagon_is_multiparameter():
     assert len(g.kernel) == 4
     with pytest.raises(FracmirrorError, match="multiparameter moduli unsupported"):
         principal_kernel_vector(g)
+
+
+def test_hexagon_kernel_is_the_smith_lattice():
+    # the echelon kernel is another basis of the oracle's saturated kernel:
+    # both annihilate A and are saturated, and stacked they still have rank
+    # 4, so each lattice contains the other; each vector is signed so its
+    # first nonzero entry is negative
+    hexd = LatticePolytope([(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)])
+    g = build_gkz(NefPartition(hexd, [[0, 1], [2, 4], [3, 5]]))
+    oracle = smith_relations(g.A).kernel
+    assert len(g.kernel) == len(oracle) == 4
+    for v in g.kernel:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in g.A)
+        assert next(x for x in v if x) < 0
+    for K in (g.kernel, oracle, g.kernel + oracle):
+        D, _, _ = smith_normal_form(K)
+        assert [D[i][i] for i in range(len(K))] == [1] * 4 + [0] * (len(K) - 4)
 
 
 def test_matrix_invariant_under_part_reordering(quartic):

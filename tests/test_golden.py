@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from fracmirror.cli import _COMMANDS, main
+from fracmirror.cli import _DISPATCH, main
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -27,8 +27,8 @@ STATUS = GOLDEN / "status.json"
 SHAPES = ("p2_k3", "p3_quartic", "p3_eight_hyperplanes")
 N = 10
 
-CASES = [(shape, command, "json", N) for shape in SHAPES for command in _COMMANDS] + [
-    ("p3_quartic", command, "table", N) for command in _COMMANDS
+CASES = [(shape, command, "json", N) for shape in SHAPES for command in _DISPATCH] + [
+    ("p3_quartic", command, "table", N) for command in _DISPATCH
 ]
 LARGE_N_CASES = [
     ("p3_quartic", "yukawa", "json", 32),

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith form, kernels, unimodular solves."""
+"""Exact integer linear algebra: echelon transforms, kernels, unimodular solves."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from fracmirror import linalg
+from oracles import smith_normal_form, smith_relations
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -127,7 +128,7 @@ def test_smith_normal_form_properties():
     for _ in range(30):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = rand_matrix(rng, rows, cols)
-        D, U, V = linalg.smith_normal_form(M)
+        D, U, V = smith_normal_form(M)
         # lists of rows of Python ints, checked against an object-array product
         for R, shape in ((D, (rows, cols)), (U, (rows, rows)), (V, (cols, cols))):
             assert isinstance(R, list) and len(R) == shape[0]
@@ -148,7 +149,49 @@ def test_smith_normal_form_properties():
             if b != 0:
                 assert a != 0 and b % a == 0
     with pytest.raises(TypeError):
-        linalg.smith_normal_form([[2.5]])
+        smith_normal_form([[2.5]])
+
+
+def test_echelon_against_smith_oracle():
+    # U is unimodular, rows r.. of U·M vanish, r is the Smith rank and U[r:]
+    # is a saturated kernel: the Smith form of the kernel matrix has
+    # invariant factors 1; zero and rank-deficient matrices included
+    rng = random.Random(61)
+    seen = {"zero": 0, "rank-deficient": 0, "kernel": 0}
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.1:
+            M = [[0] * cols for _ in range(rows)]
+        else:
+            M = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            for i in range(1, rows):
+                if rng.random() < 0.4:  # a combination of earlier rows
+                    j, k = rng.randrange(i), rng.randrange(i)
+                    f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+                    M[i] = [f * x + g * y for x, y in zip(M[j], M[k])]
+        r, U = linalg.echelon(M)
+        assert isinstance(U, list) and len(U) == rows
+        assert all(isinstance(row, list) and len(row) == rows for row in U)
+        assert all(type(x) is int for row in U for x in row)
+        assert abs(linalg.det(U)) == 1
+        UM = [[sum(u * row[j] for u, row in zip(urow, M)) for j in range(cols)] for urow in U]
+        assert all(x == 0 for row in UM[r:] for x in row)
+        D, _, _ = smith_normal_form(M)
+        assert r == sum(1 for i in range(min(rows, cols)) if D[i][i] != 0)
+        if r < rows:
+            D, _, _ = smith_normal_form(U[r:])
+            assert all(D[i][i] == 1 for i in range(rows - r))
+            seen["kernel"] += 1
+        seen["zero"] += r == 0
+        seen["rank-deficient"] += 0 < r < min(rows, cols)
+    assert min(seen.values()) >= 15, seen
+
+
+def test_echelon_refuses_floats_and_ragged_rows():
+    with pytest.raises(TypeError):
+        linalg.echelon([[1, 0], [0.5, 1]])
+    with pytest.raises(ValueError):
+        linalg.echelon([[1, 0], [1]])
 
 
 def test_kernel_basis_annihilates_and_saturates():
@@ -156,7 +199,7 @@ def test_kernel_basis_annihilates_and_saturates():
     for _ in range(30):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         M = rand_matrix(rng, rows, cols, -4, 4)
-        rel = linalg.smith_relations(M)
+        rel = smith_relations(M)
         for v in rel.kernel:
             assert all(
                 sum(int(M[i, j]) * v[j] for j in range(cols)) == 0
@@ -167,7 +210,7 @@ def test_kernel_basis_annihilates_and_saturates():
         # Smith form of the kernel matrix has all invariant factors 1
         if rel.kernel:
             K = np.array(rel.kernel, dtype=object).T
-            D, _, _ = linalg.smith_normal_form(K)
+            D, _, _ = smith_normal_form(K)
             diag = [D[i][i] for i in range(min(K.shape))]
             assert all(d in (0, 1) for d in diag)
 
@@ -193,7 +236,7 @@ def test_smith_relations_on_dependent_columns():
     # integral relation
     rhos = [(1, 1, -1, 1), (-1, 1, -1, 1), (1, -1, 1, 1), (-1, 1, 1, -1), (3, -5, -3, 1)]
     M = [[rhos[j][i] for j in range(5)] for i in range(4)]
-    rel = linalg.smith_relations(M)
+    rel = smith_relations(M)
     assert rel.rank == 4
     assert rel.index == 8
     assert len(rel.kernel) == 1

@@ -33,7 +33,7 @@ def _traced(*commands, shape):
     """Run each command at N=4 on one bundled shape under the real hooks.
 
     ``tracer.flat_hulls`` counts the hulls of lower dimension than their
-    ambient space, the ones that need a Smith transform.
+    ambient space, the ones that need a span transform.
     """
     spans = _load_spans()
     tracer = spans.Tracer()
@@ -55,6 +55,19 @@ def _traced(*commands, shape):
         undo()
         LatticePolytope.__init__ = init
     return tracer
+
+
+def _count_echelons(monkeypatch):
+    """Count the calls of ``linalg.echelon`` in a one-entry list."""
+    calls = [0]
+    echelon = linalg.echelon
+
+    def counting(*args):
+        calls[0] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    return calls
 
 
 def test_spans_record_each_stage_once_per_job():
@@ -84,7 +97,7 @@ def test_one_elimination_per_hull(monkeypatch):
     # one rank test on the homogenized points gives the affine dimension and
     # the DD seed, and one adjugate gives the seed rays: a full-dimensional
     # hull runs one of each; a flat one adds the adjugate that inverts its
-    # Smith transform; euler on the quartic builds 7 hulls and cuts out
+    # echelon transform; euler on the quartic builds 7 hulls and cuts out
     # Delta_1 with one more DD pass
     calls = {"independent_rows": 0, "adjugate": 0}
     for name in calls:
@@ -113,28 +126,31 @@ def test_one_elimination_per_hull(monkeypatch):
     assert counted(euler) == {"independent_rows": 8, "adjugate": 8}
 
 
-def test_euler_scans_no_dilations():
+def test_euler_scans_no_dilations(monkeypatch):
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
     # built as a polytope of its own; a lower-dimensional hull lifts its
-    # facets through the Smith transform it already holds, a full-dimensional
-    # one needs none, and no facet runs another; validation builds no hull of
+    # facets through the echelon transform it already holds, a
+    # full-dimensional one needs none, and no facet runs another; validation builds no hull of
     # the Minkowski sum of the parts
+    echelons = _count_echelons(monkeypatch)
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
     assert tracer.calls["polytope.hull"] == 16
     assert 0 < tracer.flat_hulls < tracer.calls["polytope.hull"]
-    assert tracer.calls["linalg.smith_normal_form"] == tracer.flat_hulls
+    assert echelons[0] == tracer.flat_hulls
 
 
-def test_quantum_and_cohom_jobs_build_no_nabla():
+def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
     # Delta, Delta* and the four Delta_i; nabla is built only when read, so
-    # the one Smith form is the GKZ kernel's (smith_relations)
+    # the one echelon is the GKZ kernel's
+    echelons = _count_echelons(monkeypatch)
     for command in ("mirror-map", "ifunction", "bseries"):
+        echelons[0] = 0
         tracer = _traced(command, shape="p3_eight_hyperplanes")
         assert tracer.calls["polytope.hull"] == 6
         assert tracer.flat_hulls == 0
-        assert tracer.calls["linalg.smith_normal_form"] == 1
+        assert echelons[0] == 1
         assert tracer.calls["gkz.build_gkz"] == 1
 
 
