@@ -11,18 +11,19 @@ Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
 built order by order from linear factors, so no transcendental Gamma value is
 ever evaluated.  Its recurrence runs on Python ints (integer numerators over
-one common denominator) and builds one Fraction per output coefficient.  The
-holomorphic solution is its eps^0 slice.
+one common denominator) and hands each eps-slice over as integers, so it
+builds no Fraction per coefficient.  The holomorphic solution is its eps^0
+slice.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import NilpotentSeries, RationalSeries
+from .series import NilpotentSeries, _make
 
 __all__ = [
     "GkzSystem",
@@ -154,11 +155,12 @@ def hypergeometric_series(num, den, m, N):
     one denominator E with their common content divided out, the new factors
     are integer polynomials in eps over a power of the bases' denominators,
     and the division by the denominator polynomial B is one fraction-free
-    triangular solve, brought to the denominator B_0^m.  One reduced Fraction
-    is built per output coefficient, straight into the eps-slices.
+    triangular solve, brought to the denominator B_0^m.  Each eps-slice is
+    handed over as integers: every order's U is scaled to the lcm of the
+    per-order E.
     """
     U, E = [1] + [0] * (m - 1), 1
-    slices = [[Fraction(u)] for u in U]
+    orders = [(U, E)]
     for n in range(1, N + 1):
         A, a_den = _new_factors(num, n, m)
         B, b_den = _new_factors(den, n, m)
@@ -178,9 +180,10 @@ def hypergeometric_series(num, den, m, N):
         E *= a_den * b0**m
         g = gcd(E, *U)
         U, E = [u // g for u in U], E // g
-        for s, u in zip(slices, U):
-            s.append(Fraction(u, E))
-    return NilpotentSeries.from_slices([RationalSeries(s, N) for s in slices])
+        orders.append((U, E))
+    D = lcm(*(E for _, E in orders))
+    slices = [_make([U[k] * (D // E) for U, E in orders], D, N) for k in range(m)]
+    return NilpotentSeries.from_slices(slices)
 
 
 def _new_factors(factors, n, m):

@@ -19,12 +19,13 @@ omega0^2 gives the A-model correlation series K(q) with K(0) = C.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import yukawa_ode_rhs
-from .series import RationalSeries
+from .series import RationalSeries, _make, parse_fraction
 
 __all__ = [
     "FrobeniusPair",
@@ -80,8 +81,8 @@ def frobenius_pair(ell, alpha, N):
     Every negative kernel entry must carry exponent -1/2; otherwise the
     constant absorbed into the scale would not be the log of an integer.
     """
-    ell = tuple(int(x) for x in ell)
-    alpha = tuple(Fraction(a) for a in alpha)
+    ell = tuple(index(x) for x in ell)
+    alpha = tuple(parse_fraction(a) for a in alpha)
     k_total = 0
     for le, ae in zip(ell, alpha):
         if le < 0:
@@ -133,7 +134,7 @@ def a_model_correlation(op, pair, z_of_q, C, N=None):
     Y = yukawa_z(op, pair, C, N)
     z_of_q = z_of_q.truncate(N)
     # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
-    v = RationalSeries(z_of_q.c[1:], N - 1) * Fraction(1, pair.scale)
+    v = _make(z_of_q.A[1:], z_of_q.D * pair.scale, N - 1)
     dlog = v.theta() / v + 1
     factor = dlog * dlog * dlog
     K = Y.compose(z_of_q).truncate(N - 1) * factor

@@ -18,16 +18,16 @@ Three classes:
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
 
-Coefficients are stored as reduced ``Fraction``s, but the O(N^2) kernels
-(product, ``inverse``, ``exp``) run on Python ints: the operands are brought
-to integer numerators over the lcm of their denominators, each output
-coefficient is one integer dot product, and one reduced ``Fraction`` is built
-per output coefficient.  A product is the integer convolution over
-D_a * D_b.  ``inverse`` and ``exp`` solve their recurrences with the
-coefficients found so far held as numerators over their running lcm, which
-grows only as fast as the reduced denominators do (scaling by powers of c0's
-numerator or by n! D^n instead grows the integers with every order).
-``log``, ``/``, ``compose`` and ``reversion`` are built from these.
+A RationalSeries is stored as integer numerators A over one denominator
+D > 0 with gcd(D, *A) = 1, so (N, A, D) is canonical; ``_make`` divides out
+the content of every result.  The O(N^2) kernels run on these ints: a
+product is the integer convolution over D_a * D_b, and ``inverse`` and
+``exp`` solve their recurrences with the coefficients found so far held as
+numerators over their running lcm, which grows only as fast as the reduced
+denominators do (scaling by powers of c0's numerator or by n! D^n instead
+grows the integers with every order).  ``log``, ``/``, ``compose`` and
+``reversion`` are built from these.  The coefficients as reduced
+``Fraction``s (``c``, ``coeff``) are built once, on first read.
 """
 
 from fractions import Fraction
@@ -58,8 +58,7 @@ def parse_fraction(x):
 
 
 def fraction_str(q):
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
+    q = parse_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -188,46 +187,29 @@ class EpsPoly:
         return [fraction_str(a) for a in self.c]
 
 
-def _over_lcm(coeffs):
-    """(nums, D) with coeffs[i] == nums[i] / D and D the lcm of the denominators."""
-    D = lcm(*(x.denominator for x in coeffs))
-    return [x.numerator * (D // x.denominator) for x in coeffs], D
-
-
-def _recurrence(x0, w, d):
-    """x_0 = x0 and x_n = (w_1 x_(n-1) + ... + w_n x_0) / d_n for 0 < n < len(w).
-
-    ``w`` and ``d`` are ints.  x_0..x_(n-1) are kept as numerators U over
-    their lcm E, so step n is one integer dot product and one reduced
-    Fraction; U is rescaled when x_n's denominator does not divide E.
+def _recurrence(u0, e0, w, d):
+    """(U, E) with x_n = U_n / E, where x_0 = u0 / e0 and, for 0 < n < len(w),
+    x_n = (w_1 x_(n-1) + ... + w_n x_0) / d_n with ints ``w`` and ``d``.  E is
+    the lcm of the reduced denominators so far, so step n is one integer dot
+    product and one gcd; U is rescaled when x_n's denominator does not divide E.
     """
-    out = [x0]
-    U, E = [x0.numerator], x0.denominator
-    for n in range(1, len(w)):
-        x = Fraction(sum(map(mul, w[1 : n + 1], reversed(U))), d[n] * E)
-        out.append(x)
-        t = x.denominator
+    U, E = [], 1
+    for n in range(len(w)):
+        num, den = (sum(map(mul, w[1 : n + 1], reversed(U))), d[n] * E) if n else (u0, e0)
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        t = den // g
         if E % t:
             k = t // gcd(E, t)
             U = [u * k for u in U]
             E *= k
-        U.append(x.numerator * (E // t))
-    return out
+        U.append(num // g * (E // t))
+    return U, E
 
 
-def _product(a, b, N):
-    """[z^n] a*b for n <= N from coefficient tuples: one integer convolution
-    over D_a * D_b."""
-    A, Da = _over_lcm(a[: N + 1])
-    B, Db = _over_lcm(b[N::-1])  # b_N, ..., b_0
-    D = Da * Db
-    return [Fraction(sum(map(mul, A[: n + 1], B[N - n :])), D) for n in range(N + 1)]
-
-
-def _invert(x):
-    if x == 0:
-        raise FracmirrorError("constant term is not invertible")
-    return 1 / x
+def _product(A, B, N):
+    """[z^n] A*B for n <= N over the ints: the convolution sum_(i+j=n) A_i B_j."""
+    B = B[N::-1]  # B_N, ..., B_0
+    return [sum(map(mul, A[: n + 1], B[N - n :])) for n in range(N + 1)]
 
 
 def _scalar(x, m=None):
@@ -239,19 +221,23 @@ def _scalar(x, m=None):
         return None
 
 
-def _rational(vals, N):
-    """The RationalSeries of the reduced Fractions ``vals``, cut or
-    zero-padded to order N."""
+def _make(A, D, N):
+    """The RationalSeries sum_n (A_n / D) z^n for ints A and D > 0, cut or
+    zero-padded to order N, with the content gcd(D, *A) divided out."""
+    A = tuple(A[: N + 1]) + (0,) * (N + 1 - len(A))
+    g = gcd(D, *A)
+    if g > 1:
+        A, D = tuple(a // g for a in A), D // g
     obj = object.__new__(RationalSeries)
-    object.__setattr__(obj, "N", N)
-    object.__setattr__(obj, "c", tuple(vals[: N + 1]) + (_ZERO,) * (N + 1 - len(vals)))
+    obj._hold(A, D, N)
     return obj
 
 
 class RationalSeries:
-    """Truncated series in z over Q."""
+    """Truncated series in z over Q: coefficient n is A[n] / D, with D > 0
+    and gcd(D, *A) == 1, so (N, A, D) is canonical."""
 
-    __slots__ = ("N", "c")
+    __slots__ = ("N", "A", "D", "_c")
 
     # perfbench/spans.py wraps the methods of ``series._Series`` and labels a
     # span "rational" when ``args[0].ring.m is None``.  This ``m``, ``ring``
@@ -268,8 +254,15 @@ class RationalSeries:
         N = max(len(vals) - 1, 0) if N is None else index(N)
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
+        vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))
+        D = lcm(*(x.denominator for x in vals))  # so gcd(D, *A) == 1
+        self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N, tuple(vals))
+
+    def _hold(self, A, D, N, c=None):
         object.__setattr__(self, "N", N)
-        object.__setattr__(self, "c", _rational(vals, N).c)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("series are immutable")
@@ -288,31 +281,40 @@ class RationalSeries:
 
     # -- basics -----------------------------------------------------------
 
+    @property
+    def c(self):
+        """The coefficients as reduced Fractions, built on first read."""
+        if self._c is None:
+            object.__setattr__(self, "_c", tuple(Fraction(a, self.D) for a in self.A))
+        return self._c
+
     def coeff(self, n):
         return self.c[n] if 0 <= n <= self.N else _ZERO
 
     def is_zero(self):
-        return not any(self.c)
+        return not any(self.A)
 
     def truncate(self, N):
         if N > self.N:
             raise FracmirrorError("cannot extend a truncated series")
-        return _rational(self.c, N)
+        return self if N == self.N else _make(self.A, self.D, N)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, RationalSeries):
-            return _rational(list(map(add, self.c, other.c)), min(self.N, other.N))
+            D = lcm(self.D, other.D)
+            a, b = D // self.D, D // other.D
+            return _make([x * a + y * b for x, y in zip(self.A, other.A)], D, min(self.N, other.N))
         x = _scalar(other)
         if x is None:
             return NotImplemented
-        return _rational((self.c[0] + x,) + self.c[1:], self.N)
+        return self + _make((x.numerator,), x.denominator, self.N)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _rational([-x for x in self.c], self.N)
+        return _make([-x for x in self.A], self.D, self.N)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RationalSeries) else -parse_fraction(other))
@@ -323,18 +325,21 @@ class RationalSeries:
     def __mul__(self, other):
         if isinstance(other, RationalSeries):
             N = min(self.N, other.N)
-            return _rational(_product(self.c, other.c, N), N)
+            return _make(_product(self.A, other.A, N), self.D * other.D, N)
         x = _scalar(other)
         if x is None:
             return NotImplemented
-        return _rational([y * x for y in self.c], self.N)
+        return _make([y * x.numerator for y in self.A], self.D * x.denominator, self.N)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """1/self: with c = A/D, u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
-        A, _ = _over_lcm(self.c)
-        return _rational(_recurrence(_invert(self.c[0]), [-x for x in A], [A[0]] * len(A)), self.N)
+        """1/self: u_0 = D/A_0 and u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
+        A = self.A
+        if not A[0]:
+            raise FracmirrorError("constant term is not invertible")
+        U, E = _recurrence(self.D, A[0], [-x for x in A], [A[0]] * len(A))
+        return _make(U, E, self.N)
 
     def __truediv__(self, other):
         if isinstance(other, RationalSeries):
@@ -343,49 +348,53 @@ class RationalSeries:
         x = _scalar(other)
         if x is None:
             return NotImplemented
-        return self * _invert(x)
+        if not x:
+            raise FracmirrorError("constant term is not invertible")
+        return self * (1 / x)
 
     # -- calculus -----------------------------------------------------------
 
     def theta(self):
         """z d/dz."""
-        return _rational([x * n for n, x in enumerate(self.c)], self.N)
+        return _make([n * x for n, x in enumerate(self.A)], self.D, self.N)
 
     def antitheta(self):
-        """Inverse of theta on series with zero constant term."""
-        if self.c[0]:
+        """Inverse of theta on series with zero constant term, over D lcm(1..N)."""
+        if self.A[0]:
             raise FracmirrorError("antitheta needs a zero constant term")
-        return _rational([_ZERO] + [self.c[n] / n for n in range(1, self.N + 1)], self.N)
+        L = lcm(*range(1, self.N + 1))
+        return _make([0] + [self.A[n] * (L // n) for n in range(1, self.N + 1)], self.D * L, self.N)
 
     def shift(self, j):
         """Multiply by z^j (j >= 0), truncating at the same order."""
         if j < 0:
             raise FracmirrorError("division by z is not defined for truncated series")
-        return _rational((_ZERO,) * j + self.c, self.N)
+        return _make((0,) * j + self.A, self.D, self.N)
 
     def compose(self, inner):
         """Self evaluated at ``inner``; inner must have zero constant term."""
         if not isinstance(inner, RationalSeries):
             raise TypeError("composition requires a RationalSeries")
-        if inner.c[0]:
+        if inner.A[0]:
             raise FracmirrorError("composition requires a zero inner constant term")
         N = min(self.N, inner.N)
         inner = inner.truncate(N)
-        res = _rational([self.c[N]], N)
+        A, D = self.A, self.D
+        res = _make(A[N : N + 1], D, N)
         for k in range(N - 1, -1, -1):
-            res = res * inner + self.c[k]
+            res = res * inner + _make(A[k : k + 1], D, N)
         return res
 
     def exp(self):
         """exp(self), c_0 = 0: with c = A/D, e_n = (sum_k k A_k e_(n-k)) / (n D)."""
-        if self.c[0]:
+        if self.A[0]:
             raise FracmirrorError("exp needs a zero constant term")
-        A, D = _over_lcm(self.c)
-        e = _recurrence(Fraction(1), [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))])
-        return _rational(e, self.N)
+        A, D = self.A, self.D
+        U, E = _recurrence(1, 1, [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))])
+        return _make(U, E, self.N)
 
     def log(self):
-        if self.c[0] != 1:
+        if self.A[0] != self.D:  # c_0 == 1 in canonical form
             raise FracmirrorError("log needs constant term 1")
         return (self.theta() / self).antitheta()
 
@@ -393,36 +402,46 @@ class RationalSeries:
         """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
 
         Lagrange inversion: with c1 nonzero and h = w / self(w) of order N-1,
-        [q^k] T = (1/k) [w^(k-1)] h^k, read off the running powers of h.
+        [q^k] T = (1/k) [w^(k-1)] h^k is A[k-1] of h^k over k times its D.
         """
         if self.N < 1:
             raise FracmirrorError("reversion needs a series of order N >= 1")
-        if self.c[0]:
+        if self.A[0]:
             raise FracmirrorError("reversion needs a zero constant term")
-        if not self.c[1]:
+        if not self.A[1]:
             raise FracmirrorError("reversion needs an invertible linear coefficient")
-        h = _rational(self.c[1:], self.N - 1).inverse()
-        out, power = [_ZERO, h.c[0]], h  # power = h^1
+        h = _make(self.A[1:], self.D, self.N - 1).inverse()
+        nums, dens, power = [0, h.A[0]], [1, h.D], h  # power = h^1
         for k in range(2, self.N + 1):
             power = power * h
-            out.append(power.c[k - 1] / k)
-        return _rational(out, self.N)
+            nums.append(power.A[k - 1])
+            dens.append(k * power.D)
+        D = lcm(*dens)
+        return _make([p * (D // q) for p, q in zip(nums, dens)], D, self.N)
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, RationalSeries) and (self.N, self.c) == (other.N, other.c)
+        if not isinstance(other, RationalSeries):
+            return False
+        return (self.N, self.D, self.A) == (other.N, other.D, other.A)
 
     def __hash__(self):
-        return hash((self.N, self.c))
+        return hash((self.N, self.A, self.D))
 
     def __repr__(self):
         terms = [f"{fraction_str(x)}*z^{n}" for n, x in enumerate(self.c) if x != 0]
         body = " + ".join(terms) if terms else "0"
         return f"RationalSeries({body} + O(z^{self.N + 1}))"
 
+    def _coeff_strs(self):
+        """``fraction_str`` of each coefficient, with one gcd per coefficient."""
+        A, D = self.A, self.D
+        G = map(gcd, A, [D] * len(A))
+        return [str(a // g) if g == D else f"{a // g}/{D // g}" for a, g in zip(A, G)]
+
     def to_json(self):
-        return {"N": self.N, "coeffs": [fraction_str(x) for x in self.c]}
+        return {"N": self.N, "coeffs": self._coeff_strs()}
 
 
 _Series = RationalSeries  # for perfbench/spans.py until ROADMAP item 5
@@ -554,8 +573,8 @@ class NilpotentSeries:
         return f"NilpotentSeries(m={self.m}, N={self.N}, c0={self.coeff(0)!r}, ...)"
 
     def to_json(self):
-        rows = zip(*(s.c for s in self.slices))
-        return {"N": self.N, "coeffs": [[fraction_str(x) for x in row] for row in rows], "m": self.m}
+        rows = zip(*(s._coeff_strs() for s in self.slices))
+        return {"N": self.N, "coeffs": [list(row) for row in rows], "m": self.m}
 
 
 class LogSeries:

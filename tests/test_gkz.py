@@ -173,7 +173,11 @@ def test_hypergeometric_series_matches_rebuilt_products(m):
 
 
 def _same_reduced_coefficients(s, oracle):
+    # the eps-slices, handed over as integers, equal the RationalSeries built
+    # from the oracle's Fractions, in canonical form
     assert (s.m, s.N) == (oracle.m, oracle.N) and s.c == oracle.c
+    assert s.slices == oracle.slices and hash(s) == hash(oracle)
+    assert all(x.D > 0 and math.gcd(x.D, *x.A) == 1 for x in s.slices)
     assert all(
         type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
         for c in s.c

@@ -114,6 +114,23 @@ def test_scale_must_come_from_half_exponents():
         frobenius_pair((-2, 1, 1), (Fraction(-1, 3), 0, 0), 4)
 
 
+@pytest.mark.parametrize(
+    "ell, alpha",
+    [
+        ((1.7, 1, 1, 1, -4), (0, 0, 0, 0, Fraction(-1, 2))),
+        ((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5)),
+    ],
+    ids=["float-kernel-entry", "float-exponent"],
+)
+def test_frobenius_pair_refuses_floats(ell, alpha):
+    # a float kernel entry is not truncated to int, nor a float exponent
+    # read as the Fraction it happens to equal
+    exact = frobenius_pair((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), 3)
+    assert exact.omega0.coeff(1) == Fraction(105, 16)
+    with pytest.raises(TypeError):
+        frobenius_pair(ell, alpha, 3)
+
+
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_log_solution_jointly_annihilated(case, request):
     pair, ell, alpha = _pair(request.getfixturevalue(case), 16)

@@ -47,6 +47,13 @@ def test_fraction_text_round_trip():
         assert fraction_str(parse_fraction(s)) == s
 
 
+def test_fraction_str_refuses_floats():
+    # 0.5 is refused, not printed as the fraction it happens to equal
+    assert fraction_str(2) == "2" and fraction_str("6/4") == "3/2"
+    with pytest.raises(TypeError):
+        fraction_str(0.5)
+
+
 # ---------------------------------------------------------------- EpsPoly
 
 
@@ -338,6 +345,71 @@ def test_kernels_match_fraction_loops_on_wide_coefficients():
     f = a - a.coeff(0)
     _same_reduced_fractions(f.exp(), exp_term_by_term(f))
     assert max(x.numerator.bit_length() for x in (a * b).c) > 800
+
+
+# ------------------------------------------------ canonical (N, A, D) form
+
+# zeros, negatives, small denominators and numerators and denominators of
+# over a hundred bits
+_canon_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def _canon_series(draw):
+    """Order 0 <= N <= 7, sometimes the zero series."""
+    N = draw(st.integers(0, 7))
+    if draw(st.integers(0, 9)) == 0:
+        return RationalSeries.zero(N)
+    return RationalSeries(draw(st.lists(_canon_coeffs, min_size=N + 1, max_size=N + 1)), N)
+
+
+def _same_canonical(s, oracle):
+    """s is in canonical form and equals the series the Fraction oracle built."""
+    assert s.D > 0 and math.gcd(s.D, *s.A) == 1 and len(s.A) == s.N + 1
+    assert s.c == oracle.c and s == oracle and hash(s) == hash(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_canon_series(), _canon_series(), _canon_coeffs, st.integers(0, 3))
+def test_every_operation_returns_the_canonical_form(a, b, x, j):
+    N = min(a.N, b.N)
+    f = a - a.coeff(0)
+    cases = [
+        (a * b, product_term_by_term(a, b)),
+        (a + b, RationalSeries([p + q for p, q in zip(a.c, b.c)], N)),
+        (a - b, RationalSeries([p - q for p, q in zip(a.c, b.c)], N)),
+        (a * x, RationalSeries([p * x for p in a.c], a.N)),
+        (a + x, RationalSeries([a.c[0] + x, *a.c[1:]], a.N)),
+        (f, RationalSeries([0, *a.c[1:]], a.N)),
+        (a.theta(), RationalSeries([n * p for n, p in enumerate(a.c)], a.N)),
+        (a.shift(j), RationalSeries([0] * j + list(a.c), a.N)),
+        (a.truncate(N), RationalSeries(a.c[: N + 1], N)),
+        (f.antitheta(), RationalSeries([0] + [f.c[n] / n for n in range(1, f.N + 1)], f.N)),
+        (f.exp(), exp_term_by_term(f)),
+    ]
+    if a.c[0]:
+        cases.append((a.inverse(), inverse_term_by_term(a)))
+    if f.N >= 1 and f.c[1]:
+        cases.append((f.reversion(), reversion_by_composition(f)))
+    for s, oracle in cases:
+        _same_canonical(s, oracle)
+
+
+def test_zero_series_is_zeros_over_one():
+    a = RationalSeries([Fraction(1, 3), Fraction(-5, 7)], 1)
+    for zero in (a - a, a * 0, RationalSeries.zero(1), RationalSeries([0, 0])):
+        assert (zero.A, zero.D) == ((0, 0), 1)
+
+
+def test_truncation_divides_out_the_content_of_the_prefix():
+    # 1/2 + z/3 is (3, 2)/6; its order-0 prefix is 3/6 = 1/2
+    s = RationalSeries([Fraction(1, 2), Fraction(1, 3)]).truncate(0)
+    assert s == RationalSeries([Fraction(1, 2)])
+    assert (s.A, s.D) == ((1,), 2)
 
 
 # ----------------------------------------------------------- nilpotent part

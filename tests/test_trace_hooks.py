@@ -219,28 +219,43 @@ def _count_fractions(monkeypatch, build):
     return result, built
 
 
-def test_hypergeometric_kernel_builds_one_fraction_per_coefficient(monkeypatch):
-    # the recurrence runs on integer numerators over one denominator: one
-    # Fraction per output coefficient of c_1..c_N, plus c_0 = 1 and the zeros
-    # that pad c_0 and the series, are all it builds (the EpsPoly loop builds
-    # ~m^2 per order and more per factor)
+def test_hypergeometric_kernel_builds_no_fraction(monkeypatch):
+    # the recurrence runs on integer numerators over one denominator, and the
+    # eps-slices are handed over as integers (the EpsPoly loop builds ~m^2
+    # Fractions per order and more per factor)
     m, N = 4, 16
     num, den = [(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4
     s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N))
     assert (s.m, s.N) == (m, N)
-    assert built <= m * (N + 1) + 2
+    assert built == 0
 
 
-def test_rational_product_builds_one_fraction_per_coefficient(monkeypatch):
-    # the product runs on integer numerators over one denominator: its N + 1
-    # output coefficients and the zero that pads a series are the only
-    # Fractions it builds (the term-by-term loop builds ~N^2)
+def test_rational_kernels_build_no_fraction(monkeypatch):
+    # a series is integer numerators over one denominator, and every kernel
+    # works on those: none builds a Fraction (the term-by-term loops build
+    # ~N^2, and reading ``c`` builds N + 1)
     rng = random.Random(16)
     N = 16
     a, b = (
         RationalSeries([Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(N + 1)], N)
         for _ in range(2)
     )
-    product, built = _count_fractions(monkeypatch, lambda: a * b)
-    assert product.N == N
-    assert built <= N + 2
+    f, x = a - a.coeff(0) + RationalSeries.z(N), Fraction(3, 4)
+    ops = {
+        "product": lambda: a * b,
+        "sum": lambda: a + b,
+        "difference": lambda: a - b,
+        "scalar product": lambda: a * x,
+        "inverse": a.inverse,
+        "exp": f.exp,
+        "reversion": f.reversion,
+        "compose": lambda: a.compose(f),
+        "theta": a.theta,
+        "antitheta": f.antitheta,
+        "shift": lambda: a.shift(2),
+        "truncate": lambda: a.truncate(N - 3),
+        "to_json": a.to_json,
+    }
+    for name, op in ops.items():
+        _, built = _count_fractions(monkeypatch, op)
+        assert (name, built) == (name, 0)
