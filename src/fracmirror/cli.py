@@ -141,13 +141,12 @@ def _cmd_dual_nef(ctx):
         "nabla_dual": nabla_dual.to_dict(),
         "dual_partition": {"delta": nabla.to_dict(), "parts": dual_parts},
     }
-    lines = []
-    for i, P in enumerate(parts):
-        lines.append(f"nabla_{i} vertices: {list(P.vertices)}")
-    lines.append(f"nabla vertices: {list(nabla.vertices)}")
-    lines.append(f"nabla_dual vertices: {list(nabla_dual.vertices)}")
-    lines.append(f"dual partition parts: {dual_parts}")
-    return payload, lines, [_SMOOTHNESS_WARNING]
+    return payload, lambda: [
+        *(f"nabla_{i} vertices: {list(P.vertices)}" for i, P in enumerate(parts)),
+        f"nabla vertices: {list(nabla.vertices)}",
+        f"nabla_dual vertices: {list(nabla_dual.vertices)}",
+        f"dual partition parts: {dual_parts}",
+    ], [_SMOOTHNESS_WARNING]
 
 
 def _topology_lines(topo):
@@ -164,7 +163,7 @@ def _topology_lines(topo):
 
 def _cmd_euler(ctx):
     topo = ctx.topology
-    return topo.to_json(), _topology_lines(topo), []
+    return topo.to_json(), lambda: _topology_lines(topo), []
 
 
 def _hodge_lines(label, table):
@@ -184,8 +183,9 @@ def _cmd_hodge(ctx):
         "chi_Y": topo.chi_Y,
         "chi_Y_dual": topo.chi_Y_dual,
     }
-    lines = _hodge_lines("Y", topo.hodge) + _hodge_lines("Y_dual", topo.hodge_dual)
-    return payload, lines, []
+    return payload, lambda: [
+        *_hodge_lines("Y", topo.hodge), *_hodge_lines("Y_dual", topo.hodge_dual)
+    ], []
 
 
 def _cmd_gkz(ctx):
@@ -196,21 +196,19 @@ def _cmd_gkz(ctx):
         "A_rows": [list(r) for r in rows],
         "beta": [fraction_str(b) for b in beta],
     }
-    lines = ["A (display row order, Kronecker block first):"]
-    for row in rows:
-        lines.append("  [" + " ".join(f"{x:3d}" for x in row) + "]")
-    lines.append("beta = (" + ", ".join(fraction_str(b) for b in beta) + ")")
-    lines.append("alpha = (" + ", ".join(fraction_str(a) for a in g.alpha) + ")")
-    for v in g.kernel:
-        lines.append(f"kernel vector: {list(v)}")
-    return payload, lines, []
+    return payload, lambda: [
+        "A (display row order, Kronecker block first):",
+        *("  [" + " ".join(f"{x:3d}" for x in row) + "]" for row in rows),
+        "beta = (" + ", ".join(fraction_str(b) for b in beta) + ")",
+        "alpha = (" + ", ".join(fraction_str(a) for a in g.alpha) + ")",
+        *(f"kernel vector: {list(v)}" for v in g.kernel),
+    ], []
 
 
 def _cmd_pf(ctx):
     ell, op = ctx.ell, ctx.op
     payload = {"kernel_vector": list(ell), "operator": op.to_json()}
-    lines = [f"kernel vector: {list(ell)}", f"operator: {op.display()}"]
-    return payload, lines, []
+    return payload, lambda: [f"kernel vector: {list(ell)}", f"operator: {op.display()}"], []
 
 
 def _cmd_mirror_map(ctx):
@@ -223,14 +221,13 @@ def _cmd_mirror_map(ctx):
         "q_of_z": q_of_z.to_json(),
         "z_of_q": z_of_q.to_json(),
     }
-    lines = [
+    return payload, lambda: [
         f"scale s = {pair.scale}",
         f"omega0(z) = {_series_text(pair.omega0, 'z')}",
         f"tau(z) = {_series_text(pair.tau, 'z')}",
         f"q(z) = {_series_text(q_of_z, 'z')}",
         f"z(q) = {_series_text(z_of_q, 'q')}",
-    ]
-    return payload, lines, []
+    ], []
 
 
 def _cmd_yukawa(ctx):
@@ -239,18 +236,17 @@ def _cmd_yukawa(ctx):
         reason = "Yukawa ODE defined for threefold operators"
         return (
             {"skipped": reason, "operator_degree": op.degree},
-            [f"skipped: {reason} (operator degree {op.degree})"],
+            lambda: [f"skipped: {reason} (operator degree {op.degree})"],
             [],
         )
     C = _normalization(ctx.config)
     ydata = a_model_correlation(op, ctx.pair, ctx.mirror[1], C, ctx.config.N)
     payload = ydata.to_json()
-    lines = [
+    return payload, lambda: [
         f"normalization C = {fraction_str(ydata.C)}",
         f"Y_z(z) = {_series_text(ydata.Y_z, 'z')}",
         f"K(q) = {_series_text(ydata.K_q, 'q')}",
-    ]
-    return payload, lines, []
+    ], []
 
 
 def _cmd_ifunction(ctx):
@@ -267,12 +263,11 @@ def _cmd_ifunction(ctx):
         "i_function": I.to_json(),
         "mirror_map_series": ratio.to_json(),
     }
-    lines = [
+    return payload, lambda: [
         f"weights: numerator {list(num)}, denominator {list(den)}",
         f"A(q) = {_series_text(I.eps_slice(0), 'q')}",
         f"B/A (mirror map series) = {_series_text(ratio, 'q')}",
-    ]
-    return payload, lines, []
+    ], []
 
 
 def _cmd_bseries(ctx):
@@ -292,33 +287,32 @@ def _cmd_bseries(ctx):
         },
         "b_series": B.to_json(),
     }
-    lines = [
+    return payload, lambda: [
         f"ring: Q[eps]/(eps^{ring.m}), integral scale {fraction_str(ring.integral_scale)}",
         f"eps^0 slice (omega0) = {_series_text(B.part(0).eps_slice(0), 'z')}",
         f"log-degree = {B.log_degree}",
-    ]
-    return payload, lines, []
+    ], []
 
 
 def _cmd_all(ctx):
     payload = {}
-    lines = []
+    sections = []
     warnings = []
-    sections = (
+    for name, fn in (
         ("euler", _cmd_euler),
         ("hodge", _cmd_hodge),
         ("gkz", _cmd_gkz),
         ("pf", _cmd_pf),
         ("mirror-map", _cmd_mirror_map),
         ("yukawa", _cmd_yukawa),
-    )
-    for name, fn in sections:
+    ):
         sub_payload, sub_lines, sub_warn = fn(ctx)
         payload[name.replace("-", "_")] = sub_payload
-        lines.append(f"== {name} ==")
-        lines.extend(sub_lines)
+        sections.append((name, sub_lines))
         warnings.extend(sub_warn)
-    return payload, lines, warnings
+    return payload, lambda: [
+        line for name, sub_lines in sections for line in (f"== {name} ==", *sub_lines())
+    ], warnings
 
 
 _DISPATCH = {
@@ -362,16 +356,17 @@ def run(config):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        # a command returns its table as a function of no arguments, so the
+        # lines (and the Fractions they print) are built only for a table
         payload, lines, warnings = _DISPATCH[config.command](_Context(config, data))
+        text = (json.dumps(payload, indent=2, sort_keys=True) if config.fmt == "json"
+                else "\n".join(lines()))
     except FracmirrorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     for w in warnings:
         print(w, file=sys.stderr)
-    if config.fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    print(text)
     return 0
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .picard_fuchs import apply
-from .series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
+from .series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries, parse_fraction
 
 __all__ = [
     "CohomRing",
@@ -54,9 +54,9 @@ class CohomRing:
         object.__setattr__(self, "m", operator.index(m))
         if isinstance(classes, dict):
             classes = classes.items()
-        pairs = tuple((str(k), Fraction(v)) for k, v in classes)
+        pairs = tuple((str(k), parse_fraction(v)) for k, v in classes)
         object.__setattr__(self, "classes", pairs)
-        object.__setattr__(self, "integral_scale", Fraction(integral_scale))
+        object.__setattr__(self, "integral_scale", parse_fraction(integral_scale))
         object.__setattr__(self, "rank", operator.index(rank))
         if distinguished is not None:
             mult = dict(pairs)

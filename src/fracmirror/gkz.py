@@ -23,7 +23,7 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import NilpotentSeries, _make
+from .series import NilpotentSeries, _make, parse_fraction
 
 __all__ = [
     "GkzSystem",
@@ -92,7 +92,7 @@ def build_gkz(data):
     )
     # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
     # each vector is signed so its first nonzero entry is negative
-    rank, U = linalg.echelon(list(zip(*A)))
+    rank, U, _ = linalg.echelon(list(zip(*A)))
     kernel = tuple(
         tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
         for v in U[rank:]
@@ -130,7 +130,7 @@ def _series_factors(ell, alpha):
     num = []  # (base = -alpha_e, step = |ell_e|)
     den = []  # (base = 1 + alpha_e, step = ell_e)
     for le, ae in zip(ell, alpha):
-        ae = Fraction(ae)
+        ae = parse_fraction(ae)
         if le < 0:
             if ae.denominator == 1:
                 raise FracmirrorError(

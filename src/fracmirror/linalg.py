@@ -3,23 +3,21 @@
 A matrix is a sequence of equal-length rows of Python or NumPy ints (a float
 raises TypeError, never truncated); results are lists of rows of Python ints,
 so nothing ever overflows.  ``echelon`` triangularizes by unimodular 2×2
-gcd row steps; its transform gives lattice bases of affine spans and
-saturated kernels.  One fraction-free Gauss–Jordan elimination (Bareiss
-1968) lies behind ``det`` (on M) and ``adjugate`` and ``inverse_unimodular``
-(on [M | I]); ``independent_rows`` reduces rows fraction-free too.  No
-rational is formed.
+gcd row steps and carries the inverse of its transform; the transform gives
+lattice bases of affine spans and saturated kernels.  ``row_basis`` is one
+fraction-free Gauss–Jordan elimination (Bareiss 1968) of the rows taken as
+columns: it finds their lex-first basis S and a transform E with
+S·Eᵀ = d·I, the seed of a double-description pass.  ``det`` is fraction-free
+forward elimination.  No rational is formed.
 """
 
-import math
 import operator
 
 __all__ = [
     "exgcd",
-    "adjugate",
     "det",
-    "independent_rows",
+    "row_basis",
     "echelon",
-    "inverse_unimodular",
 ]
 
 
@@ -38,88 +36,86 @@ def exgcd(a, b):
     return old_r, old_x, old_y
 
 
-def _bareiss(M, augment=False):
-    """Fraction-free Gauss–Jordan elimination of the square M, or of [M | I].
+def det(M):
+    """Exact determinant of a square integer matrix.
 
-    Rows become ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev
-    the last one), an exact division.  Returns ``(sign, p, rows)``: det M =
-    sign·p, with sign that of the row swaps and p the last pivot, 0 when M is
-    singular.
+    Bareiss's fraction-free elimination: rows below the pivot become
+    ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev the last
+    one), an exact division, and the last pivot is the determinant up to the
+    sign of the row swaps.
     """
     A = [[operator.index(x) for x in row] for row in M]
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("matrix must be square")
-    if augment:
-        A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     sign = 1
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if A[i][k] != 0), None)
         if piv is None:
-            return sign, 0, A
+            return 0
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
         p, pivot_row = A[k][k], A[k]
-        for i in range(n):
-            if i != k:
-                f = A[i][k]
-                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
+        for i in range(k + 1, n):
+            f = A[i][k]
+            A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
         prev = p
-    return sign, prev, A
+    return sign * prev
 
 
-def adjugate(M):
-    """``(det M, adj M)`` by the elimination of [M | I].
+def row_basis(M):
+    """The lex-first basis of the rows of M and its transform: ``(idx, d, E)``.
 
-    ``adj M`` is a list of integer rows with M·adj = det·I, or None when M is
-    singular.
+    One fraction-free Gauss–Jordan elimination of [Mᵀ | I_k] with pivot
+    columns chosen left to right (Bareiss, Math. Comp. 1968; Cohen, *A Course
+    in Computational Algebraic Number Theory*, §2.2), keeping only the k×k
+    transform E.  Row i of M becomes the column E·M[i] only when the scan
+    reaches it, and the scan stops at the k-th pivot.  ``idx`` lists the rows
+    outside the span of the rows before them.  With S = [M[i] for i in idx]
+    and r = len(idx), S·E[:r]ᵀ = d·I and E[r:] vanishes on every row of M;
+    so when the rows span R^k, row j of E signed by d is tight on every row
+    of S but ``idx[j]``, and positive on that one.
     """
-    sign, p, A = _bareiss(M, augment=True)
-    if p == 0:
-        return 0, None
-    n = len(A)
-    return sign * p, [[sign * x for x in row[n:]] for row in A]
-
-
-def det(M):
-    """Exact determinant of a square integer matrix, eliminating M alone."""
-    sign, p, _ = _bareiss(M)
-    return sign * p
-
-
-def independent_rows(M):
-    """Indices of the rows of M outside the span of the rows before them.
-
-    Each row is reduced against the basis kept so far: ``v ← b[p]·v − v[p]·b``
-    clears the pivot column p of basis row b, and a row that stays nonzero
-    joins the basis divided by its gcd.
-    """
-    basis = []  # (row index, pivot column, primitive reduced row)
-    for idx, row in enumerate(M):
-        v = [operator.index(x) for x in row]
-        if len(basis) == len(v):
+    k = len(M[0]) if len(M) else 0
+    E = [[int(i == j) for j in range(k)] for i in range(k)]
+    idx = []
+    d = 1
+    for j, row in enumerate(M):
+        t = len(idx)
+        if t == k:
             break
-        for _, p, b in basis:
-            if v[p] != 0:
-                v = [b[p] * a - v[p] * c for a, c in zip(v, b)]
-        piv = next((j for j, a in enumerate(v) if a != 0), None)
-        if piv is not None:
-            g = math.gcd(*v)
-            basis.append((idx, piv, [a // g for a in v]))
-    return [idx for idx, _, _ in basis]
+        row = tuple(map(operator.index, row))
+        if len(row) != k:
+            raise ValueError("matrix rows must have equal length")
+        c = [sum(map(operator.mul, e, row)) for e in E]
+        piv = next((i for i in range(t, k) if c[i]), None)
+        if piv is None:
+            continue
+        if piv != t:
+            E[t], E[piv] = E[piv], E[t]
+            c[t], c[piv] = c[piv], c[t]
+        p, pivot_row = c[t], E[t]
+        for i in range(k):
+            if i != t:
+                f = c[i]
+                E[i] = [(p * a - f * b) // d for a, b in zip(E[i], pivot_row)]
+        d = p
+        idx.append(j)
+    return idx, d, E
 
 
 def echelon(M):
-    """Row echelon form of M reached by unimodular row steps: ``(r, U)``.
+    """Row echelon form of M reached by unimodular row steps: ``(r, U, V)``.
 
-    U is unimodular, given as lists of Python ints, and rows r.. of U·M are
-    zero, so r is the rank of M and ``U[r:]`` is a saturated basis of the
-    lattice of integer v with v·M = 0.  Each column's pivot is the gcd of its
-    entries at or below row r, brought up by 2×2 ``exgcd`` steps applied to
-    both A and U (Cohen, *A Course in Computational Algebraic Number Theory*,
-    §2.4).
+    U is unimodular and V = U⁻¹, both given as lists of Python ints, and
+    rows r.. of U·M are zero, so r is the rank of M and ``U[r:]`` is a
+    saturated basis of the lattice of integer v with v·M = 0.  Each column's
+    pivot is the gcd of its entries at or below row r, brought up by 2×2
+    ``exgcd`` steps (x, y; −q, p) applied to the rows of both A and U, while
+    their inverses (p, −y; q, x) act on the columns of V (Cohen, *A Course in
+    Computational Algebraic Number Theory*, §2.4).
     """
     A = [[operator.index(x) for x in row] for row in M]
     m = len(A)
@@ -127,6 +123,7 @@ def echelon(M):
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows must have equal length")
     U = [[int(i == j) for j in range(m)] for i in range(m)]
+    W = [[int(i == j) for j in range(m)] for i in range(m)]  # the columns of V
     r = 0
     for j in range(n):
         if r == m:
@@ -140,16 +137,10 @@ def echelon(M):
                 for R in (A, U):
                     R[r], R[i] = ([x * s + y * t for s, t in zip(R[r], R[i])],
                                   [p * t - q * s for s, t in zip(R[r], R[i])])
+                W[r], W[i] = ([p * s + q * t for s, t in zip(W[r], W[i])],
+                              [x * t - y * s for s, t in zip(W[r], W[i])])
         r += A[r][j] != 0
-    return r, U
-
-
-def inverse_unimodular(U):
-    """Exact inverse of an integer matrix with det +-1, as integer rows."""
-    d, adj = adjugate(U)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return [[d * x for x in row] for row in adj]
+    return r, U, [list(row) for row in zip(*W)]
 
 
 smith_normal_form = None  # for perfbench/spans.py until ROADMAP item 5

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
-from .series import LogSeries, NilpotentSeries, RationalSeries, fraction_str
+from .series import LogSeries, NilpotentSeries, RationalSeries, fraction_str, parse_fraction
 
 __all__ = [
     "ThetaOperator",
@@ -145,7 +145,7 @@ def theta_conjugate(ell, alpha):
     g_poly = [Fraction(1)]
     g_roots = []
     for le, ae in zip(ell, alpha):
-        ae = Fraction(ae)
+        ae = parse_fraction(ae)
         if le > 0:
             for m in range(le):
                 f_poly = _poly_mul(f_poly, [Fraction(-m), Fraction(le)])

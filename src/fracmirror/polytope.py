@@ -3,14 +3,14 @@
 Everything is integer/rational arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone, in the
 coordinates of a unimodular echelon transform only when the points span less
-than the ambient space.  One rank test on the homogenized points gives the
-affine dimension and seeds the pass, which returns each facet with the
-bitmask of the input points on it, formed without a dot product; the
-vertices are read off those masks, which are kept as the facet–vertex
-incidences.  Volumes
-are normalized lattice volumes in the affine span, summed over the simplices
-of a pulling triangulation read off those incidences; lattice-point scans
-run on the one exact-int prefix→interval scan in ``_accel``.
+than the ambient space.  One fraction-free elimination of the homogenized
+points gives the affine dimension and the seed rays of the pass, which
+returns each facet with the bitmask of the input points on it, formed without
+a dot product; the vertices are read off those masks, which are kept as the
+facet–vertex incidences.  Volumes are normalized lattice volumes in the
+affine span, summed over the simplices of a pulling triangulation read off
+those incidences; lattice-point scans run on the one exact-int
+prefix→interval scan in ``_accel``.
 """
 
 import math
@@ -53,18 +53,19 @@ def _dd_extreme_rays(rows, seed=None):
     ``rows`` are integer tuples (floats raise TypeError) spanning the ambient
     space R^k (pointed dual cone).  Zero and repeated rows are dropped; bit i
     of a mask stands for the i-th distinct nonzero row, which is row i when
-    the rows are distinct and nonzero.  ``seed`` lists k linearly independent
-    rows by those indices, as a caller's own rank test found them; without it
-    the first independent rows seed the pass.  Returns lex-sorted pairs
-    ``(ray, mask)``: a primitive integer generator and the bitmask of the rows
-    r with r·ray = 0.
+    the rows are distinct and nonzero.  ``seed`` is ``linalg.row_basis`` of
+    those rows, ``(idx, d, E)`` with S·Eᵀ = d·I for the k independent rows
+    S = [rows[i] for i in idx], as a caller's own pass found it; without it
+    the pass runs here.  Returns lex-sorted pairs ``(ray, mask)``: a
+    primitive integer generator and the bitmask of the rows r with r·ray = 0.
 
-    No mask costs a dot product.  Seed ray j is tight on every seed row but
-    its own (S·adj S = det·I).  The ray s₊·r₋ − s₋·r₊ formed at row t is tight
-    on t and on exactly the inserted rows its two parents share, since both
-    terms are >= 0 on an inserted row and the weights are positive.  Adjacent
-    rays share at least k − 2 tight rows, and distinct adjacent pairs give
-    distinct rays, each inside its own 2-face, so none is formed twice.
+    No mask costs a dot product.  Seed ray j, row j of E signed by d, is
+    tight on every seed row but ``idx[j]``.  The ray s₊·r₋ − s₋·r₊ formed at
+    row t is tight on t and on exactly the inserted rows its two parents
+    share, since both terms are >= 0 on an inserted row and the weights are
+    positive.  Adjacent rays share at least k − 2 tight rows, and distinct
+    adjacent pairs give distinct rays, each inside its own 2-face, so none
+    is formed twice.
     """
     index = {}
     for r in rows:
@@ -76,16 +77,11 @@ def _dd_extreme_rays(rows, seed=None):
         raise ValueError("cone needs at least one constraint")
     k = len(rows[0])
 
-    if seed is None:
-        seed = linalg.independent_rows(rows)
+    seed, d, E = linalg.row_basis(rows) if seed is None else seed
     if len(seed) < k:
         raise ValueError("cone is not pointed: constraints do not span")
 
-    # seed row i meets column j of adj(S) at det(S)·δ_ij: each column, signed
-    # by det(S) and made primitive, is a ray of the simplicial seed cone
-    d, adj = linalg.adjugate([rows[i] for i in seed])
-    sign = 1 if d > 0 else -1
-    rays = [_primitive([sign * adj[i][j] for i in range(k)]) for j in range(k)]
+    rays = [_primitive(e if d > 0 else [-x for x in e]) for e in E]
     full = sum(1 << i for i in seed)
     masks = [full ^ (1 << i) for i in seed]
 
@@ -174,12 +170,12 @@ class LatticePolytope:
             self._incidences = ()
             return
 
-        # one rank test: the independent homogenized points give the affine
+        # one elimination: the independent homogenized points give the affine
         # dimension and seed the DD, in span coordinates too, since the
         # projection onto the span keeps affine independence
         rows = [p + (1,) for p in pts]
-        seed = linalg.independent_rows(rows)
-        a = self.affine_dim = len(seed) - 1
+        idx, d, E = linalg.row_basis(rows)
+        a = self.affine_dim = len(idx) - 1
 
         if a == D:
             self._v0 = tuple([0] * D)
@@ -191,15 +187,17 @@ class LatticePolytope:
             # U·diffsᵀ vanish, so U[:a] maps the span's lattice onto Z^a
             v0 = pts[0]
             diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
-            _, U = linalg.echelon(list(zip(*diffs)))
+            _, U, V = linalg.echelon(list(zip(*diffs)))
             self._v0 = v0
             self._U = U
-            self._B = [row[:a] for row in linalg.inverse_unimodular(U)]
+            self._B = [row[:a] for row in V]
             span_pts = [self._project(p) for p in pts]
             rows = [y + (1,) for y in span_pts]
+            # only the a+1 seed rows, which span R^(a+1), are eliminated again
+            _, d, E = linalg.row_basis([rows[i] for i in idx])
 
         # the rows are distinct and nonzero, so mask bit i is point i
-        rays = _dd_extreme_rays(rows, seed)
+        rays = _dd_extreme_rays(rows, (idx, d, E))
         self._span_facets = tuple((r[:-1], r[-1]) for r, _ in rays)
 
         # a point is a vertex iff no other point lies on every facet it lies

@@ -225,6 +225,68 @@ def smith_relations(M):
     return SmithRelations(kernel=kernel, rank=r, index=math.prod(D[i][i] for i in range(r)))
 
 
+def independent_rows(M):
+    """Indices of the rows of M outside the span of the rows before them,
+    the basis ``linalg.row_basis`` must choose.
+
+    Each row is reduced against the basis kept so far: ``v ← b[p]·v − v[p]·b``
+    clears the pivot column p of basis row b, and a row that stays nonzero
+    joins the basis divided by its gcd.
+    """
+    basis = []  # (row index, pivot column, primitive reduced row)
+    for idx, row in enumerate(M):
+        v = [operator.index(x) for x in row]
+        if len(basis) == len(v):
+            break
+        for _, p, b in basis:
+            if v[p] != 0:
+                v = [b[p] * a - v[p] * c for a, c in zip(v, b)]
+        piv = next((j for j, a in enumerate(v) if a != 0), None)
+        if piv is not None:
+            g = math.gcd(*v)
+            basis.append((idx, piv, [a // g for a in v]))
+    return [idx for idx, _, _ in basis]
+
+
+def adjugate(M):
+    """``(det M, adj M)`` by a fraction-free Gauss–Jordan elimination of
+    [M | I], the transform ``linalg.row_basis`` is checked against.
+
+    ``adj M`` is a list of integer rows with M·adj = det·I, or None when M is
+    singular.
+    """
+    A = [[operator.index(x) for x in row] for row in M]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix must be square")
+    A = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p, pivot_row = A[k][k], A[k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
+
+
+def inverse_unimodular(U):
+    """Exact inverse of an integer matrix with det ±1, the inverse
+    ``linalg.echelon`` carries is checked against."""
+    d, adj = adjugate(U)
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adj]
+
+
 def volume_by_dilation_counts(P):
     """Normalized volume as the alternating sum of a+1 dilated lattice-point
     counts (the leading Ehrhart coefficient times a!)."""
@@ -548,7 +610,7 @@ def hull_by_smith_and_rank(points, ambient_dim):
     vertices = []
     for p, y in zip(pts, span):
         tight = [g for g, c in facets if dot(g, y) + c == 0]
-        if tight and len(linalg.independent_rows(tight)) == a:
+        if tight and len(independent_rows(tight)) == a:
             vertices.append(p)
     lifted = []
     for g, c in facets:

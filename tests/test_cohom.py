@@ -226,6 +226,23 @@ def test_ring_distinguished_guard():
             CohomRing(m, {"H": 1}, 1, rank=rank)
 
 
+def test_cohomology_api_refuses_floats():
+    # a float exponent, class multiple or integral scale is not read as the
+    # Fraction it happens to equal; "p/q" strings and Fractions still are
+    exact = deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, Fraction(-1, 2)), 3, 2)
+    assert deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), 3, 2) == exact
+    with pytest.raises(TypeError):
+        deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5), 3, 2)
+    with pytest.raises(TypeError):
+        theta_conjugate((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5))
+    ring = CohomRing(2, {"H": "1/2"}, Fraction(3, 2))
+    assert ring.classes == (("H", Fraction(1, 2)),) and ring.integral_scale == Fraction(3, 2)
+    with pytest.raises(TypeError):
+        CohomRing(2, {"H": 0.5}, 1)
+    with pytest.raises(TypeError):
+        CohomRing(2, {"H": 1}, 1.5)
+
+
 def test_pairing_anti_diagonal():
     ring = _threefold_ring(2)
     half = Fraction(1, 2)

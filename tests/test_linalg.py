@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: echelon transforms, kernels, unimodular solves."""
+"""Exact integer linear algebra: echelon transforms, kernels, unimodular solves,
+and the one elimination that seeds a hull."""
 
 import random
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmirror import linalg
-from oracles import smith_normal_form, smith_relations
+from oracles import adjugate, independent_rows, inverse_unimodular, smith_normal_form, smith_relations
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -83,7 +86,7 @@ def test_adjugate_matches_fraction_and_sympy_oracles():
     singular = swapped = 0
     for M in _seeded_square_matrices(rng, 300):
         n = M.shape[0]
-        d, adj = linalg.adjugate(M)
+        d, adj = adjugate(M)
         assert d == frac_det(M.tolist())
         if d == 0:
             singular += 1
@@ -97,9 +100,9 @@ def test_adjugate_matches_fraction_and_sympy_oracles():
             assert A.tolist() == sympy.Matrix(M.tolist()).adjugate().tolist()
     assert singular >= 50 and swapped >= 20
     with pytest.raises(ValueError, match="square"):
-        linalg.adjugate([[1, 2, 3], [4, 5, 6]])
+        adjugate([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(TypeError):
-        linalg.adjugate([[2.5, 0], [0, 1]])
+        adjugate([[2.5, 0], [0, 1]])
 
 
 def test_independent_rows_span_in_order():
@@ -112,7 +115,8 @@ def test_independent_rows_span_in_order():
                 j, k = rng.randrange(i), rng.randrange(i)
                 M[i] = rng.randint(-2, 2) * M[j] + rng.randint(-2, 2) * M[k]
         F = np.array(M.tolist(), dtype=float)
-        chosen = linalg.independent_rows(M)
+        chosen = independent_rows(M)
+        assert linalg.row_basis(M)[0] == chosen
         assert chosen == sorted(chosen)
         assert len(chosen) == np.linalg.matrix_rank(F)
         for i in range(rows):
@@ -120,7 +124,55 @@ def test_independent_rows_span_in_order():
             gained = np.linalg.matrix_rank(F[before + [i]]) > len(before)
             assert gained == (i in chosen)
     with pytest.raises(TypeError):
-        linalg.independent_rows([[1, 0], [0.5, 1]])
+        independent_rows([[1, 0], [0.5, 1]])
+    with pytest.raises(TypeError):
+        linalg.row_basis([[1, 0], [0.5, 1]])
+    with pytest.raises(ValueError):
+        linalg.row_basis([[1, 0], [1]])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@st.composite
+def _row_lists(draw):
+    """Up to 9 rows in Z^k, k <= 6, each drawn at random or as a repeat, a
+    combination of two earlier rows or zero, so most lists are rank-deficient."""
+    k = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(("random", "repeat", "combination", "zero"))) if rows else "random"
+        if kind == "random":
+            row = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        elif kind == "combination":
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = [f * x + g * y for x, y in zip(u, v)]
+        else:
+            row = [0] * k
+        rows.append(list(row))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_row_lists())
+def test_row_basis_matches_oracles(M):
+    # the lex-first basis of independent_rows; S·E[:r]ᵀ = d·I and E[r:]
+    # vanishes on every row; at full rank E is adj(S)ᵀ up to the sign of d
+    idx, d, E = linalg.row_basis(M)
+    assert idx == independent_rows(M)
+    k, r = len(M[0]), len(idx)
+    assert all(type(x) is int for e in E for x in e) and len(E) == k
+    S = [M[i] for i in idx]
+    assert [[_dot(s, e) for e in E] for s in S] == [[d * (i == j) for j in range(k)] for i in range(r)]
+    assert all(_dot(row, e) == 0 for row in M for e in E[r:])
+    if r == k:
+        D, adj = adjugate(S)
+        assert d in (D, -D)
+        assert E == [[d // D * x for x in col] for col in zip(*adj)]
 
 
 def test_smith_normal_form_properties():
@@ -169,11 +221,15 @@ def test_echelon_against_smith_oracle():
                     j, k = rng.randrange(i), rng.randrange(i)
                     f, g = rng.randint(-2, 2), rng.randint(-2, 2)
                     M[i] = [f * x + g * y for x, y in zip(M[j], M[k])]
-        r, U = linalg.echelon(M)
-        assert isinstance(U, list) and len(U) == rows
-        assert all(isinstance(row, list) and len(row) == rows for row in U)
-        assert all(type(x) is int for row in U for x in row)
+        r, U, V = linalg.echelon(M)
+        for R in (U, V):
+            assert isinstance(R, list) and len(R) == rows
+            assert all(isinstance(row, list) and len(row) == rows for row in R)
+            assert all(type(x) is int for row in R for x in row)
         assert abs(linalg.det(U)) == 1
+        # V is carried step by step as U⁻¹
+        assert [[_dot(u, col) for col in zip(*V)] for u in U] == np.eye(rows, dtype=int).tolist()
+        assert V == inverse_unimodular(U)
         UM = [[sum(u * row[j] for u, row in zip(urow, M)) for j in range(cols)] for urow in U]
         assert all(x == 0 for row in UM[r:] for x in row)
         D, _, _ = smith_normal_form(M)
@@ -226,7 +282,7 @@ def test_inverse_unimodular():
             i, j = rng.randrange(n), rng.randrange(n)
             if i != j:
                 M[i] = M[i] + rng.randint(-2, 2) * M[j]
-        W = linalg.inverse_unimodular(M)
+        W = inverse_unimodular(M)
         assert all(type(x) is int for row in W for x in row)
         assert (np.array(W, dtype=object) @ M == np.eye(n, dtype=object)).all()
 
@@ -252,4 +308,4 @@ def test_rank_matches_numpy_on_random_rationals():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = rand_matrix(rng, rows, cols, -3, 3)
         expect = np.linalg.matrix_rank(np.array(M.tolist(), dtype=float))
-        assert len(linalg.independent_rows(M)) == expect
+        assert len(linalg.row_basis(M)[0]) == expect

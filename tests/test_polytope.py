@@ -20,6 +20,7 @@ from oracles import (
     ehrhart_polynomial,
     extreme_rays_by_subsets,
     hull_by_smith_and_rank,
+    independent_rows,
     lattice_transform,
     pyramid_over,
     volume_by_dilation_counts,
@@ -146,7 +147,7 @@ def _seeded_cones(rng, count):
             c = [rng.randint(-2, 2) for _ in range(d)]
             rows = [r for r in (tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(2 * d + 4))
                     if sum(a * b for a, b in zip(r, c)) > 0]
-        if len(rows) < 2 or len(linalg.independent_rows(rows)) < len(rows[0]):
+        if len(rows) < 2 or len(independent_rows(rows)) < len(rows[0]):
             continue
         a, b = rng.sample(rows, 2)
         rows.append(tuple(x + y for x, y in zip(a, b)))
@@ -159,13 +160,14 @@ def _seeded_cones(rng, count):
 def test_extreme_rays_match_subset_oracle():
     # the rays against one kernel line per rank-(k−1) row subset, and each
     # mask against the distinct nonzero rows tight on its ray; the seed is
-    # either the pass's own or an independent set taken in a shuffled order
+    # either the pass's own or the row_basis of the rows in a shuffled order
     rng = random.Random(1414)
     for rows in _seeded_cones(rng, 80):
         distinct = list(dict.fromkeys(r for r in rows if any(r)))
         order = list(range(len(distinct)))
         rng.shuffle(order)
-        seed = [order[i] for i in linalg.independent_rows([distinct[j] for j in order])]
+        idx, d, E = linalg.row_basis([distinct[j] for j in order])
+        seed = [order[i] for i in idx], d, E
         expect = extreme_rays_by_subsets(rows)
         for got in (_dd_extreme_rays(rows), _dd_extreme_rays(rows, seed)):
             assert [r for r, _ in got] == expect

@@ -94,12 +94,13 @@ def test_euler_builds_each_polytope_once():
 
 
 def test_one_elimination_per_hull(monkeypatch):
-    # one rank test on the homogenized points gives the affine dimension and
-    # the DD seed, and one adjugate gives the seed rays: a full-dimensional
-    # hull runs one of each; a flat one adds the adjugate that inverts its
-    # echelon transform; euler on the quartic builds 7 hulls and cuts out
-    # Delta_1 with one more DD pass
-    calls = {"independent_rows": 0, "adjugate": 0}
+    # one fraction-free pass on the homogenized points gives the affine
+    # dimension, the DD seed and its rays, so a full-dimensional hull runs it
+    # once and no echelon; a flat one adds the echelon that gives its span
+    # transform and its inverse, and one pass on its a+1 seed rows in span
+    # coordinates; euler on the quartic builds 7 full-dimensional hulls and
+    # cuts out Delta_1 with one more DD pass
+    calls = {"row_basis": 0, "echelon": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(linalg, name)):
             calls[_name] += 1
@@ -114,16 +115,16 @@ def test_one_elimination_per_hull(monkeypatch):
         return dict(calls)
 
     full = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0)]
-    assert counted(lambda: LatticePolytope(full)) == {"independent_rows": 1, "adjugate": 1}
+    assert counted(lambda: LatticePolytope(full)) == {"row_basis": 1, "echelon": 0}
     flat = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0)]
-    assert counted(lambda: LatticePolytope(flat)) == {"independent_rows": 1, "adjugate": 2}
+    assert counted(lambda: LatticePolytope(flat)) == {"row_basis": 2, "echelon": 1}
 
     def euler():
         config = cli.JobConfig(command="euler", input=str(DATA / "p3_quartic.json"), N=4, fmt="json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"independent_rows": 8, "adjugate": 8}
+    assert counted(euler) == {"row_basis": 8, "echelon": 0}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
