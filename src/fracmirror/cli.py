@@ -25,7 +25,7 @@ from .gkz import build_gkz, principal_kernel_vector
 from .mirror import a_model_correlation, classical_normalization, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
-from .series import fraction_str
+from .series import fraction_str, parse_fraction
 from .topology import euler_double_cover
 
 __all__ = ["JobConfig", "run", "main"]
@@ -128,7 +128,7 @@ class _Context:
 
 def _normalization(config):
     if config.normalization is not None:
-        return Fraction(config.normalization)
+        return parse_fraction(config.normalization)
     return classical_normalization(2, 1)
 
 
@@ -348,8 +348,8 @@ def run(config):
             raise _InputError(f"unknown format {config.fmt!r}")
         if config.normalization is not None:
             try:
-                Fraction(config.normalization)
-            except (ValueError, ZeroDivisionError) as exc:
+                _normalization(config)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise _InputError(f"bad normalization: {exc}") from exc
         data = _load(config.input)
     except _InputError as exc:

@@ -15,12 +15,12 @@ construction swaps the roles of
 
 yielding a nef-partition on ``nabla`` whose double dual is the original.
 
-Validation builds the Delta_i and tests their sum against Delta by support
-functions, with no hull of the sum and no nabla: once Delta_1 + ... +
-Delta_r = Delta, nabla is reflexive by the theorem of Borisov (1993) and
-Batyrev & Borisov (1996).  Only a rejected partition builds nabla, to report
-whether it is reflexive; a valid one builds the nabla_k and nabla on first
-read.
+Validation cuts out each Delta_i by one DD pass, whose rays with t = 1 are
+its vertices, and tests their sum against Delta by support functions: once
+Delta_1 + ... + Delta_r = Delta, nabla is reflexive (Borisov 1993; Batyrev &
+Borisov 1996).  Then nabla^* is one hull of the union of those vertices and
+nabla its polar dual, read off by transposition.  Only a rejected partition
+builds the Minkowski sum of the nabla_k, to report whether it is reflexive.
 """
 
 import functools
@@ -43,6 +43,11 @@ def polytope_of_part(delta, part_rays, all_rays):
     ``part_rays`` is the set of dual vertices with offset 1; every other
     element of ``all_rays`` gets offset 0.
     """
+    return LatticePolytope(_part_vertices(delta, part_rays, all_rays), delta.ambient_dim)
+
+
+def _part_vertices(delta, part_rays, all_rays):
+    """The lex-sorted vertices of Delta_i: the rays with t = 1 of its DD cut."""
     part = {tuple(map(index, rho)) for rho in part_rays}
     if not part:
         raise InvalidNefPartition("empty part")
@@ -60,14 +65,14 @@ def polytope_of_part(delta, part_rays, all_rays):
         if t != 1:
             raise InvalidNefPartition("part polytope has non-lattice vertices")
         verts.append(m)
-    return LatticePolytope(verts, n)
+    return tuple(verts)
 
 
 def _derive(delta, parts):
-    """Check a proposed nef-partition, building the Delta_i on the way.
+    """Check a proposed nef-partition, cutting out the Delta_i on the way.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
-    ``(rays, parts_delta)``, or None when a check stopped the build early.
+    ``(rays, part_vertices)``, or None when a check stopped the build early.
     """
     if not isinstance(delta, LatticePolytope):
         return ["delta is not a lattice polytope"], None
@@ -97,19 +102,19 @@ def _derive(delta, parts):
         return issues, None
 
     try:
-        parts_delta = tuple(
-            polytope_of_part(delta, [rays[j] for j in part], rays) for part in parts
+        part_vertices = tuple(
+            _part_vertices(delta, [rays[j] for j in part], rays) for part in parts
         )
     except InvalidNefPartition as exc:
         return [str(exc)], None
 
-    if not _sums_to(delta, parts_delta):
+    if not _sums_to(delta, part_vertices):
         issues.append("Minkowski sum of part polytopes differs from delta")
         # a sum equal to delta makes nabla reflexive, so only a rejected
         # partition builds nabla, for its second diagnostic
         if not _minkowski(_nabla_parts(rays, parts)).is_reflexive():
             issues.append("nabla is not reflexive")
-    return issues, (rays, parts_delta)
+    return issues, (rays, part_vertices)
 
 
 def _nabla_parts(rays, parts):
@@ -126,10 +131,11 @@ def _minkowski(polys):
     return total
 
 
-def _sums_to(delta, parts_delta):
+def _sums_to(delta, part_vertices):
     """Whether Delta_1 + ... + Delta_r, which lies in delta, equals it.
 
-    It does iff every vertex v of delta is in the sum: iff the sum's support
+    Each Delta_i is given by a point set it is the hull of.  The sum equals
+    delta iff every vertex v of delta is in it: iff the sum's support
     function at l_v, sum_i min over Delta_i of l_v, equals l_v(v), where l_v
     is the sum of the facet normals of delta tight at v, a vector inside v's
     normal cone, so delta attains its minimum of l_v at v alone (Ziegler,
@@ -137,7 +143,7 @@ def _sums_to(delta, parts_delta):
     """
     for v in delta.vertices:
         ell = [sum(col) for col in zip(*(g for g, c in delta.facets if _dot(g, v) + c == 0))]
-        if sum(min(_dot(ell, m) for m in P.vertices) for P in parts_delta) != _dot(ell, v):
+        if sum(min(_dot(ell, m) for m in V) for V in part_vertices) != _dot(ell, v):
             return False
     return True
 
@@ -151,11 +157,12 @@ class NefPartition:
     """A reflexive polytope with a validated nef-partition of its dual rays.
 
     ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
-    dual.  Validation keeps ``rays`` and ``parts_delta`` (the Delta_i) and
-    checks Delta_1 + ... + Delta_r = Delta by support functions, without
-    building the sum; nabla is then reflexive (Borisov 1993; Batyrev &
-    Borisov 1996), so ``nabla_parts`` (the nabla_k) and ``nabla`` are built
-    the first time they are read, and kept.
+    dual.  Validation keeps ``rays`` and ``part_vertices`` (the vertices of
+    each Delta_i, read off its DD cut) and checks Delta_1 + ... + Delta_r =
+    Delta without building the sum.  Each polytope below is built on first
+    read and kept: ``nabla_dual`` is the hull of all ``part_vertices`` and
+    ``nabla`` its polar dual; ``parts_delta`` and ``nabla_parts`` are the
+    Delta_i and nabla_k, one hull each.
     """
 
     def __init__(self, delta, parts):
@@ -167,31 +174,39 @@ class NefPartition:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
-        self.rays, self.parts_delta = built
+        self.rays, self.part_vertices = built
+
+    @functools.cached_property
+    def parts_delta(self):
+        return tuple(LatticePolytope(V, self.delta.ambient_dim) for V in self.part_vertices)
 
     @functools.cached_property
     def nabla_parts(self):
         return _nabla_parts(self.rays, self.ray_parts)
 
     @functools.cached_property
+    def nabla_dual(self):
+        """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), one hull."""
+        return LatticePolytope({v for V in self.part_vertices for v in V}, self.delta.ambient_dim)
+
+    @functools.cached_property
     def nabla(self):
-        return _minkowski(self.nabla_parts)
+        """nabla = nabla_1 + ... + nabla_r, read off as polar(nabla^*)."""
+        return self.nabla_dual.polar_dual()
 
     @property
     def r(self):
         return len(self.ray_parts)
 
-    @property
-    def nabla_dual(self):
-        """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), read off as polar(nabla)."""
-        return self.nabla.polar_dual()
-
     def dual_parts(self):
-        """Dual parts: each vertex of nabla^* joins the first Delta_i holding it."""
+        """Each vertex v of nabla^* joins the first Delta_i, read off its cut:
+        <v, rho> + [rho in I_i] >= 0 for every ray rho."""
         parts = [[] for _ in range(self.r)]
+        cuts = [[(rho, j in part) for j, rho in enumerate(self.rays)] for part in self.ray_parts]
         for idx, v in enumerate(self.nabla_dual.vertices):
             home = next(
-                (i for i, P in enumerate(self.parts_delta) if P.contains(v)), None
+                (i for i, cut in enumerate(cuts) if all(_dot(v, rho) + c >= 0 for rho, c in cut)),
+                None,
             )
             if home is None:
                 raise InvalidNefPartition(

@@ -7,9 +7,11 @@ than the ambient space.  One fraction-free elimination of the homogenized
 points gives the affine dimension and the seed rays of the pass, which
 returns each facet with the bitmask of the input points on it, formed without
 a dot product; the vertices are read off those masks, which are kept as the
-facet–vertex incidences.  Volumes are normalized lattice volumes in the
-affine span, summed over the simplices of a pulling triangulation read off
-those incidences; lattice-point scans run on the one exact-int
+facet–vertex incidences.  The polar dual of a reflexive polytope builds no
+hull: its vertices and facets are the facets and vertices of the primal, and
+its incidences their transpose.  Volumes are normalized lattice volumes in
+the affine span, summed over the simplices of a pulling triangulation read
+off those incidences; lattice-point scans run on the one exact-int
 prefix→interval scan in ``_accel``.
 """
 
@@ -277,7 +279,11 @@ class LatticePolytope:
     # -- duality ----------------------------------------------------------
 
     def polar_dual(self):
-        """The polar dual of a reflexive polytope, built once and kept."""
+        """The polar dual of a reflexive polytope, read off P with no hull and kept.
+
+        Its vertices are the facet normals of P and its facets (v, 1) for the
+        vertices v of P, both lex-sorted; its incidences are the transpose.
+        """
         if self._polar_dual is None:
             if self.affine_dim != self.ambient_dim or self.ambient_dim == 0:
                 raise FracmirrorError("polar dual requires a full-dimensional polytope")
@@ -287,7 +293,16 @@ class LatticePolytope:
                 raise FracmirrorError(
                     "polytope is not reflexive: polar dual is not a lattice polytope"
                 )
-            self._polar_dual = LatticePolytope([g for g, _ in self.facets])
+            dual = LatticePolytope.__new__(LatticePolytope)
+            dual.points = dual.vertices = dual._span_vertices = tuple(g for g, _ in self.facets)
+            dual.ambient_dim = dual.affine_dim = self.ambient_dim
+            dual.facets = dual._span_facets = tuple((v, 1) for v in self.vertices)
+            dual._v0, dual._U, dual._B, dual._lattice_points = self._v0, None, None, None
+            dual._incidences = tuple(
+                sum(1 << f for f, m in enumerate(self._incidences) if m >> k & 1)
+                for k in range(len(self.vertices))
+            )
+            self._polar_dual, dual._polar_dual = dual, self
         return self._polar_dual
 
     # -- lattice points ---------------------------------------------------
@@ -437,22 +452,21 @@ class LatticePolytope:
         )
 
 
-def cayley_pyramid(polys):
-    """Λ = conv({0} ∪ {(v, e_i) : v a vertex of P_i}) in Z^(n+r), one hull.
+def cayley_pyramid(point_sets):
+    """Λ = conv({0} ∪ {(p, e_i) : p in S_i}) in Z^(n+r), one hull.
 
-    This is the pyramid over the Cayley polytope of P₁..P_r with apex at the
-    origin; the Cayley polytope's vertices are exactly the tagged vertices.
+    This is the pyramid over the Cayley polytope of the conv(S_i) with apex
+    at the origin; no conv(S_i) needs a hull of its own.
     """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("cayley_pyramid needs at least one polytope")
-    n = polys[0].ambient_dim
-    if any(P.ambient_dim != n for P in polys):
-        raise ValueError("polytopes live in different ambient spaces")
-    r = len(polys)
+    point_sets = [[tuple(p) for p in S] for S in point_sets]
+    if not point_sets or not all(point_sets):
+        raise ValueError("cayley_pyramid needs at least one point set, and no empty one")
+    n = len(point_sets[0][0])
+    if any(len(p) != n for S in point_sets for p in S):
+        raise ValueError("point sets live in different ambient spaces")
+    r = len(point_sets)
     pts = [(0,) * (n + r)]
-    for i, P in enumerate(polys):
+    for i, S in enumerate(point_sets):
         tag = tuple(1 if t == i else 0 for t in range(r))
-        for v in P.vertices:
-            pts.append(v + tag)
+        pts.extend(p + tag for p in S)
     return LatticePolytope(pts, n + r)

@@ -49,10 +49,10 @@ _ZERO = Fraction(0)
 
 
 def parse_fraction(x):
-    """Accept int, Fraction, or 'p/q' string."""
+    """Accept int, Fraction, or 'p/q' string; a float or a bool is refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 

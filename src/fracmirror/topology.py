@@ -3,7 +3,7 @@
 For a nef-partition on a reflexive polytope the cover Y -> X is branched
 along the union of the nef divisors and the toric boundary.  Its Euler
 characteristic is governed by the lattice volume of the pyramid Lambda over
-the Cayley polytope of the part polytopes, built as one hull:
+the Cayley polytope of the part polytopes, one hull of their tagged points:
 
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
@@ -134,15 +134,15 @@ def euler_double_cover(data):
     n = data.delta.ambient_dim
     chi_X = euler_mpcp(data.delta)
     chi_X_dual = euler_mpcp(data.nabla)
-    lam = cayley_pyramid(data.parts_delta)
+    lam = cayley_pyramid(data.part_vertices)
     vol_lambda = lam.normalized_volume()
     if vol_lambda != chi_X_dual:
         raise SmoothnessError(
             f"vol(Λ) ≠ χ(X∨): {vol_lambda} != {chi_X_dual}; "
             "smoothness hypothesis violated"
         )
-    # the dual partition lives on nabla and its part polytopes are the nabla_i
-    lam_dual = cayley_pyramid(data.nabla_parts)
+    # the dual partition lives on nabla; its part polytopes are the nabla_k
+    lam_dual = cayley_pyramid([(0,) * n] + [data.rays[j] for j in part] for part in data.ray_parts)
     vol_lambda_dual = lam_dual.normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -8,6 +9,19 @@ from fracmirror.topology import euler_double_cover
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
+
+_P2 = [(2, -1), (-1, 2), (-1, -1)]
+
+# small reflexive polytopes by their vertices
+SMALL_REFLEXIVE = {
+    "p2": _P2,
+    "hexagon": [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)],
+    "square": [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+    "quartic": [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)],
+    "cube": list(itertools.product((-1, 1), repeat=3)),
+    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "p2_x_p1": [(x, y, z) for x, y in _P2 for z in (1, -1)],
+}
 
 
 def load_case(name):

@@ -180,6 +180,16 @@ def test_yukawa_normalization_override(capsys):
     assert payload["C"] == "3" and payload["K_q"]["coeffs"][0] == "3"
 
 
+def test_normalization_refuses_floats_and_bools(capsys):
+    # Fraction() would take 0.1 as C = 3602879701896397/36028797018963968
+    # and True as C = 1
+    for C in (0.1, True, False):
+        for command in ("yukawa", "bseries"):
+            config = JobConfig(command=command, input=_data("p3_quartic.json"), N=4, normalization=C)
+            assert run(config) == 2
+            assert "bad normalization" in capsys.readouterr().err
+
+
 def test_run_leaves_the_callers_config_unchanged(capsys):
     config = JobConfig(command="yukawa", input=_data("p3_quartic.json"),
                        N=6, normalization="3", fmt="json")

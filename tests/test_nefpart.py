@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from conftest import SMALL_REFLEXIVE
 
 from fracmirror.errors import InvalidNefPartition
 from fracmirror.nefpart import (
@@ -14,8 +15,9 @@ from fracmirror.nefpart import (
     polytope_of_part,
     validate_nef_partition,
 )
-from fracmirror.polytope import LatticePolytope
-from oracles import minkowski_sum_by_hulls, nef_diagnostics_by_hulls
+from fracmirror.polytope import LatticePolytope, cayley_pyramid
+from fracmirror.topology import euler_double_cover
+from oracles import cayley_polytope, minkowski_sum_by_hulls, nef_diagnostics_by_hulls, pyramid_over
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P2 = [(2, -1), (-1, 2), (-1, -1)]
@@ -158,10 +160,11 @@ def test_dual_parts_are_the_dual_partition(quartic, eight_hyperplanes, k3):
 
 
 def test_dual_parts_rejects_a_vertex_in_no_part(k3):
-    # shrink every part polytope to the origin: no dual vertex lies in one
+    # shrink every part polytope to the origin: with no ray of offset 1, the
+    # cut <v, rho> >= 0 for every ray holds only at 0, so no dual vertex
+    # lies in a part
     bad = copy.copy(k3)
-    origin = LatticePolytope([(0,) * k3.delta.ambient_dim])
-    bad.parts_delta = (origin,) * k3.r
+    bad.ray_parts = ((),) * k3.r
     with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
         bad.dual_parts()
     with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
@@ -188,17 +191,6 @@ def test_sign_corrupted_quartic_variant_is_rejected():
     assert validate_nef_partition(bad, [(0, 1, 2, 3)]) == ["delta is not reflexive"]
 
 
-SMALL_REFLEXIVE = {
-    "p2": P2,
-    "hexagon": HEXAGON,
-    "square": [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-    "quartic": QUARTIC,
-    "cube": list(itertools.product((-1, 1), repeat=3)),
-    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-    "p2_x_p1": [(x, y, z) for x, y in P2 for z in (1, -1)],
-}
-
-
 def _random_set_partition(rng, k):
     labels = [rng.randrange(rng.randint(1, k)) for _ in range(k)]
     blocks = {}
@@ -207,23 +199,29 @@ def _random_set_partition(rng, k):
     return [tuple(b) for b in blocks.values()]
 
 
+def _random_set_partitions():
+    """(name, delta, parts) for 25 seeded random set partitions of the dual
+    vertices of each of the SMALL_REFLEXIVE polytopes."""
+    rng = random.Random(2024)
+    for name, verts in SMALL_REFLEXIVE.items():
+        delta = LatticePolytope(verts)
+        k = len(delta.polar_dual().vertices)
+        for _ in range(25):
+            yield name, delta, _random_set_partition(rng, k)
+
+
 def test_support_test_matches_hull_oracle_on_set_partitions():
     # the support-function test of sum Delta_i = Delta gives the messages of
     # the pairwise Minkowski hulls, in order: a rejected partition whose nabla
     # is not reflexive still says so; every accepted partition has a
     # reflexive nabla (Borisov), which is why validation never builds it
-    rng = random.Random(2024)
     kinds = set()
-    for name, verts in SMALL_REFLEXIVE.items():
-        delta = LatticePolytope(verts)
-        k = len(delta.polar_dual().vertices)
-        for _ in range(25):
-            parts = _random_set_partition(rng, k)
-            issues = validate_nef_partition(delta, parts)
-            assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
-            kinds.add(tuple(issues))
-            if not issues:
-                assert NefPartition(delta, parts).nabla.is_reflexive()
+    for name, delta, parts in _random_set_partitions():
+        issues = validate_nef_partition(delta, parts)
+        assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
+        kinds.add(tuple(issues))
+        if not issues:
+            assert NefPartition(delta, parts).nabla.is_reflexive()
     assert kinds >= {
         (),
         ("part polytope has non-lattice vertices",),
@@ -246,9 +244,8 @@ def test_support_test_sums_every_normal_tight_at_a_vertex():
     # one edge normal tight there cannot tell, their sum (-1, -1) can
     square = LatticePolytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     triangle = LatticePolytope([(-1, -1), (1, -1), (-1, 1)])
-    assert not _sums_to(square, [triangle])
-    segments = [LatticePolytope([(-1, 0), (1, 0)]), LatticePolytope([(0, -1), (0, 1)])]
-    assert _sums_to(square, segments)
+    assert not _sums_to(square, [triangle.vertices])
+    assert _sums_to(square, [[(-1, 0), (1, 0)], [(0, -1), (0, 1)]])
 
 
 def test_support_test_matches_minkowski_hull_on_subpolytopes():
@@ -266,8 +263,38 @@ def test_support_test_matches_minkowski_hull_on_subpolytopes():
                 S += rng.sample(delta.vertices, len(delta.vertices) - rng.randint(0, 1))
             S = S or [points[0]]
             q = rng.choice(points)
-            parts = [LatticePolytope([tuple(x - y for x, y in zip(p, q)) for p in S], n), LatticePolytope([q])]
-            expect = minkowski_sum_by_hulls(parts) == delta
-            assert _sums_to(delta, parts) == expect
+            sets = [[tuple(x - y for x, y in zip(p, q)) for p in S], [q]]
+            expect = minkowski_sum_by_hulls([LatticePolytope(V, n) for V in sets]) == delta
+            assert _sums_to(delta, sets) == expect
             seen.add(expect)
     assert seen == {True, False}
+
+
+def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hyperplanes, k3):
+    # nabla is the polar dual of the one hull conv(Delta_1 ∪ ... ∪ Delta_r),
+    # not the Minkowski sum of the nabla_k; dual_parts reads each part's own
+    # inequalities, not the Delta_i hulls; Lambda_dual is one hull of the
+    # origin and the tagged rays of each part, not of the nabla_k vertices
+    accepted = [quartic, eight_hyperplanes, k3] + [
+        NefPartition(delta, parts)
+        for _, delta, parts in _random_set_partitions()
+        if not validate_nef_partition(delta, parts)
+    ]
+    assert len(accepted) > 100 and max(data.r for data in accepted) == 5
+    for data in accepted:
+        assert data.nabla == minkowski_sum_by_hulls(data.nabla_parts)
+        homes = [
+            next(i for i, P in enumerate(data.parts_delta) if P.contains(v))
+            for v in data.nabla_dual.vertices
+        ]
+        assert data.dual_parts() == [
+            [idx for idx, home in enumerate(homes) if home == i] for i in range(data.r)
+        ]
+        origin = (0,) * data.delta.ambient_dim
+        lam_dual = cayley_pyramid([origin] + [data.rays[j] for j in part] for part in data.ray_parts)
+        assert lam_dual == pyramid_over(cayley_polytope(data.nabla_parts))
+    # euler_double_cover builds that Lambda_dual (the random partitions need
+    # not meet its smoothness hypothesis, so only the bundled inputs run it)
+    for data in (quartic, eight_hyperplanes, k3):
+        ref = pyramid_over(cayley_polytope(data.nabla_parts))
+        assert euler_double_cover(data).vol_Lambda_dual == ref.normalized_volume()

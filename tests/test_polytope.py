@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import SMALL_REFLEXIVE
 
 from fracmirror import linalg
 from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramid
@@ -375,6 +376,36 @@ def test_polar_involution_on_random_sheared_reflexives():
         checked += 1
 
 
+def _incidence_pairs(P):
+    return {
+        (g, v)
+        for (g, _), m in zip(P.facets, P._incidences)
+        for k, v in enumerate(P.vertices)
+        if m >> k & 1
+    }
+
+
+def test_polar_dual_by_transposition_matches_the_hull(quartic, eight_hyperplanes, k3):
+    # the polar dual is read off P with no hull: it must be the hull of the
+    # facet normals in every field, and its own dual must be P itself; the
+    # bundled nabla is built afresh, since its kept dual is the hull of the
+    # union of the Delta_i
+    rng = random.Random(1818)
+    bases = [LatticePolytope(verts) for verts in SMALL_REFLEXIVE.values()]
+    bases += [
+        LatticePolytope(P.vertices) for data in (quartic, eight_hyperplanes, k3) for P in (data.delta, data.nabla)
+    ]
+    framed = [lattice_transform(random_unimodular(rng, P.ambient_dim), P) for P in bases for _ in range(2)]
+    for P in bases + framed:
+        dual = P.polar_dual()
+        hull = LatticePolytope([g for g, _ in P.facets])
+        assert (dual.vertices, dual.facets, dual.points) == (hull.vertices, hull.facets, hull.points)
+        assert _incidence_pairs(dual) == _incidence_pairs(hull)
+        assert dual.normalized_volume() == hull.normalized_volume()
+        assert dual.lattice_points() == hull.lattice_points()
+        assert dual.polar_dual() is P
+
+
 def test_is_reflexive_false_cases():
     assert not LatticePolytope([(2, 0), (0, 2), (-2, 0), (0, -2)]).is_reflexive()
     assert not LatticePolytope([(0, 0), (1, 0), (0, 1)]).is_reflexive()
@@ -408,29 +439,33 @@ def test_cayley_and_pyramid():
 
 
 def test_cayley_pyramid_is_the_two_hull_pyramid():
-    # one hull of {0} and the tagged part vertices against the pyramid over
-    # the Cayley polytope; k <= n points make lower-dimensional parts
+    # one hull of {0} and the tagged points of each set against the pyramid
+    # over the Cayley polytope of the hulls of the sets; a set need not be
+    # in convex position, and k <= n points make lower-dimensional parts
     rng = random.Random(606)
-    singles = flat = 0
+    singles = flat = inner = 0
     for _ in range(60):
         n = rng.randint(1, 3)
         r = rng.randint(1, 3)
-        parts = []
-        for _ in range(r):
-            k = rng.randint(1, n + 2)
-            pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
-            parts.append(LatticePolytope(pts, n))
+        sets = [
+            [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
+            for _ in range(r)
+        ]
+        parts = [LatticePolytope(S, n) for S in sets]
         singles += r == 1
         flat += any(P.affine_dim < n for P in parts)
-        lam = cayley_pyramid(parts)
+        inner += any(len(P.vertices) < len(set(S)) for P, S in zip(parts, sets))
+        lam = cayley_pyramid(sets)
         ref = pyramid_over(cayley_polytope(parts))
         assert lam == ref
+        assert lam == cayley_pyramid(P.vertices for P in parts)
         assert lam.normalized_volume() == ref.normalized_volume()
-    assert singles and flat
-    with pytest.raises(ValueError, match="at least one polytope"):
-        cayley_pyramid([])
+    assert singles and flat and inner
+    for empty in ([], [[(0, 0)], []]):
+        with pytest.raises(ValueError, match="at least one point set, and no empty one"):
+            cayley_pyramid(empty)
     with pytest.raises(ValueError, match="different ambient spaces"):
-        cayley_pyramid([LatticePolytope([(0, 0)]), LatticePolytope([(0, 0, 0)])])
+        cayley_pyramid([[(0, 0)], [(0, 0, 0)]])
 
 
 def _affine_rank(points):

@@ -104,10 +104,10 @@ def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
 
 def test_smoothness_guard_raises():
     data = NefPartition(LatticePolytope(QUARTIC), [[0, 1, 2, 3]])
-    # pre-seed the cached part polytopes with a wrong (scaled) value
-    data.__dict__["parts_delta"] = (
-        LatticePolytope([tuple(2 * x for x in v) for v in QUARTIC]),
-    )
+    # build nabla from the true part, then replace the part's vertices with
+    # a wrong (scaled) value, so that only vol(Lambda) sees it
+    assert data.nabla.is_reflexive()
+    data.part_vertices = (tuple(tuple(2 * x for x in v) for v in QUARTIC),)
     with pytest.raises(SmoothnessError, match="smoothness hypothesis violated"):
         euler_double_cover(data)
 

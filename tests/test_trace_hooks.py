@@ -83,13 +83,14 @@ def test_all_computes_the_mirror_map_once():
 
 
 def test_euler_builds_each_polytope_once():
-    # euler on the quartic (r = 1): Delta, Delta*, Delta_1, nabla_1 = nabla,
-    # nabla*, and Lambda and Lambda_dual, each one hull of the origin and the
-    # tagged part vertices; the dual side is read off the primal (its part
-    # polytopes are the nabla_i), so no dual nef-partition is loaded, and
-    # each polar dual is built once however often it is asked for
+    # euler on the quartic (r = 1) builds four hulls: Delta, nabla* (the
+    # union of the Delta_i vertices), Lambda (the origin and the tagged
+    # Delta_i vertices) and Lambda_dual (the origin and the tagged rays of
+    # each part); Delta* and nabla are polar duals read off their primal,
+    # the Delta_i are their DD cuts and no nabla_k is built; the dual side
+    # is read off the primal, so no dual nef-partition is loaded
     tracer = _traced("euler", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 7
+    assert tracer.calls["polytope.hull"] == 4
     assert tracer.calls["nefpart.load"] == 1
 
 
@@ -98,7 +99,7 @@ def test_one_elimination_per_hull(monkeypatch):
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
     # once and no echelon; a flat one adds the echelon that gives its span
     # transform and its inverse, and one pass on its a+1 seed rows in span
-    # coordinates; euler on the quartic builds 7 full-dimensional hulls and
+    # coordinates; euler on the quartic builds 4 full-dimensional hulls and
     # cuts out Delta_1 with one more DD pass
     calls = {"row_basis": 0, "echelon": 0}
     for name in calls:
@@ -124,43 +125,46 @@ def test_one_elimination_per_hull(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 8, "echelon": 0}
+    assert counted(euler) == {"row_basis": 5, "echelon": 0}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
-    # built as a polytope of its own; a lower-dimensional hull lifts its
-    # facets through the echelon transform it already holds, a
-    # full-dimensional one needs none, and no facet runs another; validation builds no hull of
-    # the Minkowski sum of the parts
+    # built as a polytope of its own; validation builds no hull of the
+    # Minkowski sum of the parts, and the four hulls (Delta, nabla*, Lambda,
+    # Lambda_dual) are full-dimensional, so none needs an echelon; the
+    # nabla_k, the only flat polytopes here, are built by dual-nef alone
     echelons = _count_echelons(monkeypatch)
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
-    assert tracer.calls["polytope.hull"] == 16
-    assert 0 < tracer.flat_hulls < tracer.calls["polytope.hull"]
-    assert echelons[0] == tracer.flat_hulls
+    assert tracer.calls["polytope.hull"] == 4
+    assert tracer.flat_hulls == 0
+    assert echelons[0] == 0
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
-    # Delta, Delta* and the four Delta_i; nabla is built only when read, so
-    # the one echelon is the GKZ kernel's
+    # Delta is the one hull: Delta* is read off it, the four Delta_i are
+    # their DD cuts and nabla is built only when read, so the one echelon
+    # is the GKZ kernel's
     echelons = _count_echelons(monkeypatch)
     for command in ("mirror-map", "ifunction", "bseries"):
         echelons[0] = 0
         tracer = _traced(command, shape="p3_eight_hyperplanes")
-        assert tracer.calls["polytope.hull"] == 6
+        assert tracer.calls["polytope.hull"] == 1
         assert tracer.flat_hulls == 0
         assert echelons[0] == 1
         assert tracer.calls["gkz.build_gkz"] == 1
 
 
 def test_dual_nef_builds_each_polytope_once():
-    # Delta, Delta*, Delta_1, nabla_1 = nabla, nabla*; the dual partition's
-    # parts are read off nabla* and the Delta_i, and its own polytopes (the
-    # nabla_i, Delta_i, Delta and nabla) are not rebuilt
+    # Delta, nabla* (the union of the Delta_i vertices) and nabla_1, which
+    # dual-nef prints; Delta* and nabla are polar duals read off their
+    # primal, the dual partition's parts are read off nabla* and the part
+    # inequalities, and its own polytopes (the nabla_k, Delta_i, Delta and
+    # nabla) are not rebuilt
     tracer = _traced("dual-nef", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 5
+    assert tracer.calls["polytope.hull"] == 3
     assert tracer.calls["nefpart.load"] == 1
 
 
