@@ -52,9 +52,12 @@ class JobConfig:
 def _max_order():
     raw = os.environ.get("FRACMIRROR_MAX_N", "")
     try:
-        return int(raw) if raw else 64
+        cap = int(raw) if raw else 64
     except ValueError:
         raise _InputError(f"FRACMIRROR_MAX_N must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise _InputError(f"FRACMIRROR_MAX_N must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _series_text(s, var):

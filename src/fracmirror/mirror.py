@@ -25,7 +25,7 @@ from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import yukawa_ode_rhs
-from .series import RationalSeries, _make, parse_fraction
+from .series import RationalSeries, _make, _order, parse_fraction
 
 __all__ = [
     "FrobeniusPair",
@@ -81,7 +81,7 @@ def frobenius_pair(ell, alpha, N):
     Every negative kernel entry must carry exponent -1/2; otherwise the
     constant absorbed into the scale would not be the log of an integer.
     """
-    ell = tuple(index(x) for x in ell)
+    ell, N = tuple(index(x) for x in ell), _order(N)
     alpha = tuple(parse_fraction(a) for a in alpha)
     k_total = 0
     for le, ae in zip(ell, alpha):

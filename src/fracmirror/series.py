@@ -26,12 +26,14 @@ product is the integer convolution over D_a * D_b, and ``inverse`` and
 numerators over their running lcm, which grows only as fast as the reduced
 denominators do (scaling by powers of c0's numerator or by n! D^n instead
 grows the integers with every order).  ``log``, ``/``, ``compose`` and
-``reversion`` are built from these.  The coefficients as reduced
-``Fraction``s (``c``, ``coeff``) are built once, on first read.
+``reversion`` are built from these; the last two split the powers of one
+series into baby and giant steps (Paterson and Stockmeyer 1973; Brent and
+Kung 1978) and form about 2 sqrt(N) products instead of N.  The
+coefficients as reduced ``Fraction``s (``c``, ``coeff``) are built once.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, index, mul, neg
 
 from .errors import FracmirrorError
@@ -57,6 +59,13 @@ def parse_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _order(n):
+    """n as an int; a float or a bool is refused, as by ``parse_fraction``."""
+    if isinstance(n, bool):
+        raise TypeError(f"an order must be an integer, got {n!r}")
+    return index(n)
+
+
 def fraction_str(q):
     q = parse_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -68,7 +77,7 @@ class EpsPoly:
     __slots__ = ("m", "c")
 
     def __init__(self, m, coeffs=()):
-        m = index(m)
+        m = _order(m)
         if m < 1:
             raise ValueError("nilpotency order m must be at least 1")
         vals = [parse_fraction(x) for x in coeffs][:m]
@@ -212,6 +221,14 @@ def _product(A, B, N):
     return [sum(map(mul, A[: n + 1], B[N - n :])) for n in range(N + 1)]
 
 
+def _powers(g, m):
+    """[g^0, g^1, ..., g^m] at g's order: m - 1 products."""
+    P = [_make((1,), 1, g.N), g]
+    while len(P) <= m:
+        P.append(P[-1] * g)
+    return P
+
+
 def _scalar(x, m=None):
     """x as a Fraction (as an EpsPoly of order m when m is given), or None
     when it is no such scalar."""
@@ -251,7 +268,7 @@ class RationalSeries:
 
     def __init__(self, coeffs=(), N=None):
         vals = [parse_fraction(x) for x in coeffs]
-        N = max(len(vals) - 1, 0) if N is None else index(N)
+        N = max(len(vals) - 1, 0) if N is None else _order(N)
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
         vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))
@@ -372,17 +389,26 @@ class RationalSeries:
         return _make((0,) * j + self.A, self.D, self.N)
 
     def compose(self, inner):
-        """Self evaluated at ``inner``; inner must have zero constant term."""
+        """Self evaluated at ``inner``; inner must have zero constant term.
+
+        Paterson-Stockmeyer: block j = sum_(a<m) F_(jm+a) g^a, m = isqrt(N), is
+        one integer combination of the powers of g = inner over D_F times
+        their lcm, and Horner in g^m adds the blocks: m - 1 + N // m products.
+        """
         if not isinstance(inner, RationalSeries):
             raise TypeError("composition requires a RationalSeries")
         if inner.A[0]:
             raise FracmirrorError("composition requires a zero inner constant term")
         N = min(self.N, inner.N)
-        inner = inner.truncate(N)
-        A, D = self.A, self.D
-        res = _make(A[N : N + 1], D, N)
-        for k in range(N - 1, -1, -1):
-            res = res * inner + _make(A[k : k + 1], D, N)
+        *baby, giant = _powers(inner.truncate(N), isqrt(N) or 1)
+        L, F, m = lcm(*(p.D for p in baby)), self.A[: N + 1], len(baby)
+        cols = list(zip(*([x * (L // p.D) for x in p.A] for p in baby)))
+        res, *blocks = [
+            _make([sum(map(mul, F[j : j + m], col)) for col in cols], self.D * L, N)
+            for j in range(N // m * m, -1, -m)
+        ]
+        for block in blocks:
+            res = res * giant + block
         return res
 
     def exp(self):
@@ -402,7 +428,9 @@ class RationalSeries:
         """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
 
         Lagrange inversion: with c1 nonzero and h = w / self(w) of order N-1,
-        [q^k] T = (1/k) [w^(k-1)] h^k is A[k-1] of h^k over k times its D.
+        [q^k] T = (1/k) [w^(k-1)] h^k.  With m = isqrt(N) and k = jm + a,
+        0 < a <= m, that is one integer dot product of the powers h^a and
+        h^(jm) over k D_a D_jm: about 2 sqrt(N) products instead of N - 1.
         """
         if self.N < 1:
             raise FracmirrorError("reversion needs a series of order N >= 1")
@@ -410,14 +438,16 @@ class RationalSeries:
             raise FracmirrorError("reversion needs a zero constant term")
         if not self.A[1]:
             raise FracmirrorError("reversion needs an invertible linear coefficient")
-        h = _make(self.A[1:], self.D, self.N - 1).inverse()
-        nums, dens, power = [0, h.A[0]], [1, h.D], h  # power = h^1
-        for k in range(2, self.N + 1):
-            power = power * h
-            nums.append(power.A[k - 1])
-            dens.append(k * power.D)
+        N, m = self.N, isqrt(self.N)
+        baby = _powers(_make(self.A[1:], self.D, N - 1).inverse(), m)
+        giant = _powers(baby[m], (N - 1) // m)
+        nums, dens = [0], [1]
+        for k in range(1, N + 1):
+            p, g = baby[(k - 1) % m + 1], giant[(k - 1) // m]
+            nums.append(sum(map(mul, p.A[:k], g.A[k - 1 :: -1])))
+            dens.append(k * p.D * g.D)
         D = lcm(*dens)
-        return _make([p * (D // q) for p, q in zip(nums, dens)], D, self.N)
+        return _make([p * (D // q) for p, q in zip(nums, dens)], D, N)
 
     # -- identity -----------------------------------------------------------
 
@@ -465,7 +495,7 @@ class NilpotentSeries:
     __slots__ = ("m", "N", "slices")
 
     def __init__(self, m, coeffs=(), N=None):
-        m = index(m)
+        m = _order(m)
         if m < 1:
             raise ValueError("nilpotency order m must be at least 1")
         vals = [_eps(m, x) for x in coeffs]

@@ -104,6 +104,28 @@ def reversion_by_composition(f):
     return RationalSeries(out, f.N)
 
 
+def compose_by_horner(f, g):
+    """f evaluated at g, g(0) = 0, by Horner's rule: N full products."""
+    N = min(f.N, g.N)
+    g = g.truncate(N)
+    res = RationalSeries([f.coeff(N)], N)
+    for k in range(N - 1, -1, -1):
+        res = res * g + f.coeff(k)
+    return res
+
+
+def reversion_by_powers(f):
+    """Compositional inverse of ``f`` by Lagrange inversion over every power:
+    [q^k] T = (1/k) [w^(k-1)] h^k with h = w / f(w), read off the running
+    power h^k, so N - 1 full products."""
+    h = RationalSeries(f.c[1:], f.N - 1).inverse()
+    out, power = [Fraction(0)], RationalSeries.one(f.N - 1)
+    for k in range(1, f.N + 1):
+        power = power * h
+        out.append(power.coeff(k - 1) / k)
+    return RationalSeries(out, f.N)
+
+
 def smith_normal_form(M):
     """Smith normal form, the reference ``linalg.echelon`` is checked against.
 

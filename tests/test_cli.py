@@ -116,6 +116,13 @@ def test_series_order_cap(capsys, monkeypatch):
     monkeypatch.setenv("FRACMIRROR_MAX_N", "abc")
     assert main(["mirror-map", _data("p3_quartic.json"), "-N", "60"]) == 2
     assert "FRACMIRROR_MAX_N must be an integer, got 'abc'" in capsys.readouterr().err
+    # a cap below 1 is a bad setting, not a job over the cap
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("FRACMIRROR_MAX_N", raw)
+        assert main(["mirror-map", _data("p3_quartic.json"), "-N", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"FRACMIRROR_MAX_N must be a positive integer, got '{raw}'" in err
+        assert "exceeds the cap" not in err
 
 
 # ------------------------------------------------------------ subcommands

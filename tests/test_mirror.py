@@ -131,6 +131,11 @@ def test_frobenius_pair_refuses_floats(ell, alpha):
         frobenius_pair(ell, alpha, 3)
 
 
+def test_frobenius_pair_refuses_a_bool_order():
+    with pytest.raises(TypeError, match="order must be an integer"):
+        frobenius_pair((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), True)
+
+
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_log_solution_jointly_annihilated(case, request):
     pair, ell, alpha = _pair(request.getfixturevalue(case), 16)

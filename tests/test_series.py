@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    compose_by_horner,
     exp_term_by_term,
     inverse_term_by_term,
     matches,
     nilpotent_product_term_by_term,
     product_term_by_term,
     reversion_by_composition,
+    reversion_by_powers,
     scale_arg,
 )
 
@@ -399,6 +401,51 @@ def test_every_operation_returns_the_canonical_form(a, b, x, j):
         _same_canonical(s, oracle)
 
 
+# ------------------------------- baby-step/giant-step powers vs every power
+
+
+def _draw_series(draw, N, zero_const=False):
+    """Order N over ``_canon_coeffs``, the zero series with chance 1/10."""
+    if draw(st.integers(0, 9)) == 0:
+        return RationalSeries.zero(N)
+    coeffs = draw(st.lists(_canon_coeffs, min_size=N + 1, max_size=N + 1))
+    if zero_const:
+        coeffs[0] = 0
+    return RationalSeries(coeffs, N)
+
+
+def _same_triple(s, oracle):
+    """The same canonical (N, A, D) and the same hash."""
+    assert s.D > 0 and math.gcd(s.D, *s.A) == 1
+    assert (s.N, s.A, s.D) == (oracle.N, oracle.A, oracle.D)
+    assert s == oracle and hash(s) == hash(oracle)
+
+
+# every order through 25, so each block boundary N = m^2, m^2 +- 1 of
+# m = isqrt(N) up to m = 5 is met
+@pytest.mark.parametrize("N", range(26))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_compose_matches_horner(N, data):
+    # the composite has order min(f.N, g.N) = N; either side may be the
+    # longer one, so the inner series is sometimes the shorter
+    extra = data.draw(st.integers(0, 3))
+    inner_shorter = data.draw(st.booleans())
+    f = _draw_series(data.draw, N + (extra if inner_shorter else 0))
+    g = _draw_series(data.draw, N + (0 if inner_shorter else extra), zero_const=True)
+    _same_triple(f.compose(g), compose_by_horner(f, g))
+
+
+@pytest.mark.parametrize("N", range(1, 26))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_reversion_matches_every_power(N, data):
+    f = _draw_series(data.draw, N, zero_const=True)
+    c1 = data.draw(_canon_coeffs.filter(bool))
+    f = f + RationalSeries([0, c1 - f.coeff(1)], N)
+    _same_triple(f.reversion(), reversion_by_powers(f))
+
+
 def test_zero_series_is_zeros_over_one():
     a = RationalSeries([Fraction(1, 3), Fraction(-5, 7)], 1)
     for zero in (a - a, a * 0, RationalSeries.zero(1), RationalSeries([0, 0])):
@@ -429,6 +476,23 @@ def test_truncation_divides_out_the_content_of_the_prefix():
 def test_orders_refuse_floats(build):
     # a float order is refused, not truncated to int
     with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RationalSeries([1, 2, 3], True),
+        lambda: RationalSeries.zero(False),
+        lambda: EpsPoly(True, (1, 2)),
+        lambda: NilpotentSeries(True, [1, 2], 1),
+        lambda: NilpotentSeries(2, [1], True),
+    ],
+    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
+)
+def test_orders_refuse_bools(build):
+    # a bool is an int subclass, but True is no series order
+    with pytest.raises(TypeError, match="order must be an integer"):
         build()
 
 
