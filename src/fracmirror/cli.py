@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cohom import (
     CohomRing,
@@ -73,6 +74,40 @@ def _series_text(s, var):
         else:
             pieces.append(f"{fraction_str(c)}*{var}^{n}")
     return " + ".join(pieces) if pieces else "0"
+
+
+def _json_text(obj, indent="\n"):
+    """The stdlib's JSON text with ``indent=2, sort_keys=True``, byte for byte,
+    but a list of all ``str`` (or all exactly ``int``) items is one ``str.join``
+    over the C string encoder, where the stdlib's indenting encoder is pure
+    Python.  Any type but dict (``str`` keys), list, tuple, ``str``, ``int``,
+    ``bool`` and ``None`` raises ``TypeError``: no float or Fraction is written.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner, kinds = indent + "  ", set(map(type, obj))
+        if kinds == {str}:
+            items = map(_encode_str, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [_encode_str(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None or t is bool:
+        return {None: "null", True: "true", False: "false"}[obj]
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _load(path):
@@ -333,7 +368,7 @@ _DISPATCH = {
 
 
 def run(config):
-    """Execute a job; returns the process exit code."""
+    """Execute a job, printing its table or ``_json_text(payload)``; returns the exit code."""
     try:
         if config.command not in _DISPATCH:
             raise _InputError(f"unknown command {config.command!r}")
@@ -362,8 +397,7 @@ def run(config):
         # a command returns its table as a function of no arguments, so the
         # lines (and the Fractions they print) are built only for a table
         payload, lines, warnings = _DISPATCH[config.command](_Context(config, data))
-        text = (json.dumps(payload, indent=2, sort_keys=True) if config.fmt == "json"
-                else "\n".join(lines()))
+        text = _json_text(payload) if config.fmt == "json" else "\n".join(lines())
     except FracmirrorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
 from .picard_fuchs import apply
-from .series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries, parse_fraction
+from .series import EpsPoly, LogSeries, NilpotentSeries, _make, parse_fraction
 
 __all__ = [
     "CohomRing",
@@ -102,13 +102,16 @@ def _log_prefactor(deformed):
     """z^rho * deformed as a LogSeries: parts[k] = deformed * rho^k / k!.
 
     Multiplying by rho^k shifts the rho-slices up by k: part k is k zero
-    slices followed by the first m - k slices, each times 1/k!.
+    slices followed by the first m - k slices, each with its denominator
+    times k!, so no coefficient is built as a Fraction.
     """
-    m, S = deformed.m, deformed.slices
+    m, N, S = deformed.m, deformed.N, deformed.slices
+    zero = _make((), 1, N)
     parts = [deformed]
     for k in range(1, m):
-        scaled = [s * Fraction(1, math.factorial(k)) for s in S[: m - k]]
-        parts.append(NilpotentSeries.from_slices([RationalSeries.zero(deformed.N)] * k + scaled))
+        f = math.factorial(k)
+        scaled = [_make(s.A, s.D * f, N) for s in S[: m - k]]
+        parts.append(NilpotentSeries.from_slices([zero] * k + scaled))
     return LogSeries(parts)
 
 
@@ -193,7 +196,7 @@ def i_function_mirror_map(I):
     a unit (constant term 1).
     """
     A = I.eps_slice(0)
-    if A.coeff(0) != 1:
+    if A.A[0] != A.D:  # c_0 == 1 in canonical form
         raise FracmirrorError("eps^0 slice of the I-function is not a unit")
     B = I.eps_slice(1)
     return B / A

@@ -23,7 +23,7 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import NilpotentSeries, _make, parse_fraction
+from .series import NilpotentSeries, _make, _order, parse_fraction
 
 __all__ = [
     "GkzSystem",
@@ -159,6 +159,7 @@ def hypergeometric_series(num, den, m, N):
     handed over as integers: every order's U is scaled to the lcm of the
     per-order E.
     """
+    m, N = _order(m), _order(N)
     U, E = [1] + [0] * (m - 1), 1
     orders = [(U, E)]
     for n in range(1, N + 1):

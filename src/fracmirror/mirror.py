@@ -109,7 +109,7 @@ def mirror_map(pair):
 def yukawa_z(op, pair, C, N):
     """B-model Yukawa Y_z = C exp(antitheta g) / omega0^2, theta(Y) = g Y."""
     g = yukawa_ode_rhs(op, N)
-    if g.coeff(0) != 0:
+    if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
     C = Fraction(C)
     unnormalized = g.antitheta().exp() * C

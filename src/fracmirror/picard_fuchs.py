@@ -125,7 +125,7 @@ class ThetaOperator:
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -138,17 +138,19 @@ def theta_conjugate(ell, alpha):
     F runs over positive kernel entries with factors (l_e theta - m) for
     m = 0..l_e-1; G runs over negative entries with factors
     (k_e theta - alpha_e + m), k_e = -l_e.  The result is normalized by the
-    leading coefficient of F.
+    leading coefficient of F.  Both run on ints, G's factors times q for
+    alpha_e = p/q; their product Q joins the lead in the final Fractions.
     """
-    f_poly = [Fraction(1)]
+    f_poly = [1]
     f_roots = []
-    g_poly = [Fraction(1)]
+    g_poly = [1]
     g_roots = []
+    Q = 1
     for le, ae in zip(ell, alpha):
         ae = parse_fraction(ae)
         if le > 0:
             for m in range(le):
-                f_poly = _poly_mul(f_poly, [Fraction(-m), Fraction(le)])
+                f_poly = _poly_mul(f_poly, [-m, le])
                 f_roots.append(Fraction(m, le))
         elif le < 0:
             if ae.denominator == 1:
@@ -156,10 +158,11 @@ def theta_conjugate(ell, alpha):
                     "unsupported shape: negative kernel entry on an "
                     "integer-exponent column"
                 )
-            k = -le
+            k, p, q = -le, ae.numerator, ae.denominator
+            Q *= q**k
             for m in range(k):
-                g_poly = _poly_mul(g_poly, [-ae + m, Fraction(k)])
-                g_roots.append((-ae + m) / k)
+                g_poly = _poly_mul(g_poly, [q * m - p, q * k])
+                g_roots.append(Fraction(q * m - p, q * k))
     d = len(f_poly) - 1
     if d == 0:
         raise FracmirrorError("unsupported shape: no positive kernel entries")
@@ -168,15 +171,10 @@ def theta_conjugate(ell, alpha):
             "unsupported shape: kernel entries do not balance in degree"
         )
     lead = f_poly[d]
-    z_polys = []
-    for k in range(d + 1):
-        fk = f_poly[k] / lead
-        gk = g_poly[k] / lead
-        z_polys.append((fk, -gk))
-    scale = g_poly[d] / lead
+    z_polys = [(Fraction(f_poly[k], lead), Fraction(-g_poly[k], Q * lead)) for k in range(d + 1)]
     return ThetaOperator(
-        tuple(z_polys),
-        scale=scale,
+        z_polys,
+        scale=Fraction(g_poly[d], Q * lead),
         f_roots=tuple(f_roots),
         g_roots=tuple(g_roots),
     )

@@ -465,8 +465,11 @@ class RationalSeries:
         return f"RationalSeries({body} + O(z^{self.N + 1}))"
 
     def _coeff_strs(self):
-        """``fraction_str`` of each coefficient, with one gcd per coefficient."""
+        """``fraction_str`` of each coefficient: the numerators themselves when
+        D == 1 (a zero slice, an integral series), else one gcd per coefficient."""
         A, D = self.A, self.D
+        if D == 1:
+            return list(map(str, A))
         G = map(gcd, A, [D] * len(A))
         return [str(a // g) if g == D else f"{a // g}/{D // g}" for a, g in zip(A, G)]
 

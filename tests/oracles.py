@@ -14,6 +14,7 @@ from fracmirror import linalg
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution
 from fracmirror.nefpart import polytope_of_part
+from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
 
@@ -697,6 +698,50 @@ def holomorphic_kernel(op, N):
                     acc += poly[a] * Fraction(n - a) ** k * coeffs[n - a]
         coeffs.append(-acc / lead)
     return RationalSeries(coeffs, N)
+
+
+def theta_conjugate_by_fractions(ell, alpha):
+    """``picard_fuchs.theta_conjugate`` with every linear factor multiplied
+    out over Fractions: F(theta) - z G(theta) over the lead of F."""
+
+    def poly_mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    f_poly, f_roots, g_poly, g_roots = [Fraction(1)], [], [Fraction(1)], []
+    for le, ae in zip(ell, alpha):
+        ae = Fraction(ae)
+        if le > 0:
+            for m in range(le):
+                f_poly = poly_mul(f_poly, [Fraction(-m), Fraction(le)])
+                f_roots.append(Fraction(m, le))
+        elif le < 0:
+            k = -le
+            for m in range(k):
+                g_poly = poly_mul(g_poly, [-ae + m, Fraction(k)])
+                g_roots.append((-ae + m) / k)
+    d = len(f_poly) - 1
+    lead = f_poly[d]
+    return ThetaOperator(
+        tuple((f_poly[k] / lead, -g_poly[k] / lead) for k in range(d + 1)),
+        scale=g_poly[d] / lead,
+        f_roots=tuple(f_roots),
+        g_roots=tuple(g_roots),
+    )
+
+
+def log_prefactor_by_fractions(deformed):
+    """z^rho * deformed as a LogSeries, part k being the slices shifted up by
+    k and each multiplied by the Fraction 1/k!."""
+    m, S = deformed.m, deformed.slices
+    parts = [deformed]
+    for k in range(1, m):
+        scaled = [s * Fraction(1, math.factorial(k)) for s in S[: m - k]]
+        parts.append(NilpotentSeries.from_slices([RationalSeries.zero(deformed.N)] * k + scaled))
+    return LogSeries(parts)
 
 
 def pairing_matrix(ring, basis):

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracmirror.cli import JobConfig, main, run
+from fracmirror.cli import JobConfig, _json_text, main, run
 
 HEXAGON_DOC = {
     "delta": {
@@ -243,6 +246,45 @@ def test_json_output_is_byte_stable(capsys):
     second = capsys.readouterr().out
     assert first == second
     json.loads(first)  # parses cleanly
+
+
+# ------------------------------------------------------------- JSON writer
+
+# text with non-ASCII letters, quotes, backslashes and control characters
+_texts = st.one_of(
+    st.text(), st.sampled_from(["", '"', "\\", "\n\t\x00\x1f", "é", "\u2028", "😀", "a\\\"b"])
+)
+_ints = st.one_of(st.integers(-(2**200), 2**200), st.integers(-5, 5))
+_scalars = st.one_of(_texts, _ints, st.booleans(), st.none())
+# homogeneous leaf lists take the joined path, and mixed ones (bool with int,
+# str with int) must not
+_leaf_lists = st.one_of(
+    st.lists(_texts), st.lists(_ints), st.lists(st.one_of(st.booleans(), _ints)),
+    st.lists(st.one_of(_texts, _ints)),
+)
+_documents = st.recursive(
+    st.one_of(_scalars, _leaf_lists, _leaf_lists.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_json_text_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [1, 2.0]}, [["x", Fraction(3)]],
+], ids=["float", "Fraction", "set", "int key", "nested float", "nested Fraction"])
+def test_json_text_refuses_what_json_would_not_write_exactly(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 def test_cli_import_loads_no_numpy():

@@ -13,6 +13,7 @@ import sympy
 
 from fracmirror.cohom import (
     CohomRing,
+    _log_prefactor,
     b_series,
     deformed_solution,
     frobenius_residue,
@@ -21,11 +22,16 @@ from fracmirror.cohom import (
     i_weights_from_kernel,
 )
 from fracmirror.errors import FracmirrorError
-from fracmirror.gkz import build_gkz, principal_kernel_vector
+from fracmirror.gkz import (
+    _series_factors,
+    build_gkz,
+    hypergeometric_series,
+    principal_kernel_vector,
+)
 from fracmirror.mirror import frobenius_pair
 from fracmirror.picard_fuchs import apply, theta_conjugate
 from fracmirror.series import EpsPoly, NilpotentSeries, RationalSeries
-from oracles import matches, pairing_matrix, scale_arg
+from oracles import log_prefactor_by_fractions, matches, pairing_matrix, scale_arg
 
 
 def _kernel_data(data):
@@ -35,6 +41,21 @@ def _kernel_data(data):
 
 
 # ------------------------------------------------------ deformed solution
+
+_HALF = Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hypergeometric_series([(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4, 2, True),
+    lambda: hypergeometric_series([(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4, True, 2),
+    lambda: deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), 2, True),
+    lambda: deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), True, 2),
+    lambda: i_function_untwisted((8,), (1, 1, 1, 1, 4), True, 3),
+    lambda: i_function_untwisted((8,), (1, 1, 1, 1, 4), 2, True),
+], ids=["kernel m", "kernel N", "deformed m", "deformed N", "I-function m", "I-function N"])
+def test_kernel_orders_refuse_bools(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_deformed_slices_are_frobenius_tower(quartic):
@@ -148,6 +169,15 @@ def test_b_series_slices(quartic):
     assert W.part(1).eps_slice(0).is_zero()
 
 
+@pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
+def test_log_prefactor_matches_fraction_scaling(case, request):
+    # the kernel itself, not deformed_solution, so m runs past degree + 1
+    factors = _series_factors(*_kernel_data(request.getfixturevalue(case)))
+    for m in range(2, 7):
+        deformed = hypergeometric_series(*factors, m, 8)
+        assert _log_prefactor(deformed) == log_prefactor_by_fractions(deformed)
+
+
 def test_b_series_annihilated_over_threefold_ring(quartic):
     # over Q[eps]/(eps^4) the residue eps^4 vanishes, so the operator kills
     # the full cohomology-valued series
@@ -202,6 +232,9 @@ def test_i_function_unit_guard():
     I = NilpotentSeries(2, [EpsPoly.constant(2, 2)], 0)
     with pytest.raises(FracmirrorError, match="not a unit"):
         i_function_mirror_map(I)
+    # constant term 1 over a slice denominator of 2: A = (2 + q) / 2
+    I = NilpotentSeries(2, [EpsPoly(2, (1, 3)), EpsPoly.constant(2, Fraction(1, 2))], 1)
+    assert i_function_mirror_map(I) == RationalSeries([3, Fraction(-3, 2)], 1)
 
 
 # ------------------------------------------------------------- ring / pairing

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
@@ -14,7 +16,7 @@ from fracmirror.picard_fuchs import (
     yukawa_ode_rhs,
 )
 from fracmirror.series import LogSeries, RationalSeries
-from oracles import holomorphic_kernel, matches, rising
+from oracles import holomorphic_kernel, matches, rising, theta_conjugate_by_fractions
 
 
 def _operator(data):
@@ -98,6 +100,28 @@ def test_leading_constant_must_be_nonzero():
 def test_normalized_divides_by_leading_constant():
     op = ThetaOperator(((Fraction(3),), (Fraction(2),)))
     assert op.normalized().z_polys == ((Fraction(3, 2),), (Fraction(1),))
+
+
+@st.composite
+def _kernel_vectors(draw):
+    """A balanced kernel vector (positive entries sum to minus the negative
+    ones), zeros mixed in, with exponents -1/2 and -1/3."""
+    pos = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    neg, left = [], sum(pos)
+    while left:
+        neg.append(-draw(st.integers(1, left)))
+        left += neg[-1]
+    ell = draw(st.permutations(pos + neg + [0] * draw(st.integers(0, 2))))
+    exponents = st.sampled_from([Fraction(-1, 2), Fraction(-1, 3)])
+    alpha = draw(st.lists(exponents, min_size=len(ell), max_size=len(ell)))
+    return tuple(ell), tuple(alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_vectors())
+def test_conjugate_matches_fraction_products(data):
+    op, oracle = theta_conjugate(*data), theta_conjugate_by_fractions(*data)
+    assert op == oracle and op.to_json() == oracle.to_json()
 
 
 # --------------------------------------------------------- conjugate guards

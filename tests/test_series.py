@@ -332,6 +332,16 @@ def test_exp_matches_fraction_loop(f):
     _same_reduced_fractions(f.exp(), exp_term_by_term(f))
 
 
+_integral_series = st.lists(st.integers(-(2**70), 2**70), min_size=1).map(RationalSeries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_q_series(), _integral_series))
+def test_coeff_strs_match_fraction_str(s):
+    # zero and integral series (D == 1) are written from their numerators
+    assert s._coeff_strs() == [fraction_str(c) for c in s.c]
+
+
 def test_kernels_match_fraction_loops_on_wide_coefficients():
     # order 40 with numerators of several hundred bits over powers of a scale
     # times small factors, the shape of deep mirror-map coefficients

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, linalg, series, topology
+from fracmirror import cli, cohom, linalg, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -279,3 +279,23 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
     for name, op in ops.items():
         _, built = _count_fractions(monkeypatch, op)
         assert (name, built) == (name, 0)
+    # in whole JSON jobs: the B-series log parts scale their denominators by
+    # k!, and the I-function's unit check reads its numerators
+    for command, module, name in (
+        ("bseries", cohom, "_log_prefactor"), ("ifunction", cli, "i_function_mirror_map")
+    ):
+        stage, counts = getattr(module, name), []
+
+        def counted(*args, _stage=stage):
+            result, built = _count_fractions(monkeypatch, lambda: _stage(*args))
+            counts.append(built)
+            return result
+
+        setattr(module, name, counted)
+        try:
+            config = cli.JobConfig(command, str(DATA / "p3_quartic.json"), N=N, fmt="json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(config) == 0
+        finally:
+            setattr(module, name, stage)
+        assert (name, counts) == (name, [0])
