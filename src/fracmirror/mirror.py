@@ -8,13 +8,18 @@ its eps^0 slice and tau its eps^1 slice, tau_n = c_n'(0).  Every negative
 kernel entry carries exponent -1/2 (every positive one exponent 0, as in
 ``build_gkz``), and the half-integer base point of the negative factors
 shifts log z by the constant -log(s) with s = 2^(2 sum k_e), an exact
-integer; the mirror map is
+integer.  The series are formed in x = z/s: by Legendre duplication,
+prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j) prod_(j=0)^(M-1) (a + 1/2 + j),
+so each eps-slice of the deformed solution at z = s x is the untwisted
+I-function in x (weights 2k over k, ``cohom.i_weights_from_kernel``), and
+A0(x) = omega0(s x) is integral where omega0 carries a denominator near s^N.
+s enters only where ``_dilate`` rescales a series into x or back to z:
 
-    q(z) = (z / s) * exp(tau / omega0).
+    q = x exp(A1 / A0) with A1(x) = tau(s x),  z(q) = s x(q).
 
-The B-model Yukawa in the z-coordinate solves theta(Y) = g Y with g from the
-degree-4 operator; transporting it through the mirror map and dividing by
-omega0^2 gives the A-model correlation series K(q) with K(0) = C.
+The B-model Yukawa solves theta(Y) = g Y with g from the degree-4 operator;
+transporting it through the mirror map and dividing by omega0^2 gives the
+A-model correlation series K(q) with K(0) = C.
 """
 
 from dataclasses import dataclass
@@ -97,23 +102,32 @@ def frobenius_pair(ell, alpha, N):
     return FrobeniusPair(omega0=omega0, tau=tau, scale=2 ** (2 * k_total), N=N)
 
 
+def _dilate(f, p, q=1):
+    """f(p z / q) for ints p, q > 0: [A_n p^n q^(N-n)] over D q^N."""
+    N = f.N
+    return _make([a * p**n * q ** (N - n) for n, a in enumerate(f.A)], f.D * q**N, N)
+
+
 def mirror_map(pair):
-    """(q(z), z(q)) as exact series: q = (z/s) exp(tau/omega0)."""
-    ratio = pair.tau / pair.omega0
-    expo = ratio.exp()
-    q_of_z = expo.shift(1) * Fraction(1, pair.scale)
-    z_of_q = q_of_z.reversion()
-    return q_of_z, z_of_q
+    """(q(z), z(q)) as exact series, formed in x = z/s: q = x exp(A1/A0)
+    with A_k(x) the pair's slices at z = s x, reverted in x; then
+    q(z) = q(x = z/s) and z(q) = s x(q)."""
+    s = pair.scale
+    q_of_x = (_dilate(pair.tau, s) / _dilate(pair.omega0, s)).exp().shift(1)
+    return _dilate(q_of_x, 1, s), q_of_x.reversion() * s
 
 
 def yukawa_z(op, pair, C, N):
-    """B-model Yukawa Y_z = C exp(antitheta g) / omega0^2, theta(Y) = g Y."""
+    """B-model Yukawa Y_z = C exp(antitheta g) / omega0^2, theta(Y) = g Y,
+    formed in x as Y_x = C exp(antitheta g_x) / A0^2 with g_x(x) = g(s x)
+    and returned as Y_z(z) = Y_x(z/s)."""
     g = yukawa_ode_rhs(op, N)
     if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    C = Fraction(C)
-    unnormalized = g.antitheta().exp() * C
-    return unnormalized / (pair.omega0 * pair.omega0)
+    s = pair.scale
+    A0 = _dilate(pair.omega0, s)
+    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (A0 * A0)
+    return _dilate(Y_x, 1, s)
 
 
 def classical_normalization(cover_degree, base_intersection):
@@ -122,20 +136,19 @@ def classical_normalization(cover_degree, base_intersection):
 
 
 def a_model_correlation(op, pair, z_of_q, C, N=None):
-    """A-model correlation K(q) = Y_z(z(q)) * (theta_q log z(q))^3.
+    """A-model correlation K(q) = Y_z(z(q)) * (theta_q log z(q))^3, formed in
+    x as Y_x(x(q)) * (theta_q log x(q))^3 with x(q) = z(q)/s.
 
     ``z_of_q`` is the inverse mirror map, the second series that
     ``mirror_map(pair)`` returns.  The q-series is exact through order N-1
-    (one order is consumed by the unit factor z(q)/(s q)).
+    (one order is consumed by the unit factor x(q)/q).
     """
-    if N is None:
-        N = pair.N
-    N = min(N, pair.N)
+    N = pair.N if N is None else min(N, pair.N)
     Y = yukawa_z(op, pair, C, N)
-    z_of_q = z_of_q.truncate(N)
-    # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
-    v = _make(z_of_q.A[1:], z_of_q.D * pair.scale, N - 1)
+    x_of_q = z_of_q.truncate(N) * Fraction(1, pair.scale)
+    # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
+    v = _make(x_of_q.A[1:], x_of_q.D, N - 1)
     dlog = v.theta() / v + 1
-    factor = dlog * dlog * dlog
-    K = Y.compose(z_of_q).truncate(N - 1) * factor
+    # yukawa_z returns the printed z-series; its x form is one rescale away
+    K = _dilate(Y, pair.scale).compose(x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)

@@ -13,8 +13,9 @@ from typing import NamedTuple
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution
+from fracmirror.mirror import YukawaData
 from fracmirror.nefpart import polytope_of_part
-from fracmirror.picard_fuchs import ThetaOperator
+from fracmirror.picard_fuchs import ThetaOperator, yukawa_ode_rhs
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
 
@@ -89,6 +90,26 @@ def matches(f, g, upto):
 def omega1_log(pair):
     """omega1 = omega0 * L + tau of a Frobenius pair, as a LogSeries in L = log z."""
     return LogSeries([pair.tau, pair.omega0])
+
+
+def mirror_map_in_z(pair):
+    """(q(z), z(q)) computed in z, where every series carries a denominator
+    near s^N: q = (z/s) exp(tau/omega0) and z(q) its reversion."""
+    q_of_z = (pair.tau / pair.omega0).exp().shift(1) * Fraction(1, pair.scale)
+    return q_of_z, q_of_z.reversion()
+
+
+def a_model_correlation_in_z(op, pair, z_of_q, C, N=None):
+    """K(q) = Y_z(z(q)) (theta_q log z(q))^3 computed in z, with
+    Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
+    N = pair.N if N is None else min(N, pair.N)
+    g = yukawa_ode_rhs(op, N)
+    Y = g.antitheta().exp() * Fraction(C) / (pair.omega0 * pair.omega0)
+    # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
+    v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, pair.scale)
+    dlog = v.theta() / v + 1
+    K = Y.compose(z_of_q.truncate(N)).truncate(N - 1) * dlog * dlog * dlog
+    return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)
 
 
 def reversion_by_composition(f):

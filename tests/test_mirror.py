@@ -5,29 +5,43 @@ independent symbolic oracle: the eps-derivative of the Gamma-ratio term
 c_n(eps) evaluated with sympy, plus a floating digamma cross-check.  The
 mirror-map coefficients are re-derived inline (explicit reciprocal, exp,
 and Lagrange-inversion formulas on raw Fractions) rather than trusting the
-series engine that produced them.
+series engine that produced them.  The package forms the mirror map and
+K(q) in x = z/s; the same series formed in z (``tests/oracles.py``) must be
+exactly equal, and the Legendre duplication that makes x the I-function's
+coordinate is checked slice by slice.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 import sympy
 
+from fracmirror.cohom import deformed_solution, i_function_untwisted, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, principal_kernel_vector
 from fracmirror.mirror import (
     FrobeniusPair,
+    _dilate,
     a_model_correlation,
     classical_normalization,
     frobenius_pair,
     mirror_map,
     yukawa_z,
 )
+from fracmirror.nefpart import NefPartition, validate_nef_partition
 from fracmirror.picard_fuchs import ThetaOperator, apply, theta_conjugate
 from fracmirror.series import RationalSeries
-from oracles import matches, omega1_log
+from oracles import (
+    a_model_correlation_in_z,
+    matches,
+    mirror_map_in_z,
+    omega1_log,
+    scale_arg,
+)
+from test_nefpart import _random_set_partitions
 
 
 def _pair(data, N=10):
@@ -305,3 +319,70 @@ def test_json_shapes(quartic):
     data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     dj = data.to_json()
     assert dj["C"] == "2" and set(dj) == {"C", "Y_z", "K_q"}
+
+
+# ------------------------------------------------------------- x = z/s
+
+
+@pytest.mark.parametrize("N", [0, 1, 16])
+def test_dilate_matches_scale_arg(N):
+    rng = random.Random(N)
+    f = RationalSeries(
+        [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(N + 1)], N
+    )
+    for s in (256, 64, 27, 1):
+        assert _dilate(f, s) == scale_arg(f, s)
+        assert _dilate(f, 1, s) == scale_arg(f, Fraction(1, s))
+        assert _dilate(_dilate(f, s), 1, s) == f
+        assert _dilate(_dilate(f, 1, s), s) == f
+    assert _dilate(f, 3, 4) == scale_arg(f, Fraction(3, 4))
+
+
+def _one_parameter_cases(quartic, eight_hyperplanes, k3):
+    """(label, ell, alpha, orders): every accepted one-parameter partition of
+    ``_random_set_partitions`` at N = 1, 2, 9 and 16, and the three bundled
+    inputs at N = 40."""
+    cases = []
+    for name, delta, parts in _random_set_partitions():
+        if validate_nef_partition(delta, parts):
+            continue
+        g = build_gkz(NefPartition(delta, parts))
+        if len(g.kernel) == 1:
+            cases.append(((name, tuple(parts)), principal_kernel_vector(g), g.alpha, (1, 2, 9, 16)))
+    assert len(cases) == 50
+    for label, data in (("quartic", quartic), ("eight", eight_hyperplanes), ("k3", k3)):
+        g = build_gkz(data)
+        cases.append((label, principal_kernel_vector(g), g.alpha, (40,)))
+    return cases
+
+
+def test_x_route_equals_z_route(quartic, eight_hyperplanes, k3):
+    # q(z), z(q), Y_z and K(q) formed in x = z/s equal the same series formed
+    # in z, exactly, on every one-parameter input; about half are threefolds
+    threefolds = 0
+    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        op = theta_conjugate(ell, alpha)
+        threefolds += op.degree == 4
+        for N in orders:
+            pair = frobenius_pair(ell, alpha, N)
+            q, z = mirror_map(pair)
+            assert (q, z) == mirror_map_in_z(pair), (label, N)
+            if op.degree == 4:
+                data = a_model_correlation(op, pair, z, 2, N)
+                assert data == a_model_correlation_in_z(op, pair, z, 2, N), (label, N)
+    assert threefolds == 27
+
+
+def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, k3):
+    # Legendre duplication: prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j)
+    # prod_(j=0)^(M-1) (a + 1/2 + j) turns each half-integer factor of the
+    # B-series kernel into the I-function's weight pair 2k over k, so every
+    # eps-slice of the deformed solution at z = s x is the I-function's slice
+    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        s = 4 ** sum(-le for le in ell if le < 0)
+        m = sum(le for le in ell if le > 0) + 1
+        weights = i_weights_from_kernel(ell, alpha)
+        for N in orders:
+            B, I = deformed_solution(ell, alpha, N, m), i_function_untwisted(*weights, m, N)
+            for k in range(m):
+                assert _dilate(B.eps_slice(k), s) == I.eps_slice(k), (label, N, k)

@@ -187,12 +187,13 @@ def test_cohom_jobs_form_no_nilpotent_product():
 # bundled shapes (the K3 surface has no Yukawa, so its yukawa job forms no
 # product): the B-series multiplies no two series (z^eps shifts eps-slices)
 # and the I-function forms one product (B/A); the mirror map forms
-# tau/omega0, then the powers of the Lagrange reversion in baby and giant
-# steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4: h^2;
-# N = 16: h^2, h^3, h^4, h^8, h^12); the Yukawa adds m - 1 + N // m for the
-# Paterson-Stockmeyer compose Y(z(q)) and 7 more (the division in the
-# Picard-Fuchs right-hand side, omega0^2 and the division by it,
-# theta(v)/v, the cube, and the product with Y(z(q))).
+# tau/omega0 at z = s x, then the powers of the Lagrange reversion in baby
+# and giant steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4:
+# h^2; N = 16: h^2, h^3, h^4, h^8, h^12); the Yukawa adds m - 1 + N // m for the
+# Paterson-Stockmeyer compose Y(x(q)) in x = z/s and 7 more (the division in
+# the Picard-Fuchs right-hand side, omega0(s x)^2 and the division by it,
+# theta(v)/v, the cube, and the product with Y(x(q))).  Moving a series
+# between z and x is an exact rescale that forms no product.
 _PRODUCTS_PER_JOB = {
     4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 12},
     16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 20},
