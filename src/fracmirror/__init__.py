@@ -21,14 +21,7 @@ from .topology import (
     euler_mpcp,
     hodge_numbers,
 )
-from .series import (
-    EpsPoly,
-    LogSeries,
-    NilpotentSeries,
-    RationalSeries,
-    fraction_str,
-    parse_fraction,
-)
+from .series import RationalSeries, fraction_str, parse_fraction
 from .gkz import (
     GkzSystem,
     build_gkz,
@@ -37,7 +30,6 @@ from .gkz import (
 )
 from .picard_fuchs import (
     ThetaOperator,
-    apply,
     theta_conjugate,
     yukawa_ode_rhs,
 )
@@ -54,7 +46,6 @@ from .cohom import (
     CohomRing,
     b_series,
     deformed_solution,
-    frobenius_residue,
     i_function_mirror_map,
     i_function_untwisted,
     i_weights_from_kernel,
@@ -77,9 +68,6 @@ __all__ = [
     "euler_double_cover",
     "euler_mpcp",
     "hodge_numbers",
-    "EpsPoly",
-    "LogSeries",
-    "NilpotentSeries",
     "RationalSeries",
     "fraction_str",
     "parse_fraction",
@@ -88,7 +76,6 @@ __all__ = [
     "holo_solution",
     "principal_kernel_vector",
     "ThetaOperator",
-    "apply",
     "theta_conjugate",
     "yukawa_ode_rhs",
     "FrobeniusPair",
@@ -101,7 +88,6 @@ __all__ = [
     "CohomRing",
     "b_series",
     "deformed_solution",
-    "frobenius_residue",
     "i_function_mirror_map",
     "i_function_untwisted",
     "i_weights_from_kernel",

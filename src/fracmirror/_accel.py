@@ -16,7 +16,7 @@ __all__ = ["backend_name", "count_points", "enumerate_points"]
 
 
 def backend_name():
-    """Name of the arithmetic the scan runs on."""
+    """Name of the arithmetic the scan runs on (perfbench/run.py records it)."""
     return "python"
 
 

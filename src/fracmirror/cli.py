@@ -17,9 +17,11 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .cohom import (
     CohomRing,
     b_series,
+    b_series_json,
     i_function_mirror_map,
     i_function_untwisted,
     i_weights_from_kernel,
+    slices_json,
 )
 from .errors import FracmirrorError, InvalidNefPartition
 from .gkz import build_gkz, principal_kernel_vector
@@ -298,12 +300,12 @@ def _cmd_ifunction(ctx):
         "num_weights": list(num),
         "den_weights": list(den),
         "m": m,
-        "i_function": I.to_json(),
+        "i_function": slices_json(I),
         "mirror_map_series": ratio.to_json(),
     }
     return payload, lambda: [
         f"weights: numerator {list(num)}, denominator {list(den)}",
-        f"A(q) = {_series_text(I.eps_slice(0), 'q')}",
+        f"A(q) = {_series_text(I[0], 'q')}",
         f"B/A (mirror map series) = {_series_text(ratio, 'q')}",
     ], []
 
@@ -323,12 +325,12 @@ def _cmd_bseries(ctx):
             "classes": {k: fraction_str(v) for k, v in ring.classes},
             "integral_scale": fraction_str(ring.integral_scale),
         },
-        "b_series": B.to_json(),
+        "b_series": b_series_json(B),
     }
     return payload, lambda: [
         f"ring: Q[eps]/(eps^{ring.m}), integral scale {fraction_str(ring.integral_scale)}",
-        f"eps^0 slice (omega0) = {_series_text(B.part(0).eps_slice(0), 'z')}",
-        f"log-degree = {B.log_degree}",
+        f"eps^0 slice (omega0) = {_series_text(B[0], 'z')}",
+        f"log-degree = {len(B) - 1}",
     ], []
 
 

@@ -11,9 +11,9 @@ Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
 built order by order from linear factors, so no transcendental Gamma value is
 ever evaluated.  Its recurrence runs on Python ints (integer numerators over
-one common denominator) and hands each eps-slice over as integers, so it
-builds no Fraction per coefficient.  The holomorphic solution is its eps^0
-slice.
+one common denominator) and it returns the m eps-slices, each a
+``RationalSeries`` handed over as integers, so it builds no Fraction per
+coefficient.  The holomorphic solution is its eps^0 slice.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .series import NilpotentSeries, _make, _order, parse_fraction
+from .series import _make, _order, parse_fraction
 
 __all__ = [
     "GkzSystem",
@@ -144,7 +144,8 @@ def _series_factors(ell, alpha):
 
 
 def hypergeometric_series(num, den, m, N):
-    """sum_n c_n z^n over Q[eps]/(eps^m), truncated at order N, where
+    """The eps-slices (S_0, ..., S_(m-1)), RationalSeries truncated at order
+    N, of sum_n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
 
         c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
             / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
@@ -183,8 +184,7 @@ def hypergeometric_series(num, den, m, N):
         U, E = [u // g for u in U], E // g
         orders.append((U, E))
     D = lcm(*(E for _, E in orders))
-    slices = [_make([U[k] * (D // E) for U, E in orders], D, N) for k in range(m)]
-    return NilpotentSeries.from_slices(slices)
+    return tuple(_make([U[k] * (D // E) for U, E in orders], D, N) for k in range(m))
 
 
 def _new_factors(factors, n, m):
@@ -214,4 +214,4 @@ def holo_solution(ell, alpha, N):
     divides by rising factorials over the positive ones; c_0 = 1.  It is the
     eps^0 slice of ``hypergeometric_series`` at m = 1.
     """
-    return hypergeometric_series(*_series_factors(ell, alpha), 1, N).eps_slice(0)
+    return hypergeometric_series(*_series_factors(ell, alpha), 1, N)[0]

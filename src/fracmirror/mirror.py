@@ -97,8 +97,7 @@ def frobenius_pair(ell, alpha, N):
                     "exponent -1/2"
                 )
             k_total += -le
-    series = hypergeometric_series(*_series_factors(ell, alpha), 2, N)
-    omega0, tau = series.eps_slice(0), series.eps_slice(1)
+    omega0, tau = hypergeometric_series(*_series_factors(ell, alpha), 2, N)
     return FrobeniusPair(omega0=omega0, tau=tau, scale=2 ** (2 * k_total), N=N)
 
 

@@ -1,4 +1,4 @@
-"""Picard–Fuchs operators in theta form and their series action.
+"""Picard–Fuchs operators in theta form and the Yukawa ODE they give.
 
 An operator is a sum over theta-powers of polynomials in z,
 
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
-from .series import LogSeries, NilpotentSeries, RationalSeries, fraction_str, parse_fraction
+from .series import RationalSeries, fraction_str, parse_fraction
 
 __all__ = [
     "ThetaOperator",
     "theta_conjugate",
-    "apply",
     "yukawa_ode_rhs",
 ]
 
@@ -57,21 +56,6 @@ class ThetaOperator:
     @property
     def degree(self):
         return len(self.z_polys) - 1
-
-    def indicial(self):
-        """theta-polynomial at z = 0, as coefficients of t^k."""
-        return tuple(p[0] for p in self.z_polys)
-
-    def normalized(self):
-        lead = self.z_polys[-1][0]
-        if lead == 1:
-            return self
-        return ThetaOperator(
-            tuple(tuple(x / lead for x in p) for p in self.z_polys),
-            scale=self.scale,
-            f_roots=self.f_roots,
-            g_roots=self.g_roots,
-        )
 
     def display(self):
         """Factored text form when the factorization is known."""
@@ -180,29 +164,6 @@ def theta_conjugate(ell, alpha):
     )
 
 
-def apply(op, obj):
-    """Apply a theta-operator to a series or a log-extended series."""
-    if not isinstance(obj, (RationalSeries, NilpotentSeries, LogSeries)):
-        raise TypeError("operators act on series or LogSeries")
-    total = None
-    power = obj
-    for k, poly in enumerate(op.z_polys):
-        if k > 0:
-            power = power.theta()
-        term = None
-        for j, c in enumerate(poly):
-            if c == 0:
-                continue
-            piece = power.shift(j) * c
-            term = piece if term is None else term + piece
-        if term is None:
-            continue
-        total = term if total is None else total + term
-    if total is None:
-        return obj * Fraction(0)
-    return total
-
-
 def yukawa_ode_rhs(op, N):
     """g with theta(Y) = g Y for the normalized Yukawa coupling of a
     degree-4 operator: g = -p3/(2 p4), expanded to order N."""
@@ -211,4 +172,3 @@ def yukawa_ode_rhs(op, N):
     p3 = RationalSeries(op.z_polys[3], N)
     p4 = RationalSeries(op.z_polys[4], N)
     return -(p3 / p4) * Fraction(1, 2)
-

@@ -1,19 +1,10 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Truncated formal power series in z with exact rational coefficients.
 
-Three classes:
-
-* ``RationalSeries`` — series in z over Q, truncated at a fixed order N.  It
-  holds every kernel: product, ``inverse``, ``exp``, ``log``, ``compose``,
-  ``reversion``, theta and its inverse.
-* ``NilpotentSeries`` — series over Q[eps]/(eps^m), used for
-  cohomology-valued solutions.  Since Q[eps]/(eps^m)[[z]] =
-  Q[[z]][eps]/(eps^m), it is stored as its m eps-slices, each a
-  ``RationalSeries``: +, -, scalar multiples, theta, shift and truncation act
-  slice by slice, a product is the truncated convolution
-  sum_(i+j=k) A_i B_j on the Q product, and ``coeff(n)`` reads an ``EpsPoly``.
-* ``LogSeries`` — polynomials in the formal symbol L = log z whose
-  coefficients are series of either kind; theta = z d/dz acts by
-  theta(L^k S) = k L^(k-1) S + L^k theta(S).
+``RationalSeries`` is a series over Q, truncated at a fixed order N.  It
+holds every kernel: product, ``inverse``, ``exp``, ``log``, ``compose``,
+``reversion``, theta and its inverse.  A series over Q[eps]/(eps^m), such
+as a Frobenius tower or an I-function, is a tuple of its m eps-slices, each
+a ``RationalSeries`` (see ``gkz.hypergeometric_series``).
 
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
@@ -34,18 +25,11 @@ coefficients as reduced ``Fraction``s (``c``, ``coeff``) are built once.
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, index, mul, neg
+from operator import index, mul
 
 from .errors import FracmirrorError
 
-__all__ = [
-    "EpsPoly",
-    "RationalSeries",
-    "NilpotentSeries",
-    "LogSeries",
-    "parse_fraction",
-    "fraction_str",
-]
+__all__ = ["RationalSeries", "parse_fraction", "fraction_str"]
 
 _ZERO = Fraction(0)
 
@@ -69,131 +53,6 @@ def _order(n):
 def fraction_str(q):
     q = parse_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-class EpsPoly:
-    """Element of Q[eps]/(eps^m): coefficients (c0, ..., c_(m-1))."""
-
-    __slots__ = ("m", "c")
-
-    def __init__(self, m, coeffs=()):
-        m = _order(m)
-        if m < 1:
-            raise ValueError("nilpotency order m must be at least 1")
-        vals = [parse_fraction(x) for x in coeffs][:m]
-        vals += [_ZERO] * (m - len(vals))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", tuple(vals))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("EpsPoly is immutable")
-
-    @classmethod
-    def constant(cls, m, value):
-        return cls(m, (parse_fraction(value),))
-
-    @classmethod
-    def eps(cls, m, power=1):
-        if power < 0:
-            raise ValueError("eps power must be nonnegative")
-        return cls(m, (0,) * power + (1,))
-
-    def coeff(self, k):
-        return self.c[k] if 0 <= k < self.m else _ZERO
-
-    @property
-    def is_zero(self):
-        return all(x == 0 for x in self.c)
-
-    def _coerce(self, other):
-        if isinstance(other, EpsPoly):
-            if other.m != self.m:
-                raise ValueError("EpsPoly operands have different nilpotency orders")
-            return other
-        if isinstance(other, (int, Fraction, str)):
-            return EpsPoly.constant(self.m, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return EpsPoly(self.m, tuple(a + b for a, b in zip(self.c, o.c)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return EpsPoly(self.m, tuple(a - b for a, b in zip(self.c, o.c)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return EpsPoly(self.m, tuple(-a for a in self.c))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = [Fraction(0)] * self.m
-        for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j in range(self.m - i):
-                b = o.c[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return EpsPoly(self.m, out)
-
-    __rmul__ = __mul__
-
-    def invert(self):
-        if self.c[0] == 0:
-            raise FracmirrorError("EpsPoly with zero constant term is not invertible")
-        inv0 = Fraction(1) / self.c[0]
-        out = [inv0] + [Fraction(0)] * (self.m - 1)
-        for n in range(1, self.m):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.c[k] * out[n - k]
-            out[n] = -inv0 * acc
-        return EpsPoly(self.m, out)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = EpsPoly.constant(self.m, other)
-        return isinstance(other, EpsPoly) and (self.m, self.c) == (other.m, other.c)
-
-    def __hash__(self):
-        # a constant equals its c0 (see __eq__), so it must hash like it
-        if not any(self.c[1:]):
-            return hash(self.c[0])
-        return hash((self.m, self.c))
-
-    def __repr__(self):
-        terms = [f"{fraction_str(a)}*eps^{k}" for k, a in enumerate(self.c) if a != 0]
-        return " + ".join(terms) if terms else "0"
-
-    def to_json(self):
-        return [fraction_str(a) for a in self.c]
 
 
 def _recurrence(u0, e0, w, d):
@@ -229,13 +88,22 @@ def _powers(g, m):
     return P
 
 
-def _scalar(x, m=None):
-    """x as a Fraction (as an EpsPoly of order m when m is given), or None
-    when it is no such scalar."""
+def _scalar(x):
+    """x as a Fraction, or None when it is no rational scalar."""
     try:
-        return parse_fraction(x) if m is None else _eps(m, x)
+        return parse_fraction(x)
     except (TypeError, ValueError):
         return None
+
+
+def _coeff_strs(A, D):
+    """``fraction_str`` of each A_n / D for ints A and D > 0: the numerators
+    themselves when D == 1, else one gcd per coefficient, so A and D need
+    not be in lowest terms."""
+    if D == 1:
+        return list(map(str, A))
+    G = map(gcd, A, [D] * len(A))
+    return [str(a // g) if g == D else f"{a // g}/{D // g}" for a, g in zip(A, G)]
 
 
 def _make(A, D, N):
@@ -464,238 +332,8 @@ class RationalSeries:
         body = " + ".join(terms) if terms else "0"
         return f"RationalSeries({body} + O(z^{self.N + 1}))"
 
-    def _coeff_strs(self):
-        """``fraction_str`` of each coefficient: the numerators themselves when
-        D == 1 (a zero slice, an integral series), else one gcd per coefficient."""
-        A, D = self.A, self.D
-        if D == 1:
-            return list(map(str, A))
-        G = map(gcd, A, [D] * len(A))
-        return [str(a // g) if g == D else f"{a // g}/{D // g}" for a, g in zip(A, G)]
-
     def to_json(self):
-        return {"N": self.N, "coeffs": self._coeff_strs()}
+        return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D)}
 
 
 _Series = RationalSeries  # for perfbench/spans.py until ROADMAP item 5
-
-
-def _eps(m, x):
-    """x as an element of Q[eps]/(eps^m)."""
-    if isinstance(x, EpsPoly):
-        if x.m != m:
-            raise ValueError("EpsPoly has the wrong nilpotency order")
-        return x
-    return EpsPoly.constant(m, x)
-
-
-class NilpotentSeries:
-    """Truncated series in z over Q[eps]/(eps^m), held as its m eps-slices.
-
-    ``slices[k]`` is the RationalSeries multiplying eps^k.
-    """
-
-    __slots__ = ("m", "N", "slices")
-
-    def __init__(self, m, coeffs=(), N=None):
-        m = _order(m)
-        if m < 1:
-            raise ValueError("nilpotency order m must be at least 1")
-        vals = [_eps(m, x) for x in coeffs]
-        self._hold([RationalSeries([x.c[k] for x in vals], N) for k in range(m)])
-
-    @classmethod
-    def from_slices(cls, slices):
-        """sum_k slices[k] eps^k, truncated at the smallest order among them."""
-        obj = object.__new__(cls)
-        obj._hold(list(slices))
-        return obj
-
-    def _hold(self, slices):
-        if not slices:
-            raise ValueError("a nilpotent series needs at least one eps-slice")
-        if not all(isinstance(s, RationalSeries) for s in slices):
-            raise TypeError("eps-slices must be RationalSeries")
-        N = min(s.N for s in slices)
-        object.__setattr__(self, "m", len(slices))
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "slices", tuple(s.truncate(N) for s in slices))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("series are immutable")
-
-    def _map(self, f):
-        return NilpotentSeries.from_slices([f(s) for s in self.slices])
-
-    def _slices_of(self, other):
-        if other.m != self.m:
-            raise TypeError("series live over different coefficient rings")
-        return other.slices
-
-    def coeff(self, n):
-        return EpsPoly(self.m, [s.coeff(n) for s in self.slices])
-
-    @property
-    def c(self):
-        return tuple(self.coeff(n) for n in range(self.N + 1))
-
-    def eps_slice(self, k):
-        """The RationalSeries multiplying eps^k."""
-        return self.slices[k] if 0 <= k < self.m else RationalSeries.zero(self.N)
-
-    def is_zero(self):
-        return all(s.is_zero() for s in self.slices)
-
-    def truncate(self, N):
-        return self._map(lambda s: s.truncate(N))
-
-    def __add__(self, other):
-        if isinstance(other, NilpotentSeries):
-            return NilpotentSeries.from_slices(list(map(add, self.slices, self._slices_of(other))))
-        x = _scalar(other, self.m)
-        if x is None:
-            return NotImplemented
-        return NilpotentSeries.from_slices(list(map(add, self.slices, x.c)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._map(neg)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, NilpotentSeries) else -_eps(self.m, other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, NilpotentSeries):
-            x = _scalar(other, self.m)
-            if x is None:
-                return NotImplemented
-            if not any(x.c[1:]):
-                return self._map(lambda s: s * x.c[0])
-            other = NilpotentSeries(self.m, [x], self.N)
-        B = self._slices_of(other)
-        out = [RationalSeries.zero(min(self.N, other.N))] * self.m
-        for i, a in enumerate(self.slices):
-            if a.is_zero():
-                continue
-            for j in range(self.m - i):
-                if not B[j].is_zero():
-                    out[i + j] = out[i + j] + a * B[j]
-        return NilpotentSeries.from_slices(out)
-
-    __rmul__ = __mul__
-
-    def theta(self):
-        """z d/dz."""
-        return self._map(RationalSeries.theta)
-
-    def shift(self, j):
-        """Multiply by z^j (j >= 0), truncating at the same order."""
-        return self._map(lambda s: s.shift(j))
-
-    def __eq__(self, other):
-        return isinstance(other, NilpotentSeries) and self.slices == other.slices
-
-    def __hash__(self):
-        return hash(self.slices)
-
-    def __repr__(self):
-        return f"NilpotentSeries(m={self.m}, N={self.N}, c0={self.coeff(0)!r}, ...)"
-
-    def to_json(self):
-        rows = zip(*(s._coeff_strs() for s in self.slices))
-        return {"N": self.N, "coeffs": [list(row) for row in rows], "m": self.m}
-
-
-class LogSeries:
-    """Polynomial in L = log z with truncated-series coefficients.
-
-    ``parts[k]`` multiplies L^k.  theta acts by
-    theta(L^k S) = k L^(k-1) S + L^k theta(S), i.e. theta(L) = 1.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise ValueError("LogSeries needs at least one part")
-        if not all(isinstance(p, (RationalSeries, NilpotentSeries)) for p in parts):
-            raise TypeError("LogSeries parts must be series")
-        if len({(type(p), getattr(p, "m", None)) for p in parts}) > 1:
-            raise TypeError("LogSeries parts live over different rings")
-        N = min(p.N for p in parts)
-        parts = [p.truncate(N) for p in parts]
-        while len(parts) > 1 and parts[-1].is_zero():
-            parts.pop()
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogSeries is immutable")
-
-    @property
-    def N(self):
-        return self.parts[0].N
-
-    @property
-    def log_degree(self):
-        return len(self.parts) - 1
-
-    def part(self, k):
-        if 0 <= k < len(self.parts):
-            return self.parts[k]
-        return self.parts[0] * 0
-
-    def __add__(self, other):
-        if isinstance(other, LogSeries):
-            n = max(len(self.parts), len(other.parts))
-            return LogSeries([self.part(k) + other.part(k) for k in range(n)])
-        return LogSeries([self.parts[0] + other] + list(self.parts[1:]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LogSeries([-p for p in self.parts])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, LogSeries) else -(self.parts[0] * 0 + other))
-
-    def __mul__(self, other):
-        if isinstance(other, LogSeries):
-            acc = [None] * (len(self.parts) + len(other.parts) - 1)
-            for i, p in enumerate(self.parts):
-                for j, q in enumerate(other.parts):
-                    acc[i + j] = p * q if acc[i + j] is None else acc[i + j] + p * q
-            return LogSeries(acc)
-        return LogSeries([p * other for p in self.parts])
-
-    __rmul__ = __mul__
-
-    def theta(self):
-        P = self.parts + (self.parts[0] * 0,)
-        return LogSeries([P[k].theta() + P[k + 1] * (k + 1) for k in range(len(self.parts))])
-
-    def shift(self, j):
-        return LogSeries([p.shift(j) for p in self.parts])
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-    def truncate(self, N):
-        return LogSeries([p.truncate(N) for p in self.parts])
-
-    def __eq__(self, other):
-        return isinstance(other, LogSeries) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"LogSeries(log_degree={self.log_degree}, N={self.N})"
-
-    def to_json(self):
-        parts = [{"log_power": k, **p.to_json()} for k, p in enumerate(self.parts)]
-        return {"N": self.N, "log_degree": self.log_degree, "parts": parts}

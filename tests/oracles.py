@@ -17,7 +17,7 @@ from fracmirror.mirror import YukawaData
 from fracmirror.nefpart import polytope_of_part
 from fracmirror.picard_fuchs import ThetaOperator, yukawa_ode_rhs
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import EpsPoly, LogSeries, NilpotentSeries, RationalSeries
+from fracmirror.series import RationalSeries, _order
 
 
 def product_term_by_term(a, b):
@@ -33,22 +33,6 @@ def product_term_by_term(a, b):
             if y != 0:
                 out[i + j] += x * y
     return RationalSeries(out, N)
-
-
-def nilpotent_product_term_by_term(a, b):
-    """a * b over Q[eps]/(eps^m) by the schoolbook convolution of the EpsPoly
-    coefficients, one EpsPoly product per term pair."""
-    N = min(a.N, b.N)
-    out = [EpsPoly(a.m)] * (N + 1)
-    for i in range(N + 1):
-        x = a.coeff(i)
-        if x.is_zero:
-            continue
-        for j in range(N + 1 - i):
-            y = b.coeff(j)
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return NilpotentSeries(a.m, out, N)
 
 
 def inverse_term_by_term(f):
@@ -88,8 +72,9 @@ def matches(f, g, upto):
 
 
 def omega1_log(pair):
-    """omega1 = omega0 * L + tau of a Frobenius pair, as a LogSeries in L = log z."""
-    return LogSeries([pair.tau, pair.omega0])
+    """omega1 = omega0 * L + tau of a Frobenius pair as its log parts
+    [tau, omega0], the list that ``apply`` takes, L = log z."""
+    return [pair.tau, pair.omega0]
 
 
 def mirror_map_in_z(pair):
@@ -472,6 +457,74 @@ def rising(a, k):
     return out
 
 
+class EpsPoly:
+    """Element of Q[eps]/(eps^m) as its coefficients (c0, ..., c_(m-1)): the
+    arithmetic of the eps-loops and of the cohomology pairing below."""
+
+    def __init__(self, m, coeffs=()):
+        m = _order(m)
+        c = [Fraction(x) for x in coeffs][:m]
+        self.m, self.c = m, tuple(c + [Fraction(0)] * (m - len(c)))
+
+    @classmethod
+    def constant(cls, m, value):
+        return cls(m, (value,))
+
+    @classmethod
+    def eps(cls, m, power=1):
+        return cls(m, (0,) * power + (1,))
+
+    def coeff(self, k):
+        return self.c[k] if 0 <= k < self.m else 0
+
+    @property
+    def is_zero(self):
+        return not any(self.c)
+
+    def _of(self, x):
+        if not isinstance(x, EpsPoly):
+            return EpsPoly.constant(self.m, x)
+        if x.m != self.m:
+            raise ValueError("EpsPoly operands have different nilpotency orders")
+        return x
+
+    def __add__(self, other):
+        return EpsPoly(self.m, map(operator.add, self.c, self._of(other).c))
+
+    def __sub__(self, other):
+        return EpsPoly(self.m, map(operator.sub, self.c, self._of(other).c))
+
+    def __mul__(self, other):
+        a, b = self.c, self._of(other).c
+        return EpsPoly(self.m, [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(self.m)])
+
+    def invert(self):
+        if not self.c[0]:
+            raise FracmirrorError("EpsPoly with zero constant term is not invertible")
+        out = [1 / self.c[0]]
+        for n in range(1, self.m):
+            out.append(-out[0] * sum(self.c[k] * out[n - k] for k in range(1, n + 1)))
+        return EpsPoly(self.m, out)
+
+    def __truediv__(self, other):
+        return self * self._of(other).invert()
+
+    def __eq__(self, other):
+        other = other if isinstance(other, EpsPoly) else EpsPoly.constant(self.m, other)
+        return (self.m, self.c) == (other.m, other.c)
+
+    def __hash__(self):
+        # a constant equals its c0 (see __eq__), so it must hash like it
+        return hash(self.c[0]) if not any(self.c[1:]) else hash((self.m, self.c))
+
+
+def eps_slices(coeffs, N):
+    """The eps-slices of sum_n coeffs[n] z^n, EpsPoly coefficients of one
+    order m: a tuple of m RationalSeries of order N, as
+    ``gkz.hypergeometric_series`` returns them."""
+    return tuple(RationalSeries([x.c[k] for x in coeffs], N) for k in range(coeffs[0].m))
+
+
 def hypergeometric_term_by_term(num, den, m, N):
     """``gkz.hypergeometric_series`` by EpsPoly arithmetic, one order at a time.
 
@@ -495,7 +548,7 @@ def hypergeometric_term_by_term(num, den, m, N):
     for n in range(1, N + 1):
         c = c * new_factors(num, n) / new_factors(den, n)
         coeffs.append(c)
-    return NilpotentSeries(m, coeffs, N)
+    return eps_slices(coeffs, N)
 
 
 def box_annihilation_check(ell, alpha, N, series=None):
@@ -699,13 +752,15 @@ def nef_diagnostics_by_hulls(delta, parts):
 def holomorphic_kernel(op, N):
     """The unique series solution with constant term 1 of op(S) = 0.
 
-    Requires the indicial polynomial to be nonzero at every positive
-    integer (true for normalized theta^d leading parts).
+    Requires the indicial polynomial (the theta-polynomial at z = 0) to be
+    nonzero at every positive integer (true for normalized theta^d leading
+    parts).  The operator is first divided by its leading constant.
     """
-    op = op.normalized()
-    ind = op.indicial()
+    lead = op.z_polys[-1][0]
+    z_polys = [[c / lead for c in p] for p in op.z_polys]
+    ind = [p[0] for p in z_polys]
     coeffs = [Fraction(1)]
-    max_shift = max(len(p) for p in op.z_polys) - 1
+    max_shift = max(len(p) for p in z_polys) - 1
     for n in range(1, N + 1):
         lead = sum(c * Fraction(n) ** k for k, c in enumerate(ind))
         if lead == 0:
@@ -714,7 +769,7 @@ def holomorphic_kernel(op, N):
             )
         acc = Fraction(0)
         for a in range(1, min(n, max_shift) + 1):
-            for k, poly in enumerate(op.z_polys):
+            for k, poly in enumerate(z_polys):
                 if a < len(poly) and poly[a] != 0:
                     acc += poly[a] * Fraction(n - a) ** k * coeffs[n - a]
         coeffs.append(-acc / lead)
@@ -754,20 +809,92 @@ def theta_conjugate_by_fractions(ell, alpha):
     )
 
 
-def log_prefactor_by_fractions(deformed):
-    """z^rho * deformed as a LogSeries, part k being the slices shifted up by
-    k and each multiplied by the Fraction 1/k!."""
-    m, S = deformed.m, deformed.slices
-    parts = [deformed]
-    for k in range(1, m):
-        scaled = [s * Fraction(1, math.factorial(k)) for s in S[: m - k]]
-        parts.append(NilpotentSeries.from_slices([RationalSeries.zero(deformed.N)] * k + scaled))
-    return LogSeries(parts)
+def log_prefactor_by_fractions(S):
+    """z^rho * sum_j S[j] rho^j as its log parts in L = log z, for eps-slices
+    S: part k is the tuple of its m rho-slices, the slices shifted up by k
+    and each multiplied by the Fraction 1/k!."""
+    m, zero = len(S), RationalSeries.zero(S[0].N)
+    return [
+        (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
+        for k in range(m)
+    ]
+
+
+def theta_log(parts):
+    """theta = z d/dz on sum_k parts[k] L^k, L = log z:
+    theta(L^k S) = k L^(k-1) S + L^k theta(S)."""
+    after = parts[1:] + [parts[0] * 0]
+    return [p.theta() + q * (k + 1) for k, (p, q) in enumerate(zip(parts, after))]
+
+
+def apply(op, f):
+    """A theta-operator applied to f, a RationalSeries or the list of log
+    parts of sum_k f[k] L^k; returns the list of log parts of the result."""
+    if isinstance(f, RationalSeries):
+        f = [f]
+    if not (isinstance(f, list) and f and all(isinstance(p, RationalSeries) for p in f)):
+        raise TypeError("operators act on series or lists of log parts")
+    out, power = [p * 0 for p in f], f
+    for k, poly in enumerate(op.z_polys):
+        if k:
+            power = theta_log(power)
+        out = [o + sum((p.shift(j) * c for j, c in enumerate(poly) if c), p * 0) for o, p in zip(out, power)]
+    return out
+
+
+def apply_to_prefactored(op, S):
+    """``apply(op, z^rho * sum_j S[j] rho^j)`` for eps-slices S, one rho-power
+    at a time (op has rational coefficients): entry j is the list of log
+    parts of the rho^j slice, whose L^k part is S[j - k] / k!."""
+    parts = log_prefactor_by_fractions(S)
+    return [apply(op, [part[j] for part in parts]) for j in range(len(S))]
+
+
+def frobenius_residue(op, S, N=None):
+    """apply(op, z^rho * deformed) for the eps-slices S of a deformed
+    solution: it must collapse to a pure constant.
+
+    For the operator conjugate to the kernel vector of the deformation the
+    only surviving coefficient is the (z^0, log^0) entry, the indicial value
+    F(rho) — rho^degree times a unit — returned as an EpsPoly.  Any other
+    nonvanishing coefficient is reported with its (order, log-power).
+    """
+    m = len(S)
+    if m != op.degree + 1:
+        raise FracmirrorError("frobenius_residue needs nilpotency order = operator degree + 1")
+    N = S[0].N if N is None else N
+    out = apply_to_prefactored(op, [s.truncate(N) for s in S])
+    bad = [
+        (n, k)
+        for parts in out
+        for k, part in enumerate(parts)
+        for n in range(N + 1)
+        if (n, k) != (0, 0) and part.coeff(n)
+    ]
+    if bad:
+        raise FracmirrorError(
+            "operator does not annihilate the deformed solution; "
+            f"nonvanishing coefficients at (order, log-power) = {bad[:5]}"
+        )
+    return EpsPoly(m, [parts[0].coeff(0) for parts in out])
+
+
+def cohom_class(ring, label):
+    """The divisor class ``label`` of a CohomRing, as its multiple of eps."""
+    return EpsPoly(ring.m, (0, dict(ring.classes)[label]))
+
+
+def cohom_integral(ring, x):
+    """The integral of x over the space: its eps^(m-1) coefficient times the
+    ring's integral scale."""
+    if not isinstance(x, EpsPoly) or x.m != ring.m:
+        raise TypeError("integral takes an EpsPoly of matching order")
+    return x.coeff(ring.m - 1) * ring.integral_scale
 
 
 def pairing_matrix(ring, basis):
-    """Gram matrix of ring.integral(b_i * b_j) over the given basis."""
+    """Gram matrix of cohom_integral(b_i * b_j) over the given basis."""
     basis = [b if isinstance(b, EpsPoly) else EpsPoly.constant(ring.m, b) for b in basis]
     return tuple(
-        tuple(ring.integral(bi * bj) for bj in basis) for bi in basis
+        tuple(cohom_integral(ring, bi * bj) for bj in basis) for bi in basis
     )

@@ -32,10 +32,11 @@ from fracmirror.mirror import (
     yukawa_z,
 )
 from fracmirror.nefpart import NefPartition, validate_nef_partition
-from fracmirror.picard_fuchs import ThetaOperator, apply, theta_conjugate
+from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
     a_model_correlation_in_z,
+    apply,
     matches,
     mirror_map_in_z,
     omega1_log,
@@ -154,7 +155,7 @@ def test_frobenius_pair_refuses_a_bool_order():
 def test_log_solution_jointly_annihilated(case, request):
     pair, ell, alpha = _pair(request.getfixturevalue(case), 16)
     op = theta_conjugate(ell, alpha)
-    assert apply(op, omega1_log(pair)).is_zero()
+    assert all(p.is_zero() for p in apply(op, omega1_log(pair)))
 
 
 # ------------------------------------------------------------- mirror map
@@ -385,4 +386,4 @@ def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, 
         for N in orders:
             B, I = deformed_solution(ell, alpha, N, m), i_function_untwisted(*weights, m, N)
             for k in range(m):
-                assert _dilate(B.eps_slice(k), s) == I.eps_slice(k), (label, N, k)
+                assert _dilate(B[k], s) == I[k], (label, N, k)

@@ -1,4 +1,4 @@
-"""Truncated power series over Q and over nilpotent rings."""
+"""Truncated power series over Q, and series over Q[eps]/(eps^m) as their eps-slices."""
 
 import math
 import random
@@ -8,26 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    EpsPoly,
     compose_by_horner,
+    eps_slices,
     exp_term_by_term,
     inverse_term_by_term,
     matches,
-    nilpotent_product_term_by_term,
     product_term_by_term,
     reversion_by_composition,
     reversion_by_powers,
     scale_arg,
+    theta_log,
 )
 
+from fracmirror.cohom import b_series_json, slices_json
 from fracmirror.errors import FracmirrorError
-from fracmirror.series import (
-    EpsPoly,
-    LogSeries,
-    NilpotentSeries,
-    RationalSeries,
-    fraction_str,
-    parse_fraction,
-)
+from fracmirror.gkz import hypergeometric_series
+from fracmirror.series import RationalSeries, _coeff_strs, fraction_str, parse_fraction
 
 
 def geometric(N):
@@ -56,7 +53,7 @@ def test_fraction_str_refuses_floats():
         fraction_str(0.5)
 
 
-# ---------------------------------------------------------------- EpsPoly
+# --------------------------------------------- EpsPoly (the oracles' ring)
 
 
 def test_epspoly_truncation_and_arithmetic():
@@ -338,8 +335,10 @@ _integral_series = st.lists(st.integers(-(2**70), 2**70), min_size=1).map(Ration
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_q_series(), _integral_series))
 def test_coeff_strs_match_fraction_str(s):
-    # zero and integral series (D == 1) are written from their numerators
-    assert s._coeff_strs() == [fraction_str(c) for c in s.c]
+    # zero and integral series (D == 1) are written from their numerators;
+    # numerators and denominator need not be in lowest terms
+    assert _coeff_strs(s.A, s.D) == [fraction_str(c) for c in s.c]
+    assert _coeff_strs([6 * a for a in s.A], 6 * s.D) == [fraction_str(c) for c in s.c]
 
 
 def test_kernels_match_fraction_loops_on_wide_coefficients():
@@ -478,8 +477,8 @@ def test_truncation_divides_out_the_content_of_the_prefix():
         lambda: RationalSeries([1, 2, 3], 2.5),
         lambda: RationalSeries.zero(3.0),
         lambda: EpsPoly(2.7, (1, 2)),
-        lambda: NilpotentSeries(2.9, [1], 1),
-        lambda: NilpotentSeries(2, [1], 1.5),
+        lambda: hypergeometric_series([], [], 2.9, 1),
+        lambda: hypergeometric_series([], [], 2, 1.5),
     ],
     ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
 )
@@ -495,8 +494,8 @@ def test_orders_refuse_floats(build):
         lambda: RationalSeries([1, 2, 3], True),
         lambda: RationalSeries.zero(False),
         lambda: EpsPoly(True, (1, 2)),
-        lambda: NilpotentSeries(True, [1, 2], 1),
-        lambda: NilpotentSeries(2, [1], True),
+        lambda: hypergeometric_series([], [], True, 1),
+        lambda: hypergeometric_series([], [], 2, True),
     ],
     ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
 )
@@ -519,84 +518,51 @@ def _eps_coefficients(rng, m, N):
 
 
 def test_slice_operations_match_epspoly_route():
-    # a NilpotentSeries is its m eps-slices; every operation must agree with
-    # the same operation done coefficient by coefficient on EpsPoly values
+    # a series over Q[eps]/(eps^m) is the tuple of its m eps-slices; the
+    # slice-wise operations and the written JSON must agree with the same
+    # operation done coefficient by coefficient on EpsPoly values
     rng = random.Random(2022)
     zero_slices = 0
     for _ in range(200):
         m = rng.randint(1, 4)
         A = _eps_coefficients(rng, m, rng.randint(0, 10))
         B = _eps_coefficients(rng, m, rng.randint(0, 10))
-        a, b = NilpotentSeries(m, A), NilpotentSeries(m, B)
-        N = min(a.N, b.N)
-        zero_slices += sum(s.is_zero() for s in a.slices)
-        assert a.c == tuple(A) and (a.m, a.N) == (m, len(A) - 1)
-        assert NilpotentSeries.from_slices(a.eps_slice(k) for k in range(m)) == a
-        assert a * b == nilpotent_product_term_by_term(a, b)
-        assert a * a == nilpotent_product_term_by_term(a, a)
-        assert a + b == NilpotentSeries(m, [x + y for x, y in zip(A, B)], N)
-        assert a - b == NilpotentSeries(m, [x - y for x, y in zip(A, B)], N)
-        assert a + B[0] == NilpotentSeries(m, [A[0] + B[0]] + A[1:])
-        assert a * B[0] == NilpotentSeries(m, [x * B[0] for x in A])
-        assert a.theta() == NilpotentSeries(m, [x * n for n, x in enumerate(A)])
-        j = rng.randint(0, a.N + 1)
-        assert a.shift(j) == NilpotentSeries(m, [EpsPoly(m)] * j + A, a.N)
-        assert a.to_json() == {"N": a.N, "coeffs": [x.to_json() for x in A], "m": m}
+        a, b = eps_slices(A, len(A) - 1), eps_slices(B, len(B) - 1)
+        N = min(len(A), len(B)) - 1
+        zero_slices += sum(s.is_zero() for s in a)
+        assert [EpsPoly(m, [s.coeff(n) for s in a]) for n in range(len(A))] == A
+        assert tuple(x + y for x, y in zip(a, b)) == eps_slices([x + y for x, y in zip(A, B)], N)
+        assert tuple(x - y for x, y in zip(a, b)) == eps_slices([x - y for x, y in zip(A, B)], N)
+        assert tuple(s + c for s, c in zip(a, B[0].c)) == eps_slices([A[0] + B[0]] + A[1:], a[0].N)
+        c = B[0].c[0]
+        assert tuple(s * c for s in a) == eps_slices([x * c for x in A], a[0].N)
+        assert tuple(s.theta() for s in a) == eps_slices([x * n for n, x in enumerate(A)], a[0].N)
+        j = rng.randint(0, a[0].N + 1)
+        assert tuple(s.shift(j) for s in a) == eps_slices([EpsPoly(m)] * j + A, a[0].N)
+        rows = [[fraction_str(y) for y in x.c] for x in A]
+        assert slices_json(a) == {"N": a[0].N, "coeffs": rows, "m": m}
     assert zero_slices > 100
-
-
-def test_nilpotent_series_refuses_mixed_orders():
-    a = NilpotentSeries(2, [1, 2])
-    with pytest.raises(TypeError, match="different coefficient rings"):
-        a + NilpotentSeries(3, [1, 2])
-    with pytest.raises(TypeError):
-        a * RationalSeries([1, 2])
-    with pytest.raises(ValueError, match="at least one eps-slice"):
-        NilpotentSeries.from_slices([])
 
 
 def test_nilpotent_series_slices():
     m = 3
     coeffs = [EpsPoly(m, (1, 0, 0)), EpsPoly(m, (2, 3, 0)), EpsPoly(m, (0, 0, 4))]
-    f = NilpotentSeries(m, coeffs, 2)
-    assert matches(f.eps_slice(0), RationalSeries([1, 2, 0], 2), 2)
-    assert matches(f.eps_slice(1), RationalSeries([0, 3, 0], 2), 2)
-    assert matches(f.eps_slice(2), RationalSeries([0, 0, 4], 2), 2)
-    g = f * f
-    assert matches(g.eps_slice(0), RationalSeries([1, 4, 4], 2), 2)
+    f = eps_slices(coeffs, 2)
+    assert matches(f[0], RationalSeries([1, 2, 0], 2), 2)
+    assert matches(f[1], RationalSeries([0, 3, 0], 2), 2)
+    assert matches(f[2], RationalSeries([0, 0, 4], 2), 2)
 
 
-# ----------------------------------------------------------------- LogSeries
+# ------------------------------------------------------- log-extended series
 
 
 def test_log_series_theta_product_rule():
     # L = f0 + f1*Lambda with theta(Lambda) = 1
     f0 = RationalSeries([1, 2, 3], 2)
     f1 = RationalSeries([4, 5, 6], 2)
-    L = LogSeries([f0, f1])
-    assert L.log_degree == 1
-    T = L.theta()
-    assert matches(T.part(0), f0.theta() + f1, 2)
-    assert matches(T.part(1), f1.theta(), 2)
-
-
-def test_log_series_product():
-    one = RationalSeries.one(4)
-    z = RationalSeries.z(4)
-    # (1 + Lambda) * (z + Lambda) = z + (1+z) Lambda + Lambda^2
-    L = LogSeries([one, one]) * LogSeries([z, one])
-    assert matches(L.part(0), z, 4)
-    assert matches(L.part(1), one + z, 4)
-    assert matches(L.part(2), one, 4)
-
-
-def test_log_series_shift_and_zero():
-    f = RationalSeries([1, 1], 1)
-    L = LogSeries([f, f])
-    S = L.shift(0)
-    assert matches(S.part(0), f, 1)
-    Z = L * Fraction(0)
-    assert Z.is_zero()
+    T = theta_log([f0, f1])
+    assert matches(T[0], f0.theta() + f1, 2)
+    assert matches(T[1], f1.theta(), 2)
 
 
 # ------------------------------------------------------------------ JSON
@@ -605,9 +571,8 @@ def test_log_series_shift_and_zero():
 def test_series_json_shapes():
     f = RationalSeries([1, Fraction(1, 2)], 1)
     assert f.to_json() == {"N": 1, "coeffs": ["1", "1/2"]}
-    g = NilpotentSeries(2, [EpsPoly(2, (1, 2))], 0)
-    j = g.to_json()
+    g = eps_slices([EpsPoly(2, (1, 2))], 0)
+    j = slices_json(g)
     assert j["m"] == 2 and j["coeffs"][0] == ["1", "2"]
-    L = LogSeries([f, f])
-    jl = L.to_json()
+    jl = b_series_json((f, f))
     assert jl["parts"][1]["log_power"] == 1

@@ -183,6 +183,24 @@ def test_cohom_jobs_form_no_nilpotent_product():
     assert tracer.calls["series.mul.nilpotent"] == 0
 
 
+def test_bseries_formats_each_slice_column_once(monkeypatch):
+    # log part k of the B-series is k shared zero columns and the first
+    # m - k eps-slices over D k!, so a job at m = 4 (the quartic) formats
+    # m (m + 1) / 2 = 10 slice columns and no zero column
+    denominators = []
+    coeff_strs = cohom._coeff_strs
+
+    def counting(A, D):
+        denominators.append(D)
+        return coeff_strs(A, D)
+
+    monkeypatch.setattr(cohom, "_coeff_strs", counting)
+    config = cli.JobConfig("bseries", str(DATA / "p3_quartic.json"), N=16, fmt="json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(config) == 0
+    assert len(denominators) == 10
+
+
 # calls of the Q product kernel per job at N = 4 and N = 16 on the three
 # bundled shapes (the K3 surface has no Yukawa, so its yukawa job forms no
 # product): the B-series multiplies no two series (z^eps shifts eps-slices)
@@ -247,7 +265,7 @@ def test_hypergeometric_kernel_builds_no_fraction(monkeypatch):
     m, N = 4, 16
     num, den = [(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4
     s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N))
-    assert (s.m, s.N) == (m, N)
+    assert (len(s), {x.N for x in s}) == (m, {N})
     assert built == 0
 
 
@@ -280,10 +298,11 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
     for name, op in ops.items():
         _, built = _count_fractions(monkeypatch, op)
         assert (name, built) == (name, 0)
-    # in whole JSON jobs: the B-series log parts scale their denominators by
-    # k!, and the I-function's unit check reads its numerators
+    # in whole JSON jobs: the B-series writer formats each log part's
+    # numerators over the slice denominators times k!, and the I-function's
+    # unit check reads its numerators
     for command, module, name in (
-        ("bseries", cohom, "_log_prefactor"), ("ifunction", cli, "i_function_mirror_map")
+        ("bseries", cli, "b_series_json"), ("ifunction", cli, "i_function_mirror_map")
     ):
         stage, counts = getattr(module, name), []
 
