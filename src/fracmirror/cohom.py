@@ -7,23 +7,28 @@ of order m, gives the full Frobenius tower: the rho^k-slices of
 z^rho * deformed are omega0, omega0 log z + tau, and the higher partners, so
 tau is the rho^1 slice of the same kernel.  The prefactor z^rho puts
 rho^k / k! times the slices in the L^k part (L = log z); ``b_series_json``
-writes that part as k zero columns followed by the first m - k slices over
-their denominators times k!, so no product over Q[rho]/(rho^m) is formed.
-The same kernel with weight data (w_a; u_b) gives the untwisted I-function
+writes that part as k zero columns followed by the first m - k slices
+divided by k!, so no product over Q[rho]/(rho^m) is formed; each slice's
+coefficients are reduced once, and part k divides the reduced numerators
+by k! with a small gcd.  The same kernel with weight data (w_a; u_b) gives
+the untwisted I-function
 
     I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
                      / prod_b prod_(t=1)^(u_b d) (u_b eps + t),
 
-whose eps^0 and eps^1 slices encode the mirror map.
+whose eps^0 and eps^1 slices encode the mirror map.  A weight pair 2k over
+k enters the kernel as the one half-integer factor (1/2 + k eps + j) with
+the scale 4^k (Legendre duplication), so it costs k linear factors per
+order instead of 3k.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FracmirrorError
-from .gkz import _series_factors, hypergeometric_series
+from .gkz import _series_factors, _step, hypergeometric_series
 from .series import _coeff_strs, parse_fraction
 
 __all__ = [
@@ -88,20 +93,52 @@ def b_series(ring, ell, alpha, N):
     return deformed_solution(ell, alpha, N, ring.m)
 
 
-def slices_json(S, k=0):
-    """JSON of rho^k / k! * sum_j S[j] rho^j over Q[rho]/(rho^m), m = len(S):
-    coefficient rows of k zero columns and then S[:m - k], each slice's
-    numerators formatted over its denominator times k!."""
-    m, N, f = len(S), S[0].N, math.factorial(k)
-    cols = [["0"] * (N + 1)] * k + [_coeff_strs(s.A, s.D * f) for s in S[: m - k]]
-    return {"N": N, "coeffs": [list(row) for row in zip(*cols)], "m": m}
+def slices_json(S):
+    """JSON of sum_j S[j] rho^j over Q[rho]/(rho^m), m = len(S): one row of
+    m coefficient strings per order."""
+    cols = [_coeff_strs(s.A, s.D) for s in S]
+    return {"N": S[0].N, "coeffs": [list(row) for row in zip(*cols)], "m": len(S)}
+
+
+def _reduce(s):
+    """The coefficients A_n / D of s in lowest terms, one gcd each: the
+    numerators, the denominators and the numerators' strings."""
+    A, D = s.A, s.D
+    if D == 1:
+        return A, [1] * len(A), list(map(str, A))
+    G = list(map(gcd, A, [D] * len(A)))
+    A = [a // g for a, g in zip(A, G)]
+    return A, [D // g for g in G], list(map(str, A))
+
+
+def _over(col, f):
+    """``fraction_str`` of each a / (d f), for a ``_reduce`` column of a / d
+    in lowest terms and an int f > 0: gcd(a, f) is a small gcd, and str(a)
+    is reused when it is 1."""
+    if f == 1:
+        return [t if d == 1 else f"{t}/{d}" for t, d in zip(col[2], col[1])]
+    out = []
+    for a, d, t in zip(*col):
+        g = gcd(a, f)
+        if g > 1:
+            t = str(a // g)
+        out.append(f"{t}/{d * f // g}" if d * f > g else t)
+    return out
 
 
 def b_series_json(S):
-    """JSON of z^rho * sum_j S[j] rho^j as a polynomial in L = log z: part k
-    is ``slices_json(S, k)``, and the log-degree is m - 1."""
-    parts = [{"log_power": k, **slices_json(S, k)} for k in range(len(S))]
-    return {"N": S[0].N, "log_degree": len(S) - 1, "parts": parts}
+    """JSON of z^rho * sum_j S[j] rho^j as a polynomial in L = log z, of
+    log-degree m - 1: part k is rho^k / k! times the slices, written as
+    ``slices_json`` writes a series, so its columns are k shared zero
+    columns and then S[:m - k] over k!, all from one ``_reduce`` per slice."""
+    m, N = len(S), S[0].N
+    cols, zero = [_reduce(s) for s in S], ["0"] * (N + 1)
+    parts, f = [], 1
+    for k in range(m):
+        f *= k or 1
+        rows = zip(*[zero] * k, *(_over(col, f) for col in cols[: m - k]))
+        parts.append({"log_power": k, "N": N, "coeffs": [list(r) for r in rows], "m": m})
+    return {"N": N, "log_degree": m - 1, "parts": parts}
 
 
 def i_weights_from_kernel(ell, alpha):
@@ -126,11 +163,24 @@ def i_weights_from_kernel(ell, alpha):
 
 def i_function_untwisted(num_weights, den_weights, m, N):
     """I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d)(w_a eps + t) /
-    prod_b prod_(t=1)^(u_b d)(u_b eps + t) as its m eps-slices:
-    ``hypergeometric_series`` with factors (1, w_a) over (1, u_b)."""
-    return hypergeometric_series(
-        [(1, w) for w in num_weights], [(1, u) for u in den_weights], m, N
-    )
+    prod_b prod_(t=1)^(u_b d)(u_b eps + t) as its m eps-slices.
+
+    ``hypergeometric_series`` with factors (1, w_a) over (1, u_b), except
+    that each numerator weight 2k is first paired with one denominator
+    weight k.  By Legendre duplication the pair's ratio is 4^(k d) times
+    prod_(j<k d) (1/2 + k eps + j): the factor (1/2, k), with 4^k joining
+    the scale.
+    """
+    num, den = [_step(w) for w in num_weights], [_step(u) for u in den_weights]
+    half, whole = [], []
+    for w in num:
+        if w % 2 == 0 and w // 2 in den:
+            den.remove(w // 2)
+            half.append((Fraction(1, 2), w // 2))
+        else:
+            whole.append((1, w))
+    scale = 4 ** sum(k for _, k in half)
+    return hypergeometric_series(half + whole, [(1, u) for u in den], m, N, scale)
 
 
 def i_function_mirror_map(I):

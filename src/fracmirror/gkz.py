@@ -13,7 +13,11 @@ built order by order from linear factors, so no transcendental Gamma value is
 ever evaluated.  Its recurrence runs on Python ints (integer numerators over
 one common denominator) and it returns the m eps-slices, each a
 ``RationalSeries`` handed over as integers, so it builds no Fraction per
-coefficient.  The holomorphic solution is its eps^0 slice.
+coefficient.  The holomorphic solution is its eps^0 slice.  Its integer
+``scale`` gives sum scale^n c_n z^n inside the recurrence: the untwisted
+I-function folds each weight pair 2k over k into one half-integer factor
+and the scale 4^k (``cohom.i_function_untwisted``), so a scale that clears
+the factor's denominator 2^k costs nothing.
 """
 
 from dataclasses import dataclass
@@ -143,9 +147,9 @@ def _series_factors(ell, alpha):
     return num, den
 
 
-def hypergeometric_series(num, den, m, N):
+def hypergeometric_series(num, den, m, N, scale=1):
     """The eps-slices (S_0, ..., S_(m-1)), RationalSeries truncated at order
-    N, of sum_n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
+    N, of sum_n scale^n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
 
         c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
             / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
@@ -154,57 +158,78 @@ def hypergeometric_series(num, den, m, N):
     for each pair (a, k) of ``num``, divided by those of ``den``.  The
     recurrence runs on Python ints: c_n is kept as integer numerators U over
     one denominator E with their common content divided out, the new factors
-    are integer polynomials in eps over a power of the bases' denominators,
-    and the division by the denominator polynomial B is one fraction-free
-    triangular solve, brought to the denominator B_0^m.  Each eps-slice is
-    handed over as integers: every order's U is scaled to the lcm of the
-    per-order E.
+    are integer polynomials in eps over a power of the bases' denominators
+    (the same power at every order), and the division by the denominator
+    polynomial B is one fraction-free triangular solve over B_0^m.  The
+    integer ``scale`` joins each order's step once its gcd with the bases'
+    denominators is cancelled, so a scale that clears them keeps E from
+    growing.  Each eps-slice is handed over as integers: every order's U is
+    scaled to the lcm of the per-order E.
     """
-    m, N = _order(m), _order(N)
+    m, N, scale = _order(m), _order(N), _order(scale)
+    (num, a_den), (den, b_den) = _factor_ints(num), _factor_ints(den)
+    g = gcd(scale, a_den)
+    y_scale, a_den = scale // g * b_den, a_den // g
     U, E = [1] + [0] * (m - 1), 1
     orders = [(U, E)]
     for n in range(1, N + 1):
-        A, a_den = _new_factors(num, n, m)
-        B, b_den = _new_factors(den, n, m)
+        A, B = _new_factors(num, n, m), _new_factors(den, n, m)
         b0 = B[0]
         if b0 == 0:
             raise FracmirrorError(
                 f"denominator factor vanishes at order {n}: c_n is undefined"
             )
-        # c_n = (U/E) (A/a_den) / (B/b_den) = (Y/B) / (E a_den) with
-        # Y = U A b_den; T_i = Y_i b0^i - sum_(j>=1) B_j T_(i-j) b0^(j-1)
-        # is (Y/B)_i b0^(i+1)
-        T = []
+        # c_n scale^n = (U/E) (A scale/a_den) / (B/b_den) = (Y/B) / (E a_den)
+        # with Y = U A y_scale, scale and a_den divided by their gcd first;
+        # W_i = (Y/B)_i b0^m = (Y_i b0^m - sum_(j>=1) B_j W_(i-j)) / b0 is an
+        # exact division, since (Y/B)_i has denominator b0^(i+1), i < m
+        bm, W = b0**m, []
+        ybm = y_scale * bm
         for i in range(m):
-            y = sum(map(mul, U[: i + 1], A[i::-1])) * b_den * b0**i
-            T.append(y - sum(B[j] * T[i - j] * b0 ** (j - 1) for j in range(1, i + 1)))
-        U = [t * b0 ** (m - 1 - i) for i, t in enumerate(T)]
-        E *= a_den * b0**m
-        g = gcd(E, *U)
-        U, E = [u // g for u in U], E // g
+            y = sum(map(mul, U[: i + 1], A[i::-1])) * ybm
+            W.append((y - sum(map(mul, B[1 : i + 1], W[::-1]))) // b0)
+        E *= a_den * bm
+        g = gcd(E, *W)
+        U, E = [w // g for w in W], E // g
         orders.append((U, E))
     D = lcm(*(E for _, E in orders))
     return tuple(_make([U[k] * (D // E) for U, E in orders], D, N) for k in range(m))
 
 
-def _new_factors(factors, n, m):
-    """What order n adds: prod_((a, k)) prod_(j=k(n-1))^(k n - 1) (a + k eps + j).
+def _step(k):
+    """A factor's weight k as an int: a float or a bool is refused, as by
+    ``_order``, and so is k <= 0."""
+    k = _order(k)
+    if k <= 0:
+        raise ValueError(f"a factor weight must be a positive integer, got {k}")
+    return k
 
-    With a = p/q the factor is (p + q j + q k eps)/q, so the product is an
-    integer polynomial in eps (coefficients c_0..c_(m-1)) over prod q^k.
-    """
-    c = [1] + [0] * (m - 1)
-    d = 1
+
+def _factor_ints(factors):
+    """Each factor (a, k) as the ints (p, q, k) with a = p/q, and prod q^k,
+    the denominator of every order's new factors."""
+    out, d = [], 1
     for a, k in factors:
-        p, q = a.numerator, a.denominator
-        d *= q**k
-        for j in range(k * (n - 1), k * n):
-            # c *= (p + q j) + q k eps, top coefficient first
-            x, y = p + q * j, q * k
+        a, k = a if type(a) is int else parse_fraction(a), _step(k)
+        out.append((a.numerator, a.denominator, k))
+        d *= a.denominator**k
+    return out, d
+
+
+def _new_factors(factors, n, m):
+    """What order n adds: prod_((p, q, k)) prod_(j=k(n-1))^(k n - 1) (p + q j + q k eps),
+    an integer polynomial in eps (coefficients c_0..c_(m-1)).  Each linear
+    factor is q (a + j + k eps) with a = p/q, so this is prod q^k times the
+    new factors."""
+    c = [1] + [0] * (m - 1)
+    for p, q, k in factors:
+        y = q * k
+        for x in range(p + y * (n - 1), p + y * n, q):
+            # c *= x + y eps, top coefficient first
             for i in range(m - 1, 0, -1):
                 c[i] = x * c[i] + y * c[i - 1]
             c[0] *= x
-    return c, d
+    return c
 
 
 def holo_solution(ell, alpha, N):

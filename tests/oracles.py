@@ -12,12 +12,12 @@ from typing import NamedTuple
 
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
-from fracmirror.gkz import holo_solution
+from fracmirror.gkz import holo_solution, hypergeometric_series
 from fracmirror.mirror import YukawaData
 from fracmirror.nefpart import polytope_of_part
-from fracmirror.picard_fuchs import ThetaOperator, yukawa_ode_rhs
+from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import RationalSeries, _order
+from fracmirror.series import RationalSeries, _coeff_strs, _order
 
 
 def product_term_by_term(a, b):
@@ -84,11 +84,20 @@ def mirror_map_in_z(pair):
     return q_of_z, q_of_z.reversion()
 
 
+def yukawa_ode_rhs_by_division(op, N):
+    """``picard_fuchs.yukawa_ode_rhs`` as series division: g = -p3/(2 p4),
+    with p3 and p4 built from Fractions and divided through a full
+    ``inverse`` and product."""
+    p3 = RationalSeries(op.z_polys[3], N)
+    p4 = RationalSeries(op.z_polys[4], N)
+    return -(p3 / p4) * Fraction(1, 2)
+
+
 def a_model_correlation_in_z(op, pair, z_of_q, C, N=None):
     """K(q) = Y_z(z(q)) (theta_q log z(q))^3 computed in z, with
     Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
     N = pair.N if N is None else min(N, pair.N)
-    g = yukawa_ode_rhs(op, N)
+    g = yukawa_ode_rhs_by_division(op, N)
     Y = g.antitheta().exp() * Fraction(C) / (pair.omega0 * pair.omega0)
     # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, pair.scale)
@@ -551,6 +560,15 @@ def hypergeometric_term_by_term(num, den, m, N):
     return eps_slices(coeffs, N)
 
 
+def i_function_by_weights(num_weights, den_weights, m, N):
+    """``cohom.i_function_untwisted`` with every weight its own factor:
+    (1, w_a) over (1, u_b), so a weight pair 2k over k multiplies 3k
+    linear factors per order."""
+    return hypergeometric_series(
+        [(1, w) for w in num_weights], [(1, u) for u in den_weights], m, N
+    )
+
+
 def box_annihilation_check(ell, alpha, N, series=None):
     """Verify the two-term box-operator recurrence on a series (exactly).
 
@@ -818,6 +836,20 @@ def log_prefactor_by_fractions(S):
         (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
         for k in range(m)
     ]
+
+
+def b_series_json_by_columns(S):
+    """``cohom.b_series_json`` formatting each nonzero column afresh: log
+    part k is k shared zero columns and the slices S[:m - k], each
+    coefficient written over D k! with one full gcd."""
+    m, N = len(S), S[0].N
+    parts = []
+    for k in range(m):
+        f = math.factorial(k)
+        cols = [["0"] * (N + 1)] * k + [_coeff_strs(s.A, s.D * f) for s in S[: m - k]]
+        rows = [list(row) for row in zip(*cols)]
+        parts.append({"log_power": k, "N": N, "coeffs": rows, "m": m})
+    return {"N": N, "log_degree": m - 1, "parts": parts}
 
 
 def theta_log(parts):

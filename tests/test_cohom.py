@@ -6,11 +6,13 @@ sympy (divided by k!), an oracle that never touches the integer kernel.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from fracmirror.cli import _json_text
 from fracmirror.cohom import (
     CohomRing,
     b_series,
@@ -33,14 +35,17 @@ from fracmirror.series import RationalSeries, fraction_str
 from oracles import (
     EpsPoly,
     apply_to_prefactored,
+    b_series_json_by_columns,
     cohom_class,
     cohom_integral,
     frobenius_residue,
+    i_function_by_weights,
     log_prefactor_by_fractions,
     matches,
     pairing_matrix,
     scale_arg,
 )
+from test_mirror import _one_parameter_cases
 
 
 def _kernel_data(data):
@@ -197,6 +202,16 @@ def test_log_prefactor_matches_fraction_scaling(case, request):
         assert b_series_json(deformed) == {"N": 8, "log_degree": m - 1, "parts": parts}
 
 
+def test_b_series_json_matches_column_writer(quartic, eight_hyperplanes, k3):
+    # each slice reduced once, log part k divided by k! on the reduced
+    # numerators, writes the same bytes as formatting every column over D k!
+    for label, ell, alpha, _ in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        m = sum(le for le in ell if le > 0)
+        for N in (1, 4, 16):
+            S = deformed_solution(ell, alpha, N, m)
+            assert _json_text(b_series_json(S)) == _json_text(b_series_json_by_columns(S)), (label, N)
+
+
 def test_b_series_annihilated_over_threefold_ring(quartic):
     # over Q[eps]/(eps^4) the residue eps^4 vanishes, so the operator kills
     # the full cohomology-valued series
@@ -238,6 +253,53 @@ def test_i_function_mirror_block(quartic):
     assert ratio.coeff(1) == 15808
     pair = frobenius_pair(ell, alpha, 6)
     assert matches(ratio, scale_arg(pair.tau / pair.omega0, 256), 6)
+
+
+def test_i_function_pairs_weights_by_duplication():
+    # each numerator weight 2k paired with a denominator weight k is one
+    # half-integer factor and a scale 4^k; the I-function is the same as with
+    # every weight its own factor, with paired, unpaired, odd and repeated
+    # weights and with more than one partner on offer
+    weight_sets = [
+        ((8,), (1, 1, 1, 1, 4)),
+        ((2, 2, 2, 2), (1,) * 8),
+        ((6,), (1, 1, 1, 3)),
+        ((4, 4), (2, 2, 1, 1, 1, 1)),
+        ((4, 4), (2, 1, 1, 1, 1, 1)),
+        ((3, 5), (1, 2, 2, 3)),
+        ((4,), (1, 1, 1, 1)),
+        ((8, 4), (4, 2, 2, 2, 4)),
+        ((), (1, 2)),
+        ((2,), ()),
+    ]
+    rng = random.Random(23)
+    for _ in range(40):
+        num = tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 3)))
+        den = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
+        weight_sets.append((num, den))
+    for num, den in weight_sets:
+        for m in (1, 2, 5):
+            for N in (0, 1, 6, 12):
+                I = i_function_untwisted(num, den, m, N)
+                assert I == i_function_by_weights(num, den, m, N), (num, den, m, N)
+
+
+@pytest.mark.parametrize("num, den", [
+    ((2,), (1, True)),
+    ((True,), (1,)),
+    ((2.0,), (1,)),
+    ((2,), (1.0, 1)),
+])
+def test_i_function_refuses_non_integer_weights(num, den):
+    # True is not read as the weight 1, nor 2.0 as 2
+    with pytest.raises(TypeError):
+        i_function_untwisted(num, den, 2, 3)
+
+
+@pytest.mark.parametrize("num, den", [((-2,), (1,)), ((2,), (1, 0)), ((0,), (1,))])
+def test_i_function_refuses_nonpositive_weights(num, den):
+    with pytest.raises(ValueError, match="a factor weight must be a positive integer"):
+        i_function_untwisted(num, den, 2, 3)
 
 
 def test_i_function_unit_guard():

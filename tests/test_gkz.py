@@ -1,6 +1,7 @@
 """GKZ data assembly, kernel vectors, and the holomorphic solution."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from fracmirror.gkz import (
     hypergeometric_series,
     principal_kernel_vector,
 )
+from fracmirror.mirror import _dilate
 from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -220,6 +222,50 @@ def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_h
                 s = hypergeometric_series(num, den, m, 64)
                 _same_reduced_coefficients(s, hypergeometric_term_by_term(num, den, m, 64))
     assert max(x.coeff(64).numerator.bit_length() for x in s) > 600
+
+
+def test_hypergeometric_series_scale_is_a_dilation():
+    # sum_n scale^n c_n z^n is the unscaled series at scale z, slice by
+    # slice; the scale is folded into each order's step, so this checks the
+    # gcd with the bases' denominators against a rescale done afterwards
+    rng = random.Random(23)
+
+    def factors():
+        return [
+            (Fraction(rng.randint(-7, 7), rng.randint(1, 3)), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 3))
+        ]
+
+    checked = 0
+    for _ in range(60):
+        num, den, m = factors(), factors(), rng.randint(1, 6)
+        for N in (0, 1, 2, 9, 16):
+            for s in (1, 2, 6, 4 ** rng.randint(1, 4)):
+                try:
+                    plain = hypergeometric_series(num, den, m, N)
+                except FracmirrorError:
+                    with pytest.raises(FracmirrorError):
+                        hypergeometric_series(num, den, m, N, scale=s)
+                    continue
+                scaled = hypergeometric_series(num, den, m, N, scale=s)
+                assert scaled == tuple(_dilate(S, s) for S in plain), (num, den, m, N, s)
+                checked += 1
+    assert checked > 600
+
+
+@pytest.mark.parametrize("factor", [(Fraction(1, 2), True), (Fraction(1, 2), 2.0), (1, 1.5)])
+def test_hypergeometric_series_refuses_non_integer_weights(factor):
+    # a bool step is not read as 1, nor a float as the int it equals
+    for num, den in (([factor], [(1, 1)]), ([(Fraction(1, 2), 1)], [factor])):
+        with pytest.raises(TypeError):
+            hypergeometric_series(num, den, 2, 3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_hypergeometric_series_refuses_nonpositive_weights(k):
+    for num, den in (([(Fraction(1, 2), k)], [(1, 1)]), ([(Fraction(1, 2), 1)], [(1, k)])):
+        with pytest.raises(ValueError, match="a factor weight must be a positive integer"):
+            hypergeometric_series(num, den, 2, 3)
 
 
 def test_hypergeometric_series_rejects_a_vanishing_denominator_factor():

@@ -15,7 +15,15 @@ from fracmirror.picard_fuchs import (
     yukawa_ode_rhs,
 )
 from fracmirror.series import RationalSeries
-from oracles import apply, holomorphic_kernel, matches, rising, theta_conjugate_by_fractions
+from oracles import (
+    apply,
+    holomorphic_kernel,
+    matches,
+    rising,
+    theta_conjugate_by_fractions,
+    yukawa_ode_rhs_by_division,
+)
+from test_mirror import _one_parameter_cases
 
 
 def _operator(data):
@@ -212,6 +220,38 @@ def test_yukawa_rhs_eight_hyperplanes(eight_hyperplanes):
     # g = z / (1 - z)
     for n in range(7):
         assert g.coeff(n) == (0 if n == 0 else 1)
+
+
+def test_yukawa_rhs_recurrence_equals_division(quartic, eight_hyperplanes, k3):
+    # the integer recurrence u_n = (p3_n - sum_i p4_i u_(n-i)) / p4_0 gives
+    # exactly the series quotient, on every threefold operator of the seeded
+    # partitions and on both bundled threefolds at N = 40
+    threefolds = 0
+    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        op = theta_conjugate(ell, alpha)
+        if op.degree != 4:
+            continue
+        threefolds += 1
+        for N in (0,) + orders:
+            assert yukawa_ode_rhs(op, N) == yukawa_ode_rhs_by_division(op, N), (label, N)
+    assert threefolds == 27
+
+
+def test_yukawa_rhs_recurrence_at_z_degree_two():
+    # p4 of z-degree 2 with a negative constant term not equal to -1, p3 of
+    # z-degree 2, and fractional coefficients
+    op = ThetaOperator((
+        (Fraction(1),),
+        (Fraction(0), Fraction(1)),
+        (Fraction(2), Fraction(-1), Fraction(3)),
+        (Fraction(1, 3), Fraction(5), Fraction(-2)),
+        (Fraction(-2), Fraction(1, 2), Fraction(7)),
+    ))
+    for N in (0, 1, 2, 3, 9, 16):
+        g = yukawa_ode_rhs(op, N)
+        assert g == yukawa_ode_rhs_by_division(op, N), N
+    p3, p4 = (RationalSeries(op.z_polys[k], 16) for k in (3, 4))
+    assert -(p4 * g) * 2 == p3
 
 
 def test_yukawa_rhs_needs_degree_four(k3):

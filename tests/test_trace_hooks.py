@@ -185,20 +185,28 @@ def test_cohom_jobs_form_no_nilpotent_product():
 
 def test_bseries_formats_each_slice_column_once(monkeypatch):
     # log part k of the B-series is k shared zero columns and the first
-    # m - k eps-slices over D k!, so a job at m = 4 (the quartic) formats
-    # m (m + 1) / 2 = 10 slice columns and no zero column
-    denominators = []
-    coeff_strs = cohom._coeff_strs
+    # m - k eps-slices over k!: the writer reduces each slice's coefficients
+    # once (one full gcd each, m per job) and divides the reduced numerators
+    # by k! column by column, so a job writes m (m + 1) / 2 slice columns and
+    # no zero column: 4 and 10 on the quartic, 3 and 6 on the K3
+    calls = {"reduce": [], "over": []}
+    for name in ("_reduce", "_over"):
+        stage = getattr(cohom, name)
 
-    def counting(A, D):
-        denominators.append(D)
-        return coeff_strs(A, D)
+        def counting(*args, _stage=stage, _calls=calls[name.strip("_")]):
+            _calls.append(args[0])
+            return _stage(*args)
 
-    monkeypatch.setattr(cohom, "_coeff_strs", counting)
-    config = cli.JobConfig("bseries", str(DATA / "p3_quartic.json"), N=16, fmt="json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(config) == 0
-    assert len(denominators) == 10
+        monkeypatch.setattr(cohom, name, counting)
+    for shape, m in (("p3_quartic", 4), ("p2_k3", 3)):
+        for seen in calls.values():
+            seen.clear()
+        config = cli.JobConfig("bseries", str(DATA / f"{shape}.json"), N=16, fmt="json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(config) == 0
+        reduced = len({id(s) for s in calls["reduce"]})
+        assert (shape, len(calls["reduce"]), reduced) == (shape, m, m)
+        assert (shape, len(calls["over"])) == (shape, m * (m + 1) // 2)
 
 
 # calls of the Q product kernel per job at N = 4 and N = 16 on the three
@@ -208,13 +216,14 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 # tau/omega0 at z = s x, then the powers of the Lagrange reversion in baby
 # and giant steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4:
 # h^2; N = 16: h^2, h^3, h^4, h^8, h^12); the Yukawa adds m - 1 + N // m for the
-# Paterson-Stockmeyer compose Y(x(q)) in x = z/s and 7 more (the division in
-# the Picard-Fuchs right-hand side, omega0(s x)^2 and the division by it,
-# theta(v)/v, the cube, and the product with Y(x(q))).  Moving a series
-# between z and x is an exact rescale that forms no product.
+# Paterson-Stockmeyer compose Y(x(q)) in x = z/s and 6 more (omega0(s x)^2
+# and the division by it, theta(v)/v, the cube, and the product with
+# Y(x(q))).  Moving a series between z and x is an exact rescale that forms
+# no product, and the Picard-Fuchs right-hand side -p3/(2 p4) is an integer
+# recurrence that forms none either.
 _PRODUCTS_PER_JOB = {
-    4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 12},
-    16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 20},
+    4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 11},
+    16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 19},
 }
 
 
@@ -264,9 +273,10 @@ def test_hypergeometric_kernel_builds_no_fraction(monkeypatch):
     # Fractions per order and more per factor)
     m, N = 4, 16
     num, den = [(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4
-    s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N))
-    assert (len(s), {x.N for x in s}) == (m, {N})
-    assert built == 0
+    for scale in (1, 4**4):
+        s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N, scale))
+        assert (len(s), {x.N for x in s}) == (m, {N})
+        assert (scale, built) == (scale, 0)
 
 
 def test_rational_kernels_build_no_fraction(monkeypatch):
