@@ -43,7 +43,6 @@ from .mirror import (
     yukawa_z,
 )
 from .cohom import (
-    CohomRing,
     b_series,
     deformed_solution,
     i_function_mirror_map,
@@ -85,7 +84,6 @@ __all__ = [
     "frobenius_pair",
     "mirror_map",
     "yukawa_z",
-    "CohomRing",
     "b_series",
     "deformed_solution",
     "i_function_mirror_map",

@@ -15,7 +15,6 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cohom import (
-    CohomRing,
     b_series,
     b_series_json,
     i_function_mirror_map,
@@ -280,7 +279,7 @@ def _cmd_yukawa(ctx):
             [],
         )
     C = _normalization(ctx.config)
-    ydata = a_model_correlation(op, ctx.pair, ctx.mirror[1], C, ctx.config.N)
+    ydata = a_model_correlation(op, ctx.pair, ctx.mirror[1], C)
     payload = ydata.to_json()
     return payload, lambda: [
         f"normalization C = {fraction_str(ydata.C)}",
@@ -291,7 +290,7 @@ def _cmd_yukawa(ctx):
 
 def _cmd_ifunction(ctx):
     ell = ctx.ell
-    num, den = i_weights_from_kernel(ell, ctx.gkz.alpha)
+    num, den = i_weights_from_kernel(ell)
     d = sum(le for le in ell if le > 0)
     m = d + 1
     I = i_function_untwisted(num, den, m, ctx.config.N)
@@ -313,22 +312,18 @@ def _cmd_ifunction(ctx):
 def _cmd_bseries(ctx):
     g, ell = ctx.gkz, ctx.ell
     d = sum(le for le in ell if le > 0)
-    C = _normalization(ctx.config)
-    classes = {
-        f"D_{i}_{j}": ell[e] for e, (i, j) in enumerate(g.column_labels)
-    }
-    ring = CohomRing(d, classes, integral_scale=C)
-    B = b_series(ring, ell, g.alpha, ctx.config.N)
+    C = fraction_str(_normalization(ctx.config))
+    B = b_series(d, ell, g.alpha, ctx.config.N)
     payload = {
         "ring": {
-            "m": ring.m,
-            "classes": {k: fraction_str(v) for k, v in ring.classes},
-            "integral_scale": fraction_str(ring.integral_scale),
+            "m": d,
+            "classes": {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)},
+            "integral_scale": C,
         },
         "b_series": b_series_json(B),
     }
     return payload, lambda: [
-        f"ring: Q[eps]/(eps^{ring.m}), integral scale {fraction_str(ring.integral_scale)}",
+        f"ring: Q[eps]/(eps^{d}), integral scale {C}",
         f"eps^0 slice (omega0) = {_series_text(B[0], 'z')}",
         f"log-degree = {len(B) - 1}",
     ], []

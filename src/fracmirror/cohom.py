@@ -22,17 +22,14 @@ the scale 4^k (Legendre duplication), so it costs k linear factors per
 order instead of 3k.
 """
 
-import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import FracmirrorError
 from .gkz import _series_factors, _step, hypergeometric_series
-from .series import _coeff_strs, parse_fraction
+from .series import _coeff_strs
 
 __all__ = [
-    "CohomRing",
     "deformed_solution",
     "b_series",
     "slices_json",
@@ -41,27 +38,6 @@ __all__ = [
     "i_function_mirror_map",
     "i_weights_from_kernel",
 ]
-
-
-@dataclass(frozen=True)
-class CohomRing:
-    """Rank-1 graded ring Q[eps]/(eps^m) with named divisor classes.
-
-    ``classes`` maps a label to the rational multiple of eps representing
-    that divisor; ``integral_scale`` is the value of the integral of
-    eps^(m-1) over the space.
-    """
-
-    m: int
-    classes: tuple  # ((label, Fraction multiple), ...)
-    integral_scale: Fraction
-
-    def __init__(self, m, classes, integral_scale):
-        if isinstance(classes, dict):
-            classes = classes.items()
-        object.__setattr__(self, "m", operator.index(m))
-        object.__setattr__(self, "classes", tuple((str(k), parse_fraction(v)) for k, v in classes))
-        object.__setattr__(self, "integral_scale", parse_fraction(integral_scale))
 
 
 def deformed_solution(ell, alpha, N, m):
@@ -82,15 +58,15 @@ def deformed_solution(ell, alpha, N, m):
     return hypergeometric_series(*_series_factors(ell, alpha), m, N)
 
 
-def b_series(ring, ell, alpha, N):
-    """The cohomology-valued series z^eps * deformed over the given ring,
+def b_series(m, ell, alpha, N):
+    """The cohomology-valued series z^eps * deformed over Q[eps]/(eps^m),
     as the eps-slices of deformed: its L^k part (L = log z) is eps^k / k!
     times them, as ``b_series_json`` writes it.
 
     Gamma-factor units are already divided out (the z-independent constant
     is 1); slices are eps^0 = omega0 and eps^1 = tau.
     """
-    return deformed_solution(ell, alpha, N, ring.m)
+    return deformed_solution(ell, alpha, N, m)
 
 
 def slices_json(S):
@@ -141,24 +117,15 @@ def b_series_json(S):
     return {"N": N, "log_degree": m - 1, "parts": parts}
 
 
-def i_weights_from_kernel(ell, alpha):
+def i_weights_from_kernel(ell):
     """Numerator/denominator weights of the untwisted I-function.
 
     Each negative kernel entry of size k contributes numerator weight 2k and
     denominator weight k; each positive entry contributes its own value to
     the denominator.
     """
-    num = []
-    den = []
-    for le, ae in zip(ell, alpha):
-        if le < 0:
-            num.append(-2 * le)
-        elif le > 0:
-            den.append(le)
-    for le in ell:
-        if le < 0:
-            den.append(-le)
-    return tuple(num), tuple(sorted(den))
+    num = tuple(-2 * le for le in ell if le < 0)
+    return num, tuple(sorted(abs(le) for le in ell if le))
 
 
 def i_function_untwisted(num_weights, den_weights, m, N):

@@ -167,6 +167,8 @@ def hypergeometric_series(num, den, m, N, scale=1):
     scaled to the lcm of the per-order E.
     """
     m, N, scale = _order(m), _order(N), _order(scale)
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
     (num, a_den), (den, b_den) = _factor_ints(num), _factor_ints(den)
     g = gcd(scale, a_den)
     y_scale, a_den = scale // g * b_den, a_den // g

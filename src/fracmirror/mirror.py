@@ -53,14 +53,6 @@ class FrobeniusPair:
     scale: int
     N: int
 
-    def to_json(self):
-        return {
-            "omega0": self.omega0.to_json(),
-            "tau": self.tau.to_json(),
-            "scale": self.scale,
-            "N": self.N,
-        }
-
 
 @dataclass(frozen=True)
 class YukawaData:
@@ -116,11 +108,11 @@ def mirror_map(pair):
     return _dilate(q_of_x, 1, s), q_of_x.reversion() * s
 
 
-def yukawa_z(op, pair, C, N):
+def yukawa_z(op, pair, C):
     """B-model Yukawa Y_z = C exp(antitheta g) / omega0^2, theta(Y) = g Y,
-    formed in x as Y_x = C exp(antitheta g_x) / A0^2 with g_x(x) = g(s x)
-    and returned as Y_z(z) = Y_x(z/s)."""
-    g = yukawa_ode_rhs(op, N)
+    to the pair's order, formed in x as Y_x = C exp(antitheta g_x) / A0^2
+    with g_x(x) = g(s x) and returned as Y_z(z) = Y_x(z/s)."""
+    g = yukawa_ode_rhs(op, pair.N)
     if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
     s = pair.scale
@@ -134,16 +126,16 @@ def classical_normalization(cover_degree, base_intersection):
     return Fraction(cover_degree) * Fraction(base_intersection)
 
 
-def a_model_correlation(op, pair, z_of_q, C, N=None):
+def a_model_correlation(op, pair, z_of_q, C):
     """A-model correlation K(q) = Y_z(z(q)) * (theta_q log z(q))^3, formed in
     x as Y_x(x(q)) * (theta_q log x(q))^3 with x(q) = z(q)/s.
 
     ``z_of_q`` is the inverse mirror map, the second series that
-    ``mirror_map(pair)`` returns.  The q-series is exact through order N-1
-    (one order is consumed by the unit factor x(q)/q).
+    ``mirror_map(pair)`` returns.  The q-series is exact through order N-1,
+    N = pair.N (one order is consumed by the unit factor x(q)/q).
     """
-    N = pair.N if N is None else min(N, pair.N)
-    Y = yukawa_z(op, pair, C, N)
+    N = pair.N
+    Y = yukawa_z(op, pair, C)
     x_of_q = z_of_q.truncate(N) * Fraction(1, pair.scale)
     # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = _make(x_of_q.A[1:], x_of_q.D, N - 1)

@@ -339,19 +339,6 @@ class LatticePolytope:
                 )
         return self._lattice_points
 
-    def interior_lattice_points(self):
-        if self.affine_dim == 0:
-            return ()
-        out = []
-        for p in self.lattice_points():
-            y = self._project(p)
-            if all(_dot(g, y) + c > 0 for g, c in self._span_facets):
-                out.append(p)
-        return tuple(out)
-
-    def boundary_lattice_point_count(self):
-        return len(self.lattice_points()) - len(self.interior_lattice_points())
-
     # -- volume -----------------------------------------------------------
 
     def _pulling_triangulation(self):

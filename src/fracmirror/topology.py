@@ -61,12 +61,14 @@ def hodge_numbers(delta, chi):
     ``delta`` is the reflexive polytope of the toric base (``data.delta``
     for Y, ``data.nabla`` for its mirror).  Off-middle numbers are those of
     the smooth toric base, with h^{1,1} = (#boundary lattice points of the
-    polar dual of delta) - n; the middle row comes from chi in dimensions 2
-    and 3.  For n > 3 the off-middle part is returned with ``complete=False``.
+    polar dual of delta) - n: all its lattice points but the origin, since
+    ``polar_dual`` refuses a delta that is not reflexive and a reflexive
+    polytope has no other interior lattice point.  The middle row comes from
+    chi in dimensions 2 and 3.  For n > 3 the off-middle part is returned
+    with ``complete=False``.
     """
     n = delta.ambient_dim
-    rays = delta.polar_dual().boundary_lattice_point_count()
-    h11 = rays - n
+    h11 = len(delta.polar_dual().lattice_points()) - 1 - n
     table = {}
     if n == 2:
         table[(0, 0)] = table[(2, 2)] = 1

@@ -93,10 +93,10 @@ def yukawa_ode_rhs_by_division(op, N):
     return -(p3 / p4) * Fraction(1, 2)
 
 
-def a_model_correlation_in_z(op, pair, z_of_q, C, N=None):
+def a_model_correlation_in_z(op, pair, z_of_q, C):
     """K(q) = Y_z(z(q)) (theta_q log z(q))^3 computed in z, with
     Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
-    N = pair.N if N is None else min(N, pair.N)
+    N = pair.N
     g = yukawa_ode_rhs_by_division(op, N)
     Y = g.antitheta().exp() * Fraction(C) / (pair.omega0 * pair.omega0)
     # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
@@ -333,6 +333,20 @@ def volume_by_dilation_counts(P):
         (-1) ** (a - k) * math.comb(a, k) * P.dilate_lattice_point_count(k)
         for k in range(a + 1)
     )
+
+
+def interior_lattice_points(P):
+    """The lattice points of a full-dimensional P strictly inside every
+    facet, by testing each point against each facet inequality."""
+    return tuple(
+        p for p in P.lattice_points()
+        if all(sum(map(operator.mul, g, p)) + c > 0 for g, c in P.facets)
+    )
+
+
+def boundary_lattice_point_count(P):
+    """Lattice points of P on some facet: all of them but the interior ones."""
+    return len(P.lattice_points()) - len(interior_lattice_points(P))
 
 
 def lattice_transform(U, X):
@@ -911,22 +925,23 @@ def frobenius_residue(op, S, N=None):
     return EpsPoly(m, [parts[0].coeff(0) for parts in out])
 
 
-def cohom_class(ring, label):
-    """The divisor class ``label`` of a CohomRing, as its multiple of eps."""
-    return EpsPoly(ring.m, (0, dict(ring.classes)[label]))
+def cohom_class(m, classes, label):
+    """The divisor class ``label`` of Q[eps]/(eps^m), given ``classes`` as
+    {label: multiple of eps}, as an EpsPoly."""
+    return EpsPoly(m, (0, classes[label]))
 
 
-def cohom_integral(ring, x):
+def cohom_integral(m, scale, x):
     """The integral of x over the space: its eps^(m-1) coefficient times the
-    ring's integral scale."""
-    if not isinstance(x, EpsPoly) or x.m != ring.m:
+    integral scale."""
+    if not isinstance(x, EpsPoly) or x.m != m:
         raise TypeError("integral takes an EpsPoly of matching order")
-    return x.coeff(ring.m - 1) * ring.integral_scale
+    return x.coeff(m - 1) * scale
 
 
-def pairing_matrix(ring, basis):
+def pairing_matrix(m, scale, basis):
     """Gram matrix of cohom_integral(b_i * b_j) over the given basis."""
-    basis = [b if isinstance(b, EpsPoly) else EpsPoly.constant(ring.m, b) for b in basis]
+    basis = [b if isinstance(b, EpsPoly) else EpsPoly.constant(m, b) for b in basis]
     return tuple(
-        tuple(cohom_integral(ring, bi * bj) for bj in basis) for bi in basis
+        tuple(cohom_integral(m, scale, bi * bj) for bj in basis) for bi in basis
     )

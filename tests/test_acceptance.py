@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from fracmirror.cohom import CohomRing, deformed_solution
+from fracmirror.cohom import deformed_solution
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
 from fracmirror.mirror import (
     a_model_correlation,
@@ -279,7 +279,6 @@ def test_criterion_11_exclusions_and_pairing():
     # the actual period integrals, and orbifold Gromov-Witten invariants via
     # localization.  The covered stand-ins are the correlation series of
     # criterion 7 and the symplectic-basis pairing below.
-    ring = CohomRing(4, {"H": 1}, integral_scale=2)
     half = Fraction(1, 2)
     basis = [
         EpsPoly.constant(4, 1),
@@ -287,7 +286,7 @@ def test_criterion_11_exclusions_and_pairing():
         EpsPoly.eps(4, 2) * half,
         EpsPoly.eps(4, 3) * half,
     ]
-    gram = pairing_matrix(ring, basis)
+    gram = pairing_matrix(4, 2, basis)
     assert gram == tuple(
         tuple(1 if i + j == 3 else 0 for j in range(4)) for i in range(4)
     )

@@ -231,6 +231,16 @@ def test_bseries_ring_description(capsys):
     assert "Q[eps]/(eps^4)" in out and "log-degree = 3" in out
 
 
+def test_bseries_writes_a_given_normalization(capsys):
+    argv = ["bseries", _data("p3_quartic.json"), "-N", "2", "--normalization", "3/2"]
+    assert main(argv) == 0
+    assert "ring: Q[eps]/(eps^4), integral scale 3/2\n" in capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    ring = json.loads(capsys.readouterr().out)["ring"]
+    assert ring["integral_scale"] == "3/2" and ring["m"] == 4
+    assert ring["classes"] == {"D_0_0": "-4", **{f"D_0_{j}": "1" for j in range(1, 5)}}
+
+
 def test_all_sections(capsys):
     assert main(["all", _data("p2_k3.json"), "-N", "4"]) == 0
     out = capsys.readouterr().out

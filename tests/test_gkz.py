@@ -213,7 +213,7 @@ def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_h
     for data in (quartic, eight_hyperplanes):
         g = build_gkz(data)
         ell = principal_kernel_vector(g)
-        num_w, den_w = i_weights_from_kernel(ell, g.alpha)
+        num_w, den_w = i_weights_from_kernel(ell)
         for num, den in (
             _series_factors(ell, g.alpha),
             ([(1, w) for w in num_w], [(1, u) for u in den_w]),

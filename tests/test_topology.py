@@ -1,17 +1,32 @@
 """Euler characteristics and Hodge tables of the branched double covers."""
 
+import importlib.util
+
 import pytest
+from conftest import REPO, load_case
 
 from fracmirror.errors import FracmirrorError, SmoothnessError
 from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope
 from fracmirror.topology import euler_double_cover, euler_mpcp, hodge_numbers
 from oracles import (
+    boundary_lattice_point_count,
     cayley_polytope,
     dk_intersection_euler,
     euler_snc_union_oracle,
+    interior_lattice_points,
     pyramid_over,
 )
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_gen()
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 UNIT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
@@ -178,13 +193,33 @@ def test_hodge_numbers_k3_table(k3):
 def test_hodge_two_routes_agree(quartic):
     # mirror side: h^{1,1} from boundary points equals h^{1,1} from chi
     data = quartic.dual_data()
-    rays = data.delta.polar_dual().boundary_lattice_point_count()
-    h11 = rays - 3
+    h11 = boundary_lattice_point_count(data.delta.polar_dual()) - 3
     chi = euler_double_cover(quartic).chi_Y_dual
     h21 = h11 - chi // 2
     table = hodge_numbers(data.delta, chi)
     assert table.get(1, 1) == h11 == 31
     assert table.get(2, 1) == h21 == 1
+
+
+def _shape_input(case):
+    if case in GEN.SHAPES:
+        n = GEN.SHAPES[case][0]
+        return NefPartition.from_dict(GEN.framed_input(case, GEN.identity(n), GEN.identity(n)))
+    return load_case(case)
+
+
+@pytest.mark.parametrize("case", [*GEN.SHAPES, *GEN.BUNDLED])
+def test_h11_counts_boundary_points(case):
+    # h^{1,1} counts the lattice points of the polar dual but the origin:
+    # the interior-point scan finds the origin alone on Delta* and nabla*
+    data = _shape_input(case)
+    n = data.delta.ambient_dim
+    for delta in (data.delta, data.nabla):
+        dual = delta.polar_dual()
+        assert interior_lattice_points(dual) == ((0,) * n,)
+        if n > 2:  # a surface's h^{1,1} comes from chi
+            h11 = hodge_numbers(delta, 0).get(1, 1)
+            assert h11 == boundary_lattice_point_count(dual) - n
 
 
 def test_hodge_rejects_odd_chi(quartic):
