@@ -37,7 +37,6 @@ from .mirror import (
     FrobeniusPair,
     YukawaData,
     a_model_correlation,
-    classical_normalization,
     frobenius_pair,
     mirror_map,
     yukawa_z,
@@ -80,7 +79,6 @@ __all__ = [
     "FrobeniusPair",
     "YukawaData",
     "a_model_correlation",
-    "classical_normalization",
     "frobenius_pair",
     "mirror_map",
     "yukawa_z",

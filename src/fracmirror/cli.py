@@ -24,7 +24,7 @@ from .cohom import (
 )
 from .errors import FracmirrorError, InvalidNefPartition
 from .gkz import build_gkz, principal_kernel_vector
-from .mirror import a_model_correlation, classical_normalization, frobenius_pair, mirror_map
+from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
 from .series import fraction_str, parse_fraction
@@ -154,11 +154,11 @@ class _Context:
 
     @cached_property
     def op(self):
-        return theta_conjugate(self.ell, self.gkz.alpha)
+        return theta_conjugate(self.ell)
 
     @cached_property
     def pair(self):
-        return frobenius_pair(self.ell, self.gkz.alpha, self.config.N)
+        return frobenius_pair(self.ell, self.config.N)
 
     @cached_property
     def mirror(self):
@@ -168,7 +168,8 @@ class _Context:
 def _normalization(config):
     if config.normalization is not None:
         return parse_fraction(config.normalization)
-    return classical_normalization(2, 1)
+    # K(0): the covering degree 2 times the base's top self-intersection 1
+    return Fraction(2)
 
 
 def _cmd_dual_nef(ctx):
@@ -253,17 +254,18 @@ def _cmd_pf(ctx):
 def _cmd_mirror_map(ctx):
     pair = ctx.pair
     q_of_z, z_of_q = ctx.mirror
+    omega0, tau = (_dilate(A, 1, pair.scale) for A in (pair.A0, pair.A1))
     payload = {
         "scale": pair.scale,
-        "omega0": pair.omega0.to_json(),
-        "tau": pair.tau.to_json(),
+        "omega0": omega0.to_json(),
+        "tau": tau.to_json(),
         "q_of_z": q_of_z.to_json(),
         "z_of_q": z_of_q.to_json(),
     }
     return payload, lambda: [
         f"scale s = {pair.scale}",
-        f"omega0(z) = {_series_text(pair.omega0, 'z')}",
-        f"tau(z) = {_series_text(pair.tau, 'z')}",
+        f"omega0(z) = {_series_text(omega0, 'z')}",
+        f"tau(z) = {_series_text(tau, 'z')}",
         f"q(z) = {_series_text(q_of_z, 'z')}",
         f"z(q) = {_series_text(z_of_q, 'q')}",
     ], []
@@ -293,7 +295,7 @@ def _cmd_ifunction(ctx):
     num, den = i_weights_from_kernel(ell)
     d = sum(le for le in ell if le > 0)
     m = d + 1
-    I = i_function_untwisted(num, den, m, ctx.config.N)
+    I = i_function_untwisted(ell, m, ctx.config.N)
     ratio = i_function_mirror_map(I)
     payload = {
         "num_weights": list(num),
@@ -313,7 +315,7 @@ def _cmd_bseries(ctx):
     g, ell = ctx.gkz, ctx.ell
     d = sum(le for le in ell if le > 0)
     C = fraction_str(_normalization(ctx.config))
-    B = b_series(d, ell, g.alpha, ctx.config.N)
+    B = b_series(d, ell, ctx.config.N)
     payload = {
         "ring": {
             "m": d,

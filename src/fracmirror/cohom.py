@@ -1,7 +1,8 @@
 """Cohomology-valued solutions: the Frobenius tower, B-series, I-functions.
 
 Each is the tuple of eps-slices that one call of ``gkz.hypergeometric_series``
-over Q[eps]/(eps^m) returns, a RationalSeries per power of eps.  Deforming
+over Q[eps]/(eps^m) returns, a RationalSeries per power of eps, on the
+factors that ``gkz._series_factors`` reads off the kernel vector.  Deforming
 the holomorphic solution coefficientwise by n -> n + rho, with rho nilpotent
 of order m, gives the full Frobenius tower: the rho^k-slices of
 z^rho * deformed are omega0, omega0 log z + tau, and the higher partners, so
@@ -10,23 +11,23 @@ rho^k / k! times the slices in the L^k part (L = log z); ``b_series_json``
 writes that part as k zero columns followed by the first m - k slices
 divided by k!, so no product over Q[rho]/(rho^m) is formed; each slice's
 coefficients are reduced once, and part k divides the reduced numerators
-by k! with a small gcd.  The same kernel with weight data (w_a; u_b) gives
-the untwisted I-function
+by k! with a small gcd.  The same kernel at the scale s = 4^(sum k) is the
+untwisted I-function in x = z/s, with weights (w_a; u_b) =
+``i_weights_from_kernel``:
 
-    I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
+    I(x) = sum_d x^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
                      / prod_b prod_(t=1)^(u_b d) (u_b eps + t),
 
-whose eps^0 and eps^1 slices encode the mirror map.  A weight pair 2k over
-k enters the kernel as the one half-integer factor (1/2 + k eps + j) with
-the scale 4^k (Legendre duplication), so it costs k linear factors per
-order instead of 3k.
+whose eps^0 and eps^1 slices encode the mirror map.  By Legendre
+duplication each weight pair 2k over k is the one half-integer factor
+(1/2 + k eps + j) times 4^k, so it costs k linear factors per order
+instead of 3k.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import FracmirrorError
-from .gkz import _series_factors, _step, hypergeometric_series
+from .gkz import _series_factors, hypergeometric_series
 from .series import _coeff_strs
 
 __all__ = [
@@ -40,11 +41,11 @@ __all__ = [
 ]
 
 
-def deformed_solution(ell, alpha, N, m):
+def deformed_solution(ell, N, m):
     """Coefficients deformed by n -> n + rho with rho^m = 0.
 
-    c_n(rho) = prod_(l_e<0) prod_(j=0)^(k_e n - 1) (-a_e + k_e rho + j)
-             / prod_(l_e>0) prod_(t=1)^(l_e n)     (a_e + l_e rho + t),
+    c_n(rho) = prod_(l_e<0) prod_(j=0)^(k_e n - 1) (1/2 + k_e rho + j)
+             / prod_(l_e>0) prod_(t=1)^(l_e n)     (l_e rho + t),
 
     normalized so c_0 = 1 (the rho-dependent constant is a unit and has been
     divided out): ``hypergeometric_series`` at order m.  Slice rho^1 of the
@@ -55,10 +56,11 @@ def deformed_solution(ell, alpha, N, m):
         raise FracmirrorError(
             "nilpotency order m exceeds operator degree + 1"
         )
-    return hypergeometric_series(*_series_factors(ell, alpha), m, N)
+    num, den, _ = _series_factors(ell)
+    return hypergeometric_series(num, den, m, N)
 
 
-def b_series(m, ell, alpha, N):
+def b_series(m, ell, N):
     """The cohomology-valued series z^eps * deformed over Q[eps]/(eps^m),
     as the eps-slices of deformed: its L^k part (L = log z) is eps^k / k!
     times them, as ``b_series_json`` writes it.
@@ -66,7 +68,7 @@ def b_series(m, ell, alpha, N):
     Gamma-factor units are already divided out (the z-independent constant
     is 1); slices are eps^0 = omega0 and eps^1 = tau.
     """
-    return deformed_solution(ell, alpha, N, m)
+    return deformed_solution(ell, N, m)
 
 
 def slices_json(S):
@@ -128,26 +130,18 @@ def i_weights_from_kernel(ell):
     return num, tuple(sorted(abs(le) for le in ell if le))
 
 
-def i_function_untwisted(num_weights, den_weights, m, N):
-    """I(q) = sum_d q^d prod_a prod_(t=1)^(w_a d)(w_a eps + t) /
-    prod_b prod_(t=1)^(u_b d)(u_b eps + t) as its m eps-slices.
+def i_function_untwisted(ell, m, N):
+    """I(x) = sum_d x^d prod_a prod_(t=1)^(w_a d)(w_a eps + t) /
+    prod_b prod_(t=1)^(u_b d)(u_b eps + t) as its m eps-slices, with the
+    weights (w_a; u_b) = ``i_weights_from_kernel(ell)``.
 
-    ``hypergeometric_series`` with factors (1, w_a) over (1, u_b), except
-    that each numerator weight 2k is first paired with one denominator
-    weight k.  By Legendre duplication the pair's ratio is 4^(k d) times
-    prod_(j<k d) (1/2 + k eps + j): the factor (1/2, k), with 4^k joining
-    the scale.
+    By Legendre duplication a weight pair 2k over k is 4^(k d) times
+    prod_(j<k d) (1/2 + k eps + j), so this is ``hypergeometric_series`` on
+    the factors of ``_series_factors(ell)`` at its scale s: the deformed
+    solution at z = s x.
     """
-    num, den = [_step(w) for w in num_weights], [_step(u) for u in den_weights]
-    half, whole = [], []
-    for w in num:
-        if w % 2 == 0 and w // 2 in den:
-            den.remove(w // 2)
-            half.append((Fraction(1, 2), w // 2))
-        else:
-            whole.append((1, w))
-    scale = 4 ** sum(k for _, k in half)
-    return hypergeometric_series(half + whole, [(1, u) for u in den], m, N, scale)
+    num, den, s = _series_factors(ell)
+    return hypergeometric_series(num, den, m, N, s)
 
 
 def i_function_mirror_map(I):

@@ -4,8 +4,10 @@ The matrix A gathers the columns nu_(i,j) = (rho_(i,j), Kronecker block):
 one distinguished column nu_(i,0) = (0, e_i) per part, then one column per
 ray of that part.  Internally the n lattice rows come first and the r
 Kronecker rows last; ``display_rows`` re-orders for display with the Kronecker
-block on top.  The exponent vector alpha puts -1/2 on each distinguished
-column, so beta = A·alpha has the shape (0, ..., 0, -1/2, ..., -1/2).
+block on top.  Each distinguished column carries the exponent ``EXPONENT``
+= -1/2 (a double cover is a fractional complete intersection) and each ray
+column 0, so beta has the shape (0, ..., 0, -1/2, ..., -1/2) and the series
+read the kernel vector alone.
 
 Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
@@ -14,10 +16,10 @@ ever evaluated.  Its recurrence runs on Python ints (integer numerators over
 one common denominator) and it returns the m eps-slices, each a
 ``RationalSeries`` handed over as integers, so it builds no Fraction per
 coefficient.  The holomorphic solution is its eps^0 slice.  Its integer
-``scale`` gives sum scale^n c_n z^n inside the recurrence: the untwisted
-I-function folds each weight pair 2k over k into one half-integer factor
-and the scale 4^k (``cohom.i_function_untwisted``), so a scale that clears
-the factor's denominator 2^k costs nothing.
+``scale`` gives sum scale^n c_n z^n inside the recurrence: at the scale
+s = 4^(sum k) of ``_series_factors`` the slices are the untwisted
+I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
+clears the factors' denominators 2^k costs nothing.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,9 @@ from operator import mul
 from . import linalg
 from .errors import FracmirrorError
 from .series import _make, _order, parse_fraction
+
+# The exponent of every distinguished column (every ray column has 0)
+EXPONENT = Fraction(-1, 2)
 
 __all__ = [
     "GkzSystem",
@@ -90,10 +95,8 @@ def build_gkz(data):
     A = tuple(
         tuple(col[row] for col in columns) for row in range(n + r)
     )
-    beta = tuple([Fraction(0)] * n + [Fraction(-1, 2)] * r)
-    alpha = tuple(
-        Fraction(-1, 2) if lab[1] == 0 else Fraction(0) for lab in labels
-    )
+    beta = tuple([Fraction(0)] * n + [EXPONENT] * r)
+    alpha = tuple(EXPONENT if lab[1] == 0 else Fraction(0) for lab in labels)
     # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
     # each vector is signed so its first nonzero entry is negative
     rank, U, _ = linalg.echelon(list(zip(*A)))
@@ -129,22 +132,23 @@ def principal_kernel_vector(gkz):
     return tuple(ell)
 
 
-def _series_factors(ell, alpha):
-    """Split a kernel vector into numerator/denominator factor data."""
-    num = []  # (base = -alpha_e, step = |ell_e|)
-    den = []  # (base = 1 + alpha_e, step = ell_e)
-    for le, ae in zip(ell, alpha):
-        ae = parse_fraction(ae)
+def _series_factors(ell):
+    """The kernel's factors of a kernel vector and the scale s of x = z/s:
+    (1/2, k) = (-EXPONENT, k) for each negative entry -k, (1, l) for each
+    positive entry l, and s = 4^(sum k).
+
+    The negative entries are exactly the distinguished columns: the n + 1
+    rays span R^n with the origin in their interior, so their one relation
+    has all coefficients positive, and each distinguished entry is minus the
+    sum of its part's.  Entries are read as by ``series._order``.
+    """
+    num, den = [], []
+    for le in map(_order, ell):
         if le < 0:
-            if ae.denominator == 1:
-                raise FracmirrorError(
-                    "unsupported shape: negative kernel entry on an "
-                    "integer-exponent column"
-                )
-            num.append((-ae, -le))
+            num.append((-EXPONENT, -le))
         elif le > 0:
-            den.append((Fraction(1) + ae, le))
-    return num, den
+            den.append((1, le))
+    return num, den, 4 ** sum(k for _, k in num)
 
 
 def hypergeometric_series(num, den, m, N, scale=1):
@@ -234,11 +238,12 @@ def _new_factors(factors, n, m):
     return c
 
 
-def holo_solution(ell, alpha, N):
+def holo_solution(ell, N):
     """The holomorphic solution sum c_n z^n of the rank-1 GKZ system.
 
     c_n multiplies rising factorials over the negative kernel entries and
     divides by rising factorials over the positive ones; c_0 = 1.  It is the
     eps^0 slice of ``hypergeometric_series`` at m = 1.
     """
-    return hypergeometric_series(*_series_factors(ell, alpha), 1, N)[0]
+    num, den, _ = _series_factors(ell)
+    return hypergeometric_series(num, den, 1, N)[0]

@@ -5,17 +5,15 @@ omega1 = omega0 * log z + tau.  Both come from one hypergeometric series
 over Q[eps]/(eps^2) (``gkz.hypergeometric_series``), the coefficients
 c_n(eps) of the Frobenius deformation sum_n c_n(eps) z^(n+eps): omega0 is
 its eps^0 slice and tau its eps^1 slice, tau_n = c_n'(0).  Every negative
-kernel entry carries exponent -1/2 (every positive one exponent 0, as in
-``build_gkz``), and the half-integer base point of the negative factors
-shifts log z by the constant -log(s) with s = 2^(2 sum k_e), an exact
-integer.  The series are formed in x = z/s: by Legendre duplication,
+kernel entry carries the exponent -1/2 (``gkz.EXPONENT``), whose
+half-integer base point shifts log z by the constant -log(s) with
+s = 4^(sum k_e), an exact integer.  By Legendre duplication,
 prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j) prod_(j=0)^(M-1) (a + 1/2 + j),
-so each eps-slice of the deformed solution at z = s x is the untwisted
-I-function in x (weights 2k over k, ``cohom.i_weights_from_kernel``), and
-A0(x) = omega0(s x) is integral where omega0 carries a denominator near s^N.
-s enters only where ``_dilate`` rescales a series into x or back to z:
-
-    q = x exp(A1 / A0) with A1(x) = tau(s x),  z(q) = s x(q).
+the eps-slices at z = s x are the untwisted I-function in x
+(``cohom.i_function_untwisted``), so the pair is its first two slices:
+A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
+and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
+only where ``_dilate`` rescales a series between x and z.
 
 The B-model Yukawa solves theta(Y) = g Y with g from the degree-4 operator;
 transporting it through the mirror map and dividing by omega0^2 gives the
@@ -24,13 +22,13 @@ A-model correlation series K(q) with K(0) = C.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
+from .cohom import i_function_untwisted
 from .errors import FracmirrorError
-from .gkz import _series_factors, hypergeometric_series
+from .gkz import _series_factors
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import yukawa_ode_rhs
-from .series import RationalSeries, _make, _order, parse_fraction
+from .series import RationalSeries, _make
 
 __all__ = [
     "FrobeniusPair",
@@ -38,18 +36,18 @@ __all__ = [
     "frobenius_pair",
     "mirror_map",
     "yukawa_z",
-    "classical_normalization",
     "a_model_correlation",
 ]
 
 
 @dataclass(frozen=True)
 class FrobeniusPair:
-    """omega0 and the non-log part tau of omega1 = omega0 log z + tau,
-    with the integer scale s absorbing the constant shift of log z."""
+    """omega0 and the non-log part tau of omega1 = omega0 log z + tau, in
+    x = z/s: A0(x) = omega0(s x) and A1(x) = tau(s x), with the integer
+    scale s absorbing the constant shift of log z."""
 
-    omega0: RationalSeries
-    tau: RationalSeries
+    A0: RationalSeries
+    A1: RationalSeries
     scale: int
     N: int
 
@@ -72,25 +70,11 @@ class YukawaData:
         }
 
 
-def frobenius_pair(ell, alpha, N):
-    """Build (omega0, tau, s) for a rank-1 kernel vector.
-
-    Every negative kernel entry must carry exponent -1/2; otherwise the
-    constant absorbed into the scale would not be the log of an integer.
-    """
-    ell, N = tuple(index(x) for x in ell), _order(N)
-    alpha = tuple(parse_fraction(a) for a in alpha)
-    k_total = 0
-    for le, ae in zip(ell, alpha):
-        if le < 0:
-            if ae != Fraction(-1, 2):
-                raise FracmirrorError(
-                    "scale not integral: negative kernel entries must carry "
-                    "exponent -1/2"
-                )
-            k_total += -le
-    omega0, tau = hypergeometric_series(*_series_factors(ell, alpha), 2, N)
-    return FrobeniusPair(omega0=omega0, tau=tau, scale=2 ** (2 * k_total), N=N)
+def frobenius_pair(ell, N):
+    """(A0, A1, s) for a rank-1 kernel vector: the first two slices of the
+    untwisted I-function in x = z/s."""
+    A0, A1 = i_function_untwisted(ell, 2, N)
+    return FrobeniusPair(A0=A0, A1=A1, scale=_series_factors(ell)[2], N=A0.N)
 
 
 def _dilate(f, p, q=1):
@@ -100,11 +84,10 @@ def _dilate(f, p, q=1):
 
 
 def mirror_map(pair):
-    """(q(z), z(q)) as exact series, formed in x = z/s: q = x exp(A1/A0)
-    with A_k(x) the pair's slices at z = s x, reverted in x; then
+    """(q(z), z(q)) as exact series: q = x exp(A1/A0), reverted in x; then
     q(z) = q(x = z/s) and z(q) = s x(q)."""
     s = pair.scale
-    q_of_x = (_dilate(pair.tau, s) / _dilate(pair.omega0, s)).exp().shift(1)
+    q_of_x = (pair.A1 / pair.A0).exp().shift(1)
     return _dilate(q_of_x, 1, s), q_of_x.reversion() * s
 
 
@@ -116,14 +99,8 @@ def yukawa_z(op, pair, C):
     if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
     s = pair.scale
-    A0 = _dilate(pair.omega0, s)
-    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (A0 * A0)
+    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (pair.A0 * pair.A0)
     return _dilate(Y_x, 1, s)
-
-
-def classical_normalization(cover_degree, base_intersection):
-    """K(0): covering degree times the top self-intersection on the base."""
-    return Fraction(cover_degree) * Fraction(base_intersection)
 
 
 def a_model_correlation(op, pair, z_of_q, C):

@@ -7,8 +7,9 @@ An operator is a sum over theta-powers of polynomials in z,
 normalized so the leading theta-power has constant coefficient 1.  The
 operator annihilating the holomorphic GKZ solution of a rank-1 kernel vector
 l is F(theta) - z G(theta), where F collects the positive kernel entries and
-G the negative ones; both factor over Q into linear terms, which the
-constructor records for factored display.
+G the negative ones, whose columns all carry the exponent -1/2
+(``gkz.EXPONENT``), so the operator reads l alone.  Both factor over Q into
+linear terms, which the constructor records for factored display.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FracmirrorError
-from .series import _make, _order, fraction_str, parse_fraction
+from .gkz import EXPONENT
+from .series import _make, _order, fraction_str
 
 __all__ = [
     "ThetaOperator",
@@ -117,33 +119,30 @@ def _poly_mul(p, q):
     return out
 
 
-def theta_conjugate(ell, alpha):
+def theta_conjugate(ell):
     """The theta-form operator F(theta) - z G(theta) of a rank-1 kernel.
 
     F runs over positive kernel entries with factors (l_e theta - m) for
     m = 0..l_e-1; G runs over negative entries with factors
-    (k_e theta - alpha_e + m), k_e = -l_e.  The result is normalized by the
-    leading coefficient of F.  Both run on ints, G's factors times q for
-    alpha_e = p/q; their product Q joins the lead in the final Fractions.
+    (k_e theta - e + m), k_e = -l_e, for the exponent e = p/q =
+    ``gkz.EXPONENT`` of their distinguished columns.  The result is
+    normalized by the leading coefficient of F.  Both run on ints, G's
+    factors times q; their product Q joins the lead in the final Fractions.
+    Each entry is read as by ``series._order``.
     """
     f_poly = [1]
     f_roots = []
     g_poly = [1]
     g_roots = []
     Q = 1
-    for le, ae in zip(ell, alpha):
-        ae = parse_fraction(ae)
+    p, q = EXPONENT.numerator, EXPONENT.denominator
+    for le in map(_order, ell):
         if le > 0:
             for m in range(le):
                 f_poly = _poly_mul(f_poly, [-m, le])
                 f_roots.append(Fraction(m, le))
         elif le < 0:
-            if ae.denominator == 1:
-                raise FracmirrorError(
-                    "unsupported shape: negative kernel entry on an "
-                    "integer-exponent column"
-                )
-            k, p, q = -le, ae.numerator, ae.denominator
+            k = -le
             Q *= q**k
             for m in range(k):
                 g_poly = _poly_mul(g_poly, [q * m - p, q * k])

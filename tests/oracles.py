@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from fracmirror import linalg
+from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution, hypergeometric_series
 from fracmirror.mirror import YukawaData
@@ -73,14 +74,25 @@ def matches(f, g, upto):
 
 def omega1_log(pair):
     """omega1 = omega0 * L + tau of a Frobenius pair as its log parts
-    [tau, omega0], the list that ``apply`` takes, L = log z."""
-    return [pair.tau, pair.omega0]
+    [tau, omega0], the list that ``apply`` takes, L = log z: the pair's
+    slices A1 and A0 in x = z/s taken back to z."""
+    r = Fraction(1, pair.scale)
+    return [scale_arg(pair.A1, r), scale_arg(pair.A0, r)]
 
 
-def mirror_map_in_z(pair):
+def frobenius_pair_in_z(ell, N):
+    """(omega0, tau, s): the first two slices of the kernel at scale 1
+    (``cohom.deformed_solution``) and s = 4^(sum k) over the negative
+    kernel entries -k."""
+    omega0, tau = deformed_solution(ell, N, 2)
+    return omega0, tau, 4 ** sum(-le for le in ell if le < 0)
+
+
+def mirror_map_in_z(ell, N):
     """(q(z), z(q)) computed in z, where every series carries a denominator
     near s^N: q = (z/s) exp(tau/omega0) and z(q) its reversion."""
-    q_of_z = (pair.tau / pair.omega0).exp().shift(1) * Fraction(1, pair.scale)
+    omega0, tau, s = frobenius_pair_in_z(ell, N)
+    q_of_z = (tau / omega0).exp().shift(1) * Fraction(1, s)
     return q_of_z, q_of_z.reversion()
 
 
@@ -93,14 +105,14 @@ def yukawa_ode_rhs_by_division(op, N):
     return -(p3 / p4) * Fraction(1, 2)
 
 
-def a_model_correlation_in_z(op, pair, z_of_q, C):
+def a_model_correlation_in_z(op, ell, N, z_of_q, C):
     """K(q) = Y_z(z(q)) (theta_q log z(q))^3 computed in z, with
     Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
-    N = pair.N
+    omega0, _, s = frobenius_pair_in_z(ell, N)
     g = yukawa_ode_rhs_by_division(op, N)
-    Y = g.antitheta().exp() * Fraction(C) / (pair.omega0 * pair.omega0)
+    Y = g.antitheta().exp() * Fraction(C) / (omega0 * omega0)
     # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
-    v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, pair.scale)
+    v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, s)
     dlog = v.theta() / v + 1
     K = Y.compose(z_of_q.truncate(N)).truncate(N - 1) * dlog * dlog * dlog
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)
@@ -575,9 +587,10 @@ def hypergeometric_term_by_term(num, den, m, N):
 
 
 def i_function_by_weights(num_weights, den_weights, m, N):
-    """``cohom.i_function_untwisted`` with every weight its own factor:
-    (1, w_a) over (1, u_b), so a weight pair 2k over k multiplies 3k
-    linear factors per order."""
+    """``cohom.i_function_untwisted`` on the weights of
+    ``cohom.i_weights_from_kernel``, with every weight its own factor:
+    (1, w_a) over (1, u_b) at scale 1, so a weight pair 2k over k multiplies
+    3k linear factors per order."""
     return hypergeometric_series(
         [(1, w) for w in num_weights], [(1, u) for u in den_weights], m, N
     )
@@ -593,7 +606,7 @@ def box_annihilation_check(ell, alpha, N, series=None):
     ``holo_solution``; pass ``series`` to test another candidate.
     """
     if series is None:
-        series = holo_solution(ell, alpha, N)
+        series = holo_solution(ell, N)
     N = min(N, series.N)
 
     def F(t):

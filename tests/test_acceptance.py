@@ -19,7 +19,6 @@ from fracmirror.cohom import deformed_solution
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
 from fracmirror.mirror import (
     a_model_correlation,
-    classical_normalization,
     frobenius_pair,
     mirror_map,
 )
@@ -69,7 +68,7 @@ def criterion(num, desc):
 def _chain(data, N):
     g = build_gkz(data)
     ell = principal_kernel_vector(g)
-    return g, ell, frobenius_pair(ell, g.alpha, N)
+    return g, ell, frobenius_pair(ell, N)
 
 
 @criterion(1, "dual nef-partitions reproduce both reference nabla polytopes")
@@ -132,7 +131,7 @@ def test_criterion_05_picard_fuchs(quartic, eight_hyperplanes):
         (eight_hyperplanes, [Fraction(1, 2)] * 4, 1),
     ):
         g = build_gkz(data)
-        op = theta_conjugate(principal_kernel_vector(g), g.alpha)
+        op = theta_conjugate(principal_kernel_vector(g))
         G = [Fraction(1)]
         for off in offsets:
             G = _poly_mul(G, [off, Fraction(1)])
@@ -163,13 +162,13 @@ def test_criterion_06_mirror_map(quartic):
 @criterion(7, "A-model series match both reference expansions; N=6 under 10 s")
 def test_criterion_07_a_model(quartic, eight_hyperplanes):
     t0 = time.perf_counter()
-    C = classical_normalization(2, 1)
+    C = 2  # the classical normalization
     g, ell, pair = _chain(quartic, 6)
-    op = theta_conjugate(ell, g.alpha)
+    op = theta_conjugate(ell)
     K = a_model_correlation(op, pair, mirror_map(pair)[1], C).K_q
     assert [K.coeff(n) for n in range(4)] == [2, 29504, 1030708800, 38440454795264]
     g, ell, pair = _chain(eight_hyperplanes, 6)
-    op = theta_conjugate(ell, g.alpha)
+    op = theta_conjugate(ell)
     K = a_model_correlation(op, pair, mirror_map(pair)[1], C).K_q
     assert [K.coeff(n) for n in range(6)] == [
         2,
@@ -187,8 +186,8 @@ def test_criterion_08_frobenius(quartic, eight_hyperplanes, k3):
     for data, d in ((quartic, 4), (eight_hyperplanes, 4), (k3, 3)):
         g = build_gkz(data)
         ell = principal_kernel_vector(g)
-        op = theta_conjugate(ell, g.alpha)
-        W = deformed_solution(ell, g.alpha, 12, d + 1)
+        op = theta_conjugate(ell)
+        W = deformed_solution(ell, 12, d + 1)
         res = frobenius_residue(op, W, 12)
         assert all(res.coeff(k) == (1 if k == d else 0) for k in range(d + 1))
 
@@ -264,8 +263,8 @@ def test_criterion_10_properties(quartic):
 
     gkz = build_gkz(quartic)
     ell = principal_kernel_vector(gkz)
-    op = theta_conjugate(ell, gkz.alpha)
-    assert all(p.is_zero() for p in apply(op, holo_solution(ell, gkz.alpha, 20)))
+    op = theta_conjugate(ell)
+    assert all(p.is_zero() for p in apply(op, holo_solution(ell, 20)))
 
 
 @criterion(

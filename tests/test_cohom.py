@@ -6,7 +6,6 @@ sympy (divided by k!), an oracle that never touches the integer kernel.
 """
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -48,24 +47,22 @@ from oracles import (
 from test_mirror import _one_parameter_cases
 
 
-def _kernel_data(data):
-    g = build_gkz(data)
-    ell = principal_kernel_vector(g)
-    return ell, g.alpha
+def _kernel_vector(data):
+    return principal_kernel_vector(build_gkz(data))
 
 
 # ------------------------------------------------------ deformed solution
 
-_HALF = Fraction(-1, 2)
+_QUARTIC = (1, 1, 1, 1, -4)
 
 
 @pytest.mark.parametrize("build", [
     lambda: hypergeometric_series([(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4, 2, True),
     lambda: hypergeometric_series([(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4, True, 2),
-    lambda: deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), 2, True),
-    lambda: deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), True, 2),
-    lambda: i_function_untwisted((8,), (1, 1, 1, 1, 4), True, 3),
-    lambda: i_function_untwisted((8,), (1, 1, 1, 1, 4), 2, True),
+    lambda: deformed_solution(_QUARTIC, 2, True),
+    lambda: deformed_solution(_QUARTIC, True, 2),
+    lambda: i_function_untwisted(_QUARTIC, True, 3),
+    lambda: i_function_untwisted(_QUARTIC, 2, True),
 ], ids=["kernel m", "kernel N", "deformed m", "deformed N", "I-function m", "I-function N"])
 def test_kernel_orders_refuse_bools(build):
     with pytest.raises(TypeError):
@@ -75,9 +72,9 @@ def test_kernel_orders_refuse_bools(build):
 @pytest.mark.parametrize("build", [
     lambda: hypergeometric_series([(Fraction(1, 2), 1)], [(1, 1)], 2, -1),
     lambda: hypergeometric_series([], [], 1, -3, 4),
-    lambda: deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), -1, 2),
-    lambda: i_function_untwisted((8,), (1, 1, 1, 1, 4), 2, -1),
-    lambda: holo_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, _HALF), -1),
+    lambda: deformed_solution(_QUARTIC, -1, 2),
+    lambda: i_function_untwisted(_QUARTIC, 2, -1),
+    lambda: holo_solution(_QUARTIC, -1),
 ], ids=["kernel", "kernel scaled", "deformed", "I-function", "holomorphic"])
 def test_kernel_refuses_a_negative_order(build):
     # as RationalSeries does, rather than slices with no coefficients
@@ -86,16 +83,17 @@ def test_kernel_refuses_a_negative_order(build):
 
 
 def test_deformed_slices_are_frobenius_tower(quartic):
-    ell, alpha = _kernel_data(quartic)
-    W = deformed_solution(ell, alpha, 8, 3)
-    pair = frobenius_pair(ell, alpha, 8)
-    assert matches(W[0], pair.omega0, 8)
-    assert matches(W[1], pair.tau, 8)
+    # the pair is the same two slices at z = s x
+    ell = _kernel_vector(quartic)
+    W = deformed_solution(ell, 8, 3)
+    pair = frobenius_pair(ell, 8)
+    assert matches(scale_arg(W[0], pair.scale), pair.A0, 8)
+    assert matches(scale_arg(W[1], pair.scale), pair.A1, 8)
 
 
 def test_deformed_slices_match_gamma_derivatives(quartic):
-    ell, alpha = _kernel_data(quartic)
-    W = deformed_solution(ell, alpha, 3, 3)
+    ell = _kernel_vector(quartic)
+    W = deformed_solution(ell, 3, 3)
     eps = sympy.Symbol("eps")
     h = sympy.Rational(1, 2)
     for n in (1, 2, 3):
@@ -113,8 +111,8 @@ def test_deformed_slices_match_gamma_derivatives(quartic):
 def test_deformed_slices_match_numeric_gamma_derivatives(quartic):
     import mpmath
 
-    ell, alpha = _kernel_data(quartic)
-    W = deformed_solution(ell, alpha, 2, 3)
+    ell = _kernel_vector(quartic)
+    W = deformed_solution(ell, 2, 3)
     with mpmath.workdps(60):
         for n in (1, 2):
 
@@ -133,15 +131,15 @@ def test_deformed_slices_match_numeric_gamma_derivatives(quartic):
 
 
 def test_deformed_m1_is_plain_solution(k3):
-    ell, alpha = _kernel_data(k3)
-    W = deformed_solution(ell, alpha, 6, 1)
-    assert matches(W[0], holo_solution(ell, alpha, 6), 6)
+    ell = _kernel_vector(k3)
+    W = deformed_solution(ell, 6, 1)
+    assert matches(W[0], holo_solution(ell, 6), 6)
 
 
 def test_deformed_rejects_oversized_nilpotency(quartic):
-    ell, alpha = _kernel_data(quartic)
+    ell = _kernel_vector(quartic)
     with pytest.raises(FracmirrorError, match="exceeds operator degree"):
-        deformed_solution(ell, alpha, 4, 6)
+        deformed_solution(ell, 4, 6)
 
 
 # ------------------------------------------------------ Frobenius residue
@@ -149,27 +147,27 @@ def test_deformed_rejects_oversized_nilpotency(quartic):
 
 @pytest.mark.parametrize("case,deg", [("quartic", 4), ("eight_hyperplanes", 4), ("k3", 3)])
 def test_residue_is_top_eps_power(case, deg, request):
-    ell, alpha = _kernel_data(request.getfixturevalue(case))
-    op = theta_conjugate(ell, alpha)
-    W = deformed_solution(ell, alpha, 12, deg + 1)
+    ell = _kernel_vector(request.getfixturevalue(case))
+    op = theta_conjugate(ell)
+    W = deformed_solution(ell, 12, deg + 1)
     res = frobenius_residue(op, W, 12)
     for k in range(deg + 1):
         assert res.coeff(k) == (1 if k == deg else 0)
 
 
 def test_residue_requires_matching_order(quartic):
-    ell, alpha = _kernel_data(quartic)
-    op = theta_conjugate(ell, alpha)
-    W = deformed_solution(ell, alpha, 4, 3)
+    ell = _kernel_vector(quartic)
+    op = theta_conjugate(ell)
+    W = deformed_solution(ell, 4, 3)
     with pytest.raises(FracmirrorError, match="operator degree \\+ 1"):
         frobenius_residue(op, W)
 
 
 def test_residue_flags_wrong_operator(quartic, eight_hyperplanes):
-    ell_q, alpha_q = _kernel_data(quartic)
-    ell_e, alpha_e = _kernel_data(eight_hyperplanes)
-    op = theta_conjugate(ell_q, alpha_q)
-    W = deformed_solution(ell_e, alpha_e, 4, 5)
+    ell_q = _kernel_vector(quartic)
+    ell_e = _kernel_vector(eight_hyperplanes)
+    op = theta_conjugate(ell_q)
+    W = deformed_solution(ell_e, 4, 5)
     with pytest.raises(FracmirrorError, match="does not annihilate"):
         frobenius_residue(op, W)
 
@@ -178,22 +176,23 @@ def test_residue_flags_wrong_operator(quartic, eight_hyperplanes):
 
 
 def test_b_series_slices(quartic):
-    ell, alpha = _kernel_data(quartic)
-    W = b_series(4, ell, alpha, 8)
-    pair = frobenius_pair(ell, alpha, 8)
-    assert matches(W[0], pair.omega0, 8)
-    assert matches(W[1], pair.tau, 8)
+    ell = _kernel_vector(quartic)
+    W = b_series(4, ell, 8)
+    pair = frobenius_pair(ell, 8)
+    omega0 = scale_arg(pair.A0, Fraction(1, pair.scale))
+    assert matches(W[0], omega0, 8)
+    assert matches(W[1], scale_arg(pair.A1, Fraction(1, pair.scale)), 8)
     # the eps^1 coefficient of the log-part is omega0: together they give
     # the second Frobenius solution tau + omega0 * log z
     log_part = b_series_json(W)["parts"][1]["coeffs"]
-    assert [row[1] for row in log_part] == pair.omega0.to_json()["coeffs"]
+    assert [row[1] for row in log_part] == omega0.to_json()["coeffs"]
     assert all(row[0] == "0" for row in log_part)
 
 
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_log_prefactor_matches_fraction_scaling(case, request):
     # the kernel itself, not deformed_solution, so m runs past degree + 1
-    factors = _series_factors(*_kernel_data(request.getfixturevalue(case)))
+    factors = _series_factors(_kernel_vector(request.getfixturevalue(case)))[:2]
     for m in range(2, 7):
         deformed = hypergeometric_series(*factors, m, 8)
         parts = [
@@ -211,19 +210,19 @@ def test_log_prefactor_matches_fraction_scaling(case, request):
 def test_b_series_json_matches_column_writer(quartic, eight_hyperplanes, k3):
     # each slice reduced once, log part k divided by k! on the reduced
     # numerators, writes the same bytes as formatting every column over D k!
-    for label, ell, alpha, _ in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+    for label, ell, _, _ in _one_parameter_cases(quartic, eight_hyperplanes, k3):
         m = sum(le for le in ell if le > 0)
         for N in (1, 4, 16):
-            S = deformed_solution(ell, alpha, N, m)
+            S = deformed_solution(ell, N, m)
             assert _json_text(b_series_json(S)) == _json_text(b_series_json_by_columns(S)), (label, N)
 
 
 def test_b_series_annihilated_over_threefold_ring(quartic):
     # over Q[eps]/(eps^4) the residue eps^4 vanishes, so the operator kills
     # the full cohomology-valued series
-    ell, alpha = _kernel_data(quartic)
-    op = theta_conjugate(ell, alpha)
-    W = b_series(4, ell, alpha, 10)
+    ell = _kernel_vector(quartic)
+    op = theta_conjugate(ell)
+    W = b_series(4, ell, 10)
     assert all(p.is_zero() for parts in apply_to_prefactored(op, W) for p in parts)
 
 
@@ -240,72 +239,36 @@ def test_i_weights():
 
 
 def test_i_function_quartic_slices(quartic):
-    I = i_function_untwisted((8,), (1, 1, 1, 1, 4), 5, 6)
+    ell = _kernel_vector(quartic)
+    I = i_function_untwisted(ell, 5, 6)
     A = I[0]
     assert A.coeff(0) == 1
     assert A.coeff(1) == 1680  # 8! / (1!^4 4!)
     assert A.coeff(2) == 32432400
     assert all(A.coeff(n).denominator == 1 for n in range(7))
     # A(q) is the holomorphic solution rescaled to the q-variable
-    ell, alpha = _kernel_data(quartic)
-    pair = frobenius_pair(ell, alpha, 6)
-    assert matches(A, scale_arg(pair.omega0, 256), 6)
+    assert matches(A, scale_arg(holo_solution(ell, 6), 256), 6)
 
 
 def test_i_function_mirror_block(quartic):
-    ell, alpha = _kernel_data(quartic)
-    I = i_function_untwisted((8,), (1, 1, 1, 1, 4), 5, 6)
+    ell = _kernel_vector(quartic)
+    I = i_function_untwisted(ell, 5, 6)
     ratio = i_function_mirror_map(I)
     assert ratio.coeff(1) == 15808
-    pair = frobenius_pair(ell, alpha, 6)
-    assert matches(ratio, scale_arg(pair.tau / pair.omega0, 256), 6)
+    omega0, tau = deformed_solution(ell, 6, 2)
+    assert matches(ratio, scale_arg(tau / omega0, 256), 6)
 
 
-def test_i_function_pairs_weights_by_duplication():
-    # each numerator weight 2k paired with a denominator weight k is one
-    # half-integer factor and a scale 4^k; the I-function is the same as with
-    # every weight its own factor, with paired, unpaired, odd and repeated
-    # weights and with more than one partner on offer
-    weight_sets = [
-        ((8,), (1, 1, 1, 1, 4)),
-        ((2, 2, 2, 2), (1,) * 8),
-        ((6,), (1, 1, 1, 3)),
-        ((4, 4), (2, 2, 1, 1, 1, 1)),
-        ((4, 4), (2, 1, 1, 1, 1, 1)),
-        ((3, 5), (1, 2, 2, 3)),
-        ((4,), (1, 1, 1, 1)),
-        ((8, 4), (4, 2, 2, 2, 4)),
-        ((), (1, 2)),
-        ((2,), ()),
-    ]
-    rng = random.Random(23)
-    for _ in range(40):
-        num = tuple(rng.randint(1, 8) for _ in range(rng.randint(0, 3)))
-        den = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
-        weight_sets.append((num, den))
-    for num, den in weight_sets:
-        for m in (1, 2, 5):
-            for N in (0, 1, 6, 12):
-                I = i_function_untwisted(num, den, m, N)
-                assert I == i_function_by_weights(num, den, m, N), (num, den, m, N)
-
-
-@pytest.mark.parametrize("num, den", [
-    ((2,), (1, True)),
-    ((True,), (1,)),
-    ((2.0,), (1,)),
-    ((2,), (1.0, 1)),
-])
-def test_i_function_refuses_non_integer_weights(num, den):
-    # True is not read as the weight 1, nor 2.0 as 2
-    with pytest.raises(TypeError):
-        i_function_untwisted(num, den, 2, 3)
-
-
-@pytest.mark.parametrize("num, den", [((-2,), (1,)), ((2,), (1, 0)), ((0,), (1,))])
-def test_i_function_refuses_nonpositive_weights(num, den):
-    with pytest.raises(ValueError, match="a factor weight must be a positive integer"):
-        i_function_untwisted(num, den, 2, 3)
+def test_i_function_pairs_weights_by_duplication(quartic, eight_hyperplanes, k3):
+    # the kernel on the half-integer factors at scale s = 4^(sum k) is the
+    # I-function with every weight its own factor, each pair 2k over k
+    # multiplied out, on every one-parameter input
+    for label, ell, _, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        weights = i_weights_from_kernel(ell)
+        for m in (1, 2, sum(le for le in ell if le > 0) + 1):
+            for N in (0, *orders):
+                I = i_function_untwisted(ell, m, N)
+                assert I == i_function_by_weights(*weights, m, N), (label, m, N)
 
 
 def test_i_function_unit_guard():
@@ -332,14 +295,18 @@ def test_ring_classes_and_integral():
 
 
 def test_cohomology_api_refuses_floats():
-    # a float exponent is not read as the Fraction it happens to equal;
-    # "p/q" strings and Fractions still are
-    exact = deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, Fraction(-1, 2)), 3, 2)
-    assert deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), 3, 2) == exact
-    with pytest.raises(TypeError):
-        deformed_solution((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5), 3, 2)
-    with pytest.raises(TypeError):
-        theta_conjugate((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5))
+    # a float kernel entry is not read as the int it happens to equal, nor
+    # a bool as 0 or 1, by any of the series that read the kernel vector
+    for ell in ((1, 1, 1, 1, -4.0), (1, 1, 1, 1.0, -4), (True, 1, 1, 1, -4), (-4, 1, 1, 1, True)):
+        for build in (
+            lambda: deformed_solution(ell, 3, 2),
+            lambda: b_series(2, ell, 3),
+            lambda: i_function_untwisted(ell, 2, 3),
+            lambda: holo_solution(ell, 3),
+            lambda: theta_conjugate(ell),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 def test_pairing_anti_diagonal():

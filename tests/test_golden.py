@@ -1,10 +1,11 @@
 """Golden CLI outputs: stdout, stderr and exit code, compared byte for byte.
 
 Every command runs on the three bundled inputs at N = 10 with
-``--format json``, and in table format on the quartic.  Four series commands
-also run at N = 32, where the coefficients run to hundreds of bits:
-``yukawa`` and ``ifunction`` on the quartic, ``mirror-map`` and ``bseries`` on
-the eight hyperplanes.  The
+``--format json``, and in table format on the quartic.  Six series runs
+are also made at N = 32, where the coefficients run to hundreds of bits:
+``yukawa`` and ``ifunction`` on the quartic, ``mirror-map``, ``bseries`` and
+``ifunction`` on the eight hyperplanes (four paired weights), and
+``mirror-map`` on the K3 (scale 64, not a threefold).  The
 recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
 case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
@@ -35,6 +36,8 @@ LARGE_N_CASES = [
     ("p3_eight_hyperplanes", "mirror-map", "json", 32),
     ("p3_eight_hyperplanes", "bseries", "json", 32),
     ("p3_quartic", "ifunction", "json", 32),
+    ("p3_eight_hyperplanes", "ifunction", "json", 32),
+    ("p2_k3", "mirror-map", "json", 32),
 ]
 
 

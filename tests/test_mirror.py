@@ -19,14 +19,14 @@ import mpmath
 import pytest
 import sympy
 
-from fracmirror.cohom import deformed_solution, i_function_untwisted, i_weights_from_kernel
+from fracmirror.cli import JobConfig, _normalization
+from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, principal_kernel_vector
 from fracmirror.mirror import (
     FrobeniusPair,
     _dilate,
     a_model_correlation,
-    classical_normalization,
     frobenius_pair,
     mirror_map,
     yukawa_z,
@@ -37,6 +37,7 @@ from fracmirror.series import RationalSeries
 from oracles import (
     a_model_correlation_in_z,
     apply,
+    i_function_by_weights,
     matches,
     mirror_map_in_z,
     omega1_log,
@@ -46,9 +47,14 @@ from test_nefpart import _random_set_partitions
 
 
 def _pair(data, N=10):
-    g = build_gkz(data)
-    ell = principal_kernel_vector(g)
-    return frobenius_pair(ell, g.alpha, N), ell, g.alpha
+    ell = principal_kernel_vector(build_gkz(data))
+    return frobenius_pair(ell, N), ell
+
+
+def _in_z(pair):
+    """omega0 and tau: the pair's slices A0(x) and A1(x), x = z/s, in z."""
+    r = Fraction(1, pair.scale)
+    return scale_arg(pair.A0, r), scale_arg(pair.A1, r)
 
 
 # ------------------------------------------------------------- tau oracle
@@ -92,69 +98,56 @@ def _gamma_term(steps, n, eps):
     ],
 )
 def test_tau_matches_gamma_derivative_oracle(case, steps, expected, request):
-    pair, _, _ = _pair(request.getfixturevalue(case))
+    pair, _ = _pair(request.getfixturevalue(case))
     eps = sympy.Symbol("eps")
     for n in (1, 2, 3):
         d = sympy.diff(_gamma_term(steps, n, eps), eps)
         val = sympy.simplify(sympy.expand_func(d.subs(eps, 0)))
         assert sympy.Rational(*expected[n - 1].as_integer_ratio()) == val
-        assert pair.tau.coeff(n) == expected[n - 1]
+        # A1(x) = tau(s x)
+        assert pair.A1.coeff(n) == expected[n - 1] * pair.scale**n
 
 
 def test_tau_digamma_numerical_cross_check(quartic):
-    pair, _, _ = _pair(quartic)
+    pair, _ = _pair(quartic)
     psi = mpmath.digamma
     for n in range(1, 8):
         R = 4 * (psi(0.5 + 4 * n) - psi(0.5)) - 4 * (psi(1 + n) - psi(1))
-        exact = pair.tau.coeff(n) / pair.omega0.coeff(n)
+        exact = pair.A1.coeff(n) / pair.A0.coeff(n)  # = tau_n / omega0_n
         assert abs(float(exact) - float(R)) < 1e-12
 
 
 def test_frobenius_basics(quartic, eight_hyperplanes, k3):
     for data, scale in [(quartic, 256), (eight_hyperplanes, 256), (k3, 64)]:
-        pair, _, _ = _pair(data, 6)
+        pair, _ = _pair(data, 6)
         assert pair.scale == scale
-        assert pair.tau.coeff(0) == 0
-        assert pair.omega0.coeff(0) == 1
-    pair, _, _ = _pair(eight_hyperplanes, 6)
-    assert [pair.tau.coeff(n) for n in (1, 2, 3)] == [
-        Fraction(1, 4),
-        Fraction(189, 2048),
-        Fraction(4625, 98304),
-    ]
-
-
-def test_scale_must_come_from_half_exponents():
-    with pytest.raises(FracmirrorError, match="scale not integral"):
-        frobenius_pair((-2, 1, 1), (Fraction(-1, 3), 0, 0), 4)
+        assert pair.A1.coeff(0) == 0
+        assert pair.A0.coeff(0) == 1
+    pair, _ = _pair(eight_hyperplanes, 6)
+    tau = [Fraction(1, 4), Fraction(189, 2048), Fraction(4625, 98304)]
+    assert [pair.A1.coeff(n) for n in (1, 2, 3)] == [t * 256**n for n, t in enumerate(tau, 1)]
 
 
 @pytest.mark.parametrize(
-    "ell, alpha",
-    [
-        ((1.7, 1, 1, 1, -4), (0, 0, 0, 0, Fraction(-1, 2))),
-        ((1, 1, 1, 1, -4), (0, 0, 0, 0, -0.5)),
-    ],
-    ids=["float-kernel-entry", "float-exponent"],
+    "ell", [(1.7, 1, 1, 1, -4), (1, 1, True, 1, -4)], ids=["float-kernel-entry", "bool-kernel-entry"]
 )
-def test_frobenius_pair_refuses_floats(ell, alpha):
-    # a float kernel entry is not truncated to int, nor a float exponent
-    # read as the Fraction it happens to equal
-    exact = frobenius_pair((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), 3)
-    assert exact.omega0.coeff(1) == Fraction(105, 16)
+def test_frobenius_pair_refuses_floats(ell):
+    # a float kernel entry is not truncated to int, nor True read as 1
+    exact = frobenius_pair((1, 1, 1, 1, -4), 3)
+    assert exact.A0.coeff(1) == 1680  # 105/16 in z, times s = 256
     with pytest.raises(TypeError):
-        frobenius_pair(ell, alpha, 3)
+        frobenius_pair(ell, 3)
 
 
 def test_frobenius_pair_refuses_a_bool_order():
     with pytest.raises(TypeError, match="order must be an integer"):
-        frobenius_pair((1, 1, 1, 1, -4), (0, 0, 0, 0, "-1/2"), True)
+        frobenius_pair((1, 1, 1, 1, -4), True)
 
 
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_log_solution_jointly_annihilated(case, request):
-    pair, ell, alpha = _pair(request.getfixturevalue(case), 16)
-    op = theta_conjugate(ell, alpha)
+    pair, ell = _pair(request.getfixturevalue(case), 16)
+    op = theta_conjugate(ell)
     assert all(p.is_zero() for p in apply(op, omega1_log(pair)))
 
 
@@ -162,7 +155,7 @@ def test_log_solution_jointly_annihilated(case, request):
 
 
 def test_mirror_map_quartic(quartic):
-    pair, _, _ = _pair(quartic)
+    pair, _ = _pair(quartic)
     q, z = mirror_map(pair)
     assert [q.coeff(n) for n in (1, 2, 3)] == [
         Fraction(1, 256),
@@ -173,7 +166,7 @@ def test_mirror_map_quartic(quartic):
 
 
 def test_mirror_map_k3(k3):
-    pair, _, _ = _pair(k3)
+    pair, _ = _pair(k3)
     q, _ = mirror_map(pair)
     assert [q.coeff(n) for n in (1, 2, 3)] == [
         Fraction(1, 64),
@@ -185,9 +178,10 @@ def test_mirror_map_k3(k3):
 @pytest.mark.parametrize("case,s", [("quartic", 256), ("k3", 64)])
 def test_mirror_map_against_inline_formulas(case, s, request):
     # independent derivation: explicit reciprocal/exp/Lagrange formulas
-    pair, _, _ = _pair(request.getfixturevalue(case))
-    c1, c2 = pair.omega0.coeff(1), pair.omega0.coeff(2)
-    t1, t2, t3 = (pair.tau.coeff(n) for n in (1, 2, 3))
+    pair, _ = _pair(request.getfixturevalue(case))
+    omega0, tau = _in_z(pair)
+    c1, c2 = omega0.coeff(1), omega0.coeff(2)
+    t1, t2, t3 = (tau.coeff(n) for n in (1, 2, 3))
     u1 = t1
     u2 = t2 - t1 * c1
     u3 = t3 - t2 * c1 + t1 * (c1 * c1 - c2)
@@ -205,7 +199,7 @@ def test_mirror_map_against_inline_formulas(case, s, request):
 
 
 def test_mirror_map_round_trip(quartic):
-    pair, _, _ = _pair(quartic)
+    pair, _ = _pair(quartic)
     q, z = mirror_map(pair)
     assert matches(q.compose(z), RationalSeries.z(10), 8)
     assert matches(z.compose(q), RationalSeries.z(10), 8)
@@ -213,15 +207,15 @@ def test_mirror_map_round_trip(quartic):
 
 def test_z_of_q_integrality(quartic, eight_hyperplanes, k3):
     for data in (quartic, eight_hyperplanes, k3):
-        pair, _, _ = _pair(data)
+        pair, _ = _pair(data)
         _, z = mirror_map(pair)
         assert all(z.coeff(n).denominator == 1 for n in range(11))
 
 
 def test_truncation_stability(quartic):
     # coefficients do not depend on the working order
-    short, _, _ = _pair(quartic, 6)
-    long, _, _ = _pair(quartic, 10)
+    short, _ = _pair(quartic, 6)
+    long, _ = _pair(quartic, 10)
     q_s, z_s = mirror_map(short)
     q_l, z_l = mirror_map(long)
     assert matches(q_s, q_l, 6) and matches(z_s, z_l, 6)
@@ -231,18 +225,19 @@ def test_truncation_stability(quartic):
 
 
 def test_yukawa_z_quartic(quartic):
-    pair, ell, alpha = _pair(quartic)
-    op = theta_conjugate(ell, alpha)
+    pair, ell = _pair(quartic)
+    op = theta_conjugate(ell)
     Y = yukawa_z(op, pair, 2)
     assert Y.coeff(0) == 2 and Y.coeff(1) == Fraction(1943, 4)
     # Y * omega0^2 * (1 - 256 z) == 2, i.e. unnormalized Yukawa 2/(1-256z)
-    prod = Y * pair.omega0 * pair.omega0
+    omega0, _ = _in_z(pair)
+    prod = Y * omega0 * omega0
     geom = RationalSeries([Fraction(256) ** n for n in range(11)], 10)
     assert matches(prod, geom * 2, 10)
 
 
 def test_yukawa_rejects_nonzero_residue(quartic):
-    pair, _, _ = _pair(quartic, 4)
+    pair, _ = _pair(quartic, 4)
     bad = ThetaOperator(
         ((Fraction(0),), (Fraction(0),), (Fraction(0),), (Fraction(1),), (Fraction(1),))
     )
@@ -251,14 +246,15 @@ def test_yukawa_rejects_nonzero_residue(quartic):
 
 
 def test_classical_normalization():
-    assert classical_normalization(2, 1) == 2
-    assert classical_normalization(2, 3) == 6
+    # K(0) = 2: the covering degree 2 times the base's top self-intersection 1
+    C = _normalization(JobConfig("yukawa", "input.json"))
+    assert C == 2 and type(C) is Fraction
 
 
 def test_a_model_quartic(quartic):
-    pair, ell, alpha = _pair(quartic)
-    op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], classical_normalization(2, 1))
+    pair, ell = _pair(quartic)
+    op = theta_conjugate(ell)
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     assert data.C == 2
     assert [data.K_q.coeff(n) for n in range(4)] == [
         2,
@@ -270,9 +266,9 @@ def test_a_model_quartic(quartic):
 
 
 def test_a_model_eight_hyperplanes(eight_hyperplanes):
-    pair, ell, alpha = _pair(eight_hyperplanes)
-    op = theta_conjugate(ell, alpha)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], classical_normalization(2, 1))
+    pair, ell = _pair(eight_hyperplanes)
+    op = theta_conjugate(ell)
+    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     assert [data.K_q.coeff(n) for n in range(6)] == [
         2,
         64,
@@ -284,8 +280,8 @@ def test_a_model_eight_hyperplanes(eight_hyperplanes):
 
 
 def test_a_model_integrality(quartic):
-    pair, ell, alpha = _pair(quartic)
-    op = theta_conjugate(ell, alpha)
+    pair, ell = _pair(quartic)
+    op = theta_conjugate(ell)
     data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     assert all(data.K_q.coeff(n).denominator == 1 for n in range(10))
 
@@ -300,8 +296,8 @@ def test_a_model_integrality(quartic):
 def test_instanton_numbers_are_integers(case, first, request):
     # multiple-cover formula K(q) = C + sum_d n_d d^3 q^d / (1 - q^d):
     # [q^k] K = sum_(d | k) n_d d^3, solved for n_k one order at a time
-    pair, ell, alpha = _pair(request.getfixturevalue(case), 11)
-    op = theta_conjugate(ell, alpha)
+    pair, ell = _pair(request.getfixturevalue(case), 11)
+    op = theta_conjugate(ell)
     K = a_model_correlation(op, pair, mirror_map(pair)[1], 2).K_q
     assert K.N == 10
     n = {}
@@ -313,8 +309,8 @@ def test_instanton_numbers_are_integers(case, first, request):
 
 
 def test_json_shapes(quartic):
-    pair, ell, alpha = _pair(quartic, 4)
-    op = theta_conjugate(ell, alpha)
+    pair, ell = _pair(quartic, 4)
+    op = theta_conjugate(ell)
     data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
     dj = data.to_json()
     assert dj["C"] == "2" and set(dj) == {"C", "Y_z", "K_q"}
@@ -338,37 +334,38 @@ def test_dilate_matches_scale_arg(N):
 
 
 def _one_parameter_cases(quartic, eight_hyperplanes, k3):
-    """(label, ell, alpha, orders): every accepted one-parameter partition of
-    ``_random_set_partitions`` at N = 1, 2, 9 and 16, and the three bundled
-    inputs at N = 40."""
+    """(label, ell, GKZ system, orders): every accepted one-parameter
+    partition of ``_random_set_partitions`` at N = 1, 2, 9 and 16, and the
+    three bundled inputs at N = 40."""
     cases = []
     for name, delta, parts in _random_set_partitions():
         if validate_nef_partition(delta, parts):
             continue
         g = build_gkz(NefPartition(delta, parts))
         if len(g.kernel) == 1:
-            cases.append(((name, tuple(parts)), principal_kernel_vector(g), g.alpha, (1, 2, 9, 16)))
+            cases.append(((name, tuple(parts)), principal_kernel_vector(g), g, (1, 2, 9, 16)))
     assert len(cases) == 50
     for label, data in (("quartic", quartic), ("eight", eight_hyperplanes), ("k3", k3)):
         g = build_gkz(data)
-        cases.append((label, principal_kernel_vector(g), g.alpha, (40,)))
+        cases.append((label, principal_kernel_vector(g), g, (40,)))
     return cases
 
 
 def test_x_route_equals_z_route(quartic, eight_hyperplanes, k3):
-    # q(z), z(q), Y_z and K(q) formed in x = z/s equal the same series formed
-    # in z, exactly, on every one-parameter input; about half are threefolds
+    # q(z), z(q), Y_z and K(q) formed in x = z/s from the I-function's slices
+    # equal the same series formed in z from the kernel at scale 1, exactly,
+    # on every one-parameter input; about half are threefolds
     threefolds = 0
-    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
-        op = theta_conjugate(ell, alpha)
+    for label, ell, _, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        op = theta_conjugate(ell)
         threefolds += op.degree == 4
         for N in orders:
-            pair = frobenius_pair(ell, alpha, N)
+            pair = frobenius_pair(ell, N)
             q, z = mirror_map(pair)
-            assert (q, z) == mirror_map_in_z(pair), (label, N)
+            assert (q, z) == mirror_map_in_z(ell, N), (label, N)
             if op.degree == 4:
                 data = a_model_correlation(op, pair, z, 2)
-                assert data == a_model_correlation_in_z(op, pair, z, 2), (label, N)
+                assert data == a_model_correlation_in_z(op, ell, N, z, 2), (label, N)
     assert threefolds == 27
 
 
@@ -376,12 +373,13 @@ def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, 
     # Legendre duplication: prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j)
     # prod_(j=0)^(M-1) (a + 1/2 + j) turns each half-integer factor of the
     # B-series kernel into the I-function's weight pair 2k over k, so every
-    # eps-slice of the deformed solution at z = s x is the I-function's slice
-    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+    # eps-slice of the deformed solution at z = s x is the I-function's slice,
+    # here with every weight its own factor
+    for label, ell, _, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
         s = 4 ** sum(-le for le in ell if le < 0)
         m = sum(le for le in ell if le > 0) + 1
         weights = i_weights_from_kernel(ell)
         for N in orders:
-            B, I = deformed_solution(ell, alpha, N, m), i_function_untwisted(*weights, m, N)
+            B, I = deformed_solution(ell, N, m), i_function_by_weights(*weights, m, N)
             for k in range(m):
                 assert _dilate(B[k], s) == I[k], (label, N, k)

@@ -27,16 +27,15 @@ from test_mirror import _one_parameter_cases
 
 
 def _operator(data):
-    g = build_gkz(data)
-    ell = principal_kernel_vector(g)
-    return theta_conjugate(ell, g.alpha), ell, g.alpha
+    ell = principal_kernel_vector(build_gkz(data))
+    return theta_conjugate(ell), ell
 
 
 # ------------------------------------------------------------ exact shapes
 
 
 def test_quartic_operator_exact(quartic):
-    op, _, _ = _operator(quartic)
+    op, _ = _operator(quartic)
     assert op.degree == 4
     assert op.z_polys == (
         (0, Fraction(-105, 16)),
@@ -53,7 +52,7 @@ def test_quartic_operator_exact(quartic):
 
 
 def test_eight_hyperplane_operator_exact(eight_hyperplanes):
-    op, _, _ = _operator(eight_hyperplanes)
+    op, _ = _operator(eight_hyperplanes)
     assert op.display() == "theta^4 - z (theta + 1/2)^4"
     assert op.scale == 1
     # (theta + 1/2)^4 expanded: binomial coefficients over 2^k
@@ -67,7 +66,7 @@ def test_eight_hyperplane_operator_exact(eight_hyperplanes):
 
 
 def test_k3_operator_exact(k3):
-    op, _, _ = _operator(k3)
+    op, _ = _operator(k3)
     assert op.degree == 3
     assert op.display() == "theta^3 - 27 z (theta + 1/6) (theta + 1/2) (theta + 5/6)"
     assert op.scale == 27
@@ -81,7 +80,7 @@ def test_k3_operator_exact(k3):
 
 
 def test_operator_json_carries_factored_text(quartic):
-    op, _, _ = _operator(quartic)
+    op, _ = _operator(quartic)
     j = op.to_json()
     assert j["degree"] == 4
     assert j["factored"] == op.display()
@@ -107,41 +106,34 @@ def test_leading_constant_must_be_nonzero():
 @st.composite
 def _kernel_vectors(draw):
     """A balanced kernel vector (positive entries sum to minus the negative
-    ones), zeros mixed in, with exponents -1/2 and -1/3."""
+    ones), zeros mixed in, with the exponent -1/2 on each negative entry."""
     pos = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     neg, left = [], sum(pos)
     while left:
         neg.append(-draw(st.integers(1, left)))
         left += neg[-1]
     ell = draw(st.permutations(pos + neg + [0] * draw(st.integers(0, 2))))
-    exponents = st.sampled_from([Fraction(-1, 2), Fraction(-1, 3)])
-    alpha = draw(st.lists(exponents, min_size=len(ell), max_size=len(ell)))
-    return tuple(ell), tuple(alpha)
+    return tuple(ell), tuple(Fraction(-1, 2) if le < 0 else 0 for le in ell)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_kernel_vectors())
 def test_conjugate_matches_fraction_products(data):
-    op, oracle = theta_conjugate(*data), theta_conjugate_by_fractions(*data)
+    op, oracle = theta_conjugate(data[0]), theta_conjugate_by_fractions(*data)
     assert op == oracle and op.to_json() == oracle.to_json()
 
 
 # --------------------------------------------------------- conjugate guards
 
 
-def test_conjugate_rejects_integer_exponent_negatives():
-    with pytest.raises(FracmirrorError, match="integer-exponent column"):
-        theta_conjugate((-2, 1, 1), (0, 0, 0))
-
-
 def test_conjugate_rejects_missing_positive_entries():
     with pytest.raises(FracmirrorError, match="no positive kernel entries"):
-        theta_conjugate((-2,), (Fraction(-1, 2),))
+        theta_conjugate((-2,))
 
 
 def test_conjugate_rejects_unbalanced_degrees():
     with pytest.raises(FracmirrorError, match="do not balance in degree"):
-        theta_conjugate((1, 1, -1), (0, 0, Fraction(-1, 2)))
+        theta_conjugate((1, 1, -1))
 
 
 # ------------------------------------------------------------ series action
@@ -156,15 +148,15 @@ def test_apply_theta_reproduces_theta():
 
 
 def test_apply_rejects_non_series(quartic):
-    op, _, _ = _operator(quartic)
+    op, _ = _operator(quartic)
     with pytest.raises(TypeError, match="operators act on series"):
         apply(op, 5)
 
 
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_operator_annihilates_holomorphic_solution(case, request):
-    op, ell, alpha = _operator(request.getfixturevalue(case))
-    omega0 = holo_solution(ell, alpha, 20)
+    op, ell = _operator(request.getfixturevalue(case))
+    omega0 = holo_solution(ell, 20)
     assert all(p.is_zero() for p in apply(op, omega0))
 
 
@@ -182,9 +174,9 @@ def test_apply_handles_log_series():
 
 
 def test_holomorphic_kernel_matches_closed_form(quartic):
-    op, ell, alpha = _operator(quartic)
+    op, ell = _operator(quartic)
     s = holomorphic_kernel(op, 12)
-    assert matches(s, holo_solution(ell, alpha, 12), 12)
+    assert matches(s, holo_solution(ell, 12), 12)
     for n in range(13):
         assert s.coeff(n) == rising(Fraction(1, 2), 4 * n) / Fraction(
             math.factorial(n) ** 4
@@ -192,9 +184,9 @@ def test_holomorphic_kernel_matches_closed_form(quartic):
 
 
 def test_holomorphic_kernel_normalizes_first(quartic):
-    op, ell, alpha = _operator(quartic)
+    op, ell = _operator(quartic)
     doubled = ThetaOperator(tuple(tuple(2 * c for c in p) for p in op.z_polys))
-    assert matches(holomorphic_kernel(doubled, 8), holo_solution(ell, alpha, 8), 8)
+    assert matches(holomorphic_kernel(doubled, 8), holo_solution(ell, 8), 8)
 
 
 def test_holomorphic_kernel_rejects_resonant_indicial():
@@ -207,7 +199,7 @@ def test_holomorphic_kernel_rejects_resonant_indicial():
 
 
 def test_yukawa_rhs_quartic(quartic):
-    op, _, _ = _operator(quartic)
+    op, _ = _operator(quartic)
     g = yukawa_ode_rhs(op, 6)
     # g = 256 z / (1 - 256 z)
     for n in range(7):
@@ -215,7 +207,7 @@ def test_yukawa_rhs_quartic(quartic):
 
 
 def test_yukawa_rhs_eight_hyperplanes(eight_hyperplanes):
-    op, _, _ = _operator(eight_hyperplanes)
+    op, _ = _operator(eight_hyperplanes)
     g = yukawa_ode_rhs(op, 6)
     # g = z / (1 - z)
     for n in range(7):
@@ -227,8 +219,8 @@ def test_yukawa_rhs_recurrence_equals_division(quartic, eight_hyperplanes, k3):
     # exactly the series quotient, on every threefold operator of the seeded
     # partitions and on both bundled threefolds at N = 40
     threefolds = 0
-    for label, ell, alpha, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
-        op = theta_conjugate(ell, alpha)
+    for label, ell, _, orders in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        op = theta_conjugate(ell)
         if op.degree != 4:
             continue
         threefolds += 1
@@ -255,6 +247,6 @@ def test_yukawa_rhs_recurrence_at_z_degree_two():
 
 
 def test_yukawa_rhs_needs_degree_four(k3):
-    op, _, _ = _operator(k3)
+    op, _ = _operator(k3)
     with pytest.raises(FracmirrorError, match="Yukawa ODE defined for threefold"):
         yukawa_ode_rhs(op, 4)
