@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,20 +12,13 @@ from hypothesis import strategies as st
 
 from fracmirror.cli import JobConfig, _json_text, main, run
 
-HEXAGON_DOC = {
-    "delta": {
-        "dim": 2,
-        "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]],
-    },
-    "parts": [[0, 1], [2, 4], [3, 5]],
-}
+# the 3-part hexagon: not a simplex, so its GKZ kernel has rank 4
+HEXAGON = Path(__file__).resolve().parent / "golden" / "hexagon.json"
 
 
 @pytest.fixture()
-def hexagon_file(tmp_path):
-    path = tmp_path / "hexagon.json"
-    path.write_text(json.dumps(HEXAGON_DOC))
-    return str(path)
+def hexagon_file():
+    return str(HEXAGON)
 
 
 def _data(name):

@@ -5,7 +5,10 @@ Every command runs on the three bundled inputs at N = 10 with
 are also made at N = 32, where the coefficients run to hundreds of bits:
 ``yukawa`` and ``ifunction`` on the quartic, ``mirror-map``, ``bseries`` and
 ``ifunction`` on the eight hyperplanes (four paired weights), and
-``mirror-map`` on the K3 (scale 64, not a threefold).  The
+``mirror-map`` on the K3 (scale 64, not a threefold).  The 3-part hexagon
+(``tests/golden/hexagon.json``), the one input here that is not a simplex,
+runs ``gkz`` (its rank-4 kernel, in both formats), ``dual-nef``, ``euler``
+and ``mirror-map``, which it refuses with exit 3.  The
 recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
 case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
@@ -39,6 +42,10 @@ LARGE_N_CASES = [
     ("p3_eight_hyperplanes", "ifunction", "json", 32),
     ("p2_k3", "mirror-map", "json", 32),
 ]
+HEXAGON_CASES = [
+    ("hexagon", command, "json", N) for command in ("gkz", "dual-nef", "euler", "mirror-map")
+] + [("hexagon", "gkz", "table", N)]
+ALL_CASES = CASES + LARGE_N_CASES + HEXAGON_CASES
 
 
 def case_name(shape, command, fmt, order):
@@ -47,16 +54,15 @@ def case_name(shape, command, fmt, order):
 
 def run_case(shape, command, fmt, order):
     """(exit code, stdout, stderr) of one CLI call."""
-    argv = [command, str(REPO / "data" / f"{shape}.json"), "-N", str(order), "--format", fmt]
+    path = GOLDEN / "hexagon.json" if shape == "hexagon" else REPO / "data" / f"{shape}.json"
+    argv = [command, str(path), "-N", str(order), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "case", CASES + LARGE_N_CASES, ids=[case_name(*c) for c in CASES + LARGE_N_CASES]
-)
+@pytest.mark.parametrize("case", ALL_CASES, ids=[case_name(*c) for c in ALL_CASES])
 def test_cli_matches_golden(case):
     name = case_name(*case)
     expected = json.loads(STATUS.read_text(encoding="utf-8"))[name]
@@ -68,7 +74,7 @@ def test_cli_matches_golden(case):
 def write_goldens():
     GOLDEN.mkdir(exist_ok=True)
     status = {}
-    for case in CASES + LARGE_N_CASES:
+    for case in ALL_CASES:
         name = case_name(*case)
         code, out, err = run_case(*case)
         (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
