@@ -28,7 +28,7 @@ from math import gcd
 
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
-from .series import _coeff_strs
+from .series import _coeff_strs, _order
 
 __all__ = [
     "deformed_solution",
@@ -124,8 +124,9 @@ def i_weights_from_kernel(ell):
 
     Each negative kernel entry of size k contributes numerator weight 2k and
     denominator weight k; each positive entry contributes its own value to
-    the denominator.
+    the denominator.  A bool or float entry raises TypeError.
     """
+    ell = tuple(map(_order, ell))
     num = tuple(-2 * le for le in ell if le < 0)
     return num, tuple(sorted(abs(le) for le in ell if le))
 

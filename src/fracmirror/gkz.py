@@ -29,6 +29,7 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
+from .nefpart import simplex_relation
 from .series import _make, _order, parse_fraction
 
 # The exponent of every distinguished column (every ray column has 0)
@@ -78,7 +79,10 @@ def build_gkz(data):
     """GKZ system of the family attached to a nef-partition.
 
     Columns are blockwise in part order, distinguished column first, then
-    the part's rays in reverse-lex order.
+    the part's rays in reverse-lex order.  On a simplex the kernel is the
+    vector with c_g (``nefpart.simplex_relation``) on the column of ray g
+    and -sum_(g in I_i) c_g on that of part i, primitive as c is and with
+    a negative first entry; otherwise it is read off one echelon of A^T.
     """
     n = data.delta.ambient_dim
     r = data.r
@@ -97,13 +101,21 @@ def build_gkz(data):
     )
     beta = tuple([Fraction(0)] * n + [EXPONENT] * r)
     alpha = tuple(EXPONENT if lab[1] == 0 else Fraction(0) for lab in labels)
-    # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
-    # each vector is signed so its first nonzero entry is negative
-    rank, U, _ = linalg.echelon(list(zip(*A)))
-    kernel = tuple(
-        tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
-        for v in U[rank:]
-    )
+    relation = simplex_relation(data.delta)
+    if relation is not None:
+        # part indices ascend on the lex-sorted rays: part[::-1] is reverse-lex
+        c, ell = relation[1], []
+        for part in data.ray_parts:
+            ell += [-sum(c[t] for t in part)] + [c[t] for t in part[::-1]]
+        kernel = (tuple(ell),)
+    else:
+        # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
+        # each vector is signed so its first nonzero entry is negative
+        rank, U, _ = linalg.echelon(list(zip(*A)))
+        kernel = tuple(
+            tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
+            for v in U[rank:]
+        )
     return GkzSystem(
         A=A,
         beta=beta,
@@ -116,20 +128,14 @@ def build_gkz(data):
 
 
 def principal_kernel_vector(gkz):
-    """Generator of the rank-1 kernel, signed so distinguished entries <= 0."""
+    """Generator of the rank-1 kernel, whose distinguished entries are < 0.
+
+    The kernel has rank p - n for p rays, so only a simplex has rank 1, and
+    ``build_gkz`` writes its vector with those entries negative.
+    """
     if len(gkz.kernel) != 1:
         raise FracmirrorError("multiparameter moduli unsupported")
-    ell = list(gkz.kernel[0])
-    dist = [ell[e] for e, lab in enumerate(gkz.column_labels) if lab[1] == 0]
-    if all(x <= 0 for x in dist):
-        pass
-    elif all(x >= 0 for x in dist):
-        ell = [-x for x in ell]
-    else:
-        raise FracmirrorError(
-            "kernel generator has mixed signs on distinguished columns"
-        )
-    return tuple(ell)
+    return gkz.kernel[0]
 
 
 def _series_factors(ell):

@@ -21,9 +21,17 @@ Delta_1 + ... + Delta_r = Delta, nabla is reflexive (Borisov 1993; Batyrev &
 Borisov 1996).  Then nabla^* is one hull of the union of those vertices and
 nabla its polar dual, read off by transposition.  Only a rejected partition
 builds the Minkowski sum of the nabla_k, to report whether it is reflexive.
+
+On a simplex (every one-parameter input) no cut and no sum test runs: with
+w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the
+1/h_g are the barycentric coordinates of the origin, and Delta_i has the
+vertices sum_(g in I_i) (w_j - w_g) / h_g, j = 0..n.  Those sum to w_j over
+i, so Delta_1 + ... + Delta_r = Delta on every partition, and Delta_i is a
+lattice polytope exactly when they are integral.
 """
 
 import functools
+from math import lcm
 from operator import index
 
 from .errors import InvalidNefPartition
@@ -32,6 +40,7 @@ from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _require_ints
 __all__ = [
     "NefPartition",
     "polytope_of_part",
+    "simplex_relation",
     "dual_nef_partition",
     "validate_nef_partition",
 ]
@@ -68,6 +77,32 @@ def _part_vertices(delta, part_rays, all_rays):
     return tuple(verts)
 
 
+def simplex_relation(delta):
+    """``(W, c, L)`` on a reflexive simplex delta, else None: W[g] = w_g,
+    h_g = <w_g, rho_g> + 1 for ray g, L = lcm(h) and c[g] = L / h_g, so
+    sum c_g w_g = sum c_g rho_g = 0 with c positive and primitive.
+    """
+    if len(delta.vertices) != delta.ambient_dim + 1:
+        return None
+    # facet g holds every vertex but w_g, so w_g is the lowest 0 bit of its mask
+    W = [delta.vertices[((m + 1) & ~m).bit_length() - 1] for m in delta._incidences]
+    h = [_dot(w, rho) + 1 for w, (rho, _) in zip(W, delta.facets)]
+    L = lcm(*h)
+    return W, [L // x for x in h], L
+
+
+def _simplex_part_vertices(relation, part):
+    """The lex-sorted vertices of Delta_i on a simplex, L times each being
+    C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
+    W, c, L = relation
+    C = sum(c[g] for g in part)
+    shift = [sum(c[g] * W[g][x] for g in part) for x in range(len(W[0]))]
+    scaled = [[C * a - b for a, b in zip(w, shift)] for w in W]
+    if any(x % L for m in scaled for x in m):
+        raise InvalidNefPartition("part polytope has non-lattice vertices")
+    return tuple(sorted(tuple(x // L for x in m) for m in scaled))
+
+
 def _derive(delta, parts):
     """Check a proposed nef-partition, cutting out the Delta_i on the way.
 
@@ -101,18 +136,23 @@ def _derive(delta, parts):
     if issues:
         return issues, None
 
+    relation = simplex_relation(delta)
     try:
         part_vertices = tuple(
-            _part_vertices(delta, [rays[j] for j in part], rays) for part in parts
+            _simplex_part_vertices(relation, part) if relation
+            else _part_vertices(delta, [rays[j] for j in part], rays)
+            for part in parts
         )
     except InvalidNefPartition as exc:
         return [str(exc)], None
 
-    if not _sums_to(delta, part_vertices):
+    # on a simplex the Delta_i sum to delta on every partition
+    if relation is None and not _sums_to(delta, part_vertices):
         issues.append("Minkowski sum of part polytopes differs from delta")
         # a sum equal to delta makes nabla reflexive, so only a rejected
         # partition builds nabla, for its second diagnostic
-        if not _minkowski(_nabla_parts(rays, parts)).is_reflexive():
+        nabla = functools.reduce(LatticePolytope.minkowski_sum, _nabla_parts(rays, parts))
+        if not nabla.is_reflexive():
             issues.append("nabla is not reflexive")
     return issues, (rays, part_vertices)
 
@@ -121,14 +161,6 @@ def _nabla_parts(rays, parts):
     """nabla_k = conv({0} and the rays of part k), for each part."""
     origin = (0,) * len(rays[0])
     return tuple(LatticePolytope([origin] + [rays[j] for j in part]) for part in parts)
-
-
-def _minkowski(polys):
-    """The Minkowski sum of ``polys``, summed pairwise."""
-    total = polys[0]
-    for P in polys[1:]:
-        total = total + P
-    return total
 
 
 def _sums_to(delta, part_vertices):
@@ -158,11 +190,12 @@ class NefPartition:
 
     ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
     dual.  Validation keeps ``rays`` and ``part_vertices`` (the vertices of
-    each Delta_i, read off its DD cut) and checks Delta_1 + ... + Delta_r =
-    Delta without building the sum.  Each polytope below is built on first
-    read and kept: ``nabla_dual`` is the hull of all ``part_vertices`` and
-    ``nabla`` its polar dual; ``parts_delta`` and ``nabla_parts`` are the
-    Delta_i and nabla_k, one hull each.
+    each Delta_i, read off its DD cut or, on a simplex, off Delta's
+    vertices) and checks Delta_1 + ... + Delta_r = Delta without building
+    the sum.  Each polytope below is built on first read and kept:
+    ``nabla_dual`` is the hull of all ``part_vertices`` and ``nabla`` its
+    polar dual; ``parts_delta`` and ``nabla_parts`` are the Delta_i and
+    nabla_k, one hull each.
     """
 
     def __init__(self, delta, parts):

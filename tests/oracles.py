@@ -794,6 +794,14 @@ def nef_diagnostics_by_hulls(delta, parts):
     return issues
 
 
+def gkz_kernel_by_echelon(A):
+    """A saturated basis of ker A: ``U[rank:]`` of the unimodular echelon of
+    Aᵀ, each vector signed so its first nonzero entry is negative, as
+    ``build_gkz`` finds it on a polytope that is not a simplex."""
+    rank, U, _ = linalg.echelon(list(zip(*A)))
+    return tuple(tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v) for v in U[rank:])
+
+
 def holomorphic_kernel(op, N):
     """The unique series solution with constant term 1 of op(S) = 0.
 

@@ -55,6 +55,23 @@ def test_invalid_partition_is_input_error(tmp_path, capsys):
     assert "invalid nef-partition input" in capsys.readouterr().err
 
 
+def test_non_lattice_part_on_a_simplex_is_input_error(tmp_path, capsys):
+    # the mirror quartic's simplex split 2 + 2: its part vertices are read
+    # off Delta's vertices, and a fractional one is refused as the DD cut
+    # refuses it
+    doc = {
+        "delta": {"dim": 3, "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]},
+        "parts": [[0, 1], [2, 3]],
+    }
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    for command in ("mirror-map", "euler"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid nef-partition input: part polytope has non-lattice vertices\n"
+        )
+
+
 QUARTIC_DOC = {
     "delta": {"dim": 3, "vertices": [[3, -1, -1], [-1, 3, -1], [-1, -1, 3], [-1, -1, -1]]},
     "parts": [[0, 1, 2, 3]],

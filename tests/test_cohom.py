@@ -302,6 +302,7 @@ def test_cohomology_api_refuses_floats():
             lambda: deformed_solution(ell, 3, 2),
             lambda: b_series(2, ell, 3),
             lambda: i_function_untwisted(ell, 2, 3),
+            lambda: i_weights_from_kernel(ell),
             lambda: holo_solution(ell, 3),
             lambda: theta_conjugate(ell),
         ):

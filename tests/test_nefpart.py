@@ -8,6 +8,7 @@ import pytest
 from conftest import SMALL_REFLEXIVE
 
 from fracmirror.errors import InvalidNefPartition
+from fracmirror.gkz import build_gkz
 from fracmirror.nefpart import (
     NefPartition,
     _sums_to,
@@ -17,7 +18,14 @@ from fracmirror.nefpart import (
 )
 from fracmirror.polytope import LatticePolytope, cayley_pyramid
 from fracmirror.topology import euler_double_cover
-from oracles import cayley_polytope, minkowski_sum_by_hulls, nef_diagnostics_by_hulls, pyramid_over
+from oracles import (
+    cayley_polytope,
+    gkz_kernel_by_echelon,
+    minkowski_sum_by_hulls,
+    nef_diagnostics_by_hulls,
+    pyramid_over,
+)
+from test_topology import GEN
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P2 = [(2, -1), (-1, 2), (-1, -1)]
@@ -210,23 +218,76 @@ def _random_set_partitions():
             yield name, delta, _random_set_partition(rng, k)
 
 
+def _set_partitions(items):
+    """Every set partition of ``items``, each a list of ascending tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for parts in _set_partitions(rest):
+        for i in range(len(parts)):
+            yield parts[:i] + [(first,) + parts[i]] + parts[i + 1 :]
+        yield [(first,)] + parts
+
+
+def _framed_simplices():
+    """(name, delta) for reflexive simplices in seeded frames: the simplex
+    Delta_n of perfbench's shapes (n = 2, 3, 4), its polar dual, and the
+    triangles of P(1,1,2) and P(1,2,3), whose h_g differ from ray to ray."""
+    simplices = {f"delta_{n}": GEN.simplex_vertices(n) for n in (2, 3, 4)}
+    simplices.update({f"delta_{n}_dual": GEN.dual_vertices(n) for n in (2, 3, 4)})
+    simplices.update(p112=[(1, 0), (0, 1), (-1, -2)], p123=[(1, 0), (0, 1), (-2, -3)])
+    rng = random.Random(26)
+    for name, verts in simplices.items():
+        n = len(verts[0])
+        for _ in range(2):
+            U, _ = GEN.random_frame(n, 3, rng)
+            yield name, LatticePolytope([GEN.apply(U, v) for v in verts])
+
+
+def _cross_check_cases():
+    """The random set partitions, then every set partition of the rays of
+    each framed simplex."""
+    yield from _random_set_partitions()
+    for name, delta in _framed_simplices():
+        for parts in _set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
+            yield name, delta, parts
+
+
 def test_support_test_matches_hull_oracle_on_set_partitions():
     # the support-function test of sum Delta_i = Delta gives the messages of
     # the pairwise Minkowski hulls, in order: a rejected partition whose nabla
     # is not reflexive still says so; every accepted partition has a
-    # reflexive nabla (Borisov), which is why validation never builds it
-    kinds = set()
-    for name, delta, parts in _random_set_partitions():
+    # reflexive nabla (Borisov), which is why validation never builds it.
+    # On a simplex the part vertices and the GKZ kernel are read off Delta's
+    # vertices: they match the DD cuts and the echelon of A^T, and only the
+    # lattice test can reject a partition
+    kinds, simplex_kinds, simplex_valid = set(), set(), 0
+    for name, delta, parts in _cross_check_cases():
         issues = validate_nef_partition(delta, parts)
         assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
         kinds.add(tuple(issues))
-        if not issues:
-            assert NefPartition(delta, parts).nabla.is_reflexive()
+        if name not in SMALL_REFLEXIVE:
+            simplex_kinds.add(tuple(issues))
+        if issues:
+            continue
+        data = NefPartition(delta, parts)
+        assert data.nabla.is_reflexive()
+        rays = data.rays
+        assert data.part_vertices == tuple(
+            polytope_of_part(delta, [rays[j] for j in part], rays).vertices
+            for part in data.ray_parts
+        ), (name, parts)
+        g = build_gkz(data).to_json()
+        assert g["kernel"] == [list(v) for v in gkz_kernel_by_echelon(g["A"])], (name, parts)
+        simplex_valid += name not in SMALL_REFLEXIVE
     assert kinds >= {
         (),
         ("part polytope has non-lattice vertices",),
         ("Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"),
     }
+    assert simplex_kinds == {(), ("part polytope has non-lattice vertices",)}
+    assert simplex_valid > 50
 
 
 def test_valid_partition_builds_nabla_on_first_read():

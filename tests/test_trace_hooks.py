@@ -87,7 +87,7 @@ def test_euler_builds_each_polytope_once():
     # union of the Delta_i vertices), Lambda (the origin and the tagged
     # Delta_i vertices) and Lambda_dual (the origin and the tagged rays of
     # each part); Delta* and nabla are polar duals read off their primal,
-    # the Delta_i are their DD cuts and no nabla_k is built; the dual side
+    # Delta_1 is read off Delta's vertices and no nabla_k is built; the dual side
     # is read off the primal, so no dual nef-partition is loaded
     tracer = _traced("euler", shape="p3_quartic")
     assert tracer.calls["polytope.hull"] == 4
@@ -99,8 +99,8 @@ def test_one_elimination_per_hull(monkeypatch):
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
     # once and no echelon; a flat one adds the echelon that gives its span
     # transform and its inverse, and one pass on its a+1 seed rows in span
-    # coordinates; euler on the quartic builds 4 full-dimensional hulls and
-    # cuts out Delta_1 with one more DD pass
+    # coordinates; euler on the quartic builds 4 full-dimensional hulls, and
+    # Delta is a simplex, so Delta_1 is read off its vertices with no DD pass
     calls = {"row_basis": 0, "echelon": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(linalg, name)):
@@ -125,7 +125,7 @@ def test_one_elimination_per_hull(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 5, "echelon": 0}
+    assert counted(euler) == {"row_basis": 4, "echelon": 0}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
@@ -144,16 +144,17 @@ def test_euler_scans_no_dilations(monkeypatch):
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
-    # Delta is the one hull: Delta* is read off it, the four Delta_i are
-    # their DD cuts and nabla is built only when read, so the one echelon
-    # is the GKZ kernel's
+    # Delta is the one hull and its DD pass the one pass: Delta* is read off
+    # it, Delta is a simplex, so the four Delta_i and the GKZ kernel are read
+    # off its vertices (no cut, no echelon), and nabla is built only when read
     echelons = _count_echelons(monkeypatch)
     for command in ("mirror-map", "ifunction", "bseries"):
         echelons[0] = 0
         tracer = _traced(command, shape="p3_eight_hyperplanes")
         assert tracer.calls["polytope.hull"] == 1
+        assert tracer.calls["polytope.dd_extreme_rays"] == 1
         assert tracer.flat_hulls == 0
-        assert echelons[0] == 1
+        assert echelons[0] == 0
         assert tracer.calls["gkz.build_gkz"] == 1
 
 
