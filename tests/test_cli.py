@@ -105,6 +105,17 @@ def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
     assert "multiparameter moduli unsupported" in capsys.readouterr().err
 
 
+def test_yukawa_residue_at_zero_is_computational_failure(tmp_path, capsys):
+    # the one-part P(1,1,2) surface lifts to a degree-4 operator whose
+    # theta^3 coefficient has a nonzero constant term
+    doc = {"delta": {"dim": 2, "vertices": [[-1, -1], [-1, 1], [3, -1]]}, "parts": [[0, 1, 2]]}
+    path = tmp_path / "p112.json"
+    path.write_text(json.dumps(doc))
+    assert main(["yukawa", str(path), "-N", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: Yukawa ODE has a nonzero residue at z = 0\n")
+
+
 def test_bad_flags(capsys, monkeypatch):
     assert run(JobConfig(command="nope", input="x")) == 2
     assert "unknown command" in capsys.readouterr().err
