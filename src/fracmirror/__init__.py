@@ -31,7 +31,6 @@ from .gkz import (
 from .picard_fuchs import (
     ThetaOperator,
     theta_conjugate,
-    yukawa_ode_rhs,
 )
 from .mirror import (
     FrobeniusPair,
@@ -75,7 +74,6 @@ __all__ = [
     "principal_kernel_vector",
     "ThetaOperator",
     "theta_conjugate",
-    "yukawa_ode_rhs",
     "FrobeniusPair",
     "YukawaData",
     "a_model_correlation",

@@ -281,7 +281,7 @@ def _cmd_yukawa(ctx):
             [],
         )
     C = _normalization(ctx.config)
-    ydata = a_model_correlation(op, ctx.pair, ctx.mirror[1], C)
+    ydata = a_model_correlation(op, ctx.pair, C)
     payload = ydata.to_json()
     return payload, lambda: [
         f"normalization C = {fraction_str(ydata.C)}",

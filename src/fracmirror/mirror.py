@@ -15,20 +15,28 @@ A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
 and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
 only where ``_dilate`` rescales a series between x and z.
 
-The B-model Yukawa solves theta(Y) = g Y with g from the degree-4 operator;
-transporting it through the mirror map and dividing by omega0^2 gives the
-A-model correlation series K(q) with K(0) = C.
+The B-model Yukawa solves theta(Y) = g Y with g = -p3/(2 p4) from the
+degree-4 operator.  For the operator of a rank-1 kernel p3 = 2 theta(p4)
+(the theta^3/theta^4 ratio of G is d/2 = 2 at the exponent -1/2), so
+exp(antitheta g) = 1/p4 and Y_z = C/(p4 omega0^2) in closed form
+(Candelas, de la Ossa, Green and Parkes 1991).  The A-model series is
+K(q) = Y(x(q)) (theta_q log x(q))^3.  With r = A1/A0 and h = exp(-r),
+x = q h(x) and theta_q log x = 1/(1 + theta r) at x(q), so the phi-form of
+Lagrange-Buermann, [q^n] F(x(q)) = [w^n] F h^n (1 + theta r), gives
+[q^n] K = [w^n] G h^n with G = Y_x/(1 + theta r)^2: the mirror map is
+neither reverted nor composed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cohom import i_function_untwisted
 from .errors import FracmirrorError
 from .gkz import _series_factors
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
-from .picard_fuchs import yukawa_ode_rhs
-from .series import RationalSeries, _make
+from .picard_fuchs import _trim
+from .series import RationalSeries, _lagrange, _make
 
 __all__ = [
     "FrobeniusPair",
@@ -92,31 +100,37 @@ def mirror_map(pair):
 
 
 def yukawa_z(op, pair, C):
-    """B-model Yukawa Y_z = C exp(antitheta g) / omega0^2, theta(Y) = g Y,
-    to the pair's order, formed in x as Y_x = C exp(antitheta g_x) / A0^2
-    with g_x(x) = g(s x) and returned as Y_z(z) = Y_x(z/s)."""
-    g = yukawa_ode_rhs(op, pair.N)
-    if g.A[0]:
+    """B-model Yukawa Y_z = C/(p4 omega0^2) to the pair's order, the solution
+    C exp(antitheta g)/omega0^2 of theta(Y) = g Y, g = -p3/(2 p4), when
+    p3 = 2 theta(p4); formed in x as Y_x = C/(p4(s x) A0^2) and returned as
+    Y_z(z) = Y_x(z/s).  Another operator raises ``FracmirrorError``."""
+    if op.degree != 4:
+        raise FracmirrorError("Yukawa ODE defined for threefold operators")
+    p3, p4 = op.z_polys[3], op.z_polys[4]
+    if p3[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    s = pair.scale
-    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (pair.A0 * pair.A0)
+    if p3 != _trim(2 * j * c for j, c in enumerate(p4)):
+        raise FracmirrorError("Yukawa coupling needs p3 = 2 theta(p4) in the operator")
+    s, sq = pair.scale, pair.A0 * pair.A0
+    P = [c / p4[0] * s**j for j, c in enumerate(p4)]  # p4(s x)/p4(0)
+    L = lcm(*(c.denominator for c in P))
+    P = [c.numerator * (L // c.denominator) for c in P]
+    W = [sum(P[j] * sq.A[n - j] for j in range(min(n + 1, len(P)))) for n in range(sq.N + 1)]
+    Y_x = _make(W, sq.D * L, sq.N).inverse() * Fraction(C)
     return _dilate(Y_x, 1, s)
 
 
-def a_model_correlation(op, pair, z_of_q, C):
-    """A-model correlation K(q) = Y_z(z(q)) * (theta_q log z(q))^3, formed in
-    x as Y_x(x(q)) * (theta_q log x(q))^3 with x(q) = z(q)/s.
-
-    ``z_of_q`` is the inverse mirror map, the second series that
-    ``mirror_map(pair)`` returns.  The q-series is exact through order N-1,
-    N = pair.N (one order is consumed by the unit factor x(q)/q).
-    """
+def a_model_correlation(op, pair, C):
+    """A-model correlation K(q) = Y_z(z(q)) (theta_q log z(q))^3, formed in
+    x = z/s as [q^n] K = [w^n] G h^n with G = Y_x/(1 + theta r)^2, r = A1/A0
+    and h = exp(-r), by ``series._lagrange``.  The q-series has order N - 1,
+    N = pair.N."""
     N = pair.N
     Y = yukawa_z(op, pair, C)
-    x_of_q = z_of_q.truncate(N) * Fraction(1, pair.scale)
-    # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
-    v = _make(x_of_q.A[1:], x_of_q.D, N - 1)
-    dlog = v.theta() / v + 1
-    # yukawa_z returns the printed z-series; its x form is one rescale away
-    K = _dilate(Y, pair.scale).compose(x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
-    return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)
+    r = pair.A1.truncate(N - 1) / pair.A0
+    t = r.theta() + 1
+    G = _dilate(Y.truncate(N - 1), pair.scale) / (t * t)
+    return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange((-r).exp(), 0, G))
+
+
+yukawa_ode_rhs = None  # for perfbench/spans.py until ROADMAP item 5

@@ -1,4 +1,4 @@
-"""Picard–Fuchs operators in theta form and the Yukawa ODE they give.
+"""Picard–Fuchs operators in theta form.
 
 An operator is a sum over theta-powers of polynomials in z,
 
@@ -14,16 +14,14 @@ linear terms, which the constructor records for factored display.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import FracmirrorError
 from .gkz import EXPONENT
-from .series import _make, _order, fraction_str
+from .series import _order, fraction_str
 
 __all__ = [
     "ThetaOperator",
     "theta_conjugate",
-    "yukawa_ode_rhs",
 ]
 
 
@@ -163,26 +161,3 @@ def theta_conjugate(ell):
         g_roots=tuple(g_roots),
     )
 
-
-def yukawa_ode_rhs(op, N):
-    """g with theta(Y) = g Y for the normalized Yukawa coupling of a
-    degree-4 operator: g = -p3/(2 p4), expanded to order N.
-
-    With p3 and p4 over one denominator as ints P3 and P4, u = P3/P4 solves
-    u_n = (P3_n - sum_(i>=1) P4_i u_(n-i)) / P4_0, an integer recurrence in
-    O(N deg p4) with V_n = u_n P4_0^(n+1).
-    """
-    if op.degree != 4:
-        raise FracmirrorError("Yukawa ODE defined for threefold operators")
-    N = _order(N)
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    p3, p4 = op.z_polys[3], op.z_polys[4]
-    L = lcm(*(c.denominator for c in p3 + p4)) * (1 if p4[0] > 0 else -1)
-    P3, P4 = ([c.numerator * (L // c.denominator) for c in p] for p in (p3, p4))
-    P3 += [0] * (N + 1 - len(P3))
-    b, V = P4[0], []  # b > 0
-    for n in range(N + 1):
-        deg = min(n, len(P4) - 1)
-        V.append(P3[n] * b**n - sum(P4[i] * V[n - i] * b ** (i - 1) for i in range(1, deg + 1)))
-    return _make([-v * b ** (N - n) for n, v in enumerate(V)], 2 * b ** (N + 1), N)

@@ -88,6 +88,24 @@ def _powers(g, m):
     return P
 
 
+def _lagrange(h, k0, F=None):
+    """The series of order h.N + k0 with [z^k] = [w^(k-k0)] F h^k / k^k0 (F = 1
+    if None), Lagrange-Buermann's two forms: with m = isqrt(h.N + 1) and
+    k = jm + a, 0 < a <= m, one integer dot product of F h^a and h^(jm) each."""
+    m = isqrt(h.N + 1)
+    baby = _powers(h, m)
+    giant = _powers(baby[m], (h.N + k0 - 1) // m)
+    if F is not None:
+        baby = [F] + [F * p for p in baby[1:]]
+    nums, dens = [0 if k0 else baby[0].A[0]], [baby[0].D]
+    for k in range(1, h.N + k0 + 1):
+        p, g, i = baby[(k - 1) % m + 1], giant[(k - 1) // m], k - k0
+        nums.append(sum(map(mul, p.A[: i + 1], g.A[i::-1])))
+        dens.append(k**k0 * p.D * g.D)
+    D = lcm(*dens)
+    return _make([p * (D // q) for p, q in zip(nums, dens)], D, h.N + k0)
+
+
 def _scalar(x):
     """x as a Fraction, or None when it is no rational scalar."""
     try:
@@ -164,8 +182,6 @@ class RationalSeries:
     def z(cls, N):
         return cls((0, 1), N)
 
-    # -- basics -----------------------------------------------------------
-
     @property
     def c(self):
         """The coefficients as reduced Fractions, built on first read."""
@@ -183,8 +199,6 @@ class RationalSeries:
         if N > self.N:
             raise FracmirrorError("cannot extend a truncated series")
         return self if N == self.N else _make(self.A, self.D, N)
-
-    # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, RationalSeries):
@@ -236,8 +250,6 @@ class RationalSeries:
         if not x:
             raise FracmirrorError("constant term is not invertible")
         return self * (1 / x)
-
-    # -- calculus -----------------------------------------------------------
 
     def theta(self):
         """z d/dz."""
@@ -293,31 +305,15 @@ class RationalSeries:
         return (self.theta() / self).antitheta()
 
     def reversion(self):
-        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)).
-
-        Lagrange inversion: with c1 nonzero and h = w / self(w) of order N-1,
-        [q^k] T = (1/k) [w^(k-1)] h^k.  With m = isqrt(N) and k = jm + a,
-        0 < a <= m, that is one integer dot product of the powers h^a and
-        h^(jm) over k D_a D_jm: about 2 sqrt(N) products instead of N - 1.
-        """
+        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)): with c1 nonzero
+        and h = w / self(w) of order N-1, [q^k] T = (1/k) [w^(k-1)] h^k."""
         if self.N < 1:
             raise FracmirrorError("reversion needs a series of order N >= 1")
         if self.A[0]:
             raise FracmirrorError("reversion needs a zero constant term")
         if not self.A[1]:
             raise FracmirrorError("reversion needs an invertible linear coefficient")
-        N, m = self.N, isqrt(self.N)
-        baby = _powers(_make(self.A[1:], self.D, N - 1).inverse(), m)
-        giant = _powers(baby[m], (N - 1) // m)
-        nums, dens = [0], [1]
-        for k in range(1, N + 1):
-            p, g = baby[(k - 1) % m + 1], giant[(k - 1) // m]
-            nums.append(sum(map(mul, p.A[:k], g.A[k - 1 :: -1])))
-            dens.append(k * p.D * g.D)
-        D = lcm(*dens)
-        return _make([p * (D // q) for p, q in zip(nums, dens)], D, N)
-
-    # -- identity -----------------------------------------------------------
+        return _lagrange(_make(self.A[1:], self.D, self.N - 1).inverse(), 1)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):

@@ -14,11 +14,11 @@ from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import holo_solution, hypergeometric_series
-from fracmirror.mirror import YukawaData
+from fracmirror.mirror import YukawaData, _dilate
 from fracmirror.nefpart import polytope_of_part
 from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import RationalSeries, _coeff_strs, _order
+from fracmirror.series import RationalSeries, _coeff_strs, _make, _order
 
 
 def product_term_by_term(a, b):
@@ -103,6 +103,48 @@ def yukawa_ode_rhs_by_division(op, N):
     p3 = RationalSeries(op.z_polys[3], N)
     p4 = RationalSeries(op.z_polys[4], N)
     return -(p3 / p4) * Fraction(1, 2)
+
+
+def yukawa_ode_rhs(op, N):
+    """g with theta(Y) = g Y for the normalized Yukawa coupling of a
+    degree-4 operator: g = -p3/(2 p4), expanded to order N.
+
+    With p3 and p4 over one denominator as ints P3 and P4, u = P3/P4 solves
+    u_n = (P3_n - sum_(i>=1) P4_i u_(n-i)) / P4_0, an integer recurrence in
+    O(N deg p4) with V_n = u_n P4_0^(n+1).
+    """
+    if op.degree != 4:
+        raise FracmirrorError("Yukawa ODE defined for threefold operators")
+    N = _order(N)
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
+    p3, p4 = op.z_polys[3], op.z_polys[4]
+    L = math.lcm(*(c.denominator for c in p3 + p4)) * (1 if p4[0] > 0 else -1)
+    P3, P4 = ([c.numerator * (L // c.denominator) for c in p] for p in (p3, p4))
+    P3 += [0] * (N + 1 - len(P3))
+    b, V = P4[0], []  # b > 0
+    for n in range(N + 1):
+        deg = min(n, len(P4) - 1)
+        V.append(P3[n] * b**n - sum(P4[i] * V[n - i] * b ** (i - 1) for i in range(1, deg + 1)))
+    return _make([-v * b ** (N - n) for n, v in enumerate(V)], 2 * b ** (N + 1), N)
+
+
+def a_model_correlation_by_composition(op, pair, z_of_q, C):
+    """``mirror.a_model_correlation`` by solving theta(Y) = g Y and composing:
+    Y_x = C exp(antitheta g_x) / A0^2 with g_x(x) = g(s x) from the integer
+    recurrence ``yukawa_ode_rhs``, then K = Y_x(x(q)) (theta_q log x(q))^3 with
+    x(q) = z(q)/s, the inverse mirror map ``z_of_q`` over the scale."""
+    N, s = pair.N, pair.scale
+    g = yukawa_ode_rhs(op, N)
+    if g.A[0]:
+        raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
+    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (pair.A0 * pair.A0)
+    x_of_q = z_of_q.truncate(N) * Fraction(1, s)
+    # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
+    v = RationalSeries(x_of_q.c[1:], N - 1)
+    dlog = v.theta() / v + 1
+    K = Y_x.compose(x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
+    return YukawaData(C=Fraction(C), Y_z=_dilate(Y_x, 1, s), K_q=K)
 
 
 def a_model_correlation_in_z(op, ell, N, z_of_q, C):

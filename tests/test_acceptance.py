@@ -165,11 +165,11 @@ def test_criterion_07_a_model(quartic, eight_hyperplanes):
     C = 2  # the classical normalization
     g, ell, pair = _chain(quartic, 6)
     op = theta_conjugate(ell)
-    K = a_model_correlation(op, pair, mirror_map(pair)[1], C).K_q
+    K = a_model_correlation(op, pair, C).K_q
     assert [K.coeff(n) for n in range(4)] == [2, 29504, 1030708800, 38440454795264]
     g, ell, pair = _chain(eight_hyperplanes, 6)
     op = theta_conjugate(ell)
-    K = a_model_correlation(op, pair, mirror_map(pair)[1], C).K_q
+    K = a_model_correlation(op, pair, C).K_q
     assert [K.coeff(n) for n in range(6)] == [
         2,
         64,

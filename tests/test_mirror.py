@@ -35,6 +35,7 @@ from fracmirror.nefpart import NefPartition, validate_nef_partition
 from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
+    a_model_correlation_by_composition,
     a_model_correlation_in_z,
     apply,
     i_function_by_weights,
@@ -245,6 +246,15 @@ def test_yukawa_rejects_nonzero_residue(quartic):
         yukawa_z(bad, pair, 2)
 
 
+def test_yukawa_rejects_an_operator_off_the_closed_form(quartic):
+    # p3(0) = 0, so the residue is zero, but p3 = -100 z is not
+    # 2 theta(p4) = -512 z, so exp(antitheta g) is not 1/p4
+    pair, _ = _pair(quartic, 4)
+    bad = ThetaOperator(((0,), (0,), (0,), (0, -100), (1, -256)))
+    with pytest.raises(FracmirrorError, match=r"p3 = 2 theta\(p4\)"):
+        yukawa_z(bad, pair, 2)
+
+
 def test_classical_normalization():
     # K(0) = 2: the covering degree 2 times the base's top self-intersection 1
     C = _normalization(JobConfig("yukawa", "input.json"))
@@ -254,7 +264,7 @@ def test_classical_normalization():
 def test_a_model_quartic(quartic):
     pair, ell = _pair(quartic)
     op = theta_conjugate(ell)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
+    data = a_model_correlation(op, pair, 2)
     assert data.C == 2
     assert [data.K_q.coeff(n) for n in range(4)] == [
         2,
@@ -268,7 +278,7 @@ def test_a_model_quartic(quartic):
 def test_a_model_eight_hyperplanes(eight_hyperplanes):
     pair, ell = _pair(eight_hyperplanes)
     op = theta_conjugate(ell)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
+    data = a_model_correlation(op, pair, 2)
     assert [data.K_q.coeff(n) for n in range(6)] == [
         2,
         64,
@@ -282,7 +292,7 @@ def test_a_model_eight_hyperplanes(eight_hyperplanes):
 def test_a_model_integrality(quartic):
     pair, ell = _pair(quartic)
     op = theta_conjugate(ell)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
+    data = a_model_correlation(op, pair, 2)
     assert all(data.K_q.coeff(n).denominator == 1 for n in range(10))
 
 
@@ -298,7 +308,7 @@ def test_instanton_numbers_are_integers(case, first, request):
     # [q^k] K = sum_(d | k) n_d d^3, solved for n_k one order at a time
     pair, ell = _pair(request.getfixturevalue(case), 11)
     op = theta_conjugate(ell)
-    K = a_model_correlation(op, pair, mirror_map(pair)[1], 2).K_q
+    K = a_model_correlation(op, pair, 2).K_q
     assert K.N == 10
     n = {}
     for k in range(1, 11):
@@ -311,7 +321,7 @@ def test_instanton_numbers_are_integers(case, first, request):
 def test_json_shapes(quartic):
     pair, ell = _pair(quartic, 4)
     op = theta_conjugate(ell)
-    data = a_model_correlation(op, pair, mirror_map(pair)[1], 2)
+    data = a_model_correlation(op, pair, 2)
     dj = data.to_json()
     assert dj["C"] == "2" and set(dj) == {"C", "Y_z", "K_q"}
 
@@ -364,8 +374,26 @@ def test_x_route_equals_z_route(quartic, eight_hyperplanes, k3):
             q, z = mirror_map(pair)
             assert (q, z) == mirror_map_in_z(ell, N), (label, N)
             if op.degree == 4:
-                data = a_model_correlation(op, pair, z, 2)
+                data = a_model_correlation(op, pair, 2)
                 assert data == a_model_correlation_in_z(op, ell, N, z, 2), (label, N)
+    assert threefolds == 27
+
+
+def test_closed_form_equals_composition(quartic, eight_hyperplanes, k3):
+    # Y_z = C/(p4 omega0^2) and K(q) by Lagrange-Buermann over the powers of
+    # h = exp(-A1/A0) equal the ODE solution C exp(antitheta g)/omega0^2 and
+    # the composition Y_x(x(q)) (theta_q log x(q))^3, exactly, on every
+    # threefold operator
+    threefolds = 0
+    for label, ell, _, _ in _one_parameter_cases(quartic, eight_hyperplanes, k3):
+        op = theta_conjugate(ell)
+        if op.degree != 4:
+            continue
+        threefolds += 1
+        for N in (1, 2, 3, 4, 12, 16, 32):
+            pair = frobenius_pair(ell, N)
+            oracle = a_model_correlation_by_composition(op, pair, mirror_map(pair)[1], 2)
+            assert a_model_correlation(op, pair, 2) == oracle, (label, N)
     assert threefolds == 27
 
 

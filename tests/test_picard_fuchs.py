@@ -9,11 +9,7 @@ from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
-from fracmirror.picard_fuchs import (
-    ThetaOperator,
-    theta_conjugate,
-    yukawa_ode_rhs,
-)
+from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
     apply,
@@ -21,6 +17,7 @@ from oracles import (
     matches,
     rising,
     theta_conjugate_by_fractions,
+    yukawa_ode_rhs,
     yukawa_ode_rhs_by_division,
 )
 from test_mirror import _one_parameter_cases

@@ -78,7 +78,8 @@ def test_spans_record_each_stage_once_per_job():
 
 
 def test_all_computes_the_mirror_map_once():
-    # `all` prints z(q) and feeds the same series to the A-model
+    # `all` prints z(q) in its mirror-map section; its yukawa section reads
+    # K(q) off the Frobenius pair and builds no second one
     assert _traced("all", shape="p3_quartic").calls["mirror.mirror_map"] == 1
 
 
@@ -176,6 +177,21 @@ def test_mirror_map_reverts_without_composing():
     assert tracer.calls["series.compose.rational"] == 0
 
 
+def test_yukawa_reverts_and_composes_nothing():
+    # K(q) is read off the powers of h = exp(-A1/A0) by Lagrange-Buermann and
+    # Y in closed form, so a yukawa job builds no mirror map and solves no ODE
+    # (`all` still builds one, for its mirror-map section)
+    tracer = _traced("yukawa", shape="p3_quartic")
+    for name in (
+        "series.reversion.rational",
+        "series.compose.rational",
+        "mirror.mirror_map",
+        "picard_fuchs.yukawa_ode_rhs",
+    ):
+        assert (name, tracer.calls[name]) == (name, 0)
+    assert tracer.calls["mirror.yukawa_z"] == 1
+
+
 def test_cohom_jobs_form_no_nilpotent_product():
     # the B-series prefactor z^eps shifts eps-slots instead of multiplying
     # each coefficient by eps^k / k!, and the kernel multiplies on ints
@@ -216,15 +232,16 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 # and the I-function forms one product (B/A); the mirror map forms
 # tau/omega0 at z = s x, then the powers of the Lagrange reversion in baby
 # and giant steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4:
-# h^2; N = 16: h^2, h^3, h^4, h^8, h^12); the Yukawa adds m - 1 + N // m for the
-# Paterson-Stockmeyer compose Y(x(q)) in x = z/s and 6 more (omega0(s x)^2
-# and the division by it, theta(v)/v, the cube, and the product with
-# Y(x(q))).  Moving a series between z and x is an exact rescale that forms
-# no product, and the Picard-Fuchs right-hand side -p3/(2 p4) is an integer
-# recurrence that forms none either.
+# h^2; N = 16: h^2, h^3, h^4, h^8, h^12).  The yukawa job reverts nothing:
+# it forms r = tau/omega0 at z = s x, omega0(s x)^2 for Y in closed form,
+# (1 + theta r)^2 and the division of Y by it, the same baby and giant powers
+# of h = exp(-r) at order N - 1, and the m products G h^a of K(q) by
+# Lagrange-Buermann (N = 4: 4 + 1 + 2; N = 16: 4 + 5 + 4).  Moving a series
+# between z and x is an exact rescale, and the product of omega0(s x)^2 with
+# the two-term p4(s x) an O(N) sum, so neither forms a product.
 _PRODUCTS_PER_JOB = {
-    4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 11},
-    16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 19},
+    4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 7},
+    16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 13},
 }
 
 
