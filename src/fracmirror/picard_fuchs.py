@@ -160,4 +160,3 @@ def theta_conjugate(ell):
         f_roots=tuple(f_roots),
         g_roots=tuple(g_roots),
     )
-

@@ -8,7 +8,9 @@ and Lagrange-inversion formulas on raw Fractions) rather than trusting the
 series engine that produced them.  The package forms the mirror map and
 K(q) in x = z/s; the same series formed in z (``tests/oracles.py``) must be
 exactly equal, and the Legendre duplication that makes x the I-function's
-coordinate is checked slice by slice.
+coordinate is checked slice by slice.  The closed-form Yukawa and K(q) by
+Lagrange-Buermann must equal the ODE solution composed with the reverted
+mirror map.
 """
 
 import math
@@ -253,6 +255,16 @@ def test_yukawa_rejects_an_operator_off_the_closed_form(quartic):
     bad = ThetaOperator(((0,), (0,), (0,), (0, -100), (1, -256)))
     with pytest.raises(FracmirrorError, match=r"p3 = 2 theta\(p4\)"):
         yukawa_z(bad, pair, 2)
+
+
+def test_yukawa_is_unchanged_by_scaling_the_operator(quartic):
+    # g = -p3/(2 p4) does not see a constant factor of the operator, so
+    # neither does Y; here p4(0) = 3/2
+    pair, ell = _pair(quartic, 12)
+    op = theta_conjugate(ell)
+    scaled = ThetaOperator(tuple(tuple(c * Fraction(3, 2) for c in p) for p in op.z_polys))
+    oracle = a_model_correlation_by_composition(scaled, pair, mirror_map(pair)[1], 2)
+    assert yukawa_z(scaled, pair, 2) == yukawa_z(op, pair, 2) == oracle.Y_z
 
 
 def test_classical_normalization():
