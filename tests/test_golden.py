@@ -8,7 +8,11 @@ are also made at N = 32, where the coefficients run to hundreds of bits:
 ``mirror-map`` on the K3 (scale 64, not a threefold).  The 3-part hexagon
 (``tests/golden/hexagon.json``), the one input here that is not a simplex,
 runs ``gkz`` (its rank-4 kernel, in both formats), ``dual-nef``, ``euler``
-and ``mirror-map``, which it refuses with exit 3.  The
+and ``mirror-map``, which it refuses with exit 3.  The P4 simplex with
+parts (3, 1, 1) in the identity frame (``tests/golden/p4_311.json``, from
+``perfbench/gen.py::framed_input``) is the one fourfold: its ``bseries``
+(m = 5 slices) and ``ifunction`` (m = 6) run at N = 16 in JSON, and
+``bseries`` at N = 10 as a table.  The
 recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
 case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
@@ -45,7 +49,12 @@ LARGE_N_CASES = [
 HEXAGON_CASES = [
     ("hexagon", command, "json", N) for command in ("gkz", "dual-nef", "euler", "mirror-map")
 ] + [("hexagon", "gkz", "table", N)]
-ALL_CASES = CASES + LARGE_N_CASES + HEXAGON_CASES
+FOURFOLD_CASES = [
+    ("p4_311", "bseries", "json", 16),
+    ("p4_311", "ifunction", "json", 16),
+    ("p4_311", "bseries", "table", N),
+]
+ALL_CASES = CASES + LARGE_N_CASES + HEXAGON_CASES + FOURFOLD_CASES
 
 
 def case_name(shape, command, fmt, order):
@@ -53,8 +62,11 @@ def case_name(shape, command, fmt, order):
 
 
 def run_case(shape, command, fmt, order):
-    """(exit code, stdout, stderr) of one CLI call."""
-    path = GOLDEN / "hexagon.json" if shape == "hexagon" else REPO / "data" / f"{shape}.json"
+    """(exit code, stdout, stderr) of one CLI call, on ``data/<shape>.json``
+    or, for an input that is not bundled, ``tests/golden/<shape>.json``."""
+    path = GOLDEN / f"{shape}.json"
+    if not path.exists():
+        path = REPO / "data" / f"{shape}.json"
     argv = [command, str(path), "-N", str(order), "--format", fmt]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
