@@ -23,7 +23,7 @@ from .cohom import (
     slices_json,
 )
 from .errors import FracmirrorError, InvalidNefPartition
-from .gkz import build_gkz, principal_kernel_vector
+from .gkz import build_gkz, principal_kernel_vector, simplex_kernel_vector
 from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
@@ -36,6 +36,8 @@ _SMOOTHNESS_WARNING = (
     "warning: Euler-characteristic and Hodge formulas assume the smoothness "
     "hypothesis (crepant resolutions on both sides)"
 )
+# K(0): the covering degree 2 times the base's top self-intersection 1
+_CLASSICAL_C = Fraction(2)
 
 
 class _InputError(Exception):
@@ -81,8 +83,9 @@ def _json_text(obj, indent="\n"):
     """The stdlib's JSON text with ``indent=2, sort_keys=True``, byte for byte,
     but a list of all ``str`` (or all exactly ``int``) items is one ``str.join``
     over the C string encoder, where the stdlib's indenting encoder is pure
-    Python.  Any type but dict (``str`` keys), list, tuple, ``str``, ``int``,
-    ``bool`` and ``None`` raises ``TypeError``: no float or Fraction is written.
+    Python.  A callable is a fragment called with the current indent for its
+    text (``cohom.slices_json``).  Any other type but dict (``str`` keys),
+    list, tuple, ``str``, ``int``, ``bool`` and ``None`` raises ``TypeError``.
     """
     t = type(obj)
     if t is list or t is tuple:
@@ -108,6 +111,8 @@ def _json_text(obj, indent="\n"):
         return int.__repr__(obj)
     if obj is None or t is bool:
         return {None: "null", True: "true", False: "false"}[obj]
+    if callable(obj):
+        return obj(indent)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
@@ -150,7 +155,7 @@ class _Context:
 
     @cached_property
     def ell(self):
-        return principal_kernel_vector(self.gkz)
+        return simplex_kernel_vector(self.data) or principal_kernel_vector(self.gkz)
 
     @cached_property
     def op(self):
@@ -168,8 +173,7 @@ class _Context:
 def _normalization(config):
     if config.normalization is not None:
         return parse_fraction(config.normalization)
-    # K(0): the covering degree 2 times the base's top self-intersection 1
-    return Fraction(2)
+    return _CLASSICAL_C
 
 
 def _cmd_dual_nef(ctx):
@@ -312,14 +316,15 @@ def _cmd_ifunction(ctx):
 
 
 def _cmd_bseries(ctx):
-    g, ell = ctx.gkz, ctx.ell
+    ell = ctx.ell
     d = sum(le for le in ell if le > 0)
     C = fraction_str(_normalization(ctx.config))
     B = b_series(d, ell, ctx.config.N)
+    labels = [(i, j) for i, part in enumerate(ctx.data.ray_parts) for j in range(len(part) + 1)]
     payload = {
         "ring": {
             "m": d,
-            "classes": {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)},
+            "classes": {f"D_{i}_{j}": str(le) for (i, j), le in zip(labels, ell)},
             "integral_scale": C,
         },
         "b_series": b_series_json(B),

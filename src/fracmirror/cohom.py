@@ -1,6 +1,6 @@
 """Cohomology-valued solutions: the Frobenius tower, B-series, I-functions.
 
-Each is the tuple of eps-slices that one call of ``gkz.hypergeometric_series``
+Each is the ``gkz.Slices`` that one call of ``gkz.hypergeometric_series``
 over Q[eps]/(eps^m) returns, a RationalSeries per power of eps, on the
 factors that ``gkz._series_factors`` reads off the kernel vector.  Deforming
 the holomorphic solution coefficientwise by n -> n + rho, with rho nilpotent
@@ -8,10 +8,11 @@ of order m, gives the full Frobenius tower: the rho^k-slices of
 z^rho * deformed are omega0, omega0 log z + tau, and the higher partners, so
 tau is the rho^1 slice of the same kernel.  The prefactor z^rho puts
 rho^k / k! times the slices in the L^k part (L = log z); ``b_series_json``
-writes that part as k zero columns followed by the first m - k slices
-divided by k!, so no product over Q[rho]/(rho^m) is formed; each slice's
-coefficients are reduced once, and part k divides the reduced numerators
-by k! with a small gcd.  The same kernel at the scale s = 4^(sum k) is the
+writes that part as k zero columns and the first m - k slices over k!, so
+no product over Q[rho]/(rho^m) is formed.  It and ``slices_json`` write JSON
+text from the kernel's per-order pairs and build no slice: U_n[k] / E_n is
+reduced by one small gcd against E_n, part k's by k! with another, and each
+row is one join.  The same kernel at the scale s = 4^(sum k) is the
 untwisted I-function in x = z/s, with weights (w_a; u_b) =
 ``i_weights_from_kernel``:
 
@@ -25,10 +26,11 @@ instead of 3k.
 """
 
 from math import gcd
+from operator import floordiv
 
 from .errors import FracmirrorError
 from .gkz import _series_factors, hypergeometric_series
-from .series import _coeff_strs, _order
+from .series import _order
 
 __all__ = [
     "deformed_solution",
@@ -71,52 +73,60 @@ def b_series(m, ell, N):
     return deformed_solution(ell, N, m)
 
 
-def slices_json(S):
-    """JSON of sum_j S[j] rho^j over Q[rho]/(rho^m), m = len(S): one row of
-    m coefficient strings per order."""
-    cols = [_coeff_strs(s.A, s.D) for s in S]
-    return {"N": S[0].N, "coeffs": [list(row) for row in zip(*cols)], "m": len(S)}
-
-
-def _reduce(s):
-    """The coefficients A_n / D of s in lowest terms, one gcd each: the
-    numerators, the denominators and the numerators' strings."""
-    A, D = s.A, s.D
-    if D == 1:
-        return A, [1] * len(A), list(map(str, A))
-    G = list(map(gcd, A, [D] * len(A)))
-    A = [a // g for a, g in zip(A, G)]
-    return A, [D // g for g in G], list(map(str, A))
+def _reduce(U, E):
+    """The coefficients U_n / E_n of one slice in lowest terms, one small gcd
+    against each order's E_n: numerators, denominators and their strings."""
+    G = list(map(gcd, U, E))
+    A = list(map(floordiv, U, G))
+    return A, list(map(floordiv, E, G)), list(map(str, A))
 
 
 def _over(col, f):
-    """``fraction_str`` of each a / (d f), for a ``_reduce`` column of a / d
-    in lowest terms and an int f > 0: gcd(a, f) is a small gcd, and str(a)
-    is reused when it is 1."""
+    """The quoted ``fraction_str`` of each a / (d f) for a ``_reduce`` column of
+    a / d and an int f > 0: one small gcd(a, f), and str(a) reused when it is 1."""
     if f == 1:
-        return [t if d == 1 else f"{t}/{d}" for t, d in zip(col[2], col[1])]
+        return [f'"{t}"' if d == 1 else f'"{t}/{d}"' for t, d in zip(col[2], col[1])]
     out = []
     for a, d, t in zip(*col):
         g = gcd(a, f)
         if g > 1:
             t = str(a // g)
-        out.append(f"{t}/{d * f // g}" if d * f > g else t)
+        out.append(f'"{t}/{d * f // g}"' if d * f > g else f'"{t}"')
     return out
 
 
+def _series_text(cols, N, m, indent, k=None):
+    """JSON text at ``indent`` of a series over Q[rho]/(rho^m), ``log_power`` k
+    unless k is None: each row is k zero cells (one prefix) and one join of ``cols``."""
+    i, cell = indent + "  ", "," + indent + "      "
+    head = "[" + cell[1:] + ('"0"' + cell) * (k or 0)
+    rows = ",".join([f"{i}  {head}{cell.join(r)}{i}  ]" for r in zip(*cols)])
+    log = "" if k is None else f'{i}"log_power": {k},'
+    return f'{{{i}"N": {N},{i}"coeffs": [{rows}{i}],{log}{i}"m": {m}{indent}}}'
+
+
+def slices_json(S):
+    """JSON of sum_j S[j] rho^j over Q[rho]/(rho^m), m = len(S), for the
+    ``Slices`` S of one kernel call (N, one row of m coefficients per order,
+    m): a fragment, written at the indent ``cli._json_text`` passes."""
+    return lambda at: _series_text([_over(_reduce(U, S.E), 1) for U in S.U], S.N, len(S), at)
+
+
 def b_series_json(S):
-    """JSON of z^rho * sum_j S[j] rho^j as a polynomial in L = log z, of
-    log-degree m - 1: part k is rho^k / k! times the slices, written as
-    ``slices_json`` writes a series, so its columns are k shared zero
-    columns and then S[:m - k] over k!, all from one ``_reduce`` per slice."""
-    m, N = len(S), S[0].N
-    cols, zero = [_reduce(s) for s in S], ["0"] * (N + 1)
-    parts, f = [], 1
-    for k in range(m):
-        f *= k or 1
-        rows = zip(*[zero] * k, *(_over(col, f) for col in cols[: m - k]))
-        parts.append({"log_power": k, "N": N, "coeffs": [list(r) for r in rows], "m": m})
-    return {"N": N, "log_degree": m - 1, "parts": parts}
+    """JSON of z^rho * sum_j S[j] rho^j as a polynomial in L = log z, a
+    fragment like ``slices_json``'s: part k, rho^k / k! times the slices, is
+    k zero columns and S[:m - k] over k!, all from one ``_reduce`` per slice."""
+
+    def text(indent):
+        m, i, j = len(S), indent + "  ", indent + "    "
+        cols, parts, f = [_reduce(U, S.E) for U in S.U], [], 1
+        for k in range(m):
+            f *= k or 1
+            parts.append(_series_text([_over(c, f) for c in cols[: m - k]], S.N, m, j, k))
+        head = f'{{{i}"N": {S.N},{i}"log_degree": {m - 1},{i}"parts": [{j}'
+        return head + f",{j}".join(parts) + f"{i}]{indent}}}"
+
+    return text
 
 
 def i_weights_from_kernel(ell):

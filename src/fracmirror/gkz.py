@@ -12,16 +12,17 @@ read the kernel vector alone.
 Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
 built order by order from linear factors, so no transcendental Gamma value is
-ever evaluated.  Its recurrence runs on Python ints (integer numerators over
-one common denominator) and it returns the m eps-slices, each a
-``RationalSeries`` handed over as integers, so it builds no Fraction per
-coefficient.  The holomorphic solution is its eps^0 slice.  Its integer
-``scale`` gives sum scale^n c_n z^n inside the recurrence: at the scale
-s = 4^(sum k) of ``_series_factors`` the slices are the untwisted
+ever evaluated.  Its recurrence runs on Python ints and hands over by order
+(``Slices``): coefficient n of eps-slice k is U_n[k] / E_n, and a slice is
+made a ``RationalSeries`` over the lcm of the E_n, with no Fraction per
+coefficient, only when read.  The holomorphic solution is its eps^0 slice.
+Its integer ``scale`` gives sum scale^n c_n z^n inside the recurrence: at the
+scale s = 4^(sum k) of ``_series_factors`` the slices are the untwisted
 I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
 clears the factors' denominators 2^k costs nothing.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -34,11 +35,14 @@ from .series import _make, _order, parse_fraction
 
 # The exponent of every distinguished column (every ray column has 0)
 EXPONENT = Fraction(-1, 2)
+_BASE = -EXPONENT  # the base of each distinguished column's factors, built once
 
 __all__ = [
     "GkzSystem",
     "build_gkz",
+    "simplex_kernel_vector",
     "principal_kernel_vector",
+    "Slices",
     "hypergeometric_series",
     "holo_solution",
 ]
@@ -81,8 +85,8 @@ def build_gkz(data):
     Columns are blockwise in part order, distinguished column first, then
     the part's rays in reverse-lex order.  On a simplex the kernel is the
     vector with c_g (``nefpart.simplex_relation``) on the column of ray g
-    and -sum_(g in I_i) c_g on that of part i, primitive as c is and with
-    a negative first entry; otherwise it is read off one echelon of A^T.
+    and -sum_(g in I_i) c_g on that of part i (``simplex_kernel_vector``);
+    otherwise it is read off one echelon of A^T.
     """
     n = data.delta.ambient_dim
     r = data.r
@@ -101,13 +105,9 @@ def build_gkz(data):
     )
     beta = tuple([Fraction(0)] * n + [EXPONENT] * r)
     alpha = tuple(EXPONENT if lab[1] == 0 else Fraction(0) for lab in labels)
-    relation = simplex_relation(data.delta)
-    if relation is not None:
-        # part indices ascend on the lex-sorted rays: part[::-1] is reverse-lex
-        c, ell = relation[1], []
-        for part in data.ray_parts:
-            ell += [-sum(c[t] for t in part)] + [c[t] for t in part[::-1]]
-        kernel = (tuple(ell),)
+    ell = simplex_kernel_vector(data)
+    if ell is not None:
+        kernel = (ell,)
     else:
         # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
         # each vector is signed so its first nonzero entry is negative
@@ -125,6 +125,20 @@ def build_gkz(data):
         n=n,
         r=r,
     )
+
+
+def simplex_kernel_vector(data):
+    """A simplex's kernel vector in ``build_gkz``'s column order, without A,
+    alpha or beta: per part i, -sum_(g in I_i) c_g (``nefpart.simplex_relation``)
+    and then c_g for its rays in reverse-lex order; None off a simplex."""
+    relation = simplex_relation(data.delta)
+    if relation is None:
+        return None
+    # part indices ascend on the lex-sorted rays: part[::-1] is reverse-lex
+    c, ell = relation[1], []
+    for part in data.ray_parts:
+        ell += [-sum(c[t] for t in part)] + [c[t] for t in part[::-1]]
+    return tuple(ell)
 
 
 def principal_kernel_vector(gkz):
@@ -151,14 +165,37 @@ def _series_factors(ell):
     num, den = [], []
     for le in map(_order, ell):
         if le < 0:
-            num.append((-EXPONENT, -le))
+            num.append((_BASE, -le))
         elif le > 0:
             den.append((1, le))
     return num, den, 4 ** sum(k for _, k in num)
 
 
+class Slices(Sequence):
+    """The m eps-slices of one ``hypergeometric_series`` call, read-only: U[k][n] / E[n]
+    is coefficient n of slice k (gcd(E_n, *U_n) = 1, E_n > 0).  Slice k is ``_make``
+    of the numerators scaled to D = lcm(E), formed once, and built on first read."""
+
+    def __init__(self, orders, N):
+        self.U = tuple(zip(*(U for U, _ in orders)))
+        self.E = tuple(E for _, E in orders)
+        self.N, self._D, self._built = N, lcm(*self.E), {}
+
+    def __len__(self):
+        return len(self.U)
+
+    def __getitem__(self, k):
+        k = range(len(self.U))[k]
+        if type(k) is range:
+            return tuple(map(self.__getitem__, k))
+        if k not in self._built:
+            D = self._D
+            self._built[k] = _make([u * (D // E) for u, E in zip(self.U[k], self.E)], D, self.N)
+        return self._built[k]
+
+
 def hypergeometric_series(num, den, m, N, scale=1):
-    """The eps-slices (S_0, ..., S_(m-1)), RationalSeries truncated at order
+    """The ``Slices`` (S_0, ..., S_(m-1)), RationalSeries truncated at order
     N, of sum_n scale^n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
 
         c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
@@ -173,8 +210,7 @@ def hypergeometric_series(num, den, m, N, scale=1):
     polynomial B is one fraction-free triangular solve over B_0^m.  The
     integer ``scale`` joins each order's step once its gcd with the bases'
     denominators is cancelled, so a scale that clears them keeps E from
-    growing.  Each eps-slice is handed over as integers: every order's U is
-    scaled to the lcm of the per-order E.
+    growing.  The per-order pairs (U, E) are handed over as they are.
     """
     m, N, scale = _order(m), _order(N), _order(scale)
     if N < 0:
@@ -201,11 +237,10 @@ def hypergeometric_series(num, den, m, N, scale=1):
             y = sum(map(mul, U[: i + 1], A[i::-1])) * ybm
             W.append((y - sum(map(mul, B[1 : i + 1], W[::-1]))) // b0)
         E *= a_den * bm
-        g = gcd(E, *W)
+        g = gcd(E, *W) if E > 0 else -gcd(E, *W)
         U, E = [w // g for w in W], E // g
         orders.append((U, E))
-    D = lcm(*(E for _, E in orders))
-    return tuple(_make([U[k] * (D // E) for U, E in orders], D, N) for k in range(m))
+    return Slices(orders, N)
 
 
 def _step(k):

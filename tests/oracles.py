@@ -13,7 +13,7 @@ from typing import NamedTuple
 from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
-from fracmirror.gkz import holo_solution, hypergeometric_series
+from fracmirror.gkz import Slices, holo_solution, hypergeometric_series
 from fracmirror.mirror import YukawaData, _dilate
 from fracmirror.nefpart import polytope_of_part
 from fracmirror.picard_fuchs import ThetaOperator
@@ -602,6 +602,17 @@ def eps_slices(coeffs, N):
     return tuple(RationalSeries([x.c[k] for x in coeffs], N) for k in range(coeffs[0].m))
 
 
+def slices_of(coeffs):
+    """The ``gkz.Slices`` of sum_n coeffs[n] z^n, EpsPoly coefficients of one
+    order m, handed over by order as the kernel does: each order's numerators
+    over the lcm of its denominators."""
+    orders = []
+    for x in coeffs:
+        E = math.lcm(*(c.denominator for c in x.c))
+        orders.append(([c.numerator * (E // c.denominator) for c in x.c], E))
+    return Slices(orders, len(coeffs) - 1)
+
+
 def hypergeometric_term_by_term(num, den, m, N):
     """``gkz.hypergeometric_series`` by EpsPoly arithmetic, one order at a time.
 
@@ -913,6 +924,51 @@ def log_prefactor_by_fractions(S):
         (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
         for k in range(m)
     ]
+
+
+def slices_json_dict(S):
+    """The dict that ``cohom.slices_json`` writes as text, for a sequence of
+    m RationalSeries slices: one row of m coefficient strings per order."""
+    cols = [_coeff_strs(s.A, s.D) for s in S]
+    return {"N": S[0].N, "coeffs": [list(row) for row in zip(*cols)], "m": len(S)}
+
+
+def _reduce_slice(s):
+    """The coefficients A_n / D of s in lowest terms, one gcd each: the
+    numerators, the denominators and the numerators' strings."""
+    A, D = s.A, s.D
+    if D == 1:
+        return A, [1] * len(A), list(map(str, A))
+    G = list(map(math.gcd, A, [D] * len(A)))
+    A = [a // g for a, g in zip(A, G)]
+    return A, [D // g for g in G], list(map(str, A))
+
+
+def _over_factor(col, f):
+    """``fraction_str`` of each a / (d f), for a ``_reduce_slice`` column of
+    a / d in lowest terms and an int f > 0."""
+    out = []
+    for a, d, t in zip(*col):
+        g = math.gcd(a, f)
+        if g > 1:
+            t = str(a // g)
+        out.append(f"{t}/{d * f // g}" if d * f > g else t)
+    return out
+
+
+def b_series_json_dict(S):
+    """The dict that ``cohom.b_series_json`` writes as text, for a sequence
+    of m RationalSeries slices: log part k is k shared zero columns and then
+    S[:m - k] over k!, each slice reduced once by a full gcd against its
+    common denominator."""
+    m, N = len(S), S[0].N
+    cols, zero = [_reduce_slice(s) for s in S], ["0"] * (N + 1)
+    parts, f = [], 1
+    for k in range(m):
+        f *= k or 1
+        rows = zip(*[zero] * k, *(_over_factor(col, f) for col in cols[: m - k]))
+        parts.append({"log_power": k, "N": N, "coeffs": [list(r) for r in rows], "m": m})
+    return {"N": N, "log_degree": m - 1, "parts": parts}
 
 
 def b_series_json_by_columns(S):

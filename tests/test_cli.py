@@ -319,6 +319,17 @@ def test_json_text_refuses_what_json_would_not_write_exactly(doc):
         _json_text(doc)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_documents, st.integers(0, 3))
+def test_json_text_writes_a_callable_fragment_at_its_indent(doc, depth):
+    # a payload value may write its own text: it is called with the indent
+    # it sits at and must give what its value would have given there
+    framed, inline = (lambda indent: _json_text(doc, indent)), doc
+    for d in range(depth):
+        framed, inline = [framed, d], [inline, d]
+    assert _json_text({"x": framed}) == json.dumps({"x": inline}, indent=2, sort_keys=True)
+
+
 def test_cli_import_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, fracmirror.cli; print('numpy' in sys.modules)"],

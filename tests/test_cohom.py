@@ -5,7 +5,9 @@ eps-derivatives of the Gamma-ratio coefficient computed symbolically with
 sympy (divided by k!), an oracle that never touches the integer kernel.
 """
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from fracmirror.cohom import (
     i_function_mirror_map,
     i_function_untwisted,
     i_weights_from_kernel,
+    slices_json,
 )
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
@@ -35,6 +38,7 @@ from oracles import (
     EpsPoly,
     apply_to_prefactored,
     b_series_json_by_columns,
+    b_series_json_dict,
     cohom_class,
     cohom_integral,
     frobenius_residue,
@@ -43,6 +47,7 @@ from oracles import (
     matches,
     pairing_matrix,
     scale_arg,
+    slices_json_dict,
 )
 from test_mirror import _one_parameter_cases
 
@@ -184,7 +189,7 @@ def test_b_series_slices(quartic):
     assert matches(W[1], scale_arg(pair.A1, Fraction(1, pair.scale)), 8)
     # the eps^1 coefficient of the log-part is omega0: together they give
     # the second Frobenius solution tau + omega0 * log z
-    log_part = b_series_json(W)["parts"][1]["coeffs"]
+    log_part = json.loads(_json_text(b_series_json(W)))["parts"][1]["coeffs"]
     assert [row[1] for row in log_part] == omega0.to_json()["coeffs"]
     assert all(row[0] == "0" for row in log_part)
 
@@ -204,7 +209,8 @@ def test_log_prefactor_matches_fraction_scaling(case, request):
             }
             for k, part in enumerate(log_prefactor_by_fractions(deformed))
         ]
-        assert b_series_json(deformed) == {"N": 8, "log_degree": m - 1, "parts": parts}
+        doc = {"N": 8, "log_degree": m - 1, "parts": parts}
+        assert _json_text(b_series_json(deformed)) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_b_series_json_matches_column_writer(quartic, eight_hyperplanes, k3):
@@ -215,6 +221,59 @@ def test_b_series_json_matches_column_writer(quartic, eight_hyperplanes, k3):
         for N in (1, 4, 16):
             S = deformed_solution(ell, N, m)
             assert _json_text(b_series_json(S)) == _json_text(b_series_json_by_columns(S)), (label, N)
+
+
+def _nest(value, depth):
+    """``value`` as the innermost entry of ``depth`` containers, lists and
+    dicts in turn, so it is written at the indent of that depth."""
+    for d in range(depth - 1):
+        value = [value, "x"] if d % 2 else {"a": value, "b": "x"}
+    return {"value": value}
+
+
+def _seeded_factors(rng):
+    """Random kernel factors (a, k): fractional and negative bases."""
+    return [
+        (Fraction(rng.randint(-7, 7), rng.randint(1, 3)), rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3))
+    ]
+
+
+def test_text_writers_match_the_dict_writers():
+    # the writers format the kernel's per-order pairs U_n[k] / E_n without
+    # building a slice, and write at the indent they are rendered at; the
+    # dict writers and the column writer format the built slices.  Seeded
+    # kernels at m = 1..6, scale 1 and a scale s that clears the bases'
+    # denominators, plus one integral kernel ((2n)! / n!^2, every E_n = 1 at
+    # m = 1) and one with a zero factor (slice 0 vanishes from order 2)
+    rng = random.Random(29)
+    kernels = [([(1, 2)], [(1, 1)] * 2), ([(-1, 1)], [(1, 1)])]
+    kernels += [(_seeded_factors(rng), _seeded_factors(rng)) for _ in range(24)]
+    unit_E = zeros = checked = 0
+    for i, (num, den) in enumerate(kernels):
+        s = math.prod(Fraction(a).denominator ** k for a, k in num) or 1
+        for m in (i % 6 + 1, 1, 6):
+            for N in (1, 2, 12, 16, 32):
+                for scale in (1, 4 * s):
+                    try:
+                        S = hypergeometric_series(num, den, m, N, scale)
+                    except FracmirrorError:
+                        continue
+                    built = tuple(S)
+                    assert all(E > 0 for E in S.E)
+                    unit_E += sum(E == 1 for E in S.E[1:])
+                    zeros += sum(not u for U in S.U for u in U)
+                    for depth in (1, 3):
+                        for text, oracles in (
+                            (slices_json, (slices_json_dict,)),
+                            (b_series_json, (b_series_json_dict, b_series_json_by_columns)),
+                        ):
+                            written = _json_text(_nest(text(S), depth))
+                            for oracle in oracles:
+                                expected = _json_text(_nest(oracle(built), depth))
+                                assert written == expected, (num, den, m, N, scale)
+                    checked += 1
+    assert (checked > 300, unit_E > 0, zeros > 0) == (True, True, True)
 
 
 def test_b_series_annihilated_over_threefold_ring(quartic):
@@ -268,7 +327,7 @@ def test_i_function_pairs_weights_by_duplication(quartic, eight_hyperplanes, k3)
         for m in (1, 2, sum(le for le in ell if le > 0) + 1):
             for N in (0, *orders):
                 I = i_function_untwisted(ell, m, N)
-                assert I == i_function_by_weights(*weights, m, N), (label, m, N)
+                assert tuple(I) == tuple(i_function_by_weights(*weights, m, N)), (label, m, N)
 
 
 def test_i_function_unit_guard():

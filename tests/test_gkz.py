@@ -1,5 +1,6 @@
 """GKZ data assembly, kernel vectors, and the holomorphic solution."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,9 @@ from oracles import (
     theta_conjugate_by_fractions,
 )
 
+from conftest import DATA, REPO
+
+from fracmirror import cli
 from fracmirror.cohom import i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
@@ -26,6 +30,7 @@ from fracmirror.gkz import (
     holo_solution,
     hypergeometric_series,
     principal_kernel_vector,
+    simplex_kernel_vector,
 )
 from fracmirror.mirror import _dilate
 from fracmirror.nefpart import NefPartition
@@ -161,6 +166,37 @@ def test_negative_kernel_entries_are_the_half_exponent_columns(quartic, eight_hy
         assert op == oracle and op.to_json() == oracle.to_json()
 
 
+def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
+    # a series job reads ell off the simplex relation, in build_gkz's column
+    # order, and labels the bseries classes off the ray parts: the same
+    # vector and the same classes as read off build_gkz, on every perfbench
+    # shape in two seeded sheared frames and on the bundled inputs
+    inputs = [DATA / f"{name}.json" for name in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes")]
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in inputs]
+    for seed in (1, 2):
+        for shape, (n, _) in GEN.SHAPES.items():
+            frame = GEN.random_frame(n, 4, random.Random(f"{seed}:{shape}"))
+            docs.append(GEN.framed_input(shape, *frame))
+    for doc in docs:
+        data = NefPartition.from_dict(doc)
+        ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), data)
+        g = build_gkz(data)
+        ell = principal_kernel_vector(g)
+        assert ctx.ell == simplex_kernel_vector(data) == ell == g.kernel[0]
+        classes = {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)}
+        assert cli._cmd_bseries(ctx)[0]["ring"]["classes"] == classes
+        assert "gkz" not in vars(ctx)
+    assert len(docs) == 3 + 2 * len(GEN.SHAPES)
+    # off a simplex ell still goes through build_gkz, which refuses it
+    hexagon = json.loads((REPO / "tests" / "golden" / "hexagon.json").read_text(encoding="utf-8"))
+    hexagon = NefPartition.from_dict(hexagon)
+    assert simplex_kernel_vector(hexagon) is None
+    ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), hexagon)
+    with pytest.raises(FracmirrorError, match="multiparameter moduli unsupported"):
+        ctx.ell
+    assert len(vars(ctx)["gkz"].kernel) == 4
+
+
 # ------------------------------------------------------------- solutions
 
 
@@ -211,7 +247,7 @@ def _same_reduced_coefficients(s, oracle):
     # from the oracle's Fractions, in canonical form
     assert (len(s), s[0].N) == (len(oracle), oracle[0].N)
     assert [x.c for x in s] == [x.c for x in oracle]
-    assert s == oracle and hash(s) == hash(oracle)
+    assert tuple(s) == oracle and hash(tuple(s)) == hash(oracle)
     assert all(x.D > 0 and math.gcd(x.D, *x.A) == 1 for x in s)
     assert all(
         type(c) is Fraction and c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
@@ -279,7 +315,7 @@ def test_hypergeometric_series_scale_is_a_dilation():
                         hypergeometric_series(num, den, m, N, scale=s)
                     continue
                 scaled = hypergeometric_series(num, den, m, N, scale=s)
-                assert scaled == tuple(_dilate(S, s) for S in plain), (num, den, m, N, s)
+                assert tuple(scaled) == tuple(_dilate(S, s) for S in plain), (num, den, m, N, s)
                 checked += 1
     assert checked > 600
 
@@ -318,7 +354,7 @@ def test_hypergeometric_series_vanishing_numerator_factor():
     assert list(s.c) == [1, -1, 0, 0, 0, 0, 0]
     # over eps^2 the zero factor becomes eps: only the eps^0 slice vanishes
     s = hypergeometric_series(num, den, 2, 6)
-    assert s == hypergeometric_term_by_term(num, den, 2, 6)
+    assert tuple(s) == hypergeometric_term_by_term(num, den, 2, 6)
     assert s[0].c == (1, -1, 0, 0, 0, 0, 0)
     assert all(s[1].coeff(n) != 0 for n in range(1, 7))
 

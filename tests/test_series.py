@@ -1,5 +1,6 @@
 """Truncated power series over Q, and series over Q[eps]/(eps^m) as their eps-slices."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,9 +19,12 @@ from oracles import (
     reversion_by_composition,
     reversion_by_powers,
     scale_arg,
+    slices_json_dict,
+    slices_of,
     theta_log,
 )
 
+from fracmirror.cli import _json_text
 from fracmirror.cohom import b_series_json, slices_json
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import hypergeometric_series
@@ -539,8 +543,11 @@ def test_slice_operations_match_epspoly_route():
         assert tuple(s.theta() for s in a) == eps_slices([x * n for n, x in enumerate(A)], a[0].N)
         j = rng.randint(0, a[0].N + 1)
         assert tuple(s.shift(j) for s in a) == eps_slices([EpsPoly(m)] * j + A, a[0].N)
-        rows = [[fraction_str(y) for y in x.c] for x in A]
-        assert slices_json(a) == {"N": a[0].N, "coeffs": rows, "m": m}
+        # the dict oracle on the slices, and the text writer on the same
+        # coefficients handed over by order
+        doc = {"N": a[0].N, "coeffs": [[fraction_str(y) for y in x.c] for x in A], "m": m}
+        assert slices_json_dict(a) == doc
+        assert _json_text(slices_json(slices_of(A))) == json.dumps(doc, indent=2, sort_keys=True)
     assert zero_slices > 100
 
 
@@ -571,8 +578,9 @@ def test_log_series_theta_product_rule():
 def test_series_json_shapes():
     f = RationalSeries([1, Fraction(1, 2)], 1)
     assert f.to_json() == {"N": 1, "coeffs": ["1", "1/2"]}
-    g = eps_slices([EpsPoly(2, (1, 2))], 0)
-    j = slices_json(g)
+    j = json.loads(_json_text(slices_json(slices_of([EpsPoly(2, (1, 2))]))))
     assert j["m"] == 2 and j["coeffs"][0] == ["1", "2"]
-    jl = b_series_json((f, f))
+    ff = slices_of([EpsPoly(2, (1, 1)), EpsPoly(2, (Fraction(1, 2),) * 2)])
+    jl = json.loads(_json_text(b_series_json(ff)))
     assert jl["parts"][1]["log_power"] == 1
+    assert jl["parts"][1]["coeffs"] == [["0", "1"], ["0", "1/2"]]

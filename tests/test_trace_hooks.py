@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, cohom, linalg, series, topology
+from fracmirror import cli, cohom, gkz, linalg, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -146,8 +146,9 @@ def test_euler_scans_no_dilations(monkeypatch):
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
     # Delta is the one hull and its DD pass the one pass: Delta* is read off
-    # it, Delta is a simplex, so the four Delta_i and the GKZ kernel are read
-    # off its vertices (no cut, no echelon), and nabla is built only when read
+    # it, Delta is a simplex, so the four Delta_i and the GKZ kernel vector
+    # are read off its vertices (no cut, no echelon, and no A, alpha or beta),
+    # and nabla is built only when read
     echelons = _count_echelons(monkeypatch)
     for command in ("mirror-map", "ifunction", "bseries"):
         echelons[0] = 0
@@ -156,7 +157,7 @@ def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
         assert tracer.calls["polytope.dd_extreme_rays"] == 1
         assert tracer.flat_hulls == 0
         assert echelons[0] == 0
-        assert tracer.calls["gkz.build_gkz"] == 1
+        assert tracer.calls["gkz.build_gkz"] == 0
 
 
 def test_dual_nef_builds_each_polytope_once():
@@ -201,29 +202,39 @@ def test_cohom_jobs_form_no_nilpotent_product():
 
 
 def test_bseries_formats_each_slice_column_once(monkeypatch):
-    # log part k of the B-series is k shared zero columns and the first
-    # m - k eps-slices over k!: the writer reduces each slice's coefficients
-    # once (one full gcd each, m per job) and divides the reduced numerators
-    # by k! column by column, so a job writes m (m + 1) / 2 slice columns and
-    # no zero column: 4 and 10 on the quartic, 3 and 6 on the K3
-    calls = {"reduce": [], "over": []}
-    for name in ("_reduce", "_over"):
-        stage = getattr(cohom, name)
+    # log part k of the B-series is k zero columns (one prefix string) and
+    # the first m - k eps-slices over k!: the writer reduces each coefficient
+    # U_n[k] / E_n of the kernel once, against its own E_n (m (N + 1) small
+    # gcds per job), and divides the reduced numerators by k! column by
+    # column, so a job formats m (m + 1) / 2 slice columns and no zero
+    # column: 5 and 15 on the P4 (3, 1, 1), 4 and 10 on the quartic, 3 and 6
+    # on the K3
+    calls = {"kernel": [], "reduce": [], "over": []}
+    stages = ((cli, "b_series", "kernel"), (cohom, "_reduce", "reduce"), (cohom, "_over", "over"))
+    for module, name, key in stages:
+        stage = getattr(module, name)
 
-        def counting(*args, _stage=stage, _calls=calls[name.strip("_")]):
-            _calls.append(args[0])
-            return _stage(*args)
+        def counting(*args, _stage=stage, _calls=calls[key]):
+            result = _stage(*args)
+            _calls.append((args, result))
+            return result
 
-        monkeypatch.setattr(cohom, name, counting)
-    for shape, m in (("p3_quartic", 4), ("p2_k3", 3)):
+        monkeypatch.setattr(module, name, counting)
+    inputs = (
+        (REPO / "tests" / "golden" / "p4_311.json", 5),
+        (DATA / "p3_quartic.json", 4),
+        (DATA / "p2_k3.json", 3),
+    )
+    for path, m in inputs:
         for seen in calls.values():
             seen.clear()
-        config = cli.JobConfig("bseries", str(DATA / f"{shape}.json"), N=16, fmt="json")
+        config = cli.JobConfig("bseries", str(path), N=16, fmt="json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
-        reduced = len({id(s) for s in calls["reduce"]})
-        assert (shape, len(calls["reduce"]), reduced) == (shape, m, m)
-        assert (shape, len(calls["over"])) == (shape, m * (m + 1) // 2)
+        [(_, S)] = calls["kernel"]
+        assert (path.name, len(S), len(S.E)) == (path.name, m, 17)
+        assert [args for args, _ in calls["reduce"]] == [(U, S.E) for U in S.U]
+        assert (path.name, len(calls["over"])) == (path.name, m * (m + 1) // 2)
 
 
 # calls of the Q product kernel per job at N = 4 and N = 16 on the three
@@ -326,24 +337,40 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
     for name, op in ops.items():
         _, built = _count_fractions(monkeypatch, op)
         assert (name, built) == (name, 0)
-    # in whole JSON jobs: the B-series writer formats each log part's
-    # numerators over the slice denominators times k!, and the I-function's
-    # unit check reads its numerators
-    for command, module, name in (
-        ("bseries", cli, "b_series_json"), ("ifunction", cli, "i_function_mirror_map")
-    ):
-        stage, counts = getattr(module, name), []
+    # in whole JSON jobs: the B-series and I-function text is written from
+    # the kernel's integers, the I-function's unit check reads numerators,
+    # and the front end builds none (the default normalization and the
+    # factors' base 1/2 are module constants)
+    for command in ("bseries", "ifunction"):
+        config = cli.JobConfig(command, str(DATA / "p3_quartic.json"), N=N, fmt="json")
 
-        def counted(*args, _stage=stage):
-            result, built = _count_fractions(monkeypatch, lambda: _stage(*args))
-            counts.append(built)
-            return result
+        def job(config=config):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.run(config)
 
-        setattr(module, name, counted)
-        try:
-            config = cli.JobConfig(command, str(DATA / "p3_quartic.json"), N=N, fmt="json")
+        code, built = _count_fractions(monkeypatch, job)
+        assert (command, code, built) == (command, 0, 0)
+
+
+def test_cohom_jobs_form_only_the_slices_they_read(monkeypatch):
+    # the kernel hands over by order and builds a slice series on first read:
+    # a JSON bseries job writes every slice from the per-order pairs and forms
+    # no series at all, and an ifunction job forms the two slices of B/A
+    made = {"slices": 0, "series": 0}
+    for module, key in ((gkz, "slices"), (series, "series")):
+        make = module._make
+
+        def counting(*args, _make=make, _key=key):
+            made[_key] += 1
+            return _make(*args)
+
+        monkeypatch.setattr(module, "_make", counting)
+    for shape in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes"):
+        for command, slices in (("bseries", 0), ("ifunction", 2)):
+            made.update(slices=0, series=0)
+            config = cli.JobConfig(command, str(DATA / f"{shape}.json"), N=16, fmt="json")
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.run(config) == 0
-        finally:
-            setattr(module, name, stage)
-        assert (name, counts) == (name, [0])
+            assert (shape, command, made["slices"]) == (shape, command, slices)
+            if command == "bseries":
+                assert made["series"] == 0
