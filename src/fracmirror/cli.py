@@ -2,7 +2,9 @@
 
 Exit codes: 0 success; 2 invalid input (unreadable file, malformed JSON,
 invalid nef-partition, bad flags); 3 computational assertion failure
-(violated smoothness identity, unsupported moduli shape, ...).
+(violated smoothness identity, unsupported moduli shape, ...).  JSON output
+is ``_json_text`` of a command's payload, in which a value may be a fragment:
+a callable that writes its own text at the indent it is given.
 """
 
 import argparse
@@ -83,9 +85,9 @@ def _json_text(obj, indent="\n"):
     """The stdlib's JSON text with ``indent=2, sort_keys=True``, byte for byte,
     but a list of all ``str`` (or all exactly ``int``) items is one ``str.join``
     over the C string encoder, where the stdlib's indenting encoder is pure
-    Python.  A callable is a fragment called with the current indent for its
-    text (``cohom.slices_json``).  Any other type but dict (``str`` keys),
-    list, tuple, ``str``, ``int``, ``bool`` and ``None`` raises ``TypeError``.
+    Python.  A fragment (``cohom.slices_json``) is called with the current indent.
+    Any other type but dict (``str`` keys), list, tuple, ``str``, ``int``, ``bool``
+    and ``None`` raises ``TypeError``: no float or Fraction is written.
     """
     t = type(obj)
     if t is list or t is tuple:

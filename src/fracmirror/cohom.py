@@ -9,12 +9,11 @@ z^rho * deformed are omega0, omega0 log z + tau, and the higher partners, so
 tau is the rho^1 slice of the same kernel.  The prefactor z^rho puts
 rho^k / k! times the slices in the L^k part (L = log z); ``b_series_json``
 writes that part as k zero columns and the first m - k slices over k!, so
-no product over Q[rho]/(rho^m) is formed.  It and ``slices_json`` write JSON
-text from the kernel's per-order pairs and build no slice: U_n[k] / E_n is
-reduced by one small gcd against E_n, part k's by k! with another, and each
-row is one join.  The same kernel at the scale s = 4^(sum k) is the
-untwisted I-function in x = z/s, with weights (w_a; u_b) =
-``i_weights_from_kernel``:
+no product over Q[rho]/(rho^m) is formed.  It and ``slices_json`` write text
+from the kernel's per-order pairs, building no slice: U_n[k] / E_n is reduced
+by one small gcd against E_n, part k's by k! with another.  The same kernel at
+the scale s = 4^(sum k) is the untwisted I-function in x = z/s, with weights
+(w_a; u_b) = ``i_weights_from_kernel``:
 
     I(x) = sum_d x^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
                      / prod_b prod_(t=1)^(u_b d) (u_b eps + t),

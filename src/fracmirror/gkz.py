@@ -195,8 +195,8 @@ class Slices(Sequence):
 
 
 def hypergeometric_series(num, den, m, N, scale=1):
-    """The ``Slices`` (S_0, ..., S_(m-1)), RationalSeries truncated at order
-    N, of sum_n scale^n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
+    """The ``Slices`` (S_0, ..., S_(m-1)), handed over by order and truncated at
+    order N, of sum_n scale^n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
 
         c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
             / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
@@ -209,8 +209,7 @@ def hypergeometric_series(num, den, m, N, scale=1):
     (the same power at every order), and the division by the denominator
     polynomial B is one fraction-free triangular solve over B_0^m.  The
     integer ``scale`` joins each order's step once its gcd with the bases'
-    denominators is cancelled, so a scale that clears them keeps E from
-    growing.  The per-order pairs (U, E) are handed over as they are.
+    denominators is cancelled, so a scale that clears them keeps E from growing.
     """
     m, N, scale = _order(m), _order(N), _order(scale)
     if N < 0:

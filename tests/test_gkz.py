@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     EpsPoly,
     box_annihilation_check,
+    gkz_kernel_by_echelon,
     gkz_solution_terms,
     hypergeometric_term_by_term,
     rising,
@@ -170,9 +171,15 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
     # a series job reads ell off the simplex relation, in build_gkz's column
     # order, and labels the bseries classes off the ray parts: the same
     # vector and the same classes as read off build_gkz, on every perfbench
-    # shape in two seeded sheared frames and on the bundled inputs
+    # shape in two seeded sheared frames, on the bundled inputs, and on the
+    # triangles of P(1,1,2) (two parts) and P(1,2,3), whose c_g differ from
+    # ray to ray, so the order of a part's rays shows
     inputs = [DATA / f"{name}.json" for name in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes")]
     docs = [json.loads(path.read_text(encoding="utf-8")) for path in inputs]
+    docs += [
+        {"delta": {"dim": 2, "vertices": [[-1, -1], [-1, 1], [3, -1]]}, "parts": [[0, 2], [1]]},
+        {"delta": {"dim": 2, "vertices": [[-1, -1], [-1, 1], [2, -1]]}, "parts": [[0, 1, 2]]},
+    ]
     for seed in (1, 2):
         for shape, (n, _) in GEN.SHAPES.items():
             frame = GEN.random_frame(n, 4, random.Random(f"{seed}:{shape}"))
@@ -182,11 +189,12 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
         ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), data)
         g = build_gkz(data)
         ell = principal_kernel_vector(g)
-        assert ctx.ell == simplex_kernel_vector(data) == ell == g.kernel[0]
+        assert ctx.ell == simplex_kernel_vector(data) == ell
+        assert (ell,) == gkz_kernel_by_echelon(g.A)
         classes = {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)}
         assert cli._cmd_bseries(ctx)[0]["ring"]["classes"] == classes
         assert "gkz" not in vars(ctx)
-    assert len(docs) == 3 + 2 * len(GEN.SHAPES)
+    assert len(docs) == 5 + 2 * len(GEN.SHAPES)
     # off a simplex ell still goes through build_gkz, which refuses it
     hexagon = json.loads((REPO / "tests" / "golden" / "hexagon.json").read_text(encoding="utf-8"))
     hexagon = NefPartition.from_dict(hexagon)
