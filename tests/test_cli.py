@@ -72,6 +72,23 @@ def test_non_lattice_part_on_a_simplex_is_input_error(tmp_path, capsys):
         )
 
 
+def test_rejected_hexagon_partition_reports_both_diagnostics(tmp_path, capsys):
+    # three 2-ray parts of the hexagon's six rays: the Delta_i are lattice
+    # polytopes but do not sum to Delta, and the nabla_k sum to a polytope
+    # that is not reflexive
+    doc = {
+        "delta": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]]},
+        "parts": [[0, 1], [2, 3], [4, 5]],
+    }
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(doc))
+    assert main(["euler", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid nef-partition input: Minkowski sum of part polytopes "
+        "differs from delta; nabla is not reflexive\n"
+    )
+
+
 QUARTIC_DOC = {
     "delta": {"dim": 3, "vertices": [[3, -1, -1], [-1, 3, -1], [-1, -1, 3], [-1, -1, -1]]},
     "parts": [[0, 1, 2, 3]],
