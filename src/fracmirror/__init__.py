@@ -8,12 +8,7 @@ maps, Yukawa couplings, and cohomology-valued I-functions).
 
 from .errors import FracmirrorError, InvalidNefPartition, SmoothnessError
 from .polytope import LatticePolytope, cayley_pyramid
-from .nefpart import (
-    NefPartition,
-    dual_nef_partition,
-    polytope_of_part,
-    validate_nef_partition,
-)
+from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
 from .topology import (
     CoverTopology,
     HodgeTable,
@@ -22,12 +17,7 @@ from .topology import (
     hodge_numbers,
 )
 from .series import RationalSeries, fraction_str, parse_fraction
-from .gkz import (
-    GkzSystem,
-    build_gkz,
-    holo_solution,
-    principal_kernel_vector,
-)
+from .gkz import GkzSystem, build_gkz, holo_solution, simplex_kernel_vector
 from .picard_fuchs import (
     ThetaOperator,
     theta_conjugate,
@@ -58,7 +48,6 @@ __all__ = [
     "cayley_pyramid",
     "NefPartition",
     "dual_nef_partition",
-    "polytope_of_part",
     "validate_nef_partition",
     "CoverTopology",
     "HodgeTable",
@@ -71,7 +60,7 @@ __all__ = [
     "GkzSystem",
     "build_gkz",
     "holo_solution",
-    "principal_kernel_vector",
+    "simplex_kernel_vector",
     "ThetaOperator",
     "theta_conjugate",
     "FrobeniusPair",

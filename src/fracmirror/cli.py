@@ -25,7 +25,7 @@ from .cohom import (
     slices_json,
 )
 from .errors import FracmirrorError, InvalidNefPartition
-from .gkz import build_gkz, principal_kernel_vector, simplex_kernel_vector
+from .gkz import build_gkz, simplex_kernel_vector
 from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
@@ -157,7 +157,12 @@ class _Context:
 
     @cached_property
     def ell(self):
-        return simplex_kernel_vector(self.data) or principal_kernel_vector(self.gkz)
+        """The kernel vector of a simplex; off one the GKZ kernel has rank
+        p - n > 1 for p rays, which no series command handles."""
+        ell = simplex_kernel_vector(self.data)
+        if ell is None:
+            raise FracmirrorError("multiparameter moduli unsupported")
+        return ell
 
     @cached_property
     def op(self):

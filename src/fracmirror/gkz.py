@@ -30,7 +30,6 @@ from operator import mul
 
 from . import linalg
 from .errors import FracmirrorError
-from .nefpart import simplex_relation
 from .series import _make, _order, parse_fraction
 
 # The exponent of every distinguished column (every ray column has 0)
@@ -41,7 +40,6 @@ __all__ = [
     "GkzSystem",
     "build_gkz",
     "simplex_kernel_vector",
-    "principal_kernel_vector",
     "Slices",
     "hypergeometric_series",
     "holo_solution",
@@ -84,9 +82,10 @@ def build_gkz(data):
 
     Columns are blockwise in part order, distinguished column first, then
     the part's rays in reverse-lex order.  On a simplex the kernel is the
-    vector with c_g (``nefpart.simplex_relation``) on the column of ray g
-    and -sum_(g in I_i) c_g on that of part i (``simplex_kernel_vector``);
-    otherwise it is read off one echelon of A^T.
+    vector with c_g (``data.relation``, see ``nefpart.simplex_relation``) on
+    the column of ray g and -sum_(g in I_i) c_g on that of part i
+    (``simplex_kernel_vector``); otherwise it has rank p - n > 1 for p rays
+    and is read off one echelon of A^T.
     """
     n = data.delta.ambient_dim
     r = data.r
@@ -129,9 +128,10 @@ def build_gkz(data):
 
 def simplex_kernel_vector(data):
     """A simplex's kernel vector in ``build_gkz``'s column order, without A,
-    alpha or beta: per part i, -sum_(g in I_i) c_g (``nefpart.simplex_relation``)
-    and then c_g for its rays in reverse-lex order; None off a simplex."""
-    relation = simplex_relation(data.delta)
+    alpha or beta: per part i, -sum_(g in I_i) c_g (``data.relation``, kept
+    from validation) and then c_g for its rays in reverse-lex order; None off
+    a simplex."""
+    relation = data.relation
     if relation is None:
         return None
     # part indices ascend on the lex-sorted rays: part[::-1] is reverse-lex
@@ -139,17 +139,6 @@ def simplex_kernel_vector(data):
     for part in data.ray_parts:
         ell += [-sum(c[t] for t in part)] + [c[t] for t in part[::-1]]
     return tuple(ell)
-
-
-def principal_kernel_vector(gkz):
-    """Generator of the rank-1 kernel, whose distinguished entries are < 0.
-
-    The kernel has rank p - n for p rays, so only a simplex has rank 1, and
-    ``build_gkz`` writes its vector with those entries negative.
-    """
-    if len(gkz.kernel) != 1:
-        raise FracmirrorError("multiparameter moduli unsupported")
-    return gkz.kernel[0]
 
 
 def _series_factors(ell):

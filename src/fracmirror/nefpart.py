@@ -20,43 +20,37 @@ its vertices, and tests their sum against Delta by support functions: once
 Delta_1 + ... + Delta_r = Delta, nabla is reflexive (Borisov 1993; Batyrev &
 Borisov 1996).  Then nabla^* is one hull of the union of those vertices and
 nabla its polar dual, read off by transposition.  Only a rejected partition
-builds the Minkowski sum of the nabla_k, to report whether it is reflexive.
+builds nabla, as pairwise hulls of the vertex sums of the nabla_k, to
+report whether it is reflexive.
 
 On a simplex (every one-parameter input) no cut and no sum test runs: with
 w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the
 1/h_g are the barycentric coordinates of the origin, and Delta_i has the
 vertices sum_(g in I_i) (w_j - w_g) / h_g, j = 0..n.  Those sum to w_j over
 i, so Delta_1 + ... + Delta_r = Delta on every partition, and Delta_i is a
-lattice polytope exactly when they are integral.
+lattice polytope exactly when they are integral.  The partition keeps that
+relation, which the GKZ kernel vector is read off.
 """
 
 import functools
 from math import lcm
-from operator import index
+from operator import add, index
 
 from .errors import InvalidNefPartition
 from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _require_ints
 
 __all__ = [
     "NefPartition",
-    "polytope_of_part",
     "simplex_relation",
     "dual_nef_partition",
     "validate_nef_partition",
 ]
 
 
-def polytope_of_part(delta, part_rays, all_rays):
-    """The lattice polytope Delta_i cut out by one part of a nef-partition.
-
-    ``part_rays`` is the set of dual vertices with offset 1; every other
-    element of ``all_rays`` gets offset 0.
-    """
-    return LatticePolytope(_part_vertices(delta, part_rays, all_rays), delta.ambient_dim)
-
-
 def _part_vertices(delta, part_rays, all_rays):
-    """The lex-sorted vertices of Delta_i: the rays with t = 1 of its DD cut."""
+    """The lex-sorted vertices of Delta_i: the rays with t = 1 of its DD cut,
+    where the rays in ``part_rays`` get offset 1 and the rest of ``all_rays``
+    offset 0."""
     part = {tuple(map(index, rho)) for rho in part_rays}
     if not part:
         raise InvalidNefPartition("empty part")
@@ -107,7 +101,9 @@ def _derive(delta, parts):
     """Check a proposed nef-partition, cutting out the Delta_i on the way.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
-    ``(rays, part_vertices)``, or None when a check stopped the build early.
+    ``(rays, part_vertices, relation)`` with ``relation`` the
+    ``simplex_relation`` of delta, or None when a check stopped the build
+    early.
     """
     if not isinstance(delta, LatticePolytope):
         return ["delta is not a lattice polytope"], None
@@ -150,11 +146,17 @@ def _derive(delta, parts):
     if relation is None and not _sums_to(delta, part_vertices):
         issues.append("Minkowski sum of part polytopes differs from delta")
         # a sum equal to delta makes nabla reflexive, so only a rejected
-        # partition builds nabla, for its second diagnostic
-        nabla = functools.reduce(LatticePolytope.minkowski_sum, _nabla_parts(rays, parts))
+        # partition builds nabla, for its second diagnostic: pairwise hulls
+        # of the vertex sums of the nabla_k
+        nabla = functools.reduce(
+            lambda P, Q: LatticePolytope(
+                {tuple(map(add, p, q)) for p in P.vertices for q in Q.vertices}
+            ),
+            _nabla_parts(rays, parts),
+        )
         if not nabla.is_reflexive():
             issues.append("nabla is not reflexive")
-    return issues, (rays, part_vertices)
+    return issues, (rays, part_vertices, relation)
 
 
 def _nabla_parts(rays, parts):
@@ -185,33 +187,37 @@ def validate_nef_partition(delta, parts):
     return _derive(delta, parts)[0]
 
 
+def _part_index(j):
+    """A part index as an int; a float or a bool is refused, as by
+    ``series._order``."""
+    if isinstance(j, bool):
+        raise TypeError(f"a part index must be an integer, got {j!r}")
+    return index(j)
+
+
 class NefPartition:
     """A reflexive polytope with a validated nef-partition of its dual rays.
 
     ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
-    dual.  Validation keeps ``rays`` and ``part_vertices`` (the vertices of
+    dual.  Validation keeps ``rays``, ``part_vertices`` (the vertices of
     each Delta_i, read off its DD cut or, on a simplex, off Delta's
-    vertices) and checks Delta_1 + ... + Delta_r = Delta without building
+    vertices) and ``relation`` (``simplex_relation`` of delta, None off a
+    simplex), and checks Delta_1 + ... + Delta_r = Delta without building
     the sum.  Each polytope below is built on first read and kept:
     ``nabla_dual`` is the hull of all ``part_vertices`` and ``nabla`` its
-    polar dual; ``parts_delta`` and ``nabla_parts`` are the Delta_i and
-    nabla_k, one hull each.
+    polar dual; ``nabla_parts`` are the nabla_k, one hull each.
     """
 
     def __init__(self, delta, parts):
         if not isinstance(delta, LatticePolytope):
             delta = LatticePolytope(delta)
-        parts = tuple(tuple(sorted(map(index, part))) for part in parts)
+        parts = tuple(tuple(sorted(map(_part_index, part))) for part in parts)
         issues, built = _derive(delta, parts)
         if issues:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
-        self.rays, self.part_vertices = built
-
-    @functools.cached_property
-    def parts_delta(self):
-        return tuple(LatticePolytope(V, self.delta.ambient_dim) for V in self.part_vertices)
+        self.rays, self.part_vertices, self.relation = built
 
     @functools.cached_property
     def nabla_parts(self):
@@ -248,16 +254,6 @@ class NefPartition:
             parts[home].append(idx)
         return parts
 
-    def dual_data(self):
-        """The dual nef-partition, packaged the same way (delta' = nabla)."""
-        return NefPartition(self.nabla, self.dual_parts())
-
-    def to_dict(self):
-        return {
-            "delta": self.delta.to_dict(),
-            "parts": [list(p) for p in self.ray_parts],
-        }
-
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict) or "delta" not in d or "parts" not in d:
@@ -265,19 +261,6 @@ class NefPartition:
         for part in d["parts"]:
             _require_ints(part, "part index")
         return cls(LatticePolytope.from_dict(d["delta"]), d["parts"])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NefPartition)
-            and self.delta == other.delta
-            and self.ray_parts == other.ray_parts
-        )
-
-    def __repr__(self):
-        return (
-            f"NefPartition(n={self.delta.ambient_dim}, r={self.r}, "
-            f"parts={[len(p) for p in self.ray_parts]})"
-        )
 
 
 def dual_nef_partition(data):

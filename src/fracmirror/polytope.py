@@ -1,6 +1,6 @@
 """Exact lattice polytopes: hulls, duals, volumes, lattice points.
 
-Everything is integer/rational arithmetic.  Convex hulls come from an
+Everything is exact integer arithmetic.  Convex hulls come from an
 incremental double-description pass over the homogenization cone, in the
 coordinates of a unimodular echelon transform only when the points span less
 than the ambient space.  One fraction-free elimination of the homogenized
@@ -17,7 +17,6 @@ prefix→interval scan in ``_accel``.
 
 import math
 import operator
-from fractions import Fraction
 
 from . import _accel, linalg
 from .errors import FracmirrorError
@@ -126,12 +125,12 @@ class LatticePolytope:
     """Convex hull of finitely many lattice points, in canonical form.
 
     Vertices and facet pairs are stored lex-sorted so equal polytopes have
-    identical representations.  Facets are inward pairs ``(normal, offset)``
+    identical representations, and two polytopes compare equal by ambient
+    dimension and vertices.  Facets are inward pairs ``(normal, offset)``
     with ``normal·x + offset >= 0`` on the polytope.
     """
 
     __slots__ = (
-        "points",
         "ambient_dim",
         "affine_dim",
         "vertices",
@@ -155,7 +154,6 @@ class LatticePolytope:
         D = len(pts[0]) if ambient_dim is None else operator.index(ambient_dim)
         if any(len(p) != D for p in pts):
             raise ValueError("points have inconsistent dimension")
-        self.points = tuple(pts)
         self.ambient_dim = D
         self._lattice_points = None
         self._polar_dual = None
@@ -235,15 +233,11 @@ class LatticePolytope:
     # -- affine span machinery -------------------------------------------
 
     def _project(self, p):
-        """Span coordinates of ambient point p, or None if off the span."""
+        """Span coordinates of a point p of the affine span."""
         if self._U is None:
             return tuple(p)
         diff = [p[i] - self._v0[i] for i in range(self.ambient_dim)]
-        y = [_dot(row, diff) for row in self._U]
-        a = self.affine_dim
-        if any(y[a:]):
-            return None
-        return tuple(y[:a])
+        return tuple(_dot(row, diff) for row in self._U[: self.affine_dim])
 
     def _unproject(self, y):
         if self._B is None:
@@ -254,20 +248,6 @@ class LatticePolytope:
         )
 
     # -- predicates -------------------------------------------------------
-
-    def contains(self, point):
-        """Whether a point with int or Fraction coordinates lies in P."""
-        p = tuple(point)
-        if any(type(x) not in (int, Fraction) for x in p):
-            raise TypeError("point coordinates must be int or Fraction")
-        if len(p) != self.ambient_dim:
-            raise ValueError("point has wrong dimension")
-        y = self._project(p)
-        if y is None:
-            return False
-        if self.affine_dim == 0:
-            return p == self.vertices[0]
-        return all(_dot(g, y) + c >= 0 for g, c in self._span_facets)
 
     def is_reflexive(self):
         return (
@@ -294,7 +274,7 @@ class LatticePolytope:
                     "polytope is not reflexive: polar dual is not a lattice polytope"
                 )
             dual = LatticePolytope.__new__(LatticePolytope)
-            dual.points = dual.vertices = dual._span_vertices = tuple(g for g, _ in self.facets)
+            dual.vertices = dual._span_vertices = tuple(g for g, _ in self.facets)
             dual.ambient_dim = dual.affine_dim = self.ambient_dim
             dual.facets = dual._span_facets = tuple((v, 1) for v in self.vertices)
             dual._v0, dual._U, dual._B, dual._lattice_points = self._v0, None, None, None
@@ -389,22 +369,6 @@ class LatticePolytope:
             vol += abs(linalg.det(M))
         return vol
 
-    # -- constructions ----------------------------------------------------
-
-    def minkowski_sum(self, other):
-        if not isinstance(other, LatticePolytope):
-            raise TypeError("can only add another LatticePolytope")
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        sums = {
-            tuple(x + y for x, y in zip(p, q))
-            for p in self.vertices
-            for q in other.vertices
-        }
-        return LatticePolytope(sums, self.ambient_dim)
-
-    __add__ = minkowski_sum
-
     # -- serialization / identity ------------------------------------------
 
     def to_dict(self):
@@ -431,12 +395,6 @@ class LatticePolytope:
 
     def __hash__(self):
         return hash((self.ambient_dim, self.vertices))
-
-    def __repr__(self):
-        return (
-            f"LatticePolytope(dim={self.ambient_dim}, "
-            f"affine_dim={self.affine_dim}, vertices={list(self.vertices)})"
-        )
 
 
 def cayley_pyramid(point_sets):

@@ -170,18 +170,6 @@ class RationalSeries:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("series are immutable")
 
-    @classmethod
-    def zero(cls, N):
-        return cls((), N)
-
-    @classmethod
-    def one(cls, N):
-        return cls((1,), N)
-
-    @classmethod
-    def z(cls, N):
-        return cls((0, 1), N)
-
     @property
     def c(self):
         """The coefficients as reduced Fractions, built on first read."""
@@ -191,9 +179,6 @@ class RationalSeries:
 
     def coeff(self, n):
         return self.c[n] if 0 <= n <= self.N else _ZERO
-
-    def is_zero(self):
-        return not any(self.A)
 
     def truncate(self, N):
         if N > self.N:
@@ -214,12 +199,6 @@ class RationalSeries:
 
     def __neg__(self):
         return _make([-x for x in self.A], self.D, self.N)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalSeries) else -parse_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, RationalSeries):
@@ -322,11 +301,6 @@ class RationalSeries:
 
     def __hash__(self):
         return hash((self.N, self.A, self.D))
-
-    def __repr__(self):
-        terms = [f"{fraction_str(x)}*z^{n}" for n, x in enumerate(self.c) if x != 0]
-        body = " + ".join(terms) if terms else "0"
-        return f"RationalSeries({body} + O(z^{self.N + 1}))"
 
     def to_json(self):
         return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D)}

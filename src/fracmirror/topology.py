@@ -44,9 +44,6 @@ class HodgeTable:
     complete: bool = True
     note: str | None = None
 
-    def get(self, p, q):
-        return self.table.get((p, q))
-
     def to_json(self):
         return {
             "h": {f"{p},{q}": v for (p, q), v in sorted(self.table.items())},

@@ -15,7 +15,7 @@ from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
 from fracmirror.gkz import Slices, holo_solution, hypergeometric_series
 from fracmirror.mirror import YukawaData, _dilate
-from fracmirror.nefpart import polytope_of_part
+from fracmirror.nefpart import _part_vertices
 from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries, _coeff_strs, _make, _order
@@ -189,7 +189,7 @@ def reversion_by_powers(f):
     [q^k] T = (1/k) [w^(k-1)] h^k with h = w / f(w), read off the running
     power h^k, so N - 1 full products."""
     h = RationalSeries(f.c[1:], f.N - 1).inverse()
-    out, power = [Fraction(0)], RationalSeries.one(f.N - 1)
+    out, power = [Fraction(0)], RationalSeries((1,), f.N - 1)
     for k in range(1, f.N + 1):
         power = power * h
         out.append(power.coeff(k - 1) / k)
@@ -387,6 +387,24 @@ def volume_by_dilation_counts(P):
         (-1) ** (a - k) * math.comb(a, k) * P.dilate_lattice_point_count(k)
         for k in range(a + 1)
     )
+
+
+def contains(P, point):
+    """Whether a point with int or Fraction coordinates lies in P: on its
+    affine span, where rows a.. of the span transform U vanish on x - v0,
+    and on the inner side of every facet."""
+    p = tuple(point)
+    if any(type(x) not in (int, Fraction) for x in p):
+        raise TypeError("point coordinates must be int or Fraction")
+    if len(p) != P.ambient_dim:
+        raise ValueError("point has wrong dimension")
+    if P.affine_dim == 0:
+        return p == P.vertices[0]
+    if P._U is not None:
+        diff = [x - y for x, y in zip(p, P._v0)]
+        if any(sum(map(operator.mul, row, diff)) for row in P._U[P.affine_dim :]):
+            return False
+    return all(sum(map(operator.mul, g, p)) + c >= 0 for g, c in P.facets)
 
 
 def interior_lattice_points(P):
@@ -818,7 +836,8 @@ def minkowski_sum_by_hulls(polys):
     """P₁ + … + P_r as pairwise hulls of the vertex sums."""
     total = polys[0]
     for P in polys[1:]:
-        total = total + P
+        sums = {tuple(x + y for x, y in zip(p, q)) for p in total.vertices for q in P.vertices}
+        total = LatticePolytope(sums, P.ambient_dim)
     return total
 
 
@@ -832,7 +851,10 @@ def nef_diagnostics_by_hulls(delta, parts):
     """
     rays = delta.polar_dual().vertices
     try:
-        parts_delta = [polytope_of_part(delta, [rays[j] for j in p], rays) for p in parts]
+        parts_delta = [
+            LatticePolytope(_part_vertices(delta, [rays[j] for j in p], rays), delta.ambient_dim)
+            for p in parts
+        ]
     except InvalidNefPartition as exc:
         return [str(exc)]
     issues = []
@@ -919,7 +941,7 @@ def log_prefactor_by_fractions(S):
     """z^rho * sum_j S[j] rho^j as its log parts in L = log z, for eps-slices
     S: part k is the tuple of its m rho-slices, the slices shifted up by k
     and each multiplied by the Fraction 1/k!."""
-    m, zero = len(S), RationalSeries.zero(S[0].N)
+    m, zero = len(S), RationalSeries((), S[0].N)
     return [
         (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
         for k in range(m)

@@ -30,7 +30,6 @@ from fracmirror.gkz import (
     build_gkz,
     holo_solution,
     hypergeometric_series,
-    principal_kernel_vector,
     simplex_kernel_vector,
 )
 from fracmirror.mirror import _dilate
@@ -89,12 +88,12 @@ def test_distinguished_columns_are_kronecker(eight_hyperplanes):
 
 def test_eight_hyperplane_kernel(eight_hyperplanes):
     g = build_gkz(eight_hyperplanes)
-    assert principal_kernel_vector(g) == (-1, 1, -1, 1, -1, 1, -1, 1)
+    assert g.kernel == ((-1, 1, -1, 1, -1, 1, -1, 1),)
 
 
 def test_k3_kernel(k3):
     g = build_gkz(k3)
-    assert principal_kernel_vector(g) == (-3, 1, 1, 1)
+    assert g.kernel == ((-3, 1, 1, 1),)
 
 
 def test_three_part_hexagon_is_multiparameter():
@@ -104,8 +103,7 @@ def test_three_part_hexagon_is_multiparameter():
     assert len(g.A) == 5 and len(g.A[0]) == 9
     assert g.beta == (0, 0, Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))
     assert len(g.kernel) == 4
-    with pytest.raises(FracmirrorError, match="multiparameter moduli unsupported"):
-        principal_kernel_vector(g)
+    assert simplex_kernel_vector(data) is None
 
 
 def test_hexagon_kernel_is_the_smith_lattice():
@@ -135,7 +133,7 @@ def test_matrix_invariant_under_part_reordering(quartic):
 
 def test_principal_vector_sign_convention(quartic):
     g = build_gkz(quartic)
-    ell = principal_kernel_vector(g)
+    [ell] = g.kernel
     dist = [ell[e] for e, lab in enumerate(g.column_labels) if lab[1] == 0]
     assert all(x <= 0 for x in dist)
 
@@ -154,7 +152,7 @@ def test_negative_kernel_entries_are_the_half_exponent_columns(quartic, eight_hy
         systems.append(build_gkz(NefPartition.from_dict(GEN.framed_input(shape, U, Uinv))))
     assert len(systems) == 53 + len(GEN.SHAPES)
     for g in systems:
-        ell = principal_kernel_vector(g)
+        [ell] = g.kernel
         for le, a, (_, j) in zip(ell, g.alpha, g.column_labels):
             assert (le < 0, a) == ((True, Fraction(-1, 2)) if j == 0 else (False, 0))
             assert le != 0
@@ -188,21 +186,22 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
         data = NefPartition.from_dict(doc)
         ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), data)
         g = build_gkz(data)
-        ell = principal_kernel_vector(g)
+        [ell] = g.kernel
         assert ctx.ell == simplex_kernel_vector(data) == ell
         assert (ell,) == gkz_kernel_by_echelon(g.A)
         classes = {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)}
         assert cli._cmd_bseries(ctx)[0]["ring"]["classes"] == classes
         assert "gkz" not in vars(ctx)
     assert len(docs) == 5 + 2 * len(GEN.SHAPES)
-    # off a simplex ell still goes through build_gkz, which refuses it
+    # off a simplex the kernel has rank p - n > 1, so ell is refused without
+    # building the GKZ system
     hexagon = json.loads((REPO / "tests" / "golden" / "hexagon.json").read_text(encoding="utf-8"))
     hexagon = NefPartition.from_dict(hexagon)
     assert simplex_kernel_vector(hexagon) is None
     ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), hexagon)
     with pytest.raises(FracmirrorError, match="multiparameter moduli unsupported"):
         ctx.ell
-    assert len(vars(ctx)["gkz"].kernel) == 4
+    assert "gkz" not in vars(ctx)
 
 
 # ------------------------------------------------------------- solutions
@@ -210,7 +209,7 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
 
 def test_holo_solution_quartic_leading_terms(quartic):
     g = build_gkz(quartic)
-    ell = principal_kernel_vector(g)
+    [ell] = g.kernel
     s = holo_solution(ell, 4)
     assert s.coeff(0) == 1
     assert s.coeff(1) == Fraction(105, 16)
@@ -224,7 +223,7 @@ def test_holo_solution_quartic_leading_terms(quartic):
 
 def test_holo_solution_eight_hyperplanes(eight_hyperplanes):
     g = build_gkz(eight_hyperplanes)
-    ell = principal_kernel_vector(g)
+    [ell] = g.kernel
     s = holo_solution(ell, 3)
     assert s.coeff(1) == Fraction(1, 16)
     for n in range(4):
@@ -287,7 +286,7 @@ def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_h
     # where the coefficients run to hundreds of bits
     for data in (quartic, eight_hyperplanes):
         g = build_gkz(data)
-        ell = principal_kernel_vector(g)
+        [ell] = g.kernel
         num_w, den_w = i_weights_from_kernel(ell)
         for num, den in (
             _series_factors(ell)[:2],
@@ -369,7 +368,7 @@ def test_hypergeometric_series_vanishing_numerator_factor():
 
 def test_box_annihilation_quartic(quartic):
     g = build_gkz(quartic)
-    ell = principal_kernel_vector(g)
+    [ell] = g.kernel
     assert box_annihilation_check(ell, g.alpha, 20)
 
 
@@ -378,12 +377,13 @@ def test_box_annihilation_at_order_40(quartic, eight_hyperplanes):
     # solution of both threefolds, deep enough for wide coefficients
     for data in (quartic, eight_hyperplanes):
         g = build_gkz(data)
-        assert box_annihilation_check(principal_kernel_vector(g), g.alpha, 40)
+        [ell] = g.kernel
+        assert box_annihilation_check(ell, g.alpha, 40)
 
 
 def test_box_annihilation_negative_control(quartic):
     g = build_gkz(quartic)
-    ell = principal_kernel_vector(g)
+    [ell] = g.kernel
     s = holo_solution(ell, 6)
     corrupted = RationalSeries(
         [s.coeff(n) + (1 if n == 3 else 0) for n in range(7)], 6

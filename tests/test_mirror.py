@@ -24,7 +24,7 @@ import sympy
 from fracmirror.cli import JobConfig, _normalization
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
-from fracmirror.gkz import build_gkz, principal_kernel_vector
+from fracmirror.gkz import build_gkz
 from fracmirror.mirror import (
     FrobeniusPair,
     _dilate,
@@ -50,7 +50,7 @@ from test_nefpart import _random_set_partitions
 
 
 def _pair(data, N=10):
-    ell = principal_kernel_vector(build_gkz(data))
+    [ell] = build_gkz(data).kernel
     return frobenius_pair(ell, N), ell
 
 
@@ -151,7 +151,7 @@ def test_frobenius_pair_refuses_a_bool_order():
 def test_log_solution_jointly_annihilated(case, request):
     pair, ell = _pair(request.getfixturevalue(case), 16)
     op = theta_conjugate(ell)
-    assert all(p.is_zero() for p in apply(op, omega1_log(pair)))
+    assert all(not any(p.A) for p in apply(op, omega1_log(pair)))
 
 
 # ------------------------------------------------------------- mirror map
@@ -204,8 +204,8 @@ def test_mirror_map_against_inline_formulas(case, s, request):
 def test_mirror_map_round_trip(quartic):
     pair, _ = _pair(quartic)
     q, z = mirror_map(pair)
-    assert matches(q.compose(z), RationalSeries.z(10), 8)
-    assert matches(z.compose(q), RationalSeries.z(10), 8)
+    assert matches(q.compose(z), RationalSeries((0, 1), 10), 8)
+    assert matches(z.compose(q), RationalSeries((0, 1), 10), 8)
 
 
 def test_z_of_q_integrality(quartic, eight_hyperplanes, k3):
@@ -365,11 +365,11 @@ def _one_parameter_cases(quartic, eight_hyperplanes, k3):
             continue
         g = build_gkz(NefPartition(delta, parts))
         if len(g.kernel) == 1:
-            cases.append(((name, tuple(parts)), principal_kernel_vector(g), g, (1, 2, 9, 16)))
+            cases.append(((name, tuple(parts)), g.kernel[0], g, (1, 2, 9, 16)))
     assert len(cases) == 50
     for label, data in (("quartic", quartic), ("eight", eight_hyperplanes), ("k3", k3)):
         g = build_gkz(data)
-        cases.append((label, principal_kernel_vector(g), g, (40,)))
+        cases.append((label, *g.kernel, g, (40,)))
     return cases
 
 

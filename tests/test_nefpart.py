@@ -11,15 +11,16 @@ from fracmirror.errors import InvalidNefPartition
 from fracmirror.gkz import build_gkz
 from fracmirror.nefpart import (
     NefPartition,
+    _part_vertices,
     _sums_to,
     dual_nef_partition,
-    polytope_of_part,
     validate_nef_partition,
 )
 from fracmirror.polytope import LatticePolytope, cayley_pyramid
 from fracmirror.topology import euler_double_cover
 from oracles import (
     cayley_polytope,
+    contains,
     gkz_kernel_by_echelon,
     minkowski_sum_by_hulls,
     nef_diagnostics_by_hulls,
@@ -32,41 +33,49 @@ P2 = [(2, -1), (-1, 2), (-1, -1)]
 HEXAGON = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)]
 
 
+def _parts_delta(data):
+    """The part polytopes Delta_i, one hull of each part's vertices."""
+    return tuple(LatticePolytope(V, data.delta.ambient_dim) for V in data.part_vertices)
+
+
+def _dual(data):
+    """The dual nef-partition, on nabla with the parts ``dual_parts`` reads."""
+    return NefPartition(data.nabla, data.dual_parts())
+
+
 def test_trivial_partition_part_is_delta(quartic):
     assert quartic.r == 1
-    assert quartic.parts_delta[0] == quartic.delta
+    assert _parts_delta(quartic)[0] == quartic.delta
 
 
 def test_p2_trivial_part():
     data = NefPartition(LatticePolytope(P2), [[0, 1, 2]])
-    assert data.parts_delta[0] == LatticePolytope(P2)
+    assert _parts_delta(data)[0] == LatticePolytope(P2)
 
 
 def test_eight_hyperplane_parts_are_unit_translates(eight_hyperplanes):
     # each part polytope is a lattice translate of a standard simplex or the
     # origin-cornered simplex; all have normalized volume 1 and 4 vertices
-    for P in eight_hyperplanes.parts_delta:
+    parts = _parts_delta(eight_hyperplanes)
+    for P in parts:
         assert P.affine_dim == 3
         assert len(P.vertices) == 4
         assert P.normalized_volume() == 1
-    total = eight_hyperplanes.parts_delta[0]
-    for P in eight_hyperplanes.parts_delta[1:]:
-        total = total + P
-    assert total == eight_hyperplanes.delta
+    assert minkowski_sum_by_hulls(parts) == eight_hyperplanes.delta
 
 
-def test_polytope_of_part_errors():
+def test_part_vertices_errors():
     delta = LatticePolytope(QUARTIC)
     rays = delta.polar_dual().vertices
     with pytest.raises(InvalidNefPartition, match="empty part"):
-        polytope_of_part(delta, [], rays)
+        _part_vertices(delta, [], rays)
     # dropping the (-1,-1,-1) ray leaves {x >= -1, y >= 0, z >= 0}: unbounded
     with pytest.raises(InvalidNefPartition, match="unbounded"):
-        polytope_of_part(delta, [rays[1]], rays[1:])
+        _part_vertices(delta, [rays[1]], rays[1:])
     # too few constraints to pin a vertex at all: the homogenized cone is
     # not even pointed
     with pytest.raises(ValueError, match="cone is not pointed"):
-        polytope_of_part(delta, [rays[0]], rays[:2])
+        _part_vertices(delta, [rays[0]], rays[:2])
 
 
 def test_float_rays_and_part_indices_are_refused():
@@ -76,12 +85,22 @@ def test_float_rays_and_part_indices_are_refused():
     rays = delta.polar_dual().vertices
     shifted = [tuple(x + 0.4 for x in rho) for rho in rays]
     with pytest.raises(TypeError):
-        polytope_of_part(delta, shifted, shifted)
+        _part_vertices(delta, shifted, shifted)
     with pytest.raises(TypeError):
-        polytope_of_part(delta, rays, [tuple(map(float, rho)) for rho in rays])
+        _part_vertices(delta, rays, [tuple(map(float, rho)) for rho in rays])
     with pytest.raises(TypeError):
         NefPartition(delta, [[0.7, 1.7, 2.7, 3.7]])
     assert NefPartition(delta, [[3, 2, 1, 0]]).ray_parts == ((0, 1, 2, 3),)
+
+
+def test_bool_part_indices_are_refused():
+    # True and False are ints to ``operator.index``, so they would load as
+    # the parts (0, 1, 2, 3); they are refused as ``series._order`` refuses
+    # a bool order
+    delta = LatticePolytope(QUARTIC)
+    for parts in ([[True, False, 2, 3]], [[0, 1, 2], [True]]):
+        with pytest.raises(TypeError, match="a part index must be an integer"):
+            NefPartition(delta, parts)
 
 
 def test_validate_diagnostics():
@@ -150,21 +169,26 @@ def test_dual_nef_partition_known_nablas(quartic, k3):
 
 def test_nabla_dual_is_polar_dual_of_nabla(quartic, eight_hyperplanes, k3):
     # oracle: nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), built as its own hull
+    # of the Delta_i cut out by DD passes (validation reads them off the
+    # simplex Delta's vertices)
     for data in (quartic, eight_hyperplanes, k3):
-        union = [v for P in data.parts_delta for v in P.vertices]
+        rays = data.rays
+        union = [
+            v for part in data.ray_parts for v in _part_vertices(data.delta, [rays[j] for j in part], rays)
+        ]
         assert data.nabla_dual == LatticePolytope(union, data.delta.ambient_dim)
 
 
 def test_duality_is_an_involution(quartic, eight_hyperplanes, k3):
     for data in (quartic, eight_hyperplanes, k3):
-        dd = data.dual_data().dual_data()
+        dd = _dual(_dual(data))
         assert dd.delta == data.delta
         assert dd.ray_parts == data.ray_parts
 
 
 def test_dual_parts_are_the_dual_partition(quartic, eight_hyperplanes, k3):
     for data in (quartic, eight_hyperplanes, k3):
-        assert [tuple(p) for p in data.dual_parts()] == list(data.dual_data().ray_parts)
+        assert [tuple(p) for p in data.dual_parts()] == list(_dual(data).ray_parts)
 
 
 def test_dual_parts_rejects_a_vertex_in_no_part(k3):
@@ -175,20 +199,19 @@ def test_dual_parts_rejects_a_vertex_in_no_part(k3):
     bad.ray_parts = ((),) * k3.r
     with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
         bad.dual_parts()
-    with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
-        bad.dual_data()
 
 
 def test_eight_hyperplane_nabla_roundtrip(eight_hyperplanes):
     # recomputing nabla via the dual partition reproduces the same polytope
-    dual = eight_hyperplanes.dual_data()
+    dual = _dual(eight_hyperplanes)
     assert dual.nabla == eight_hyperplanes.delta
     assert dual.delta == eight_hyperplanes.nabla
 
 
 def test_json_round_trip(quartic):
-    again = NefPartition.from_dict(quartic.to_dict())
-    assert again == quartic
+    doc = {"delta": quartic.delta.to_dict(), "parts": [list(p) for p in quartic.ray_parts]}
+    again = NefPartition.from_dict(doc)
+    assert (again.delta, again.ray_parts) == (quartic.delta, quartic.ray_parts)
     with pytest.raises(ValueError, match='nef-partition JSON needs'):
         NefPartition.from_dict({"delta": {"dim": 2, "vertices": [[0, 0]]}})
 
@@ -275,8 +298,7 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
         assert data.nabla.is_reflexive()
         rays = data.rays
         assert data.part_vertices == tuple(
-            polytope_of_part(delta, [rays[j] for j in part], rays).vertices
-            for part in data.ray_parts
+            _part_vertices(delta, [rays[j] for j in part], rays) for part in data.ray_parts
         ), (name, parts)
         g = build_gkz(data).to_json()
         assert g["kernel"] == [list(v) for v in gkz_kernel_by_echelon(g["A"])], (name, parts)
@@ -345,7 +367,7 @@ def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hype
     for data in accepted:
         assert data.nabla == minkowski_sum_by_hulls(data.nabla_parts)
         homes = [
-            next(i for i, P in enumerate(data.parts_delta) if P.contains(v))
+            next(i for i, P in enumerate(_parts_delta(data)) if contains(P, v))
             for v in data.nabla_dual.vertices
         ]
         assert data.dual_parts() == [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
-from fracmirror.gkz import build_gkz, holo_solution, principal_kernel_vector
+from fracmirror.gkz import build_gkz, holo_solution
 from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
@@ -24,7 +24,7 @@ from test_mirror import _one_parameter_cases
 
 
 def _operator(data):
-    ell = principal_kernel_vector(build_gkz(data))
+    [ell] = build_gkz(data).kernel
     return theta_conjugate(ell), ell
 
 
@@ -138,7 +138,7 @@ def test_conjugate_rejects_unbalanced_degrees():
 
 def test_apply_theta_reproduces_theta():
     theta = ThetaOperator(((Fraction(0),), (Fraction(1),)))
-    z = RationalSeries.z(5)
+    z = RationalSeries((0, 1), 5)
     assert matches(apply(theta, z)[0], z, 5)
     f = RationalSeries([7, 5, 3], 2)
     assert matches(apply(theta, f)[0], f.theta(), 2)
@@ -154,7 +154,7 @@ def test_apply_rejects_non_series(quartic):
 def test_operator_annihilates_holomorphic_solution(case, request):
     op, ell = _operator(request.getfixturevalue(case))
     omega0 = holo_solution(ell, 20)
-    assert all(p.is_zero() for p in apply(op, omega0))
+    assert all(not any(p.A) for p in apply(op, omega0))
 
 
 def test_apply_handles_log_series():
@@ -162,9 +162,9 @@ def test_apply_handles_log_series():
     N = 5
     zero = RationalSeries([0], N)
     theta2 = ThetaOperator(((Fraction(0),), (Fraction(0),), (Fraction(1),)))
-    assert all(p.is_zero() for p in apply(theta2, [zero, RationalSeries.one(N)]))
+    assert all(not any(p.A) for p in apply(theta2, [zero, RationalSeries((1,), N)]))
     sq = ThetaOperator(((Fraction(1),), (Fraction(-2),), (Fraction(1),)))
-    assert all(p.is_zero() for p in apply(sq, [zero, RationalSeries.z(N)]))
+    assert all(not any(p.A) for p in apply(sq, [zero, RationalSeries((0, 1), N)]))
 
 
 # ------------------------------------------------------- recurrence kernel

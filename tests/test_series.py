@@ -107,7 +107,7 @@ def test_ring_axioms_random():
         assert matches(a * b, b * a, N)
         assert matches((a * b) * c, a * (b * c), N)
         assert matches(a * (b + c), a * b + a * c, N)
-        assert (a - a).is_zero()
+        assert not any((a + -a).A)
 
 
 def test_truncation_takes_minimum_order():
@@ -126,7 +126,7 @@ def test_geometric_inverse():
     N = 12
     g = geometric(N)
     one_minus_z = RationalSeries([1, -1] + [0] * (N - 1), N)
-    assert matches(g * one_minus_z, RationalSeries.one(N), N)
+    assert matches(g * one_minus_z, RationalSeries((1,), N), N)
     assert matches(one_minus_z.inverse(), g, N)
 
 
@@ -137,7 +137,7 @@ def test_exp_log_round_trip():
         f = rand_series(rng, N, zero_const=True)
         assert matches(f.exp().log(), f, N)
         g = rand_series(rng, N)
-        g = g - RationalSeries([g.coeff(0) - 1], 0).truncate(0)  # force c0 = 1
+        g = g + -RationalSeries([g.coeff(0) - 1], 0).truncate(0)  # force c0 = 1
         coeffs = [Fraction(1)] + [g.coeff(i) for i in range(1, N + 1)]
         g = RationalSeries(coeffs, N)
         assert matches(g.log().exp(), g, N)
@@ -174,8 +174,8 @@ def test_compose():
     f = geometric(N)
     comp = f.compose(inner)
     # 1/(1-(z+z^2)) expanded directly
-    expect = RationalSeries.one(N)
-    acc = RationalSeries.one(N)
+    expect = RationalSeries((1,), N)
+    acc = RationalSeries((1,), N)
     for _ in range(N):
         acc = acc * inner
         expect = expect + acc
@@ -193,8 +193,8 @@ def test_reversion_round_trip_and_catalan():
         ]
         f = RationalSeries(coeffs, N)
         g = f.reversion()
-        assert matches(f.compose(g), RationalSeries.z(N), N)
-        assert matches(g.compose(f), RationalSeries.z(N), N)
+        assert matches(f.compose(g), RationalSeries((0, 1), N), N)
+        assert matches(g.compose(f), RationalSeries((0, 1), N), N)
     q = RationalSeries([0, 1, 1, 0, 0], 4)
     z_of_q = q.reversion()
     assert [z_of_q.coeff(i) for i in range(5)] == [0, 1, -1, 2, -5]
@@ -232,7 +232,7 @@ def _invertible_series(draw):
 @settings(max_examples=40, deadline=None)
 @given(_invertible_series())
 def test_reversion_is_a_two_sided_inverse(s):
-    z = RationalSeries.z(s.N)
+    z = RationalSeries((0, 1), s.N)
     assert matches(s.compose(s.reversion()), z, s.N)
     assert matches(s.reversion().compose(s), z, s.N)
 
@@ -357,7 +357,7 @@ def test_kernels_match_fraction_loops_on_wide_coefficients():
     a, b = (RationalSeries([wide(n) for n in range(N + 1)], N) for _ in range(2))
     _same_reduced_fractions(a * b, product_term_by_term(a, b))
     _same_reduced_fractions(a.inverse(), inverse_term_by_term(a))
-    f = a - a.coeff(0)
+    f = a + -a.coeff(0)
     _same_reduced_fractions(f.exp(), exp_term_by_term(f))
     assert max(x.numerator.bit_length() for x in (a * b).c) > 800
 
@@ -378,7 +378,7 @@ def _canon_series(draw):
     """Order 0 <= N <= 7, sometimes the zero series."""
     N = draw(st.integers(0, 7))
     if draw(st.integers(0, 9)) == 0:
-        return RationalSeries.zero(N)
+        return RationalSeries((), N)
     return RationalSeries(draw(st.lists(_canon_coeffs, min_size=N + 1, max_size=N + 1)), N)
 
 
@@ -392,11 +392,11 @@ def _same_canonical(s, oracle):
 @given(_canon_series(), _canon_series(), _canon_coeffs, st.integers(0, 3))
 def test_every_operation_returns_the_canonical_form(a, b, x, j):
     N = min(a.N, b.N)
-    f = a - a.coeff(0)
+    f = a + -a.coeff(0)
     cases = [
         (a * b, product_term_by_term(a, b)),
         (a + b, RationalSeries([p + q for p, q in zip(a.c, b.c)], N)),
-        (a - b, RationalSeries([p - q for p, q in zip(a.c, b.c)], N)),
+        (a + -b, RationalSeries([p - q for p, q in zip(a.c, b.c)], N)),
         (a * x, RationalSeries([p * x for p in a.c], a.N)),
         (a + x, RationalSeries([a.c[0] + x, *a.c[1:]], a.N)),
         (f, RationalSeries([0, *a.c[1:]], a.N)),
@@ -420,7 +420,7 @@ def test_every_operation_returns_the_canonical_form(a, b, x, j):
 def _draw_series(draw, N, zero_const=False):
     """Order N over ``_canon_coeffs``, the zero series with chance 1/10."""
     if draw(st.integers(0, 9)) == 0:
-        return RationalSeries.zero(N)
+        return RationalSeries((), N)
     coeffs = draw(st.lists(_canon_coeffs, min_size=N + 1, max_size=N + 1))
     if zero_const:
         coeffs[0] = 0
@@ -461,7 +461,7 @@ def test_reversion_matches_every_power(N, data):
 
 def test_zero_series_is_zeros_over_one():
     a = RationalSeries([Fraction(1, 3), Fraction(-5, 7)], 1)
-    for zero in (a - a, a * 0, RationalSeries.zero(1), RationalSeries([0, 0])):
+    for zero in (a + -a, a * 0, RationalSeries((), 1), RationalSeries([0, 0])):
         assert (zero.A, zero.D) == ((0, 0), 1)
 
 
@@ -479,7 +479,7 @@ def test_truncation_divides_out_the_content_of_the_prefix():
     "build",
     [
         lambda: RationalSeries([1, 2, 3], 2.5),
-        lambda: RationalSeries.zero(3.0),
+        lambda: RationalSeries((), 3.0),
         lambda: EpsPoly(2.7, (1, 2)),
         lambda: hypergeometric_series([], [], 2.9, 1),
         lambda: hypergeometric_series([], [], 2, 1.5),
@@ -496,7 +496,7 @@ def test_orders_refuse_floats(build):
     "build",
     [
         lambda: RationalSeries([1, 2, 3], True),
-        lambda: RationalSeries.zero(False),
+        lambda: RationalSeries((), False),
         lambda: EpsPoly(True, (1, 2)),
         lambda: hypergeometric_series([], [], True, 1),
         lambda: hypergeometric_series([], [], 2, True),
@@ -533,10 +533,10 @@ def test_slice_operations_match_epspoly_route():
         B = _eps_coefficients(rng, m, rng.randint(0, 10))
         a, b = eps_slices(A, len(A) - 1), eps_slices(B, len(B) - 1)
         N = min(len(A), len(B)) - 1
-        zero_slices += sum(s.is_zero() for s in a)
+        zero_slices += sum(not any(s.A) for s in a)
         assert [EpsPoly(m, [s.coeff(n) for s in a]) for n in range(len(A))] == A
         assert tuple(x + y for x, y in zip(a, b)) == eps_slices([x + y for x, y in zip(A, B)], N)
-        assert tuple(x - y for x, y in zip(a, b)) == eps_slices([x - y for x, y in zip(A, B)], N)
+        assert tuple(x + -y for x, y in zip(a, b)) == eps_slices([x - y for x, y in zip(A, B)], N)
         assert tuple(s + c for s, c in zip(a, B[0].c)) == eps_slices([A[0] + B[0]] + A[1:], a[0].N)
         c = B[0].c[0]
         assert tuple(s * c for s in a) == eps_slices([x * c for x in A], a[0].N)

@@ -87,8 +87,8 @@ def test_euler_double_cover_k3(k3):
     assert (topo.chi_X, topo.chi_X_dual) == (3, 9)
     assert (topo.vol_Lambda, topo.vol_Lambda_dual) == (9, 3)
     assert topo.chi_Y == 12 and topo.chi_Y_dual == 12
-    assert topo.hodge.get(1, 1) == 8
-    assert topo.hodge.get(2, 0) == 1 and topo.hodge.get(0, 2) == 1
+    assert topo.hodge.table[(1, 1)] == 8
+    assert topo.hodge.table[(2, 0)] == 1 and topo.hodge.table[(0, 2)] == 1
     assert topo.hodge.complete
 
 
@@ -97,19 +97,19 @@ def test_euler_double_cover_quartic(quartic):
     assert (topo.chi_X, topo.chi_X_dual) == (4, 64)
     assert topo.chi_Y == -60 and topo.chi_Y_dual == 60
     h = topo.hodge
-    assert h.get(1, 1) == 1 and h.get(2, 1) == 31
-    assert h.get(3, 0) == 1 and h.get(0, 0) == 1
+    assert h.table[(1, 1)] == 1 and h.table[(2, 1)] == 31
+    assert h.table[(3, 0)] == 1 and h.table[(0, 0)] == 1
     hd = topo.hodge_dual
-    assert hd.get(1, 1) == 31 and hd.get(2, 1) == 1
+    assert hd.table[(1, 1)] == 31 and hd.table[(2, 1)] == 1
     # mirror exchange of the two middle columns
-    assert h.get(1, 1) == hd.get(2, 1) and h.get(2, 1) == hd.get(1, 1)
+    assert h.table[(1, 1)] == hd.table[(2, 1)] and h.table[(2, 1)] == hd.table[(1, 1)]
 
 
 def test_euler_double_cover_eight_hyperplanes(eight_hyperplanes_topology):
     topo = eight_hyperplanes_topology
     assert topo.chi_Y == -16 and topo.chi_Y_dual == 16
-    assert topo.hodge.get(1, 1) == 1 and topo.hodge.get(2, 1) == 9
-    assert topo.hodge_dual.get(1, 1) == 9 and topo.hodge_dual.get(2, 1) == 1
+    assert topo.hodge.table[(1, 1)] == 1 and topo.hodge.table[(2, 1)] == 9
+    assert topo.hodge_dual.table[(1, 1)] == 9 and topo.hodge_dual.table[(2, 1)] == 1
 
 
 def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
@@ -185,20 +185,20 @@ def test_snc_oracle_singleton_branch():
 
 def test_hodge_numbers_k3_table(k3):
     table = hodge_numbers(k3.delta, 12)
-    assert table.get(1, 1) == 8
-    assert table.get(0, 0) == 1 and table.get(2, 2) == 1
-    assert table.get(1, 0) == 0
+    assert table.table[(1, 1)] == 8
+    assert table.table[(0, 0)] == 1 and table.table[(2, 2)] == 1
+    assert table.table[(1, 0)] == 0
 
 
 def test_hodge_two_routes_agree(quartic):
     # mirror side: h^{1,1} from boundary points equals h^{1,1} from chi
-    data = quartic.dual_data()
+    data = NefPartition(quartic.nabla, quartic.dual_parts())
     h11 = boundary_lattice_point_count(data.delta.polar_dual()) - 3
     chi = euler_double_cover(quartic).chi_Y_dual
     h21 = h11 - chi // 2
     table = hodge_numbers(data.delta, chi)
-    assert table.get(1, 1) == h11 == 31
-    assert table.get(2, 1) == h21 == 1
+    assert table.table[(1, 1)] == h11 == 31
+    assert table.table[(2, 1)] == h21 == 1
 
 
 def _shape_input(case):
@@ -218,7 +218,7 @@ def test_h11_counts_boundary_points(case):
         dual = delta.polar_dual()
         assert interior_lattice_points(dual) == ((0,) * n,)
         if n > 2:  # a surface's h^{1,1} comes from chi
-            h11 = hodge_numbers(delta, 0).get(1, 1)
+            h11 = hodge_numbers(delta, 0).table[(1, 1)]
             assert h11 == boundary_lattice_point_count(dual) - n
 
 
@@ -236,7 +236,7 @@ def test_hodge_higher_dimension_partial():
     table = hodge_numbers(data.delta, 0)
     assert not table.complete
     assert table.note == "middle Hodge numbers not determined"
-    assert table.get(1, 1) == table.get(3, 3)
+    assert table.table[(1, 1)] == table.table[(3, 3)]
 
 
 def test_hodge_json(quartic):

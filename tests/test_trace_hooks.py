@@ -160,6 +160,26 @@ def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
         assert tracer.calls["gkz.build_gkz"] == 0
 
 
+def test_multiparameter_series_jobs_build_no_gkz_system():
+    # off a simplex the GKZ kernel has rank p - n > 1 for p rays, so every
+    # series command refuses the hexagon before it builds A, alpha and beta
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        for command in ("pf", "mirror-map", "yukawa", "ifunction", "bseries"):
+            tracer.calls["gkz.build_gkz"] = 0
+            err = io.StringIO()
+            config = cli.JobConfig(command, str(REPO / "tests" / "golden" / "hexagon.json"), N=4, fmt="json")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(config)
+            assert (command, code, err.getvalue(), tracer.calls["gkz.build_gkz"]) == (
+                command, 3, "error: multiparameter moduli unsupported\n", 0
+            )
+    finally:
+        undo()
+
+
 def test_dual_nef_builds_each_polytope_once():
     # Delta, nabla* (the union of the Delta_i vertices) and nabla_1, which
     # dual-nef prints; Delta* and nabla are polar duals read off their
@@ -318,11 +338,11 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         RationalSeries([Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(N + 1)], N)
         for _ in range(2)
     )
-    f, x = a - a.coeff(0) + RationalSeries.z(N), Fraction(3, 4)
+    f, x = a + -a.coeff(0) + RationalSeries((0, 1), N), Fraction(3, 4)
     ops = {
         "product": lambda: a * b,
         "sum": lambda: a + b,
-        "difference": lambda: a - b,
+        "difference": lambda: a + -b,
         "scalar product": lambda: a * x,
         "inverse": a.inverse,
         "exp": f.exp,
