@@ -173,9 +173,8 @@ def test_nabla_dual_is_polar_dual_of_nabla(quartic, eight_hyperplanes, k3):
     # simplex Delta's vertices)
     for data in (quartic, eight_hyperplanes, k3):
         rays = data.rays
-        union = [
-            v for part in data.ray_parts for v in _part_vertices(data.delta, [rays[j] for j in part], rays)
-        ]
+        cuts = [_part_vertices(data.delta, [rays[j] for j in part], rays) for part in data.ray_parts]
+        union = [v for V in cuts for v in V]
         assert data.nabla_dual == LatticePolytope(union, data.delta.ambient_dim)
 
 

@@ -31,13 +31,13 @@ UNREACHED = {
     "_accel.backend_name": "perfbench/run.py records the name of the scan's arithmetic",
     "_accel.count_points": _PATCHED,
     "gkz.holo_solution": _PATCHED,
-    "nefpart.validate_nef_partition": "perfbench/test_perfbench.py validates its framed inputs with it",
+    "nefpart.validate_nef_partition": "perfbench/test_perfbench.py checks its inputs with it",
     "polytope.LatticePolytope.__eq__": "value equality; without it a test's == compares identity",
     "polytope.LatticePolytope.__hash__": "the hash that goes with __eq__",
     "polytope.LatticePolytope.dilate_lattice_point_count": _PATCHED,
     "series.RationalSeries.__eq__": "value equality; without it a test's == compares identity",
     "series.RationalSeries.__hash__": "the hash that goes with __eq__",
-    "series.RationalSeries.__init__": "the constructor that validates its values (commands use _make)",
+    "series.RationalSeries.__init__": "the constructor that validates its values; commands use _make",
     "series.RationalSeries.__setattr__": "the guard that keeps a series immutable",
     "series.RationalSeries.antitheta": "the last step of log, which perfbench/spans.py patches",
     "series.RationalSeries.compose": _PATCHED,
@@ -97,13 +97,14 @@ def test_every_function_but_the_listed_ones_runs_under_a_command(tmp_path):
             seen.add(frame.f_code)
 
     codes = {label: set() for label in inputs}
+    out = io.StringIO()
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
         for label, (_, path) in inputs.items():
             for command in cli._DISPATCH:
                 for fmt in ("json", "table"):
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
                         codes[label].add(cli.main([command, str(path), "-N", "4", "--format", fmt]))
     finally:
         sys.setprofile(previous)
