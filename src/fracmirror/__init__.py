@@ -7,7 +7,7 @@ maps, Yukawa couplings, and cohomology-valued I-functions).
 """
 
 from .errors import FracmirrorError, InvalidNefPartition, SmoothnessError
-from .polytope import LatticePolytope, cayley_pyramid
+from .polytope import LatticePolytope, cayley_pyramids
 from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
 from .topology import (
     CoverTopology,
@@ -45,7 +45,7 @@ __all__ = [
     "InvalidNefPartition",
     "SmoothnessError",
     "LatticePolytope",
-    "cayley_pyramid",
+    "cayley_pyramids",
     "NefPartition",
     "dual_nef_partition",
     "validate_nef_partition",

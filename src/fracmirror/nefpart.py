@@ -119,7 +119,9 @@ def _derive(delta, parts):
         if len(part) == 0:
             issues.append(f"part {i} is empty")
         for idx in part:
-            if not isinstance(idx, int) or not 0 <= idx < k:
+            if type(idx) is not int:
+                issues.append(f"part {i} has a non-integer vertex index")
+            elif not 0 <= idx < k:
                 issues.append(f"part {i} has an out-of-range vertex index")
             elif idx in seen:
                 issues.append(
@@ -258,9 +260,12 @@ class NefPartition:
     def from_dict(cls, d):
         if not isinstance(d, dict) or "delta" not in d or "parts" not in d:
             raise ValueError('nef-partition JSON needs "delta" and "parts"')
-        for part in d["parts"]:
+        parts = d["parts"]
+        if not isinstance(parts, list) or not all(isinstance(part, list) for part in parts):
+            raise ValueError('"parts" must be a list of index lists')
+        for part in parts:
             _require_ints(part, "part index")
-        return cls(LatticePolytope.from_dict(d["delta"]), d["parts"])
+        return cls(LatticePolytope.from_dict(d["delta"]), parts)
 
 
 def dual_nef_partition(data):

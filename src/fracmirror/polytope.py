@@ -13,8 +13,27 @@ its incidences their transpose.  Volumes are normalized lattice volumes in
 the affine span, summed over the simplices of a pulling triangulation read
 off those incidences; lattice-point scans run on the one exact-int
 prefix→interval scan in ``_accel``.
+
+The Cayley pyramids of a nef-partition build no hull either.  In
+M × Z^r and N × Z^r let
+
+    Λ  = conv({0} ∪ {(m, e_i) : m ∈ Δ_i}),
+    Λ∨ = conv({0} ∪ {(u, e_k) : u ∈ ∇_k}),   ∇_k = conv({0} ∪ rays of part k),
+
+paired by ⟨(m, e_i), (u, e_k)⟩ = ⟨m, u⟩ + [i = k].  The cut of Δ_i gives
+⟨m, ρ⟩ >= −[i = k] for a ray ρ of part k, so the pairing is >= 0, and the
+cones over the two Cayley polytopes are dual Gorenstein cones (Batyrev and
+Borisov, "On Calabi–Yau complete intersections in toric varieties", 1996).
+Hence the facets of Λ∨ are its lid t_1 + ... + t_r <= 1 and one facet
+(m, e_i)·y >= 0 through the apex for each vertex m of each Δ_i, the rays of
+the dual cone.  Its vertices are the apex and those tagged points of the
+∇_k that the facets through them cut out alone.  Each ray of Δ* is a vertex
+of every ∇_k that holds it, so only (0, e_k) can fail, and it fails exactly
+when 0 ∈ conv(rays of part k).  Λ is read off Λ∨ by transposing the
+incidences, as the polar dual is, with apex and lid swapped.
 """
 
+import bisect
 import math
 import operator
 
@@ -23,7 +42,7 @@ from .errors import FracmirrorError
 
 __all__ = [
     "LatticePolytope",
-    "cayley_pyramid",
+    "cayley_pyramids",
 ]
 
 
@@ -121,6 +140,31 @@ def _dd_extreme_rays(rows, seed=None):
     return tuple(sorted(zip(rays, masks)))
 
 
+def _vertex_test(masks, count):
+    """The indices of the vertices among ``count`` points, given the masks
+    of the points on each facet, and those masks over the vertices (bit k
+    is vertex k).
+
+    A point is a vertex iff no other point lies on every facet it lies on (a
+    face holding two of the points has two vertices among them): the facet
+    masks through point i meet in bit i alone.
+    """
+    verts = []
+    for i in range(count):
+        face = -1
+        for m in masks:
+            if m >> i & 1:
+                face &= m
+        if face == 1 << i:
+            verts.append(i)
+    return verts, tuple(sum(1 << k for k, i in enumerate(verts) if m >> i & 1) for m in masks)
+
+
+def _transpose(masks, count):
+    """Masks over ``count`` bits, transposed: bit f of mask k is bit k of masks[f]."""
+    return tuple(sum(1 << f for f, m in enumerate(masks) if m >> k & 1) for k in range(count))
+
+
 class LatticePolytope:
     """Convex hull of finitely many lattice points, in canonical form.
 
@@ -200,23 +244,9 @@ class LatticePolytope:
         rays = _dd_extreme_rays(rows, (idx, d, E))
         self._span_facets = tuple((r[:-1], r[-1]) for r, _ in rays)
 
-        # a point is a vertex iff no other point lies on every facet it lies
-        # on (a face holding two input points has two vertices among them):
-        # the facet masks through point i meet in bit i alone
-        verts = []
-        for i in range(len(pts)):
-            face = -1
-            for _, m in rays:
-                if m >> i & 1:
-                    face &= m
-            if face == 1 << i:
-                verts.append(i)
+        verts, self._incidences = _vertex_test([m for _, m in rays], len(pts))
         self.vertices = tuple(pts[i] for i in verts)
         self._span_vertices = tuple(span_pts[i] for i in verts)
-        # the facet masks over the vertices: bit k is vertex k
-        self._incidences = tuple(
-            sum(1 << k for k, i in enumerate(verts) if m >> i & 1) for _, m in rays
-        )
 
         if a == D:
             self.facets = self._span_facets
@@ -273,17 +303,26 @@ class LatticePolytope:
                 raise FracmirrorError(
                     "polytope is not reflexive: polar dual is not a lattice polytope"
                 )
-            dual = LatticePolytope.__new__(LatticePolytope)
-            dual.vertices = dual._span_vertices = tuple(g for g, _ in self.facets)
-            dual.ambient_dim = dual.affine_dim = self.ambient_dim
-            dual.facets = dual._span_facets = tuple((v, 1) for v in self.vertices)
-            dual._v0, dual._U, dual._B, dual._lattice_points = self._v0, None, None, None
-            dual._incidences = tuple(
-                sum(1 << f for f, m in enumerate(self._incidences) if m >> k & 1)
-                for k in range(len(self.vertices))
+            dual = LatticePolytope._read_off(
+                tuple(g for g, _ in self.facets),
+                tuple((v, 1) for v in self.vertices),
+                _transpose(self._incidences, len(self.vertices)),
             )
             self._polar_dual, dual._polar_dual = dual, self
         return self._polar_dual
+
+    @classmethod
+    def _read_off(cls, vertices, facets, incidences):
+        """A full-dimensional polytope from its lex-sorted vertices and facets
+        and the facet masks over the vertices, with no hull."""
+        P = cls.__new__(cls)
+        P.vertices = P._span_vertices = vertices
+        P.facets = P._span_facets = facets
+        P._incidences = incidences
+        P.ambient_dim = P.affine_dim = len(vertices[0])
+        P._v0 = (0,) * P.ambient_dim
+        P._U = P._B = P._lattice_points = P._polar_dual = None
+        return P
 
     # -- lattice points ---------------------------------------------------
 
@@ -397,21 +436,61 @@ class LatticePolytope:
         return hash((self.ambient_dim, self.vertices))
 
 
-def cayley_pyramid(point_sets):
-    """Λ = conv({0} ∪ {(p, e_i) : p in S_i}) in Z^(n+r), one hull.
+def _pyramid(points, normals, tight, r):
+    """conv({0} ∪ points) for lex-sorted points at height 1 in the last r
+    coordinates, read off its facets: the lid through every point, and
+    (g, 0) through the origin and the points j with bit j of ``tight[g]``
+    set, for each normal g."""
+    D = len(points[0])
+    apex = (0,) * D
+    # the apex goes in at lex position a: bits a.. of a point mask move up one
+    a = bisect.bisect(points, apex)
+    low = (1 << a) - 1
 
-    This is the pyramid over the Cayley polytope of the conv(S_i) with apex
-    at the origin; no conv(S_i) needs a hull of its own.
+    def lift(m):
+        return m & low | (m & ~low) << 1
+
+    faces = sorted(
+        [((apex[: D - r] + (-1,) * r, 1), lift((1 << len(points)) - 1))]
+        + [((g, 0), lift(m) | 1 << a) for g, m in zip(normals, tight)]
+    )
+    return LatticePolytope._read_off(
+        (*points[:a], apex, *points[a:]),
+        tuple(f for f, _ in faces),
+        tuple(m for _, m in faces),
+    )
+
+
+def cayley_pyramids(part_vertices, part_rays):
+    """(Λ, Λ∨) of a nef-partition, read off one pairing matrix (module docstring).
+
+    ``part_vertices[i]`` are the vertices of Δ_i and ``part_rays[k]`` the
+    rays of part k.  The matrix pairs each tagged Δ_i vertex with the tagged
+    points (0, e_k) and (ρ, e_k), ρ in part k; a negative entry raises
+    :class:`FracmirrorError`.
     """
-    point_sets = [[tuple(p) for p in S] for S in point_sets]
-    if not point_sets or not all(point_sets):
-        raise ValueError("cayley_pyramid needs at least one point set, and no empty one")
-    n = len(point_sets[0][0])
-    if any(len(p) != n for S in point_sets for p in S):
-        raise ValueError("point sets live in different ambient spaces")
-    r = len(point_sets)
-    pts = [(0,) * (n + r)]
-    for i, S in enumerate(point_sets):
-        tag = tuple(1 if t == i else 0 for t in range(r))
-        pts.extend(p + tag for p in S)
-    return LatticePolytope(pts, n + r)
+    r = len(part_rays)
+    n = len(part_rays[0][0])
+    tags = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+    rows = sorted(tuple(m) + tags[i] for i, V in enumerate(part_vertices) for m in V)
+    points = sorted(tuple(u) + tags[k] for k, R in enumerate(part_rays) for u in ((0,) * n, *R))
+    # the facets of Λ∨ through the apex: the points each tagged Δ_i vertex is tight on
+    masks = []
+    for w in rows:
+        mask = 0
+        for j, c in enumerate(points):
+            s = _dot(w, c)
+            if s < 0:
+                raise FracmirrorError(
+                    "a part polytope vertex pairs negatively with a dual part: "
+                    "not the cut of its part"
+                )
+            if s == 0:
+                mask |= 1 << j
+        masks.append(mask)
+    keep, on_rows = _vertex_test(masks, len(points))
+    verts = [points[j] for j in keep]
+    return (
+        _pyramid(rows, verts, _transpose(on_rows, len(verts)), r),
+        _pyramid(verts, rows, on_rows, r),
+    )

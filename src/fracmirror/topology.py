@@ -3,20 +3,32 @@
 For a nef-partition on a reflexive polytope the cover Y -> X is branched
 along the union of the nef divisors and the toric boundary.  Its Euler
 characteristic is governed by the lattice volume of the pyramid Lambda over
-the Cayley polytope of the part polytopes, one hull of their tagged points:
+the Cayley polytope of the part polytopes:
 
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
-and the identity vol(Lambda) = chi(X_dual) is asserted — its failure signals
-a violated smoothness hypothesis.  Hodge numbers off the middle degree are
-inherited from the toric base; middle-degree numbers follow from chi in
-dimensions 2 and 3.
+and the identity vol(Lambda) = chi(X_dual) is asserted on both sides — its
+failure signals a violated smoothness hypothesis.  Lambda and Lambda_dual
+are read off one Batyrev–Borisov pairing (``polytope.cayley_pyramids``);
+chi(X) and chi(X_dual) are the volumes of the polar duals, so each check
+compares two independent computations.  Hodge numbers off the middle
+degree are inherited from the toric base; middle-degree numbers follow
+from chi in dimensions 2 and 3.
+
+h^{1,1} counts the lattice points of the polar dual P of the base, a
+reflexive polytope.  Its Ehrhart h*-vector (1, h_1, ..., h_{n-1}, 1) is
+palindromic (Hibi, "Dual polytopes of rational convex polytopes",
+Combinatorica 1992), h_1 = #P - n - 1 and the h_i sum to Vol(P), the
+normalized volume.  So #P = Vol + 1 for n = 2, where h* = (1, h_1, 1), and
+#P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).  The volume is
+chi(X), which the cover's Euler characteristic already needs, so only
+n >= 4 scans the lattice points.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import FracmirrorError, SmoothnessError
-from .polytope import cayley_pyramid
+from .polytope import cayley_pyramids
 
 __all__ = [
     "CoverTopology",
@@ -52,20 +64,33 @@ class HodgeTable:
         }
 
 
-def hodge_numbers(delta, chi):
+def _point_count(delta, vol):
+    """Lattice points of the polar dual of delta, whose normalized volume is
+    ``vol``: read off the palindromic h*-vector for n = 2 and 3 (module
+    docstring), scanned otherwise."""
+    n = delta.ambient_dim
+    if n == 2:
+        return vol + 1
+    if n == 3:
+        return vol // 2 + 3
+    return len(delta.polar_dual().lattice_points())
+
+
+def hodge_numbers(delta, chi, vol):
     """Hodge numbers of the double cover Y with Euler characteristic chi.
 
     ``delta`` is the reflexive polytope of the toric base (``data.delta``
-    for Y, ``data.nabla`` for its mirror).  Off-middle numbers are those of
-    the smooth toric base, with h^{1,1} = (#boundary lattice points of the
-    polar dual of delta) - n: all its lattice points but the origin, since
-    ``polar_dual`` refuses a delta that is not reflexive and a reflexive
-    polytope has no other interior lattice point.  The middle row comes from
-    chi in dimensions 2 and 3.  For n > 3 the off-middle part is returned
-    with ``complete=False``.
+    for Y, ``data.nabla`` for its mirror) and ``vol`` the normalized volume
+    of its polar dual, chi of the base (``euler_mpcp(delta)``).  Off-middle
+    numbers are those of the smooth toric base, with h^{1,1} =
+    (#boundary lattice points of the polar dual of delta) - n: all its
+    lattice points but the origin, since a reflexive polytope has no other
+    interior lattice point.  The middle row comes from chi in dimensions 2
+    and 3.  For n > 3 the off-middle part is returned with
+    ``complete=False``.
     """
     n = delta.ambient_dim
-    h11 = len(delta.polar_dual().lattice_points()) - 1 - n
+    h11 = _point_count(delta, vol) - 1 - n
     table = {}
     if n == 2:
         table[(0, 0)] = table[(2, 2)] = 1
@@ -133,15 +158,15 @@ def euler_double_cover(data):
     n = data.delta.ambient_dim
     chi_X = euler_mpcp(data.delta)
     chi_X_dual = euler_mpcp(data.nabla)
-    lam = cayley_pyramid(data.part_vertices)
+    lam, lam_dual = cayley_pyramids(
+        data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
+    )
     vol_lambda = lam.normalized_volume()
     if vol_lambda != chi_X_dual:
         raise SmoothnessError(
             f"vol(Λ) ≠ χ(X∨): {vol_lambda} != {chi_X_dual}; "
             "smoothness hypothesis violated"
         )
-    # the dual partition lives on nabla; its part polytopes are the nabla_k
-    lam_dual = cayley_pyramid([(0,) * n] + [data.rays[j] for j in part] for part in data.ray_parts)
     vol_lambda_dual = lam_dual.normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(
@@ -158,7 +183,7 @@ def euler_double_cover(data):
         vol_Lambda_dual=vol_lambda_dual,
         chi_Y=chi_Y,
         chi_Y_dual=chi_Y_dual,
-        hodge=hodge_numbers(data.delta, chi_Y),
-        hodge_dual=hodge_numbers(data.nabla, chi_Y_dual),
+        hodge=hodge_numbers(data.delta, chi_Y, chi_X),
+        hodge_dual=hodge_numbers(data.nabla, chi_Y_dual, chi_X_dual),
     )
 

@@ -1,14 +1,29 @@
+import functools
+import importlib.util
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from fracmirror import NefPartition
+from fracmirror.nefpart import validate_nef_partition
+from fracmirror.polytope import LatticePolytope
 from fracmirror.topology import euler_double_cover
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _load_gen()
 
 _P2 = [(2, -1), (-1, 2), (-1, -1)]
 
@@ -22,6 +37,45 @@ SMALL_REFLEXIVE = {
     "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
     "p2_x_p1": [(x, y, z) for x, y in _P2 for z in (1, -1)],
 }
+
+
+def set_partitions(items):
+    """Every set partition of ``items``, each a list of ascending tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for parts in set_partitions(rest):
+        for i in range(len(parts)):
+            yield parts[:i] + [(first,) + parts[i]] + parts[i + 1 :]
+        yield [(first,)] + parts
+
+
+@functools.cache
+def accepted_partitions():
+    """(name, NefPartition) for every accepted set partition of the rays of
+    the hexagon, the square, Delta_3 and its dual, P(1,1,2) and P(1,2,3),
+    then the bundled inputs and the 13 perfbench shapes in seeded frames."""
+    deltas = {
+        "hexagon": SMALL_REFLEXIVE["hexagon"],
+        "square": SMALL_REFLEXIVE["square"],
+        "delta_3": GEN.simplex_vertices(3),
+        "delta_3_dual": GEN.dual_vertices(3),
+        "p112": [(1, 0), (0, 1), (-1, -2)],
+        "p123": [(1, 0), (0, 1), (-2, -3)],
+    }
+    cases = []
+    for name, verts in deltas.items():
+        delta = LatticePolytope(verts)
+        for parts in set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
+            if not validate_nef_partition(delta, parts):
+                cases.append((name, NefPartition(delta, parts)))
+    cases += [(name, load_case(name)) for name in GEN.BUNDLED]
+    rng = random.Random(31)
+    for shape, (n, _) in GEN.SHAPES.items():
+        U, Uinv = GEN.random_frame(n, 3, rng)
+        cases.append((shape, NefPartition.from_dict(GEN.framed_input(shape, U, Uinv))))
+    return tuple(cases)
 
 
 def load_case(name):

@@ -117,6 +117,16 @@ def test_non_integer_json_field_is_input_error(tmp_path, capsys, path, value, me
     assert f"invalid nef-partition input: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parts", [5, [0, 1, 2]])
+def test_parts_that_are_not_index_lists_are_input_errors(tmp_path, capsys, parts):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(QUARTIC_DOC, parts=parts)))
+    assert main(["euler", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        'error: invalid nef-partition input: "parts" must be a list of index lists\n'
+    )
+
+
 def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
     assert main(["mirror-map", hexagon_file]) == 3
     assert "multiparameter moduli unsupported" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from conftest import SMALL_REFLEXIVE
+from conftest import GEN, SMALL_REFLEXIVE, set_partitions
 
 from fracmirror.errors import InvalidNefPartition
 from fracmirror.gkz import build_gkz
@@ -16,7 +16,7 @@ from fracmirror.nefpart import (
     dual_nef_partition,
     validate_nef_partition,
 )
-from fracmirror.polytope import LatticePolytope, cayley_pyramid
+from fracmirror.polytope import LatticePolytope, cayley_pyramids
 from fracmirror.topology import euler_double_cover
 from oracles import (
     cayley_polytope,
@@ -26,7 +26,6 @@ from oracles import (
     nef_diagnostics_by_hulls,
     pyramid_over,
 )
-from test_topology import GEN
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P2 = [(2, -1), (-1, 2), (-1, -1)]
@@ -101,6 +100,16 @@ def test_bool_part_indices_are_refused():
     for parts in ([[True, False, 2, 3]], [[0, 1, 2], [True]]):
         with pytest.raises(TypeError, match="a part index must be an integer"):
             NefPartition(delta, parts)
+
+
+def test_validate_names_non_integer_part_indices():
+    # validate_nef_partition takes the indices as given: a bool passed
+    # isinstance(idx, int) and a float was called out of range
+    delta = LatticePolytope(QUARTIC)
+    message = "part 0 has a non-integer vertex index"
+    assert validate_nef_partition(delta, [[True, False, 2, 3]]) == [message, message]
+    assert validate_nef_partition(delta, [[1.0, 0, 2, 3]]) == [message]
+    assert validate_nef_partition(delta, [[0, 1, 2, 3.5]]) == [message]
 
 
 def test_validate_diagnostics():
@@ -240,18 +249,6 @@ def _random_set_partitions():
             yield name, delta, _random_set_partition(rng, k)
 
 
-def _set_partitions(items):
-    """Every set partition of ``items``, each a list of ascending tuples."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for parts in _set_partitions(rest):
-        for i in range(len(parts)):
-            yield parts[:i] + [(first,) + parts[i]] + parts[i + 1 :]
-        yield [(first,)] + parts
-
-
 def _framed_simplices():
     """(name, delta) for reflexive simplices in seeded frames: the simplex
     Delta_n of perfbench's shapes (n = 2, 3, 4), its polar dual, and the
@@ -272,7 +269,7 @@ def _cross_check_cases():
     each framed simplex."""
     yield from _random_set_partitions()
     for name, delta in _framed_simplices():
-        for parts in _set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
+        for parts in set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
             yield name, delta, parts
 
 
@@ -355,8 +352,8 @@ def test_support_test_matches_minkowski_hull_on_subpolytopes():
 def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hyperplanes, k3):
     # nabla is the polar dual of the one hull conv(Delta_1 ∪ ... ∪ Delta_r),
     # not the Minkowski sum of the nabla_k; dual_parts reads each part's own
-    # inequalities, not the Delta_i hulls; Lambda_dual is one hull of the
-    # origin and the tagged rays of each part, not of the nabla_k vertices
+    # inequalities, not the Delta_i hulls; Lambda_dual is read off its
+    # pairing with the tagged Delta_i vertices, not hulled from the nabla_k
     accepted = [quartic, eight_hyperplanes, k3] + [
         NefPartition(delta, parts)
         for _, delta, parts in _random_set_partitions()
@@ -372,8 +369,9 @@ def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hype
         assert data.dual_parts() == [
             [idx for idx, home in enumerate(homes) if home == i] for i in range(data.r)
         ]
-        origin = (0,) * data.delta.ambient_dim
-        lam_dual = cayley_pyramid([origin] + [data.rays[j] for j in part] for part in data.ray_parts)
+        _, lam_dual = cayley_pyramids(
+            data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
+        )
         assert lam_dual == pyramid_over(cayley_polytope(data.nabla_parts))
     # euler_double_cover builds that Lambda_dual (the random partitions need
     # not meet its smoothness hypothesis, so only the bundled inputs run it)

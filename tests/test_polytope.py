@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import SMALL_REFLEXIVE
+from conftest import SMALL_REFLEXIVE, accepted_partitions
 
 from fracmirror import linalg
-from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramid
+from fracmirror.errors import FracmirrorError
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramids
 from oracles import (
     boundary_lattice_point_count,
     cayley_polytope,
@@ -443,34 +444,41 @@ def test_cayley_and_pyramid():
     assert C1.normalized_volume() == tri.normalized_volume()
 
 
+def _part_rays(data):
+    return [[data.rays[j] for j in part] for part in data.ray_parts]
+
+
 def test_cayley_pyramid_is_the_two_hull_pyramid():
-    # one hull of {0} and the tagged points of each set against the pyramid
-    # over the Cayley polytope of the hulls of the sets; a set need not be
-    # in convex position, and k <= n points make lower-dimensional parts
-    rng = random.Random(606)
-    singles = flat = inner = 0
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        r = rng.randint(1, 3)
-        sets = [
-            [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 2))]
-            for _ in range(r)
-        ]
-        parts = [LatticePolytope(S, n) for S in sets]
-        singles += r == 1
-        flat += any(P.affine_dim < n for P in parts)
-        inner += any(len(P.vertices) < len(set(S)) for P, S in zip(parts, sets))
-        lam = cayley_pyramid(sets)
-        ref = pyramid_over(cayley_polytope(parts))
-        assert lam == ref
-        assert lam == cayley_pyramid(P.vertices for P in parts)
-        assert lam.normalized_volume() == ref.normalized_volume()
-    assert singles and flat and inner
-    for empty in ([], [[(0, 0)], []]):
-        with pytest.raises(ValueError, match="at least one point set, and no empty one"):
-            cayley_pyramid(empty)
-    with pytest.raises(ValueError, match="different ambient spaces"):
-        cayley_pyramid([[(0, 0)], [(0, 0, 0)]])
+    # Lambda and Lambda_dual read off one pairing against the pyramids over
+    # the Cayley polytopes of the hulls of the Delta_i and of the nabla_k,
+    # in vertices, facets, incidences and volume; on some hexagon partitions
+    # a part holds two opposite rays, so 0 is no vertex of its nabla_k
+    inner = 0
+    for name, data in accepted_partitions():
+        n = data.delta.ambient_dim
+        lam, lam_dual = cayley_pyramids(data.part_vertices, _part_rays(data))
+        parts = [LatticePolytope(V, n) for V in data.part_vertices]
+        for got, ref in (
+            (lam, pyramid_over(cayley_polytope(parts))),
+            (lam_dual, pyramid_over(cayley_polytope(data.nabla_parts))),
+        ):
+            assert (got.vertices, got.facets, got._incidences) == (
+                ref.vertices, ref.facets, ref._incidences
+            ), (name, data.ray_parts)
+            assert got.normalized_volume() == ref.normalized_volume()
+        inner += any((0,) * n not in P.vertices for P in data.nabla_parts)
+    assert len(accepted_partitions()) > 60 and inner > 0
+
+
+def test_cayley_pyramids_refuse_a_vertex_off_its_cut(quartic, eight_hyperplanes):
+    # a nonzero Delta_i vertex m is tight on some <m, rho> >= -1, so 2m is
+    # off the cut and pairs negatively with that ray
+    for data in (quartic, eight_hyperplanes):
+        moved = [list(V) for V in data.part_vertices]
+        j = next(j for j, m in enumerate(moved[0]) if any(m))
+        moved[0][j] = tuple(2 * x for x in moved[0][j])
+        with pytest.raises(FracmirrorError, match="pairs negatively"):
+            cayley_pyramids(moved, _part_rays(data))
 
 
 def _affine_rank(points):

@@ -1,14 +1,12 @@
 """Euler characteristics and Hodge tables of the branched double covers."""
 
-import importlib.util
-
 import pytest
-from conftest import REPO, load_case
+from conftest import GEN, accepted_partitions, load_case
 
 from fracmirror.errors import FracmirrorError, SmoothnessError
 from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope
-from fracmirror.topology import euler_double_cover, euler_mpcp, hodge_numbers
+from fracmirror.topology import _point_count, euler_double_cover, euler_mpcp, hodge_numbers
 from oracles import (
     boundary_lattice_point_count,
     cayley_polytope,
@@ -18,15 +16,6 @@ from oracles import (
     pyramid_over,
 )
 
-
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GEN = _load_gen()
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 UNIT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
@@ -119,10 +108,10 @@ def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
 
 def test_smoothness_guard_raises():
     data = NefPartition(LatticePolytope(QUARTIC), [[0, 1, 2, 3]])
-    # build nabla from the true part, then replace the part's vertices with
-    # a wrong (scaled) value, so that only vol(Lambda) sees it
-    assert data.nabla.is_reflexive()
-    data.part_vertices = (tuple(tuple(2 * x for x in v) for v in QUARTIC),)
+    # Lambda is read off the true parts; a wrong cached nabla (the quartic
+    # simplex itself, whose polar dual has volume 4, not 64) makes chi(X_dual)
+    # wrong, so that only the comparison with vol(Lambda) sees it
+    data.nabla = LatticePolytope(QUARTIC)
     with pytest.raises(SmoothnessError, match="smoothness hypothesis violated"):
         euler_double_cover(data)
 
@@ -184,7 +173,7 @@ def test_snc_oracle_singleton_branch():
 
 
 def test_hodge_numbers_k3_table(k3):
-    table = hodge_numbers(k3.delta, 12)
+    table = hodge_numbers(k3.delta, 12, euler_mpcp(k3.delta))
     assert table.table[(1, 1)] == 8
     assert table.table[(0, 0)] == 1 and table.table[(2, 2)] == 1
     assert table.table[(1, 0)] == 0
@@ -196,7 +185,7 @@ def test_hodge_two_routes_agree(quartic):
     h11 = boundary_lattice_point_count(data.delta.polar_dual()) - 3
     chi = euler_double_cover(quartic).chi_Y_dual
     h21 = h11 - chi // 2
-    table = hodge_numbers(data.delta, chi)
+    table = hodge_numbers(data.delta, chi, euler_mpcp(data.delta))
     assert table.table[(1, 1)] == h11 == 31
     assert table.table[(2, 1)] == h21 == 1
 
@@ -218,13 +207,28 @@ def test_h11_counts_boundary_points(case):
         dual = delta.polar_dual()
         assert interior_lattice_points(dual) == ((0,) * n,)
         if n > 2:  # a surface's h^{1,1} comes from chi
-            h11 = hodge_numbers(delta, 0).table[(1, 1)]
+            h11 = hodge_numbers(delta, 0, euler_mpcp(delta)).table[(1, 1)]
             assert h11 == boundary_lattice_point_count(dual) - n
+
+
+def test_point_count_reads_the_volume_for_n_up_to_3():
+    # #P = Vol + 1 (n = 2) and Vol/2 + 3 (n = 3) on both polar duals, Delta*
+    # and nabla*, against the lattice-point scan
+    seen = set()
+    for name, data in accepted_partitions():
+        n = data.delta.ambient_dim
+        if n > 3:
+            continue
+        for delta in (data.delta, data.nabla):
+            count = _point_count(delta, euler_mpcp(delta))
+            assert count == len(delta.polar_dual().lattice_points()), (name, data.ray_parts)
+        seen.add(n)
+    assert seen == {2, 3}
 
 
 def test_hodge_rejects_odd_chi(quartic):
     with pytest.raises(FracmirrorError, match="odd Euler characteristic"):
-        hodge_numbers(quartic.delta, 7)
+        hodge_numbers(quartic.delta, 7, euler_mpcp(quartic.delta))
 
 
 def test_hodge_higher_dimension_partial():
@@ -233,7 +237,7 @@ def test_hodge_higher_dimension_partial():
          (-1, -1, -1, -1)]
     )
     data = NefPartition(delta, [[0, 1, 2, 3, 4]])
-    table = hodge_numbers(data.delta, 0)
+    table = hodge_numbers(data.delta, 0, euler_mpcp(data.delta))
     assert not table.complete
     assert table.note == "middle Hodge numbers not determined"
     assert table.table[(1, 1)] == table.table[(3, 3)]

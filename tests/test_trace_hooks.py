@@ -29,8 +29,8 @@ def _load_spans():
     return module
 
 
-def _traced(*commands, shape):
-    """Run each command at N=4 on one bundled shape under the real hooks.
+def _traced(*commands, shape, folder=DATA):
+    """Run each command at N=4 on one shape in ``folder`` under the real hooks.
 
     ``tracer.flat_hulls`` counts the hulls of lower dimension than their
     ambient space, the ones that need a span transform.
@@ -48,7 +48,7 @@ def _traced(*commands, shape):
     undo = spans.install(tracer)
     try:
         for command in commands:
-            config = cli.JobConfig(command=command, input=str(DATA / f"{shape}.json"), N=4, fmt="json")
+            config = cli.JobConfig(command=command, input=str(folder / f"{shape}.json"), N=4, fmt="json")
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.run(config) == 0
     finally:
@@ -84,14 +84,14 @@ def test_all_computes_the_mirror_map_once():
 
 
 def test_euler_builds_each_polytope_once():
-    # euler on the quartic (r = 1) builds four hulls: Delta, nabla* (the
-    # union of the Delta_i vertices), Lambda (the origin and the tagged
-    # Delta_i vertices) and Lambda_dual (the origin and the tagged rays of
-    # each part); Delta* and nabla are polar duals read off their primal,
-    # Delta_1 is read off Delta's vertices and no nabla_k is built; the dual side
+    # euler on the quartic (r = 1) builds two hulls: Delta and nabla* (the
+    # union of the Delta_i vertices); Delta* and nabla are polar duals read
+    # off their primal, Lambda and Lambda_dual are read off one pairing of
+    # the tagged Delta_i vertices with the tagged rays of each part, Delta_1
+    # is read off Delta's vertices and no nabla_k is built; the dual side
     # is read off the primal, so no dual nef-partition is loaded
     tracer = _traced("euler", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 4
+    assert tracer.calls["polytope.hull"] == 2
     assert tracer.calls["nefpart.load"] == 1
 
 
@@ -100,7 +100,7 @@ def test_one_elimination_per_hull(monkeypatch):
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
     # once and no echelon; a flat one adds the echelon that gives its span
     # transform and its inverse, and one pass on its a+1 seed rows in span
-    # coordinates; euler on the quartic builds 4 full-dimensional hulls, and
+    # coordinates; euler on the quartic builds 2 full-dimensional hulls, and
     # Delta is a simplex, so Delta_1 is read off its vertices with no DD pass
     calls = {"row_basis": 0, "echelon": 0}
     for name in calls:
@@ -126,22 +126,39 @@ def test_one_elimination_per_hull(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 4, "echelon": 0}
+    assert counted(euler) == {"row_basis": 2, "echelon": 0}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
     # built as a polytope of its own; validation builds no hull of the
-    # Minkowski sum of the parts, and the four hulls (Delta, nabla*, Lambda,
-    # Lambda_dual) are full-dimensional, so none needs an echelon; the
-    # nabla_k, the only flat polytopes here, are built by dual-nef alone
+    # Minkowski sum of the parts, and the two hulls (Delta and nabla*) are
+    # full-dimensional, so none needs an echelon; the nabla_k, the only flat
+    # polytopes here, are built by dual-nef alone
     echelons = _count_echelons(monkeypatch)
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
-    assert tracer.calls["polytope.hull"] == 4
+    assert tracer.calls["polytope.hull"] == 2
     assert tracer.flat_hulls == 0
     assert echelons[0] == 0
+
+
+def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
+    # euler, hodge and all build Delta and nabla* alone; h^{1,1} reads the
+    # point count of Delta* and nabla* off their volumes for n <= 3, so only
+    # the P4 input scans, once on each side
+    golden = REPO / "tests" / "golden"
+    for shape, folder, scans in [
+        ("p2_k3", DATA, 0),
+        ("p3_quartic", DATA, 0),
+        ("p3_eight_hyperplanes", DATA, 0),
+        ("p4_311", golden, 2),
+    ]:
+        for command in ("euler", "hodge", "all"):
+            tracer = _traced(command, shape=shape, folder=folder)
+            assert (shape, command, tracer.calls["polytope.hull"]) == (shape, command, 2)
+            assert tracer.calls["polytope.lattice_points"] == scans, (shape, command)
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
