@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -46,13 +45,15 @@ class _InputError(Exception):
     pass
 
 
-@dataclass
 class JobConfig:
-    command: str
-    input: str
-    N: int = 10
-    normalization: Fraction | str | None = None
-    fmt: str = "table"
+    """One CLI call: ``normalization`` is a Fraction, its text or None."""
+
+    def __init__(self, command, input, N=10, normalization=None, fmt="table"):
+        self.command = command
+        self.input = input
+        self.N = N
+        self.normalization = normalization
+        self.fmt = fmt
 
 
 def _max_order():
@@ -136,7 +137,6 @@ def _load(path):
         raise _InputError(f"invalid nef-partition input: {exc}") from exc
 
 
-@dataclass
 class _Context:
     """One job's input and the stages built from it, each at most once.
 
@@ -144,8 +144,9 @@ class _Context:
     perfbench/spans.py installs on them see every call.
     """
 
-    config: JobConfig
-    data: NefPartition
+    def __init__(self, config, data):
+        self.config = config
+        self.data = data
 
     @cached_property
     def topology(self):

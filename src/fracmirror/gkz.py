@@ -23,7 +23,6 @@ clears the factors' denominators 2^k costs nothing.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -46,17 +45,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GkzSystem:
     """Assembled GKZ data: matrix, exponents, and kernel lattice basis."""
 
-    A: tuple  # (n+r) x (p+r) integer rows, lattice rows first
-    beta: tuple  # length n+r, Fractions
-    alpha: tuple  # length p+r, Fractions
-    kernel: tuple  # basis vectors of ker A, saturated
-    column_labels: tuple  # (part index i, j) with j = 0 distinguished
-    n: int
-    r: int
+    def __init__(self, A, beta, alpha, kernel, column_labels, n, r):
+        self.A = A  # (n+r) x (p+r) integer rows, lattice rows first
+        self.beta = beta  # length n+r, Fractions
+        self.alpha = alpha  # length p+r, Fractions
+        self.kernel = kernel  # basis vectors of ker A, saturated
+        self.column_labels = column_labels  # (part index i, j) with j = 0 distinguished
+        self.n = n
+        self.r = r
 
     def display_rows(self):
         """Row order used for display: Kronecker block first."""

@@ -27,7 +27,6 @@ Lagrange-Buermann, [q^n] F(x(q)) = [w^n] F h^n (1 + theta r), gives
 neither reverted nor composed.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -36,7 +35,7 @@ from .errors import FracmirrorError
 from .gkz import _series_factors
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .picard_fuchs import _trim
-from .series import RationalSeries, _lagrange, _make
+from .series import _lagrange, _make
 
 __all__ = [
     "FrobeniusPair",
@@ -48,25 +47,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FrobeniusPair:
     """omega0 and the non-log part tau of omega1 = omega0 log z + tau, in
     x = z/s: A0(x) = omega0(s x) and A1(x) = tau(s x), with the integer
     scale s absorbing the constant shift of log z."""
 
-    A0: RationalSeries
-    A1: RationalSeries
-    scale: int
-    N: int
+    def __init__(self, A0, A1, scale, N):
+        self.A0 = A0
+        self.A1 = A1
+        self.scale = scale
+        self.N = N
 
 
-@dataclass(frozen=True)
 class YukawaData:
     """Normalization constant, B-model Yukawa in z, A-model series in q."""
 
-    C: Fraction
-    Y_z: RationalSeries
-    K_q: RationalSeries
+    def __init__(self, C, Y_z, K_q):
+        self.C = C
+        self.Y_z = Y_z
+        self.K_q = K_q
+
+    def __eq__(self, other):
+        if type(other) is not YukawaData:
+            return NotImplemented
+        return (self.C, self.Y_z, self.K_q) == (other.C, other.Y_z, other.K_q)
 
     def to_json(self):
         from .series import fraction_str

@@ -114,25 +114,31 @@ def _derive(delta, parts):
     rays = delta.polar_dual().vertices
     k = len(rays)
     issues = []
-    seen = set()
+    home = {}  # vertex index -> the first part that holds it
     for i, part in enumerate(parts):
         if len(part) == 0:
             issues.append(f"part {i} is empty")
+        repeats = []
         for idx in part:
             if type(idx) is not int:
                 issues.append(f"part {i} has a non-integer vertex index")
             elif not 0 <= idx < k:
                 issues.append(f"part {i} has an out-of-range vertex index")
-            elif idx in seen:
+            elif idx not in home:
+                home[idx] = i
+            elif home[idx] == i:
+                repeats.append(idx)
+            else:
                 issues.append(
                     f"vertex index {idx} appears in more than one part: not a partition"
                 )
-            else:
-                seen.add(idx)
-    if len(seen) != k and not issues:
+        if repeats:
+            issues.append(f"part {i} repeats vertex index {repeats[0]}")
+    if len(home) != k and not issues:
         issues.append("parts do not cover every dual vertex: not a partition")
     if issues:
-        return issues, None
+        # a part reports each kind of problem once, and a shared index once
+        return list(dict.fromkeys(issues)), None
 
     relation = simplex_relation(delta)
     try:

@@ -12,7 +12,6 @@ G the negative ones, whose columns all carry the exponent -1/2
 linear terms, which the constructor records for factored display.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FracmirrorError
@@ -32,27 +31,28 @@ def _trim(poly):
     return tuple(poly)
 
 
-@dataclass(frozen=True)
 class ThetaOperator:
     """sum_k z_polys[k](z) * theta^k with z_polys[degree][0] == 1."""
 
-    z_polys: tuple
-    scale: Fraction | None = None  # z-coefficient magnitude in factored form
-    f_roots: tuple | None = None  # theta-roots of the z^0 part
-    g_roots: tuple | None = None  # (theta + c) offsets of the z^1 part
-
-    def __post_init__(self):
-        polys = [
-            _trim(p) for p in self.z_polys
-        ]
+    def __init__(self, z_polys, scale=None, f_roots=None, g_roots=None):
+        polys = [_trim(p) for p in z_polys]
         while len(polys) > 1 and polys[-1] == (Fraction(0),):
             polys.pop()
-        object.__setattr__(self, "z_polys", tuple(polys))
-        lead = self.z_polys[-1]
-        if lead[0] == 0:
+        if polys[-1][0] == 0:
             raise FracmirrorError(
                 "leading theta-power needs a nonzero constant z-coefficient"
             )
+        self.z_polys = tuple(polys)
+        self.scale = scale  # z-coefficient magnitude in factored form
+        self.f_roots = f_roots  # theta-roots of the z^0 part
+        self.g_roots = g_roots  # (theta + c) offsets of the z^1 part
+
+    def __eq__(self, other):
+        if type(other) is not ThetaOperator:
+            return NotImplemented
+        return (self.z_polys, self.scale, self.f_roots, self.g_roots) == (
+            other.z_polys, other.scale, other.f_roots, other.g_roots
+        )
 
     @property
     def degree(self):

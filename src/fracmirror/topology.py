@@ -25,8 +25,6 @@ chi(X), which the cover's Euler characteristic already needs, so only
 n >= 4 scans the lattice points.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import FracmirrorError, SmoothnessError
 from .polytope import cayley_pyramids
 
@@ -48,13 +46,13 @@ def euler_mpcp(delta):
     return delta.polar_dual().normalized_volume()
 
 
-@dataclass(frozen=True)
 class HodgeTable:
     """Hodge numbers of the cover as a {(p, q): value} table."""
 
-    table: dict
-    complete: bool = True
-    note: str | None = None
+    def __init__(self, table, complete=True, note=None):
+        self.table = table
+        self.complete = complete
+        self.note = note
 
     def to_json(self):
         return {
@@ -121,19 +119,22 @@ def hodge_numbers(delta, chi, vol):
     return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
 
 
-@dataclass(frozen=True)
 class CoverTopology:
     """Topological data of the dual pair of branched double covers."""
 
-    n: int
-    chi_X: int
-    chi_X_dual: int
-    vol_Lambda: int
-    vol_Lambda_dual: int
-    chi_Y: int
-    chi_Y_dual: int
-    hodge: HodgeTable = field(compare=False)
-    hodge_dual: HodgeTable = field(compare=False)
+    def __init__(
+        self, n, chi_X, chi_X_dual, vol_Lambda, vol_Lambda_dual, chi_Y, chi_Y_dual,
+        hodge, hodge_dual,
+    ):
+        self.n = n
+        self.chi_X = chi_X
+        self.chi_X_dual = chi_X_dual
+        self.vol_Lambda = vol_Lambda
+        self.vol_Lambda_dual = vol_Lambda_dual
+        self.chi_Y = chi_Y
+        self.chi_Y_dual = chi_Y_dual
+        self.hodge = hodge
+        self.hodge_dual = hodge_dual
 
     def to_json(self):
         return {

@@ -117,6 +117,24 @@ def test_non_integer_json_field_is_input_error(tmp_path, capsys, path, value, me
     assert f"invalid nef-partition input: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "parts,message",
+    [
+        ([[0, 1, 2, 3, 9, 10]], "part 0 has an out-of-range vertex index"),
+        ([[0, 0, 1, 2, 3]], "part 0 repeats vertex index 0"),
+        ([[0, 0, 1, 1, 2, 3]], "part 0 repeats vertex index 0"),
+        ([[0, 1], [1, 2, 3]], "vertex index 1 appears in more than one part: not a partition"),
+        ([[0, 1], [1, 2], [1, 3]], "vertex index 1 appears in more than one part: not a partition"),
+    ],
+    ids=["out-of-range", "repeat", "two-repeats", "shared", "shared-thrice"],
+)
+def test_bad_part_indices_are_reported_once(tmp_path, capsys, parts, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(QUARTIC_DOC, parts=parts)))
+    assert main(["euler", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: invalid nef-partition input: {message}\n"
+
+
 @pytest.mark.parametrize("parts", [5, [0, 1, 2]])
 def test_parts_that_are_not_index_lists_are_input_errors(tmp_path, capsys, parts):
     bad = tmp_path / "bad.json"

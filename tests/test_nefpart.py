@@ -104,10 +104,11 @@ def test_bool_part_indices_are_refused():
 
 def test_validate_names_non_integer_part_indices():
     # validate_nef_partition takes the indices as given: a bool passed
-    # isinstance(idx, int) and a float was called out of range
+    # isinstance(idx, int) and a float was called out of range; two bad
+    # indices in one part give one message
     delta = LatticePolytope(QUARTIC)
     message = "part 0 has a non-integer vertex index"
-    assert validate_nef_partition(delta, [[True, False, 2, 3]]) == [message, message]
+    assert validate_nef_partition(delta, [[True, False, 2, 3]]) == [message]
     assert validate_nef_partition(delta, [[1.0, 0, 2, 3]]) == [message]
     assert validate_nef_partition(delta, [[0, 1, 2, 3.5]]) == [message]
 

@@ -1,9 +1,14 @@
-"""Every name that the package or one of its modules exports resolves."""
+"""Every name that the package or one of its modules exports resolves, and
+``import fracmirror.cli`` does not pay for ``dataclasses``."""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 
 import pytest
+from conftest import REPO
 
 import fracmirror
 
@@ -19,3 +24,18 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_cli_import_adds_no_dataclasses():
+    # only the modules that the import adds count: site imports its own
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import fracmirror.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "src")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "fracmirror.cli" in added
+    assert "dataclasses" not in added
