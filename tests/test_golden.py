@@ -12,7 +12,10 @@ and ``mirror-map``, which it refuses with exit 3.  The P4 simplex with
 parts (3, 1, 1) in the identity frame (``tests/golden/p4_311.json``, from
 ``perfbench/gen.py::framed_input``) is the one fourfold: its ``bseries``
 (m = 5 slices) and ``ifunction`` (m = 6) run at N = 16 in JSON, and
-``bseries`` at N = 10 as a table.  The
+``bseries`` at N = 10 as a table.  ``dual-nef`` also runs in both formats
+on seven more partitions of the hexagon (``tests/golden/hexagon_*.json``):
+six with one part whose nabla_k holds two opposite rays, so the origin is
+no vertex of it, and the one-part partition, whose nabla_1 is Delta*.  The
 recorded outputs live in ``tests/golden/``: one ``.out`` file of stdout per
 case and ``status.json`` with each case's exit code and stderr.  A refactor must
 reproduce them exactly.  After a change that is meant to alter output,
@@ -54,7 +57,20 @@ FOURFOLD_CASES = [
     ("p4_311", "ifunction", "json", 16),
     ("p4_311", "bseries", "table", N),
 ]
-ALL_CASES = CASES + LARGE_N_CASES + HEXAGON_CASES + FOURFOLD_CASES
+# each name lists the parts, e.g. hexagon_01_2345 is [[0, 1], [2, 3, 4, 5]]
+HEXAGON_PARTITIONS = (
+    "hexagon_01_2345",
+    "hexagon_02_1345",
+    "hexagon_0123_45",
+    "hexagon_13_0245",
+    "hexagon_0124_35",
+    "hexagon_24_0135",
+    "hexagon_012345",
+)
+HEXAGON_PARTITION_CASES = [
+    (shape, "dual-nef", fmt, N) for shape in HEXAGON_PARTITIONS for fmt in ("json", "table")
+]
+ALL_CASES = CASES + LARGE_N_CASES + HEXAGON_CASES + FOURFOLD_CASES + HEXAGON_PARTITION_CASES
 
 
 def case_name(shape, command, fmt, order):
