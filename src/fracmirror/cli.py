@@ -187,14 +187,15 @@ def _normalization(config):
 def _cmd_dual_nef(ctx):
     parts, nabla, nabla_dual = dual_nef_partition(ctx.data)
     dual_parts = ctx.data.dual_parts()
+    n = nabla.ambient_dim
     payload = {
-        "nabla_parts": [P.to_dict() for P in parts],
+        "nabla_parts": [{"dim": n, "vertices": [list(v) for v in V]} for V in parts],
         "nabla": nabla.to_dict(),
         "nabla_dual": nabla_dual.to_dict(),
         "dual_partition": {"delta": nabla.to_dict(), "parts": dual_parts},
     }
     return payload, lambda: [
-        *(f"nabla_{i} vertices: {list(P.vertices)}" for i, P in enumerate(parts)),
+        *(f"nabla_{i} vertices: {list(V)}" for i, V in enumerate(parts)),
         f"nabla vertices: {list(nabla.vertices)}",
         f"nabla_dual vertices: {list(nabla_dual.vertices)}",
         f"dual partition parts: {dual_parts}",

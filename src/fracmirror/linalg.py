@@ -7,15 +7,13 @@ gcd row steps and carries the inverse of its transform; the transform gives
 lattice bases of affine spans and saturated kernels.  ``row_basis`` is one
 fraction-free Gauss–Jordan elimination (Bareiss 1968) of the rows taken as
 columns: it finds their lex-first basis S and a transform E with
-S·Eᵀ = d·I, the seed of a double-description pass.  ``det`` is fraction-free
-forward elimination.  No rational is formed.
+S·Eᵀ = d·I, the seed of a double-description pass.  No rational is formed.
 """
 
 import operator
 
 __all__ = [
     "exgcd",
-    "det",
     "row_basis",
     "echelon",
 ]
@@ -34,35 +32,6 @@ def exgcd(a, b):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def det(M):
-    """Exact determinant of a square integer matrix.
-
-    Bareiss's fraction-free elimination: rows below the pivot become
-    ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev the last
-    one), an exact division, and the last pivot is the determinant up to the
-    sign of the row swaps.
-    """
-    A = [[operator.index(x) for x in row] for row in M]
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        p, pivot_row = A[k][k], A[k]
-        for i in range(k + 1, n):
-            f = A[i][k]
-            A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
-        prev = p
-    return sign * prev
 
 
 def row_basis(M):
@@ -143,4 +112,4 @@ def echelon(M):
     return r, U, [list(row) for row in zip(*W)]
 
 
-smith_normal_form = None  # for perfbench/spans.py until ROADMAP item 5
+smith_normal_form = det = None  # for perfbench/spans.py until ROADMAP item 5

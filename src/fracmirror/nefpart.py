@@ -19,8 +19,11 @@ Validation cuts out each Delta_i by one DD pass, whose rays with t = 1 are
 its vertices, and tests their sum against Delta by support functions: once
 Delta_1 + ... + Delta_r = Delta, nabla is reflexive (Borisov 1993; Batyrev &
 Borisov 1996).  Then nabla^* is one hull of the union of those vertices and
-nabla its polar dual, read off by transposition.  Only a rejected partition
-builds nabla, as pairwise hulls of the vertex sums of the nabla_k, to
+nabla its polar dual, read off by transposition.  The nabla_k build no
+hull: their vertices are the layers of the Cayley pyramid over them,
+read off its pairing with the tagged Delta_i vertices (``polytope``).
+Only a rejected partition, where that pairing need not hold, builds
+nabla, as pairwise hulls of the vertex sums of the nabla_k hulls, to
 report whether it is reflexive.
 
 On a simplex (every one-parameter input) no cut and no sum test runs: with
@@ -37,7 +40,7 @@ from math import lcm
 from operator import add, index
 
 from .errors import InvalidNefPartition
-from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _require_ints
+from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _pairing, _require_ints
 
 __all__ = [
     "NefPartition",
@@ -213,7 +216,7 @@ class NefPartition:
     simplex), and checks Delta_1 + ... + Delta_r = Delta without building
     the sum.  Each polytope below is built on first read and kept:
     ``nabla_dual`` is the hull of all ``part_vertices`` and ``nabla`` its
-    polar dual; ``nabla_parts`` are the nabla_k, one hull each.
+    polar dual; ``nabla_parts`` are the vertex tuples of the nabla_k.
     """
 
     def __init__(self, delta, parts):
@@ -229,7 +232,12 @@ class NefPartition:
 
     @functools.cached_property
     def nabla_parts(self):
-        return _nabla_parts(self.rays, self.ray_parts)
+        """The lex-sorted vertices of each nabla_k: the layer-k vertices of
+        Lambda_dual, read off its pairing with the tagged Delta_i vertices."""
+        rays = [[self.rays[j] for j in part] for part in self.ray_parts]
+        n = self.delta.ambient_dim
+        _, verts, _ = _pairing(self.part_vertices, rays)
+        return tuple(tuple(v[:n] for v in verts if v[n + k]) for k in range(self.r))
 
     @functools.cached_property
     def nabla_dual(self):
@@ -275,5 +283,6 @@ class NefPartition:
 
 
 def dual_nef_partition(data):
-    """Return (nabla_parts, nabla, nabla_dual) for a validated nef-partition."""
+    """Return (nabla_parts, nabla, nabla_dual) for a validated nef-partition,
+    the nabla_k as their vertex tuples."""
     return data.nabla_parts, data.nabla, data.nabla_dual

@@ -10,9 +10,10 @@ a dot product; the vertices are read off those masks, which are kept as the
 facet–vertex incidences.  The polar dual of a reflexive polytope builds no
 hull: its vertices and facets are the facets and vertices of the primal, and
 its incidences their transpose.  Volumes are normalized lattice volumes in
-the affine span, summed over the simplices of a pulling triangulation read
-off those incidences; lattice-point scans run on the one exact-int
-prefix→interval scan in ``_accel``.
+the affine span, summed over the flags of a pulling triangulation read off
+those incidences with one fraction-free elimination row per step of a flag,
+so simplices that share a flag prefix share its eliminations; lattice-point
+scans run on the one exact-int prefix→interval scan in ``_accel``.
 
 The Cayley pyramids of a nef-partition build no hull either.  In
 M × Z^r and N × Z^r let
@@ -29,7 +30,9 @@ Hence the facets of Λ∨ are its lid t_1 + ... + t_r <= 1 and one facet
 the dual cone.  Its vertices are the apex and those tagged points of the
 ∇_k that the facets through them cut out alone.  Each ray of Δ* is a vertex
 of every ∇_k that holds it, so only (0, e_k) can fail, and it fails exactly
-when 0 ∈ conv(rays of part k).  Λ is read off Λ∨ by transposing the
+when 0 ∈ conv(rays of part k).  The layer t = e_k of Λ∨ is a face, so its
+vertices are the tagged vertices of ∇_k, and ``nefpart`` reads the ∇_k off
+the same pairing (``_pairing``).  Λ is read off Λ∨ by transposing the
 incidences, as the polar dual is, with apex and lid swapped.
 """
 
@@ -360,53 +363,56 @@ class LatticePolytope:
 
     # -- volume -----------------------------------------------------------
 
-    def _pulling_triangulation(self):
-        """Simplices of the pulling triangulation, as tuples of vertex indices.
-
-        Faces are bitmasks over ``_span_vertices``.  The facets of a face S
-        are the inclusion-maximal S ∩ F over the facets F of P (their masks
-        ``_incidences``) that do not contain S; S is coned from its smallest
-        vertex over the triangulations of its facets that miss that vertex
-        (De Loera, Rambau & Santos, "Triangulations", §4.3).  Each face is
-        triangulated once.
-        """
-        memo = {}
-
-        def pull(S):
-            if S not in memo:
-                v = (S & -S).bit_length() - 1
-                if S == 1 << v:
-                    memo[S] = [(v,)]
-                else:
-                    cuts = {S & F for F in self._incidences if S & F != S}
-                    memo[S] = [
-                        (v,) + s
-                        for G in cuts
-                        if not G >> v & 1
-                        and not any(G != H and G & H == G for H in cuts)
-                        for s in pull(G)
-                    ]
-            return memo[S]
-
-        return pull((1 << len(self._span_vertices)) - 1)
-
     def normalized_volume(self):
         """Normalized lattice volume in the affine span (unit simplex = 1).
 
-        The volume is Σ |det(yᵢ − y₀)| over the simplices of the pulling
-        triangulation, in span coordinates; a simplex is its own
-        triangulation.
+        Σ |det(y_j − y_0)| over the simplices of the pulling triangulation in
+        span coordinates (De Loera, Rambau & Santos, "Triangulations", §4.3):
+        a face S (a mask over ``_span_vertices``) is coned from its lowest
+        vertex over its facets that miss it, the maximal S ∩ F over the facet
+        masks F, found once per face; a simplex face is its own triangulation.
+        So a simplex is a flag S_0 ⊃ ... ⊃ S_a, y_j the lowest vertex of S_j.
+        The flags are walked depth first, and the step into S_j adds the row
+        y_j − y_0 reduced by one fraction-free step per pivot (c, R, p) on the
+        path, row ← (p·row − row[c]·R) // q, q the pivot before p (or 1).  By
+        Sylvester's identity each division is exact and the row holds j × j
+        minors (Bareiss, Math. Comp. 1968), so its first nonzero entry is the
+        next pivot and the last is ±det; a shared flag prefix is eliminated once.
         """
         a = self.affine_dim
         if a == 0:
             return 1
         Y = self._span_vertices
-        vol = 0
-        for s in self._pulling_triangulation():
-            y0 = Y[s[0]]
-            M = [[Y[j][i] - y0[i] for i in range(a)] for j in s[1:]]
-            vol += abs(linalg.det(M))
-        return vol
+        rows = [[x - y for x, y in zip(v, Y[0])] for v in Y]
+        cuts = {}
+
+        def extend(path, v):
+            row, q = rows[v], 1
+            for c, R, p in path:
+                f = row[c]
+                row = [(p * x - f * r) // q for x, r in zip(row, R)]
+                q = p
+            c = next(i for i, x in enumerate(row) if x)
+            return path + [(c, row, row[c])]
+
+        def walk(S, path):
+            if S.bit_count() + len(path) == a + 1:
+                # a simplex face is its own triangulation: the flag runs
+                # through its vertices in order
+                T = S & (S - 1)
+                while T:
+                    path = extend(path, (T & -T).bit_length() - 1)
+                    T &= T - 1
+                return abs(path[-1][2])
+            if S not in cuts:
+                v = (S & -S).bit_length() - 1
+                G = {S & F for F in self._incidences if S & F != S}
+                cuts[S] = [
+                    g for g in G if not g >> v & 1 and not any(g != h and g & h == g for h in G)
+                ]
+            return sum(walk(G, extend(path, (G & -G).bit_length() - 1)) for G in cuts[S])
+
+        return walk((1 << len(Y)) - 1, [])
 
     # -- serialization / identity ------------------------------------------
 
@@ -421,9 +427,12 @@ class LatticePolytope:
         if not isinstance(d, dict) or "dim" not in d or "vertices" not in d:
             raise ValueError('polytope JSON needs "dim" and "vertices"')
         _require_ints([d["dim"]], "dim")
-        for v in d["vertices"]:
+        verts = d["vertices"]
+        if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
+            raise ValueError('"vertices" must be a list of coordinate lists')
+        for v in verts:
             _require_ints(v, "vertex coordinate")
-        return cls(d["vertices"], ambient_dim=d["dim"])
+        return cls(verts, ambient_dim=d["dim"])
 
     def __eq__(self, other):
         return (
@@ -461,12 +470,15 @@ def _pyramid(points, normals, tight, r):
     )
 
 
-def cayley_pyramids(part_vertices, part_rays):
-    """(Λ, Λ∨) of a nef-partition, read off one pairing matrix (module docstring).
+def _pairing(part_vertices, part_rays):
+    """The vertices of Λ∨ but its apex, read off one pairing matrix (module
+    docstring): ``(rows, verts, on_rows)``, the lex-sorted tagged Δ_i vertices
+    (m, e_i), the lex-sorted tagged vertices (u, e_k) of the ∇_k, and the
+    mask over ``verts`` of the points each row is tight on.
 
     ``part_vertices[i]`` are the vertices of Δ_i and ``part_rays[k]`` the
-    rays of part k.  The matrix pairs each tagged Δ_i vertex with the tagged
-    points (0, e_k) and (ρ, e_k), ρ in part k; a negative entry raises
+    rays of part k.  Each tagged Δ_i vertex is paired with the tagged points
+    (0, e_k) and (ρ, e_k), ρ in part k; a negative entry raises
     :class:`FracmirrorError`.
     """
     r = len(part_rays)
@@ -489,7 +501,13 @@ def cayley_pyramids(part_vertices, part_rays):
                 mask |= 1 << j
         masks.append(mask)
     keep, on_rows = _vertex_test(masks, len(points))
-    verts = [points[j] for j in keep]
+    return rows, [points[j] for j in keep], on_rows
+
+
+def cayley_pyramids(part_vertices, part_rays):
+    """(Λ, Λ∨) of a nef-partition, read off the pairing of ``_pairing``."""
+    r = len(part_rays)
+    rows, verts, on_rows = _pairing(part_vertices, part_rays)
     return (
         _pyramid(rows, verts, _transpose(on_rows, len(verts)), r),
         _pyramid(verts, rows, on_rows, r),

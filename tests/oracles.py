@@ -379,6 +379,79 @@ def inverse_unimodular(U):
     return [[d * x for x in row] for row in adj]
 
 
+def det(M):
+    """Exact determinant of a square integer matrix.
+
+    Bareiss's fraction-free elimination: rows below the pivot become
+    ``(p·row − row[k]·pivot_row) // prev`` (p the new pivot, prev the last
+    one), an exact division, and the last pivot is the determinant up to the
+    sign of the row swaps.
+    """
+    A = [[operator.index(x) for x in row] for row in M]
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p, pivot_row = A[k][k], A[k]
+        for i in range(k + 1, n):
+            f = A[i][k]
+            A[i] = [(p * a - f * b) // prev for a, b in zip(A[i], pivot_row)]
+        prev = p
+    return sign * prev
+
+
+def pulling_triangulation(P):
+    """Simplices of the pulling triangulation of P, as tuples of vertex indices.
+
+    Faces are bitmasks over ``P._span_vertices``.  The facets of a face S
+    are the inclusion-maximal S ∩ F over the facet masks F (``_incidences``)
+    that do not contain S; S is coned from its smallest vertex over the
+    triangulations of its facets that miss that vertex (De Loera, Rambau &
+    Santos, "Triangulations", §4.3).  Each face is triangulated once.
+    """
+    memo = {}
+
+    def pull(S):
+        if S not in memo:
+            v = (S & -S).bit_length() - 1
+            if S == 1 << v:
+                memo[S] = [(v,)]
+            else:
+                cuts = {S & F for F in P._incidences if S & F != S}
+                memo[S] = [
+                    (v,) + s
+                    for G in cuts
+                    if not G >> v & 1
+                    and not any(G != H and G & H == G for H in cuts)
+                    for s in pull(G)
+                ]
+        return memo[S]
+
+    return pull((1 << len(P._span_vertices)) - 1)
+
+
+def volume_by_simplices(P):
+    """Normalized volume as Σ |det(y_i − y_0)| over the simplices of the
+    pulling triangulation, one determinant per simplex."""
+    a = P.affine_dim
+    if a == 0:
+        return 1
+    Y = P._span_vertices
+    vol = 0
+    for s in pulling_triangulation(P):
+        y0 = Y[s[0]]
+        vol += abs(det([[Y[j][i] - y0[i] for i in range(a)] for j in s[1:]]))
+    return vol
+
+
 def volume_by_dilation_counts(P):
     """Normalized volume as the alternating sum of a+1 dilated lattice-point
     counts (the leading Ehrhart coefficient times a!)."""

