@@ -1,7 +1,8 @@
 """Lattice polytopes: hulls, duality, Ehrhart counting, volumes.
 
 Derived values are checked against independent oracles: brute-force box
-scans for point counts, scipy's Delaunay triangulation for volumes, and a
+scans for point counts, scipy's Delaunay triangulation and one Bareiss
+determinant per simplex of the pulling triangulation for volumes, and a
 Fraction-exact determinant for simplices.
 """
 
