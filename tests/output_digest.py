@@ -7,10 +7,11 @@ Usage (from the repository root)::
 
 Runs all ten commands in both formats at N = 1, 4 and 12, in-process, on
 the bundled inputs, the hexagon and its partitions in ``tests/golden/``,
-the rejected hexagon partition [[0, 1], [2, 3], [4, 5]], ``p4_311`` and the
-13 ``perfbench/gen.py`` shapes in the identity frame and in one seeded
-frame.  It prints the SHA-256 of the (exit code, stdout, stderr) of every
-run, in a fixed order, and the number of runs per exit code.  The inputs
+the rejected hexagon partition [[0, 1], [2, 3], [4, 5]], a flat, a
+one-point and a zero-dimensional delta, ``p4_311`` and the 13
+``perfbench/gen.py`` shapes in the identity frame and in one seeded frame.
+It prints the SHA-256 of the (exit code, stdout, stderr) of every run, in
+a fixed order, and the number of runs per exit code.  The inputs
 are always this checkout's, so two checkouts agree exactly when their
 outputs do.  The name keeps pytest from collecting it.
 """
@@ -38,6 +39,12 @@ REJECTED = {
     "delta": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]]},
     "parts": [[0, 1], [2, 3], [4, 5]],
 }
+# deltas that span less than their space, each refused as not reflexive
+FLAT = {
+    "flat": {"dim": 3, "vertices": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]]},
+    "one_point": {"dim": 3, "vertices": [[1, 2, 3]]},
+    "zero_dimensional": {"dim": 0, "vertices": [[]]},
+}
 
 
 def _load_gen():
@@ -54,6 +61,7 @@ def inputs(folder):
     found += [(p.stem, p) for p in sorted(GOLDEN.glob("hexagon*.json"))]
     found.append(("p4_311", GOLDEN / "p4_311.json"))
     docs = {"rejected": REJECTED}
+    docs.update((label, {"delta": delta, "parts": [[0]]}) for label, delta in FLAT.items())
     rng = random.Random(FRAME_SEED)
     for shape, (n, _) in gen.SHAPES.items():
         docs[f"{shape}.identity"] = gen.framed_input(shape, gen.identity(n), gen.identity(n))

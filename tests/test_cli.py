@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracmirror.cli import JobConfig, _json_text, main, run
+from fracmirror.cli import _DISPATCH, JobConfig, _json_text, main, run
 
 # the 3-part hexagon: not a simplex, so its GKZ kernel has rank 4
 HEXAGON = Path(__file__).resolve().parent / "golden" / "hexagon.json"
@@ -87,6 +87,25 @@ def test_rejected_hexagon_partition_reports_both_diagnostics(tmp_path, capsys):
         "error: invalid nef-partition input: Minkowski sum of part polytopes "
         "differs from delta; nabla is not reflexive\n"
     )
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        {"dim": 3, "vertices": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]]},
+        {"dim": 3, "vertices": [[1, 2, 3]]},
+        {"dim": 0, "vertices": [[]]},
+    ],
+    ids=["flat", "one-point", "zero-dimensional"],
+)
+def test_delta_that_spans_less_than_its_space_is_not_reflexive(tmp_path, capsys, delta):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"delta": delta, "parts": [[0]]}))
+    for command in _DISPATCH:
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: invalid nef-partition input: delta is not reflexive\n"
+        )
 
 
 QUARTIC_DOC = {
