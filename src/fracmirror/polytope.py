@@ -432,7 +432,12 @@ class LatticePolytope:
             raise ValueError('"vertices" must be a list of coordinate lists')
         for v in verts:
             _require_ints(v, "vertex coordinate")
-        return cls(verts, ambient_dim=d["dim"])
+        dim, lengths = d["dim"], {len(v) for v in verts}
+        if dim < 0:
+            raise ValueError(f'"dim" is {dim}: it must be nonnegative')
+        if len(lengths) == 1 and dim not in lengths:
+            raise ValueError(f'"dim" is {dim} but the vertices have {lengths.pop()} coordinates')
+        return cls(verts, ambient_dim=dim)
 
     def __eq__(self, other):
         return (

@@ -108,6 +108,26 @@ def test_delta_that_spans_less_than_its_space_is_not_reflexive(tmp_path, capsys,
         )
 
 
+@pytest.mark.parametrize(
+    "delta,message",
+    [
+        ({"dim": 2, "vertices": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]]},
+         '"dim" is 2 but the vertices have 3 coordinates'),
+        ({"dim": -1, "vertices": [[1], [2]]}, '"dim" is -1: it must be nonnegative'),
+        ({"dim": -1, "vertices": []}, '"dim" is -1: it must be nonnegative'),
+        ({"dim": 2, "vertices": [[1, 0], [0, 1, 0]]}, "points have inconsistent dimension"),
+    ],
+    ids=["disagrees", "negative", "negative-no-points", "ragged"],
+)
+def test_a_bad_dim_is_named_in_the_error(tmp_path, capsys, delta, message):
+    # a "dim" that is negative or disagrees with coordinates that agree with
+    # each other is reported as the "dim"; ragged coordinates are the points'
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps({"delta": delta, "parts": [[0]]}))
+    assert main(["euler", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: invalid nef-partition input: {message}\n")
+
+
 QUARTIC_DOC = {
     "delta": {"dim": 3, "vertices": [[3, -1, -1], [-1, 3, -1], [-1, -1, 3], [-1, -1, -1]]},
     "parts": [[0, 1, 2, 3]],
