@@ -109,7 +109,7 @@ def build_gkz(data):
     else:
         # U[rank:] is a saturated basis of ker A, part of a unimodular basis;
         # each vector is signed so its first nonzero entry is negative
-        rank, U, _ = linalg.echelon(list(zip(*A)))
+        rank, U = linalg.echelon(list(zip(*A)))
         kernel = tuple(
             tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
             for v in U[rank:]

@@ -3,8 +3,7 @@
 A matrix is a sequence of equal-length rows of Python or NumPy ints (a float
 raises TypeError, never truncated); results are lists of rows of Python ints,
 so nothing ever overflows.  ``echelon`` triangularizes by unimodular 2×2
-gcd row steps and carries the inverse of its transform; the transform gives
-lattice bases of affine spans and saturated kernels.  ``row_basis`` is one
+gcd row steps; its transform gives saturated kernels.  ``row_basis`` is one
 fraction-free Gauss–Jordan elimination (Bareiss 1968) of the rows taken as
 columns: it finds their lex-first basis S and a transform E with
 S·Eᵀ = d·I, the seed of a double-description pass.  No rational is formed.
@@ -76,14 +75,13 @@ def row_basis(M):
 
 
 def echelon(M):
-    """Row echelon form of M reached by unimodular row steps: ``(r, U, V)``.
+    """Row echelon form of M reached by unimodular row steps: ``(r, U)``.
 
-    U is unimodular and V = U⁻¹, both given as lists of Python ints, and
-    rows r.. of U·M are zero, so r is the rank of M and ``U[r:]`` is a
-    saturated basis of the lattice of integer v with v·M = 0.  Each column's
-    pivot is the gcd of its entries at or below row r, brought up by 2×2
-    ``exgcd`` steps (x, y; −q, p) applied to the rows of both A and U, while
-    their inverses (p, −y; q, x) act on the columns of V (Cohen, *A Course in
+    U is unimodular, given as lists of Python ints, and rows r.. of U·M are
+    zero, so r is the rank of M and ``U[r:]`` is a saturated basis of the
+    lattice of integer v with v·M = 0.  Each column's pivot is the gcd of its
+    entries at or below row r, brought up by 2×2 ``exgcd`` steps
+    (x, y; −q, p) applied to the rows of both A and U (Cohen, *A Course in
     Computational Algebraic Number Theory*, §2.4).
     """
     A = [[operator.index(x) for x in row] for row in M]
@@ -92,7 +90,6 @@ def echelon(M):
     if any(len(row) != n for row in A):
         raise ValueError("matrix rows must have equal length")
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    W = [[int(i == j) for j in range(m)] for i in range(m)]  # the columns of V
     r = 0
     for j in range(n):
         if r == m:
@@ -106,10 +103,8 @@ def echelon(M):
                 for R in (A, U):
                     R[r], R[i] = ([x * s + y * t for s, t in zip(R[r], R[i])],
                                   [p * t - q * s for s, t in zip(R[r], R[i])])
-                W[r], W[i] = ([p * s + q * t for s, t in zip(W[r], W[i])],
-                              [x * t - y * s for s, t in zip(W[r], W[i])])
         r += A[r][j] != 0
-    return r, U, [list(row) for row in zip(*W)]
+    return r, U
 
 
 smith_normal_form = det = None  # for perfbench/spans.py until ROADMAP item 5

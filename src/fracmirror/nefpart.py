@@ -23,8 +23,10 @@ nabla its polar dual, read off by transposition.  The nabla_k build no
 hull: their vertices are the layers of the Cayley pyramid over them,
 read off its pairing with the tagged Delta_i vertices (``polytope``).
 Only a rejected partition, where that pairing need not hold, builds
-nabla, as pairwise hulls of the vertex sums of the nabla_k hulls, to
-report whether it is reflexive.
+nabla, as pairwise hulls of the vertex sums of the nabla_k, to report
+whether it is reflexive.  A flat nabla_k or partial sum builds no hull and
+keeps its points, so the fold is exact over point sets; the last sum holds
+0 and every ray of Delta^*, so it spans.
 
 On a simplex (every one-parameter input) no cut and no sum test runs: with
 w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the

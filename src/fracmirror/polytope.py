@@ -1,19 +1,20 @@
 """Exact lattice polytopes: hulls, duals, volumes, lattice points.
 
-Everything is exact integer arithmetic.  Convex hulls come from an
-incremental double-description pass over the homogenization cone, in the
-coordinates of a unimodular echelon transform only when the points span less
-than the ambient space.  One fraction-free elimination of the homogenized
+Everything is exact integer arithmetic.  A convex hull is full-dimensional
+and comes from an incremental double-description pass over the
+homogenization cone.  One fraction-free elimination of the homogenized
 points gives the affine dimension and the seed rays of the pass, which
 returns each facet with the bitmask of the input points on it, formed without
 a dot product; the vertices are read off those masks, which are kept as the
-facet–vertex incidences.  The polar dual of a reflexive polytope builds no
-hull: its vertices and facets are the facets and vertices of the primal, and
-its incidences their transpose.  Volumes are normalized lattice volumes in
-the affine span, summed over the flags of a pulling triangulation read off
-those incidences with one fraction-free elimination row per step of a flag,
-so simplices that share a flag prefix share its eliminations; lattice-point
-scans run on the one exact-int prefix→interval scan in ``_accel``.
+facet–vertex incidences.  Points that span less than their space build no
+hull: such a set is kept only so that it can be refused.  The polar dual of
+a reflexive polytope builds no hull: its vertices and facets are the facets
+and vertices of the primal, and its incidences their transpose.  Volumes
+are normalized lattice volumes, summed over the flags of a pulling
+triangulation read off those incidences with one fraction-free elimination
+row per step of a flag, so simplices that share a flag prefix share its
+eliminations; lattice-point scans run on the one exact-int prefix→interval
+scan in ``_accel``.
 
 The Cayley pyramids of a nef-partition build no hull either.  In
 M × Z^r and N × Z^r let
@@ -175,6 +176,11 @@ class LatticePolytope:
     identical representations, and two polytopes compare equal by ambient
     dimension and vertices.  Facets are inward pairs ``(normal, offset)``
     with ``normal·x + offset >= 0`` on the polytope.
+
+    Points that span less than Z^D, one point and D = 0 included, build no
+    hull: they keep ``affine_dim`` and their distinct lex-sorted points as
+    ``vertices``, with no facets or incidences.  Such a set is never
+    reflexive, and the polar dual, volume and lattice points refuse it.
     """
 
     __slots__ = (
@@ -182,11 +188,6 @@ class LatticePolytope:
         "affine_dim",
         "vertices",
         "facets",
-        "_v0",
-        "_U",
-        "_B",
-        "_span_vertices",
-        "_span_facets",
         "_incidences",
         "_lattice_points",
         "_polar_dual",
@@ -205,89 +206,32 @@ class LatticePolytope:
         self._lattice_points = None
         self._polar_dual = None
 
-        if len(pts) == 1 or D == 0:
-            self.affine_dim = 0
-            self.vertices = (pts[0],)
-            self.facets = ()
-            self._v0 = pts[0]
-            self._U = None
-            self._B = None
-            self._span_vertices = ((),)
-            self._span_facets = ()
-            self._incidences = ()
-            return
-
         # one elimination: the independent homogenized points give the affine
-        # dimension and seed the DD, in span coordinates too, since the
-        # projection onto the span keeps affine independence
+        # dimension and seed the DD
         rows = [p + (1,) for p in pts]
         idx, d, E = linalg.row_basis(rows)
-        a = self.affine_dim = len(idx) - 1
-
-        if a == D:
-            self._v0 = tuple([0] * D)
-            self._U = None
-            self._B = None
-            span_pts = pts
-        else:
-            # only a lower-dimensional span needs the transform U: rows a.. of
-            # U·diffsᵀ vanish, so U[:a] maps the span's lattice onto Z^a
-            v0 = pts[0]
-            diffs = [[x - y for x, y in zip(p, v0)] for p in pts[1:]]
-            _, U, V = linalg.echelon(list(zip(*diffs)))
-            self._v0 = v0
-            self._U = U
-            self._B = [row[:a] for row in V]
-            span_pts = [self._project(p) for p in pts]
-            rows = [y + (1,) for y in span_pts]
-            # only the a+1 seed rows, which span R^(a+1), are eliminated again
-            _, d, E = linalg.row_basis([rows[i] for i in idx])
+        self.affine_dim = len(idx) - 1
+        if self.affine_dim < D or not D:
+            # a flat set builds no hull: it keeps its points, to be refused
+            self.vertices, self.facets, self._incidences = tuple(pts), (), ()
+            return
 
         # the rows are distinct and nonzero, so mask bit i is point i
         rays = _dd_extreme_rays(rows, (idx, d, E))
-        self._span_facets = tuple((r[:-1], r[-1]) for r, _ in rays)
-
+        self.facets = tuple((r[:-1], r[-1]) for r, _ in rays)
         verts, self._incidences = _vertex_test([m for _, m in rays], len(pts))
         self.vertices = tuple(pts[i] for i in verts)
-        self._span_vertices = tuple(span_pts[i] for i in verts)
-
-        if a == D:
-            self.facets = self._span_facets
-        else:
-            # on the span U·(x − v0) = (y, 0), so w = Σ_{i<a} g_i·U[i] gives
-            # w·(x − v0) = g·y; w is primitive because U is unimodular
-            cols = list(zip(*self._U[:a]))
-            lifted = []
-            for g, c in self._span_facets:
-                w = tuple(_dot(g, col) for col in cols)
-                lifted.append((w, c - _dot(w, v0)))
-            self.facets = tuple(sorted(lifted))
-
-    # -- affine span machinery -------------------------------------------
-
-    def _project(self, p):
-        """Span coordinates of a point p of the affine span."""
-        if self._U is None:
-            return tuple(p)
-        diff = [p[i] - self._v0[i] for i in range(self.ambient_dim)]
-        return tuple(_dot(row, diff) for row in self._U[: self.affine_dim])
-
-    def _unproject(self, y):
-        if self._B is None:
-            return tuple(y)
-        D = self.ambient_dim
-        return tuple(
-            self._v0[i] + _dot(self._B[i], y) for i in range(D)
-        )
 
     # -- predicates -------------------------------------------------------
 
     def is_reflexive(self):
-        return (
-            self.affine_dim == self.ambient_dim
-            and self.ambient_dim > 0
-            and all(c == 1 for _, c in self.facets)
-        )
+        # a flat set has no facets
+        return bool(self.facets) and all(c == 1 for _, c in self.facets)
+
+    def _require_full_dimensional(self, what):
+        """Refuse a flat set: it keeps its points, but no facets to measure by."""
+        if not self.facets:
+            raise FracmirrorError(f"{what} requires a full-dimensional polytope")
 
     # -- duality ----------------------------------------------------------
 
@@ -298,8 +242,7 @@ class LatticePolytope:
         vertices v of P, both lex-sorted; its incidences are the transpose.
         """
         if self._polar_dual is None:
-            if self.affine_dim != self.ambient_dim or self.ambient_dim == 0:
-                raise FracmirrorError("polar dual requires a full-dimensional polytope")
+            self._require_full_dimensional("polar dual")
             if any(c <= 0 for _, c in self.facets):
                 raise FracmirrorError("origin is not an interior point")
             if any(c != 1 for _, c in self.facets):
@@ -319,58 +262,51 @@ class LatticePolytope:
         """A full-dimensional polytope from its lex-sorted vertices and facets
         and the facet masks over the vertices, with no hull."""
         P = cls.__new__(cls)
-        P.vertices = P._span_vertices = vertices
-        P.facets = P._span_facets = facets
-        P._incidences = incidences
+        P.vertices, P.facets, P._incidences = vertices, facets, incidences
         P.ambient_dim = P.affine_dim = len(vertices[0])
-        P._v0 = (0,) * P.ambient_dim
-        P._U = P._B = P._lattice_points = P._polar_dual = None
+        P._lattice_points = P._polar_dual = None
         return P
 
     # -- lattice points ---------------------------------------------------
 
-    def _span_box(self, k=1):
-        a = self.affine_dim
-        lo = [min(y[i] for y in self._span_vertices) * k for i in range(a)]
-        hi = [max(y[i] for y in self._span_vertices) * k for i in range(a)]
+    def _box(self, k=1):
+        D = self.ambient_dim
+        lo = [min(v[i] for v in self.vertices) * k for i in range(D)]
+        hi = [max(v[i] for v in self.vertices) * k for i in range(D)]
         return lo, hi
 
     def dilate_lattice_point_count(self, k):
         """Number of lattice points in k·P (k a nonnegative integer)."""
+        self._require_full_dimensional("a lattice-point count")
         k = operator.index(k)
         if k < 0:
             raise ValueError("dilation factor must be nonnegative")
-        if k == 0 or self.affine_dim == 0:
+        if k == 0:
             return 1
-        lo, hi = self._span_box(k)
-        A = [g for g, _ in self._span_facets]
-        c = [cc * k for _, cc in self._span_facets]
+        lo, hi = self._box(k)
+        A = [g for g, _ in self.facets]
+        c = [cc * k for _, cc in self.facets]
         return _accel.count_points(lo, hi, A, c)
 
     def lattice_points(self):
         if self._lattice_points is None:
-            if self.affine_dim == 0:
-                self._lattice_points = (self.vertices[0],)
-            else:
-                lo, hi = self._span_box()
-                A = [g for g, _ in self._span_facets]
-                c = [cc for _, cc in self._span_facets]
-                span = _accel.enumerate_points(lo, hi, A, c)
-                self._lattice_points = tuple(
-                    sorted(self._unproject(y) for y in span)
-                )
+            self._require_full_dimensional("a lattice-point scan")
+            lo, hi = self._box()
+            A = [g for g, _ in self.facets]
+            c = [cc for _, cc in self.facets]
+            self._lattice_points = tuple(_accel.enumerate_points(lo, hi, A, c))
         return self._lattice_points
 
     # -- volume -----------------------------------------------------------
 
     def normalized_volume(self):
-        """Normalized lattice volume in the affine span (unit simplex = 1).
+        """Normalized lattice volume (unit simplex = 1).
 
-        Σ |det(y_j − y_0)| over the simplices of the pulling triangulation in
-        span coordinates (De Loera, Rambau & Santos, "Triangulations", §4.3):
-        a face S (a mask over ``_span_vertices``) is coned from its lowest
-        vertex over its facets that miss it, the maximal S ∩ F over the facet
-        masks F, found once per face; a simplex face is its own triangulation.
+        Σ |det(y_j − y_0)| over the simplices of the pulling triangulation
+        (De Loera, Rambau & Santos, "Triangulations", §4.3): a face S (a
+        mask over ``vertices``) is coned from its lowest vertex over its
+        facets that miss it, the maximal S ∩ F over the facet masks F, found
+        once per face; a simplex face is its own triangulation.
         So a simplex is a flag S_0 ⊃ ... ⊃ S_a, y_j the lowest vertex of S_j.
         The flags are walked depth first, and the step into S_j adds the row
         y_j − y_0 reduced by one fraction-free step per pivot (c, R, p) on the
@@ -379,10 +315,9 @@ class LatticePolytope:
         minors (Bareiss, Math. Comp. 1968), so its first nonzero entry is the
         next pivot and the last is ±det; a shared flag prefix is eliminated once.
         """
+        self._require_full_dimensional("a volume")
         a = self.affine_dim
-        if a == 0:
-            return 1
-        Y = self._span_vertices
+        Y = self.vertices
         rows = [[x - y for x, y in zip(v, Y[0])] for v in Y]
         cuts = {}
 

@@ -371,8 +371,8 @@ def adjugate(M):
 
 
 def inverse_unimodular(U):
-    """Exact inverse of an integer matrix with det ±1, the inverse
-    ``linalg.echelon`` carries is checked against."""
+    """Exact inverse of an integer matrix with det ±1; ``SpanHull`` lifts
+    span coordinates back through it."""
     d, adj = adjugate(U)
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
@@ -411,7 +411,7 @@ def det(M):
 def pulling_triangulation(P):
     """Simplices of the pulling triangulation of P, as tuples of vertex indices.
 
-    Faces are bitmasks over ``P._span_vertices``.  The facets of a face S
+    Faces are bitmasks over ``P.vertices``.  The facets of a face S
     are the inclusion-maximal S ∩ F over the facet masks F (``_incidences``)
     that do not contain S; S is coned from its smallest vertex over the
     triangulations of its facets that miss that vertex (De Loera, Rambau &
@@ -435,16 +435,14 @@ def pulling_triangulation(P):
                 ]
         return memo[S]
 
-    return pull((1 << len(P._span_vertices)) - 1)
+    return pull((1 << len(P.vertices)) - 1)
 
 
 def volume_by_simplices(P):
     """Normalized volume as Σ |det(y_i − y_0)| over the simplices of the
     pulling triangulation, one determinant per simplex."""
     a = P.affine_dim
-    if a == 0:
-        return 1
-    Y = P._span_vertices
+    Y = P.vertices
     vol = 0
     for s in pulling_triangulation(P):
         y0 = Y[s[0]]
@@ -462,10 +460,61 @@ def volume_by_dilation_counts(P):
     )
 
 
+class SpanHull:
+    """conv(points) for points that may span less than Z^D, through the
+    full-dimensional ``LatticePolytope`` of their span coordinates.
+
+    With x0 the lex-first point, rows a.. of the unimodular U of
+    ``linalg.echelon`` vanish on every x − x0, so y = U[:a]·(x − x0) maps
+    the lattice points of the affine span onto Z^a, and ``span`` is the hull
+    of the y there.  A point y goes back as x0 + V[:, :a]·y with V = U⁻¹, and
+    a facet (g, c) of ``span`` as (w, c − w·x0) with w = Σ_{i<a} gᵢ·U[i],
+    primitive because U is unimodular.
+    """
+
+    def __init__(self, points):
+        pts = sorted({tuple(p) for p in points})
+        self.x0 = pts[0]
+        self.ambient_dim = len(self.x0)
+        diffs = [[x - y for x, y in zip(p, self.x0)] for p in pts]
+        self.affine_dim, self.U = linalg.echelon(list(zip(*diffs)))
+        self.V = inverse_unimodular(self.U)
+        self.span = LatticePolytope([self.project(p) for p in pts], self.affine_dim)
+
+    def _coordinates(self, x):
+        diff = [p - q for p, q in zip(x, self.x0)]
+        return [sum(map(operator.mul, row, diff)) for row in self.U]
+
+    def project(self, x):
+        """Span coordinates of a point x of the affine span."""
+        return tuple(self._coordinates(x)[: self.affine_dim])
+
+    def on_span(self, x):
+        return not any(self._coordinates(x)[self.affine_dim :])
+
+    def lift(self, y):
+        return tuple(x + sum(map(operator.mul, row, y)) for x, row in zip(self.x0, self.V))
+
+    @property
+    def vertices(self):
+        return tuple(sorted(self.lift(y) for y in self.span.vertices))
+
+    @property
+    def facets(self):
+        lifted = []
+        for g, c in self.span.facets:
+            w = tuple(sum(map(operator.mul, g, col)) for col in zip(*self.U[: self.affine_dim]))
+            lifted.append((w, c - sum(map(operator.mul, w, self.x0))))
+        return tuple(sorted(lifted))
+
+    def lattice_points(self):
+        return tuple(sorted(self.lift(y) for y in self.span.lattice_points()))
+
+
 def contains(P, point):
-    """Whether a point with int or Fraction coordinates lies in P: on its
-    affine span, where rows a.. of the span transform U vanish on x - v0,
-    and on the inner side of every facet."""
+    """Whether a point with int or Fraction coordinates lies in P: on the
+    inner side of every facet, or, for a set P that spans less than its
+    space (kept as its points), in the ``SpanHull`` of those points."""
     p = tuple(point)
     if any(type(x) not in (int, Fraction) for x in p):
         raise TypeError("point coordinates must be int or Fraction")
@@ -473,10 +522,9 @@ def contains(P, point):
         raise ValueError("point has wrong dimension")
     if P.affine_dim == 0:
         return p == P.vertices[0]
-    if P._U is not None:
-        diff = [x - y for x, y in zip(p, P._v0)]
-        if any(sum(map(operator.mul, row, diff)) for row in P._U[P.affine_dim :]):
-            return False
+    if not P.facets:
+        H = SpanHull(P.vertices)
+        return H.on_span(p) and contains(H.span, H.project(p))
     return all(sum(map(operator.mul, g, p)) + c >= 0 for g, c in P.facets)
 
 
@@ -946,7 +994,7 @@ def gkz_kernel_by_echelon(A):
     """A saturated basis of ker A: ``U[rank:]`` of the unimodular echelon of
     Aᵀ, each vector signed so its first nonzero entry is negative, as
     ``build_gkz`` finds it on a polytope that is not a simplex."""
-    rank, U, _ = linalg.echelon(list(zip(*A)))
+    rank, U = linalg.echelon(list(zip(*A)))
     return tuple(tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v) for v in U[rank:])
 
 

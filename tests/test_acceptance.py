@@ -29,6 +29,7 @@ from fracmirror.series import RationalSeries
 from fracmirror.topology import euler_double_cover
 from oracles import (
     EpsPoly,
+    SpanHull,
     apply,
     euler_snc_union_oracle,
     frobenius_residue,
@@ -85,9 +86,11 @@ def test_criterion_02_volumes(quartic, k3):
     assert euler_double_cover(k3).vol_Lambda_dual == 3
     g = build_gkz(quartic)
     columns = list(zip(*g.A))
-    A_hull = LatticePolytope(columns)
+    # the columns lie on the hyperplane of the first row, all 1: their hull is
+    # taken in the coordinates of its affine span
+    A_hull = SpanHull(columns)
     assert A_hull.affine_dim == 3
-    assert A_hull.normalized_volume() == 4
+    assert A_hull.span.normalized_volume() == 4
 
 
 @criterion(3, "Euler/Hodge test: K3 chi 12=12; threefold chi -60/60, h11/h21 1/31 vs 31/1; SNC oracle -60")

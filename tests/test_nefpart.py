@@ -19,6 +19,7 @@ from fracmirror.nefpart import (
 from fracmirror.polytope import LatticePolytope, cayley_pyramids
 from fracmirror.topology import euler_double_cover
 from oracles import (
+    SpanHull,
     cayley_polytope,
     contains,
     gkz_kernel_by_echelon,
@@ -322,12 +323,13 @@ def test_valid_partition_builds_nabla_on_first_read():
 def test_nabla_parts_are_the_vertices_of_their_hulls():
     # each nabla_k is read off the layer-k vertices of Lambda_dual: every ray
     # of part k is a vertex, and the origin is one unless it lies in the
-    # hull of the rays (some hexagon parts hold two opposite rays)
+    # hull of the rays (some hexagon parts hold two opposite rays); a nabla_k
+    # may be flat, so the reference hull is taken in its span
     count = inner = 0
     for name, data in accepted_partitions():
         origin = (0,) * data.delta.ambient_dim
         for k, part in enumerate(data.ray_parts):
-            hull = LatticePolytope([origin] + [data.rays[j] for j in part])
+            hull = SpanHull([origin] + [data.rays[j] for j in part])
             assert data.nabla_parts[k] == hull.vertices, (name, data.ray_parts, k)
             count += 1
             inner += origin not in hull.vertices

@@ -19,6 +19,7 @@ from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
 from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramids
 from oracles import (
+    SpanHull,
     boundary_lattice_point_count,
     cayley_polytope,
     contains,
@@ -190,13 +191,29 @@ def test_no_points_error():
 
 
 def test_single_point_and_segment():
+    # a set that spans less than its space builds no hull: it keeps its
+    # distinct points, and its volume, lattice points and polar dual are
+    # refused rather than measured in the wrong space
     P = LatticePolytope([(0, 0, 0)])
-    assert P.affine_dim == 0 and P.vertices == ((0, 0, 0),)
-    assert P.normalized_volume() == 1
-    S = LatticePolytope([(0, 0, 0), (2, 4, 6)])
-    assert S.affine_dim == 1
-    assert S.normalized_volume() == 2  # two primitive steps along (1,2,3)
-    assert len(S.lattice_points()) == 3
+    assert (P.affine_dim, P.vertices, P.facets) == (0, ((0, 0, 0),), ())
+    S = LatticePolytope([(2, 4, 6), (0, 0, 0), (1, 2, 3), (2, 4, 6)])
+    assert (S.affine_dim, S.vertices, S.facets) == (1, ((0, 0, 0), (1, 2, 3), (2, 4, 6)), ())
+    Z = LatticePolytope([()])
+    assert (Z.ambient_dim, Z.affine_dim, Z.vertices, Z.facets) == (0, 0, ((),), ())
+    for Q in (P, S, Z):
+        assert not Q.is_reflexive()
+        for measure in (
+            Q.normalized_volume, Q.lattice_points, Q.polar_dual,
+            lambda: Q.dilate_lattice_point_count(1),
+        ):
+            with pytest.raises(FracmirrorError, match="requires a full-dimensional polytope"):
+                measure()
+    # in the coordinates of its span the segment is two primitive steps
+    # along (1, 2, 3)
+    H = SpanHull(S.vertices)
+    assert H.affine_dim == 1 and H.vertices == ((0, 0, 0), (2, 4, 6))
+    assert H.span.normalized_volume() == 2
+    assert H.lattice_points() == ((0, 0, 0), (1, 2, 3), (2, 4, 6))
 
 
 def test_contains():
@@ -208,6 +225,7 @@ def test_contains():
     assert contains(P, (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)))
     # rational coordinates are used exactly, never truncated
     assert not contains(P, (Fraction(-3, 2), 0, 0))
+    # a flat set is tested in its span
     S = LatticePolytope([(0, 0, 0), (2, 4, 6)])
     assert contains(S, (Fraction(1, 2), 1, Fraction(3, 2)))
     assert not contains(S, (Fraction(1, 2), 1, 1))
@@ -238,25 +256,29 @@ def test_dilate_counts_against_oracle():
 
 
 def test_lower_dimensional_counting():
-    # a triangle embedded in a 2-plane of Z^3
-    tri = LatticePolytope([(0, 0, 0), (2, 0, 2), (0, 2, 2)])
-    assert tri.affine_dim == 2
-    assert tri.dilate_lattice_point_count(1) == len(tri.lattice_points())
-    # its span is x+y-z = 0; oracle count in a box
-    pts = [
-        p
-        for p in itertools.product(range(3), range(3), range(5))
-        if p[0] + p[1] == p[2] and contains(tri, p)
-    ]
-    assert sorted(tri.lattice_points()) == sorted(pts)
+    # triangles in a 2-plane of Z^3, counted in the coordinates of their
+    # span against a box scan; the span is x + y - z = 0 for the first and
+    # z = 0 for the second, whose 10 points a hull that ignored its span
+    # would miscount
+    for T, box, count in (
+        ([(0, 0, 0), (2, 0, 2), (0, 2, 2)], (range(3), range(3), range(5)), 6),
+        ([(0, 0, 0), (3, 0, 0), (0, 3, 0)], (range(4), range(4), range(-1, 2)), 10),
+    ):
+        tri = SpanHull(T)
+        assert tri.affine_dim == 2
+        assert tri.span.dilate_lattice_point_count(1) == len(tri.lattice_points()) == count
+        flat = LatticePolytope(T)
+        assert tri.lattice_points() == tuple(p for p in itertools.product(*box) if contains(flat, p))
 
 
 # ---------------------------------------------------------------- volumes
 
 
 def _random_sublattice_polytopes(rng, count):
-    """Polytopes on the points of a random affine sublattice of Z^D, D <= 5:
-    simplices and non-simplices, full-dimensional or not; points are skipped."""
+    """``(P, flat)`` for point sets of a random affine sublattice of Z^D,
+    D <= 5: simplices and non-simplices, full-dimensional or not, a flat
+    one as the hull of its span coordinates (``SpanHull``); points are
+    skipped."""
     for _ in range(count):
         D = rng.randint(1, 5)
         a = rng.randint(1, D)
@@ -270,22 +292,23 @@ def _random_sublattice_polytopes(rng, count):
                 tuple(origin[i] + sum(c[j] * basis[j][i] for j in range(a)) for i in range(D))
             )
         P = LatticePolytope(pts)
-        if P.affine_dim:
-            yield P
+        if P.affine_dim == P.ambient_dim:
+            yield P, False
+        elif P.affine_dim:
+            yield SpanHull(pts).span, True
 
 
 def test_volume_matches_count_on_random_polytopes():
     # the triangulation volume must equal the dilated-count oracle on
     # simplices and non-simplices, full-dimensional or not
     seen = {"simplex": 0, "non-simplex": 0, "lower-dimensional": 0}
-    for P in _random_sublattice_polytopes(random.Random(101), 150):
+    for P, flat in _random_sublattice_polytopes(random.Random(101), 150):
         assert P.normalized_volume() == volume_by_dilation_counts(P)
         if len(P.vertices) == P.affine_dim + 1:
             seen["simplex"] += 1
         else:
             seen["non-simplex"] += 1
-        if P.affine_dim < P.ambient_dim:
-            seen["lower-dimensional"] += 1
+        seen["lower-dimensional"] += flat
     assert min(seen.values()) >= 30, seen
 
 
@@ -301,11 +324,11 @@ def test_volume_matches_one_determinant_per_simplex():
             assert P.normalized_volume() == volume_by_simplices(P), (name, data.ray_parts)
             count += 1
     assert count == 4 * len(accepted_partitions()) > 240
-    flat = 0
-    for P in _random_sublattice_polytopes(random.Random(101), 150):
+    flats = 0
+    for P, flat in _random_sublattice_polytopes(random.Random(101), 150):
         assert P.normalized_volume() == volume_by_simplices(P)
-        flat += P.affine_dim < P.ambient_dim
-    assert flat >= 30
+        flats += flat
+    assert flats >= 30
 
 
 def test_volume_against_delaunay_oracle():
@@ -464,9 +487,11 @@ def test_cayley_and_pyramid():
     }
     pyr = pyramid_over(C)
     assert tuple([0] * 4) in pyr.vertices
-    # Cayley of a single polytope keeps the volume of the factor
+    # Cayley of a single polytope is the factor at height 1, flat in Z^3,
+    # and keeps its volume in its span
     C1 = cayley_polytope([tri])
-    assert C1.normalized_volume() == tri.normalized_volume()
+    assert C1.affine_dim == 2 and not C1.facets
+    assert SpanHull(C1.vertices).span.normalized_volume() == tri.normalized_volume()
 
 
 def _part_rays(data):
@@ -515,9 +540,10 @@ def _affine_rank(points):
 
 def test_lifted_facets_of_lower_dimensional_polytopes():
     # points v0 + B·y with B an integer D×a matrix of rank a < D lie in a
-    # proper affine sublattice; each facet (w, c) is lifted from span
-    # coordinates and must be integral, valid and tight on a facet of P, and
-    # P has as many facets as conv(y) in Z^a
+    # proper affine sublattice, so LatticePolytope keeps them with no
+    # facets; each facet (w, c) of their SpanHull is lifted from span
+    # coordinates and must be integral, valid and tight on a facet of P,
+    # and P has as many facets as conv(y) in Z^a
     rng = random.Random(707)
     checked = 0
     while checked < 120:
@@ -531,7 +557,9 @@ def test_lifted_facets_of_lower_dimensional_polytopes():
             continue
         v0 = [rng.randint(-3, 3) for _ in range(D)]
         pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
-        P = LatticePolytope(pts, D)
+        flat = LatticePolytope(pts, D)
+        assert (flat.affine_dim, flat.facets) == (a, ())
+        P = SpanHull(pts)
         assert P.affine_dim == a
         assert len(P.facets) == len(Q.facets)
         for w, c in P.facets:
@@ -553,7 +581,8 @@ def test_incidence_vertices_match_rank_oracle():
     # from the independent homogenized points, against the Smith form, the
     # subset ray oracle and one rank test per point; some sets lie in a
     # proper affine sublattice, and points repeat, sit inside faces and in
-    # the interior.  The lifted normals of a flat hull depend on the span
+    # the interior.  A flat set keeps its points and no facets, and its hull
+    # is taken through ``SpanHull``, whose lifted normals depend on the span
     # transform, so facets are compared frame-free, as the values w·p + c
     # they take on the input points
     rng = random.Random(1111)
@@ -569,9 +598,13 @@ def test_incidence_vertices_match_rank_oracle():
         ys = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(rng.randint(1, 9))]
         pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
         P = LatticePolytope(pts, D)
-        flat += 0 < P.affine_dim < D
         a, vertices, facets = hull_by_smith_and_rank(pts, D)
-        assert (P.affine_dim, P.vertices) == (a, vertices)
+        assert P.affine_dim == a
+        if 0 < a < D:
+            flat += 1
+            assert (P.vertices, P.facets) == (tuple(sorted(set(pts))), ())
+            P = SpanHull(pts)
+        assert P.vertices == vertices
         assert on_points(P.facets, pts) == on_points(facets, pts)
     assert flat >= 30
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, cohom, gkz, linalg, series, topology
+from fracmirror import cli, cohom, gkz, linalg, polytope, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -32,8 +32,8 @@ def _load_spans():
 def _traced(*commands, shape, folder=DATA):
     """Run each command at N=4 on one shape in ``folder`` under the real hooks.
 
-    ``tracer.flat_hulls`` counts the hulls of lower dimension than their
-    ambient space, the ones that need a span transform.
+    ``tracer.flat_hulls`` counts the point sets of lower dimension than their
+    ambient space, which build no hull.
     """
     spans = _load_spans()
     tracer = spans.Tracer()
@@ -98,17 +98,21 @@ def test_euler_builds_each_polytope_once():
 def test_one_elimination_per_hull(monkeypatch):
     # one fraction-free pass on the homogenized points gives the affine
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
-    # once and no echelon; a flat one adds the echelon that gives its span
-    # transform and its inverse, and one pass on its a+1 seed rows in span
-    # coordinates; euler on the quartic builds 2 full-dimensional hulls, and
-    # Delta is a simplex, so Delta_1 is read off its vertices with no DD pass
-    calls = {"row_basis": 0, "echelon": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(linalg, name)):
-            calls[_name] += 1
+    # once, one DD pass and no echelon; a flat set runs the same pass for its
+    # dimension and builds no hull; euler on the quartic builds 2
+    # full-dimensional hulls, and Delta is a simplex, so Delta_1 is read off
+    # its vertices with no DD pass
+    calls = {"row_basis": 0, "echelon": 0, "dd": 0}
+    for module, name, key in (
+        (linalg, "row_basis", "row_basis"),
+        (linalg, "echelon", "echelon"),
+        (polytope, "_dd_extreme_rays", "dd"),
+    ):
+        def counting(*args, _key=key, _original=getattr(module, name)):
+            calls[_key] += 1
             return _original(*args)
 
-        monkeypatch.setattr(linalg, name, counting)
+        monkeypatch.setattr(module, name, counting)
 
     def counted(build):
         for name in calls:
@@ -117,25 +121,24 @@ def test_one_elimination_per_hull(monkeypatch):
         return dict(calls)
 
     full = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0)]
-    assert counted(lambda: LatticePolytope(full)) == {"row_basis": 1, "echelon": 0}
+    assert counted(lambda: LatticePolytope(full)) == {"row_basis": 1, "echelon": 0, "dd": 1}
     flat = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0)]
-    assert counted(lambda: LatticePolytope(flat)) == {"row_basis": 2, "echelon": 1}
+    assert counted(lambda: LatticePolytope(flat)) == {"row_basis": 1, "echelon": 0, "dd": 0}
 
     def euler():
         config = cli.JobConfig(command="euler", input=str(DATA / "p3_quartic.json"), N=4, fmt="json")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 2, "echelon": 0}
+    assert counted(euler) == {"row_basis": 2, "echelon": 0, "dd": 2}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
     # built as a polytope of its own; validation builds no hull of the
-    # Minkowski sum of the parts, and the two hulls (Delta and nabla*) are
-    # full-dimensional, so none needs an echelon; the nabla_k, the only flat
-    # polytopes here, are built by dual-nef alone
+    # Minkowski sum of the parts, the two hulls (Delta and nabla*) are
+    # full-dimensional, no nabla_k is built and no echelon runs
     echelons = _count_echelons(monkeypatch)
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
