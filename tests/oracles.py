@@ -475,7 +475,6 @@ class SpanHull:
     def __init__(self, points):
         pts = sorted({tuple(p) for p in points})
         self.x0 = pts[0]
-        self.ambient_dim = len(self.x0)
         diffs = [[x - y for x, y in zip(p, self.x0)] for p in pts]
         self.affine_dim, self.U = linalg.echelon(list(zip(*diffs)))
         self.V = inverse_unimodular(self.U)
