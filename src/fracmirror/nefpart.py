@@ -15,29 +15,42 @@ construction swaps the roles of
 
 yielding a nef-partition on ``nabla`` whose double dual is the original.
 
-Validation cuts out each Delta_i by one DD pass, whose rays with t = 1 are
-its vertices, and tests their sum against Delta by support functions: once
-Delta_1 + ... + Delta_r = Delta, nabla is reflexive (Borisov 1993; Batyrev &
-Borisov 1996).  Then nabla^* is one hull of the union of those vertices and
-nabla its polar dual, read off by transposition.  The nabla_k build no
-hull: their vertices are the layers of the Cayley pyramid over them,
-read off its pairing with the tagged Delta_i vertices (``polytope``).
-Only a rejected partition, where that pairing need not hold, builds
-nabla, as pairwise hulls of the vertex sums of the nabla_k, to report
-whether it is reflexive.  A flat nabla_k or partial sum builds no hull and
+Off a simplex, validation cuts out each Delta_i by one DD pass, whose rays
+with t = 1 are its vertices, and tests their sum against Delta by support
+functions: once Delta_1 + ... + Delta_r = Delta, nabla is reflexive
+(Borisov 1993; Batyrev & Borisov 1996).  Then nabla^* is one hull of the
+union of those vertices and nabla its polar dual, read off by
+transposition.  The nabla_k build no hull: their vertices are the layers
+of the Cayley pyramid over them, read off its pairing with the tagged
+Delta_i vertices (``polytope``).  Only a rejected partition, where that
+pairing need not hold, builds nabla, as pairwise hulls of the vertex sums
+of the nabla_k, to report whether it is reflexive.  A flat nabla_k or partial sum builds no hull and
 keeps its points, so the fold is exact over point sets; the last sum holds
 0 and every ray of Delta^*, so it spans.
 
 On a simplex (every one-parameter input) no cut and no sum test runs: with
 w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the
 1/h_g are the barycentric coordinates of the origin, and Delta_i has the
-vertices sum_(g in I_i) (w_j - w_g) / h_g, j = 0..n.  Those sum to w_j over
-i, so Delta_1 + ... + Delta_r = Delta on every partition, and Delta_i is a
-lattice polytope exactly when they are integral.  The partition keeps that
-relation, which the GKZ kernel vector is read off.
+vertices m_ij = sum_(g in I_i) (w_j - w_g) / h_g, j = 0..n.  Those sum to
+w_j over i, so Delta_1 + ... + Delta_r = Delta on every partition, and
+Delta_i is a lattice polytope exactly when they are integral.  The
+partition keeps that relation, which the GKZ kernel vector is read off,
+and the m_ij by their labels (i, j), which the dual side is read off with
+no hull, as <m_ij, rho_g> = [j = g] h_g C_i / L - [g in I_i] with
+c_g = L / h_g and C_i = sum_(g in I_i) c_g:
+- the vertices of nabla^* are the m_ij but the origin (I_i = {j}), no two
+  alike, and the dual partition puts m_ij in part i;
+- its facets (u, 1), u a vertex of nabla, sum one ray g_k of each part k
+  of a nonempty K, G = {g_k}, but not all n + 1 rays (r = n + 1): nabla is
+  the image of prod_k conv(0, e_g : g in I_k) under e_g -> rho_g, whose
+  kernel is spanned by c > 0, and a vertex of the product maps to a vertex
+  of nabla iff its open normal cone meets c^perp;
+- the facet of K, G holds m_ij iff i in K and j not in G;
+- nabla_k has the vertices 0, unless r = 1, and the rays of part k.
 """
 
 import functools
+import itertools
 from math import lcm
 from operator import add, index
 
@@ -90,25 +103,48 @@ def simplex_relation(delta):
     return W, [L // x for x in h], L
 
 
-def _simplex_part_vertices(relation, part):
-    """The lex-sorted vertices of Delta_i on a simplex, L times each being
-    C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
+def _simplex_labels(relation, part):
+    """The vertices m_ij of Delta_i on a simplex, j in delta's facet order:
+    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
     W, c, L = relation
     C = sum(c[g] for g in part)
     shift = [sum(c[g] * W[g][x] for g in part) for x in range(len(W[0]))]
     scaled = [[C * a - b for a, b in zip(w, shift)] for w in W]
     if any(x % L for m in scaled for x in m):
         raise InvalidNefPartition("part polytope has non-lattice vertices")
-    return tuple(sorted(tuple(x // L for x in m) for m in scaled))
+    return tuple(tuple(x // L for x in m) for m in scaled)
+
+
+def _simplex_nabla_dual(rays, parts, labels):
+    """nabla^* on a simplex, read off the labels m_ij (module docstring)."""
+    verts = sorted(
+        (m, i, j) for i, row in enumerate(labels) for j, m in enumerate(row) if parts[i] != (j,)
+    )
+    # the masks of the vertices labelled (i, .) and (., j)
+    in_part, at_ray = [0] * len(parts), [0] * len(rays)
+    for pos, (_, i, j) in enumerate(verts):
+        in_part[i] |= 1 << pos
+        at_ray[j] |= 1 << pos
+    facets = []
+    for pick in itertools.product(*((None, *part) for part in parts)):
+        K = [i for i, g in enumerate(pick) if g is not None]
+        if 0 < len(K) < len(rays):
+            G = [pick[i] for i in K]
+            u = tuple(map(sum, zip(*(rays[g] for g in G))))
+            facets.append(((u, 1), sum(in_part[i] for i in K) & ~sum(at_ray[g] for g in G)))
+    facets.sort()
+    return LatticePolytope._read_off(
+        tuple(m for m, _, _ in verts), tuple(f for f, _ in facets), tuple(m for _, m in facets)
+    )
 
 
 def _derive(delta, parts):
     """Check a proposed nef-partition, cutting out the Delta_i on the way.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
-    ``(rays, part_vertices, relation)`` with ``relation`` the
-    ``simplex_relation`` of delta, or None when a check stopped the build
-    early.
+    ``(rays, part_vertices, relation, labels)`` with ``relation`` the
+    ``simplex_relation`` of delta and ``labels`` the m_ij of each part, both
+    None off a simplex, or None when a check stopped the build early.
     """
     if not isinstance(delta, LatticePolytope):
         return ["delta is not a lattice polytope"], None
@@ -145,13 +181,15 @@ def _derive(delta, parts):
         # a part reports each kind of problem once, and a shared index once
         return list(dict.fromkeys(issues)), None
 
-    relation = simplex_relation(delta)
+    relation, labels = simplex_relation(delta), None
     try:
-        part_vertices = tuple(
-            _simplex_part_vertices(relation, part) if relation
-            else _part_vertices(delta, [rays[j] for j in part], rays)
-            for part in parts
-        )
+        if relation:
+            labels = tuple(_simplex_labels(relation, part) for part in parts)
+            part_vertices = tuple(tuple(sorted(row)) for row in labels)
+        else:
+            part_vertices = tuple(
+                _part_vertices(delta, [rays[j] for j in part], rays) for part in parts
+            )
     except InvalidNefPartition as exc:
         return [str(exc)], None
 
@@ -169,7 +207,7 @@ def _derive(delta, parts):
         )
         if not nabla.is_reflexive():
             issues.append("nabla is not reflexive")
-    return issues, (rays, part_vertices, relation)
+    return issues, (rays, part_vertices, relation, labels)
 
 
 def _nabla_parts(rays, parts):
@@ -217,8 +255,9 @@ class NefPartition:
     vertices) and ``relation`` (``simplex_relation`` of delta, None off a
     simplex), and checks Delta_1 + ... + Delta_r = Delta without building
     the sum.  Each polytope below is built on first read and kept:
-    ``nabla_dual`` is the hull of all ``part_vertices`` and ``nabla`` its
-    polar dual; ``nabla_parts`` are the vertex tuples of the nabla_k.
+    ``nabla_dual`` is the hull of all ``part_vertices`` or, on a simplex,
+    read off their labels; ``nabla`` is its polar dual; ``nabla_parts`` are
+    the vertex tuples of the nabla_k.
     """
 
     def __init__(self, delta, parts):
@@ -230,20 +269,27 @@ class NefPartition:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
-        self.rays, self.part_vertices, self.relation = built
+        self.rays, self.part_vertices, self.relation, self._labels = built
 
     @functools.cached_property
     def nabla_parts(self):
-        """The lex-sorted vertices of each nabla_k: the layer-k vertices of
-        Lambda_dual, read off its pairing with the tagged Delta_i vertices."""
+        """The lex-sorted vertices of each nabla_k: on a simplex its rays and,
+        for r >= 2, the origin; else the layer-k vertices of Lambda_dual,
+        read off its pairing with the tagged Delta_i vertices."""
         rays = [[self.rays[j] for j in part] for part in self.ray_parts]
         n = self.delta.ambient_dim
+        if self._labels:
+            origin = [(0,) * n] if self.r > 1 else []
+            return tuple(tuple(sorted(R + origin)) for R in rays)
         _, verts, _ = _pairing(self.part_vertices, rays)
         return tuple(tuple(v[:n] for v in verts if v[n + k]) for k in range(self.r))
 
     @functools.cached_property
     def nabla_dual(self):
-        """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r), one hull."""
+        """nabla^* = conv(Delta_1 ∪ ... ∪ Delta_r): one hull, or on a simplex
+        read off the labels."""
+        if self._labels:
+            return _simplex_nabla_dual(self.rays, self.ray_parts, self._labels)
         return LatticePolytope({v for V in self.part_vertices for v in V}, self.delta.ambient_dim)
 
     @functools.cached_property
@@ -257,7 +303,11 @@ class NefPartition:
 
     def dual_parts(self):
         """Each vertex v of nabla^* joins the first Delta_i, read off its cut:
-        <v, rho> + [rho in I_i] >= 0 for every ray rho."""
+        <v, rho> + [rho in I_i] >= 0 for every ray rho.  On a simplex that is
+        the part i of its label m_ij."""
+        if self._labels:
+            pos = {v: idx for idx, v in enumerate(self.nabla_dual.vertices)}
+            return [sorted(pos[m] for m in row if m in pos) for row in self._labels]
         parts = [[] for _ in range(self.r)]
         cuts = [[(rho, j in part) for j, rho in enumerate(self.rays)] for part in self.ray_parts]
         for idx, v in enumerate(self.nabla_dual.vertices):

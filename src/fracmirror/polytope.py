@@ -32,9 +32,9 @@ the dual cone.  Its vertices are the apex and those tagged points of the
 ∇_k that the facets through them cut out alone.  Each ray of Δ* is a vertex
 of every ∇_k that holds it, so only (0, e_k) can fail, and it fails exactly
 when 0 ∈ conv(rays of part k).  The layer t = e_k of Λ∨ is a face, so its
-vertices are the tagged vertices of ∇_k, and ``nefpart`` reads the ∇_k off
-the same pairing (``_pairing``).  Λ is read off Λ∨ by transposing the
-incidences, as the polar dual is, with apex and lid swapped.
+vertices are the tagged vertices of ∇_k, and off a simplex ``nefpart`` reads
+the ∇_k off the same pairing (``_pairing``).  Λ is read off Λ∨ by
+transposing the incidences, as the polar dual is, with apex and lid swapped.
 """
 
 import bisect

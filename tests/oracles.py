@@ -989,6 +989,30 @@ def nef_diagnostics_by_hulls(delta, parts):
     return issues
 
 
+def dual_side_by_hull(data):
+    """(nabla_dual, nabla_parts, dual_parts) of a nef-partition by hulls:
+    nabla^* is one DD hull of the union of the Delta_i vertices, each nabla_k
+    the hull of 0 and the rays of part k in their span, and each vertex v
+    of nabla^* joins the first Delta_i whose cut holds it,
+    <v, rho> + [rho in I_i] >= 0 for every ray rho."""
+    nabla_dual = LatticePolytope(
+        {v for V in data.part_vertices for v in V}, data.delta.ambient_dim
+    )
+    origin = (0,) * data.delta.ambient_dim
+    nabla_parts = tuple(
+        SpanHull([origin] + [data.rays[j] for j in part]).vertices for part in data.ray_parts
+    )
+    cuts = [[(rho, j in part) for j, rho in enumerate(data.rays)] for part in data.ray_parts]
+    dual_parts = [[] for _ in data.ray_parts]
+    for idx, v in enumerate(nabla_dual.vertices):
+        home = next(
+            i for i, cut in enumerate(cuts)
+            if all(sum(map(operator.mul, v, rho)) + c >= 0 for rho, c in cut)
+        )
+        dual_parts[home].append(idx)
+    return nabla_dual, nabla_parts, dual_parts
+
+
 def gkz_kernel_by_echelon(A):
     """A saturated basis of ker A: ``U[rank:]`` of the unimodular echelon of
     Aᵀ, each vector signed so its first nonzero entry is negative, as
@@ -1206,3 +1230,31 @@ def pairing_matrix(m, scale, basis):
     return tuple(
         tuple(cohom_integral(m, scale, bi * bj) for bj in basis) for bi in basis
     )
+
+
+def _int_product(a, b, N):
+    """The product of two integer q-series, as lists, through q^N."""
+    return [sum(a[k] * b[n - k] for k in range(n + 1)) for n in range(N + 1)]
+
+
+def eisenstein_e4(N):
+    """E_4(q) = 1 + 240 sum_(n>=1) sigma_3(n) q^n through q^N, as ints."""
+    return [1] + [240 * sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(1, N + 1)]
+
+
+def k3_mirror_map_by_j(N):
+    """64/j(q) through q^N, as ints, for the K3 of theta^3 -
+    27z(theta + 1/6)(theta + 1/2)(theta + 5/6) (Lian and Yau, "Mirror maps,
+    modular relations and hypergeometric series I", 1995): 1/j = Delta/E_4^3
+    with Delta = q prod_(n>=1) (1 - q^n)^24."""
+    eta24 = [1] + [0] * N
+    for n in range(1, N + 1):
+        for _ in range(24):
+            for k in range(N, n - 1, -1):
+                eta24[k] -= eta24[k - n]
+    e4 = eisenstein_e4(N)
+    cube = _int_product(_int_product(e4, e4, N), e4, N)
+    inverse = [1] + [0] * N
+    for n in range(1, N + 1):
+        inverse[n] = -sum(cube[k] * inverse[n - k] for k in range(1, n + 1))
+    return [0] + [64 * x for x in _int_product(eta24, inverse, N - 1)]

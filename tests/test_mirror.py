@@ -10,9 +10,11 @@ K(q) in x = z/s; the same series formed in z (``tests/oracles.py``) must be
 exactly equal, and the Legendre duplication that makes x the I-function's
 coordinate is checked slice by slice.  The closed-form Yukawa and K(q) by
 Lagrange-Buermann must equal the ODE solution composed with the reverted
-mirror map.
+mirror map.  The K3's mirror map is 64/j(q) at any order, a reference from
+modular forms alone.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,8 +22,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from conftest import DATA
 
-from fracmirror.cli import JobConfig, _normalization
+from fracmirror.cli import JobConfig, _normalization, main
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz
@@ -40,7 +43,9 @@ from oracles import (
     a_model_correlation_by_composition,
     a_model_correlation_in_z,
     apply,
+    eisenstein_e4,
     i_function_by_weights,
+    k3_mirror_map_by_j,
     matches,
     mirror_map_in_z,
     omega1_log,
@@ -423,3 +428,22 @@ def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, 
             B, I = deformed_solution(ell, N, m), i_function_by_weights(*weights, m, N)
             for k in range(m):
                 assert _dilate(B[k], s) == I[k], (label, N, k)
+
+
+def test_k3_mirror_map_is_modular(capsys):
+    # the K3's mirror map is 64/j(q) and omega0(z(q))^2 is E_4(q) (Lian and
+    # Yau 1995, by Clausen's identity): a reference at any order that shares
+    # no code with the series layer
+    def printed(N):
+        assert main(["mirror-map", str(DATA / "p2_k3.json"), "-N", str(N), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return [[Fraction(c) for c in doc[key]["coeffs"]] for key in ("z_of_q", "omega0")]
+
+    z, _ = printed(64)
+    assert z == k3_mirror_map_by_j(64)
+    z, omega0 = printed(32)
+    # omega0(z(q)) by Horner's rule, through q^32
+    w = [Fraction(0)] * 33
+    for c in reversed(omega0):
+        w = [c * (n == 0) + sum(w[k] * z[n - k] for k in range(n)) for n in range(33)]
+    assert [sum(w[k] * w[n - k] for k in range(n + 1)) for n in range(33)] == eisenstein_e4(32)

@@ -22,6 +22,7 @@ from oracles import (
     SpanHull,
     cayley_polytope,
     contains,
+    dual_side_by_hull,
     gkz_kernel_by_echelon,
     minkowski_sum_by_hulls,
     nef_diagnostics_by_hulls,
@@ -201,12 +202,16 @@ def test_dual_parts_are_the_dual_partition(quartic, eight_hyperplanes, k3):
         assert [tuple(p) for p in data.dual_parts()] == list(_dual(data).ray_parts)
 
 
-def test_dual_parts_rejects_a_vertex_in_no_part(k3):
-    # shrink every part polytope to the origin: with no ray of offset 1, the
-    # cut <v, rho> >= 0 for every ray holds only at 0, so no dual vertex
-    # lies in a part
-    bad = copy.copy(k3)
-    bad.ray_parts = ((),) * k3.r
+def test_dual_parts_rejects_a_vertex_in_no_part():
+    # shrink every part polytope of a hexagon partition to the origin: with
+    # no ray of offset 1, the cut <v, rho> >= 0 for every ray holds only at
+    # 0, so no vertex of nabla^* (still the hull of the Delta_i vertices)
+    # lies in a part; on a simplex the parts are read off the labels, so
+    # this check runs only off one
+    delta = LatticePolytope(HEXAGON)
+    parts = next(p for p in _two_two_two_partitions(6) if not validate_nef_partition(delta, p))
+    bad = copy.copy(NefPartition(delta, parts))
+    bad.ray_parts = ((),) * bad.r
     with pytest.raises(InvalidNefPartition, match="lies in no part polytope"):
         bad.dual_parts()
 
@@ -266,10 +271,22 @@ def _framed_simplices():
             yield name, LatticePolytope([GEN.apply(U, v) for v in verts])
 
 
+def _octahedron_set_partitions():
+    """("octahedron", delta, parts) for 250 seeded set partitions of the
+    eight rays of the octahedron, of its 4140.  In Z^3 a part of one or two
+    rays has a flat nabla_k, so the pairwise fold of a rejected partition
+    meets flat partial sums."""
+    delta = LatticePolytope(SMALL_REFLEXIVE["octahedron"])
+    everything = list(set_partitions(tuple(range(len(delta.polar_dual().vertices)))))
+    for parts in random.Random(22).sample(everything, 250):
+        yield "octahedron", delta, parts
+
+
 def _cross_check_cases():
-    """The random set partitions, then every set partition of the rays of
-    each framed simplex."""
+    """The random set partitions, a sample of the octahedron's, then every
+    set partition of the rays of each framed simplex."""
     yield from _random_set_partitions()
+    yield from _octahedron_set_partitions()
     for name, delta in _framed_simplices():
         for parts in set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
             yield name, delta, parts
@@ -283,11 +300,13 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
     # On a simplex the part vertices and the GKZ kernel are read off Delta's
     # vertices: they match the DD cuts and the echelon of A^T, and only the
     # lattice test can reject a partition
-    kinds, simplex_kinds, simplex_valid = set(), set(), 0
+    kinds, simplex_kinds, simplex_valid, flat_folds = set(), set(), 0, set()
     for name, delta, parts in _cross_check_cases():
         issues = validate_nef_partition(delta, parts)
         assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
         kinds.add(tuple(issues))
+        if name == "octahedron" and "nabla is not reflexive" in issues:
+            flat_folds |= {len(part) for part in parts} & {1, 2}
         if name not in SMALL_REFLEXIVE:
             simplex_kinds.add(tuple(issues))
         if issues:
@@ -308,6 +327,9 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
     }
     assert simplex_kinds == {(), ("part polytope has non-lattice vertices",)}
     assert simplex_valid > 50
+    # the octahedron's sample folds rejected partitions with one-ray and
+    # with two-ray parts
+    assert flat_folds == {1, 2}
 
 
 def test_valid_partition_builds_nabla_on_first_read():
@@ -397,3 +419,42 @@ def test_nabla_dual_parts_and_lambda_dual_match_hull_oracles(quartic, eight_hype
     for data in (quartic, eight_hyperplanes, k3):
         ref = pyramid_over(cayley_polytope([LatticePolytope(V) for V in data.nabla_parts]))
         assert euler_double_cover(data).vol_Lambda_dual == ref.normalized_volume()
+
+
+def _simplex_dual_side_cases():
+    """(name, NefPartition) on a simplex: the simplex cases of
+    ``accepted_partitions``, each perfbench shape in five seeded frames, and
+    both partitions of the segment [-1, 1]."""
+    for name, data in accepted_partitions():
+        if data.relation is not None:
+            yield name, data
+    rng = random.Random(36)
+    for shape, (n, _) in GEN.SHAPES.items():
+        for _ in range(5):
+            U, Uinv = GEN.random_frame(n, 3, rng)
+            yield shape, NefPartition.from_dict(GEN.framed_input(shape, U, Uinv))
+    segment = LatticePolytope([(-1,), (1,)])
+    for parts in ([[0, 1]], [[0], [1]]):
+        yield "segment", NefPartition(segment, parts)
+
+
+def test_simplex_dual_side_matches_hull_oracle():
+    # on a simplex nabla^* (vertices, facets and incidences), nabla, the
+    # nabla_k and the dual partition are read off the labels m_ij of the
+    # Delta_i vertices; the oracle hulls the union of the Delta_i vertices,
+    # hulls each nabla_k in its span and tests each vertex of nabla^*
+    # against the part cuts.  Every part a single ray (r = n + 1) is the
+    # case where picking every ray gives no vertex of nabla
+    count, every_ray_a_part = 0, 0
+    for name, data in _simplex_dual_side_cases():
+        nabla_dual, nabla_parts, dual_parts = dual_side_by_hull(data)
+        got = data.nabla_dual
+        assert (got.vertices, got.facets, got._incidences) == (
+            nabla_dual.vertices, nabla_dual.facets, nabla_dual._incidences
+        ), (name, data.ray_parts)
+        assert data.nabla.vertices == nabla_dual.polar_dual().vertices, (name, data.ray_parts)
+        assert data.nabla_parts == nabla_parts, (name, data.ray_parts)
+        assert data.dual_parts() == dual_parts, (name, data.ray_parts)
+        count += 1
+        every_ray_a_part += data.r == len(data.rays)
+    assert (count, every_ray_a_part) == (101, 15)

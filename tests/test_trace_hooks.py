@@ -84,14 +84,15 @@ def test_all_computes_the_mirror_map_once():
 
 
 def test_euler_builds_each_polytope_once():
-    # euler on the quartic (r = 1) builds two hulls: Delta and nabla* (the
-    # union of the Delta_i vertices); Delta* and nabla are polar duals read
-    # off their primal, Lambda and Lambda_dual are read off one pairing of
-    # the tagged Delta_i vertices with the tagged rays of each part, Delta_1
-    # is read off Delta's vertices and no nabla_k is built; the dual side
-    # is read off the primal, so no dual nef-partition is loaded
+    # euler on the quartic (r = 1) builds one hull, Delta; Delta is a
+    # simplex, so Delta_1 is read off its vertices and nabla* off their
+    # labels; Delta* and nabla are polar duals read off their primal, Lambda
+    # and Lambda_dual are read off one pairing of the tagged Delta_i
+    # vertices with the tagged rays of each part and no nabla_k is built;
+    # the dual side is read off the primal, so no dual nef-partition is
+    # loaded
     tracer = _traced("euler", shape="p3_quartic")
-    assert tracer.calls["polytope.hull"] == 2
+    assert tracer.calls["polytope.hull"] == 1
     assert tracer.calls["nefpart.load"] == 1
 
 
@@ -99,9 +100,9 @@ def test_one_elimination_per_hull(monkeypatch):
     # one fraction-free pass on the homogenized points gives the affine
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
     # once, one DD pass and no echelon; a flat set runs the same pass for its
-    # dimension and builds no hull; euler on the quartic builds 2
-    # full-dimensional hulls, and Delta is a simplex, so Delta_1 is read off
-    # its vertices with no DD pass
+    # dimension and builds no hull; euler on the quartic builds 1
+    # full-dimensional hull, Delta, which is a simplex, so Delta_1 and
+    # nabla* are read off its vertices with no DD pass
     calls = {"row_basis": 0, "echelon": 0, "dd": 0}
     for module, name, key in (
         (linalg, "row_basis", "row_basis"),
@@ -130,27 +131,29 @@ def test_one_elimination_per_hull(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 2, "echelon": 0, "dd": 2}
+    assert counted(euler) == {"row_basis": 1, "echelon": 0, "dd": 1}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
     # every volume comes from the pulling triangulation of the polytope's
     # own facet-vertex incidences: no dilated box is scanned and no face is
     # built as a polytope of its own; validation builds no hull of the
-    # Minkowski sum of the parts, the two hulls (Delta and nabla*) are
-    # full-dimensional, no nabla_k is built and no echelon runs
+    # Minkowski sum of the parts, the one hull (Delta) is full-dimensional,
+    # nabla* is read off the labels of the Delta_i vertices, no nabla_k is
+    # built and no echelon runs
     echelons = _count_echelons(monkeypatch)
     tracer = _traced("euler", shape="p3_eight_hyperplanes")
     assert tracer.counters["polytope.normalized_volume.dilation_scans"] == 0
-    assert tracer.calls["polytope.hull"] == 2
+    assert tracer.calls["polytope.hull"] == 1
     assert tracer.flat_hulls == 0
     assert echelons[0] == 0
 
 
 def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
-    # euler, hodge and all build Delta and nabla* alone; h^{1,1} reads the
-    # point count of Delta* and nabla* off their volumes for n <= 3, so only
-    # the P4 input scans, once on each side
+    # euler, hodge and all build Delta alone (each input is a simplex, so
+    # nabla* is read off the labels of the Delta_i vertices); h^{1,1} reads
+    # the point count of Delta* and nabla* off their volumes for n <= 3, so
+    # only the P4 input scans, once on each side
     golden = REPO / "tests" / "golden"
     for shape, folder, scans in [
         ("p2_k3", DATA, 0),
@@ -160,7 +163,7 @@ def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
     ]:
         for command in ("euler", "hodge", "all"):
             tracer = _traced(command, shape=shape, folder=folder)
-            assert (shape, command, tracer.calls["polytope.hull"]) == (shape, command, 2)
+            assert (shape, command, tracer.calls["polytope.hull"]) == (shape, command, 1)
             assert tracer.calls["polytope.lattice_points"] == scans, (shape, command)
 
 
@@ -201,12 +204,11 @@ def test_multiparameter_series_jobs_build_no_gkz_system():
 
 
 def test_dual_nef_builds_each_polytope_once():
-    # Delta and nabla* (the union of the Delta_i vertices), both
-    # full-dimensional; Delta* and nabla are polar duals read off their
-    # primal, the nabla_k that dual-nef prints are read off the pairing of
-    # the tagged Delta_i vertices with the tagged rays, the dual partition's
-    # parts are read off nabla* and the part inequalities, and its own
-    # polytopes (the nabla_k, Delta_i, Delta and nabla) are not rebuilt
+    # Delta alone, full-dimensional: each input is a simplex, so nabla*, the
+    # nabla_k that dual-nef prints and the dual partition's parts are read
+    # off the labels of the Delta_i vertices; Delta* and nabla are polar
+    # duals read off their primal, and the dual partition's own polytopes
+    # (the nabla_k, Delta_i, Delta and nabla) are not rebuilt
     golden = REPO / "tests" / "golden"
     for shape, folder in [
         ("p2_k3", DATA),
@@ -215,8 +217,18 @@ def test_dual_nef_builds_each_polytope_once():
         ("p4_311", golden),
     ]:
         tracer = _traced("dual-nef", shape=shape, folder=folder)
-        assert (shape, tracer.calls["polytope.hull"], tracer.flat_hulls) == (shape, 2, 0)
+        assert (shape, tracer.calls["polytope.hull"], tracer.flat_hulls) == (shape, 1, 0)
         assert tracer.calls["nefpart.load"] == 1
+
+
+def test_topology_jobs_off_a_simplex_build_nabla_dual():
+    # the hexagon is no simplex: its Delta_i are DD cuts, nabla* is the hull
+    # of the union of their vertices, and the nabla_k are read off the
+    # pairing, so every topology job builds Delta and nabla* (``all`` stops
+    # at its series sections: the hexagon has more than one parameter)
+    for command in ("dual-nef", "euler", "hodge"):
+        tracer = _traced(command, shape="hexagon", folder=REPO / "tests" / "golden")
+        assert (command, tracer.calls["polytope.hull"], tracer.flat_hulls) == (command, 2, 0)
 
 
 def test_mirror_map_reverts_without_composing():
