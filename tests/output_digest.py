@@ -7,8 +7,10 @@ Usage (from the repository root)::
 
 Runs all ten commands in both formats at N = 1, 4 and 12, in-process, on
 the bundled inputs, the hexagon and its partitions in ``tests/golden/``,
-the rejected hexagon partition [[0, 1], [2, 3], [4, 5]], a flat, a
-one-point and a zero-dimensional delta, ``p4_311`` and the 13
+three rejected partitions (of the hexagon, of the octahedron, whose
+one-ray and two-ray parts have flat nabla_k, and of hexagon x segment, a
+product with 8 rays), a flat, a one-point and a zero-dimensional delta,
+``p4_311`` and the 13
 ``perfbench/gen.py`` shapes in the identity frame and in one seeded frame.
 It prints the SHA-256 of the (exit code, stdout, stderr) of every run, in
 a fixed order, and the number of runs per exit code.  The inputs
@@ -35,9 +37,22 @@ COMMANDS = (
 )
 ORDERS = (1, 4, 12)
 FRAME_SEED = 7
+HEXAGON = [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]]
+# partitions whose part polytopes are lattice polytopes that do not sum to
+# delta, each refused with "Minkowski sum ..." and "nabla is not reflexive"
 REJECTED = {
-    "delta": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]]},
-    "parts": [[0, 1], [2, 3], [4, 5]],
+    "rejected": {"delta": {"dim": 2, "vertices": HEXAGON}, "parts": [[0, 1], [2, 3], [4, 5]]},
+    "rejected_octahedron": {
+        "delta": {
+            "dim": 3,
+            "vertices": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+        },
+        "parts": [[0], [1, 2], [3, 5, 6], [4, 7]],
+    },
+    "rejected_hexagon_x_segment": {
+        "delta": {"dim": 3, "vertices": [v + [z] for v in HEXAGON for z in (1, -1)]},
+        "parts": [[0, 1], [2, 5], [6, 7], [3, 4]],
+    },
 }
 # deltas that span less than their space, each refused as not reflexive
 FLAT = {
@@ -60,7 +75,7 @@ def inputs(folder):
     found = [(name, ROOT / "data" / f"{name}.json") for name in sorted(gen.BUNDLED)]
     found += [(p.stem, p) for p in sorted(GOLDEN.glob("hexagon*.json"))]
     found.append(("p4_311", GOLDEN / "p4_311.json"))
-    docs = {"rejected": REJECTED}
+    docs = dict(REJECTED)
     docs.update((label, {"delta": delta, "parts": [[0]]}) for label, delta in FLAT.items())
     rng = random.Random(FRAME_SEED)
     for shape, (n, _) in gen.SHAPES.items():

@@ -282,11 +282,23 @@ def _octahedron_set_partitions():
         yield "octahedron", delta, parts
 
 
+def _hexagon_x_segment_set_partitions():
+    """("hexagon_x_segment", delta, parts) for 120 seeded set partitions of
+    the eight rays of hexagon x [-1, 1], of its 4140: a product, so no
+    simplex, whose rejected partitions pair flat and full nabla_k."""
+    delta = LatticePolytope([v + (z,) for v in HEXAGON for z in (1, -1)])
+    everything = list(set_partitions(tuple(range(len(delta.polar_dual().vertices)))))
+    for parts in random.Random(37).sample(everything, 120):
+        yield "hexagon_x_segment", delta, parts
+
+
 def _cross_check_cases():
-    """The random set partitions, a sample of the octahedron's, then every
-    set partition of the rays of each framed simplex."""
+    """The random set partitions, samples of the octahedron's and of
+    hexagon x segment's, then every set partition of the rays of each framed
+    simplex."""
     yield from _random_set_partitions()
     yield from _octahedron_set_partitions()
+    yield from _hexagon_x_segment_set_partitions()
     for name, delta in _framed_simplices():
         for parts in set_partitions(tuple(range(len(delta.polar_dual().vertices)))):
             yield name, delta, parts
@@ -301,14 +313,18 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
     # vertices: they match the DD cuts and the echelon of A^T, and only the
     # lattice test can reject a partition
     kinds, simplex_kinds, simplex_valid, flat_folds = set(), set(), 0, set()
+    product_kinds = set()
     for name, delta, parts in _cross_check_cases():
         issues = validate_nef_partition(delta, parts)
         assert issues == nef_diagnostics_by_hulls(delta, parts), (name, parts)
         kinds.add(tuple(issues))
         if name == "octahedron" and "nabla is not reflexive" in issues:
             flat_folds |= {len(part) for part in parts} & {1, 2}
-        if name not in SMALL_REFLEXIVE:
+        on_simplex = len(delta.vertices) == delta.ambient_dim + 1
+        if on_simplex:
             simplex_kinds.add(tuple(issues))
+        if name == "hexagon_x_segment":
+            product_kinds.add(tuple(issues))
         if issues:
             continue
         data = NefPartition(delta, parts)
@@ -319,7 +335,7 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
         ), (name, parts)
         g = build_gkz(data).to_json()
         assert g["kernel"] == [list(v) for v in gkz_kernel_by_echelon(g["A"])], (name, parts)
-        simplex_valid += name not in SMALL_REFLEXIVE
+        simplex_valid += on_simplex
     assert kinds >= {
         (),
         ("part polytope has non-lattice vertices",),
@@ -328,8 +344,13 @@ def test_support_test_matches_hull_oracle_on_set_partitions():
     assert simplex_kinds == {(), ("part polytope has non-lattice vertices",)}
     assert simplex_valid > 50
     # the octahedron's sample folds rejected partitions with one-ray and
-    # with two-ray parts
+    # with two-ray parts; the product's sample holds accepted and rejected
+    # partitions
     assert flat_folds == {1, 2}
+    assert product_kinds == {
+        (),
+        ("Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"),
+    }
 
 
 def test_valid_partition_builds_nabla_on_first_read():
