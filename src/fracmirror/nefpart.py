@@ -22,11 +22,15 @@ functions: once Delta_1 + ... + Delta_r = Delta, nabla is reflexive
 union of those vertices and nabla its polar dual, read off by
 transposition.  The nabla_k build no hull: their vertices are the layers
 of the Cayley pyramid over them, read off its pairing with the tagged
-Delta_i vertices (``polytope``).  Only a rejected partition, where that
-pairing need not hold, builds nabla, as pairwise hulls of the vertex sums
-of the nabla_k, to report whether it is reflexive.  A flat nabla_k or partial sum builds no hull and
-keeps its points, so the fold is exact over point sets; the last sum holds
-0 and every ray of Delta^*, so it spans.
+Delta_i vertices (``polytope``).  A rejected partition builds no nabla:
+a sum that differs from Delta makes nabla non-reflexive.  For Batyrev &
+Nill ("Combinatorial aspects of mirror symmetry", 2008, sec. 4) a reflexive
+P = P_1 + ... + P_r with lattice polytopes P_k that contain 0 is a
+nef-partition, and Borisov's duality makes the Q_i = { m : <m, u> >=
+-delta_ik for u in P_k, all k } sum to a reflexive Q with Q^* = conv(P_1
+union ... union P_r).  A reflexive nabla = nabla_1 + ... + nabla_r would
+have Q_i = Delta_i and Q^* = conv({0} and every ray) = Delta^*, so
+Delta_1 + ... + Delta_r = Delta.
 
 On a simplex (every one-parameter input) no cut and no sum test runs: with
 w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the
@@ -52,7 +56,7 @@ c_g = L / h_g and C_i = sum_(g in I_i) c_g:
 import functools
 import itertools
 from math import lcm
-from operator import add, index
+from operator import index
 
 from .errors import InvalidNefPartition
 from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _pairing, _require_ints
@@ -195,25 +199,10 @@ def _derive(delta, parts):
 
     # on a simplex the Delta_i sum to delta on every partition
     if relation is None and not _sums_to(delta, part_vertices):
-        issues.append("Minkowski sum of part polytopes differs from delta")
-        # a sum equal to delta makes nabla reflexive, so only a rejected
-        # partition builds nabla, for its second diagnostic: pairwise hulls
-        # of the vertex sums of the nabla_k
-        nabla = functools.reduce(
-            lambda P, Q: LatticePolytope(
-                {tuple(map(add, p, q)) for p in P.vertices for q in Q.vertices}
-            ),
-            _nabla_parts(rays, parts),
-        )
-        if not nabla.is_reflexive():
-            issues.append("nabla is not reflexive")
+        # a sum that differs from delta makes nabla non-reflexive (module
+        # docstring), so no nabla is built to say so
+        issues += ["Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"]
     return issues, (rays, part_vertices, relation, labels)
-
-
-def _nabla_parts(rays, parts):
-    """nabla_k = conv({0} and the rays of part k), for each part."""
-    origin = (0,) * len(rays[0])
-    return tuple(LatticePolytope([origin] + [rays[j] for j in part]) for part in parts)
 
 
 def _sums_to(delta, part_vertices):
@@ -257,7 +246,8 @@ class NefPartition:
     the sum.  Each polytope below is built on first read and kept:
     ``nabla_dual`` is the hull of all ``part_vertices`` or, on a simplex,
     read off their labels; ``nabla`` is its polar dual; ``nabla_parts`` are
-    the vertex tuples of the nabla_k.
+    the vertex tuples of the nabla_k; ``dual_parts()`` looks the vertices of
+    ``nabla_dual`` up in ``part_vertices``.
     """
 
     def __init__(self, delta, parts):
@@ -302,24 +292,14 @@ class NefPartition:
         return len(self.ray_parts)
 
     def dual_parts(self):
-        """Each vertex v of nabla^* joins the first Delta_i, read off its cut:
-        <v, rho> + [rho in I_i] >= 0 for every ray rho.  On a simplex that is
-        the part i of its label m_ij."""
-        if self._labels:
-            pos = {v: idx for idx, v in enumerate(self.nabla_dual.vertices)}
-            return [sorted(pos[m] for m in row if m in pos) for row in self._labels]
+        """Each vertex v of nabla^* joins the first Delta_i that holds it, the
+        first i with v in ``part_vertices[i]``: a vertex of nabla^* =
+        conv(Delta_1 union ... union Delta_r) that lies in Delta_i is a vertex
+        of Delta_i.  On a simplex that i is the part of v's label m_ij."""
+        home = {v: i for i in reversed(range(self.r)) for v in self.part_vertices[i]}
         parts = [[] for _ in range(self.r)]
-        cuts = [[(rho, j in part) for j, rho in enumerate(self.rays)] for part in self.ray_parts]
         for idx, v in enumerate(self.nabla_dual.vertices):
-            home = next(
-                (i for i, cut in enumerate(cuts) if all(_dot(v, rho) + c >= 0 for rho, c in cut)),
-                None,
-            )
-            if home is None:
-                raise InvalidNefPartition(
-                    "a dual vertex lies in no part polytope; partition is not nef"
-                )
-            parts[home].append(idx)
+            parts[home[v]].append(idx)
         return parts
 
     @classmethod

@@ -9,6 +9,7 @@ counts the work some layers do without timing them.
 import contextlib
 import importlib.util
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -219,6 +220,37 @@ def test_dual_nef_builds_each_polytope_once():
         tracer = _traced("dual-nef", shape=shape, folder=folder)
         assert (shape, tracer.calls["polytope.hull"], tracer.flat_hulls) == (shape, 1, 0)
         assert tracer.calls["nefpart.load"] == 1
+
+
+def test_rejected_partition_builds_no_polytope_past_delta(tmp_path):
+    # the hexagon's Delta_i for three 2-ray parts are lattice polytopes that
+    # do not sum to Delta, which makes nabla non-reflexive: both diagnostics
+    # come off the support test, with no nabla_k and no nabla built
+    doc = {
+        "delta": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, -1], [-1, 1]]},
+        "parts": [[0, 1], [2, 3], [4, 5]],
+    }
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(doc))
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        for command in ("dual-nef", "euler"):
+            tracer.calls["polytope.hull"] = 0
+            err = io.StringIO()
+            config = cli.JobConfig(command, str(path), N=4, fmt="json")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.run(config)
+            assert (command, code, err.getvalue(), tracer.calls["polytope.hull"]) == (
+                command,
+                2,
+                "error: invalid nef-partition input: Minkowski sum of part polytopes "
+                "differs from delta; nabla is not reflexive\n",
+                1,
+            )
+    finally:
+        undo()
 
 
 def test_topology_jobs_off_a_simplex_build_nabla_dual():
