@@ -199,8 +199,7 @@ def _derive(delta, parts):
 
     # on a simplex the Delta_i sum to delta on every partition
     if relation is None and not _sums_to(delta, part_vertices):
-        # a sum that differs from delta makes nabla non-reflexive (module
-        # docstring), so no nabla is built to say so
+        # a sum that differs from delta makes nabla non-reflexive (module docstring)
         issues += ["Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"]
     return issues, (rays, part_vertices, relation, labels)
 
