@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
@@ -101,10 +101,15 @@ def test_leading_constant_must_be_nonzero():
 
 
 @st.composite
-def _kernel_vectors(draw):
+def _kernel_vectors(draw, degree=None):
     """A balanced kernel vector (positive entries sum to minus the negative
-    ones), zeros mixed in, with the exponent -1/2 on each negative entry."""
-    pos = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ones), zeros mixed in, with the exponent -1/2 on each negative entry; its
+    positive entries sum to ``degree`` when one is given."""
+    if degree is None:
+        pos = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, degree - 1))))
+        pos = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
     neg, left = [], sum(pos)
     while left:
         neg.append(-draw(st.integers(1, left)))
@@ -118,6 +123,24 @@ def _kernel_vectors(draw):
 def test_conjugate_matches_fraction_products(data):
     op, oracle = theta_conjugate(data[0]), theta_conjugate_by_fractions(*data)
     assert op == oracle and op.to_json() == oracle.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_vectors(degree=4))
+@example(((1, 1, 1, 1, -4), (0, 0, 0, 0, Fraction(-1, 2))))
+@example(((2, 1, 1, -1, -3), (0, 0, 0, Fraction(-1, 2), Fraction(-1, 2))))
+def test_zero_residue_means_p3_is_twice_theta_p4(data):
+    # the closed-form Yukawa of mirror.yukawa_z needs p3 = 2 theta(p4).  At
+    # degree 4, p3(0) is the theta^3 coefficient of F over its lead, zero
+    # exactly when F = theta^4, that is when every positive entry is 1; and
+    # the theta^3/theta^4 ratio of G is the sum of k/2 over the negative
+    # entries -k, which is 2, so then p3 = -2 s z = 2 theta(1 - s z)
+    ell, _ = data
+    op = theta_conjugate(ell)
+    p3, p4 = op.z_polys[3], op.z_polys[4]
+    assert (p3[0] == 0) == all(le == 1 for le in ell if le > 0)
+    if p3[0] == 0:
+        assert p3 == tuple(2 * j * c for j, c in enumerate(p4))
 
 
 # --------------------------------------------------------- conjugate guards

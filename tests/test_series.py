@@ -57,6 +57,18 @@ def test_fraction_str_refuses_floats():
         fraction_str(0.5)
 
 
+def test_series_operands_are_series_or_rational_scalars():
+    # + and * take a series or what parse_fraction reads; a float or a bool
+    # is refused, not converted to the fraction it happens to equal
+    s = RationalSeries([1, 2], 3)
+    assert s + 1 == 1 + s == s + "1" == RationalSeries([2, 2], 3)
+    assert s * Fraction(1, 2) == Fraction(1, 2) * s == RationalSeries([Fraction(1, 2), 1], 3)
+    for x in (0.5, 2.0, True, False):
+        for op in (lambda: s + x, lambda: x + s, lambda: s * x, lambda: x * s):
+            with pytest.raises(TypeError):
+                op()
+
+
 # --------------------------------------------- EpsPoly (the oracles' ring)
 
 
