@@ -76,12 +76,10 @@ def _ints(lo, hi, A, c):
 def count_points(lo, hi, A, c):
     """Count integer points in the box subject to ``A x + c >= 0``.
 
-    ``lo``/``hi`` are int sequences (inclusive bounds), ``A`` an m x d int
-    matrix, ``c`` length-m ints; a float raises TypeError.
+    ``lo``/``hi`` are int sequences (inclusive bounds) of length d >= 1,
+    ``A`` an m x d int matrix, ``c`` length-m ints; a float raises TypeError.
     """
     lo, hi, A, c = _ints(lo, hi, A, c)
-    if not lo:
-        return 1 if all(v >= 0 for v in c) else 0
     return sum(thi - tlo + 1 for _, tlo, thi in _scan(lo, hi, A, c))
 
 
@@ -89,8 +87,6 @@ def enumerate_points(lo, hi, A, c):
     """List the integer points of the box with ``A x + c >= 0``, as tuples in
     lex order."""
     lo, hi, A, c = _ints(lo, hi, A, c)
-    if not lo:
-        return [()] if all(v >= 0 for v in c) else []
     out = []
     for prefix, tlo, thi in _scan(lo, hi, A, c):
         out.extend(prefix + (t,) for t in range(tlo, thi + 1))

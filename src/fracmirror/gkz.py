@@ -174,8 +174,6 @@ class Slices(Sequence):
 
     def __getitem__(self, k):
         k = range(len(self.U))[k]
-        if type(k) is range:
-            return tuple(map(self.__getitem__, k))
         if k not in self._built:
             D = self._D
             self._built[k] = _make([u * (D // E) for u, E in zip(self.U[k], self.E)], D, self.N)

@@ -16,9 +16,12 @@ and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
 only where ``_dilate`` rescales a series between x and z.
 
 The B-model Yukawa solves theta(Y) = g Y with g = -p3/(2 p4) from the
-degree-4 operator.  For the operator of a rank-1 kernel p3 = 2 theta(p4)
-(the theta^3/theta^4 ratio of G is d/2 = 2 at the exponent -1/2), so
-exp(antitheta g) = 1/p4 and Y_z = C/(p4 omega0^2) in closed form
+degree-4 operator.  There p3 = (F_3, -G_3) and p4 = (1, -G_4).  F_3 is 0
+exactly when every positive kernel entry is 1 (F = theta^4), else the
+residue p3(0) is nonzero and ``yukawa_z`` raises.  G_3 = 2 G_4, since the
+theta^3/theta^4 ratio of G is the sum of k/2 over the negative entries -k,
+d/2 = 2 at the exponent -1/2.  So p3 = 2 theta(p4) on every operator that
+passes, exp(antitheta g) = 1/p4 and Y_z = C/(p4 omega0^2) in closed form
 (Candelas, de la Ossa, Green and Parkes 1991).  The A-model series is
 K(q) = Y(x(q)) (theta_q log x(q))^3.  With r = A1/A0 and h = exp(-r),
 x = q h(x) and theta_q log x = 1/(1 + theta r) at x(q), so the phi-form of
@@ -34,7 +37,6 @@ from .cohom import i_function_untwisted
 from .errors import FracmirrorError
 from .gkz import _series_factors
 from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
-from .picard_fuchs import _trim
 from .series import _lagrange, _make
 
 __all__ = [
@@ -105,16 +107,16 @@ def mirror_map(pair):
 
 def yukawa_z(op, pair, C):
     """B-model Yukawa Y_z = C/(p4 omega0^2) to the pair's order, the solution
-    C exp(antitheta g)/omega0^2 of theta(Y) = g Y, g = -p3/(2 p4), when
-    p3 = 2 theta(p4); formed in x as Y_x = C/(p4(s x) A0^2) and returned as
-    Y_z(z) = Y_x(z/s).  Another operator raises ``FracmirrorError``."""
+    C exp(antitheta g)/omega0^2 of theta(Y) = g Y, g = -p3/(2 p4), formed in
+    x as Y_x = C/(p4(s x) A0^2) and returned as Y_z(z) = Y_x(z/s).  The
+    closed form needs p3 = 2 theta(p4), which ``theta_conjugate``'s
+    operators meet whenever the residue p3(0) vanishes (module docstring); a
+    nonzero residue or another degree raises ``FracmirrorError``."""
     if op.degree != 4:
         raise FracmirrorError("Yukawa ODE defined for threefold operators")
     p3, p4 = op.z_polys[3], op.z_polys[4]
     if p3[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    if p3 != _trim(2 * j * c for j, c in enumerate(p4)):
-        raise FracmirrorError("Yukawa coupling needs p3 = 2 theta(p4) in the operator")
     s, sq = pair.scale, pair.A0 * pair.A0
     P = [c / p4[0] * s**j for j, c in enumerate(p4)]  # p4(s x)/p4(0)
     L = lcm(*(c.denominator for c in P))

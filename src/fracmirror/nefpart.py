@@ -71,11 +71,9 @@ __all__ = [
 
 def _part_vertices(delta, part_rays, all_rays):
     """The lex-sorted vertices of Delta_i: the rays with t = 1 of its DD cut,
-    where the rays in ``part_rays`` get offset 1 and the rest of ``all_rays``
-    offset 0."""
+    where the rays in ``part_rays`` (nonempty: ``_derive`` reports an empty
+    part first) get offset 1 and the rest of ``all_rays`` offset 0."""
     part = {tuple(map(index, rho)) for rho in part_rays}
-    if not part:
-        raise InvalidNefPartition("empty part")
     n = delta.ambient_dim
     rows = []
     for rho in all_rays:
@@ -85,9 +83,7 @@ def _part_vertices(delta, part_rays, all_rays):
     verts = []
     for ray, _ in _dd_extreme_rays(rows):
         m, t = ray[:-1], ray[-1]
-        if t == 0:
-            raise InvalidNefPartition("part polytope is unbounded")
-        if t != 1:
+        if t != 1:  # t > 0: no m != 0 has <m, rho> >= 0 on all of delta's rays
             raise InvalidNefPartition("part polytope has non-lattice vertices")
         verts.append(m)
     return tuple(verts)

@@ -1,15 +1,16 @@
 """Picard–Fuchs operators in theta form.
 
-An operator is a sum over theta-powers of polynomials in z,
+The operator annihilating the holomorphic GKZ solution of a rank-1 kernel
+vector l is
 
-    P = sum_k p_k(z) theta^k,      theta = z d/dz,
+    P = F(theta) - z G(theta) = sum_k p_k(z) theta^k,      theta = z d/dz,
 
-normalized so the leading theta-power has constant coefficient 1.  The
-operator annihilating the holomorphic GKZ solution of a rank-1 kernel vector
-l is F(theta) - z G(theta), where F collects the positive kernel entries and
-G the negative ones, whose columns all carry the exponent -1/2
-(``gkz.EXPONENT``), so the operator reads l alone.  Both factor over Q into
-linear terms, which the constructor records for factored display.
+where F collects the positive kernel entries and G the negative ones, whose
+columns all carry the exponent -1/2 (``gkz.EXPONENT``), so the operator
+reads l alone.  It is normalized so the leading theta-power has constant
+coefficient 1, and each p_k is the pair (F_k, -G_k) of z-coefficients.  F
+and G factor over Q into linear terms, which ``theta_conjugate`` records
+for the factored display.
 """
 
 from fractions import Fraction
@@ -24,28 +25,17 @@ __all__ = [
 ]
 
 
-def _trim(poly):
-    poly = [Fraction(x) for x in poly]
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return tuple(poly)
-
-
 class ThetaOperator:
-    """sum_k z_polys[k](z) * theta^k with z_polys[degree][0] == 1."""
+    """F(theta) - z G(theta) as ``theta_conjugate`` builds it: z_polys[k] is
+    the pair (F_k, -G_k) over the lead of F, so z_polys[degree][0] == 1;
+    ``scale`` is the lead of G over it, ``f_roots`` the theta-roots of F and
+    ``g_roots`` the offsets c of G's linear factors (theta + c)."""
 
-    def __init__(self, z_polys, scale=None, f_roots=None, g_roots=None):
-        polys = [_trim(p) for p in z_polys]
-        while len(polys) > 1 and polys[-1] == (Fraction(0),):
-            polys.pop()
-        if polys[-1][0] == 0:
-            raise FracmirrorError(
-                "leading theta-power needs a nonzero constant z-coefficient"
-            )
-        self.z_polys = tuple(polys)
-        self.scale = scale  # z-coefficient magnitude in factored form
-        self.f_roots = f_roots  # theta-roots of the z^0 part
-        self.g_roots = g_roots  # (theta + c) offsets of the z^1 part
+    def __init__(self, z_polys, scale, f_roots, g_roots):
+        self.z_polys = z_polys
+        self.scale = scale
+        self.f_roots = f_roots
+        self.g_roots = g_roots
 
     def __eq__(self, other):
         if type(other) is not ThetaOperator:
@@ -59,17 +49,7 @@ class ThetaOperator:
         return len(self.z_polys) - 1
 
     def display(self):
-        """Factored text form when the factorization is known."""
-        if self.f_roots is None or self.g_roots is None or self.scale is None:
-            parts = []
-            for k in range(self.degree, -1, -1):
-                poly = self.z_polys[k]
-                body = " + ".join(
-                    f"({fraction_str(c)})*z^{j}" for j, c in enumerate(poly) if c != 0
-                )
-                if body:
-                    parts.append(f"({body})*theta^{k}")
-            return " + ".join(parts) if parts else "0"
+        """The factored text form F - s z G."""
 
         def factor(offset):
             # the linear factor (theta + offset)
@@ -153,10 +133,5 @@ def theta_conjugate(ell):
             "unsupported shape: kernel entries do not balance in degree"
         )
     lead = f_poly[d]
-    z_polys = [(Fraction(f_poly[k], lead), Fraction(-g_poly[k], Q * lead)) for k in range(d + 1)]
-    return ThetaOperator(
-        z_polys,
-        scale=Fraction(g_poly[d], Q * lead),
-        f_roots=tuple(f_roots),
-        g_roots=tuple(g_roots),
-    )
+    z_polys = tuple((Fraction(f_poly[k], lead), Fraction(-g_poly[k], Q * lead)) for k in range(d + 1))
+    return ThetaOperator(z_polys, Fraction(g_poly[d], Q * lead), tuple(f_roots), tuple(g_roots))

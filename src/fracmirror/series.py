@@ -106,14 +106,6 @@ def _lagrange(h, k0, F=None):
     return _make([p * (D // q) for p, q in zip(nums, dens)], D, h.N + k0)
 
 
-def _scalar(x):
-    """x as a Fraction, or None when it is no rational scalar."""
-    try:
-        return parse_fraction(x)
-    except (TypeError, ValueError):
-        return None
-
-
 def _coeff_strs(A, D):
     """``fraction_str`` of each A_n / D for ints A and D > 0: the numerators
     themselves when D == 1, else one gcd per coefficient, so A and D need
@@ -190,9 +182,7 @@ class RationalSeries:
             D = lcm(self.D, other.D)
             a, b = D // self.D, D // other.D
             return _make([x * a + y * b for x, y in zip(self.A, other.A)], D, min(self.N, other.N))
-        x = _scalar(other)
-        if x is None:
-            return NotImplemented
+        x = parse_fraction(other)
         return self + _make((x.numerator,), x.denominator, self.N)
 
     __radd__ = __add__
@@ -204,9 +194,7 @@ class RationalSeries:
         if isinstance(other, RationalSeries):
             N = min(self.N, other.N)
             return _make(_product(self.A, other.A, N), self.D * other.D, N)
-        x = _scalar(other)
-        if x is None:
-            return NotImplemented
+        x = parse_fraction(other)
         return _make([y * x.numerator for y in self.A], self.D * x.denominator, self.N)
 
     __rmul__ = __mul__
@@ -220,15 +208,9 @@ class RationalSeries:
         return _make(U, E, self.N)
 
     def __truediv__(self, other):
-        if isinstance(other, RationalSeries):
-            N = min(self.N, other.N)
-            return self.truncate(N) * other.truncate(N).inverse()
-        x = _scalar(other)
-        if x is None:
-            return NotImplemented
-        if not x:
-            raise FracmirrorError("constant term is not invertible")
-        return self * (1 / x)
+        """self / other for a series other; divide by a scalar x as * (1/x)."""
+        N = min(self.N, other.N)
+        return self.truncate(N) * other.truncate(N).inverse()
 
     def theta(self):
         """z d/dz."""

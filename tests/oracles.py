@@ -96,6 +96,19 @@ def mirror_map_in_z(ell, N):
     return q_of_z, q_of_z.reversion()
 
 
+class ZOperator(NamedTuple):
+    """sum_k z_polys[k](z) theta^k for any polynomials z_polys[k] in z, the
+    general theta-operator; ``picard_fuchs.ThetaOperator`` holds only the
+    factored F(theta) - z G(theta).  ``apply``, ``holomorphic_kernel`` and
+    ``yukawa_ode_rhs`` read ``z_polys`` and ``degree`` of either."""
+
+    z_polys: tuple
+
+    @property
+    def degree(self):
+        return len(self.z_polys) - 1
+
+
 def yukawa_ode_rhs_by_division(op, N):
     """``picard_fuchs.yukawa_ode_rhs`` as series division: g = -p3/(2 p4),
     with p3 and p4 built from Fractions and divided through a full
@@ -1085,7 +1098,8 @@ def log_prefactor_by_fractions(S):
     """z^rho * sum_j S[j] rho^j as its log parts in L = log z, for eps-slices
     S: part k is the tuple of its m rho-slices, the slices shifted up by k
     and each multiplied by the Fraction 1/k!."""
-    m, zero = len(S), RationalSeries((), S[0].N)
+    S, zero = tuple(S), RationalSeries((), S[0].N)
+    m = len(S)
     return [
         (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
         for k in range(m)
@@ -1141,6 +1155,7 @@ def b_series_json_by_columns(S):
     """``cohom.b_series_json`` formatting each nonzero column afresh: log
     part k is k shared zero columns and the slices S[:m - k], each
     coefficient written over D k! with one full gcd."""
+    S = tuple(S)
     m, N = len(S), S[0].N
     parts = []
     for k in range(m):

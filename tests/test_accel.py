@@ -9,6 +9,8 @@ import signal
 import pytest
 
 from fracmirror import _accel
+from fracmirror.errors import FracmirrorError
+from fracmirror.polytope import LatticePolytope
 
 
 def brute_points(lo, hi, A, c):
@@ -55,8 +57,11 @@ def test_enumerate_matches_count_and_is_sorted():
 
 
 def test_zero_dimensional_and_empty_boxes():
-    assert _accel.count_points([], [], [], []) == 1
-    assert _accel.count_points([], [], [[]], [-1]) == 0
+    # a zero-dimensional or flat set is refused before any scan, so every
+    # box the scan sees has at least one axis
+    for points in ([()], [(1, 2, 3)]):
+        with pytest.raises(FracmirrorError, match="full-dimensional"):
+            LatticePolytope(points).lattice_points()
     assert _accel.count_points([0], [-1], [], []) == 0
     assert _accel.enumerate_points([0], [-1], [], []) == []
     # a float bound or coefficient is refused, not truncated ([0, 2.9] would

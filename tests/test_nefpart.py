@@ -67,11 +67,12 @@ def test_eight_hyperplane_parts_are_unit_translates(eight_hyperplanes):
 def test_part_vertices_errors():
     delta = LatticePolytope(QUARTIC)
     rays = delta.polar_dual().vertices
-    with pytest.raises(InvalidNefPartition, match="empty part"):
-        _part_vertices(delta, [], rays)
-    # dropping the (-1,-1,-1) ray leaves {x >= -1, y >= 0, z >= 0}: unbounded
-    with pytest.raises(InvalidNefPartition, match="unbounded"):
-        _part_vertices(delta, [rays[1]], rays[1:])
+    # the part of the octahedron's rays but the first cuts out a polytope
+    # with a vertex off the lattice
+    octahedron = LatticePolytope(SMALL_REFLEXIVE["octahedron"])
+    corners = octahedron.polar_dual().vertices
+    with pytest.raises(InvalidNefPartition, match="non-lattice vertices"):
+        _part_vertices(octahedron, corners[1:], corners)
     # too few constraints to pin a vertex at all: the homogenized cone is
     # not even pointed
     with pytest.raises(ValueError, match="cone is not pointed"):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz, holo_solution
-from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
+from fracmirror.picard_fuchs import theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
+    ZOperator,
     apply,
     holomorphic_kernel,
     matches,
@@ -84,20 +85,14 @@ def test_operator_json_carries_factored_text(quartic):
     assert j["terms"][4]["z_poly"] == ["1", "-256"]
 
 
-def test_display_without_factorization_falls_back():
-    op = ThetaOperator(((Fraction(0), Fraction(1)), (Fraction(1),)))
-    text = op.display()
-    assert "theta^1" in text and "z^1" in text
-
-
-def test_trailing_zero_polys_are_dropped():
-    op = ThetaOperator(((Fraction(1),), (Fraction(1),), (Fraction(0),)))
-    assert op.degree == 1
-
-
-def test_leading_constant_must_be_nonzero():
-    with pytest.raises(FracmirrorError, match="nonzero constant z-coefficient"):
-        ThetaOperator(((Fraction(1),), (Fraction(0), Fraction(1))))
+def test_display_writes_a_positive_root_of_f_as_a_difference():
+    # the one-part P(1,1,2) surface: the entry 2 of l = (-4, 1, 2, 1) puts
+    # the root theta = 1/2 into F, and p3(0) = -1/2 is the Yukawa residue
+    op = theta_conjugate((-4, 1, 2, 1))
+    assert op.display() == (
+        "theta^2 (theta - 1/2) theta - 64 z (theta + 1/8) (theta + 3/8) (theta + 5/8) (theta + 7/8)"
+    )
+    assert op.z_polys[3] == (Fraction(-1, 2), -128)
 
 
 @st.composite
@@ -160,7 +155,7 @@ def test_conjugate_rejects_unbalanced_degrees():
 
 
 def test_apply_theta_reproduces_theta():
-    theta = ThetaOperator(((Fraction(0),), (Fraction(1),)))
+    theta = ZOperator(((Fraction(0),), (Fraction(1),)))
     z = RationalSeries((0, 1), 5)
     assert matches(apply(theta, z)[0], z, 5)
     f = RationalSeries([7, 5, 3], 2)
@@ -184,9 +179,9 @@ def test_apply_handles_log_series():
     # theta^2 kills log z; (theta - 1)^2 kills z log z
     N = 5
     zero = RationalSeries([0], N)
-    theta2 = ThetaOperator(((Fraction(0),), (Fraction(0),), (Fraction(1),)))
+    theta2 = ZOperator(((Fraction(0),), (Fraction(0),), (Fraction(1),)))
     assert all(not any(p.A) for p in apply(theta2, [zero, RationalSeries((1,), N)]))
-    sq = ThetaOperator(((Fraction(1),), (Fraction(-2),), (Fraction(1),)))
+    sq = ZOperator(((Fraction(1),), (Fraction(-2),), (Fraction(1),)))
     assert all(not any(p.A) for p in apply(sq, [zero, RationalSeries((0, 1), N)]))
 
 
@@ -205,12 +200,12 @@ def test_holomorphic_kernel_matches_closed_form(quartic):
 
 def test_holomorphic_kernel_normalizes_first(quartic):
     op, ell = _operator(quartic)
-    doubled = ThetaOperator(tuple(tuple(2 * c for c in p) for p in op.z_polys))
+    doubled = ZOperator(tuple(tuple(2 * c for c in p) for p in op.z_polys))
     assert matches(holomorphic_kernel(doubled, 8), holo_solution(ell, 8), 8)
 
 
 def test_holomorphic_kernel_rejects_resonant_indicial():
-    op = ThetaOperator(((Fraction(-1), Fraction(1)), (Fraction(1),)))
+    op = ZOperator(((Fraction(-1), Fraction(1)), (Fraction(1),)))
     with pytest.raises(FracmirrorError, match="indicial polynomial vanishes at n = 1"):
         holomorphic_kernel(op, 4)
 
@@ -252,7 +247,7 @@ def test_yukawa_rhs_recurrence_equals_division(quartic, eight_hyperplanes, k3):
 def test_yukawa_rhs_recurrence_at_z_degree_two():
     # p4 of z-degree 2 with a negative constant term not equal to -1, p3 of
     # z-degree 2, and fractional coefficients
-    op = ThetaOperator((
+    op = ZOperator((
         (Fraction(1),),
         (Fraction(0), Fraction(1)),
         (Fraction(2), Fraction(-1), Fraction(3)),

@@ -3,8 +3,8 @@
 The package's job is its ten CLI commands.  This runs each of them, in both
 formats, at N = 4, on ``INPUTS``: the three bundled inputs, the 3-part
 hexagon, the P4 simplex with parts (3, 1, 1) and the P(1,1,2) surface.  It
-then runs one command line on each malformed document of ``REJECTED`` and
-the command lines of ``ARGS``, and records the lines that run with
+then runs one command on each malformed document of ``REJECTED`` and the
+command lines of ``ARGS``, and records the lines that run with
 ``sys.settrace``.  A statement ran when a line of its own ran: the header
 of a compound statement, any line of a simple one.  The statements of
 function bodies that never ran, docstrings aside, must be exactly
@@ -95,19 +95,17 @@ ARGS = [
 
 _PATCHED = "perfbench/spans.py patches it by name (ROADMAP item 5)"
 _EQUALITY = "value equality, which the tests compare with"
-_ARGUMENT = "refuses an argument that the commands never pass; tests call it directly"
+_ARGUMENT = "a library caller's guard on an argument that no command passes"
 _CALLER = "the commands check this earlier, with their own message"
 _JOB = "guards run()'s JobConfig; main's argparse refuses these first"
+_BALANCED = "an accepted input's kernel vector has positive entries that balance its negative ones"
 _IDENTITY = "no input violates the paper's identity (smoothness hypothesis)"
 
 UNRUN = [
     ("_accel._scan.<locals>.cut", "return tlo, tlo - 1", "a row that no point of the box meets, which a polytope's own facets never give"),
     ("_accel.backend_name", 'return "python"', "perfbench/run.py records the name of the scan's arithmetic"),
-    ("_accel.count_points", "if not lo:", _PATCHED),
     ("_accel.count_points", "lo, hi, A, c = _ints(lo, hi, A, c)", _PATCHED),
-    ("_accel.count_points", "return 1 if all(v >= 0 for v in c) else 0", _PATCHED),
     ("_accel.count_points", "return sum(thi - tlo + 1 for _, tlo, thi in _scan(lo, hi, A, c))", _PATCHED),
-    ("_accel.enumerate_points", "return [()] if all(v >= 0 for v in c) else []", "a zero-dimensional box"),
     ("cli._json_text", 'raise TypeError(f"Object of type {t.__name__} is not JSON serializable")', "json.dumps' TypeError for what it would not write exactly, as test_cli checks"),
     ("cli._json_text", 'return "[]"', "json.dumps' empty list, which no payload holds; test_cli compares with json.dumps"),
     ("cli._json_text", 'return "{}"', "json.dumps' empty dict, which no payload holds; test_cli compares with json.dumps"),
@@ -116,42 +114,28 @@ UNRUN = [
     ("cli.run", 'raise _InputError(f"unknown format {config.fmt!r}")', _JOB),
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("eps^0 slice of the I-function is not a unit")', _ARGUMENT),
-    ("gkz.Slices.__getitem__", "return tuple(map(self.__getitem__, k))", "a slice of the slices"),
     ("gkz._step", 'raise ValueError(f"a factor weight must be a positive integer, got {k}")', _ARGUMENT),
     ("gkz.holo_solution", "num, den, _ = _series_factors(ell)", _PATCHED),
     ("gkz.holo_solution", "return hypergeometric_series(num, den, 1, N)[0]", _PATCHED),
     ("gkz.hypergeometric_series", "raise FracmirrorError(", _ARGUMENT),
     ("gkz.hypergeometric_series", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
-    ("linalg.echelon", "break", "stops once every row has a pivot, which no command's matrix does before its last column"),
+    ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
     ("linalg.echelon", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("linalg.row_basis", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("mirror.YukawaData.__eq__", "if type(other) is not YukawaData:", _EQUALITY),
     ("mirror.YukawaData.__eq__", "return (self.C, self.Y_z, self.K_q) == (other.C, other.Y_z, other.K_q)", _EQUALITY),
     ("mirror.YukawaData.__eq__", "return NotImplemented", _EQUALITY),
     ("mirror.yukawa_z", 'raise FracmirrorError("Yukawa ODE defined for threefold operators")', _CALLER),
-    ("mirror.yukawa_z", 'raise FracmirrorError("Yukawa coupling needs p3 = 2 theta(p4) in the operator")', "off the closed form"),
     ("nefpart.NefPartition.__init__", "delta = LatticePolytope(delta)", "a library caller's vertex list; the commands pass a polytope"),
     ("nefpart._derive", 'issues.append(f"part {i} has a non-integer vertex index")', "only validate_nef_partition passes indices unchecked"),
     ("nefpart._derive", 'return ["delta is not a lattice polytope"], None', "only validate_nef_partition passes a delta unchecked"),
     ("nefpart._part_index", 'raise TypeError(f"a part index must be an integer, got {j!r}")', _CALLER),
-    ("nefpart._part_vertices", 'raise InvalidNefPartition("empty part")', "an empty part"),
-    ("nefpart._part_vertices", 'raise InvalidNefPartition("part polytope is unbounded")', "an unbounded part"),
     ("nefpart.validate_nef_partition", "return _derive(delta, parts)[0]", "perfbench/test_perfbench.py checks its inputs with it"),
     ("picard_fuchs.ThetaOperator.__eq__", "if type(other) is not ThetaOperator:", _EQUALITY),
     ("picard_fuchs.ThetaOperator.__eq__", "return (self.z_polys, self.scale, self.f_roots, self.g_roots) == (", _EQUALITY),
     ("picard_fuchs.ThetaOperator.__eq__", "return NotImplemented", _EQUALITY),
-    ("picard_fuchs.ThetaOperator.__init__", "polys.pop()", "a zero top theta-power"),
-    ("picard_fuchs.ThetaOperator.__init__", "raise FracmirrorError(", "a zero leading constant"),
-    ("picard_fuchs.ThetaOperator.display", 'body = " + ".join(', "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", "for k in range(self.degree, -1, -1):", "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", "if body:", "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", "parts = []", "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", 'parts.append(f"({body})*theta^{k}")', "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", "poly = self.z_polys[k]", "an unfactored operator"),
-    ("picard_fuchs.ThetaOperator.display", 'return " + ".join(parts) if parts else "0"', "an unfactored operator"),
-    ("picard_fuchs._trim", "poly.pop()", "a trailing zero z-coefficient"),
-    ("picard_fuchs.theta_conjugate", "raise FracmirrorError(", "every kernel vector of a reflexive input balances"),
-    ("picard_fuchs.theta_conjugate", 'raise FracmirrorError("unsupported shape: no positive kernel entries")', "every kernel vector of a reflexive input balances"),
+    ("picard_fuchs.theta_conjugate", "raise FracmirrorError(", _BALANCED),
+    ("picard_fuchs.theta_conjugate", 'raise FracmirrorError("unsupported shape: no positive kernel entries")', _BALANCED),
     ("polytope.LatticePolytope.__eq__", "return (", _EQUALITY),
     ("polytope.LatticePolytope.__hash__", "return hash((self.ambient_dim, self.vertices))", "the hash that goes with __eq__"),
     ("polytope.LatticePolytope.__init__", 'raise ValueError("points have inconsistent dimension")', _CALLER),
@@ -171,7 +155,6 @@ UNRUN = [
     ("polytope._dd_extreme_rays", 'raise ValueError("cone is not pointed: constraints do not span")', _ARGUMENT),
     ("polytope._dd_extreme_rays", 'raise ValueError("cone needs at least one constraint")', _ARGUMENT),
     ("polytope._pairing", "raise FracmirrorError(", "a Delta_i that is not the cut of its part, which _derive never builds"),
-    ("series.RationalSeries.__add__", "return NotImplemented", "an operand that is no rational scalar"),
     ("series.RationalSeries.__eq__", "if not isinstance(other, RationalSeries):", _EQUALITY),
     ("series.RationalSeries.__eq__", "return (self.N, self.D, self.A) == (other.N, other.D, other.A)", _EQUALITY),
     ("series.RationalSeries.__eq__", "return False", _EQUALITY),
@@ -183,14 +166,7 @@ UNRUN = [
     ("series.RationalSeries.__init__", "self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N, tuple(vals))", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = [parse_fraction(x) for x in coeffs]", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))", "the constructor that validates its values; commands use _make"),
-    ("series.RationalSeries.__mul__", "return NotImplemented", "an operand that is no rational scalar"),
     ("series.RationalSeries.__setattr__", 'raise AttributeError("series are immutable")', "the guard that keeps a series immutable"),
-    ("series.RationalSeries.__truediv__", "if not x:", "division by a scalar"),
-    ("series.RationalSeries.__truediv__", "if x is None:", "division by a scalar"),
-    ("series.RationalSeries.__truediv__", 'raise FracmirrorError("constant term is not invertible")', "division by a scalar"),
-    ("series.RationalSeries.__truediv__", "return NotImplemented", "division by a scalar"),
-    ("series.RationalSeries.__truediv__", "return self * (1 / x)", "division by a scalar"),
-    ("series.RationalSeries.__truediv__", "x = _scalar(other)", "division by a scalar"),
     ("series.RationalSeries.antitheta", "L = lcm(*range(1, self.N + 1))", "the last step of log, which perfbench/spans.py patches"),
     ("series.RationalSeries.antitheta", "if self.A[0]:", "the last step of log, which perfbench/spans.py patches"),
     ("series.RationalSeries.antitheta", 'raise FracmirrorError("antitheta needs a zero constant term")', "the last step of log, which perfbench/spans.py patches"),
@@ -222,7 +198,6 @@ UNRUN = [
     ("series._recurrence", "E *= k", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "U = [u * k for u in U]", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "k = t // gcd(E, t)", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
-    ("series._scalar", "return None", "an operand that is no rational scalar"),
     ("series.parse_fraction", 'raise TypeError(f"cannot interpret {x!r} as a rational number")', _ARGUMENT),
     ("topology.euler_double_cover", "raise SmoothnessError(", _IDENTITY),
     ("topology.euler_double_cover", "raise SmoothnessError(", _IDENTITY),
@@ -265,9 +240,10 @@ def _statements(path):
 
 
 def _run_traced(runs):
-    """``cli.main`` on each (environment, argv) of ``runs`` under a line
-    tracer confined to the package: (exit codes, {file: lines that ran}).
-    A code object stops being traced once all its lines have run."""
+    """Each (environment, job) of ``runs`` under a line tracer confined to
+    the package, a job being a ``cli.JobConfig`` for ``cli.run`` or a
+    command line for ``cli.main``: (exit codes, {file: lines that ran}).  A
+    code object stops being traced once all its lines have run."""
     ran = {module.__file__: set() for module in _modules()}
     left = {}  # code object -> its lines that have not run yet
 
@@ -290,12 +266,12 @@ def _run_traced(runs):
     codes, out = [], io.StringIO()
     sys.settrace(call)
     try:
-        for env, argv in runs:
+        for env, job in runs:
             saved = dict(os.environ)
             os.environ.update(env)
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-                    codes.append(cli.main(argv))
+                    codes.append(cli.run(job) if isinstance(job, cli.JobConfig) else cli.main(job))
             finally:
                 os.environ.clear()
                 os.environ.update(saved)
@@ -312,13 +288,14 @@ def test_every_statement_but_the_listed_ones_runs_under_an_input(tmp_path):
         if not isinstance(doc, Path):
             paths[label].write_text(json.dumps(doc))
     paths["input"] = paths["p3_quartic"]
+    # cli.run skips main's argument parser, which ARGS reach
     runs = [
-        ({}, [command, str(paths[label]), "-N", "4", "--format", fmt])
+        ({}, cli.JobConfig(command, str(paths[label]), N=4, fmt=fmt))
         for label in INPUTS
         for command in cli._DISPATCH
         for fmt in ("json", "table")
     ]
-    runs += [({}, ["dual-nef", str(paths[label])]) for label in REJECTED]
+    runs += [({}, cli.JobConfig("dual-nef", str(paths[label]))) for label in REJECTED]
     runs += [(env, [arg.format(**paths) for arg in argv]) for env, argv, _ in ARGS]
     codes, ran = _run_traced(runs)
 

@@ -59,8 +59,13 @@ def test_fraction_str_refuses_floats():
 
 def test_series_operands_are_series_or_rational_scalars():
     # + and * take a series or what parse_fraction reads; a float or a bool
-    # is refused, not converted to the fraction it happens to equal
+    # is refused, not converted to the fraction it happens to equal.  / takes
+    # a series only: a scalar x divides as * (1/x)
     s = RationalSeries([1, 2], 3)
+    assert s / RationalSeries([2], 5) == s * Fraction(1, 2)
+    for x in (2, Fraction(1, 2), "1/2", 0.5):
+        with pytest.raises(AttributeError):
+            s / x
     assert s + 1 == 1 + s == s + "1" == RationalSeries([2, 2], 3)
     assert s * Fraction(1, 2) == Fraction(1, 2) * s == RationalSeries([Fraction(1, 2), 1], 3)
     for x in (0.5, 2.0, True, False):
