@@ -1098,8 +1098,8 @@ def log_prefactor_by_fractions(S):
     """z^rho * sum_j S[j] rho^j as its log parts in L = log z, for eps-slices
     S: part k is the tuple of its m rho-slices, the slices shifted up by k
     and each multiplied by the Fraction 1/k!."""
-    S, zero = tuple(S), RationalSeries((), S[0].N)
-    m = len(S)
+    S = tuple(S)
+    m, zero = len(S), RationalSeries((), S[0].N)
     return [
         (zero,) * k + tuple(s * Fraction(1, math.factorial(k)) for s in S[: m - k])
         for k in range(m)

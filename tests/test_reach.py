@@ -80,17 +80,17 @@ REJECTED = {
     "not_an_object": [1, 2],
 }
 
-# (environment, command line, exit code): {input} is p3_quartic, {missing}
-# a path that does not exist and {malformed} a file that holds no JSON
+# (environment, command line, exit code): {missing} is a path that does
+# not exist and {malformed} a file that holds no JSON
 ARGS = [
     ({}, ["pf", "{missing}"], 2),
     ({}, ["pf", "{malformed}"], 2),
-    ({}, ["pf", "{input}", "-N", "0"], 2),
-    ({}, ["pf", "{input}", "-N", "65"], 2),
-    ({}, ["yukawa", "{input}", "-N", "4", "--normalization", "3/2"], 0),
-    ({}, ["yukawa", "{input}", "--normalization", "x/y"], 2),
-    ({"FRACMIRROR_MAX_N": "x"}, ["pf", "{input}"], 2),
-    ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{input}"], 2),
+    ({}, ["pf", "{p3_quartic}", "-N", "0"], 2),
+    ({}, ["pf", "{p3_quartic}", "-N", "65"], 2),
+    ({}, ["yukawa", "{p3_quartic}", "-N", "4", "--normalization", "3/2"], 0),
+    ({}, ["yukawa", "{p3_quartic}", "--normalization", "x/y"], 2),
+    ({"FRACMIRROR_MAX_N": "x"}, ["pf", "{p3_quartic}"], 2),
+    ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{p3_quartic}"], 2),
 ]
 
 _PATCHED = "perfbench/spans.py patches it by name (ROADMAP item 5)"
@@ -263,7 +263,7 @@ def _run_traced(runs):
             left[code] = lines if code.co_filename in ran else set()
         return line if left[code] else None
 
-    codes, out = [], io.StringIO()
+    codes, out, previous = [], io.StringIO(), sys.gettrace()
     sys.settrace(call)
     try:
         for env, job in runs:
@@ -276,18 +276,19 @@ def _run_traced(runs):
                 os.environ.clear()
                 os.environ.update(saved)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return codes, ran
 
 
 def test_every_statement_but_the_listed_ones_runs_under_an_input(tmp_path):
     paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}
     paths["malformed"].write_text("{")
-    for label, doc in [(k, v) for k, (_, v) in INPUTS.items()] + list(REJECTED.items()):
-        paths[label] = doc if isinstance(doc, Path) else tmp_path / f"{label}.json"
-        if not isinstance(doc, Path):
+    for label, doc in ({label: doc for label, (_, doc) in INPUTS.items()} | REJECTED).items():
+        if isinstance(doc, Path):
+            paths[label] = doc
+        else:
+            paths[label] = tmp_path / f"{label}.json"
             paths[label].write_text(json.dumps(doc))
-    paths["input"] = paths["p3_quartic"]
     # cli.run skips main's argument parser, which ARGS reach
     runs = [
         ({}, cli.JobConfig(command, str(paths[label]), N=4, fmt=fmt))
