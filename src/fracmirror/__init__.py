@@ -17,7 +17,7 @@ from .topology import (
     hodge_numbers,
 )
 from .series import RationalSeries, fraction_str, parse_fraction
-from .gkz import GkzSystem, build_gkz, holo_solution, simplex_kernel_vector
+from .gkz import GkzSystem, build_gkz, simplex_kernel_vector
 from .picard_fuchs import (
     ThetaOperator,
     theta_conjugate,
@@ -59,7 +59,6 @@ __all__ = [
     "parse_fraction",
     "GkzSystem",
     "build_gkz",
-    "holo_solution",
     "simplex_kernel_vector",
     "ThetaOperator",
     "theta_conjugate",

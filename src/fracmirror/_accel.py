@@ -1,18 +1,18 @@
-"""Lattice-point counting and enumeration: one prefix→interval scan.
+"""Lattice-point counting: one prefix→interval scan.
 
-Both entry points scan the box ``lo <= x <= hi`` under ``A x + c >= 0`` the
-same way, on Python ints, so no coordinate or constraint value can overflow.
-The scan fixes one axis at a time in lex order and carries ``b = A x + c``
-over the axes fixed so far.  At axis j every row cuts x_j to the values for
-which it can still reach 0 over the free axes after j (each free axis at its
-best end of the box), so a prefix that no completion can satisfy is never
-extended; at the last axis this cut is exact.  ``count_points`` sums the
-last-axis interval lengths; ``enumerate_points`` expands them into points.
+``count_points`` scans the box ``lo <= x <= hi`` under ``A x + c >= 0`` on
+Python ints, so no coordinate or constraint value can overflow.  The scan
+fixes one axis at a time in lex order and carries ``b = A x + c`` over the
+axes fixed so far.  At axis j every row cuts x_j to the values for which it
+can still reach 0 over the free axes after j (each free axis at its best
+end of the box), so a prefix that no completion can satisfy is never
+extended; at the last axis this cut is exact, and the count adds the
+lengths of the last-axis intervals.
 """
 
 import operator
 
-__all__ = ["backend_name", "count_points", "enumerate_points"]
+__all__ = ["backend_name", "count_points"]
 
 
 def backend_name():
@@ -20,17 +20,22 @@ def backend_name():
     return "python"
 
 
-# Name-only shim for perfbench/spans.py, which wraps _int64_safe by name to
-# count big-integer scans; nothing calls it, since every scan runs on Python
-# ints.  Goes with the other patch-only shims in ROADMAP item 5.
-_int64_safe = None
+# Name-only shims for perfbench/spans.py, which wraps _int64_safe by name to
+# count big-integer scans and enumerate_points to time a listing; nothing
+# calls them, since every scan runs on Python ints and only counts.  They go
+# with the other patch-only shims in ROADMAP item 5.
+_int64_safe = enumerate_points = None
 
 
-def _scan(lo, hi, A, c):
-    """Yield ``(prefix, tlo, thi)`` for the box prefixes over all axes but
-    the last, in lex order; ``[tlo, thi]`` is the nonempty last-axis interval
-    that ``A x + c >= 0`` leaves above ``prefix``.  Prefixes with an empty
-    interval are skipped."""
+def count_points(lo, hi, A, c):
+    """Count integer points in the box subject to ``A x + c >= 0``.
+
+    ``lo``/``hi`` are int sequences (inclusive bounds) of length d >= 1,
+    ``A`` an m x d int matrix, ``c`` length-m ints; a float raises TypeError.
+    """
+    ints = operator.index  # takes Python and NumPy ints, refuses floats
+    lo, hi, c = ([ints(v) for v in x] for x in (lo, hi, c))
+    A = [[ints(v) for v in row] for row in A]
     d = len(lo)
     cols = [[row[j] for row in A] for j in range(d)]
     # reach[j][i]: the largest value row i gains over axes j..d-1 in the box
@@ -54,40 +59,12 @@ def _scan(lo, hi, A, c):
                 return tlo, tlo - 1
         return tlo, thi
 
-    def walk(j, prefix, b):
+    def walk(j, b):
+        """The points above one prefix of j fixed axes, with b = A x + c over them."""
         tlo, thi = cut(j, b)
         if j == d - 1:
-            if tlo <= thi:
-                yield prefix, tlo, thi
-            return
+            return max(thi - tlo + 1, 0)
         col = cols[j]
-        for x in range(tlo, thi + 1):
-            yield from walk(j + 1, prefix + (x,), [bi + a * x for bi, a in zip(b, col)])
+        return sum(walk(j + 1, [bi + a * x for bi, a in zip(b, col)]) for x in range(tlo, thi + 1))
 
-    return walk(0, (), c)
-
-
-def _ints(lo, hi, A, c):
-    ints = operator.index  # takes Python and NumPy ints, refuses floats
-    return ([ints(v) for v in lo], [ints(v) for v in hi],
-            [[ints(v) for v in row] for row in A], [ints(v) for v in c])
-
-
-def count_points(lo, hi, A, c):
-    """Count integer points in the box subject to ``A x + c >= 0``.
-
-    ``lo``/``hi`` are int sequences (inclusive bounds) of length d >= 1,
-    ``A`` an m x d int matrix, ``c`` length-m ints; a float raises TypeError.
-    """
-    lo, hi, A, c = _ints(lo, hi, A, c)
-    return sum(thi - tlo + 1 for _, tlo, thi in _scan(lo, hi, A, c))
-
-
-def enumerate_points(lo, hi, A, c):
-    """List the integer points of the box with ``A x + c >= 0``, as tuples in
-    lex order."""
-    lo, hi, A, c = _ints(lo, hi, A, c)
-    out = []
-    for prefix, tlo, thi in _scan(lo, hi, A, c):
-        out.extend(prefix + (t,) for t in range(tlo, thi + 1))
-    return out
+    return walk(0, c)

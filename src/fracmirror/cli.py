@@ -194,12 +194,13 @@ def _cmd_dual_nef(ctx):
         "nabla_dual": nabla_dual.to_dict(),
         "dual_partition": {"delta": nabla.to_dict(), "parts": dual_parts},
     }
+    print(_SMOOTHNESS_WARNING, file=sys.stderr)
     return payload, lambda: [
         *(f"nabla_{i} vertices: {list(V)}" for i, V in enumerate(parts)),
         f"nabla vertices: {list(nabla.vertices)}",
         f"nabla_dual vertices: {list(nabla_dual.vertices)}",
         f"dual partition parts: {dual_parts}",
-    ], [_SMOOTHNESS_WARNING]
+    ]
 
 
 def _topology_lines(topo):
@@ -216,7 +217,7 @@ def _topology_lines(topo):
 
 def _cmd_euler(ctx):
     topo = ctx.topology
-    return topo.to_json(), lambda: _topology_lines(topo), []
+    return topo.to_json(), lambda: _topology_lines(topo)
 
 
 def _hodge_lines(label, table):
@@ -238,7 +239,7 @@ def _cmd_hodge(ctx):
     }
     return payload, lambda: [
         *_hodge_lines("Y", topo.hodge), *_hodge_lines("Y_dual", topo.hodge_dual)
-    ], []
+    ]
 
 
 def _cmd_gkz(ctx):
@@ -255,13 +256,13 @@ def _cmd_gkz(ctx):
         "beta = (" + ", ".join(fraction_str(b) for b in beta) + ")",
         "alpha = (" + ", ".join(fraction_str(a) for a in g.alpha) + ")",
         *(f"kernel vector: {list(v)}" for v in g.kernel),
-    ], []
+    ]
 
 
 def _cmd_pf(ctx):
     ell, op = ctx.ell, ctx.op
     payload = {"kernel_vector": list(ell), "operator": op.to_json()}
-    return payload, lambda: [f"kernel vector: {list(ell)}", f"operator: {op.display()}"], []
+    return payload, lambda: [f"kernel vector: {list(ell)}", f"operator: {op.display()}"]
 
 
 def _cmd_mirror_map(ctx):
@@ -281,7 +282,7 @@ def _cmd_mirror_map(ctx):
         f"tau(z) = {_series_text(tau, 'z')}",
         f"q(z) = {_series_text(q_of_z, 'z')}",
         f"z(q) = {_series_text(z_of_q, 'q')}",
-    ], []
+    ]
 
 
 def _cmd_yukawa(ctx):
@@ -291,7 +292,6 @@ def _cmd_yukawa(ctx):
         return (
             {"skipped": reason, "operator_degree": op.degree},
             lambda: [f"skipped: {reason} (operator degree {op.degree})"],
-            [],
         )
     C = _normalization(ctx.config)
     ydata = a_model_correlation(op, ctx.pair, C)
@@ -300,7 +300,7 @@ def _cmd_yukawa(ctx):
         f"normalization C = {fraction_str(ydata.C)}",
         f"Y_z(z) = {_series_text(ydata.Y_z, 'z')}",
         f"K(q) = {_series_text(ydata.K_q, 'q')}",
-    ], []
+    ]
 
 
 def _cmd_ifunction(ctx):
@@ -321,7 +321,7 @@ def _cmd_ifunction(ctx):
         f"weights: numerator {list(num)}, denominator {list(den)}",
         f"A(q) = {_series_text(I[0], 'q')}",
         f"B/A (mirror map series) = {_series_text(ratio, 'q')}",
-    ], []
+    ]
 
 
 def _cmd_bseries(ctx):
@@ -342,13 +342,12 @@ def _cmd_bseries(ctx):
         f"ring: Q[eps]/(eps^{d}), integral scale {C}",
         f"eps^0 slice (omega0) = {_series_text(B[0], 'z')}",
         f"log-degree = {len(B) - 1}",
-    ], []
+    ]
 
 
 def _cmd_all(ctx):
     payload = {}
     sections = []
-    warnings = []
     for name, fn in (
         ("euler", _cmd_euler),
         ("hodge", _cmd_hodge),
@@ -357,13 +356,12 @@ def _cmd_all(ctx):
         ("mirror-map", _cmd_mirror_map),
         ("yukawa", _cmd_yukawa),
     ):
-        sub_payload, sub_lines, sub_warn = fn(ctx)
+        sub_payload, sub_lines = fn(ctx)
         payload[name.replace("-", "_")] = sub_payload
         sections.append((name, sub_lines))
-        warnings.extend(sub_warn)
     return payload, lambda: [
         line for name, sub_lines in sections for line in (f"== {name} ==", *sub_lines())
-    ], warnings
+    ]
 
 
 _DISPATCH = {
@@ -409,13 +407,11 @@ def run(config):
     try:
         # a command returns its table as a function of no arguments, so the
         # lines (and the Fractions they print) are built only for a table
-        payload, lines, warnings = _DISPATCH[config.command](_Context(config, data))
+        payload, lines = _DISPATCH[config.command](_Context(config, data))
         text = _json_text(payload) if config.fmt == "json" else "\n".join(lines())
     except FracmirrorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for w in warnings:
-        print(w, file=sys.stderr)
     print(text)
     return 0
 
@@ -429,15 +425,13 @@ def main(argv=None):
             "Picard-Fuchs/mirror-map/Yukawa series."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sp = sub.add_parser(name)
-        sp.add_argument("input", help="nef-partition JSON file")
-        sp.add_argument("-N", type=int, default=10, dest="N",
+    parser.add_argument("command", choices=list(_DISPATCH))
+    parser.add_argument("input", help="nef-partition JSON file")
+    parser.add_argument("-N", type=int, default=10, dest="N",
                         help="series truncation order (default 10)")
-        sp.add_argument("--normalization", default=None,
+    parser.add_argument("--normalization", default=None,
                         help="rational normalization constant C (default: classical)")
-        sp.add_argument("--format", choices=("json", "table"), default="table",
+    parser.add_argument("--format", choices=("json", "table"), default="table",
                         dest="fmt", help="output format")
     args = parser.parse_args(argv)
     config = JobConfig(

@@ -15,7 +15,8 @@ built order by order from linear factors, so no transcendental Gamma value is
 ever evaluated.  Its recurrence runs on Python ints and hands over by order
 (``Slices``): coefficient n of eps-slice k is U_n[k] / E_n, and a slice is
 made a ``RationalSeries`` over the lcm of the E_n, with no Fraction per
-coefficient, only when read.  The holomorphic solution is its eps^0 slice.
+coefficient, only when read.  The holomorphic solution is its eps^0 slice
+(``cohom.deformed_solution``).
 Its integer ``scale`` gives sum scale^n c_n z^n inside the recurrence: at the
 scale s = 4^(sum k) of ``_series_factors`` the slices are the untwisted
 I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
@@ -41,7 +42,6 @@ __all__ = [
     "simplex_kernel_vector",
     "Slices",
     "hypergeometric_series",
-    "holo_solution",
 ]
 
 
@@ -264,12 +264,4 @@ def _new_factors(factors, n, m):
     return c
 
 
-def holo_solution(ell, N):
-    """The holomorphic solution sum c_n z^n of the rank-1 GKZ system.
-
-    c_n multiplies rising factorials over the negative kernel entries and
-    divides by rising factorials over the positive ones; c_0 = 1.  It is the
-    eps^0 slice of ``hypergeometric_series`` at m = 1.
-    """
-    num, den, _ = _series_factors(ell)
-    return hypergeometric_series(num, den, 1, N)[0]
+holo_solution = None  # for perfbench/spans.py until ROADMAP item 5

@@ -36,7 +36,6 @@ from math import lcm
 from .cohom import i_function_untwisted
 from .errors import FracmirrorError
 from .gkz import _series_factors
-from .gkz import holo_solution  # noqa: F401  (perfbench/spans.py patches this name)
 from .series import _lagrange, _make
 
 __all__ = [
@@ -98,11 +97,12 @@ def _dilate(f, p, q=1):
 
 
 def mirror_map(pair):
-    """(q(z), z(q)) as exact series: q = x exp(A1/A0), reverted in x; then
-    q(z) = q(x = z/s) and z(q) = s x(q)."""
-    s = pair.scale
-    q_of_x = (pair.A1 / pair.A0).exp().shift(1)
-    return _dilate(q_of_x, 1, s), q_of_x.reversion() * s
+    """(q(z), z(q)) as exact series: q = x e with e = exp(A1/A0), reverted in
+    x by Lagrange, [q^k] x(q) = (1/k) [w^(k-1)] e^(-k); then q(z) = q(x = z/s)
+    and z(q) = s x(q)."""
+    e = (pair.A1 / pair.A0).exp()
+    s, N = pair.scale, e.N
+    return _dilate(e.shift(1), 1, s), _lagrange(e.truncate(N - 1).inverse(), 1) * s
 
 
 def yukawa_z(op, pair, C):
@@ -139,4 +139,4 @@ def a_model_correlation(op, pair, C):
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange((-r).exp(), 0, G))
 
 
-yukawa_ode_rhs = None  # for perfbench/spans.py until ROADMAP item 5
+holo_solution = yukawa_ode_rhs = None  # for perfbench/spans.py until ROADMAP item 5

@@ -1,4 +1,4 @@
-"""Exact lattice polytopes: hulls, duals, volumes, lattice points.
+"""Exact lattice polytopes: hulls, duals, volumes, lattice-point counts.
 
 Everything is exact integer arithmetic.  A convex hull is full-dimensional
 and comes from an incremental double-description pass over the
@@ -13,7 +13,7 @@ and vertices of the primal, and its incidences their transpose.  Volumes
 are normalized lattice volumes, summed over the flags of a pulling
 triangulation read off those incidences with one fraction-free elimination
 row per step of a flag, so simplices that share a flag prefix share its
-eliminations; lattice-point scans run on the one exact-int prefix→interval
+eliminations; a lattice-point count runs the one exact-int prefix→interval
 scan in ``_accel``.
 
 The Cayley pyramids of a nef-partition build no hull either.  In
@@ -180,7 +180,7 @@ class LatticePolytope:
     Points that span less than Z^D, one point and D = 0 included, build no
     hull: they keep ``affine_dim`` and their distinct lex-sorted points as
     ``vertices``, with no facets or incidences.  Such a set is never
-    reflexive, and the polar dual, volume and lattice points refuse it.
+    reflexive, and the polar dual, volume and lattice-point count refuse it.
     """
 
     __slots__ = (
@@ -189,7 +189,6 @@ class LatticePolytope:
         "vertices",
         "facets",
         "_incidences",
-        "_lattice_points",
         "_polar_dual",
     )
 
@@ -203,7 +202,6 @@ class LatticePolytope:
         if any(len(p) != D for p in pts):
             raise ValueError("points have inconsistent dimension")
         self.ambient_dim = D
-        self._lattice_points = None
         self._polar_dual = None
 
         # one elimination: the independent homogenized points give the affine
@@ -264,38 +262,22 @@ class LatticePolytope:
         P = cls.__new__(cls)
         P.vertices, P.facets, P._incidences = vertices, facets, incidences
         P.ambient_dim = P.affine_dim = len(vertices[0])
-        P._lattice_points = P._polar_dual = None
+        P._polar_dual = None
         return P
 
     # -- lattice points ---------------------------------------------------
 
-    def _box(self, k=1):
-        D = self.ambient_dim
-        lo = [min(v[i] for v in self.vertices) * k for i in range(D)]
-        hi = [max(v[i] for v in self.vertices) * k for i in range(D)]
-        return lo, hi
+    # perfbench/spans.py wraps these names, which nothing calls; they go with
+    # the other patch-only shims in ROADMAP item 5
+    lattice_points = dilate_lattice_point_count = None
 
-    def dilate_lattice_point_count(self, k):
-        """Number of lattice points in k·P (k a nonnegative integer)."""
+    def lattice_point_count(self):
+        """Number of lattice points of P: one count over its vertex box."""
         self._require_full_dimensional("a lattice-point count")
-        k = operator.index(k)
-        if k < 0:
-            raise ValueError("dilation factor must be nonnegative")
-        if k == 0:
-            return 1
-        lo, hi = self._box(k)
+        box = list(zip(*self.vertices))
         A = [g for g, _ in self.facets]
-        c = [cc * k for _, cc in self.facets]
-        return _accel.count_points(lo, hi, A, c)
-
-    def lattice_points(self):
-        if self._lattice_points is None:
-            self._require_full_dimensional("a lattice-point scan")
-            lo, hi = self._box()
-            A = [g for g, _ in self.facets]
-            c = [cc for _, cc in self.facets]
-            self._lattice_points = tuple(_accel.enumerate_points(lo, hi, A, c))
-        return self._lattice_points
+        c = [cc for _, cc in self.facets]
+        return _accel.count_points(list(map(min, box)), list(map(max, box)), A, c)
 
     # -- volume -----------------------------------------------------------
 

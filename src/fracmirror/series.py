@@ -1,10 +1,11 @@
 """Truncated formal power series in z with exact rational coefficients.
 
 ``RationalSeries`` is a series over Q, truncated at a fixed order N.  It
-holds every kernel: product, ``inverse``, ``exp``, ``log``, ``compose``,
-``reversion``, theta and its inverse.  A series over Q[eps]/(eps^m), such
-as a Frobenius tower or an I-function, is a tuple of its m eps-slices, each
-a ``RationalSeries`` (see ``gkz.hypergeometric_series``).
+holds the product, ``inverse``, ``exp`` and theta; ``_lagrange`` reads
+coefficients of a composite or a compositional inverse off the powers of
+one series.  A series over Q[eps]/(eps^m), such as a Frobenius tower or an
+I-function, is a tuple of its m eps-slices, each a ``RationalSeries`` (see
+``gkz.hypergeometric_series``).
 
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
@@ -16,11 +17,11 @@ product is the integer convolution over D_a * D_b, and ``inverse`` and
 ``exp`` solve their recurrences with the coefficients found so far held as
 numerators over their running lcm, which grows only as fast as the reduced
 denominators do (scaling by powers of c0's numerator or by n! D^n instead
-grows the integers with every order).  ``log``, ``/``, ``compose`` and
-``reversion`` are built from these; the last two split the powers of one
-series into baby and giant steps (Paterson and Stockmeyer 1973; Brent and
-Kung 1978) and form about 2 sqrt(N) products instead of N.  The
-coefficients as reduced ``Fraction``s (``c``, ``coeff``) are built once.
+grows the integers with every order).  ``/`` is built from these, and
+``_lagrange`` splits the powers of one series into baby and giant steps
+(Paterson and Stockmeyer 1973; Brent and Kung 1978), forming about
+2 sqrt(N) products instead of N.  The coefficients as reduced ``Fraction``s
+(``c``, ``coeff``) are built once.
 """
 
 from fractions import Fraction
@@ -135,10 +136,11 @@ class RationalSeries:
     __slots__ = ("N", "A", "D", "_c")
 
     # perfbench/spans.py wraps the methods of ``series._Series`` and labels a
-    # span "rational" when ``args[0].ring.m is None``.  This ``m``, ``ring``
-    # and the ``_Series`` alias below exist only for it, and go when ROADMAP
-    # item 5 stages the spans inside the program.
-    m = None
+    # span "rational" when ``args[0].ring.m is None``.  This ``m``, ``ring``,
+    # the ``_Series`` alias below and the names ``log``, ``compose`` and
+    # ``reversion``, which it wraps and nothing calls, exist only for it, and
+    # go when ROADMAP item 5 stages the spans inside the program.
+    m = log = compose = reversion = None
 
     @property
     def ring(self):
@@ -216,41 +218,11 @@ class RationalSeries:
         """z d/dz."""
         return _make([n * x for n, x in enumerate(self.A)], self.D, self.N)
 
-    def antitheta(self):
-        """Inverse of theta on series with zero constant term, over D lcm(1..N)."""
-        if self.A[0]:
-            raise FracmirrorError("antitheta needs a zero constant term")
-        L = lcm(*range(1, self.N + 1))
-        return _make([0] + [self.A[n] * (L // n) for n in range(1, self.N + 1)], self.D * L, self.N)
-
     def shift(self, j):
         """Multiply by z^j (j >= 0), truncating at the same order."""
         if j < 0:
             raise FracmirrorError("division by z is not defined for truncated series")
         return _make((0,) * j + self.A, self.D, self.N)
-
-    def compose(self, inner):
-        """Self evaluated at ``inner``; inner must have zero constant term.
-
-        Paterson-Stockmeyer: block j = sum_(a<m) F_(jm+a) g^a, m = isqrt(N), is
-        one integer combination of the powers of g = inner over D_F times
-        their lcm, and Horner in g^m adds the blocks: m - 1 + N // m products.
-        """
-        if not isinstance(inner, RationalSeries):
-            raise TypeError("composition requires a RationalSeries")
-        if inner.A[0]:
-            raise FracmirrorError("composition requires a zero inner constant term")
-        N = min(self.N, inner.N)
-        *baby, giant = _powers(inner.truncate(N), isqrt(N) or 1)
-        L, F, m = lcm(*(p.D for p in baby)), self.A[: N + 1], len(baby)
-        cols = list(zip(*([x * (L // p.D) for x in p.A] for p in baby)))
-        res, *blocks = [
-            _make([sum(map(mul, F[j : j + m], col)) for col in cols], self.D * L, N)
-            for j in range(N // m * m, -1, -m)
-        ]
-        for block in blocks:
-            res = res * giant + block
-        return res
 
     def exp(self):
         """exp(self), c_0 = 0: with c = A/D, e_n = (sum_k k A_k e_(n-k)) / (n D)."""
@@ -259,22 +231,6 @@ class RationalSeries:
         A, D = self.A, self.D
         U, E = _recurrence(1, 1, [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))])
         return _make(U, E, self.N)
-
-    def log(self):
-        if self.A[0] != self.D:  # c_0 == 1 in canonical form
-            raise FracmirrorError("log needs constant term 1")
-        return (self.theta() / self).antitheta()
-
-    def reversion(self):
-        """Compositional inverse T with self(T(q)) = q + O(q^(N+1)): with c1 nonzero
-        and h = w / self(w) of order N-1, [q^k] T = (1/k) [w^(k-1)] h^k."""
-        if self.N < 1:
-            raise FracmirrorError("reversion needs a series of order N >= 1")
-        if self.A[0]:
-            raise FracmirrorError("reversion needs a zero constant term")
-        if not self.A[1]:
-            raise FracmirrorError("reversion needs an invertible linear coefficient")
-        return _lagrange(_make(self.A[1:], self.D, self.N - 1).inverse(), 1)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSeries):

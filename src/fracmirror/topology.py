@@ -16,13 +16,13 @@ degree are inherited from the toric base; middle-degree numbers follow
 from chi in dimensions 2 and 3.
 
 h^{1,1} counts the lattice points of the polar dual P of the base, a
-reflexive polytope.  Its Ehrhart h*-vector (1, h_1, ..., h_{n-1}, 1) is
+reflexive polytope, but for n = 2 it is a middle number, read from chi
+with no count.  The Ehrhart h*-vector (1, h_1, ..., h_{n-1}, 1) of P is
 palindromic (Hibi, "Dual polytopes of rational convex polytopes",
 Combinatorica 1992), h_1 = #P - n - 1 and the h_i sum to Vol(P), the
-normalized volume.  So #P = Vol + 1 for n = 2, where h* = (1, h_1, 1), and
-#P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).  The volume is
-chi(X), which the cover's Euler characteristic already needs, so only
-n >= 4 scans the lattice points.
+normalized volume.  So #P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).
+The volume is chi(X), which the cover's Euler characteristic already needs,
+so n = 2 and n = 3 count no lattice points.
 """
 
 from .errors import FracmirrorError, SmoothnessError
@@ -63,15 +63,12 @@ class HodgeTable:
 
 
 def _point_count(delta, vol):
-    """Lattice points of the polar dual of delta, whose normalized volume is
-    ``vol``: read off the palindromic h*-vector for n = 2 and 3 (module
-    docstring), scanned otherwise."""
-    n = delta.ambient_dim
-    if n == 2:
-        return vol + 1
-    if n == 3:
+    """Lattice points of the polar dual of delta (n != 2), whose normalized
+    volume is ``vol``: read off the palindromic h*-vector for n = 3 (module
+    docstring), counted otherwise."""
+    if delta.ambient_dim == 3:
         return vol // 2 + 3
-    return len(delta.polar_dual().lattice_points())
+    return delta.polar_dual().lattice_point_count()
 
 
 def hodge_numbers(delta, chi, vol):
@@ -84,39 +81,25 @@ def hodge_numbers(delta, chi, vol):
     (#boundary lattice points of the polar dual of delta) - n: all its
     lattice points but the origin, since a reflexive polytope has no other
     interior lattice point.  The middle row comes from chi in dimensions 2
-    and 3.  For n > 3 the off-middle part is returned with
+    and 3.  Otherwise the off-middle part is returned with
     ``complete=False``.
     """
     n = delta.ambient_dim
-    h11 = _point_count(delta, vol) - 1 - n
-    table = {}
+    table = {(p, q): 0 for p in range(n + 1) for q in range(n + 1) if p + q != n and p != q}
+    table[(0, 0)] = table[(n, n)] = 1
     if n == 2:
-        table[(0, 0)] = table[(2, 2)] = 1
-        table[(1, 0)] = table[(0, 1)] = table[(2, 1)] = table[(1, 2)] = 0
         table[(2, 0)] = table[(0, 2)] = 1
         table[(1, 1)] = chi - 4
         return HodgeTable(table)
-    if n == 3:
-        for p in range(4):
-            for q in range(4):
-                if p + q != 3:
-                    table[(p, q)] = 0
-        table[(0, 0)] = table[(3, 3)] = 1
-        table[(1, 1)] = table[(2, 2)] = h11
-        if chi % 2 != 0:
-            raise FracmirrorError("odd Euler characteristic for a threefold")
-        h21 = h11 - chi // 2
-        table[(3, 0)] = table[(0, 3)] = 1
-        table[(2, 1)] = table[(1, 2)] = h21
-        return HodgeTable(table)
-    # n > 3: only the inherited off-middle entries are known here
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q != n and p != q:
-                table[(p, q)] = 0
-    table[(0, 0)] = table[(n, n)] = 1
+    h11 = _point_count(delta, vol) - 1 - n
     table[(1, 1)] = table[(n - 1, n - 1)] = h11
-    return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
+    if n != 3:
+        return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
+    if chi % 2 != 0:
+        raise FracmirrorError("odd Euler characteristic for a threefold")
+    table[(3, 0)] = table[(0, 3)] = 1
+    table[(2, 1)] = table[(1, 2)] = h11 - chi // 2
+    return HodgeTable(table)
 
 
 class CoverTopology:

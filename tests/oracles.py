@@ -13,7 +13,7 @@ from typing import NamedTuple
 from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
-from fracmirror.gkz import Slices, holo_solution, hypergeometric_series
+from fracmirror.gkz import Slices, hypergeometric_series
 from fracmirror.mirror import YukawaData, _dilate
 from fracmirror.nefpart import _part_vertices
 from fracmirror.picard_fuchs import ThetaOperator
@@ -93,7 +93,7 @@ def mirror_map_in_z(ell, N):
     near s^N: q = (z/s) exp(tau/omega0) and z(q) its reversion."""
     omega0, tau, s = frobenius_pair_in_z(ell, N)
     q_of_z = (tau / omega0).exp().shift(1) * Fraction(1, s)
-    return q_of_z, q_of_z.reversion()
+    return q_of_z, reversion_by_powers(q_of_z)
 
 
 class ZOperator(NamedTuple):
@@ -151,12 +151,12 @@ def a_model_correlation_by_composition(op, pair, z_of_q, C):
     g = yukawa_ode_rhs(op, N)
     if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    Y_x = _dilate(g, s).antitheta().exp() * Fraction(C) / (pair.A0 * pair.A0)
+    Y_x = antitheta(_dilate(g, s)).exp() * Fraction(C) / (pair.A0 * pair.A0)
     x_of_q = z_of_q.truncate(N) * Fraction(1, s)
     # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = RationalSeries(x_of_q.c[1:], N - 1)
     dlog = v.theta() / v + 1
-    K = Y_x.compose(x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
+    K = compose_by_horner(Y_x, x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
     return YukawaData(C=Fraction(C), Y_z=_dilate(Y_x, 1, s), K_q=K)
 
 
@@ -165,24 +165,32 @@ def a_model_correlation_in_z(op, ell, N, z_of_q, C):
     Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
     omega0, _, s = frobenius_pair_in_z(ell, N)
     g = yukawa_ode_rhs_by_division(op, N)
-    Y = g.antitheta().exp() * Fraction(C) / (omega0 * omega0)
+    Y = antitheta(g).exp() * Fraction(C) / (omega0 * omega0)
     # v = z(q)/(s q), a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, s)
     dlog = v.theta() / v + 1
-    K = Y.compose(z_of_q.truncate(N)).truncate(N - 1) * dlog * dlog * dlog
+    K = compose_by_horner(Y, z_of_q.truncate(N)).truncate(N - 1) * dlog * dlog * dlog
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)
+
+
+def antitheta(f):
+    """The inverse of theta on a series with zero constant term: coefficient
+    n divided by n."""
+    if f.c[0]:
+        raise FracmirrorError("antitheta needs a zero constant term")
+    return RationalSeries([0] + [f.c[n] / n for n in range(1, f.N + 1)], f.N)
 
 
 def reversion_by_composition(f):
     """Compositional inverse of ``f`` one coefficient at a time.
 
     T_1 = 1/c1, and T_k = -(1/c1) [q^k] f(T_1 q + ... + T_(k-1) q^(k-1)):
-    N compositions of the whole series, O(N^4) Fraction operations.
+    N Horner compositions of the whole series (``compose_by_horner``).
     """
     inv1 = 1 / f.c[1]
     out = [Fraction(0), inv1] + [Fraction(0)] * (f.N - 1)
     for k in range(2, f.N + 1):
-        err = f.compose(RationalSeries(out, f.N)).coeff(k)
+        err = compose_by_horner(f, RationalSeries(out, f.N)).coeff(k)
         out[k] = -inv1 * err
     return RationalSeries(out, f.N)
 
@@ -463,14 +471,19 @@ def volume_by_simplices(P):
     return vol
 
 
+def dilate_count(P, k):
+    """Lattice points of k·P for an int k >= 0: the count of the hull of the
+    dilated vertices, 1 for k = 0."""
+    if k == 0:
+        return 1
+    return LatticePolytope([[k * x for x in v] for v in P.vertices]).lattice_point_count()
+
+
 def volume_by_dilation_counts(P):
     """Normalized volume as the alternating sum of a+1 dilated lattice-point
     counts (the leading Ehrhart coefficient times a!)."""
     a = P.affine_dim
-    return sum(
-        (-1) ** (a - k) * math.comb(a, k) * P.dilate_lattice_point_count(k)
-        for k in range(a + 1)
-    )
+    return sum((-1) ** (a - k) * math.comb(a, k) * dilate_count(P, k) for k in range(a + 1))
 
 
 class SpanHull:
@@ -520,7 +533,7 @@ class SpanHull:
         return tuple(sorted(lifted))
 
     def lattice_points(self):
-        return tuple(sorted(self.lift(y) for y in self.span.lattice_points()))
+        return tuple(sorted(self.lift(y) for y in lattice_points_by_box(self.span)))
 
 
 def contains(P, point):
@@ -540,18 +553,25 @@ def contains(P, point):
     return all(sum(map(operator.mul, g, p)) + c >= 0 for g, c in P.facets)
 
 
+def lattice_points_by_box(P):
+    """The lattice points of P in lex order: every point of its vertex box
+    that ``contains`` keeps."""
+    box = [range(min(x), max(x) + 1) for x in zip(*P.vertices)]
+    return tuple(p for p in itertools.product(*box) if contains(P, p))
+
+
 def interior_lattice_points(P):
     """The lattice points of a full-dimensional P strictly inside every
     facet, by testing each point against each facet inequality."""
     return tuple(
-        p for p in P.lattice_points()
+        p for p in lattice_points_by_box(P)
         if all(sum(map(operator.mul, g, p)) + c > 0 for g, c in P.facets)
     )
 
 
 def boundary_lattice_point_count(P):
     """Lattice points of P on some facet: all of them but the interior ones."""
-    return len(P.lattice_points()) - len(interior_lattice_points(P))
+    return len(lattice_points_by_box(P)) - len(interior_lattice_points(P))
 
 
 def lattice_transform(U, X):
@@ -573,7 +593,7 @@ def ehrhart_polynomial(P):
     forward differences; a!·c_a is the normalized volume.
     """
     a = P.affine_dim
-    counts = [P.dilate_lattice_point_count(k) for k in range(a + 1)]
+    counts = [dilate_count(P, k) for k in range(a + 1)]
     # Newton forward differences
     diffs = [Fraction(c) for c in counts]
     table = [diffs[0]]
@@ -807,10 +827,11 @@ def box_annihilation_check(ell, alpha, N, series=None):
     prod_(m=0)^(l_e - 1) (l_e t - m) and G(t) the matching product over
     negative entries of prod_(m=0)^(k_e - 1) (k_e t - alpha_e + m), the
     solution satisfies F(n) c_n = G(n-1) c_(n-1).  Defaults to checking
-    ``holo_solution``; pass ``series`` to test another candidate.
+    the holomorphic solution, ``deformed_solution``'s eps^0 slice; pass
+    ``series`` to test another candidate.
     """
     if series is None:
-        series = holo_solution(ell, N)
+        series = deformed_solution(ell, N, 1)[0]
     N = min(N, series.N)
 
     def F(t):

@@ -1,4 +1,4 @@
-"""Lattice-point scan: the one exact-int scan against brute force."""
+"""Lattice-point count: the one exact-int scan against brute force."""
 
 import contextlib
 import itertools
@@ -42,18 +42,6 @@ def test_scan_agrees_with_brute_force():
     for case in cases:
         expect = brute_points(*case)
         assert _accel.count_points(*case) == len(expect)
-        assert _accel.enumerate_points(*case) == expect
-
-
-def test_enumerate_matches_count_and_is_sorted():
-    rng = random.Random(8)
-    for _ in range(10):
-        d = rng.randint(1, 3)
-        lo, hi, A, c = random_instance(rng, d)
-        pts = _accel.enumerate_points(lo, hi, A, c)
-        assert len(pts) == _accel.count_points(lo, hi, A, c)
-        assert pts == sorted(pts)
-        assert len(set(pts)) == len(pts)
 
 
 def test_zero_dimensional_and_empty_boxes():
@@ -61,15 +49,14 @@ def test_zero_dimensional_and_empty_boxes():
     # box the scan sees has at least one axis
     for points in ([()], [(1, 2, 3)]):
         with pytest.raises(FracmirrorError, match="full-dimensional"):
-            LatticePolytope(points).lattice_points()
+            LatticePolytope(points).lattice_point_count()
     assert _accel.count_points([0], [-1], [], []) == 0
-    assert _accel.enumerate_points([0], [-1], [], []) == []
     # a float bound or coefficient is refused, not truncated ([0, 2.9] would
     # count 3 points)
     with pytest.raises(TypeError):
         _accel.count_points([0], [2.9], [], [])
     with pytest.raises(TypeError):
-        _accel.enumerate_points([0], [2], [[1.5]], [0])
+        _accel.count_points([0], [2], [[1.5]], [0])
 
 
 def test_offsets_past_int64_stay_exact():
@@ -79,7 +66,6 @@ def test_offsets_past_int64_stay_exact():
     lo, hi = [big], [big + 3]
     A, c = [[1]], [-big - 1]
     assert _accel.count_points(lo, hi, A, c) == 3
-    assert _accel.enumerate_points(lo, hi, A, c) == [(big + 1,), (big + 2,), (big + 3,)]
     # d = 3: the prefix axes carry huge offsets too;
     # x0 + x1 + x2 >= 2 big + 3 and x2 <= big + 2
     lo, hi = [big, 0, big], [big + 2, 1, big + 3]
@@ -90,7 +76,6 @@ def test_offsets_past_int64_stay_exact():
     ]
     assert len(expect) == 9
     assert _accel.count_points(lo, hi, A, c) == len(expect)
-    assert _accel.enumerate_points(lo, hi, A, c) == expect
 
 
 @contextlib.contextmanager
@@ -117,8 +102,6 @@ def test_scan_prunes_prefixes_no_completion_satisfies():
     # x >= 0, x0 + ... + x5 <= 3: C(9, 6) points
     A, c = [[-1] * d] + eye, [3] + [0] * d
     assert _accel.count_points([0] * d, [big] * d, A, c) == math.comb(9, 6)
-    pts = _accel.enumerate_points([0] * d, [big] * d, A, c)
-    assert len(pts) == math.comb(9, 6) and max(map(sum, pts)) == 3
     # only the last axis is constrained, beyond its box: empty at once
     A, c = [[0] * (d - 1) + [1]], [-big - 1]
     assert _accel.count_points([0] * d, [big] * d, A, c) == 0

@@ -27,7 +27,6 @@ from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
     _series_factors,
     build_gkz,
-    holo_solution,
     hypergeometric_series,
 )
 from fracmirror.mirror import frobenius_pair
@@ -79,7 +78,7 @@ def test_kernel_orders_refuse_bools(build):
     lambda: hypergeometric_series([], [], 1, -3, 4),
     lambda: deformed_solution(_QUARTIC, -1, 2),
     lambda: i_function_untwisted(_QUARTIC, 2, -1),
-    lambda: holo_solution(_QUARTIC, -1),
+    lambda: deformed_solution(_QUARTIC, -1, 1)[0],
 ], ids=["kernel", "kernel scaled", "deformed", "I-function", "holomorphic"])
 def test_kernel_refuses_a_negative_order(build):
     # as RationalSeries does, rather than slices with no coefficients
@@ -137,8 +136,10 @@ def test_deformed_slices_match_numeric_gamma_derivatives(quartic):
 
 def test_deformed_m1_is_plain_solution(k3):
     ell = _kernel_vector(k3)
+    # the plain solution is the eps^0 slice at every nilpotency order
     W = deformed_solution(ell, 6, 1)
-    assert matches(W[0], holo_solution(ell, 6), 6)
+    assert len(W) == 1
+    assert matches(W[0], deformed_solution(ell, 6, 3)[0], 6)
 
 
 def test_deformed_rejects_oversized_nilpotency(quartic):
@@ -306,7 +307,7 @@ def test_i_function_quartic_slices(quartic):
     assert A.coeff(2) == 32432400
     assert all(A.coeff(n).denominator == 1 for n in range(7))
     # A(q) is the holomorphic solution rescaled to the q-variable
-    assert matches(A, scale_arg(holo_solution(ell, 6), 256), 6)
+    assert matches(A, scale_arg(deformed_solution(ell, 6, 1)[0], 256), 6)
 
 
 def test_i_function_mirror_block(quartic):
@@ -362,7 +363,6 @@ def test_cohomology_api_refuses_floats():
             lambda: b_series(2, ell, 3),
             lambda: i_function_untwisted(ell, 2, 3),
             lambda: i_weights_from_kernel(ell),
-            lambda: holo_solution(ell, 3),
             lambda: theta_conjugate(ell),
         ):
             with pytest.raises(TypeError):

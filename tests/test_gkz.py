@@ -23,12 +23,11 @@ from oracles import (
 from conftest import DATA, REPO
 
 from fracmirror import cli
-from fracmirror.cohom import i_weights_from_kernel
+from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
     _series_factors,
     build_gkz,
-    holo_solution,
     hypergeometric_series,
     simplex_kernel_vector,
 )
@@ -210,7 +209,7 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
 def test_holo_solution_quartic_leading_terms(quartic):
     g = build_gkz(quartic)
     [ell] = g.kernel
-    s = holo_solution(ell, 4)
+    s = deformed_solution(ell, 4, 1)[0]
     assert s.coeff(0) == 1
     assert s.coeff(1) == Fraction(105, 16)
     assert s.coeff(2) == Fraction(2027025, 4096)
@@ -224,7 +223,7 @@ def test_holo_solution_quartic_leading_terms(quartic):
 def test_holo_solution_eight_hyperplanes(eight_hyperplanes):
     g = build_gkz(eight_hyperplanes)
     [ell] = g.kernel
-    s = holo_solution(ell, 3)
+    s = deformed_solution(ell, 3, 1)[0]
     assert s.coeff(1) == Fraction(1, 16)
     for n in range(4):
         assert s.coeff(n) == (rising(Fraction(1, 2), n) / rising(1, n)) ** 4
@@ -384,7 +383,7 @@ def test_box_annihilation_at_order_40(quartic, eight_hyperplanes):
 def test_box_annihilation_negative_control(quartic):
     g = build_gkz(quartic)
     [ell] = g.kernel
-    s = holo_solution(ell, 6)
+    s = deformed_solution(ell, 6, 1)[0]
     corrupted = RationalSeries(
         [s.coeff(n) + (1 if n == 3 else 0) for n in range(7)], 6
     )

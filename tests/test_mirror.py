@@ -44,12 +44,14 @@ from oracles import (
     a_model_correlation_by_composition,
     a_model_correlation_in_z,
     apply,
+    compose_by_horner,
     eisenstein_e4,
     i_function_by_weights,
     k3_mirror_map_by_j,
     matches,
     mirror_map_in_z,
     omega1_log,
+    reversion_by_powers,
     scale_arg,
 )
 from test_nefpart import _random_set_partitions
@@ -210,8 +212,21 @@ def test_mirror_map_against_inline_formulas(case, s, request):
 def test_mirror_map_round_trip(quartic):
     pair, _ = _pair(quartic)
     q, z = mirror_map(pair)
-    assert matches(q.compose(z), RationalSeries((0, 1), 10), 8)
-    assert matches(z.compose(q), RationalSeries((0, 1), 10), 8)
+    assert matches(compose_by_horner(q, z), RationalSeries((0, 1), 10), 8)
+    assert matches(compose_by_horner(z, q), RationalSeries((0, 1), 10), 8)
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 40])
+def test_z_of_q_is_the_reversion_of_q_of_x(quartic, eight_hyperplanes, N):
+    # z(q) = s x(q) with x(q) the reversion of q(x) = x exp(A1/A0), formed
+    # here by every power of w/q(w), and q(x(q)) = q; at N = 1, w/q(w) has
+    # order 0
+    for data in (quartic, eight_hyperplanes):
+        pair, _ = _pair(data, N)
+        q_of_x = (pair.A1 / pair.A0).exp().shift(1)
+        x_of_q = reversion_by_powers(q_of_x)
+        assert mirror_map(pair)[1] == x_of_q * pair.scale
+        assert compose_by_horner(q_of_x, x_of_q) == RationalSeries((0, 1), N)
 
 
 def test_z_of_q_integrality(quartic, eight_hyperplanes, k3):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracmirror.errors import FracmirrorError
-from fracmirror.gkz import build_gkz, holo_solution
+from fracmirror.cohom import deformed_solution
+from fracmirror.gkz import build_gkz
 from fracmirror.picard_fuchs import theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
@@ -171,7 +172,7 @@ def test_apply_rejects_non_series(quartic):
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_operator_annihilates_holomorphic_solution(case, request):
     op, ell = _operator(request.getfixturevalue(case))
-    omega0 = holo_solution(ell, 20)
+    omega0 = deformed_solution(ell, 20, 1)[0]
     assert all(not any(p.A) for p in apply(op, omega0))
 
 
@@ -191,7 +192,7 @@ def test_apply_handles_log_series():
 def test_holomorphic_kernel_matches_closed_form(quartic):
     op, ell = _operator(quartic)
     s = holomorphic_kernel(op, 12)
-    assert matches(s, holo_solution(ell, 12), 12)
+    assert matches(s, deformed_solution(ell, 12, 1)[0], 12)
     for n in range(13):
         assert s.coeff(n) == rising(Fraction(1, 2), 4 * n) / Fraction(
             math.factorial(n) ** 4
@@ -201,7 +202,7 @@ def test_holomorphic_kernel_matches_closed_form(quartic):
 def test_holomorphic_kernel_normalizes_first(quartic):
     op, ell = _operator(quartic)
     doubled = ZOperator(tuple(tuple(2 * c for c in p) for p in op.z_polys))
-    assert matches(holomorphic_kernel(doubled, 8), holo_solution(ell, 8), 8)
+    assert matches(holomorphic_kernel(doubled, 8), deformed_solution(ell, 8, 1)[0], 8)
 
 
 def test_holomorphic_kernel_rejects_resonant_indicial():

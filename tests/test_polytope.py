@@ -13,21 +13,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import SMALL_REFLEXIVE, accepted_partitions
+from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions
 
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
+from fracmirror.nefpart import NefPartition
 from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramids
 from oracles import (
     SpanHull,
     boundary_lattice_point_count,
     cayley_polytope,
     contains,
+    dilate_count,
     ehrhart_polynomial,
     extreme_rays_by_subsets,
     hull_by_smith_and_rank,
     independent_rows,
     interior_lattice_points,
+    lattice_points_by_box,
     lattice_transform,
     minkowski_sum_by_hulls,
     pyramid_over,
@@ -192,7 +195,7 @@ def test_no_points_error():
 
 def test_single_point_and_segment():
     # a set that spans less than its space builds no hull: it keeps its
-    # distinct points, and its volume, lattice points and polar dual are
+    # distinct points, and its volume, lattice-point count and polar dual are
     # refused rather than measured in the wrong space
     P = LatticePolytope([(0, 0, 0)])
     assert (P.affine_dim, P.vertices, P.facets) == (0, ((0, 0, 0),), ())
@@ -202,10 +205,7 @@ def test_single_point_and_segment():
     assert (Z.ambient_dim, Z.affine_dim, Z.vertices, Z.facets) == (0, 0, ((),), ())
     for Q in (P, S, Z):
         assert not Q.is_reflexive()
-        for measure in (
-            Q.normalized_volume, Q.lattice_points, Q.polar_dual,
-            lambda: Q.dilate_lattice_point_count(1),
-        ):
+        for measure in (Q.normalized_volume, Q.lattice_point_count, Q.polar_dual):
             with pytest.raises(FracmirrorError, match="requires a full-dimensional polytope"):
                 measure()
     # in the coordinates of its span the segment is two primitive steps
@@ -239,8 +239,8 @@ def test_contains():
 def test_quartic_simplex_lattice_points_against_barycentric_oracle():
     P = LatticePolytope(QUARTIC)
     expect = brute_points_of_simplex(QUARTIC)
-    assert list(P.lattice_points()) == expect
-    assert len(expect) == 35
+    assert P.lattice_point_count() == len(expect) == 35
+    assert list(lattice_points_by_box(P)) == expect
     assert interior_lattice_points(P) == ((0, 0, 0),)
     assert boundary_lattice_point_count(P) == 34
 
@@ -250,9 +250,26 @@ def test_dilate_counts_against_oracle():
     for k in (0, 1, 2):
         scaled = [tuple(k * x for x in v) for v in QUARTIC]
         expect = len(brute_points_of_simplex(scaled)) if k else 1
-        assert P.dilate_lattice_point_count(k) == expect
+        assert dilate_count(P, k) == expect
     with pytest.raises(TypeError):  # not truncated to k = 2
-        P.dilate_lattice_point_count(2.5)
+        dilate_count(P, 2.5)
+
+
+def test_lattice_point_count_matches_the_box_listing():
+    # Delta* and nabla* of every generated shape, and seeded random
+    # polytopes of dimension 2 to 4
+    polytopes = []
+    for shape, (n, _) in GEN.SHAPES.items():
+        data = NefPartition.from_dict(GEN.framed_input(shape, GEN.identity(n), GEN.identity(n)))
+        polytopes += [data.delta.polar_dual(), data.nabla.polar_dual()]
+    rng = random.Random(39)
+    while len(polytopes) < 2 * len(GEN.SHAPES) + 30:
+        d = rng.randint(2, 4)
+        P = LatticePolytope([tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 3)])
+        if P.affine_dim == d:
+            polytopes.append(P)
+    for P in polytopes:
+        assert P.lattice_point_count() == len(lattice_points_by_box(P)), P.vertices
 
 
 def test_lower_dimensional_counting():
@@ -266,7 +283,7 @@ def test_lower_dimensional_counting():
     ):
         tri = SpanHull(T)
         assert tri.affine_dim == 2
-        assert tri.span.dilate_lattice_point_count(1) == len(tri.lattice_points()) == count
+        assert tri.span.lattice_point_count() == len(tri.lattice_points()) == count
         flat = LatticePolytope(T)
         assert tri.lattice_points() == tuple(p for p in itertools.product(*box) if contains(flat, p))
 
@@ -354,7 +371,7 @@ def test_volume_invariant_under_unimodular_maps():
         U = random_unimodular(rng, 3)
         Q = lattice_transform(U, P)
         assert Q.normalized_volume() == P.normalized_volume()
-        assert len(Q.lattice_points()) == len(P.lattice_points())
+        assert Q.lattice_point_count() == P.lattice_point_count()
 
 
 # ---------------------------------------------------------------- Ehrhart
@@ -374,7 +391,7 @@ def test_ehrhart_polynomial_predicts_unseen_dilates():
         assert coeffs[-1] * math.factorial(a) == P.normalized_volume()
         for k in (a + 1, a + 2):
             predicted = sum(c * k**i for i, c in enumerate(coeffs))
-            assert predicted == P.dilate_lattice_point_count(k)
+            assert predicted == dilate_count(P, k)
 
 
 # ---------------------------------------------------------------- duality
@@ -456,7 +473,7 @@ def test_polar_dual_by_transposition_matches_the_hull(quartic, eight_hyperplanes
         assert (dual.vertices, dual.facets) == (hull.vertices, hull.facets)
         assert _incidence_pairs(dual) == _incidence_pairs(hull)
         assert dual.normalized_volume() == hull.normalized_volume()
-        assert dual.lattice_points() == hull.lattice_points()
+        assert dual.lattice_point_count() == hull.lattice_point_count()
         assert dual.polar_dual() is P
 
 

@@ -93,7 +93,6 @@ ARGS = [
     ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{p3_quartic}"], 2),
 ]
 
-_PATCHED = "perfbench/spans.py patches it by name (ROADMAP item 5)"
 _EQUALITY = "value equality, which the tests compare with"
 _ARGUMENT = "a library caller's guard on an argument that no command passes"
 _CALLER = "the commands check this earlier, with their own message"
@@ -102,10 +101,8 @@ _BALANCED = "an accepted input's kernel vector has positive entries that balance
 _IDENTITY = "no input violates the paper's identity (smoothness hypothesis)"
 
 UNRUN = [
-    ("_accel._scan.<locals>.cut", "return tlo, tlo - 1", "a row that no point of the box meets, which a polytope's own facets never give"),
+    ("_accel.count_points.<locals>.cut", "return tlo, tlo - 1", "a row that no point of the box meets, which a polytope's own facets never give"),
     ("_accel.backend_name", 'return "python"', "perfbench/run.py records the name of the scan's arithmetic"),
-    ("_accel.count_points", "lo, hi, A, c = _ints(lo, hi, A, c)", _PATCHED),
-    ("_accel.count_points", "return sum(thi - tlo + 1 for _, tlo, thi in _scan(lo, hi, A, c))", _PATCHED),
     ("cli._json_text", 'raise TypeError(f"Object of type {t.__name__} is not JSON serializable")', "json.dumps' TypeError for what it would not write exactly, as test_cli checks"),
     ("cli._json_text", 'return "[]"', "json.dumps' empty list, which no payload holds; test_cli compares with json.dumps"),
     ("cli._json_text", 'return "{}"', "json.dumps' empty dict, which no payload holds; test_cli compares with json.dumps"),
@@ -115,8 +112,6 @@ UNRUN = [
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("eps^0 slice of the I-function is not a unit")', _ARGUMENT),
     ("gkz._step", 'raise ValueError(f"a factor weight must be a positive integer, got {k}")', _ARGUMENT),
-    ("gkz.holo_solution", "num, den, _ = _series_factors(ell)", _PATCHED),
-    ("gkz.holo_solution", "return hypergeometric_series(num, den, 1, N)[0]", _PATCHED),
     ("gkz.hypergeometric_series", "raise FracmirrorError(", _ARGUMENT),
     ("gkz.hypergeometric_series", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
     ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
@@ -140,16 +135,6 @@ UNRUN = [
     ("polytope.LatticePolytope.__hash__", "return hash((self.ambient_dim, self.vertices))", "the hash that goes with __eq__"),
     ("polytope.LatticePolytope.__init__", 'raise ValueError("points have inconsistent dimension")', _CALLER),
     ("polytope.LatticePolytope._require_full_dimensional", 'raise FracmirrorError(f"{what} requires a full-dimensional polytope")', _CALLER),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "A = [g for g, _ in self.facets]", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "c = [cc * k for _, cc in self.facets]", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "if k < 0:", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "if k == 0:", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "k = operator.index(k)", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "lo, hi = self._box(k)", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", 'raise ValueError("dilation factor must be nonnegative")', _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "return 1", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", "return _accel.count_points(lo, hi, A, c)", _PATCHED),
-    ("polytope.LatticePolytope.dilate_lattice_point_count", 'self._require_full_dimensional("a lattice-point count")', _PATCHED),
     ("polytope.LatticePolytope.polar_dual", "raise FracmirrorError(", _CALLER),
     ("polytope.LatticePolytope.polar_dual", 'raise FracmirrorError("origin is not an interior point")', _CALLER),
     ("polytope._dd_extreme_rays", 'raise ValueError("cone is not pointed: constraints do not span")', _ARGUMENT),
@@ -167,30 +152,8 @@ UNRUN = [
     ("series.RationalSeries.__init__", "vals = [parse_fraction(x) for x in coeffs]", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__setattr__", 'raise AttributeError("series are immutable")', "the guard that keeps a series immutable"),
-    ("series.RationalSeries.antitheta", "L = lcm(*range(1, self.N + 1))", "the last step of log, which perfbench/spans.py patches"),
-    ("series.RationalSeries.antitheta", "if self.A[0]:", "the last step of log, which perfbench/spans.py patches"),
-    ("series.RationalSeries.antitheta", 'raise FracmirrorError("antitheta needs a zero constant term")', "the last step of log, which perfbench/spans.py patches"),
-    ("series.RationalSeries.antitheta", "return _make([0] + [self.A[n] * (L // n) for n in range(1, self.N + 1)], self.D * L, self.N)", "the last step of log, which perfbench/spans.py patches"),
-    ("series.RationalSeries.compose", "*baby, giant = _powers(inner.truncate(N), isqrt(N) or 1)", _PATCHED),
-    ("series.RationalSeries.compose", "L, F, m = lcm(*(p.D for p in baby)), self.A[: N + 1], len(baby)", _PATCHED),
-    ("series.RationalSeries.compose", "N = min(self.N, inner.N)", _PATCHED),
-    ("series.RationalSeries.compose", "cols = list(zip(*([x * (L // p.D) for x in p.A] for p in baby)))", _PATCHED),
-    ("series.RationalSeries.compose", "for block in blocks:", _PATCHED),
-    ("series.RationalSeries.compose", "if inner.A[0]:", _PATCHED),
-    ("series.RationalSeries.compose", "if not isinstance(inner, RationalSeries):", _PATCHED),
-    ("series.RationalSeries.compose", 'raise FracmirrorError("composition requires a zero inner constant term")', _PATCHED),
-    ("series.RationalSeries.compose", 'raise TypeError("composition requires a RationalSeries")', _PATCHED),
-    ("series.RationalSeries.compose", "res = res * giant + block", _PATCHED),
-    ("series.RationalSeries.compose", "res, *blocks = [", _PATCHED),
-    ("series.RationalSeries.compose", "return res", _PATCHED),
     ("series.RationalSeries.exp", 'raise FracmirrorError("exp needs a zero constant term")', _ARGUMENT),
     ("series.RationalSeries.inverse", 'raise FracmirrorError("constant term is not invertible")', _ARGUMENT),
-    ("series.RationalSeries.log", "if self.A[0] != self.D:  # c_0 == 1 in canonical form", _PATCHED),
-    ("series.RationalSeries.log", 'raise FracmirrorError("log needs constant term 1")', _PATCHED),
-    ("series.RationalSeries.log", "return (self.theta() / self).antitheta()", _PATCHED),
-    ("series.RationalSeries.reversion", 'raise FracmirrorError("reversion needs a series of order N >= 1")', _ARGUMENT),
-    ("series.RationalSeries.reversion", 'raise FracmirrorError("reversion needs a zero constant term")', _ARGUMENT),
-    ("series.RationalSeries.reversion", 'raise FracmirrorError("reversion needs an invertible linear coefficient")', _ARGUMENT),
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),

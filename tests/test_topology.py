@@ -13,6 +13,7 @@ from oracles import (
     dk_intersection_euler,
     euler_snc_union_oracle,
     interior_lattice_points,
+    lattice_points_by_box,
     pyramid_over,
 )
 
@@ -212,16 +213,18 @@ def test_h11_counts_boundary_points(case):
 
 
 def test_point_count_reads_the_volume_for_n_up_to_3():
-    # #P = Vol + 1 (n = 2) and Vol/2 + 3 (n = 3) on both polar duals, Delta*
-    # and nabla*, against the lattice-point scan
+    # #P = Vol + 1 (n = 2, where no command needs the count) and Vol/2 + 3
+    # (n = 3, read by _point_count) on both polar duals, Delta* and nabla*,
+    # against the box listing
     seen = set()
     for name, data in accepted_partitions():
         n = data.delta.ambient_dim
         if n > 3:
             continue
         for delta in (data.delta, data.nabla):
-            count = _point_count(delta, euler_mpcp(delta))
-            assert count == len(delta.polar_dual().lattice_points()), (name, data.ray_parts)
+            vol = euler_mpcp(delta)
+            count = vol + 1 if n == 2 else _point_count(delta, vol)
+            assert count == len(lattice_points_by_box(delta.polar_dual())), (name, data.ray_parts)
         seen.add(n)
     assert seen == {2, 3}
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from conftest import DATA, REPO
 
-from fracmirror import cli, cohom, gkz, linalg, polytope, series, topology
+from fracmirror import cli, cohom, gkz, linalg, mirror, polytope, series, topology
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.polytope import LatticePolytope
 from fracmirror.series import RationalSeries
@@ -152,9 +152,9 @@ def test_euler_scans_no_dilations(monkeypatch):
 
 def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
     # euler, hodge and all build Delta alone (each input is a simplex, so
-    # nabla* is read off the labels of the Delta_i vertices); h^{1,1} reads
-    # the point count of Delta* and nabla* off their volumes for n <= 3, so
-    # only the P4 input scans, once on each side
+    # nabla* is read off the labels of the Delta_i vertices); h^{1,1} is read
+    # off chi for n = 2 and off the volumes of Delta* and nabla* for n = 3,
+    # so only the P4 input counts lattice points, once on each side
     golden = REPO / "tests" / "golden"
     for shape, folder, scans in [
         ("p2_k3", DATA, 0),
@@ -165,7 +165,7 @@ def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
         for command in ("euler", "hodge", "all"):
             tracer = _traced(command, shape=shape, folder=folder)
             assert (shape, command, tracer.calls["polytope.hull"]) == (shape, command, 1)
-            assert tracer.calls["polytope.lattice_points"] == scans, (shape, command)
+            assert tracer.calls["accel.count_points"] == scans, (shape, command)
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
@@ -263,24 +263,35 @@ def test_topology_jobs_off_a_simplex_build_nabla_dual():
         assert (command, tracer.calls["polytope.hull"], tracer.flat_hulls) == (command, 2, 0)
 
 
-def test_mirror_map_reverts_without_composing():
-    # z(q) is one Lagrange reversion, which forms no composition
-    tracer = _traced("mirror-map", shape="p3_quartic")
-    assert tracer.calls["series.reversion.rational"] == 1
-    assert tracer.calls["series.compose.rational"] == 0
+def _count_lagrange(monkeypatch):
+    """The k0 of each ``mirror._lagrange`` call, in a list that fills as they run."""
+    k0s = []
+    lagrange = mirror._lagrange
+
+    def counting(h, k0, *args):
+        k0s.append(k0)
+        return lagrange(h, k0, *args)
+
+    monkeypatch.setattr(mirror, "_lagrange", counting)
+    return k0s
 
 
-def test_yukawa_reverts_and_composes_nothing():
-    # K(q) is read off the powers of h = exp(-A1/A0) by Lagrange-Buermann and
-    # Y in closed form, so a yukawa job builds no mirror map and solves no ODE
-    # (`all` still builds one, for its mirror-map section)
+def test_mirror_map_reverts_without_composing(monkeypatch):
+    # z(q) is one Lagrange reversion (k0 = 1), which forms no composition
+    k0s = _count_lagrange(monkeypatch)
+    _traced("mirror-map", shape="p3_quartic")
+    assert k0s == [1]
+
+
+def test_yukawa_reverts_and_composes_nothing(monkeypatch):
+    # K(q) is read off the powers of h = exp(-A1/A0) by Lagrange-Buermann's
+    # phi-form (k0 = 0) and Y in closed form, so a yukawa job reverts
+    # nothing, builds no mirror map and solves no ODE (`all` still builds
+    # one, for its mirror-map section)
+    k0s = _count_lagrange(monkeypatch)
     tracer = _traced("yukawa", shape="p3_quartic")
-    for name in (
-        "series.reversion.rational",
-        "series.compose.rational",
-        "mirror.mirror_map",
-        "picard_fuchs.yukawa_ode_rhs",
-    ):
+    assert k0s == [0]
+    for name in ("mirror.mirror_map", "picard_fuchs.yukawa_ode_rhs"):
         assert (name, tracer.calls[name]) == (name, 0)
     assert tracer.calls["mirror.yukawa_z"] == 1
 
@@ -410,7 +421,7 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         RationalSeries([Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(N + 1)], N)
         for _ in range(2)
     )
-    f, x = a + -a.coeff(0) + RationalSeries((0, 1), N), Fraction(3, 4)
+    f, h, x = a + -a.coeff(0), a.inverse(), Fraction(3, 4)
     ops = {
         "product": lambda: a * b,
         "sum": lambda: a + b,
@@ -418,10 +429,9 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         "scalar product": lambda: a * x,
         "inverse": a.inverse,
         "exp": f.exp,
-        "reversion": f.reversion,
-        "compose": lambda: a.compose(f),
+        "Lagrange reversion": lambda: series._lagrange(h, 1),
+        "Lagrange phi-form": lambda: series._lagrange(h, 0, b),
         "theta": a.theta,
-        "antitheta": f.antitheta,
         "shift": lambda: a.shift(2),
         "truncate": lambda: a.truncate(N - 3),
         "to_json": a.to_json,
