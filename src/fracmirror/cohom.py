@@ -1,18 +1,18 @@
 """Cohomology-valued solutions: the Frobenius tower, B-series, I-functions.
 
 Each is the ``gkz.Slices`` that one call of ``gkz.hypergeometric_series``
-over Q[eps]/(eps^m) returns, a RationalSeries per power of eps, on the
-factors that ``gkz._series_factors`` reads off the kernel vector.  Deforming
-the holomorphic solution coefficientwise by n -> n + rho, with rho nilpotent
-of order m, gives the full Frobenius tower: the rho^k-slices of
-z^rho * deformed are omega0, omega0 log z + tau, and the higher partners, so
-tau is the rho^1 slice of the same kernel.  The prefactor z^rho puts
-rho^k / k! times the slices in the L^k part (L = log z); ``b_series_json``
-writes that part as k zero columns and the first m - k slices over k!, so
-no product over Q[rho]/(rho^m) is formed.  It and ``slices_json`` write text
-from the kernel's per-order pairs, building no slice: U_n[k] / E_n is reduced
-by one small gcd against E_n, part k's by k! with another.  The same kernel at
-the scale s = 4^(sum k) is the untwisted I-function in x = z/s, with weights
+on the kernel vector returns over Q[eps]/(eps^m), a RationalSeries per power
+of eps.  Deforming the holomorphic solution coefficientwise by n -> n + rho,
+with rho nilpotent of order m, gives the full Frobenius tower: the
+rho^k-slices of z^rho * deformed are omega0, omega0 log z + tau, and the
+higher partners, so tau is the rho^1 slice of the same kernel.  The prefactor
+z^rho puts rho^k / k! times the slices in the L^k part (L = log z);
+``b_series_json`` writes that part as k zero columns and the first m - k
+slices over k!, so no product over Q[rho]/(rho^m) is formed.  It and
+``slices_json`` write text from the kernel's per-order pairs, building no
+slice: U_n[k] / E_n is reduced by one small gcd against E_n, part k's by k!
+with another.  The same kernel at the scale s = ``gkz.kernel_scale`` =
+4^(sum k) is the untwisted I-function in x = z/s, with weights
 (w_a; u_b) = ``i_weights_from_kernel``:
 
     I(x) = sum_d x^d prod_a prod_(t=1)^(w_a d) (w_a eps + t)
@@ -28,7 +28,7 @@ from math import gcd
 from operator import floordiv
 
 from .errors import FracmirrorError
-from .gkz import _series_factors, hypergeometric_series
+from .gkz import hypergeometric_series, kernel_scale
 from .series import _order
 
 __all__ = [
@@ -57,8 +57,7 @@ def deformed_solution(ell, N, m):
         raise FracmirrorError(
             "nilpotency order m exceeds operator degree + 1"
         )
-    num, den, _ = _series_factors(ell)
-    return hypergeometric_series(num, den, m, N)
+    return hypergeometric_series(ell, m, N)
 
 
 def b_series(m, ell, N):
@@ -146,12 +145,10 @@ def i_function_untwisted(ell, m, N):
     weights (w_a; u_b) = ``i_weights_from_kernel(ell)``.
 
     By Legendre duplication a weight pair 2k over k is 4^(k d) times
-    prod_(j<k d) (1/2 + k eps + j), so this is ``hypergeometric_series`` on
-    the factors of ``_series_factors(ell)`` at its scale s: the deformed
-    solution at z = s x.
+    prod_(j<k d) (1/2 + k eps + j), so this is ``hypergeometric_series`` of
+    ell at the scale s = ``kernel_scale(ell)``: the deformed solution at z = s x.
     """
-    num, den, s = _series_factors(ell)
-    return hypergeometric_series(num, den, m, N, s)
+    return hypergeometric_series(ell, m, N, kernel_scale(ell))
 
 
 def i_function_mirror_map(I):

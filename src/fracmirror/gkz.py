@@ -10,17 +10,17 @@ column 0, so beta has the shape (0, ..., 0, -1/2, ..., -1/2) and the series
 read the kernel vector alone.
 
 Every series solution in the one-parameter case comes from one kernel,
-``hypergeometric_series``: a ratio of rising factorials over Q[eps]/(eps^m),
-built order by order from linear factors, so no transcendental Gamma value is
-ever evaluated.  Its recurrence runs on Python ints and hands over by order
-(``Slices``): coefficient n of eps-slice k is U_n[k] / E_n, and a slice is
-made a ``RationalSeries`` over the lcm of the E_n, with no Fraction per
-coefficient, only when read.  The holomorphic solution is its eps^0 slice
+``hypergeometric_series`` of the kernel vector: a ratio of rising factorials
+over Q[eps]/(eps^m), built order by order from linear factors, so no
+transcendental Gamma value is ever evaluated.  Its recurrence runs on Python
+ints and hands over by order (``Slices``): coefficient n of eps-slice k is
+U_n[k] / E_n, and a slice is made a ``RationalSeries`` over the lcm of the
+E_n, with no Fraction per coefficient, only when read.  The holomorphic solution is its eps^0 slice
 (``cohom.deformed_solution``).
 Its integer ``scale`` gives sum scale^n c_n z^n inside the recurrence: at the
-scale s = 4^(sum k) of ``_series_factors`` the slices are the untwisted
+scale s = 4^(sum k) of ``kernel_scale`` the slices are the untwisted
 I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
-clears the factors' denominators 2^k costs nothing.
+clears the numerator factors' denominators 2^k costs nothing.
 """
 
 from collections.abc import Sequence
@@ -29,17 +29,16 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .errors import FracmirrorError
-from .series import _make, _order, parse_fraction
+from .series import _make, _order
 
 # The exponent of every distinguished column (every ray column has 0)
 EXPONENT = Fraction(-1, 2)
-_BASE = -EXPONENT  # the base of each distinguished column's factors, built once
 
 __all__ = [
     "GkzSystem",
     "build_gkz",
     "simplex_kernel_vector",
+    "kernel_scale",
     "Slices",
     "hypergeometric_series",
 ]
@@ -140,23 +139,9 @@ def simplex_kernel_vector(data):
     return tuple(ell)
 
 
-def _series_factors(ell):
-    """The kernel's factors of a kernel vector and the scale s of x = z/s:
-    (1/2, k) = (-EXPONENT, k) for each negative entry -k, (1, l) for each
-    positive entry l, and s = 4^(sum k).
-
-    The negative entries are exactly the distinguished columns: the n + 1
-    rays span R^n with the origin in their interior, so their one relation
-    has all coefficients positive, and each distinguished entry is minus the
-    sum of its part's.  Entries are read as by ``series._order``.
-    """
-    num, den = [], []
-    for le in map(_order, ell):
-        if le < 0:
-            num.append((_BASE, -le))
-        elif le > 0:
-            den.append((1, le))
-    return num, den, 4 ** sum(k for _, k in num)
+def kernel_scale(ell):
+    """The scale s = 4^(sum k) of x = z/s, over the negative entries -k of ell."""
+    return 4 ** -sum(le for le in map(_order, ell) if le < 0)
 
 
 class Slices(Sequence):
@@ -180,72 +165,59 @@ class Slices(Sequence):
         return self._built[k]
 
 
-def hypergeometric_series(num, den, m, N, scale=1):
+def hypergeometric_series(ell, m, N, scale=1):
     """The ``Slices`` (S_0, ..., S_(m-1)), handed over by order and truncated at
     order N, of sum_n scale^n c_n z^n = sum_k S_k eps^k over Q[eps]/(eps^m), where
 
-        c_n = prod_((a, k) in num) prod_(j=0)^(k n - 1) (a + k eps + j)
-            / prod_((a, k) in den) prod_(j=0)^(k n - 1) (a + k eps + j).
+        c_n = prod_(l_e<0) prod_(j=0)^(k_e n - 1) (1/2 + k_e eps + j)
+            / prod_(l_e>0) prod_(j=0)^(l_e n - 1) (1 + l_e eps + j),   k_e = -l_e,
 
-    c_0 = 1, and c_n is c_(n-1) times the k linear factors that order n adds
-    for each pair (a, k) of ``num``, divided by those of ``den``.  The
-    recurrence runs on Python ints: c_n is kept as integer numerators U over
-    one denominator E with their common content divided out, the new factors
-    are integer polynomials in eps over a power of the bases' denominators
-    (the same power at every order), and the division by the denominator
-    polynomial B is one fraction-free triangular solve over B_0^m.  The
-    integer ``scale`` joins each order's step once its gcd with the bases'
-    denominators is cancelled, so a scale that clears them keeps E from growing.
+    the factors of the exponents: base -EXPONENT on each distinguished column,
+    1 on each ray column.  Entries are read as by ``series._order``.
+
+    The negative entries are exactly the distinguished columns: the n + 1
+    rays span R^n with the origin in their interior, so their one relation
+    has all coefficients positive, and each distinguished entry is minus the
+    sum of its part's.
+
+    c_0 = 1, and c_n is c_(n-1) times the linear factors that order n adds.
+    The recurrence runs on Python ints: c_n is kept as integer numerators U
+    over one denominator E > 0 with their common content divided out, the new
+    numerator factors are integer polynomials in eps over 2^(sum k), and the
+    division by the denominator polynomial B, whose eps^0 coefficient is a
+    product of positive ints, is one fraction-free triangular solve over B_0^m.
+    The integer ``scale`` joins each order's step once its gcd with 2^(sum k)
+    is cancelled, so a scale that clears it keeps E from growing.
     """
     m, N, scale = _order(m), _order(N), _order(scale)
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    (num, a_den), (den, b_den) = _factor_ints(num), _factor_ints(den)
+    p, q = -EXPONENT.numerator, EXPONENT.denominator  # the base -EXPONENT = p/q
+    ell = tuple(map(_order, ell))
+    num = [(p, q, -le) for le in ell if le < 0]
+    den = [(1, 1, le) for le in ell if le > 0]
+    a_den = q ** sum(k for _, _, k in num)
     g = gcd(scale, a_den)
-    y_scale, a_den = scale // g * b_den, a_den // g
+    y_scale, a_den = scale // g, a_den // g
     U, E = [1] + [0] * (m - 1), 1
     orders = [(U, E)]
     for n in range(1, N + 1):
         A, B = _new_factors(num, n, m), _new_factors(den, n, m)
-        b0 = B[0]
-        if b0 == 0:
-            raise FracmirrorError(
-                f"denominator factor vanishes at order {n}: c_n is undefined"
-            )
-        # c_n scale^n = (U/E) (A scale/a_den) / (B/b_den) = (Y/B) / (E a_den)
+        # c_n scale^n = (U/E) (A scale/a_den) / B = (Y/B) / (E a_den)
         # with Y = U A y_scale, scale and a_den divided by their gcd first;
         # W_i = (Y/B)_i b0^m = (Y_i b0^m - sum_(j>=1) B_j W_(i-j)) / b0 is an
         # exact division, since (Y/B)_i has denominator b0^(i+1), i < m
+        b0 = B[0]
         bm, W = b0**m, []
         ybm = y_scale * bm
         for i in range(m):
             y = sum(map(mul, U[: i + 1], A[i::-1])) * ybm
             W.append((y - sum(map(mul, B[1 : i + 1], W[::-1]))) // b0)
         E *= a_den * bm
-        g = gcd(E, *W) if E > 0 else -gcd(E, *W)
+        g = gcd(E, *W)
         U, E = [w // g for w in W], E // g
         orders.append((U, E))
     return Slices(orders, N)
-
-
-def _step(k):
-    """A factor's weight k as an int: a float or a bool is refused, as by
-    ``_order``, and so is k <= 0."""
-    k = _order(k)
-    if k <= 0:
-        raise ValueError(f"a factor weight must be a positive integer, got {k}")
-    return k
-
-
-def _factor_ints(factors):
-    """Each factor (a, k) as the ints (p, q, k) with a = p/q, and prod q^k,
-    the denominator of every order's new factors."""
-    out, d = [], 1
-    for a, k in factors:
-        a, k = a if type(a) is int else parse_fraction(a), _step(k)
-        out.append((a.numerator, a.denominator, k))
-        d *= a.denominator**k
-    return out, d
 
 
 def _new_factors(factors, n, m):

@@ -1,13 +1,13 @@
 """Mirror map and Yukawa couplings from the Frobenius basis.
 
 The logarithmic Frobenius partner of the holomorphic solution omega0 is
-omega1 = omega0 * log z + tau.  Both come from one hypergeometric series
-over Q[eps]/(eps^2) (``gkz.hypergeometric_series``), the coefficients
-c_n(eps) of the Frobenius deformation sum_n c_n(eps) z^(n+eps): omega0 is
-its eps^0 slice and tau its eps^1 slice, tau_n = c_n'(0).  Every negative
-kernel entry carries the exponent -1/2 (``gkz.EXPONENT``), whose
-half-integer base point shifts log z by the constant -log(s) with
-s = 4^(sum k_e), an exact integer.  By Legendre duplication,
+omega1 = omega0 * log z + tau.  Both come from one hypergeometric series of
+the kernel vector over Q[eps]/(eps^2) (``gkz.hypergeometric_series``), the
+coefficients c_n(eps) of the Frobenius deformation sum_n c_n(eps) z^(n+eps):
+omega0 is its eps^0 slice and tau its eps^1 slice, tau_n = c_n'(0).  Every
+negative kernel entry carries the exponent -1/2 (``gkz.EXPONENT``), whose
+half-integer base point shifts log z by the constant -log(s) with the exact
+integer s = 4^(sum k_e) (``gkz.kernel_scale``).  By Legendre duplication,
 prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j) prod_(j=0)^(M-1) (a + 1/2 + j),
 the eps-slices at z = s x are the untwisted I-function in x
 (``cohom.i_function_untwisted``), so the pair is its first two slices:
@@ -35,7 +35,7 @@ from math import lcm
 
 from .cohom import i_function_untwisted
 from .errors import FracmirrorError
-from .gkz import _series_factors
+from .gkz import kernel_scale
 from .series import _lagrange, _make
 
 __all__ = [
@@ -68,11 +68,6 @@ class YukawaData:
         self.Y_z = Y_z
         self.K_q = K_q
 
-    def __eq__(self, other):
-        if type(other) is not YukawaData:
-            return NotImplemented
-        return (self.C, self.Y_z, self.K_q) == (other.C, other.Y_z, other.K_q)
-
     def to_json(self):
         from .series import fraction_str
 
@@ -85,9 +80,9 @@ class YukawaData:
 
 def frobenius_pair(ell, N):
     """(A0, A1, s) for a rank-1 kernel vector: the first two slices of the
-    untwisted I-function in x = z/s."""
+    untwisted I-function in x = z/s, s = ``gkz.kernel_scale(ell)``."""
     A0, A1 = i_function_untwisted(ell, 2, N)
-    return FrobeniusPair(A0=A0, A1=A1, scale=_series_factors(ell)[2], N=A0.N)
+    return FrobeniusPair(A0=A0, A1=A1, scale=kernel_scale(ell), N=A0.N)
 
 
 def _dilate(f, p, q=1):

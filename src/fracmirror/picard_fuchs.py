@@ -37,13 +37,6 @@ class ThetaOperator:
         self.f_roots = f_roots
         self.g_roots = g_roots
 
-    def __eq__(self, other):
-        if type(other) is not ThetaOperator:
-            return NotImplemented
-        return (self.z_polys, self.scale, self.f_roots, self.g_roots) == (
-            other.z_polys, other.scale, other.f_roots, other.g_roots
-        )
-
     @property
     def degree(self):
         return len(self.z_polys) - 1

@@ -91,8 +91,11 @@ def _powers(g, m):
 
 def _lagrange(h, k0, F=None):
     """The series of order h.N + k0 with [z^k] = [w^(k-k0)] F h^k / k^k0, F = 1 if
-    None: Lagrange-Buermann's two forms.  For k = jm + a, m = isqrt(h.N + 1) and
+    None: Lagrange-Buermann's two forms.  h is first cut to F's order if that is
+    smaller, as by a binary operation.  For k = jm + a, m = isqrt(h.N + 1) and
     0 < a <= m, each is one integer dot product of F h^a and h^(jm)."""
+    if F is not None and F.N < h.N:
+        h = h.truncate(F.N)
     m = isqrt(h.N + 1)
     baby = _powers(h, m)
     giant = _powers(baby[m], (h.N + k0 - 1) // m)

@@ -3,9 +3,11 @@ import importlib.util
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from fracmirror import NefPartition
 from fracmirror.nefpart import validate_nef_partition
@@ -37,6 +39,24 @@ SMALL_REFLEXIVE = {
     "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
     "p2_x_p1": [(x, y, z) for x, y in _P2 for z in (1, -1)],
 }
+
+
+@st.composite
+def kernel_vectors(draw, degree=None):
+    """A balanced kernel vector (positive entries sum to minus the negative
+    ones), zeros mixed in, with the exponent -1/2 on each negative entry; its
+    positive entries sum to ``degree`` when one is given."""
+    if degree is None:
+        pos = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, degree - 1))))
+        pos = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+    neg, left = [], sum(pos)
+    while left:
+        neg.append(-draw(st.integers(1, left)))
+        left += neg[-1]
+    ell = draw(st.permutations(pos + neg + [0] * draw(st.integers(0, 2))))
+    return tuple(ell), tuple(Fraction(-1, 2) if le < 0 else 0 for le in ell)
 
 
 def set_partitions(items):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition
-from fracmirror.gkz import Slices, hypergeometric_series
+from fracmirror.gkz import Slices
 from fracmirror.mirror import YukawaData, _dilate
 from fracmirror.nefpart import _part_vertices
 from fracmirror.picard_fuchs import ThetaOperator
@@ -784,13 +784,15 @@ def slices_of(coeffs):
     return Slices(orders, len(coeffs) - 1)
 
 
-def hypergeometric_term_by_term(num, den, m, N):
-    """``gkz.hypergeometric_series`` by EpsPoly arithmetic, one order at a time.
+def hypergeometric_term_by_term(num, den, m, N, scale=1):
+    """``gkz.hypergeometric_series`` by EpsPoly arithmetic, one order at a time,
+    on any lists of factors (a, k) (see ``kernel_factors``).
 
     c_n = c_(n-1) * P_n / Q_n, with P_n and Q_n the linear factors
     (a + j + k eps), j = k(n-1)..kn-1, that order n adds for each pair (a, k)
     of ``num`` and ``den``, multiplied out over Fraction bases; each order is
-    one EpsPoly product and one EpsPoly division.
+    one EpsPoly product and one EpsPoly division, and coefficient n is
+    c_n scale^n.
     """
 
     def new_factors(factors, n):
@@ -806,16 +808,27 @@ def hypergeometric_term_by_term(num, den, m, N):
     coeffs = [c]
     for n in range(1, N + 1):
         c = c * new_factors(num, n) / new_factors(den, n)
-        coeffs.append(c)
+        coeffs.append(c * scale**n)
     return eps_slices(coeffs, N)
+
+
+def kernel_factors(ell, alpha=None):
+    """The factors (a, k) of the GKZ series of a kernel vector, read off the
+    exponents alpha (default -1/2 on each negative entry, 0 elsewhere):
+    (-alpha_e, -l_e) over each negative entry and (1 + alpha_e, l_e) over each
+    positive one: the arguments of the Gamma factors of the GKZ series."""
+    if alpha is None:
+        alpha = [Fraction(-1, 2) if le < 0 else 0 for le in ell]
+    num = [(-a, -le) for le, a in zip(ell, alpha) if le < 0]
+    return num, [(1 + a, le) for le, a in zip(ell, alpha) if le > 0]
 
 
 def i_function_by_weights(num_weights, den_weights, m, N):
     """``cohom.i_function_untwisted`` on the weights of
     ``cohom.i_weights_from_kernel``, with every weight its own factor:
     (1, w_a) over (1, u_b) at scale 1, so a weight pair 2k over k multiplies
-    3k linear factors per order."""
-    return hypergeometric_series(
+    3k linear factors per order, by ``hypergeometric_term_by_term``."""
+    return hypergeometric_term_by_term(
         [(1, w) for w in num_weights], [(1, u) for u in den_weights], m, N
     )
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     EpsPoly,
@@ -14,21 +14,23 @@ from oracles import (
     gkz_kernel_by_echelon,
     gkz_solution_terms,
     hypergeometric_term_by_term,
+    i_function_by_weights,
+    kernel_factors,
     rising,
     smith_normal_form,
     smith_relations,
     theta_conjugate_by_fractions,
 )
 
-from conftest import DATA, REPO
+from conftest import DATA, REPO, kernel_vectors
 
 from fracmirror import cli
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
-    _series_factors,
     build_gkz,
     hypergeometric_series,
+    kernel_scale,
     simplex_kernel_vector,
 )
 from fracmirror.mirror import _dilate
@@ -155,13 +157,13 @@ def test_negative_kernel_entries_are_the_half_exponent_columns(quartic, eight_hy
         for le, a, (_, j) in zip(ell, g.alpha, g.column_labels):
             assert (le < 0, a) == ((True, Fraction(-1, 2)) if j == 0 else (False, 0))
             assert le != 0
-        assert _series_factors(ell) == (
-            [(-a, -le) for le, a in zip(ell, g.alpha) if le < 0],
-            [(1 + a, le) for le, a in zip(ell, g.alpha) if le > 0],
-            4 ** sum(-le for le in ell if le < 0),
-        )
+        factors = kernel_factors(ell, g.alpha)
+        assert factors == kernel_factors(ell)
+        oracle = hypergeometric_term_by_term(*factors, 2, 3)
+        assert tuple(hypergeometric_series(ell, 2, 3)) == oracle
+        assert kernel_scale(ell) == 4 ** sum(-le for le in ell if le < 0)
         op, oracle = theta_conjugate(ell), theta_conjugate_by_fractions(ell, g.alpha)
-        assert op == oracle and op.to_json() == oracle.to_json()
+        assert op.to_json() == oracle.to_json()
 
 
 def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix():
@@ -231,9 +233,11 @@ def test_holo_solution_eight_hyperplanes(eight_hyperplanes):
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_hypergeometric_series_matches_rebuilt_products(m):
-    # Reference: every c_n rebuilt from all of its linear factors.
-    num = [(Fraction(1, 2), 3), (Fraction(1, 3), 1)]
-    den = [(Fraction(1), 2), (Fraction(5, 4), 1), (Fraction(1), 1)]
+    # Reference: every c_n rebuilt from all of its linear factors, a zero
+    # entry adding none
+    ell = (2, -3, 1, 0, -1, 1)
+    num = [(Fraction(1, 2), 3), (Fraction(1, 2), 1)]
+    den = [(Fraction(1), 2), (Fraction(1), 1), (Fraction(1), 1)]
 
     def product(factors, n):
         out = EpsPoly.constant(m, 1)
@@ -242,7 +246,7 @@ def test_hypergeometric_series_matches_rebuilt_products(m):
                 out = out * EpsPoly(m, (a + j, k))
         return out
 
-    s = hypergeometric_series(num, den, m, 7)
+    s = hypergeometric_series(ell, m, 7)
     assert len(s) == m and all(x.N == 7 for x in s)
     for n in range(8):
         assert EpsPoly(m, [x.coeff(n) for x in s]) == product(num, n) / product(den, n)
@@ -262,107 +266,83 @@ def _same_reduced_coefficients(s, oracle):
     )
 
 
-_bases = st.fractions(min_value=-6, max_value=6, max_denominator=9)
-_factor_lists = st.lists(st.tuples(_bases, st.integers(1, 5)), max_size=3)
-
-
 @settings(max_examples=80, deadline=None)
-@given(_factor_lists, _factor_lists, st.integers(1, 5), st.integers(0, 20))
-def test_hypergeometric_series_matches_epspoly_loop(num, den, m, N):
-    # fractional and negative bases, empty num or den; a denominator factor
-    # that vanishes must raise in both
-    try:
-        oracle = hypergeometric_term_by_term(num, den, m, N)
-    except FracmirrorError:
-        with pytest.raises(FracmirrorError):
-            hypergeometric_series(num, den, m, N)
-        return
-    _same_reduced_coefficients(hypergeometric_series(num, den, m, N), oracle)
+@given(kernel_vectors(), st.integers(1, 5), st.integers(0, 20))
+@example(((-4, 1, 2, 1), (Fraction(-1, 2), 0, 0, 0)), 5, 20)
+def test_hypergeometric_series_matches_epspoly_loop(data, m, N):
+    # balanced kernel vectors with zeros mixed in, P(1,1,2)'s pinned, at
+    # scale 1 and at the I-function's scale s, which clears the numerator
+    # factors' denominators
+    ell, alpha = data
+    factors = kernel_factors(ell, alpha)
+    for scale in (1, kernel_scale(ell)):
+        oracle = hypergeometric_term_by_term(*factors, m, N, scale)
+        _same_reduced_coefficients(hypergeometric_series(ell, m, N, scale), oracle)
 
 
 def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_hyperplanes):
-    # the deformation, Frobenius and I-function kernels of both threefolds,
-    # where the coefficients run to hundreds of bits
+    # the deformation and Frobenius kernels of both threefolds against the
+    # EpsPoly loop, and their I-functions against the loop on the weights,
+    # every weight its own factor; the coefficients run to hundreds of bits
     for data in (quartic, eight_hyperplanes):
         g = build_gkz(data)
         [ell] = g.kernel
-        num_w, den_w = i_weights_from_kernel(ell)
-        for num, den in (
-            _series_factors(ell)[:2],
-            ([(1, w) for w in num_w], [(1, u) for u in den_w]),
-        ):
-            for m in (2, 4):
-                s = hypergeometric_series(num, den, m, 64)
-                _same_reduced_coefficients(s, hypergeometric_term_by_term(num, den, m, 64))
+        factors, weights = kernel_factors(ell, g.alpha), i_weights_from_kernel(ell)
+        for m in (2, 4):
+            s = hypergeometric_series(ell, m, 64)
+            _same_reduced_coefficients(s, hypergeometric_term_by_term(*factors, m, 64))
+            I = hypergeometric_series(ell, m, 64, kernel_scale(ell))
+            _same_reduced_coefficients(I, i_function_by_weights(*weights, m, 64))
     assert max(x.coeff(64).numerator.bit_length() for x in s) > 600
 
 
 def test_hypergeometric_series_scale_is_a_dilation():
     # sum_n scale^n c_n z^n is the unscaled series at scale z, slice by
     # slice; the scale is folded into each order's step, so this checks the
-    # gcd with the bases' denominators against a rescale done afterwards
+    # gcd with 2^(sum k) against a rescale done afterwards, on kernel vectors
+    # that need not balance
     rng = random.Random(23)
-
-    def factors():
-        return [
-            (Fraction(rng.randint(-7, 7), rng.randint(1, 3)), rng.randint(1, 4))
-            for _ in range(rng.randint(0, 3))
-        ]
-
     checked = 0
     for _ in range(60):
-        num, den, m = factors(), factors(), rng.randint(1, 6)
+        ell, m = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))], rng.randint(1, 6)
         for N in (0, 1, 2, 9, 16):
+            plain = hypergeometric_series(ell, m, N)
             for s in (1, 2, 6, 4 ** rng.randint(1, 4)):
-                try:
-                    plain = hypergeometric_series(num, den, m, N)
-                except FracmirrorError:
-                    with pytest.raises(FracmirrorError):
-                        hypergeometric_series(num, den, m, N, scale=s)
-                    continue
-                scaled = hypergeometric_series(num, den, m, N, scale=s)
-                assert tuple(scaled) == tuple(_dilate(S, s) for S in plain), (num, den, m, N, s)
+                scaled = hypergeometric_series(ell, m, N, scale=s)
+                assert tuple(scaled) == tuple(_dilate(S, s) for S in plain), (ell, m, N, s)
                 checked += 1
-    assert checked > 600
+    assert checked == 1200
 
 
-@pytest.mark.parametrize("factor", [(Fraction(1, 2), True), (Fraction(1, 2), 2.0), (1, 1.5)])
+@pytest.mark.parametrize("factor", [(True, False), (2.0, -2.0), (1.5, -1.5)])
 def test_hypergeometric_series_refuses_non_integer_weights(factor):
-    # a bool step is not read as 1, nor a float as the int it equals
-    for num, den in (([factor], [(1, 1)]), ([(Fraction(1, 2), 1)], [factor])):
+    # a kernel entry is the weight of its factor, a denominator factor if
+    # positive and a numerator factor if negative: a bool is not read as an
+    # int, nor a float as the int it equals, on either side
+    pos, neg = factor
+    for ell in ((-2, pos, 1), (neg, 1, 1)):
         with pytest.raises(TypeError):
-            hypergeometric_series(num, den, 2, 3)
+            hypergeometric_series(ell, 2, 3)
 
 
-@pytest.mark.parametrize("k", [0, -1])
-def test_hypergeometric_series_refuses_nonpositive_weights(k):
-    for num, den in (([(Fraction(1, 2), k)], [(1, 1)]), ([(Fraction(1, 2), 1)], [(1, k)])):
-        with pytest.raises(ValueError, match="a factor weight must be a positive integer"):
-            hypergeometric_series(num, den, 2, 3)
-
-
-def test_hypergeometric_series_rejects_a_vanishing_denominator_factor():
-    # 1/2 + eps over (-2 + eps)(-1 + eps)(0 + eps): the third order divides by
-    # a factor with zero constant term, as the EpsPoly loop does
-    num, den = [(Fraction(1, 2), 1)], [(-2, 1)]
-    for kernel in (hypergeometric_series, hypergeometric_term_by_term):
-        with pytest.raises(FracmirrorError):
-            kernel(num, den, 2, 5)
-    assert [x.coeff(2) for x in hypergeometric_series(num, den, 2, 2)] == [
-        x.coeff(2) for x in hypergeometric_term_by_term(num, den, 2, 2)
-    ]
-
-
-def test_hypergeometric_series_vanishing_numerator_factor():
-    # (-1)(0)(1)...: every coefficient from order 2 on carries the factor 0
-    num, den = [(-1, 1)], [(1, 1)]
-    (s,) = hypergeometric_series(num, den, 1, 6)
-    assert list(s.c) == [1, -1, 0, 0, 0, 0, 0]
-    # over eps^2 the zero factor becomes eps: only the eps^0 slice vanishes
-    s = hypergeometric_series(num, den, 2, 6)
-    assert tuple(s) == hypergeometric_term_by_term(num, den, 2, 6)
-    assert s[0].c == (1, -1, 0, 0, 0, 0, 0)
-    assert all(s[1].coeff(n) != 0 for n in range(1, 7))
+@pytest.mark.parametrize(
+    "ell",
+    [(-4, 1, 2, 1), (1, -3, 1, 1), (-2, 1, 1, -2, 1, 1), (3, -5, 2)],
+    ids=["p112", "k3", "p3_22", "unequal"],
+)
+def test_holomorphic_slice_is_the_rising_factorial_ratio(ell):
+    # c_n = prod_(l_e<0) (1/2)_(k_e n) / prod_(l_e>0) (l_e n)!, and at the
+    # scale 4^(sum k) each (1/2)_(k n) 4^(k n) is (2 k n)! / (k n)!
+    s = kernel_scale(ell)
+    for scale in (1, s):
+        (c,) = hypergeometric_series(ell, 1, 9, scale)
+        for n in range(10):
+            num = math.prod(rising(Fraction(1, 2), -le * n) for le in ell if le < 0)
+            den = math.prod(math.factorial(le * n) for le in ell if le > 0)
+            assert c.coeff(n) == num / den * scale**n
+    assert s**9 * num == math.prod(
+        Fraction(math.factorial(-2 * le * 9), math.factorial(-le * 9)) for le in ell if le < 0
+    )
 
 
 def test_box_annihilation_quartic(quartic):

@@ -111,24 +111,16 @@ UNRUN = [
     ("cli.run", 'raise _InputError(f"unknown format {config.fmt!r}")', _JOB),
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("eps^0 slice of the I-function is not a unit")', _ARGUMENT),
-    ("gkz._step", 'raise ValueError(f"a factor weight must be a positive integer, got {k}")', _ARGUMENT),
-    ("gkz.hypergeometric_series", "raise FracmirrorError(", _ARGUMENT),
     ("gkz.hypergeometric_series", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
     ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
     ("linalg.echelon", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("linalg.row_basis", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
-    ("mirror.YukawaData.__eq__", "if type(other) is not YukawaData:", _EQUALITY),
-    ("mirror.YukawaData.__eq__", "return (self.C, self.Y_z, self.K_q) == (other.C, other.Y_z, other.K_q)", _EQUALITY),
-    ("mirror.YukawaData.__eq__", "return NotImplemented", _EQUALITY),
     ("mirror.yukawa_z", 'raise FracmirrorError("Yukawa ODE defined for threefold operators")', _CALLER),
     ("nefpart.NefPartition.__init__", "delta = LatticePolytope(delta)", "a library caller's vertex list; the commands pass a polytope"),
     ("nefpart._derive", 'issues.append(f"part {i} has a non-integer vertex index")', "only validate_nef_partition passes indices unchecked"),
     ("nefpart._derive", 'return ["delta is not a lattice polytope"], None', "only validate_nef_partition passes a delta unchecked"),
     ("nefpart._part_index", 'raise TypeError(f"a part index must be an integer, got {j!r}")', _CALLER),
     ("nefpart.validate_nef_partition", "return _derive(delta, parts)[0]", "perfbench/test_perfbench.py checks its inputs with it"),
-    ("picard_fuchs.ThetaOperator.__eq__", "if type(other) is not ThetaOperator:", _EQUALITY),
-    ("picard_fuchs.ThetaOperator.__eq__", "return (self.z_polys, self.scale, self.f_roots, self.g_roots) == (", _EQUALITY),
-    ("picard_fuchs.ThetaOperator.__eq__", "return NotImplemented", _EQUALITY),
     ("picard_fuchs.theta_conjugate", "raise FracmirrorError(", _BALANCED),
     ("picard_fuchs.theta_conjugate", 'raise FracmirrorError("unsupported shape: no positive kernel entries")', _BALANCED),
     ("polytope.LatticePolytope.__eq__", "return (", _EQUALITY),
@@ -157,6 +149,7 @@ UNRUN = [
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),
+    ("series._lagrange", "h = h.truncate(F.N)", "an F shorter than h, which no command passes: a_model_correlation cuts both to N - 1"),
     ("series._order", 'raise TypeError(f"an order must be an integer, got {n!r}")', _ARGUMENT),
     ("series._recurrence", "E *= k", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "U = [u * k for u in U]", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),

@@ -451,6 +451,19 @@ def test_compose_matches_horner(N, data):
     _same_triple(_lagrange(h, 0, G), compose_by_horner(F, x))
 
 
+def test_lagrange_truncates_to_the_shorter_factor():
+    # a G of lower order than h cuts the result to G's order, as every binary
+    # operation does, rather than extending it with coefficients formed from
+    # the cut G (22 and 125 at orders 3 and 4 where the full G gives 12, 55)
+    h, F = RationalSeries([1, 2, 3, 4, 5], 4), RationalSeries([1] * 5, 4)
+    G = F * (1 + -(h.theta() / h))
+    assert _lagrange(h, 0, G).c[3:] == (12, 55)
+    for k0, g in ((0, G), (1, RationalSeries([1] * 5, 4))):
+        short = _lagrange(h, k0, g.truncate(2))
+        assert short.N == 2 + k0
+        _same_triple(short, _lagrange(h, k0, g).truncate(2 + k0))
+
+
 @pytest.mark.parametrize("N", range(1, 26))
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
@@ -483,8 +496,8 @@ def test_truncation_divides_out_the_content_of_the_prefix():
         lambda: RationalSeries([1, 2, 3], 2.5),
         lambda: RationalSeries((), 3.0),
         lambda: EpsPoly(2.7, (1, 2)),
-        lambda: hypergeometric_series([], [], 2.9, 1),
-        lambda: hypergeometric_series([], [], 2, 1.5),
+        lambda: hypergeometric_series((), 2.9, 1),
+        lambda: hypergeometric_series((), 2, 1.5),
     ],
     ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
 )
@@ -500,8 +513,8 @@ def test_orders_refuse_floats(build):
         lambda: RationalSeries([1, 2, 3], True),
         lambda: RationalSeries((), False),
         lambda: EpsPoly(True, (1, 2)),
-        lambda: hypergeometric_series([], [], True, 1),
-        lambda: hypergeometric_series([], [], 2, True),
+        lambda: hypergeometric_series((), True, 1),
+        lambda: hypergeometric_series((), 2, True),
     ],
     ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
 )

@@ -403,10 +403,9 @@ def test_hypergeometric_kernel_builds_no_fraction(monkeypatch):
     # the recurrence runs on integer numerators over one denominator, and the
     # eps-slices are handed over as integers (the EpsPoly loop builds ~m^2
     # Fractions per order and more per factor)
-    m, N = 4, 16
-    num, den = [(Fraction(1, 2), 4)], [(Fraction(1), 1)] * 4
+    m, N, ell = 4, 16, (1, 1, 1, 1, -4)
     for scale in (1, 4**4):
-        s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(num, den, m, N, scale))
+        s, built = _count_fractions(monkeypatch, lambda: hypergeometric_series(ell, m, N, scale))
         assert (len(s), {x.N for x in s}) == (m, {N})
         assert (scale, built) == (scale, 0)
 
