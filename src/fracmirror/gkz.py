@@ -12,17 +12,19 @@ read the kernel vector alone.
 Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series`` of the kernel vector: a ratio of rising factorials
 over Q[eps]/(eps^m), built order by order from linear factors, so no
-transcendental Gamma value is ever evaluated.  Its recurrence runs on Python
-ints and hands over by order (``Slices``): coefficient n of eps-slice k is
-U_n[k] / E_n, and a slice is made a ``RationalSeries`` over the lcm of the
-E_n, with no Fraction per coefficient, only when read.  The holomorphic solution is its eps^0 slice
-(``cohom.deformed_solution``).
+transcendental Gamma value is ever evaluated.  Its recurrence applies each
+linear factor in place to integer numerators U over one denominator E, and
+hands over by order (``Slices``): coefficient n of eps-slice k is U_n[k] / E_n,
+and a slice is made a ``RationalSeries`` over the lcm of the E_n, with no
+Fraction per coefficient, only when read.  The holomorphic solution is its
+eps^0 slice (``cohom.deformed_solution``).
 Its integer ``scale`` gives sum scale^n c_n z^n inside the recurrence: at the
 scale s = 4^(sum k) of ``kernel_scale`` the slices are the untwisted
 I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
 clears the numerator factors' denominators 2^k costs nothing.
 """
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
@@ -182,58 +184,51 @@ def hypergeometric_series(ell, m, N, scale=1):
 
     c_0 = 1, and c_n is c_(n-1) times the linear factors that order n adds.
     The recurrence runs on Python ints: c_n is kept as integer numerators U
-    over one denominator E > 0 with their common content divided out, the new
-    numerator factors are integer polynomials in eps over 2^(sum k), and the
-    division by the denominator polynomial B, whose eps^0 coefficient is a
-    product of positive ints, is one fraction-free triangular solve over B_0^m.
-    The integer ``scale`` joins each order's step once its gcd with 2^(sum k)
-    is cancelled, so a scale that clears it keeps E from growing.
+    over one denominator E > 0, and each linear factor acts on U in place.
+    A numerator factor 1/2 + k eps + j is (x + y eps)/2 with x = 1 + 2j and
+    y = 2k, and U_i <- x U_i + y U_(i-1), top down; the 2^(sum k) goes into E
+    once its gcd with the integer ``scale`` is cancelled, so a scale that
+    clears it keeps E from growing.  A positive entry l of multiplicity r
+    divides by (x + l eps)^r = x^r (1 + l t)^r, t = eps/x, for x = l(n-1) + 1
+    .. ln: U_i is scaled by x^i, r passes U_i <- U_i - l U_(i-1) upward divide
+    by (1 + l t)^r, U_i is scaled by x^(m-1-i) and E by x^(m-1+r).  That is
+    exact, and the one division per order is by gcd(E, *U).
     """
     m, N, scale = _order(m), _order(N), _order(scale)
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     p, q = -EXPONENT.numerator, EXPONENT.denominator  # the base -EXPONENT = p/q
     ell = tuple(map(_order, ell))
-    num = [(p, q, -le) for le in ell if le < 0]
-    den = [(1, 1, le) for le in ell if le > 0]
-    a_den = q ** sum(k for _, _, k in num)
+    num = [-le for le in ell if le < 0]
+    den = Counter(le for le in ell if le > 0).items()
+    a_den = q ** sum(num)
     g = gcd(scale, a_den)
     y_scale, a_den = scale // g, a_den // g
     U, E = [1] + [0] * (m - 1), 1
     orders = [(U, E)]
+    down, up = range(m - 1, 0, -1), range(1, m)
     for n in range(1, N + 1):
-        A, B = _new_factors(num, n, m), _new_factors(den, n, m)
-        # c_n scale^n = (U/E) (A scale/a_den) / B = (Y/B) / (E a_den)
-        # with Y = U A y_scale, scale and a_den divided by their gcd first;
-        # W_i = (Y/B)_i b0^m = (Y_i b0^m - sum_(j>=1) B_j W_(i-j)) / b0 is an
-        # exact division, since (Y/B)_i has denominator b0^(i+1), i < m
-        b0 = B[0]
-        bm, W = b0**m, []
-        ybm = y_scale * bm
-        for i in range(m):
-            y = sum(map(mul, U[: i + 1], A[i::-1])) * ybm
-            W.append((y - sum(map(mul, B[1 : i + 1], W[::-1]))) // b0)
-        E *= a_den * bm
-        g = gcd(E, *W)
-        U, E = [w // g for w in W], E // g
+        U = [u * y_scale for u in U]
+        for k in num:
+            y = q * k
+            for x in range(p + y * (n - 1), p + y * n, q):
+                for i in down:
+                    U[i] = x * U[i] + y * U[i - 1]
+                U[0] *= x
+        E *= a_den
+        for l, r in den:
+            for x in range(l * (n - 1) + 1, l * n + 1):
+                powers = [x**i for i in range(m)]
+                U = list(map(mul, U, powers))
+                for _ in range(r):
+                    for i in up:
+                        U[i] -= l * U[i - 1]
+                U = list(map(mul, U, reversed(powers)))
+                E *= powers[-1] * x**r
+        g = gcd(E, *U)
+        U, E = [u // g for u in U], E // g
         orders.append((U, E))
     return Slices(orders, N)
-
-
-def _new_factors(factors, n, m):
-    """What order n adds: prod_((p, q, k)) prod_(j=k(n-1))^(k n - 1) (p + q j + q k eps),
-    an integer polynomial in eps (coefficients c_0..c_(m-1)).  Each linear
-    factor is q (a + j + k eps) with a = p/q, so this is prod q^k times the
-    new factors."""
-    c = [1] + [0] * (m - 1)
-    for p, q, k in factors:
-        y = q * k
-        for x in range(p + y * (n - 1), p + y * n, q):
-            # c *= x + y eps, top coefficient first
-            for i in range(m - 1, 0, -1):
-                c[i] = x * c[i] + y * c[i - 1]
-            c[0] *= x
-    return c
 
 
 holo_solution = None  # for perfbench/spans.py until ROADMAP item 5

@@ -1,9 +1,11 @@
 """Euler characteristics and Hodge numbers of branched double covers.
 
 For a nef-partition on a reflexive polytope the cover Y -> X is branched
-along the union of the nef divisors and the toric boundary.  Its Euler
-characteristic is governed by the lattice volume of the pyramid Lambda over
-the Cayley polytope of the part polytopes:
+along the union of the nef divisors and the toric boundary.  Y is singular
+where that divisor crosses itself, and the numbers here are Y's, not a
+resolution's: chi(Y) = 12 for p2_k3, -60 for p3_quartic.  For n = 2 a
+resolution of Y is a K3 surface, chi = 24.  chi(Y) is governed by the
+lattice volume of the pyramid Lambda over the Cayley polytope of the parts:
 
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
@@ -47,7 +49,7 @@ def euler_mpcp(delta):
 
 
 class HodgeTable:
-    """Hodge numbers of the cover as a {(p, q): value} table."""
+    """Hodge numbers of the singular cover Y (module docstring) as a {(p, q): value} table."""
 
     def __init__(self, table, complete=True, note=None):
         self.table = table

@@ -1281,7 +1281,7 @@ def pairing_matrix(m, scale, basis):
     )
 
 
-def _int_product(a, b, N):
+def int_product(a, b, N):
     """The product of two integer q-series, as lists, through q^N."""
     return [sum(a[k] * b[n - k] for k in range(n + 1)) for n in range(N + 1)]
 
@@ -1302,8 +1302,38 @@ def k3_mirror_map_by_j(N):
             for k in range(N, n - 1, -1):
                 eta24[k] -= eta24[k - n]
     e4 = eisenstein_e4(N)
-    cube = _int_product(_int_product(e4, e4, N), e4, N)
+    cube = int_product(int_product(e4, e4, N), e4, N)
+    return [0] + [64 * x for x in int_product(eta24, int_inverse(cube, N), N - 1)]
+
+
+def int_inverse(a, N):
+    """1/a through q^N, as ints, for an integer q-series a with a[0] = 1."""
     inverse = [1] + [0] * N
     for n in range(1, N + 1):
-        inverse[n] = -sum(cube[k] * inverse[n - k] for k in range(1, n + 1))
-    return [0] + [64 * x for x in _int_product(eta24, inverse, N - 1)]
+        inverse[n] = -sum(a[k] * inverse[n - k] for k in range(1, n + 1))
+    return inverse
+
+
+def theta3(N):
+    """theta_3(q) = sum_(n in Z) q^(n^2) through q^N, as ints."""
+    return [1] + [2 if math.isqrt(n) ** 2 == n else 0 for n in range(1, N + 1)]
+
+
+def theta2_fourth(N):
+    """theta_2(q)^4 through q^N, as ints: theta_2 = sum_(n in Z) q^((n + 1/2)^2)
+    = 2 q^(1/4) psi(q) with psi = sum_(n>=0) q^(n(n+1)), so theta_2^4 = 16 q psi^4."""
+    # k = n(n + 1) exactly when 4k + 1 = (2n + 1)^2
+    psi = [1 if math.isqrt(4 * k + 1) ** 2 == 4 * k + 1 else 0 for k in range(N + 1)]
+    square = int_product(psi, psi, N)
+    return [0] + [16 * x for x in int_product(square, square, N - 1)]
+
+
+def gamma0_2_hauptmodul(N):
+    """t = eta(2 tau)^24/eta(tau)^24 = q prod_(n>=1) (1 + q^n)^24 through q^N,
+    as ints: the Hauptmodul of Gamma_0(2)."""
+    prod = [1] + [0] * N
+    for n in range(1, N + 1):
+        for _ in range(24):
+            for k in range(N, n - 1, -1):
+                prod[k] += prod[k - n]
+    return [0] + prod[:N]

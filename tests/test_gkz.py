@@ -266,13 +266,21 @@ def _same_reduced_coefficients(s, oracle):
     )
 
 
+def _with_exponents(*ell):
+    return ell, tuple(Fraction(-1, 2) if le < 0 else 0 for le in ell)
+
+
 @settings(max_examples=80, deadline=None)
 @given(kernel_vectors(), st.integers(1, 5), st.integers(0, 20))
-@example(((-4, 1, 2, 1), (Fraction(-1, 2), 0, 0, 0)), 5, 20)
+@example(_with_exponents(-4, 1, 2, 1), 5, 20)
+@example(_with_exponents(-5, 1, 1, 1, 1, 1), 6, 16)
+@example(_with_exponents(-2, 1, 1, -2, 1, 1, -1, 1), 6, 16)
+@example(_with_exponents(-6, 2, 2, 2), 4, 12)
 def test_hypergeometric_series_matches_epspoly_loop(data, m, N):
-    # balanced kernel vectors with zeros mixed in, P(1,1,2)'s pinned, at
-    # scale 1 and at the I-function's scale s, which clears the numerator
-    # factors' denominators
+    # balanced kernel vectors with zeros mixed in, at scale 1 and at the
+    # I-function's scale s, which clears the numerator factors' denominators.
+    # Pinned: P(1,1,2)'s, the I-function's m = d + 1 = 6 on two P4 shapes,
+    # whose weight 1 repeats five times, and a weight 2 repeated three times
     ell, alpha = data
     factors = kernel_factors(ell, alpha)
     for scale in (1, kernel_scale(ell)):

@@ -10,8 +10,9 @@ K(q) in x = z/s; the same series formed in z (``tests/oracles.py``) must be
 exactly equal, and the Legendre duplication that makes x the I-function's
 coordinate is checked slice by slice.  The closed-form Yukawa and K(q) by
 Lagrange-Buermann must equal the ODE solution composed with the reverted
-mirror map.  The K3's mirror map is 64/j(q) at any order, a reference from
-modular forms alone.
+mirror map.  The three K3 shapes' mirror maps are modular: 64/j(q),
+lambda(1 - lambda)/16 and a Hauptmodul of Gamma_0(2), references at any
+order from theta and eta products alone.
 """
 
 import json
@@ -22,7 +23,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from conftest import DATA
+from conftest import DATA, GEN
 
 from fracmirror.cli import JobConfig, _normalization, main
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
@@ -46,13 +47,18 @@ from oracles import (
     apply,
     compose_by_horner,
     eisenstein_e4,
+    gamma0_2_hauptmodul,
     i_function_by_weights,
+    int_inverse,
+    int_product,
     k3_mirror_map_by_j,
     matches,
     mirror_map_in_z,
     omega1_log,
     reversion_by_powers,
     scale_arg,
+    theta2_fourth,
+    theta3,
 )
 from test_nefpart import _random_set_partitions
 
@@ -437,20 +443,65 @@ def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, 
                 assert _dilate(B[k], s) == I[k], (label, N, k)
 
 
+def _printed(capsys, path, N):
+    """z(q) and omega0(z), as printed by ``mirror-map --format json``."""
+    assert main(["mirror-map", str(path), "-N", str(N), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    return [[Fraction(c) for c in doc[key]["coeffs"]] for key in ("z_of_q", "omega0")]
+
+
+def _shape_input(tmp_path, shape):
+    n = GEN.SHAPES[shape][0]
+    path = tmp_path / f"{shape}.json"
+    GEN.write_input(path, GEN.framed_input(shape, GEN.identity(n), GEN.identity(n)))
+    return path
+
+
+def _horner(f, z, N):
+    """f(z(q)) by Horner's rule, through q^N, for z(q) with no constant term."""
+    w = [0] * (N + 1)
+    for c in reversed(f):
+        w = [c * (n == 0) + sum(w[k] * z[n - k] for k in range(n)) for n in range(N + 1)]
+    return w
+
+
 def test_k3_mirror_map_is_modular(capsys):
     # the K3's mirror map is 64/j(q) and omega0(z(q))^2 is E_4(q) (Lian and
     # Yau 1995, by Clausen's identity): a reference at any order that shares
     # no code with the series layer
-    def printed(N):
-        assert main(["mirror-map", str(DATA / "p2_k3.json"), "-N", str(N), "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        return [[Fraction(c) for c in doc[key]["coeffs"]] for key in ("z_of_q", "omega0")]
-
-    z, _ = printed(64)
+    z, _ = _printed(capsys, DATA / "p2_k3.json", 64)
     assert z == k3_mirror_map_by_j(64)
-    z, omega0 = printed(32)
-    # omega0(z(q)) by Horner's rule, through q^32
-    w = [Fraction(0)] * 33
-    for c in reversed(omega0):
-        w = [c * (n == 0) + sum(w[k] * z[n - k] for k in range(n)) for n in range(33)]
+    z, omega0 = _printed(capsys, DATA / "p2_k3.json", 32)
+    w = _horner(omega0, z, 32)
     assert [sum(w[k] * w[n - k] for k in range(n + 1)) for n in range(33)] == eisenstein_e4(32)
+
+
+def _in_x(z, omega0):
+    """x(q) = z(q)/64 and the coefficients of omega0 in x, as ints."""
+    x = [c / 64 for c in z]
+    a = [c * 64**n for n, c in enumerate(omega0)]
+    assert all(c.denominator == 1 for c in x + a)
+    return [int(c) for c in x], [int(c) for c in a]
+
+
+def test_p2_111_mirror_map_is_lambda(capsys, tmp_path):
+    # omega0 = sum C(2n, n)^3 x^n = 3F2(1/2, 1/2, 1/2; 1, 1; 64x) at s = 64:
+    # by Clausen's identity and Jacobi's 2F1(1/2, 1/2; 1; lambda) = theta_3^2,
+    # x(q) = lambda(1 - lambda)/16 with lambda = theta_2^4/theta_3^4 in the
+    # nome q, and omega0(x(q)) = theta_3^4
+    N = 40
+    x, a = _in_x(*_printed(capsys, _shape_input(tmp_path, "p2_111"), N))
+    theta3_4 = int_product(*[int_product(theta3(N), theta3(N), N)] * 2, N)
+    lam = int_product(theta2_fourth(N), int_inverse(theta3_4, N), N)
+    assert [16 * c for c in x] == [p - q for p, q in zip(lam, int_product(lam, lam, N))]
+    assert _horner(a, x, N) == theta3_4
+
+
+def test_p2_21_mirror_map_is_the_gamma0_2_hauptmodul(capsys, tmp_path):
+    # x(q) = t/(1 + 64t)^2 with t = q prod (1 + q^n)^24, the Hauptmodul of
+    # Gamma_0(2), at s = 64
+    N = 40
+    x, _ = _in_x(*_printed(capsys, _shape_input(tmp_path, "p2_21"), N))
+    t = gamma0_2_hauptmodul(N)
+    one_plus = [1] + [64 * c for c in t[1:]]
+    assert x == int_product(t, int_inverse(int_product(one_plus, one_plus, N), N), N)
