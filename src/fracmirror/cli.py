@@ -125,12 +125,19 @@ def _load(path):
             text = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise _InputError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal longer than CPython converts (sys.get_int_max_str_digits)
+        raise _InputError(f"malformed JSON: {str(exc).partition(';')[0]}") from exc
     try:
         return NefPartition.from_dict(doc)
     except (InvalidNefPartition, ValueError, TypeError, KeyError) as exc:

@@ -105,14 +105,20 @@ def simplex_relation(delta):
 
 def _simplex_labels(relation, part):
     """The vertices m_ij of Delta_i on a simplex, j in delta's facet order:
-    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
+    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g.  A
+    single part has C = L and sum_g c_g w_g = 0, so m_j = w_j."""
     W, c, L = relation
+    if len(part) == len(W):
+        return tuple(W)
     C = sum(c[g] for g in part)
-    shift = [sum(c[g] * W[g][x] for g in part) for x in range(len(W[0]))]
-    scaled = [[C * a - b for a, b in zip(w, shift)] for w in W]
-    if any(x % L for m in scaled for x in m):
+    shift = list(map(sum, zip(*([c[g] * x for x in W[g]] for g in part))))
+    # every L m_ij in one list, divided by L in one pass
+    scaled = [C * a - b for w in W for a, b in zip(w, shift)]
+    q, r = zip(*map(divmod, scaled, itertools.repeat(L)))
+    if any(r):
         raise InvalidNefPartition("part polytope has non-lattice vertices")
-    return tuple(tuple(x // L for x in m) for m in scaled)
+    n = len(shift)
+    return tuple(q[j : j + n] for j in range(0, len(q), n))
 
 
 def _simplex_nabla_dual(rays, parts, labels):
@@ -152,7 +158,9 @@ def _derive(delta, parts):
         return ["delta is not reflexive"], None
     if not parts:
         return ["no parts given: not a partition"], None
-    rays = delta.polar_dual().vertices
+    # the vertices of delta's polar dual, read off its lex-sorted facets (all
+    # at offset 1) with no dual built: a series job never reads the dual
+    rays = tuple(g for g, _ in delta.facets)
     k = len(rays)
     issues = []
     home = {}  # vertex index -> the first part that holds it

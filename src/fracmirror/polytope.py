@@ -6,7 +6,9 @@ homogenization cone.  One fraction-free elimination of the homogenized
 points gives the affine dimension and the seed rays of the pass, which
 returns each facet with the bitmask of the input points on it, formed without
 a dot product; the vertices are read off those masks, which are kept as the
-facet–vertex incidences.  Points that span less than their space build no
+facet–vertex incidences.  D + 1 independent points are a simplex, which runs
+no pass: its facets are the seed rays, facet j misses point j alone and
+every point is a vertex.  Points that span less than their space build no
 hull: such a set is kept only so that it can be refused.  The polar dual of
 a reflexive polytope builds no hull: its vertices and facets are the facets
 and vertices of the primal, and its incidences their transpose.  Volumes
@@ -51,9 +53,7 @@ __all__ = [
 
 
 def _primitive(vec):
-    g = 0
-    for x in vec:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -105,10 +105,7 @@ def _dd_extreme_rays(rows, seed=None):
     if len(seed) < k:
         raise ValueError("cone is not pointed: constraints do not span")
 
-    rays = [_primitive(e if d > 0 else [-x for x in e]) for e in E]
-    full = sum(1 << i for i in seed)
-    masks = [full ^ (1 << i) for i in seed]
-
+    rays, masks = _seed_rays(seed, d, E)
     seeded = set(seed)
     for idx, row in enumerate(rows):
         if idx in seeded:
@@ -142,6 +139,13 @@ def _dd_extreme_rays(rows, seed=None):
         rays = [rays[j] for j in keep] + new_rays
         masks = [masks[j] for j in keep] + new_masks
     return tuple(sorted(zip(rays, masks)))
+
+
+def _seed_rays(idx, d, E):
+    """The seed rays of a DD pass, row j of E signed by d and made primitive,
+    and their masks: ray j is tight on every row in ``idx`` but ``idx[j]``."""
+    full = sum(1 << i for i in idx)
+    return [_primitive(e if d > 0 else [-x for x in e]) for e in E], [full ^ (1 << i) for i in idx]
 
 
 def _vertex_test(masks, count):
@@ -214,11 +218,18 @@ class LatticePolytope:
             self.vertices, self.facets, self._incidences = tuple(pts), (), ()
             return
 
-        # the rows are distinct and nonzero, so mask bit i is point i
-        rays = _dd_extreme_rays(rows, (idx, d, E))
+        if len(pts) == D + 1:
+            # a simplex: the seed rays are its facets, facet j misses point j
+            # alone and every point is a vertex, as a DD pass that inserts no
+            # row and the vertex test would find
+            rays = sorted(zip(*_seed_rays(idx, d, E)))
+            self.vertices, self._incidences = tuple(pts), tuple(m for _, m in rays)
+        else:
+            # the rows are distinct and nonzero, so mask bit i is point i
+            rays = _dd_extreme_rays(rows, (idx, d, E))
+            verts, self._incidences = _vertex_test([m for _, m in rays], len(pts))
+            self.vertices = tuple(pts[i] for i in verts)
         self.facets = tuple((r[:-1], r[-1]) for r, _ in rays)
-        verts, self._incidences = _vertex_test([m for _, m in rays], len(pts))
-        self.vertices = tuple(pts[i] for i in verts)
 
     # -- predicates -------------------------------------------------------
 

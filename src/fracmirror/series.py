@@ -1,11 +1,11 @@
 """Truncated formal power series in z with exact rational coefficients.
 
 ``RationalSeries`` is a series over Q, truncated at a fixed order N.  It
-holds the product, ``inverse``, ``exp`` and theta; ``_lagrange`` reads
-coefficients of a composite or a compositional inverse off the powers of
-one series.  A series over Q[eps]/(eps^m), such as a Frobenius tower or an
-I-function, is a tuple of its m eps-slices, each a ``RationalSeries`` (see
-``gkz.hypergeometric_series``).
+holds the product, the quotient, ``inverse``, ``exp`` and theta;
+``_lagrange`` reads coefficients of a composite or a compositional inverse
+off the powers of one series.  A series over Q[eps]/(eps^m), such as a
+Frobenius tower or an I-function, is a tuple of its m eps-slices, each a
+``RationalSeries`` (see ``gkz.hypergeometric_series``).
 
 All binary operations truncate to the smaller order; nothing is ever
 extended silently.
@@ -13,15 +13,15 @@ extended silently.
 A RationalSeries is stored as integer numerators A over one denominator
 D > 0 with gcd(D, *A) = 1, so (N, A, D) is canonical; ``_make`` divides out
 the content of every result.  The O(N^2) kernels run on these ints: a
-product is the integer convolution over D_a * D_b, and ``inverse`` and
-``exp`` solve their recurrences with the coefficients found so far held as
-numerators over their running lcm, which grows only as fast as the reduced
-denominators do (scaling by powers of c0's numerator or by n! D^n instead
-grows the integers with every order).  ``/`` is built from these, and
-``_lagrange`` splits the powers of one series into baby and giant steps
-(Paterson and Stockmeyer 1973; Brent and Kung 1978), forming about
-2 sqrt(N) products instead of N.  The coefficients as reduced ``Fraction``s
-(``c``, ``coeff``) are built once.
+product is the integer convolution over D_a * D_b, and a quotient,
+``inverse`` and ``exp`` each solve one recurrence with the coefficients
+found so far held as numerators over their running lcm, which grows only as
+fast as the reduced denominators do (scaling by powers of c0's numerator or
+by n! D^n instead grows the integers with every order); a division forms no
+inverse and no product.  ``_lagrange`` splits the powers of one series
+into baby and giant steps (Paterson and Stockmeyer 1973; Brent and Kung
+1978), forming about 2 sqrt(N) products instead of N.  The coefficients as
+reduced ``Fraction``s (``c``, ``coeff``) are built once.
 """
 
 from fractions import Fraction
@@ -56,15 +56,16 @@ def fraction_str(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _recurrence(u0, e0, w, d):
-    """(U, E) with x_n = U_n / E, where x_0 = u0 / e0 and, for 0 < n < len(w),
-    x_n = (w_1 x_(n-1) + ... + w_n x_0) / d_n with ints ``w`` and ``d``.  E is
-    the lcm of the reduced denominators so far, so step n is one integer dot
-    product and one gcd; U is rescaled when x_n's denominator does not divide E.
+def _recurrence(b, w, d):
+    """(U, E) with x_n = U_n / E for n < len(d), where x_n = (b_n + w_1 x_(n-1)
+    + ... + w_n x_0) / d_n with ints ``b``, ``w`` and ``d``.  E is the lcm of the
+    reduced denominators so far, so step n is one integer dot product and one
+    gcd; U is rescaled when x_n's denominator does not divide E.
     """
     U, E = [], 1
-    for n in range(len(w)):
-        num, den = (sum(map(mul, w[1 : n + 1], reversed(U))), d[n] * E) if n else (u0, e0)
+    for n, dn in enumerate(d):
+        num = b[n] * E + sum(map(mul, w[1 : n + 1], reversed(U)))
+        den = dn * E
         g = gcd(num, den) if den > 0 else -gcd(num, den)
         t = den // g
         if E % t:
@@ -205,17 +206,19 @@ class RationalSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        """1/self: u_0 = D/A_0 and u_n = -(A_1 u_(n-1) + ... + A_n u_0) / A_0."""
-        A = self.A
-        if not A[0]:
-            raise FracmirrorError("constant term is not invertible")
-        U, E = _recurrence(self.D, A[0], [-x for x in A], [A[0]] * len(A))
-        return _make(U, E, self.N)
+        """1/self, as the quotient 1 / self."""
+        return _make((1,), 1, self.N) / self
 
     def __truediv__(self, other):
-        """self / other for a series other; divide by a scalar x as * (1/x)."""
+        """self / other for a series other, as one recurrence: with self = A/D
+        and other = B/F, y = A/B solves y_n = (A_n - B_1 y_(n-1) - ... - B_n y_0)
+        / B_0, and self / other = y F/D.  Divide by a scalar x as * (1/x)."""
         N = min(self.N, other.N)
-        return self.truncate(N) * other.truncate(N).inverse()
+        B = other.A
+        if not B[0]:
+            raise FracmirrorError("constant term is not invertible")
+        U, E = _recurrence(self.A, [-x for x in B], [B[0]] * (N + 1))
+        return _make([u * other.D for u in U], E * self.D, N)
 
     def theta(self):
         """z d/dz."""
@@ -232,7 +235,8 @@ class RationalSeries:
         if self.A[0]:
             raise FracmirrorError("exp needs a zero constant term")
         A, D = self.A, self.D
-        U, E = _recurrence(1, 1, [k * x for k, x in enumerate(A)], [n * D for n in range(len(A))])
+        d = [n * D or 1 for n in range(len(A))]  # e_0 = b_0 / d_0 = 1
+        U, E = _recurrence((1,) + (0,) * self.N, [k * x for k, x in enumerate(A)], d)
         return _make(U, E, self.N)
 
     def __eq__(self, other):

@@ -2,8 +2,9 @@
 
 Usage (from the repository root)::
 
-    python tests/inprocess_table.py            # the package in src/
-    python tests/inprocess_table.py OTHER/src  # another checkout's package
+    python tests/inprocess_table.py                    # the package in src/
+    python tests/inprocess_table.py OTHER/src          # another checkout's package
+    python tests/inprocess_table.py --against OTHER/src
 
 Runs ``yukawa``, ``mirror-map``, ``bseries`` and ``ifunction`` on
 ``p3_quartic`` and ``ifunction`` on ``p3_eight_hyperplanes``, each with
@@ -14,12 +15,22 @@ perfbench job goes above N = 16, so this table stands in for the
 large-order rows of a speed claim.  A machine's speed can swing between
 runs: compare only tables taken side by side.  The name keeps pytest from
 collecting it.
+
+``--against OTHER/src`` imports both packages into this one process: every
+import inside ``src/fracmirror`` is relative, so OTHER's package is copied
+under a second name.  Each of 9 repetitions of a job runs on both, in an
+order that alternates, so a swing in the machine's speed reaches both
+sides alike.  A cell is the ratio src/OTHER of the two best times,
+followed by those times in ms.
 """
 
 import contextlib
+import importlib
 import io
 import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -33,37 +44,73 @@ JOBS = (
 )
 ORDERS = (16, 32, 64, 128)
 REPEATS = 3
+AGAINST_REPEATS = 9
 
 
-def table(cli_main):
-    """{"command input": {N: best of REPEATS wall times in ms}}."""
+def _wall(cli_main, argv):
+    """Wall seconds of one in-process CLI call, which must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        code = cli_main(argv)
+        wall = time.perf_counter() - start
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return wall
+
+
+def table(mains, repeats=REPEATS):
+    """{"command input": {N: [best of ``repeats`` wall times in ms, one per main]}}.
+
+    With two mains, repetition i runs them in the order given when i is
+    even and reversed when it is odd.
+    """
     rows = {}
     for command, name in JOBS:
         argv = [command, str(ROOT / "data" / f"{name}.json"), "--format", "json"]
         row = rows[f"{command} {name}"] = {}
         for N in ORDERS:
-            best = float("inf")
-            for _ in range(REPEATS):
-                with contextlib.redirect_stdout(io.StringIO()):
-                    start = time.perf_counter()
-                    code = cli_main(argv + ["-N", str(N)])
-                    best = min(best, time.perf_counter() - start)
-                if code != 0:
-                    raise SystemExit(f"{command} {name} -N {N} exited {code}")
-            row[N] = round(best * 1e3, 2)
+            best = [float("inf")] * len(mains)
+            for i in range(repeats):
+                order = range(len(mains)) if i % 2 == 0 else reversed(range(len(mains)))
+                for k in order:
+                    best[k] = min(best[k], _wall(mains[k], argv + ["-N", str(N)]))
+            row[N] = [round(b * 1e3, 2) for b in best]
     return rows
+
+
+def _import_as(src, name, tmp):
+    """``fracmirror.cli.main`` of the package in ``src``, imported as ``name``."""
+    shutil.copytree(Path(src).resolve() / "fracmirror", Path(tmp) / name)
+    sys.path.insert(0, tmp)
+    return importlib.import_module(f"{name}.cli").main
+
+
+def _cell(times):
+    if len(times) == 1:
+        return f"{times[0]:g}"
+    return f"{times[0] / times[1]:.3f} ({times[0]:g} / {times[1]:g})"
 
 
 def main(argv):
     os.environ["FRACMIRROR_MAX_N"] = "256"
+    against = None
+    if argv[:1] == ["--against"]:
+        if len(argv) != 2:
+            raise SystemExit("usage: inprocess_table.py [--against] [OTHER/src]")
+        against, argv = argv[1], []
     sys.path.insert(0, str(Path(argv[0]).resolve() if argv else ROOT / "src"))
     from fracmirror.cli import main as cli_main
 
-    rows = table(cli_main)
+    if against is None:
+        rows = table([cli_main])
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            rows = table([cli_main, _import_as(against, "fracmirror_against", tmp)], AGAINST_REPEATS)
+        print(f"ratio src / {against}, then both best times in ms")
     print("| command | " + " | ".join(f"N={N}" for N in ORDERS) + " |")
     print("| --- |" + " --- |" * len(ORDERS))
     for label, row in rows.items():
-        print(f"| `{label}` | " + " | ".join(f"{row[N]:g}" for N in ORDERS) + " |")
+        print(f"| `{label}` | " + " | ".join(_cell(row[N]) for N in ORDERS) + " |")
 
 
 if __name__ == "__main__":

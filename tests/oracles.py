@@ -111,8 +111,8 @@ class ZOperator(NamedTuple):
 
 def yukawa_ode_rhs_by_division(op, N):
     """``picard_fuchs.yukawa_ode_rhs`` as series division: g = -p3/(2 p4),
-    with p3 and p4 built from Fractions and divided through a full
-    ``inverse`` and product."""
+    with p3 and p4 built from Fractions and divided by ``RationalSeries``'s
+    ``/`` at order N."""
     p3 = RationalSeries(op.z_polys[3], N)
     p4 = RationalSeries(op.z_polys[4], N)
     return -(p3 / p4) * Fraction(1, 2)

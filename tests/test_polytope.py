@@ -18,7 +18,7 @@ from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
 from fracmirror.nefpart import NefPartition
-from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, cayley_pyramids
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, _vertex_test, cayley_pyramids
 from oracles import (
     SpanHull,
     boundary_lattice_point_count,
@@ -186,6 +186,51 @@ def test_extreme_rays_match_subset_oracle():
             for ray, mask in got:
                 tight = [sum(a * b for a, b in zip(r, ray)) == 0 for r in distinct]
                 assert mask == sum(1 << i for i, t in enumerate(tight) if t)
+
+
+def _sheared_simplex(rng, D, flat):
+    """D + 1 lattice points: a triangular simplex (point i has a nonzero
+    entry i − 1 and zeros after it), or with ``flat`` one whose last
+    coordinates are all 0, mapped by a random unimodular shear and shifted."""
+    pts = [(0,) * D]
+    for i in range(D):
+        diag = rng.choice((-1, 1)) * rng.randint(1, 3)
+        pts.append(tuple(rng.randint(-2, 2) for _ in range(i)) + (diag,) + (0,) * (D - 1 - i))
+    if flat:
+        pts = [p[:-1] + (0,) for p in pts]
+    U = random_unimodular(rng, D)
+    shift = [rng.randint(-3, 3) for _ in range(D)]
+    return [tuple(sum(u * x for u, x in zip(row, p)) + t for row, t in zip(U, shift)) for p in pts]
+
+
+def test_simplex_facets_are_read_off_the_seed():
+    # D + 1 independent points are a simplex: the hull takes its facets from
+    # the seed rays of its one elimination, with no DD pass and no vertex
+    # test, and must find what the two of them find on the same rows; a
+    # flat set of D + 1 points still builds no hull
+    rng = random.Random(4242)
+    for trial in range(240):
+        D = 1 + trial % 5
+        flat = trial % 4 == 3
+        pts = _sheared_simplex(rng, D, flat)
+        P = LatticePolytope(pts)
+        rows = [p + (1,) for p in sorted(set(pts))]
+        if flat:
+            assert P.affine_dim < D and (P.facets, P._incidences) == ((), ())
+            assert P.vertices == tuple(sorted(set(pts)))
+            continue
+        assert len(rows) == D + 1 and P.affine_dim == D
+        rays = _dd_extreme_rays(rows)
+        verts, incidences = _vertex_test([m for _, m in rays], len(rows))
+        assert P.vertices == tuple(rows[i][:-1] for i in verts) == tuple(sorted(pts))
+        assert P.facets == tuple((r[:-1], r[-1]) for r, _ in rays)
+        assert P._incidences == incidences
+        # and, with no code shared with the hull: each facet is primitive,
+        # misses one vertex and holds exactly the vertices of its mask
+        for (g, c), mask in zip(P.facets, P._incidences):
+            values = [sum(a * x for a, x in zip(g, v)) + c for v in P.vertices]
+            assert math.gcd(*g, c) == 1 and sorted(x > 0 for x in values) == [False] * D + [True]
+            assert mask == sum(1 << k for k, x in enumerate(values) if x == 0)
 
 
 def test_no_points_error():

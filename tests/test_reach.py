@@ -25,6 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import DATA, REPO
+from test_rejected_inputs import UNDECODABLE
 
 import fracmirror
 from fracmirror import cli
@@ -81,10 +82,12 @@ REJECTED = {
 }
 
 # (environment, command line, exit code): {missing} is a path that does
-# not exist and {malformed} a file that holds no JSON
+# not exist, {malformed} a file that holds no JSON, and the others the
+# files of ``UNDECODABLE``
 ARGS = [
     ({}, ["pf", "{missing}"], 2),
     ({}, ["pf", "{malformed}"], 2),
+    *(({}, ["pf", "{" + label + "}"], 2) for label in UNDECODABLE),
     ({}, ["pf", "{p3_quartic}", "-N", "0"], 2),
     ({}, ["pf", "{p3_quartic}", "-N", "65"], 2),
     ({}, ["yukawa", "{p3_quartic}", "-N", "4", "--normalization", "3/2"], 0),
@@ -144,8 +147,8 @@ UNRUN = [
     ("series.RationalSeries.__init__", "vals = [parse_fraction(x) for x in coeffs]", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__setattr__", 'raise AttributeError("series are immutable")', "the guard that keeps a series immutable"),
+    ("series.RationalSeries.__truediv__", 'raise FracmirrorError("constant term is not invertible")', _ARGUMENT),
     ("series.RationalSeries.exp", 'raise FracmirrorError("exp needs a zero constant term")', _ARGUMENT),
-    ("series.RationalSeries.inverse", 'raise FracmirrorError("constant term is not invertible")', _ARGUMENT),
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),
@@ -239,6 +242,9 @@ def _run_traced(runs):
 def test_every_statement_but_the_listed_ones_runs_under_an_input(tmp_path):
     paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json"}
     paths["malformed"].write_text("{")
+    for label, raw in UNDECODABLE.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_bytes(raw)
     for label, doc in ({label: doc for label, (_, doc) in INPUTS.items()} | REJECTED).items():
         if isinstance(doc, Path):
             paths[label] = doc

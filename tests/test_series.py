@@ -27,6 +27,7 @@ from oracles import (
 
 from fracmirror.cli import _json_text
 from fracmirror.cohom import b_series_json, slices_json
+from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import hypergeometric_series
 from fracmirror.series import RationalSeries, _coeff_strs, _lagrange, fraction_str, parse_fraction
 
@@ -331,6 +332,24 @@ def test_inverse_matches_fraction_loop(f):
 @given(_q_series(const=st.just(Fraction(0))))
 def test_exp_matches_fraction_loop(f):
     _same_reduced_fractions(f.exp(), exp_term_by_term(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_q_series(), _q_series(const=st.one_of(st.just(Fraction(3, 7)), _nonzero)))
+def test_division_is_the_product_with_the_inverse(a, b):
+    # a / b is one recurrence; it must equal the inverse and the product it
+    # replaces, at the smaller of two independently drawn orders
+    q = a / b
+    assert q == a * b.inverse()
+    _same_reduced_fractions(q, product_term_by_term(a, inverse_term_by_term(b.truncate(q.N))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_q_series(), _q_series(const=st.just(Fraction(0))))
+def test_division_by_a_zero_constant_term_raises(a, b):
+    for divide in (lambda: a / b, b.inverse):
+        with pytest.raises(FracmirrorError, match="^constant term is not invertible$"):
+            divide()
 
 
 _integral_series = st.lists(st.integers(-(2**70), 2**70), min_size=1).map(RationalSeries)

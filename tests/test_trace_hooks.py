@@ -100,10 +100,11 @@ def test_euler_builds_each_polytope_once():
 def test_one_elimination_per_hull(monkeypatch):
     # one fraction-free pass on the homogenized points gives the affine
     # dimension, the DD seed and its rays, so a full-dimensional hull runs it
-    # once, one DD pass and no echelon; a flat set runs the same pass for its
-    # dimension and builds no hull; euler on the quartic builds 1
-    # full-dimensional hull, Delta, which is a simplex, so Delta_1 and
-    # nabla* are read off its vertices with no DD pass
+    # once, one DD pass and no echelon; a simplex's facets are its seed rays,
+    # so it runs no DD pass; a flat set runs the same pass for its dimension
+    # and builds no hull; euler on the quartic builds 1 full-dimensional
+    # hull, Delta, which is a simplex, so Delta_1 and nabla* are read off its
+    # vertices with no DD pass either
     calls = {"row_basis": 0, "echelon": 0, "dd": 0}
     for module, name, key in (
         (linalg, "row_basis", "row_basis"),
@@ -124,6 +125,8 @@ def test_one_elimination_per_hull(monkeypatch):
 
     full = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0)]
     assert counted(lambda: LatticePolytope(full)) == {"row_basis": 1, "echelon": 0, "dd": 1}
+    simplex = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    assert counted(lambda: LatticePolytope(simplex)) == {"row_basis": 1, "echelon": 0, "dd": 0}
     flat = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0)]
     assert counted(lambda: LatticePolytope(flat)) == {"row_basis": 1, "echelon": 0, "dd": 0}
 
@@ -132,7 +135,7 @@ def test_one_elimination_per_hull(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(config) == 0
 
-    assert counted(euler) == {"row_basis": 1, "echelon": 0, "dd": 1}
+    assert counted(euler) == {"row_basis": 1, "echelon": 0, "dd": 0}
 
 
 def test_euler_scans_no_dilations(monkeypatch):
@@ -169,16 +172,18 @@ def test_topology_jobs_scan_lattice_points_only_for_n_above_3():
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
-    # Delta is the one hull and its DD pass the one pass: Delta* is read off
-    # it, Delta is a simplex, so the four Delta_i and the GKZ kernel vector
-    # are read off its vertices (no cut, no echelon, and no A, alpha or beta),
-    # and nabla is built only when read
+    # Delta is the one hull, and a simplex, so it runs no DD pass: its facets
+    # are the seed rays of its one elimination; the rays are its facet
+    # normals, so Delta* is not built; the four Delta_i and the GKZ kernel
+    # vector are read off its vertices (no cut, no echelon, and no A, alpha
+    # or beta), and nabla is built only when read
     echelons = _count_echelons(monkeypatch)
     for command in ("mirror-map", "ifunction", "bseries"):
         echelons[0] = 0
         tracer = _traced(command, shape="p3_eight_hyperplanes")
         assert tracer.calls["polytope.hull"] == 1
-        assert tracer.calls["polytope.dd_extreme_rays"] == 1
+        assert tracer.calls["polytope.dd_extreme_rays"] == 0
+        assert tracer.calls["polytope.polar_dual"] == 0
         assert tracer.flat_hulls == 0
         assert echelons[0] == 0
         assert tracer.calls["gkz.build_gkz"] == 0
@@ -342,20 +347,21 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 
 # calls of the Q product kernel per job at N = 4 and N = 16 on the three
 # bundled shapes (the K3 surface has no Yukawa, so its yukawa job forms no
-# product): the B-series multiplies no two series (z^eps shifts eps-slices)
-# and the I-function forms one product (B/A); the mirror map forms
-# tau/omega0 at z = s x, then the powers of the Lagrange reversion in baby
-# and giant steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4:
-# h^2; N = 16: h^2, h^3, h^4, h^8, h^12).  The yukawa job reverts nothing:
-# it forms r = tau/omega0 at z = s x, omega0(s x)^2 for Y in closed form,
-# (1 + theta r)^2 and the division of Y by it, the same baby and giant powers
-# of h = exp(-r) at order N - 1, and the m products G h^a of K(q) by
-# Lagrange-Buermann (N = 4: 4 + 1 + 2; N = 16: 4 + 5 + 4).  Moving a series
+# product).  A division is one recurrence and forms no product.  The
+# B-series multiplies no two series (z^eps shifts eps-slices) and the
+# I-function only divides (B/A).  The mirror map divides tau/omega0 at
+# z = s x, then forms the powers of the Lagrange reversion in baby and giant
+# steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4: h^2;
+# N = 16: h^2, h^3, h^4, h^8, h^12).  The yukawa job reverts nothing: it
+# forms omega0(s x)^2 for Y in closed form and (1 + theta r)^2, r =
+# tau/omega0 at z = s x, which Y is divided by, the same baby and giant
+# powers of h = exp(-r) at order N - 1, and the m products G h^a of K(q) by
+# Lagrange-Buermann (N = 4: 2 + 1 + 2; N = 16: 2 + 5 + 4).  Moving a series
 # between z and x is an exact rescale, and the product of omega0(s x)^2 with
 # the two-term p4(s x) an O(N) sum, so neither forms a product.
 _PRODUCTS_PER_JOB = {
-    4: {"bseries": 0, "ifunction": 1, "mirror-map": 2, "yukawa": 7},
-    16: {"bseries": 0, "ifunction": 1, "mirror-map": 6, "yukawa": 13},
+    4: {"bseries": 0, "ifunction": 0, "mirror-map": 1, "yukawa": 5},
+    16: {"bseries": 0, "ifunction": 0, "mirror-map": 5, "yukawa": 11},
 }
 
 
