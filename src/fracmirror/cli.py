@@ -28,7 +28,7 @@ from .gkz import build_gkz, simplex_kernel_vector
 from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
-from .series import fraction_str, parse_fraction
+from .series import _coeff_strs, fraction_str, parse_fraction
 from .topology import euler_double_cover
 
 __all__ = ["JobConfig", "run", "main"]
@@ -68,18 +68,12 @@ def _max_order():
 
 
 def _series_text(s, var):
-    pieces = []
-    for n in range(s.N + 1):
-        c = s.coeff(n)
-        if c == 0:
-            continue
-        if n == 0:
-            pieces.append(fraction_str(c))
-        elif n == 1:
-            pieces.append(f"{fraction_str(c)}*{var}")
-        else:
-            pieces.append(f"{fraction_str(c)}*{var}^{n}")
-    return " + ".join(pieces) if pieces else "0"
+    pieces = [
+        c if n == 0 else f"{c}*{var}" if n == 1 else f"{c}*{var}^{n}"
+        for n, c in enumerate(_coeff_strs(s.A, s.D))
+        if c != "0"
+    ]
+    return " + ".join(pieces) or "0"
 
 
 def _json_text(obj, indent="\n"):
@@ -145,7 +139,8 @@ def _load(path):
 
 
 class _Context:
-    """One job's input and the stages built from it, each at most once.
+    """One job's input and the stages that two sections of ``all`` read,
+    each built at most once; a stage with one reader is a plain call there.
 
     Stages call the module globals at call time, so the hooks that
     perfbench/spans.py installs on them see every call.
@@ -158,10 +153,6 @@ class _Context:
     @cached_property
     def topology(self):
         return euler_double_cover(self.data)
-
-    @cached_property
-    def gkz(self):
-        return build_gkz(self.data)
 
     @cached_property
     def ell(self):
@@ -179,10 +170,6 @@ class _Context:
     @cached_property
     def pair(self):
         return frobenius_pair(self.ell, self.config.N)
-
-    @cached_property
-    def mirror(self):
-        return mirror_map(self.pair)
 
 
 def _normalization(config):
@@ -250,7 +237,7 @@ def _cmd_hodge(ctx):
 
 
 def _cmd_gkz(ctx):
-    g = ctx.gkz
+    g = build_gkz(ctx.data)
     payload = g.to_json()
     rows, beta = g.display_rows()
     payload["display"] = {
@@ -274,7 +261,7 @@ def _cmd_pf(ctx):
 
 def _cmd_mirror_map(ctx):
     pair = ctx.pair
-    q_of_z, z_of_q = ctx.mirror
+    q_of_z, z_of_q = mirror_map(pair)
     omega0, tau = (_dilate(A, 1, pair.scale) for A in (pair.A0, pair.A1))
     payload = {
         "scale": pair.scale,

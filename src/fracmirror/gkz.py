@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .series import _make, _order
+from .series import _make, _order, fraction_str
 
 # The exponent of every distinguished column (every ray column has 0)
 EXPONENT = Fraction(-1, 2)
@@ -64,8 +64,6 @@ class GkzSystem:
         return tuple(self.A[i] for i in order), tuple(self.beta[i] for i in order)
 
     def to_json(self):
-        from .series import fraction_str
-
         return {
             "A": [list(row) for row in self.A],
             "beta": [fraction_str(b) for b in self.beta],

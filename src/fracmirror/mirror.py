@@ -13,7 +13,9 @@ the eps-slices at z = s x are the untwisted I-function in x
 (``cohom.i_function_untwisted``), so the pair is its first two slices:
 A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
 and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
-only where ``_dilate`` rescales a series between x and z.
+only where ``_dilate`` rescales a series between x and z.  The pair forms
+r = A1/A0 and the baby and giant powers of h = exp(-r) at order N - 1 once
+(``series._lagrange_powers``), and both the mirror map and K(q) read them.
 
 The B-model Yukawa solves theta(Y) = g Y with g = -p3/(2 p4) from the
 degree-4 operator.  There p3 = (F_3, -G_3) and p4 = (1, -G_4).  F_3 is 0
@@ -36,7 +38,7 @@ from math import lcm
 from .cohom import i_function_untwisted
 from .errors import FracmirrorError
 from .gkz import kernel_scale
-from .series import _lagrange, _make
+from .series import _lagrange, _lagrange_powers, _make, fraction_str
 
 __all__ = [
     "FrobeniusPair",
@@ -51,13 +53,18 @@ __all__ = [
 class FrobeniusPair:
     """omega0 and the non-log part tau of omega1 = omega0 log z + tau, in
     x = z/s: A0(x) = omega0(s x) and A1(x) = tau(s x), with the integer
-    scale s absorbing the constant shift of log z."""
+    scale s absorbing the constant shift of log z.  ``r`` = A1/A0, and
+    ``powers`` are the ``_lagrange`` powers of h = exp(-r) at order N - 1."""
 
     def __init__(self, A0, A1, scale, N):
+        if N < 1:
+            raise ValueError("a Frobenius pair needs order N >= 1")
         self.A0 = A0
         self.A1 = A1
         self.scale = scale
         self.N = N
+        self.r = A1 / A0
+        self.powers = _lagrange_powers((-self.r.truncate(N - 1)).exp())
 
 
 class YukawaData:
@@ -69,8 +76,6 @@ class YukawaData:
         self.K_q = K_q
 
     def to_json(self):
-        from .series import fraction_str
-
         return {
             "C": fraction_str(self.C),
             "Y_z": self.Y_z.to_json(),
@@ -92,12 +97,11 @@ def _dilate(f, p, q=1):
 
 
 def mirror_map(pair):
-    """(q(z), z(q)) as exact series: q = x e with e = exp(A1/A0), reverted in
-    x by Lagrange, [q^k] x(q) = (1/k) [w^(k-1)] e^(-k); then q(z) = q(x = z/s)
-    and z(q) = s x(q)."""
-    e = (pair.A1 / pair.A0).exp()
-    s, N = pair.scale, e.N
-    return _dilate(e.shift(1), 1, s), _lagrange(e.truncate(N - 1).inverse(), 1) * s
+    """(q(z), z(q)) as exact series: q = x exp(r), reverted in x by Lagrange,
+    [q^k] x(q) = (1/k) [w^(k-1)] h^k with h = exp(-r) read off the pair's
+    powers; then q(z) = q(x = z/s) and z(q) = s x(q)."""
+    s = pair.scale
+    return _dilate(pair.r.exp().shift(1), 1, s), _lagrange(pair.powers, 1) * s
 
 
 def yukawa_z(op, pair, C):
@@ -123,15 +127,14 @@ def yukawa_z(op, pair, C):
 
 def a_model_correlation(op, pair, C):
     """A-model correlation K(q) = Y_z(z(q)) (theta_q log z(q))^3, formed in
-    x = z/s as [q^n] K = [w^n] G h^n with G = Y_x/(1 + theta r)^2, r = A1/A0
-    and h = exp(-r), by ``series._lagrange``.  The q-series has order N - 1,
-    N = pair.N."""
+    x = z/s as [q^n] K = [w^n] G h^n with G = Y_x/(1 + theta r)^2, by
+    ``series._lagrange`` on the pair's r and powers of h = exp(-r).  The
+    q-series has order N - 1, N = pair.N."""
     N = pair.N
     Y = yukawa_z(op, pair, C)
-    r = pair.A1.truncate(N - 1) / pair.A0
-    t = r.theta() + 1
+    t = pair.r.truncate(N - 1).theta() + 1
     G = _dilate(Y.truncate(N - 1), pair.scale) / (t * t)
-    return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange((-r).exp(), 0, G))
+    return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange(pair.powers, 0, G))
 
 
 holo_solution = yukawa_ode_rhs = None  # for perfbench/spans.py until ROADMAP item 5

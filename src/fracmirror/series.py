@@ -18,9 +18,10 @@ product is the integer convolution over D_a * D_b, and a quotient,
 found so far held as numerators over their running lcm, which grows only as
 fast as the reduced denominators do (scaling by powers of c0's numerator or
 by n! D^n instead grows the integers with every order); a division forms no
-inverse and no product.  ``_lagrange`` splits the powers of one series
-into baby and giant steps (Paterson and Stockmeyer 1973; Brent and Kung
-1978), forming about 2 sqrt(N) products instead of N.  The coefficients as
+inverse and no product.  ``_lagrange_powers`` splits the powers of one
+series into baby and giant steps (Paterson and Stockmeyer 1973; Brent and
+Kung 1978), about 2 sqrt(N) products instead of N, and every ``_lagrange``
+call on that series reads the same powers.  The coefficients as
 reduced ``Fraction``s (``c``, ``coeff``) are built once.
 """
 
@@ -90,25 +91,35 @@ def _powers(g, m):
     return P
 
 
-def _lagrange(h, k0, F=None):
-    """The series of order h.N + k0 with [z^k] = [w^(k-k0)] F h^k / k^k0, F = 1 if
-    None: Lagrange-Buermann's two forms.  h is first cut to F's order if that is
-    smaller, as by a binary operation.  For k = jm + a, m = isqrt(h.N + 1) and
-    0 < a <= m, each is one integer dot product of F h^a and h^(jm)."""
-    if F is not None and F.N < h.N:
-        h = h.truncate(F.N)
+def _lagrange_powers(h):
+    """The baby powers h^0 ... h^m and the giant powers (h^m)^0 ... (h^m)^j
+    that ``_lagrange`` reads, at h's order, with m = isqrt(h.N + 1) and
+    j = (h.N - 1) // m: enough for k0 = 0, and one giant power short of k0 = 1
+    when m divides h.N."""
     m = isqrt(h.N + 1)
     baby = _powers(h, m)
-    giant = _powers(baby[m], (h.N + k0 - 1) // m)
+    return baby, _powers(baby[m], (h.N - 1) // m)
+
+
+def _lagrange(powers, k0, F=None):
+    """The series of order N + k0 with [z^k] = [w^(k-k0)] F h^k / k^k0, F = 1 if
+    None, from ``powers = _lagrange_powers(h)``: Lagrange-Buermann's two forms.
+    N is the smaller of h.N and F.N, as by a binary operation.  For k = jm + a
+    and 0 < a <= m, each is one integer dot product of F h^a and h^(jm)."""
+    baby, giant = powers
+    m = len(baby) - 1
+    if len(giant) * m < baby[m].N + k0:  # k0 = 1 and m divides h.N
+        giant = [*giant, giant[-1] * baby[m]]
     if F is not None:
         baby = [F] + [F * p for p in baby[1:]]
+    N = baby[m].N + k0
     nums, dens = [0 if k0 else baby[0].A[0]], [baby[0].D]
-    for k in range(1, h.N + k0 + 1):
+    for k in range(1, N + 1):
         p, g, i = baby[(k - 1) % m + 1], giant[(k - 1) // m], k - k0
         nums.append(sum(map(mul, p.A[: i + 1], g.A[i::-1])))
         dens.append(k**k0 * p.D * g.D)
     D = lcm(*dens)
-    return _make([p * (D // q) for p, q in zip(nums, dens)], D, h.N + k0)
+    return _make([p * (D // q) for p, q in zip(nums, dens)], D, N)
 
 
 def _coeff_strs(A, D):

@@ -7,9 +7,9 @@ Usage (from the repository root)::
     python tests/inprocess_table.py --against OTHER/src
 
 Runs ``yukawa``, ``mirror-map``, ``bseries`` and ``ifunction`` on
-``p3_quartic`` and ``ifunction`` on ``p3_eight_hyperplanes``, each with
-``--format json`` at N = 16, 32, 64 and 128, and prints the best of 3 wall
-times in ms as a Markdown table.  The commands run in this process, with
+``p3_quartic`` and ``ifunction`` and ``all`` on ``p3_eight_hyperplanes``,
+each with ``--format json`` at N = 16, 32, 64 and 128, and prints the best
+of 3 wall times in ms as a Markdown table.  The commands run in this process, with
 FRACMIRROR_MAX_N=256 set for it alone, since the default cap is 64.  No
 perfbench job goes above N = 16, so this table stands in for the
 large-order rows of a speed claim.  A machine's speed can swing between
@@ -41,6 +41,7 @@ JOBS = (
     ("bseries", "p3_quartic"),
     ("ifunction", "p3_quartic"),
     ("ifunction", "p3_eight_hyperplanes"),
+    ("all", "p3_eight_hyperplanes"),
 )
 ORDERS = (16, 32, 64, 128)
 REPEATS = 3

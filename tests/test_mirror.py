@@ -161,6 +161,12 @@ def test_frobenius_pair_refuses_a_bool_order():
         frobenius_pair((1, 1, 1, 1, -4), True)
 
 
+def test_frobenius_pair_needs_order_one():
+    # h = exp(-A1/A0) is formed at order N - 1
+    with pytest.raises(ValueError, match="needs order N >= 1"):
+        frobenius_pair((1, 1, 1, 1, -4), 0)
+
+
 @pytest.mark.parametrize("case", ["quartic", "eight_hyperplanes", "k3"])
 def test_log_solution_jointly_annihilated(case, request):
     pair, ell = _pair(request.getfixturevalue(case), 16)

@@ -91,6 +91,8 @@ ARGS = [
     ({}, ["pf", "{p3_quartic}", "-N", "0"], 2),
     ({}, ["pf", "{p3_quartic}", "-N", "65"], 2),
     ({}, ["yukawa", "{p3_quartic}", "-N", "4", "--normalization", "3/2"], 0),
+    # m = isqrt(5) = 2 divides h's order 4: the reversion forms one more giant power
+    ({}, ["mirror-map", "{p3_quartic}", "-N", "5"], 0),
     ({}, ["yukawa", "{p3_quartic}", "--normalization", "x/y"], 2),
     ({"FRACMIRROR_MAX_N": "x"}, ["pf", "{p3_quartic}"], 2),
     ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{p3_quartic}"], 2),
@@ -102,6 +104,7 @@ _CALLER = "the commands check this earlier, with their own message"
 _JOB = "guards run()'s JobConfig; main's argparse refuses these first"
 _BALANCED = "an accepted input's kernel vector has positive entries that balance its negative ones"
 _IDENTITY = "no input violates the paper's identity (smoothness hypothesis)"
+_FRACTIONS = "the Fraction view that library callers, the tests and perfbench/spans.py read; commands write from the integers"
 
 UNRUN = [
     ("_accel.count_points.<locals>.cut", "return tlo, tlo - 1", "a row that no point of the box meets, which a polytope's own facets never give"),
@@ -118,6 +121,7 @@ UNRUN = [
     ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
     ("linalg.echelon", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("linalg.row_basis", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
+    ("mirror.FrobeniusPair.__init__", 'raise ValueError("a Frobenius pair needs order N >= 1")', _CALLER),
     ("mirror.yukawa_z", 'raise FracmirrorError("Yukawa ODE defined for threefold operators")', _CALLER),
     ("nefpart.NefPartition.__init__", "delta = LatticePolytope(delta)", "a library caller's vertex list; the commands pass a polytope"),
     ("nefpart._derive", 'issues.append(f"part {i} has a non-integer vertex index")', "only validate_nef_partition passes indices unchecked"),
@@ -148,11 +152,14 @@ UNRUN = [
     ("series.RationalSeries.__init__", "vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__setattr__", 'raise AttributeError("series are immutable")', "the guard that keeps a series immutable"),
     ("series.RationalSeries.__truediv__", 'raise FracmirrorError("constant term is not invertible")', _ARGUMENT),
+    ("series.RationalSeries.c", "if self._c is None:", _FRACTIONS),
+    ("series.RationalSeries.c", 'object.__setattr__(self, "_c", tuple(Fraction(a, self.D) for a in self.A))', _FRACTIONS),
+    ("series.RationalSeries.c", "return self._c", _FRACTIONS),
+    ("series.RationalSeries.coeff", "return self.c[n] if 0 <= n <= self.N else _ZERO", _FRACTIONS),
     ("series.RationalSeries.exp", 'raise FracmirrorError("exp needs a zero constant term")', _ARGUMENT),
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),
-    ("series._lagrange", "h = h.truncate(F.N)", "an F shorter than h, which no command passes: a_model_correlation cuts both to N - 1"),
     ("series._order", 'raise TypeError(f"an order must be an integer, got {n!r}")', _ARGUMENT),
     ("series._recurrence", "E *= k", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "U = [u * k for u in U]", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),

@@ -29,7 +29,14 @@ from fracmirror.cli import _json_text
 from fracmirror.cohom import b_series_json, slices_json
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import hypergeometric_series
-from fracmirror.series import RationalSeries, _coeff_strs, _lagrange, fraction_str, parse_fraction
+from fracmirror.series import (
+    RationalSeries,
+    _coeff_strs,
+    _lagrange,
+    _lagrange_powers,
+    fraction_str,
+    parse_fraction,
+)
 
 
 def geometric(N):
@@ -38,8 +45,9 @@ def geometric(N):
 
 def lagrange_reversion(f):
     """The compositional inverse of f (f_0 = 0, f_1 != 0) the way
-    ``mirror.mirror_map`` forms z(q): ``series._lagrange`` of h = w / f(w)."""
-    return _lagrange(RationalSeries(f.c[1:], f.N - 1).inverse(), 1)
+    ``mirror.mirror_map`` forms z(q): ``series._lagrange`` on the powers of
+    h = w / f(w)."""
+    return _lagrange(_lagrange_powers(RationalSeries(f.c[1:], f.N - 1).inverse()), 1)
 
 
 def log(g):
@@ -460,14 +468,14 @@ def _same_triple(s, oracle):
 def test_compose_matches_horner(N, data):
     # Lagrange-Buermann's phi-form, which a_model_correlation reads K(q) off:
     # with x(q) the solution of x = q h(x), F(x(q)) = sum_n q^n [w^n] G h^n
-    # for G = F (1 - theta(h)/h), so _lagrange(h, 0, G) is F composed with
-    # x(q); x(q) is the reversion of w/h(w), and 0 at order 0
+    # for G = F (1 - theta(h)/h), so _lagrange(h's powers, 0, G) is F composed
+    # with x(q); x(q) is the reversion of w/h(w), and 0 at order 0
     F = _draw_series(data.draw, N)
     h = _draw_series(data.draw, N)
     h = h + (data.draw(_canon_coeffs.filter(bool)) - h.coeff(0))
     x = reversion_by_powers(h.inverse().shift(1)) if N else RationalSeries((), 0)
     G = F * (1 + -(h.theta() / h))
-    _same_triple(_lagrange(h, 0, G), compose_by_horner(F, x))
+    _same_triple(_lagrange(_lagrange_powers(h), 0, G), compose_by_horner(F, x))
 
 
 def test_lagrange_truncates_to_the_shorter_factor():
@@ -476,11 +484,12 @@ def test_lagrange_truncates_to_the_shorter_factor():
     # the cut G (22 and 125 at orders 3 and 4 where the full G gives 12, 55)
     h, F = RationalSeries([1, 2, 3, 4, 5], 4), RationalSeries([1] * 5, 4)
     G = F * (1 + -(h.theta() / h))
-    assert _lagrange(h, 0, G).c[3:] == (12, 55)
+    powers = _lagrange_powers(h)
+    assert _lagrange(powers, 0, G).c[3:] == (12, 55)
     for k0, g in ((0, G), (1, RationalSeries([1] * 5, 4))):
-        short = _lagrange(h, k0, g.truncate(2))
+        short = _lagrange(powers, k0, g.truncate(2))
         assert short.N == 2 + k0
-        _same_triple(short, _lagrange(h, k0, g).truncate(2 + k0))
+        _same_triple(short, _lagrange(powers, k0, g).truncate(2 + k0))
 
 
 @pytest.mark.parametrize("N", range(1, 26))

@@ -273,9 +273,9 @@ def _count_lagrange(monkeypatch):
     k0s = []
     lagrange = mirror._lagrange
 
-    def counting(h, k0, *args):
+    def counting(powers, k0, *args):
         k0s.append(k0)
-        return lagrange(h, k0, *args)
+        return lagrange(powers, k0, *args)
 
     monkeypatch.setattr(mirror, "_lagrange", counting)
     return k0s
@@ -347,44 +347,64 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 
 # calls of the Q product kernel per job at N = 4 and N = 16 on the three
 # bundled shapes (the K3 surface has no Yukawa, so its yukawa job forms no
-# product).  A division is one recurrence and forms no product.  The
-# B-series multiplies no two series (z^eps shifts eps-slices) and the
-# I-function only divides (B/A).  The mirror map divides tau/omega0 at
-# z = s x, then forms the powers of the Lagrange reversion in baby and giant
-# steps, m = isqrt(N): h^2..h^m and h^(2m)..h^(jm), jm < N (N = 4: h^2;
-# N = 16: h^2, h^3, h^4, h^8, h^12).  The yukawa job reverts nothing: it
-# forms omega0(s x)^2 for Y in closed form and (1 + theta r)^2, r =
-# tau/omega0 at z = s x, which Y is divided by, the same baby and giant
-# powers of h = exp(-r) at order N - 1, and the m products G h^a of K(q) by
-# Lagrange-Buermann (N = 4: 2 + 1 + 2; N = 16: 2 + 5 + 4).  Moving a series
-# between z and x is an exact rescale, and the product of omega0(s x)^2 with
-# the two-term p4(s x) an O(N) sum, so neither forms a product.
+# product and its all job only its mirror-map section's).  A division is
+# one recurrence and forms no product.  The B-series multiplies no two
+# series (z^eps shifts eps-slices) and the I-function only divides (B/A).
+# The Frobenius pair divides r = tau/omega0 at z = s x and forms the powers
+# of h = exp(-r) at order N - 1 in baby and giant steps, m = isqrt(N):
+# h^2..h^m and h^(2m)..h^(jm), jm < N - 1 (N = 4: h^2; N = 16: h^2, h^3,
+# h^4, h^8, h^12); the mirror map's Lagrange reversion reads them (and one
+# more giant power when m divides N - 1).  The yukawa job reverts nothing:
+# it forms omega0(s x)^2 for Y in closed form and (1 + theta r)^2, which Y
+# is divided by, and the m products G h^a of K(q) by Lagrange-Buermann
+# (N = 4: 2 + 1 + 2; N = 16: 2 + 5 + 4).  An all job forms the powers once
+# for both sections.  Moving a series between z and x is an exact rescale,
+# and the product of omega0(s x)^2 with the two-term p4(s x) an O(N) sum,
+# so neither forms a product.
 _PRODUCTS_PER_JOB = {
-    4: {"bseries": 0, "ifunction": 0, "mirror-map": 1, "yukawa": 5},
-    16: {"bseries": 0, "ifunction": 0, "mirror-map": 5, "yukawa": 11},
+    4: {"bseries": 0, "ifunction": 0, "mirror-map": 1, "yukawa": 5, "all": 5},
+    16: {"bseries": 0, "ifunction": 0, "mirror-map": 5, "yukawa": 11, "all": 11},
 }
 
+# calls of the recurrence behind a division, inverse and exp per job at
+# both orders: ifunction divides B/A; the pair divides r = tau/omega0 and
+# exponentiates -r for h; the mirror map exponentiates r for q = x exp(r);
+# yukawa inverts p4 omega0^2 for Y and divides by (1 + theta r)^2.  An all
+# job forms r and h once for both sections.
+_RECURRENCES_PER_JOB = {"bseries": 0, "ifunction": 1, "mirror-map": 3, "yukawa": 4, "all": 5}
 
-def test_series_products_per_job(monkeypatch):
+
+def _assert_kernel_calls(monkeypatch, name, per_order):
+    """``series.<name>`` runs per_order[N][command] times in a JSON job at N
+    on each bundled shape; on the K3 surface yukawa is skipped and all
+    makes only its mirror-map section's calls."""
     calls = 0
-    product = series._product
+    kernel = getattr(series, name)
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return product(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(series, "_product", counting)
-    for N, expected in _PRODUCTS_PER_JOB.items():
+    monkeypatch.setattr(series, name, counting)
+    for N, expected in per_order.items():
         for shape in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes"):
             for command, count in expected.items():
                 calls = 0
                 config = cli.JobConfig(command=command, input=str(DATA / f"{shape}.json"), N=N, fmt="json")
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     assert cli.run(config) == 0
-                if (shape, command) == ("p2_k3", "yukawa"):
-                    count = 0
+                if shape == "p2_k3" and command in ("yukawa", "all"):
+                    count = expected["mirror-map"] if command == "all" else 0
                 assert (N, shape, command, calls) == (N, shape, command, count)
+
+
+def test_series_products_per_job(monkeypatch):
+    _assert_kernel_calls(monkeypatch, "_product", _PRODUCTS_PER_JOB)
+
+
+def test_series_recurrences_per_job(monkeypatch):
+    _assert_kernel_calls(monkeypatch, "_recurrence", dict.fromkeys(_PRODUCTS_PER_JOB, _RECURRENCES_PER_JOB))
 
 
 def _count_fractions(monkeypatch, build):
@@ -434,8 +454,9 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
         "scalar product": lambda: a * x,
         "inverse": a.inverse,
         "exp": f.exp,
-        "Lagrange reversion": lambda: series._lagrange(h, 1),
-        "Lagrange phi-form": lambda: series._lagrange(h, 0, b),
+        "Lagrange powers": lambda: series._lagrange_powers(h),
+        "Lagrange reversion": lambda: series._lagrange(series._lagrange_powers(h), 1),
+        "Lagrange phi-form": lambda: series._lagrange(series._lagrange_powers(h), 0, b),
         "theta": a.theta,
         "shift": lambda: a.shift(2),
         "truncate": lambda: a.truncate(N - 3),
