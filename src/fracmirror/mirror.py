@@ -14,8 +14,8 @@ the eps-slices at z = s x are the untwisted I-function in x
 A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
 and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
 only where ``_dilate`` rescales a series between x and z.  The pair forms
-r = A1/A0 and the baby and giant powers of h = exp(-r) at order N - 1 once
-(``series._lagrange_powers``), and both the mirror map and K(q) read them.
+r = A1/A0, h = exp(-r) and h's baby and giant powers once, at order N - 1,
+the order every reader takes; the mirror map reads q = x/h and K(q) r.
 
 The B-model Yukawa solves theta(Y) = g Y with g = -p3/(2 p4) from the
 degree-4 operator.  There p3 = (F_3, -G_3) and p4 = (1, -G_4).  F_3 is 0
@@ -33,7 +33,6 @@ neither reverted nor composed.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .cohom import i_function_untwisted
 from .errors import FracmirrorError
@@ -53,18 +52,20 @@ __all__ = [
 class FrobeniusPair:
     """omega0 and the non-log part tau of omega1 = omega0 log z + tau, in
     x = z/s: A0(x) = omega0(s x) and A1(x) = tau(s x), with the integer
-    scale s absorbing the constant shift of log z.  ``r`` = A1/A0, and
-    ``powers`` are the ``_lagrange`` powers of h = exp(-r) at order N - 1."""
+    scale s absorbing the constant shift of log z.  N is A0's order; ``r``
+    = A1/A0 and ``h`` = exp(-r) have order N - 1, the order every reader
+    takes, and ``powers`` are the ``_lagrange`` powers of h."""
 
-    def __init__(self, A0, A1, scale, N):
-        if N < 1:
+    def __init__(self, A0, A1, scale):
+        if A0.N < 1:
             raise ValueError("a Frobenius pair needs order N >= 1")
         self.A0 = A0
         self.A1 = A1
         self.scale = scale
-        self.N = N
-        self.r = A1 / A0
-        self.powers = _lagrange_powers((-self.r.truncate(N - 1)).exp())
+        self.N = A0.N
+        self.r = A1.truncate(A0.N - 1) / A0
+        self.h = (-self.r).exp()
+        self.powers = _lagrange_powers(self.h)
 
 
 class YukawaData:
@@ -87,7 +88,7 @@ def frobenius_pair(ell, N):
     """(A0, A1, s) for a rank-1 kernel vector: the first two slices of the
     untwisted I-function in x = z/s, s = ``gkz.kernel_scale(ell)``."""
     A0, A1 = i_function_untwisted(ell, 2, N)
-    return FrobeniusPair(A0=A0, A1=A1, scale=kernel_scale(ell), N=A0.N)
+    return FrobeniusPair(A0=A0, A1=A1, scale=kernel_scale(ell))
 
 
 def _dilate(f, p, q=1):
@@ -97,43 +98,38 @@ def _dilate(f, p, q=1):
 
 
 def mirror_map(pair):
-    """(q(z), z(q)) as exact series: q = x exp(r), reverted in x by Lagrange,
-    [q^k] x(q) = (1/k) [w^(k-1)] h^k with h = exp(-r) read off the pair's
-    powers; then q(z) = q(x = z/s) and z(q) = s x(q)."""
-    s = pair.scale
-    return _dilate(pair.r.exp().shift(1), 1, s), _lagrange(pair.powers, 1) * s
+    """(q(z), z(q)) to the pair's order N: q = x exp(r) = x/h, 1/h at order
+    N - 1 times x, reverted in x by Lagrange, [q^k] x(q) = (1/k) [w^(k-1)] h^k
+    off the pair's powers of h; then q(z) = q(x = z/s) and z(q) = s x(q)."""
+    s, e = pair.scale, pair.h.inverse()
+    return _dilate(_make((0, *e.A), e.D, pair.N), 1, s), _lagrange(pair.powers, 1) * s
 
 
 def yukawa_z(op, pair, C):
-    """B-model Yukawa Y_z = C/(p4 omega0^2) to the pair's order, the solution
-    C exp(antitheta g)/omega0^2 of theta(Y) = g Y, g = -p3/(2 p4), formed in
-    x as Y_x = C/(p4(s x) A0^2) and returned as Y_z(z) = Y_x(z/s).  The
-    closed form needs p3 = 2 theta(p4), which ``theta_conjugate``'s
-    operators meet whenever the residue p3(0) vanishes (module docstring); a
-    nonzero residue or another degree raises ``FracmirrorError``."""
+    """B-model Yukawa Y_z = C/(p4 omega0^2), p4 over p4(0), to the pair's
+    order: the solution C exp(antitheta g)/omega0^2 of theta(Y) = g Y,
+    g = -p3/(2 p4), formed in x as Y_x = C/(A0^2 + (p4[1] s/p4[0]) x A0^2)
+    and returned as Y_z(z) = Y_x(z/s).  The closed form needs
+    p3 = 2 theta(p4), met when the residue p3(0) vanishes (module
+    docstring); else, or at another degree, it raises ``FracmirrorError``."""
     if op.degree != 4:
         raise FracmirrorError("Yukawa ODE defined for threefold operators")
     p3, p4 = op.z_polys[3], op.z_polys[4]
     if p3[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
     s, sq = pair.scale, pair.A0 * pair.A0
-    P = [c / p4[0] * s**j for j, c in enumerate(p4)]  # p4(s x)/p4(0)
-    L = lcm(*(c.denominator for c in P))
-    P = [c.numerator * (L // c.denominator) for c in P]
-    W = [sum(P[j] * sq.A[n - j] for j in range(min(n + 1, len(P)))) for n in range(sq.N + 1)]
-    Y_x = _make(W, sq.D * L, sq.N).inverse() * Fraction(C)
+    Y_x = (sq + sq.shift(1) * (p4[1] / p4[0] * s)).inverse() * Fraction(C)
     return _dilate(Y_x, 1, s)
 
 
 def a_model_correlation(op, pair, C):
     """A-model correlation K(q) = Y_z(z(q)) (theta_q log z(q))^3, formed in
     x = z/s as [q^n] K = [w^n] G h^n with G = Y_x/(1 + theta r)^2, by
-    ``series._lagrange`` on the pair's r and powers of h = exp(-r).  The
-    q-series has order N - 1, N = pair.N."""
-    N = pair.N
+    ``series._lagrange`` on the pair's r and powers of h = exp(-r), both of
+    order N - 1, N = pair.N, so the q-series has order N - 1."""
     Y = yukawa_z(op, pair, C)
-    t = pair.r.truncate(N - 1).theta() + 1
-    G = _dilate(Y.truncate(N - 1), pair.scale) / (t * t)
+    t = pair.r.theta() + 1
+    G = _dilate(Y, pair.scale) / (t * t)
     return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange(pair.powers, 0, G))
 
 

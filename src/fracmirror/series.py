@@ -190,6 +190,9 @@ class RationalSeries:
         return self.c[n] if 0 <= n <= self.N else _ZERO
 
     def truncate(self, N):
+        N = _order(N)
+        if N < 0:
+            raise ValueError("truncation order must be nonnegative")
         if N > self.N:
             raise FracmirrorError("cannot extend a truncated series")
         return self if N == self.N else _make(self.A, self.D, N)

@@ -13,7 +13,8 @@ product with 8 rays), a flat, a one-point and a zero-dimensional delta,
 ``p4_311`` and the 13
 ``perfbench/gen.py`` shapes in the identity frame and in one seeded frame.
 It prints the SHA-256 of the (exit code, stdout, stderr) of every run, in
-a fixed order, and the number of runs per exit code.  The inputs
+a fixed order, and the number of runs per exit code; ``digest`` returns
+both, and ``tests/test_output_digest.py`` pins them.  The inputs
 are always this checkout's, so two checkouts agree exactly when their
 outputs do.  The name keeps pytest from collecting it.
 """
@@ -88,11 +89,13 @@ def inputs(folder):
     return found
 
 
-def main(argv):
-    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else ROOT / "src"))
+def digest():
+    """(SHA-256 hex digest, {exit code: runs}) of every run of the
+    ``fracmirror`` package on the import path; the codes are strings, as
+    JSON keys."""
     from fracmirror.cli import main as cli_main
 
-    digest, codes = hashlib.sha256(), Counter()
+    sha, codes = hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as folder:
         for label, path in inputs(folder):
             for command in COMMANDS:
@@ -102,10 +105,16 @@ def main(argv):
                         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                             code = cli_main([command, str(path), "-N", str(N), "--format", fmt])
                         record = [label, command, fmt, N, code, out.getvalue(), err.getvalue()]
-                        digest.update(json.dumps(record).encode() + b"\n")
+                        sha.update(json.dumps(record).encode() + b"\n")
                         codes[code] += 1
-    print(digest.hexdigest())
-    print(json.dumps({str(code): count for code, count in sorted(codes.items())}))
+    return sha.hexdigest(), {str(code): count for code, count in sorted(codes.items())}
+
+
+def main(argv):
+    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else ROOT / "src"))
+    hexdigest, codes = digest()
+    print(hexdigest)
+    print(json.dumps(codes))
 
 
 if __name__ == "__main__":

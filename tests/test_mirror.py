@@ -161,6 +161,17 @@ def test_frobenius_pair_refuses_a_bool_order():
         frobenius_pair((1, 1, 1, 1, -4), True)
 
 
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_frobenius_pair_forms_r_and_h_at_order_n_minus_one(quartic, N):
+    # every reader takes r and h to order N - 1: the mirror map's q = x/h
+    # and z(q), and K(q); h is the first baby power that Lagrange reads
+    pair, _ = _pair(quartic, N)
+    assert pair.N == N and pair.r.N == pair.h.N == N - 1
+    assert pair.powers[0][1] is pair.h
+    assert pair.h == (-pair.r).exp()
+    assert mirror_map(pair)[0].N == N
+
+
 def test_frobenius_pair_needs_order_one():
     # h = exp(-A1/A0) is formed at order N - 1
     with pytest.raises(ValueError, match="needs order N >= 1"):

@@ -160,6 +160,7 @@ UNRUN = [
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),
+    ("series.RationalSeries.truncate", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
     ("series._order", 'raise TypeError(f"an order must be an integer, got {n!r}")', _ARGUMENT),
     ("series._recurrence", "E *= k", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "U = [u * k for u in U]", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),

@@ -515,6 +515,12 @@ def test_truncation_divides_out_the_content_of_the_prefix():
     assert (s.A, s.D) == ((1,), 2)
 
 
+def test_truncate_refuses_a_negative_order():
+    # as the constructor does; an order -1 series has no coefficients at all
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        RationalSeries([1, 2, 3]).truncate(-1)
+
+
 # ----------------------------------------------------------- nilpotent part
 
 
@@ -526,8 +532,9 @@ def test_truncation_divides_out_the_content_of_the_prefix():
         lambda: EpsPoly(2.7, (1, 2)),
         lambda: hypergeometric_series((), 2.9, 1),
         lambda: hypergeometric_series((), 2, 1.5),
+        lambda: RationalSeries([1, 2, 3]).truncate(1.0),
     ],
-    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
+    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N", "truncate-N"],
 )
 def test_orders_refuse_floats(build):
     # a float order is refused, not truncated to int
@@ -543,8 +550,9 @@ def test_orders_refuse_floats(build):
         lambda: EpsPoly(True, (1, 2)),
         lambda: hypergeometric_series((), True, 1),
         lambda: hypergeometric_series((), 2, True),
+        lambda: RationalSeries([1, 2, 3]).truncate(True),
     ],
-    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N"],
+    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N", "truncate-N"],
 )
 def test_orders_refuse_bools(build):
     # a bool is an int subclass, but True is no series order

@@ -368,25 +368,29 @@ _PRODUCTS_PER_JOB = {
 
 # calls of the recurrence behind a division, inverse and exp per job at
 # both orders: ifunction divides B/A; the pair divides r = tau/omega0 and
-# exponentiates -r for h; the mirror map exponentiates r for q = x exp(r);
-# yukawa inverts p4 omega0^2 for Y and divides by (1 + theta r)^2.  An all
-# job forms r and h once for both sections.
+# exponentiates -r for h; the mirror map inverts h for q = x/h; yukawa
+# inverts p4 omega0^2 for Y and divides by (1 + theta r)^2.  An all job
+# forms r and h once for both sections.
 _RECURRENCES_PER_JOB = {"bseries": 0, "ifunction": 1, "mirror-map": 3, "yukawa": 4, "all": 5}
 
+# calls of RationalSeries.exp per job at both orders: h = exp(-r) in the
+# Frobenius pair, and no other; q = x/h forms no exp(r)
+_EXPS_PER_JOB = {"bseries": 0, "ifunction": 0, "mirror-map": 1, "yukawa": 1, "all": 1}
 
-def _assert_kernel_calls(monkeypatch, name, per_order):
-    """``series.<name>`` runs per_order[N][command] times in a JSON job at N
+
+def _assert_kernel_calls(monkeypatch, name, per_order, owner=series):
+    """``owner.<name>`` runs per_order[N][command] times in a JSON job at N
     on each bundled shape; on the K3 surface yukawa is skipped and all
     makes only its mirror-map section's calls."""
     calls = 0
-    kernel = getattr(series, name)
+    kernel = getattr(owner, name)
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return kernel(*args)
 
-    monkeypatch.setattr(series, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     for N, expected in per_order.items():
         for shape in ("p2_k3", "p3_quartic", "p3_eight_hyperplanes"):
             for command, count in expected.items():
@@ -405,6 +409,11 @@ def test_series_products_per_job(monkeypatch):
 
 def test_series_recurrences_per_job(monkeypatch):
     _assert_kernel_calls(monkeypatch, "_recurrence", dict.fromkeys(_PRODUCTS_PER_JOB, _RECURRENCES_PER_JOB))
+
+
+def test_series_exps_per_job(monkeypatch):
+    per_order = dict.fromkeys(_PRODUCTS_PER_JOB, _EXPS_PER_JOB)
+    _assert_kernel_calls(monkeypatch, "exp", per_order, owner=series.RationalSeries)
 
 
 def _count_fractions(monkeypatch, build):
