@@ -10,7 +10,7 @@ extended; at the last axis this cut is exact, and the count adds the
 lengths of the last-axis intervals.
 """
 
-import operator
+from .errors import _as_ints
 
 __all__ = ["backend_name", "count_points"]
 
@@ -31,11 +31,10 @@ def count_points(lo, hi, A, c):
     """Count integer points in the box subject to ``A x + c >= 0``.
 
     ``lo``/``hi`` are int sequences (inclusive bounds) of length d >= 1,
-    ``A`` an m x d int matrix, ``c`` length-m ints; a float raises TypeError.
+    ``A`` an m x d int matrix, ``c`` length-m ints (``errors._as_ints``).
     """
-    ints = operator.index  # takes Python and NumPy ints, refuses floats
-    lo, hi, c = ([ints(v) for v in x] for x in (lo, hi, c))
-    A = [[ints(v) for v in row] for row in A]
+    lo, hi = _as_ints(lo, "box bound"), _as_ints(hi, "box bound")
+    c, A = _as_ints(c, "constraint entry"), [_as_ints(row, "constraint entry") for row in A]
     d = len(lo)
     cols = [[row[j] for row in A] for j in range(d)]
     # reach[j][i]: the largest value row i gains over axes j..d-1 in the box

@@ -23,7 +23,7 @@ from .cohom import (
     i_weights_from_kernel,
     slices_json,
 )
-from .errors import FracmirrorError, InvalidNefPartition
+from .errors import FracmirrorError, InvalidNefPartition, _as_int
 from .gkz import build_gkz, simplex_kernel_vector
 from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
@@ -377,14 +377,13 @@ def run(config):
     try:
         if config.command not in _DISPATCH:
             raise _InputError(f"unknown command {config.command!r}")
-        if type(config.N) is not int:
-            raise _InputError(f"series order N must be an integer, got {config.N!r}")
-        if config.N < 1:
+        N = _as_int(config.N, "series order N")
+        if N < 1:
             raise _InputError("series order N must be at least 1")
         cap = _max_order()
-        if config.N > cap:
+        if N > cap:
             raise _InputError(
-                f"series order N = {config.N} exceeds the cap {cap} "
+                f"series order N = {N} exceeds the cap {cap} "
                 "(set FRACMIRROR_MAX_N to raise it)"
             )
         if config.fmt not in ("json", "table"):
@@ -395,7 +394,7 @@ def run(config):
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise _InputError(f"bad normalization: {exc}") from exc
         data = _load(config.input)
-    except _InputError as exc:
+    except (_InputError, TypeError) as exc:  # a TypeError here is a bad JobConfig field
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

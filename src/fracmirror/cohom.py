@@ -27,9 +27,8 @@ instead of 3k.
 from math import gcd
 from operator import floordiv
 
-from .errors import FracmirrorError
+from .errors import FracmirrorError, _as_ints
 from .gkz import hypergeometric_series, kernel_scale
-from .series import _order
 
 __all__ = [
     "deformed_solution",
@@ -134,7 +133,7 @@ def i_weights_from_kernel(ell):
     denominator weight k; each positive entry contributes its own value to
     the denominator.  A bool or float entry raises TypeError.
     """
-    ell = tuple(map(_order, ell))
+    ell = _as_ints(ell, "kernel entry")
     num = tuple(-2 * le for le in ell if le < 0)
     return num, tuple(sorted(abs(le) for le in ell if le))
 
@@ -155,8 +154,10 @@ def i_function_mirror_map(I):
     """The series part B/A of the mirror map t(q) = log q + B(q)/A(q).
 
     A is the eps^0 slice and B the eps^1 slice of the I-function, a tuple
-    of slices; A must be a unit (constant term 1).
+    of at least two slices; A must be a unit (constant term 1).
     """
+    if len(I) < 2:
+        raise FracmirrorError("the mirror map reads the eps^1 slice of the I-function: m >= 2")
     A, B = I[0], I[1]
     if A.A[0] != A.D:  # c_0 == 1 in canonical form
         raise FracmirrorError("eps^0 slice of the I-function is not a unit")

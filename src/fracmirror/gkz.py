@@ -31,7 +31,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .series import _make, _order, fraction_str
+from .errors import _as_int, _as_ints
+from .series import _make, fraction_str
 
 # The exponent of every distinguished column (every ray column has 0)
 EXPONENT = Fraction(-1, 2)
@@ -141,7 +142,7 @@ def simplex_kernel_vector(data):
 
 def kernel_scale(ell):
     """The scale s = 4^(sum k) of x = z/s, over the negative entries -k of ell."""
-    return 4 ** -sum(le for le in map(_order, ell) if le < 0)
+    return 4 ** -sum(le for le in _as_ints(ell, "kernel entry") if le < 0)
 
 
 class Slices(Sequence):
@@ -173,7 +174,7 @@ def hypergeometric_series(ell, m, N, scale=1):
             / prod_(l_e>0) prod_(j=0)^(l_e n - 1) (1 + l_e eps + j),   k_e = -l_e,
 
     the factors of the exponents: base -EXPONENT on each distinguished column,
-    1 on each ray column.  Entries are read as by ``series._order``.
+    1 on each ray column.  Each int is read by ``errors._as_int``; m >= 1.
 
     The negative entries are exactly the distinguished columns: the n + 1
     rays span R^n with the origin in their interior, so their one relation
@@ -192,11 +193,13 @@ def hypergeometric_series(ell, m, N, scale=1):
     by (1 + l t)^r, U_i is scaled by x^(m-1-i) and E by x^(m-1+r).  That is
     exact, and the one division per order is by gcd(E, *U).
     """
-    m, N, scale = _order(m), _order(N), _order(scale)
+    m, N = _as_int(m, "nilpotency order m"), _as_int(N, "order N")
+    scale, ell = _as_int(scale, "scale"), _as_ints(ell, "kernel entry")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
+    if m < 1:
+        raise ValueError("nilpotency order m must be at least 1")
     p, q = -EXPONENT.numerator, EXPONENT.denominator  # the base -EXPONENT = p/q
-    ell = tuple(map(_order, ell))
     num = [-le for le in ell if le < 0]
     den = Counter(le for le in ell if le > 0).items()
     a_den = q ** sum(num)

@@ -1,8 +1,8 @@
 """Exact integer linear algebra on lists of Python ints.
 
-A matrix is a sequence of equal-length rows of Python or NumPy ints (a float
-raises TypeError, never truncated); results are lists of rows of Python ints,
-so nothing ever overflows.  ``echelon`` triangularizes by unimodular 2×2
+A matrix is a sequence of equal-length rows of ints (``errors._as_ints``: a
+float raises TypeError, never truncated); results are lists of rows of Python
+ints, so nothing ever overflows.  ``echelon`` triangularizes by unimodular 2×2
 gcd row steps; its transform gives saturated kernels.  ``row_basis`` is one
 fraction-free Gauss–Jordan elimination (Bareiss 1968) of the rows taken as
 columns: it finds their lex-first basis S and a transform E with
@@ -10,6 +10,8 @@ S·Eᵀ = d·I, the seed of a double-description pass.  No rational is formed.
 """
 
 import operator
+
+from .errors import _as_ints
 
 __all__ = [
     "exgcd",
@@ -54,7 +56,7 @@ def row_basis(M):
         t = len(idx)
         if t == k:
             break
-        row = tuple(map(operator.index, row))
+        row = _as_ints(row, "matrix entry")
         if len(row) != k:
             raise ValueError("matrix rows must have equal length")
         c = [sum(map(operator.mul, e, row)) for e in E]
@@ -84,7 +86,7 @@ def echelon(M):
     (x, y; −q, p) applied to the rows of both A and U (Cohen, *A Course in
     Computational Algebraic Number Theory*, §2.4).
     """
-    A = [[operator.index(x) for x in row] for row in M]
+    A = [_as_ints(row, "matrix entry") for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     if any(len(row) != n for row in A):

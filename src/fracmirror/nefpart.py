@@ -56,10 +56,9 @@ c_g = L / h_g and C_i = sum_(g in I_i) c_g:
 import functools
 import itertools
 from math import lcm
-from operator import index
 
-from .errors import InvalidNefPartition
-from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _pairing, _require_ints
+from .errors import InvalidNefPartition, _as_ints
+from .polytope import LatticePolytope, _dd_extreme_rays, _dot, _pairing
 
 __all__ = [
     "NefPartition",
@@ -73,13 +72,9 @@ def _part_vertices(delta, part_rays, all_rays):
     """The lex-sorted vertices of Delta_i: the rays with t = 1 of its DD cut,
     where the rays in ``part_rays`` (nonempty: ``_derive`` reports an empty
     part first) get offset 1 and the rest of ``all_rays`` offset 0."""
-    part = {tuple(map(index, rho)) for rho in part_rays}
-    n = delta.ambient_dim
-    rows = []
-    for rho in all_rays:
-        rho = tuple(map(index, rho))
-        rows.append(rho + (1 if rho in part else 0,))
-    rows.append(tuple([0] * n) + (1,))
+    part, n = set(part_rays), delta.ambient_dim
+    rows = [rho + (1 if rho in part else 0,) for rho in all_rays]
+    rows.append((0,) * n + (1,))
     verts = []
     for ray, _ in _dd_extreme_rays(rows):
         m, t = ray[:-1], ray[-1]
@@ -145,7 +140,7 @@ def _simplex_nabla_dual(rays, parts, labels):
 
 
 def _derive(delta, parts):
-    """Check a proposed nef-partition, cutting out the Delta_i on the way.
+    """Check a proposed nef-partition of int indices, cutting out the Delta_i.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
     ``(rays, part_vertices, relation, labels)`` with ``relation`` the
@@ -169,9 +164,7 @@ def _derive(delta, parts):
             issues.append(f"part {i} is empty")
         repeats = []
         for idx in part:
-            if type(idx) is not int:
-                issues.append(f"part {i} has a non-integer vertex index")
-            elif not 0 <= idx < k:
+            if not 0 <= idx < k:
                 issues.append(f"part {i} has an out-of-range vertex index")
             elif idx not in home:
                 home[idx] = i
@@ -226,16 +219,14 @@ def _sums_to(delta, part_vertices):
 
 
 def validate_nef_partition(delta, parts):
-    """Diagnostics for a proposed nef-partition; empty list means valid."""
+    """Diagnostics for a proposed nef-partition, empty when it is valid; a part
+    with an index that ``errors._as_ints`` refuses is named, not raised."""
+    for i, part in enumerate(parts):
+        try:
+            _as_ints(part, "part index")
+        except TypeError:
+            return [f"part {i} has a non-integer vertex index"]
     return _derive(delta, parts)[0]
-
-
-def _part_index(j):
-    """A part index as an int; a float or a bool is refused, as by
-    ``series._order``."""
-    if isinstance(j, bool):
-        raise TypeError(f"a part index must be an integer, got {j!r}")
-    return index(j)
 
 
 class NefPartition:
@@ -256,7 +247,7 @@ class NefPartition:
     def __init__(self, delta, parts):
         if not isinstance(delta, LatticePolytope):
             delta = LatticePolytope(delta)
-        parts = tuple(tuple(sorted(map(_part_index, part))) for part in parts)
+        parts = tuple(tuple(sorted(_as_ints(part, "part index"))) for part in parts)
         issues, built = _derive(delta, parts)
         if issues:
             raise InvalidNefPartition("; ".join(issues))
@@ -312,8 +303,6 @@ class NefPartition:
         parts = d["parts"]
         if not isinstance(parts, list) or not all(isinstance(part, list) for part in parts):
             raise ValueError('"parts" must be a list of index lists')
-        for part in parts:
-            _require_ints(part, "part index")
         return cls(LatticePolytope.from_dict(d["delta"]), parts)
 
 

@@ -15,9 +15,9 @@ for the factored display.
 
 from fractions import Fraction
 
-from .errors import FracmirrorError
+from .errors import FracmirrorError, _as_ints
 from .gkz import EXPONENT
-from .series import _order, fraction_str
+from .series import fraction_str
 
 __all__ = [
     "ThetaOperator",
@@ -99,7 +99,7 @@ def theta_conjugate(ell):
     ``gkz.EXPONENT`` of their distinguished columns.  The result is
     normalized by the leading coefficient of F.  Both run on ints, G's
     factors times q; their product Q joins the lead in the final Fractions.
-    Each entry is read as by ``series._order``.
+    The entries are read by the integer rule (``errors._as_ints``).
     """
     f_poly = [1]
     f_roots = []
@@ -107,7 +107,7 @@ def theta_conjugate(ell):
     g_roots = []
     Q = 1
     p, q = EXPONENT.numerator, EXPONENT.denominator
-    for le in map(_order, ell):
+    for le in _as_ints(ell, "kernel entry"):
         if le > 0:
             for m in range(le):
                 f_poly = _poly_mul(f_poly, [-m, le])

@@ -44,7 +44,7 @@ import math
 import operator
 
 from . import _accel, linalg
-from .errors import FracmirrorError
+from .errors import FracmirrorError, _as_int, _as_ints
 
 __all__ = [
     "LatticePolytope",
@@ -63,18 +63,11 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
-def _require_ints(values, what):
-    """Reject JSON input that ``int()`` would coerce: floats, bools, strings."""
-    for x in values:
-        if type(x) is not int:
-            raise ValueError(f"{what} {x!r} is not an integer")
-
-
 def _dd_extreme_rays(rows, seed=None):
     """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}, with
     the rows each one is tight on.
 
-    ``rows`` are integer tuples (floats raise TypeError) spanning the ambient
+    ``rows`` are int sequences (``errors._as_ints``) spanning the ambient
     space R^k (pointed dual cone).  Zero and repeated rows are dropped; bit i
     of a mask stands for the i-th distinct nonzero row, which is row i when
     the rows are distinct and nonzero.  ``seed`` is ``linalg.row_basis`` of
@@ -93,7 +86,7 @@ def _dd_extreme_rays(rows, seed=None):
     """
     index = {}
     for r in rows:
-        t = tuple(map(operator.index, r))
+        t = _as_ints(r, "row entry")
         if any(t):
             index.setdefault(t, len(index))
     rows = list(index)
@@ -197,12 +190,10 @@ class LatticePolytope:
     )
 
     def __init__(self, points, ambient_dim=None):
-        # operator.index takes Python and NumPy ints and rejects floats and
-        # Fractions instead of truncating them
-        pts = sorted({tuple(map(operator.index, p)) for p in points})
+        pts = sorted({_as_ints(p, "vertex coordinate") for p in points})
         if not pts:
             raise ValueError("no points: a polytope needs at least one point")
-        D = len(pts[0]) if ambient_dim is None else operator.index(ambient_dim)
+        D = len(pts[0]) if ambient_dim is None else _as_int(ambient_dim, "ambient_dim")
         if any(len(p) != D for p in pts):
             raise ValueError("points have inconsistent dimension")
         self.ambient_dim = D
@@ -354,15 +345,12 @@ class LatticePolytope:
     def from_dict(cls, d):
         if not isinstance(d, dict) or "dim" not in d or "vertices" not in d:
             raise ValueError('polytope JSON needs "dim" and "vertices"')
-        _require_ints([d["dim"]], "dim")
-        verts = d["vertices"]
+        dim, verts = _as_int(d["dim"], "dim"), d["vertices"]
         if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
             raise ValueError('"vertices" must be a list of coordinate lists')
-        for v in verts:
-            _require_ints(v, "vertex coordinate")
-        dim, lengths = d["dim"], {len(v) for v in verts}
         if dim < 0:
             raise ValueError(f'"dim" is {dim}: it must be nonnegative')
+        lengths = {len(v) for v in verts}
         if len(lengths) == 1 and dim not in lengths:
             raise ValueError(f'"dim" is {dim} but the vertices have {lengths.pop()} coordinates')
         return cls(verts, ambient_dim=dim)

@@ -27,9 +27,9 @@ reduced ``Fraction``s (``c``, ``coeff``) are built once.
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import index, mul
+from operator import mul
 
-from .errors import FracmirrorError
+from .errors import FracmirrorError, _as_int
 
 __all__ = ["RationalSeries", "parse_fraction", "fraction_str"]
 
@@ -37,19 +37,12 @@ _ZERO = Fraction(0)
 
 
 def parse_fraction(x):
-    """Accept int, Fraction, or 'p/q' string; a float or a bool is refused."""
+    """Accept a Fraction, a 'p/q' string or an int (``errors._as_int``)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
+    if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def _order(n):
-    """n as an int; a float or a bool is refused, as by ``parse_fraction``."""
-    if isinstance(n, bool):
-        raise TypeError(f"an order must be an integer, got {n!r}")
-    return index(n)
+    return Fraction(_as_int(x, "scalar"))
 
 
 def fraction_str(q):
@@ -163,7 +156,7 @@ class RationalSeries:
 
     def __init__(self, coeffs=(), N=None):
         vals = [parse_fraction(x) for x in coeffs]
-        N = max(len(vals) - 1, 0) if N is None else _order(N)
+        N = max(len(vals) - 1, 0) if N is None else _as_int(N, "order N")
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
         vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))
@@ -187,10 +180,10 @@ class RationalSeries:
         return self._c
 
     def coeff(self, n):
-        return self.c[n] if 0 <= n <= self.N else _ZERO
+        return self.c[n] if 0 <= _as_int(n, "index n") <= self.N else _ZERO
 
     def truncate(self, N):
-        N = _order(N)
+        N = _as_int(N, "order N")
         if N < 0:
             raise ValueError("truncation order must be nonnegative")
         if N > self.N:
@@ -240,6 +233,7 @@ class RationalSeries:
 
     def shift(self, j):
         """Multiply by z^j (j >= 0), truncating at the same order."""
+        j = _as_int(j, "shift j")
         if j < 0:
             raise FracmirrorError("division by z is not defined for truncated series")
         return _make((0,) * j + self.A, self.D, self.N)

@@ -18,10 +18,11 @@ collecting it.
 
 ``--against OTHER/src`` imports both packages into this one process: every
 import inside ``src/fracmirror`` is relative, so OTHER's package is copied
-under a second name.  Each of 9 repetitions of a job runs on both, in an
-order that alternates, so a swing in the machine's speed reaches both
-sides alike.  A cell is the ratio src/OTHER of the two best times,
-followed by those times in ms.
+under a second name.  Each of 9 repetitions of a job runs on both, back to
+back in an order that alternates, so a swing in the machine's speed reaches
+both sides of one repetition alike.  A cell is the median over the
+repetitions of the ratio src/OTHER within each, followed by the two best
+times in ms.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ import importlib
 import io
 import os
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -60,7 +62,7 @@ def _wall(cli_main, argv):
 
 
 def table(mains, repeats=REPEATS):
-    """{"command input": {N: [best of ``repeats`` wall times in ms, one per main]}}.
+    """{"command input": {N: [the ``repeats`` wall times in ms, one list per main]}}.
 
     With two mains, repetition i runs them in the order given when i is
     even and reversed when it is odd.
@@ -70,12 +72,12 @@ def table(mains, repeats=REPEATS):
         argv = [command, str(ROOT / "data" / f"{name}.json"), "--format", "json"]
         row = rows[f"{command} {name}"] = {}
         for N in ORDERS:
-            best = [float("inf")] * len(mains)
+            times = [[] for _ in mains]
             for i in range(repeats):
                 order = range(len(mains)) if i % 2 == 0 else reversed(range(len(mains)))
                 for k in order:
-                    best[k] = min(best[k], _wall(mains[k], argv + ["-N", str(N)]))
-            row[N] = [round(b * 1e3, 2) for b in best]
+                    times[k].append(_wall(mains[k], argv + ["-N", str(N)]) * 1e3)
+            row[N] = times
     return rows
 
 
@@ -87,9 +89,13 @@ def _import_as(src, name, tmp):
 
 
 def _cell(times):
+    """The best time in ms; with two mains, the median of the per-repetition
+    ratios first, then both best times."""
+    best = [round(min(t), 2) for t in times]
     if len(times) == 1:
-        return f"{times[0]:g}"
-    return f"{times[0] / times[1]:.3f} ({times[0]:g} / {times[1]:g})"
+        return f"{best[0]:g}"
+    ratio = statistics.median(a / b for a, b in zip(*times))
+    return f"{ratio:.3f} ({best[0]:g} / {best[1]:g})"
 
 
 def main(argv):
@@ -107,7 +113,7 @@ def main(argv):
     else:
         with tempfile.TemporaryDirectory() as tmp:
             rows = table([cli_main, _import_as(against, "fracmirror_against", tmp)], AGAINST_REPEATS)
-        print(f"ratio src / {against}, then both best times in ms")
+        print(f"median ratio src / {against} over the repetitions, then both best times in ms")
     print("| command | " + " | ".join(f"N={N}" for N in ORDERS) + " |")
     print("| --- |" + " --- |" * len(ORDERS))
     for label, row in rows.items():

@@ -12,13 +12,13 @@ from typing import NamedTuple
 
 from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
-from fracmirror.errors import FracmirrorError, InvalidNefPartition
+from fracmirror.errors import FracmirrorError, InvalidNefPartition, _as_int
 from fracmirror.gkz import Slices
 from fracmirror.mirror import YukawaData, _dilate
 from fracmirror.nefpart import _part_vertices
 from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import RationalSeries, _coeff_strs, _make, _order
+from fracmirror.series import RationalSeries, _coeff_strs, _make
 
 
 def product_term_by_term(a, b):
@@ -128,7 +128,7 @@ def yukawa_ode_rhs(op, N):
     """
     if op.degree != 4:
         raise FracmirrorError("Yukawa ODE defined for threefold operators")
-    N = _order(N)
+    N = _as_int(N, "order N")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     p3, p4 = op.z_polys[3], op.z_polys[4]
@@ -710,7 +710,7 @@ class EpsPoly:
     arithmetic of the eps-loops and of the cohomology pairing below."""
 
     def __init__(self, m, coeffs=()):
-        m = _order(m)
+        m = _as_int(m, "nilpotency order m")
         c = [Fraction(x) for x in coeffs][:m]
         self.m, self.c = m, tuple(c + [Fraction(0)] * (m - len(c)))
 

@@ -52,11 +52,14 @@ def test_zero_dimensional_and_empty_boxes():
             LatticePolytope(points).lattice_point_count()
     assert _accel.count_points([0], [-1], [], []) == 0
     # a float bound or coefficient is refused, not truncated ([0, 2.9] would
-    # count 3 points)
+    # count 3 points), and a bool is not an int
     with pytest.raises(TypeError):
         _accel.count_points([0], [2.9], [], [])
     with pytest.raises(TypeError):
         _accel.count_points([0], [2], [[1.5]], [0])
+    # nor is a bool read as 0 or 1 (the box below counted 6 points)
+    with pytest.raises(TypeError, match="box bound False is not an integer"):
+        _accel.count_points([False, -1], [True, 1], [[1, 0]], [True])
 
 
 def test_offsets_past_int64_stay_exact():

@@ -82,6 +82,18 @@ def test_kernel_refuses_a_negative_order(build):
         build()
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: hypergeometric_series(_QUARTIC, 0, 3), ValueError, "nilpotency order m must be at least 1"),
+    (lambda: deformed_solution(_QUARTIC, 3, 0), ValueError, "nilpotency order m must be at least 1"),
+    (lambda: i_function_untwisted(_QUARTIC, -1, 3), ValueError, "nilpotency order m must be at least 1"),
+    (lambda: i_function_mirror_map(i_function_untwisted(_QUARTIC, 1, 3)), FracmirrorError, r"eps\^1 slice"),
+], ids=["kernel", "deformed", "I-function", "I-function mirror map"])
+def test_kernel_refuses_too_few_slices(build, error, message):
+    # rather than an IndexError from an empty slice list or a missing slice
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_deformed_slices_are_frobenius_tower(quartic):
     # the pair is the same two slices at z = s x
     ell = _kernel_vector(quartic)

@@ -134,6 +134,8 @@ def test_independent_rows_span_in_order():
         independent_rows([[1, 0], [0.5, 1]])
     with pytest.raises(TypeError):
         linalg.row_basis([[1, 0], [0.5, 1]])
+    with pytest.raises(TypeError, match="matrix entry True is not an integer"):
+        linalg.row_basis([[1, 0], [True, 1]])
     with pytest.raises(ValueError):
         linalg.row_basis([[1, 0], [1]])
 
@@ -253,6 +255,8 @@ def test_echelon_against_smith_oracle():
 def test_echelon_refuses_floats_and_ragged_rows():
     with pytest.raises(TypeError):
         linalg.echelon([[1, 0], [0.5, 1]])
+    with pytest.raises(TypeError, match="matrix entry False is not an integer"):
+        linalg.echelon([[1, False], [0, 1]])
     with pytest.raises(ValueError):
         linalg.echelon([[1, 0], [1]])
 

@@ -157,7 +157,7 @@ def test_frobenius_pair_refuses_floats(ell):
 
 
 def test_frobenius_pair_refuses_a_bool_order():
-    with pytest.raises(TypeError, match="order must be an integer"):
+    with pytest.raises(TypeError, match="order N True is not an integer"):
         frobenius_pair((1, 1, 1, 1, -4), True)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, set_partitions
 
@@ -97,20 +98,21 @@ def test_float_rays_and_part_indices_are_refused():
 
 def test_bool_part_indices_are_refused():
     # True and False are ints to ``operator.index``, so they would load as
-    # the parts (0, 1, 2, 3); they are refused as ``series._order`` refuses
-    # a bool order
+    # the parts (0, 1, 2, 3); the integer rule refuses them as it refuses a
+    # bool order
     delta = LatticePolytope(QUARTIC)
     for parts in ([[True, False, 2, 3]], [[0, 1, 2], [True]]):
-        with pytest.raises(TypeError, match="a part index must be an integer"):
+        with pytest.raises(TypeError, match="part index (True|False) is not an integer"):
             NefPartition(delta, parts)
 
 
 def test_validate_names_non_integer_part_indices():
     # validate_nef_partition takes the indices as given: a bool passed
     # isinstance(idx, int) and a float was called out of range; two bad
-    # indices in one part give one message
+    # indices in one part give one message, and a NumPy int is an index
     delta = LatticePolytope(QUARTIC)
     message = "part 0 has a non-integer vertex index"
+    assert validate_nef_partition(delta, [[np.int64(0), 1, 2, np.int32(3)]]) == []
     assert validate_nef_partition(delta, [[True, False, 2, 3]]) == [message]
     assert validate_nef_partition(delta, [[1.0, 0, 2, 3]]) == [message]
     assert validate_nef_partition(delta, [[0, 1, 2, 3.5]]) == [message]

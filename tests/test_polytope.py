@@ -672,26 +672,32 @@ def test_incidence_vertices_match_rank_oracle():
 
 
 def test_coordinates_must_be_integers():
-    # a float or a Fraction coordinate is refused, not truncated; NumPy ints
-    # are integers
+    # a float, a Fraction or a bool coordinate is refused, not truncated or
+    # read as 0 or 1; NumPy ints are integers
     with pytest.raises(TypeError):
         LatticePolytope([(0, 0), (1.7, 0), (0, 1)])
     with pytest.raises(TypeError):
         LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
     with pytest.raises(TypeError):
         LatticePolytope([(0, 0), (1, 0)], ambient_dim=2.0)
+    with pytest.raises(TypeError, match="vertex coordinate True is not an integer"):
+        LatticePolytope([(True, False), (False, True), (-1, -1)])
+    with pytest.raises(TypeError, match="ambient_dim True is not an integer"):
+        LatticePolytope([(1,), (-1,)], ambient_dim=True)
     P = LatticePolytope([(0, 0), (np.int64(1), 0), (0, np.int32(1))])
     assert P.vertices == ((0, 0), (0, 1), (1, 0))
     assert all(type(x) is int for v in P.vertices for x in v)
 
 
 def test_extreme_rays_refuse_float_rows():
-    # (1.7, 0) is refused, not truncated to the row (1, 0); NumPy ints are
-    # integers
+    # (1.7, 0) is refused, not truncated to the row (1, 0), and (True, 0) is
+    # not read as it; NumPy ints are integers
     with pytest.raises(TypeError):
         _dd_extreme_rays([(1.7, 0), (0, 1)])
     with pytest.raises(TypeError):
         _dd_extreme_rays([(Fraction(1, 2), 0), (0, 1)])
+    with pytest.raises(TypeError, match="row entry True is not an integer"):
+        _dd_extreme_rays([(True, 0), (0, 1)])
     assert _dd_extreme_rays([(np.int64(1), 0), (0, np.int32(1))]) == (((0, 1), 0b01), ((1, 0), 0b10))
 
 

@@ -72,6 +72,7 @@ REJECTED = {
     "flat": _quartic(vertices=[[1, 0, 0], [0, 1, 0], [-1, -1, 0]]),
     "float_coordinate": _quartic(vertices=[[3.9, -1, -1], [-1, 3, -1], [-1, -1, 3], [-1, -1, -1]]),
     "negative_dim": _quartic(dim=-1),
+    "float_dim": _quartic(dim=3.5),
     "wrong_dim": _quartic(dim=2),
     "no_vertices": _quartic(vertices=[]),
     "vertices_not_lists": _quartic(vertices=5),
@@ -104,6 +105,7 @@ _CALLER = "the commands check this earlier, with their own message"
 _JOB = "guards run()'s JobConfig; main's argparse refuses these first"
 _BALANCED = "an accepted input's kernel vector has positive entries that balance its negative ones"
 _IDENTITY = "no input violates the paper's identity (smoothness hypothesis)"
+_VALIDATE = "perfbench/test_perfbench.py checks its inputs with it; the commands load through NefPartition"
 _FRACTIONS = "the Fraction view that library callers, the tests and perfbench/spans.py read; commands write from the integers"
 
 UNRUN = [
@@ -112,22 +114,25 @@ UNRUN = [
     ("cli._json_text", 'raise TypeError(f"Object of type {t.__name__} is not JSON serializable")', "json.dumps' TypeError for what it would not write exactly, as test_cli checks"),
     ("cli._json_text", 'return "[]"', "json.dumps' empty list, which no payload holds; test_cli compares with json.dumps"),
     ("cli._json_text", 'return "{}"', "json.dumps' empty dict, which no payload holds; test_cli compares with json.dumps"),
-    ("cli.run", 'raise _InputError(f"series order N must be an integer, got {config.N!r}")', _JOB),
     ("cli.run", 'raise _InputError(f"unknown command {config.command!r}")', _JOB),
     ("cli.run", 'raise _InputError(f"unknown format {config.fmt!r}")', _JOB),
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("eps^0 slice of the I-function is not a unit")', _ARGUMENT),
+    ("cohom.i_function_mirror_map", 'raise FracmirrorError("the mirror map reads the eps^1 slice of the I-function: m >= 2")', _ARGUMENT),
     ("gkz.hypergeometric_series", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
+    ("gkz.hypergeometric_series", 'raise ValueError("nilpotency order m must be at least 1")', _ARGUMENT),
     ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
     ("linalg.echelon", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("linalg.row_basis", 'raise ValueError("matrix rows must have equal length")', _ARGUMENT),
     ("mirror.FrobeniusPair.__init__", 'raise ValueError("a Frobenius pair needs order N >= 1")', _CALLER),
     ("mirror.yukawa_z", 'raise FracmirrorError("Yukawa ODE defined for threefold operators")', _CALLER),
     ("nefpart.NefPartition.__init__", "delta = LatticePolytope(delta)", "a library caller's vertex list; the commands pass a polytope"),
-    ("nefpart._derive", 'issues.append(f"part {i} has a non-integer vertex index")', "only validate_nef_partition passes indices unchecked"),
     ("nefpart._derive", 'return ["delta is not a lattice polytope"], None', "only validate_nef_partition passes a delta unchecked"),
-    ("nefpart._part_index", 'raise TypeError(f"a part index must be an integer, got {j!r}")', _CALLER),
-    ("nefpart.validate_nef_partition", "return _derive(delta, parts)[0]", "perfbench/test_perfbench.py checks its inputs with it"),
+    ("nefpart.validate_nef_partition", "for i, part in enumerate(parts):", _VALIDATE),
+    ("nefpart.validate_nef_partition", "try:", _VALIDATE),
+    ("nefpart.validate_nef_partition", '_as_ints(part, "part index")', _VALIDATE),
+    ("nefpart.validate_nef_partition", 'return [f"part {i} has a non-integer vertex index"]', _VALIDATE),
+    ("nefpart.validate_nef_partition", "return _derive(delta, parts)[0]", _VALIDATE),
     ("picard_fuchs.theta_conjugate", "raise FracmirrorError(", _BALANCED),
     ("picard_fuchs.theta_conjugate", 'raise FracmirrorError("unsupported shape: no positive kernel entries")', _BALANCED),
     ("polytope.LatticePolytope.__eq__", "return (", _EQUALITY),
@@ -144,7 +149,7 @@ UNRUN = [
     ("series.RationalSeries.__eq__", "return False", _EQUALITY),
     ("series.RationalSeries.__hash__", "return hash((self.N, self.A, self.D))", "the hash that goes with __eq__"),
     ("series.RationalSeries.__init__", "D = lcm(*(x.denominator for x in vals))  # so gcd(D, *A) == 1", "the constructor that validates its values; commands use _make"),
-    ("series.RationalSeries.__init__", "N = max(len(vals) - 1, 0) if N is None else _order(N)", "the constructor that validates its values; commands use _make"),
+    ("series.RationalSeries.__init__", 'N = max(len(vals) - 1, 0) if N is None else _as_int(N, "order N")', "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "if N < 0:", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", 'raise ValueError("truncation order must be nonnegative")', "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N, tuple(vals))", "the constructor that validates its values; commands use _make"),
@@ -155,17 +160,15 @@ UNRUN = [
     ("series.RationalSeries.c", "if self._c is None:", _FRACTIONS),
     ("series.RationalSeries.c", 'object.__setattr__(self, "_c", tuple(Fraction(a, self.D) for a in self.A))', _FRACTIONS),
     ("series.RationalSeries.c", "return self._c", _FRACTIONS),
-    ("series.RationalSeries.coeff", "return self.c[n] if 0 <= n <= self.N else _ZERO", _FRACTIONS),
+    ("series.RationalSeries.coeff", 'return self.c[n] if 0 <= _as_int(n, "index n") <= self.N else _ZERO', _FRACTIONS),
     ("series.RationalSeries.exp", 'raise FracmirrorError("exp needs a zero constant term")', _ARGUMENT),
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise FracmirrorError("cannot extend a truncated series")', _ARGUMENT),
     ("series.RationalSeries.truncate", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
-    ("series._order", 'raise TypeError(f"an order must be an integer, got {n!r}")', _ARGUMENT),
     ("series._recurrence", "E *= k", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "U = [u * k for u in U]", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
     ("series._recurrence", "k = t // gcd(E, t)", "a rescale no kernel's coefficients need yet (ROADMAP item 14)"),
-    ("series.parse_fraction", 'raise TypeError(f"cannot interpret {x!r} as a rational number")', _ARGUMENT),
     ("topology.euler_double_cover", "raise SmoothnessError(", _IDENTITY),
     ("topology.euler_double_cover", "raise SmoothnessError(", _IDENTITY),
     ("topology.hodge_numbers", 'raise FracmirrorError("odd Euler characteristic for a threefold")', _IDENTITY),

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,8 +72,11 @@ def test_fraction_text_round_trip():
 
 
 def test_fraction_str_refuses_floats():
-    # 0.5 is refused, not printed as the fraction it happens to equal
+    # 0.5 is refused, not printed as the fraction it happens to equal; a
+    # NumPy int is an int
     assert fraction_str(2) == "2" and fraction_str("6/4") == "3/2"
+    assert parse_fraction(np.int64(-3)) == -3 and type(parse_fraction(np.int64(3)).numerator) is int
+    assert RationalSeries([np.int64(1), 2]) == RationalSeries([1, 2])
     with pytest.raises(TypeError):
         fraction_str(0.5)
 
@@ -551,12 +555,14 @@ def test_orders_refuse_floats(build):
         lambda: hypergeometric_series((), True, 1),
         lambda: hypergeometric_series((), 2, True),
         lambda: RationalSeries([1, 2, 3]).truncate(True),
+        lambda: RationalSeries([1, 2, 3]).shift(True),
+        lambda: RationalSeries([1, 2, 3]).coeff(True),
     ],
-    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N", "truncate-N"],
+    ids=["series-N", "zero-N", "epspoly-m", "nilpotent-m", "nilpotent-N", "truncate-N", "shift-j", "coeff-n"],
 )
 def test_orders_refuse_bools(build):
-    # a bool is an int subclass, but True is no series order
-    with pytest.raises(TypeError, match="order must be an integer"):
+    # a bool is an int subclass, but True is no series order, shift or index
+    with pytest.raises(TypeError, match="(order [mN]|shift j|index n) (True|False) is not an integer"):
         build()
 
 
