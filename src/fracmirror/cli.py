@@ -25,7 +25,7 @@ from .cohom import (
 )
 from .errors import FracmirrorError, InvalidNefPartition, _as_int
 from .gkz import build_gkz, simplex_kernel_vector
-from .mirror import _dilate, a_model_correlation, frobenius_pair, mirror_map
+from .mirror import a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
 from .series import _coeff_strs, fraction_str, parse_fraction
@@ -67,10 +67,11 @@ def _max_order():
     return cap
 
 
-def _series_text(s, var):
+def _series_text(doc, var):
+    """The table's sum of terms of a series from its JSON ``doc``."""
     pieces = [
         c if n == 0 else f"{c}*{var}" if n == 1 else f"{c}*{var}^{n}"
-        for n, c in enumerate(_coeff_strs(s.A, s.D))
+        for n, c in enumerate(doc["coeffs"])
         if c != "0"
     ]
     return " + ".join(pieces) or "0"
@@ -260,22 +261,23 @@ def _cmd_pf(ctx):
 
 
 def _cmd_mirror_map(ctx):
+    # the series are in x = z/s; each is written in z as it is printed
     pair = ctx.pair
-    q_of_z, z_of_q = mirror_map(pair)
-    omega0, tau = (_dilate(A, 1, pair.scale) for A in (pair.A0, pair.A1))
+    s = pair.scale
+    q, x = mirror_map(pair)
     payload = {
-        "scale": pair.scale,
-        "omega0": omega0.to_json(),
-        "tau": tau.to_json(),
-        "q_of_z": q_of_z.to_json(),
-        "z_of_q": z_of_q.to_json(),
+        "scale": s,
+        "omega0": pair.A0.to_json(s),
+        "tau": pair.A1.to_json(s),
+        "q_of_z": q.to_json(s),
+        "z_of_q": {"N": x.N, "coeffs": _coeff_strs([a * s for a in x.A], x.D)},
     }
     return payload, lambda: [
-        f"scale s = {pair.scale}",
-        f"omega0(z) = {_series_text(omega0, 'z')}",
-        f"tau(z) = {_series_text(tau, 'z')}",
-        f"q(z) = {_series_text(q_of_z, 'z')}",
-        f"z(q) = {_series_text(z_of_q, 'q')}",
+        f"scale s = {s}",
+        f"omega0(z) = {_series_text(payload['omega0'], 'z')}",
+        f"tau(z) = {_series_text(payload['tau'], 'z')}",
+        f"q(z) = {_series_text(payload['q_of_z'], 'z')}",
+        f"z(q) = {_series_text(payload['z_of_q'], 'q')}",
     ]
 
 
@@ -288,12 +290,11 @@ def _cmd_yukawa(ctx):
             lambda: [f"skipped: {reason} (operator degree {op.degree})"],
         )
     C = _normalization(ctx.config)
-    ydata = a_model_correlation(op, ctx.pair, C)
-    payload = ydata.to_json()
+    payload = a_model_correlation(op, ctx.pair, C).to_json()
     return payload, lambda: [
-        f"normalization C = {fraction_str(ydata.C)}",
-        f"Y_z(z) = {_series_text(ydata.Y_z, 'z')}",
-        f"K(q) = {_series_text(ydata.K_q, 'q')}",
+        f"normalization C = {payload['C']}",
+        f"Y_z(z) = {_series_text(payload['Y_z'], 'z')}",
+        f"K(q) = {_series_text(payload['K_q'], 'q')}",
     ]
 
 
@@ -313,8 +314,8 @@ def _cmd_ifunction(ctx):
     }
     return payload, lambda: [
         f"weights: numerator {list(num)}, denominator {list(den)}",
-        f"A(q) = {_series_text(I[0], 'q')}",
-        f"B/A (mirror map series) = {_series_text(ratio, 'q')}",
+        f"A(q) = {_series_text(I[0].to_json(), 'q')}",
+        f"B/A (mirror map series) = {_series_text(payload['mirror_map_series'], 'q')}",
     ]
 
 
@@ -334,7 +335,7 @@ def _cmd_bseries(ctx):
     }
     return payload, lambda: [
         f"ring: Q[eps]/(eps^{d}), integral scale {C}",
-        f"eps^0 slice (omega0) = {_series_text(B[0], 'z')}",
+        f"eps^0 slice (omega0) = {_series_text(B[0].to_json(), 'z')}",
         f"log-degree = {len(B) - 1}",
     ]
 

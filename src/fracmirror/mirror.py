@@ -12,8 +12,10 @@ prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j) prod_(j=0)^(M-1) (a + 1/2 + 
 the eps-slices at z = s x are the untwisted I-function in x
 (``cohom.i_function_untwisted``), so the pair is its first two slices:
 A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
-and A1(x) = tau(s x).  Then q = x exp(A1 / A0) and z(q) = s x(q); s enters
-only where ``_dilate`` rescales a series between x and z.  The pair forms
+and A1(x) = tau(s x).  Then q = x exp(A1 / A0), and every series here stays
+in x: ``mirror_map`` returns q(x) and x(q), ``yukawa_z`` Y_x(x) = Y_z(s x).
+s enters only where they are written (``series._coeff_strs``), as
+q(z) = q(x = z/s), z(q) = s x(q) and Y_z(z) = Y_x(z/s).  The pair forms
 r = A1/A0, h = exp(-r) and h's baby and giant powers once, at order N - 1,
 the order every reader takes; the mirror map reads q = x/h and K(q) r.
 
@@ -69,17 +71,19 @@ class FrobeniusPair:
 
 
 class YukawaData:
-    """Normalization constant, B-model Yukawa in z, A-model series in q."""
+    """Normalization constant, B-model Yukawa Y_x in x = z/scale, A-model
+    series in q; the JSON writes Y_z(z) = Y_x(z/scale)."""
 
-    def __init__(self, C, Y_z, K_q):
+    def __init__(self, C, Y_x, K_q, scale):
         self.C = C
-        self.Y_z = Y_z
+        self.Y_x = Y_x
         self.K_q = K_q
+        self.scale = scale
 
     def to_json(self):
         return {
             "C": fraction_str(self.C),
-            "Y_z": self.Y_z.to_json(),
+            "Y_z": self.Y_x.to_json(self.scale),
             "K_q": self.K_q.to_json(),
         }
 
@@ -91,25 +95,20 @@ def frobenius_pair(ell, N):
     return FrobeniusPair(A0=A0, A1=A1, scale=kernel_scale(ell))
 
 
-def _dilate(f, p, q=1):
-    """f(p z / q) for ints p, q > 0: [A_n p^n q^(N-n)] over D q^N."""
-    N = f.N
-    return _make([a * p**n * q ** (N - n) for n, a in enumerate(f.A)], f.D * q**N, N)
-
-
 def mirror_map(pair):
-    """(q(z), z(q)) to the pair's order N: q = x exp(r) = x/h, 1/h at order
-    N - 1 times x, reverted in x by Lagrange, [q^k] x(q) = (1/k) [w^(k-1)] h^k
-    off the pair's powers of h; then q(z) = q(x = z/s) and z(q) = s x(q)."""
-    s, e = pair.scale, pair.h.inverse()
-    return _dilate(_make((0, *e.A), e.D, pair.N), 1, s), _lagrange(pair.powers, 1) * s
+    """(q(x), x(q)) in x = z/s to the pair's order N: q = x exp(r) = x/h, 1/h
+    at order N - 1 times x, reverted by Lagrange, [q^k] x(q) =
+    (1/k) [w^(k-1)] h^k off the pair's powers of h.  In z, q(z) = q(x = z/s)
+    and z(q) = s x(q)."""
+    e = pair.h.inverse()
+    return _make((0, *e.A), e.D, pair.N), _lagrange(pair.powers, 1)
 
 
 def yukawa_z(op, pair, C):
     """B-model Yukawa Y_z = C/(p4 omega0^2), p4 over p4(0), to the pair's
     order: the solution C exp(antitheta g)/omega0^2 of theta(Y) = g Y,
-    g = -p3/(2 p4), formed in x as Y_x = C/(A0^2 + (p4[1] s/p4[0]) x A0^2)
-    and returned as Y_z(z) = Y_x(z/s).  The closed form needs
+    g = -p3/(2 p4), formed and returned in x = z/s as Y_x(x) = Y_z(s x) =
+    C/(A0^2 + (p4[1] s/p4[0]) x A0^2).  The closed form needs
     p3 = 2 theta(p4), met when the residue p3(0) vanishes (module
     docstring); else, or at another degree, it raises ``FracmirrorError``."""
     if op.degree != 4:
@@ -117,9 +116,8 @@ def yukawa_z(op, pair, C):
     p3, p4 = op.z_polys[3], op.z_polys[4]
     if p3[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    s, sq = pair.scale, pair.A0 * pair.A0
-    Y_x = (sq + sq.shift(1) * (p4[1] / p4[0] * s)).inverse() * Fraction(C)
-    return _dilate(Y_x, 1, s)
+    sq = pair.A0 * pair.A0
+    return (sq + sq.shift(1) * (p4[1] / p4[0] * pair.scale)).inverse() * Fraction(C)
 
 
 def a_model_correlation(op, pair, C):
@@ -129,8 +127,8 @@ def a_model_correlation(op, pair, C):
     order N - 1, N = pair.N, so the q-series has order N - 1."""
     Y = yukawa_z(op, pair, C)
     t = pair.r.theta() + 1
-    G = _dilate(Y, pair.scale) / (t * t)
-    return YukawaData(C=Fraction(C), Y_z=Y, K_q=_lagrange(pair.powers, 0, G))
+    K = _lagrange(pair.powers, 0, Y / (t * t))
+    return YukawaData(C=Fraction(C), Y_x=Y, K_q=K, scale=pair.scale)
 
 
 holo_solution = yukawa_ode_rhs = None  # for perfbench/spans.py until ROADMAP item 5

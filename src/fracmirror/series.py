@@ -26,6 +26,7 @@ reduced ``Fraction``s (``c``, ``coeff``) are built once.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -115,14 +116,16 @@ def _lagrange(powers, k0, F=None):
     return _make([p * (D // q) for p, q in zip(nums, dens)], D, N)
 
 
-def _coeff_strs(A, D):
-    """``fraction_str`` of each A_n / D for ints A and D > 0: the numerators
-    themselves when D == 1, else one gcd per coefficient, so A and D need
-    not be in lowest terms."""
-    if D == 1:
+def _coeff_strs(A, D, s=1):
+    """``fraction_str`` of each A_n / (D s^n) for ints A, D > 0 and s > 0, so
+    a series f in x = z/s is written as f(z/s) in z: the numerators
+    themselves when D == s == 1, else one gcd per coefficient, so A and D
+    need not be in lowest terms."""
+    if D == s == 1:
         return list(map(str, A))
-    G = map(gcd, A, [D] * len(A))
-    return [str(a // g) if g == D else f"{a // g}/{D // g}" for a, g in zip(A, G)]
+    dens = list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
+    G = map(gcd, A, dens)
+    return [str(a // g) if g == d else f"{a // g}/{d // g}" for a, d, g in zip(A, dens, G)]
 
 
 def _make(A, D, N):
@@ -255,8 +258,9 @@ class RationalSeries:
     def __hash__(self):
         return hash((self.N, self.A, self.D))
 
-    def to_json(self):
-        return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D)}
+    def to_json(self, s=1):
+        """The coefficients as text; with a scale s, those of self(z/s)."""
+        return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D, s)}
 
 
 _Series = RationalSeries  # for perfbench/spans.py until ROADMAP item 5

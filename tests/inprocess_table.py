@@ -20,12 +20,15 @@ collecting it.
 import inside ``src/fracmirror`` is relative, so OTHER's package is copied
 under a second name.  Each of 9 repetitions of a job runs on both, back to
 back in an order that alternates, so a swing in the machine's speed reaches
-both sides of one repetition alike.  A cell is the median over the
-repetitions of the ratio src/OTHER within each, followed by the two best
-times in ms.
+both sides of one repetition alike.  Each repetition starts with
+``gc.collect()``, so the garbage of earlier calls is collected between
+pairs, not inside a timed call of one side.  A cell is the
+median over the repetitions of the ratio src/OTHER within each, followed by
+the two best times in ms.
 """
 
 import contextlib
+import gc
 import importlib
 import io
 import os
@@ -65,7 +68,8 @@ def table(mains, repeats=REPEATS):
     """{"command input": {N: [the ``repeats`` wall times in ms, one list per main]}}.
 
     With two mains, repetition i runs them in the order given when i is
-    even and reversed when it is odd.
+    even and reversed when it is odd; each repetition starts with a full
+    garbage collection.
     """
     rows = {}
     for command, name in JOBS:
@@ -74,6 +78,7 @@ def table(mains, repeats=REPEATS):
         for N in ORDERS:
             times = [[] for _ in mains]
             for i in range(repeats):
+                gc.collect()
                 order = range(len(mains)) if i % 2 == 0 else reversed(range(len(mains)))
                 for k in order:
                     times[k].append(_wall(mains[k], argv + ["-N", str(N)]) * 1e3)

@@ -14,7 +14,7 @@ from fracmirror import linalg
 from fracmirror.cohom import deformed_solution
 from fracmirror.errors import FracmirrorError, InvalidNefPartition, _as_int
 from fracmirror.gkz import Slices
-from fracmirror.mirror import YukawaData, _dilate
+from fracmirror.mirror import YukawaData
 from fracmirror.nefpart import _part_vertices
 from fracmirror.picard_fuchs import ThetaOperator
 from fracmirror.polytope import LatticePolytope
@@ -59,6 +59,14 @@ def exp_term_by_term(f):
             acc += k * f.c[k] * out[n - k]
         out[n] = acc / n
     return RationalSeries(out, f.N)
+
+
+def dilate(f, p, q=1):
+    """f(p z / q) for ints p, q > 0, as one series op: [A_n p^n q^(N-n)] over
+    D q^N, reduced.  The package writes a series in x = z/s as f(z/s)
+    coefficient by coefficient (``series._coeff_strs``) instead."""
+    N = f.N
+    return _make([a * p**n * q ** (N - n) for n, a in enumerate(f.A)], f.D * q**N, N)
 
 
 def scale_arg(f, s):
@@ -142,27 +150,28 @@ def yukawa_ode_rhs(op, N):
     return _make([-v * b ** (N - n) for n, v in enumerate(V)], 2 * b ** (N + 1), N)
 
 
-def a_model_correlation_by_composition(op, pair, z_of_q, C):
+def a_model_correlation_by_composition(op, pair, x_of_q, C):
     """``mirror.a_model_correlation`` by solving theta(Y) = g Y and composing:
     Y_x = C exp(antitheta g_x) / A0^2 with g_x(x) = g(s x) from the integer
     recurrence ``yukawa_ode_rhs``, then K = Y_x(x(q)) (theta_q log x(q))^3 with
-    x(q) = z(q)/s, the inverse mirror map ``z_of_q`` over the scale."""
+    x(q) = z(q)/s, the inverse mirror map in x."""
     N, s = pair.N, pair.scale
     g = yukawa_ode_rhs(op, N)
     if g.A[0]:
         raise FracmirrorError("Yukawa ODE has a nonzero residue at z = 0")
-    Y_x = antitheta(_dilate(g, s)).exp() * Fraction(C) / (pair.A0 * pair.A0)
-    x_of_q = z_of_q.truncate(N) * Fraction(1, s)
+    Y_x = antitheta(dilate(g, s)).exp() * Fraction(C) / (pair.A0 * pair.A0)
+    x_of_q = x_of_q.truncate(N)
     # v = x(q)/q, a unit series in q of order N-1; theta_q log v = theta(v)/v
     v = RationalSeries(x_of_q.c[1:], N - 1)
     dlog = v.theta() / v + 1
     K = compose_by_horner(Y_x, x_of_q).truncate(N - 1) * (dlog * dlog * dlog)
-    return YukawaData(C=Fraction(C), Y_z=_dilate(Y_x, 1, s), K_q=K)
+    return YukawaData(C=Fraction(C), Y_x=Y_x, K_q=K, scale=s)
 
 
 def a_model_correlation_in_z(op, ell, N, z_of_q, C):
     """K(q) = Y_z(z(q)) (theta_q log z(q))^3 computed in z, with
-    Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z."""
+    Y_z = C exp(antitheta g) / omega0^2 and theta(Y_z) = g Y_z; Y_z is
+    kept as it is, at scale 1."""
     omega0, _, s = frobenius_pair_in_z(ell, N)
     g = yukawa_ode_rhs_by_division(op, N)
     Y = antitheta(g).exp() * Fraction(C) / (omega0 * omega0)
@@ -170,7 +179,7 @@ def a_model_correlation_in_z(op, ell, N, z_of_q, C):
     v = RationalSeries(z_of_q.c[1 : N + 1], N - 1) * Fraction(1, s)
     dlog = v.theta() / v + 1
     K = compose_by_horner(Y, z_of_q.truncate(N)).truncate(N - 1) * dlog * dlog * dlog
-    return YukawaData(C=Fraction(C), Y_z=Y, K_q=K)
+    return YukawaData(C=Fraction(C), Y_x=Y, K_q=K, scale=1)
 
 
 def antitheta(f):
@@ -662,6 +671,38 @@ def dk_intersection_euler(part_polytopes, n):
         lam = pyramid_over(cayley_polytope(chosen))
         total += (-1) ** (n + size) * lam.normalized_volume()
     return total
+
+
+def chi_complete_intersection(k, degrees):
+    """chi of a general complete intersection of hypersurfaces of the given
+    degrees in P^k: [H^k] (1 + H)^(k+1) prod_d d H/(1 + d H) (Hirzebruch,
+    "Topological methods in algebraic geometry", 1966), on ints truncated
+    at H^k; 0 when there are more than k hypersurfaces."""
+    c = [math.comb(k + 1, j) for j in range(k + 1)]
+    for d in degrees:
+        for j in range(1, k + 1):  # divide by 1 + d H
+            c[j] -= d * c[j - 1]
+        c = [0] + [d * x for x in c[:k]]  # times d H
+    return c[k]
+
+
+def chi_cover_by_strata(n, degrees):
+    """chi(Y) of the double cover of P^n branched along r general
+    hypersurfaces of the given degrees and the n + 1 coordinate hyperplanes:
+    2 chi(P^n) - chi(B), with chi(B) of their union B by inclusion-exclusion
+    over its components.  The stratum of t hyperplanes (t <= n) and the
+    hypersurfaces of a set S is a complete intersection in P^(n - t)
+    (``chi_complete_intersection``); the n + 1 hyperplanes meet nowhere.
+    No polytope is read."""
+    chi_B = 0
+    for t in range(n + 1):
+        for j in range(len(degrees) + 1):
+            if t + j:
+                sign, ways = (-1) ** (t + j + 1), math.comb(n + 1, t)
+                chi_B += sign * ways * sum(
+                    chi_complete_intersection(n - t, S) for S in itertools.combinations(degrees, j)
+                )
+    return 2 * (n + 1) - chi_B
 
 
 def euler_snc_union_oracle(chi_X, strata):

@@ -32,6 +32,7 @@ from oracles import (
     SpanHull,
     apply,
     compose_by_horner,
+    dilate,
     euler_snc_union_oracle,
     frobenius_residue,
     lattice_transform,
@@ -150,8 +151,10 @@ def test_criterion_05_picard_fuchs(quartic, eight_hyperplanes):
 def test_criterion_06_mirror_map(quartic):
     t0 = time.perf_counter()
     _, _, pair = _chain(quartic, 10)
-    q_of_z, z_of_q = mirror_map(pair)
+    q_of_x, x_of_q = mirror_map(pair)
     elapsed = time.perf_counter() - t0
+    # the package keeps both in x = z/s: q(z) = q(x = z/s), z(q) = s x(q)
+    q_of_z, z_of_q = dilate(q_of_x, 1, pair.scale), x_of_q * pair.scale
     # the two expansions are mutually inverse, so the q^3 coefficient below
     # is the unique value compatible with the z(q) coefficients (Lagrange
     # inversion); asserting both pins the consistency

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     EpsPoly,
     box_annihilation_check,
+    dilate,
     gkz_kernel_by_echelon,
     gkz_solution_terms,
     hypergeometric_term_by_term,
@@ -33,7 +34,6 @@ from fracmirror.gkz import (
     kernel_scale,
     simplex_kernel_vector,
 )
-from fracmirror.mirror import _dilate
 from fracmirror.nefpart import NefPartition
 from fracmirror.picard_fuchs import theta_conjugate
 from fracmirror.polytope import LatticePolytope
@@ -325,7 +325,7 @@ def test_hypergeometric_series_scale_is_a_dilation():
             plain = hypergeometric_series(ell, m, N)
             for s in (1, 2, 6, 4 ** rng.randint(1, 4)):
                 scaled = hypergeometric_series(ell, m, N, scale=s)
-                assert tuple(scaled) == tuple(_dilate(S, s) for S in plain), (ell, m, N, s)
+                assert tuple(scaled) == tuple(dilate(S, s) for S in plain), (ell, m, N, s)
                 checked += 1
     assert checked == 1200
 

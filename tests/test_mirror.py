@@ -31,7 +31,6 @@ from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz
 from fracmirror.mirror import (
     FrobeniusPair,
-    _dilate,
     a_model_correlation,
     frobenius_pair,
     mirror_map,
@@ -46,6 +45,7 @@ from oracles import (
     a_model_correlation_in_z,
     apply,
     compose_by_horner,
+    dilate,
     eisenstein_e4,
     gamma0_2_hauptmodul,
     i_function_by_weights,
@@ -66,6 +66,12 @@ from test_nefpart import _random_set_partitions
 def _pair(data, N=10):
     [ell] = build_gkz(data).kernel
     return frobenius_pair(ell, N), ell
+
+
+def _z_forms(pair):
+    """q(z) = q(x = z/s) and z(q) = s x(q) from the package's x-forms."""
+    q, x = mirror_map(pair)
+    return dilate(q, 1, pair.scale), x * pair.scale
 
 
 def _in_z(pair):
@@ -190,7 +196,7 @@ def test_log_solution_jointly_annihilated(case, request):
 
 def test_mirror_map_quartic(quartic):
     pair, _ = _pair(quartic)
-    q, z = mirror_map(pair)
+    q, z = _z_forms(pair)
     assert [q.coeff(n) for n in (1, 2, 3)] == [
         Fraction(1, 256),
         Fraction(247, 1024),
@@ -201,7 +207,7 @@ def test_mirror_map_quartic(quartic):
 
 def test_mirror_map_k3(k3):
     pair, _ = _pair(k3)
-    q, _ = mirror_map(pair)
+    q, _ = _z_forms(pair)
     assert [q.coeff(n) for n in (1, 2, 3)] == [
         Fraction(1, 64),
         Fraction(93, 512),
@@ -227,14 +233,14 @@ def test_mirror_map_against_inline_formulas(case, s, request):
     b2 = -q2 / q1**3
     b3 = (2 * q2 * q2 - q1 * q3) / q1**5
     b4 = (5 * q1 * q2 * q3 - q1 * q1 * q4 - 5 * q2**3) / q1**7
-    q, z = mirror_map(pair)
+    q, z = _z_forms(pair)
     assert [q.coeff(n) for n in (1, 2, 3, 4)] == [q1, q2, q3, q4]
     assert [z.coeff(n) for n in (1, 2, 3, 4)] == [b1, b2, b3, b4]
 
 
 def test_mirror_map_round_trip(quartic):
     pair, _ = _pair(quartic)
-    q, z = mirror_map(pair)
+    q, z = _z_forms(pair)
     assert matches(compose_by_horner(q, z), RationalSeries((0, 1), 10), 8)
     assert matches(compose_by_horner(z, q), RationalSeries((0, 1), 10), 8)
 
@@ -248,14 +254,15 @@ def test_z_of_q_is_the_reversion_of_q_of_x(quartic, eight_hyperplanes, N):
         pair, _ = _pair(data, N)
         q_of_x = (pair.A1 / pair.A0).exp().shift(1)
         x_of_q = reversion_by_powers(q_of_x)
-        assert mirror_map(pair)[1] == x_of_q * pair.scale
+        assert mirror_map(pair)[1] == x_of_q
+        assert _z_forms(pair)[1] == x_of_q * pair.scale
         assert compose_by_horner(q_of_x, x_of_q) == RationalSeries((0, 1), N)
 
 
 def test_z_of_q_integrality(quartic, eight_hyperplanes, k3):
     for data in (quartic, eight_hyperplanes, k3):
         pair, _ = _pair(data)
-        _, z = mirror_map(pair)
+        _, z = _z_forms(pair)
         assert all(z.coeff(n).denominator == 1 for n in range(11))
 
 
@@ -263,8 +270,8 @@ def test_truncation_stability(quartic):
     # coefficients do not depend on the working order
     short, _ = _pair(quartic, 6)
     long, _ = _pair(quartic, 10)
-    q_s, z_s = mirror_map(short)
-    q_l, z_l = mirror_map(long)
+    q_s, z_s = _z_forms(short)
+    q_l, z_l = _z_forms(long)
     assert matches(q_s, q_l, 6) and matches(z_s, z_l, 6)
 
 
@@ -274,7 +281,8 @@ def test_truncation_stability(quartic):
 def test_yukawa_z_quartic(quartic):
     pair, ell = _pair(quartic)
     op = theta_conjugate(ell)
-    Y = yukawa_z(op, pair, 2)
+    # Y_z(z) = Y_x(z/s)
+    Y = dilate(yukawa_z(op, pair, 2), 1, pair.scale)
     assert Y.coeff(0) == 2 and Y.coeff(1) == Fraction(1943, 4)
     # Y * omega0^2 * (1 - 256 z) == 2, i.e. unnormalized Yukawa 2/(1-256z)
     omega0, _ = _in_z(pair)
@@ -299,7 +307,7 @@ def test_yukawa_is_unchanged_by_scaling_the_operator(quartic):
     op = theta_conjugate(ell)
     scaled = ZOperator(tuple(tuple(c * Fraction(3, 2) for c in p) for p in op.z_polys))
     oracle = a_model_correlation_by_composition(scaled, pair, mirror_map(pair)[1], 2)
-    assert yukawa_z(scaled, pair, 2) == yukawa_z(op, pair, 2) == oracle.Y_z
+    assert yukawa_z(scaled, pair, 2) == yukawa_z(op, pair, 2) == oracle.Y_x
 
 
 def test_classical_normalization():
@@ -371,6 +379,7 @@ def test_json_shapes(quartic):
     data = a_model_correlation(op, pair, 2)
     dj = data.to_json()
     assert dj["C"] == "2" and set(dj) == {"C", "Y_z", "K_q"}
+    assert dj["Y_z"] == dilate(data.Y_x, 1, pair.scale).to_json()
 
 
 # ------------------------------------------------------------- x = z/s
@@ -383,11 +392,11 @@ def test_dilate_matches_scale_arg(N):
         [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(N + 1)], N
     )
     for s in (256, 64, 27, 1):
-        assert _dilate(f, s) == scale_arg(f, s)
-        assert _dilate(f, 1, s) == scale_arg(f, Fraction(1, s))
-        assert _dilate(_dilate(f, s), 1, s) == f
-        assert _dilate(_dilate(f, 1, s), s) == f
-    assert _dilate(f, 3, 4) == scale_arg(f, Fraction(3, 4))
+        assert dilate(f, s) == scale_arg(f, s)
+        assert dilate(f, 1, s) == scale_arg(f, Fraction(1, s))
+        assert dilate(dilate(f, s), 1, s) == f
+        assert dilate(dilate(f, 1, s), s) == f
+    assert dilate(f, 3, 4) == scale_arg(f, Fraction(3, 4))
 
 
 def _one_parameter_cases(quartic, eight_hyperplanes, k3):
@@ -418,7 +427,7 @@ def test_x_route_equals_z_route(quartic, eight_hyperplanes, k3):
         threefolds += op.degree == 4
         for N in orders:
             pair = frobenius_pair(ell, N)
-            q, z = mirror_map(pair)
+            q, z = _z_forms(pair)
             assert (q, z) == mirror_map_in_z(ell, N), (label, N)
             if op.degree == 4:
                 data = a_model_correlation(op, pair, 2)
@@ -457,7 +466,7 @@ def test_deformed_solution_at_s_x_is_the_i_function(quartic, eight_hyperplanes, 
         for N in orders:
             B, I = deformed_solution(ell, N, m), i_function_by_weights(*weights, m, N)
             for k in range(m):
-                assert _dilate(B[k], s) == I[k], (label, N, k)
+                assert dilate(B[k], s) == I[k], (label, N, k)
 
 
 def _printed(capsys, path, N):

@@ -25,7 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import DATA, REPO
-from test_rejected_inputs import UNDECODABLE
+from test_rejected_inputs import OVER_BUDGET, UNDECODABLE
 
 import fracmirror
 from fracmirror import cli
@@ -83,8 +83,8 @@ REJECTED = {
 }
 
 # (environment, command line, exit code): {missing} is a path that does
-# not exist, {malformed} a file that holds no JSON, and the others the
-# files of ``UNDECODABLE``
+# not exist, {malformed} a file that holds no JSON, {simplex_16} the input
+# of ``OVER_BUDGET`` and the others the files of ``UNDECODABLE``
 ARGS = [
     ({}, ["pf", "{missing}"], 2),
     ({}, ["pf", "{malformed}"], 2),
@@ -97,6 +97,7 @@ ARGS = [
     ({}, ["yukawa", "{p3_quartic}", "--normalization", "x/y"], 2),
     ({"FRACMIRROR_MAX_N": "x"}, ["pf", "{p3_quartic}"], 2),
     ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{p3_quartic}"], 2),
+    ({}, ["euler", "{simplex_16}"], 3),
 ]
 
 _EQUALITY = "value equality, which the tests compare with"
@@ -256,7 +257,7 @@ def test_every_statement_but_the_listed_ones_runs_under_an_input(tmp_path):
     for label, raw in UNDECODABLE.items():
         paths[label] = tmp_path / f"{label}.json"
         paths[label].write_bytes(raw)
-    for label, doc in ({label: doc for label, (_, doc) in INPUTS.items()} | REJECTED).items():
+    for label, doc in ({label: doc for label, (_, doc) in INPUTS.items()} | REJECTED | OVER_BUDGET).items():
         if isinstance(doc, Path):
             paths[label] = doc
         else:

@@ -5,7 +5,9 @@ through all ten commands in both formats at N = 4, in-process.  The
 mutations are a flat, a one-point and a zero-dimensional delta, a bad or
 negative ``"dim"``, an empty part, an out-of-range part index, a float,
 bool, string or huge coordinate, index or dim, an added or a removed
-vertex, and a document that is no nef-partition object.  Every run must
+vertex, and a document that is no nef-partition object.  The reflexive
+16-simplex of ``OVER_BUDGET`` is accepted, but its lattice-point count is
+refused before it scans (exit 3).  Every run must
 exit 0, 2 or 3 without an escaping exception, write stderr starting with
 ``error:`` when it fails, and finish within ``BOUND_S``.  The exit codes
 are counted and the accepted inputs named, so a mutation that starts or
@@ -21,7 +23,7 @@ import sys
 import time
 from collections import Counter
 
-from conftest import DATA, REPO
+from conftest import DATA, GEN, REPO
 
 from fracmirror.cli import _DISPATCH, main
 
@@ -102,6 +104,14 @@ UNDECODABLE = {
     "long_int": b'{"delta": {"dim": 1' + b"0" * sys.get_int_max_str_digits() + b"}}",
 }
 
+# the reflexive 16-simplex with one part: the polar dual of its nabla is the
+# simplex itself, whose vertex box holds 18^16 points, over
+# polytope.SCAN_BUDGET, so euler, hodge and all exit 3 where the scan would
+# not end
+OVER_BUDGET = {
+    "simplex_16": {"delta": {"dim": 16, "vertices": GEN.simplex_vertices(16)}, "parts": [list(range(17))]},
+}
+
 
 MUTATIONS = (
     _flat, _one_point, _zero_dimensional, _bad_dim, _empty_part, _out_of_range_index,
@@ -124,7 +134,7 @@ def corpus():
 
 def test_every_command_fails_cleanly_on_the_mutated_inputs(tmp_path):
     codes, accepted, slowest = Counter(), set(), (0.0, "", "", "")
-    for label, doc in corpus() + list(UNDECODABLE.items()):
+    for label, doc in corpus() + list(UNDECODABLE.items()) + list(OVER_BUDGET.items()):
         path = tmp_path / f"{label}.json"
         path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         for command in _DISPATCH:
@@ -144,6 +154,6 @@ def test_every_command_fails_cleanly_on_the_mutated_inputs(tmp_path):
                 codes[code] += 1
     assert slowest[0] < BOUND_S, slowest
     # the point added to the eight-hyperplane delta, (1, -1, -1), lies on an edge
-    assert accepted == {"p3_eight_hyperplanes_added_vertex"}
-    assert codes == {0: 20, 2: 1040}
+    assert accepted == {"p3_eight_hyperplanes_added_vertex", "simplex_16"}
+    assert codes == {0: 34, 2: 1040, 3: 6}
 

@@ -13,6 +13,7 @@ from oracles import (
     EpsPoly,
     antitheta,
     compose_by_horner,
+    dilate,
     eps_slices,
     exp_term_by_term,
     inverse_term_by_term,
@@ -26,7 +27,7 @@ from oracles import (
     theta_log,
 )
 
-from fracmirror.cli import _json_text
+from fracmirror.cli import _json_text, _series_text
 from fracmirror.cohom import b_series_json, slices_json
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import hypergeometric_series
@@ -35,6 +36,7 @@ from fracmirror.series import (
     _coeff_strs,
     _lagrange,
     _lagrange_powers,
+    _make,
     fraction_str,
     parse_fraction,
 )
@@ -374,6 +376,28 @@ def test_coeff_strs_match_fraction_str(s):
     # numerators and denominator need not be in lowest terms
     assert _coeff_strs(s.A, s.D) == [fraction_str(c) for c in s.c]
     assert _coeff_strs([6 * a for a in s.A], 6 * s.D) == [fraction_str(c) for c in s.c]
+
+
+def test_coeff_strs_write_the_dilate_of_a_series():
+    # a series f in x = z/s is written in z one coefficient at a time, A_n
+    # over D s^n in lowest terms: the JSON and table strings equal those of
+    # the series dilate(f, 1, s) = f(z/s), formed and reduced as a whole.
+    # The numerators (zeros and negatives among them) and D > 1 share a
+    # factor k with each other and, for k = 256, with s; s f, as z(q) = s x(q),
+    # is written from the numerators times s
+    rng = random.Random(46)
+    for _ in range(60):
+        N, k = rng.randint(0, 16), rng.choice((1, 2, 6, 256))
+        A = [k * rng.choice((0, rng.randint(-(10**12), 10**12))) for _ in range(N + 1)]
+        D = k * rng.randint(2, 10**6)
+        f = _make(A, D, N)
+        for s in (1, 2, 3, 4, 256):
+            g = dilate(f, 1, s)
+            want = [fraction_str(c) for c in g.c]
+            assert _coeff_strs(A, D, s) == want, (A, D, s)
+            assert f.to_json(s) == {"N": N, "coeffs": want}
+            assert _series_text(f.to_json(s), "z") == _series_text(g.to_json(), "z")
+            assert _coeff_strs([s * a for a in A], D) == [fraction_str(s * c) for c in f.c]
 
 
 def test_kernels_match_fraction_loops_on_wide_coefficients():

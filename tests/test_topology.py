@@ -1,5 +1,7 @@
 """Euler characteristics and Hodge tables of the branched double covers."""
 
+import random
+
 import pytest
 from conftest import GEN, accepted_partitions, load_case
 
@@ -10,6 +12,7 @@ from fracmirror.topology import _point_count, euler_double_cover, euler_mpcp, ho
 from oracles import (
     boundary_lattice_point_count,
     cayley_polytope,
+    chi_cover_by_strata,
     dk_intersection_euler,
     euler_snc_union_oracle,
     interior_lattice_points,
@@ -168,6 +171,44 @@ def test_snc_oracle_singleton_branch():
     # branch = one smooth cubic curve in P^2 (chi = 0 for genus 1):
     # chi(Y) = 2*3 - 0 = 6 for the plain double cover
     assert euler_snc_union_oracle(3, {"C": 0}) == (0, 6)
+
+
+# P^n shapes outside perfbench/gen.py's SHAPES: (n, part sizes), sum n + 1
+EXTRA_SHAPES = {
+    "p4_2111": (4, (2, 1, 1, 1)),
+    "p4_11111": (4, (1, 1, 1, 1, 1)),
+    "p5_6": (5, (6,)),
+    "p5_33": (5, (3, 3)),
+    "p5_222": (5, (2, 2, 2)),
+    "p5_411": (5, (4, 1, 1)),
+    "p5_2211": (5, (2, 2, 1, 1)),
+    "p6_7": (6, (7,)),
+    "p6_43": (6, (4, 3)),
+    "p7_8": (7, (8,)),
+    "p8_9": (8, (9,)),
+}
+
+
+def test_strata_oracle_reproduces_the_quartic_table():
+    # Hirzebruch's formula gives each stratum of the hand-typed table
+    assert chi_cover_by_strata(3, (4,)) == euler_snc_union_oracle(4, quartic_plus_planes_strata())[1]
+    assert chi_cover_by_strata(8, (9,)) == 43046730
+
+
+def test_chi_matches_hirzebruch_by_strata(monkeypatch):
+    # chi(Y) and chi(Y_dual) = (-1)^n chi(Y) of the 13 generated shapes and
+    # the 11 above, each in a seeded frame, against the closed form by
+    # strata, which reads no polytope.  Frames shear only up to n = 6: two
+    # shears make the scan of p8_9's 10^8-point box take seconds
+    rng = random.Random(27)
+    for name, (n, sizes) in {**GEN.SHAPES, **EXTRA_SHAPES}.items():
+        monkeypatch.setitem(GEN.SHAPES, name, (n, sizes))
+        S, Sinv = GEN.random_frame(n, 2 if n <= 6 else 0, rng)
+        P = GEN.signed_permutation(n, rng)
+        doc = GEN.framed_input(name, GEN.matmul(P, S), GEN.matmul(Sinv, GEN.transpose(P)))
+        topo = euler_double_cover(NefPartition.from_dict(doc))
+        chi = chi_cover_by_strata(n, sizes)
+        assert (name, topo.chi_Y, topo.chi_Y_dual) == (name, chi, (-1) ** n * chi)
 
 
 # ------------------------------------------------------------------ hodge

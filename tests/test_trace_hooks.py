@@ -358,9 +358,9 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 # it forms omega0(s x)^2 for Y in closed form and (1 + theta r)^2, which Y
 # is divided by, and the m products G h^a of K(q) by Lagrange-Buermann
 # (N = 4: 2 + 1 + 2; N = 16: 2 + 5 + 4).  An all job forms the powers once
-# for both sections.  Moving a series between z and x is an exact rescale,
-# and the product of omega0(s x)^2 with the two-term p4(s x) an O(N) sum,
-# so neither forms a product.
+# for both sections.  No series is moved from x to z (the writer prints
+# each coefficient over D s^n), and the product of omega0(s x)^2 with the
+# two-term p4(s x) is an O(N) sum, so neither forms a product.
 _PRODUCTS_PER_JOB = {
     4: {"bseries": 0, "ifunction": 0, "mirror-map": 1, "yukawa": 5, "all": 5},
     16: {"bseries": 0, "ifunction": 0, "mirror-map": 5, "yukawa": 11, "all": 11},
