@@ -123,7 +123,7 @@ def _coeff_strs(A, D, s=1):
     need not be in lowest terms."""
     if D == s == 1:
         return list(map(str, A))
-    dens = list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
+    dens = [D] * len(A) if s == 1 else list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
     G = map(gcd, A, dens)
     return [str(a // g) if g == d else f"{a // g}/{d // g}" for a, d, g in zip(A, dens, G)]
 

@@ -18,19 +18,23 @@ collecting it.
 
 ``--against OTHER/src`` imports both packages into this one process: every
 import inside ``src/fracmirror`` is relative, so OTHER's package is copied
-under a second name.  Each of 9 repetitions of a job runs on both, back to
-back in an order that alternates, so a swing in the machine's speed reaches
-both sides of one repetition alike.  Each repetition starts with
+under a second name.  Each of 10 repetitions of a job runs on both, back
+to back in an order that alternates, so a swing in the machine's speed
+reaches both sides of one repetition alike.  Each repetition starts with
 ``gc.collect()``, so the garbage of earlier calls is collected between
-pairs, not inside a timed call of one side.  A cell is the
-median over the repetitions of the ratio src/OTHER within each, followed by
-the two best times in ms.
+pairs, not inside a timed call of one side.  The side that runs second in a
+repetition runs faster, by up to 10 % at N = 16 on identical code, so the
+ratios src/OTHER alternate about 1 + e and 1/(1 + e); the median of 9 such
+ratios once read 2.72 on identical code.  A cell is therefore the median,
+over repetitions 2i and 2i + 1, of the geometric mean of their two ratios,
+in which the order's edge cancels, followed by the two best times in ms.
 """
 
 import contextlib
 import gc
 import importlib
 import io
+import math
 import os
 import shutil
 import statistics
@@ -50,7 +54,7 @@ JOBS = (
 )
 ORDERS = (16, 32, 64, 128)
 REPEATS = 3
-AGAINST_REPEATS = 9
+AGAINST_REPEATS = 10
 
 
 def _wall(cli_main, argv):
@@ -94,12 +98,14 @@ def _import_as(src, name, tmp):
 
 
 def _cell(times):
-    """The best time in ms; with two mains, the median of the per-repetition
-    ratios first, then both best times."""
+    """The best time in ms; with two mains, the median over the pairs of
+    repetitions in opposite orders of the geometric mean of their ratios
+    first, then both best times."""
     best = [round(min(t), 2) for t in times]
     if len(times) == 1:
         return f"{best[0]:g}"
-    ratio = statistics.median(a / b for a, b in zip(*times))
+    r = [a / b for a, b in zip(*times)]
+    ratio = statistics.median(math.sqrt(x * y) for x, y in zip(r[::2], r[1::2]))
     return f"{ratio:.3f} ({best[0]:g} / {best[1]:g})"
 
 
@@ -118,7 +124,7 @@ def main(argv):
     else:
         with tempfile.TemporaryDirectory() as tmp:
             rows = table([cli_main, _import_as(against, "fracmirror_against", tmp)], AGAINST_REPEATS)
-        print(f"median ratio src / {against} over the repetitions, then both best times in ms")
+        print(f"ratio src / {against} (median over order-swapped pairs of repetitions), then both best times in ms")
     print("| command | " + " | ".join(f"N={N}" for N in ORDERS) + " |")
     print("| --- |" + " --- |" * len(ORDERS))
     for label, row in rows.items():
