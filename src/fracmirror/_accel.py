@@ -8,11 +8,24 @@ can still reach 0 over the free axes after j (each free axis at its best
 end of the box), so a prefix that no completion can satisfy is never
 extended; at the last axis this cut is exact, and the count adds the
 lengths of the last-axis intervals.
+
+The scan's work is bounded.  A prefix it visits costs one step per row of
+A and ten steps for the visit itself, and a scan that would take more than
+``SCAN_BUDGET`` steps raises ``FracmirrorError`` (exit 3) when it gets there.
 """
 
-from .errors import _as_ints
+from .errors import FracmirrorError, _as_ints
 
 __all__ = ["backend_name", "count_points"]
+
+# The most steps one scan takes.  The time per prefix visited fits
+# 0.11 µs × (rows + 10) from 4 to 41 rows (one core of an x86-64 server), so
+# a refused scan stops after about 0.25 s in any dimension.  The largest scan
+# of a bundled, golden, digest or perfbench input takes 8520 steps, the
+# largest in the tests (a random 5-polytope of tests/test_polytope.py)
+# 1.64 million.  The reflexive 9-simplex takes 1.51 million and is counted;
+# the 10-simplex (7.4 million, 0.5–0.7 s) is refused.
+SCAN_BUDGET = 2_000_000
 
 
 def backend_name():
@@ -58,11 +71,17 @@ def count_points(lo, hi, A, c):
                 return tlo, tlo - 1
         return tlo, thi
 
+    left = SCAN_BUDGET // (len(A) + 10)  # the prefixes the budget pays for
+
     def walk(j, b):
         """The points above one prefix of j fixed axes, with b = A x + c over them."""
+        nonlocal left
         tlo, thi = cut(j, b)
         if j == d - 1:
             return max(thi - tlo + 1, 0)
+        left -= max(thi - tlo + 1, 0)
+        if left < 0:
+            raise FracmirrorError(f"a lattice-point scan exceeds the budget of {SCAN_BUDGET} steps")
         col = cols[j]
         return sum(walk(j + 1, [bi + a * x for bi, a in zip(b, col)]) for x in range(tlo, thi + 1))
 

@@ -28,7 +28,7 @@ from .gkz import build_gkz, simplex_kernel_vector
 from .mirror import a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
 from .picard_fuchs import theta_conjugate
-from .series import _coeff_strs, fraction_str, parse_fraction
+from .series import fraction_str, parse_fraction
 from .topology import euler_double_cover
 
 __all__ = ["JobConfig", "run", "main"]
@@ -270,7 +270,7 @@ def _cmd_mirror_map(ctx):
         "omega0": pair.A0.to_json(s),
         "tau": pair.A1.to_json(s),
         "q_of_z": q.to_json(s),
-        "z_of_q": {"N": x.N, "coeffs": _coeff_strs([a * s for a in x.A], x.D)},
+        "z_of_q": x.to_json(c=s),
     }
     return payload, lambda: [
         f"scale s = {s}",

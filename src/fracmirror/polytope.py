@@ -46,12 +46,6 @@ import operator
 from . import _accel, linalg
 from .errors import FracmirrorError, _as_int, _as_ints
 
-# The most box points one lattice-point count scans.  The largest box of a
-# bundled, golden, digest or perfbench input holds 7986 points (a framed P4
-# shape).  The reflexive simplex with vertices (n + 1) e_i - 1 and -1 spans
-# (n + 2)^n box points: 11^9 at n = 9 passes, 12^10 at n = 10 is refused.
-SCAN_BUDGET = 10**10
-
 __all__ = [
     "LatticePolytope",
     "cayley_pyramids",
@@ -280,20 +274,13 @@ class LatticePolytope:
     lattice_points = dilate_lattice_point_count = None
 
     def lattice_point_count(self):
-        """Number of lattice points of P: one count over its vertex box.  A
-        box of more than ``SCAN_BUDGET`` points raises ``FracmirrorError``
-        before the scan starts."""
+        """Number of lattice points of P: one count over its vertex box, which
+        raises ``FracmirrorError`` past ``_accel.SCAN_BUDGET``."""
         self._require_full_dimensional("a lattice-point count")
         box = list(zip(*self.vertices))
-        lo, hi = list(map(min, box)), list(map(max, box))
-        size = math.prod(h - l + 1 for l, h in zip(lo, hi))
-        if size > SCAN_BUDGET:
-            raise FracmirrorError(
-                f"a lattice-point scan of {size} box points exceeds the budget of {SCAN_BUDGET}"
-            )
         A = [g for g, _ in self.facets]
         c = [cc for _, cc in self.facets]
-        return _accel.count_points(lo, hi, A, c)
+        return _accel.count_points(list(map(min, box)), list(map(max, box)), A, c)
 
     # -- volume -----------------------------------------------------------
 

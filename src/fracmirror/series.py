@@ -116,16 +116,17 @@ def _lagrange(powers, k0, F=None):
     return _make([p * (D // q) for p, q in zip(nums, dens)], D, N)
 
 
-def _coeff_strs(A, D, s=1):
-    """``fraction_str`` of each A_n / (D s^n) for ints A, D > 0 and s > 0, so
-    a series f in x = z/s is written as f(z/s) in z: the numerators
-    themselves when D == s == 1, else one gcd per coefficient, so A and D
-    need not be in lowest terms."""
-    if D == s == 1:
+def _coeff_strs(A, D, s=1, c=1):
+    """``fraction_str`` of each c A_n / (D s^n) for ints A, D > 0, s > 0 and
+    c, so a series f in x = z/s is written as c f(z/s) in z: the numerators
+    themselves when D == s == c == 1, else one gcd per coefficient, so A and
+    D need not be in lowest terms."""
+    if D == s == c == 1:
         return list(map(str, A))
-    dens = [D] * len(A) if s == 1 else list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
-    G = map(gcd, A, dens)
-    return [str(a // g) if g == d else f"{a // g}/{d // g}" for a, d, g in zip(A, dens, G)]
+    nums = [c * a for a in A]
+    dens = list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
+    G = map(gcd, nums, dens)
+    return [str(a // g) if g == d else f"{a // g}/{d // g}" for a, d, g in zip(nums, dens, G)]
 
 
 def _make(A, D, N):
@@ -258,9 +259,10 @@ class RationalSeries:
     def __hash__(self):
         return hash((self.N, self.A, self.D))
 
-    def to_json(self, s=1):
-        """The coefficients as text; with a scale s, those of self(z/s)."""
-        return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D, s)}
+    def to_json(self, s=1, c=1):
+        """The coefficients as text; with a scale s and a factor c, those of
+        c self(z/s)."""
+        return {"N": self.N, "coeffs": _coeff_strs(self.A, self.D, s, c)}
 
 
 _Series = RationalSeries  # for perfbench/spans.py until ROADMAP item 5

@@ -112,3 +112,15 @@ def test_scan_prunes_prefixes_no_completion_satisfies():
 
 def test_backend_name_is_python():
     assert _accel.backend_name() == "python"
+
+
+def test_scan_stops_at_its_step_budget(monkeypatch):
+    # x0 >= 0 over a 7 × 6 box: the scan visits 7 prefixes, each costing
+    # one row and ten steps, so a budget of 77 steps counts the 42 points
+    # and one of 76 raises
+    lo, hi, A, c = [0, 0], [6, 5], [[1, 0]], [0]
+    monkeypatch.setattr(_accel, "SCAN_BUDGET", 77)
+    assert _accel.count_points(lo, hi, A, c) == 42
+    monkeypatch.setattr(_accel, "SCAN_BUDGET", 76)
+    with pytest.raises(FracmirrorError, match="^a lattice-point scan exceeds the budget of 76 steps$"):
+        _accel.count_points(lo, hi, A, c)

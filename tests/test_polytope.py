@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions
 
-from fracmirror import _accel, linalg
+from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
 from fracmirror.nefpart import NefPartition
-from fracmirror.polytope import SCAN_BUDGET, LatticePolytope, _dd_extreme_rays, _vertex_test, cayley_pyramids
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, _vertex_test, cayley_pyramids
 from oracles import (
     SpanHull,
     boundary_lattice_point_count,
@@ -317,12 +317,11 @@ def test_lattice_point_count_matches_the_box_listing():
         assert P.lattice_point_count() == len(lattice_points_by_box(P)), P.vertices
 
 
-def test_lattice_point_count_refuses_a_box_over_the_budget(monkeypatch):
-    # the reflexive 10-simplex's vertex box holds 12^10 points, over the
-    # budget, and is refused before any scan; the 9-simplex's 11^9 is not
-    assert 11**9 <= SCAN_BUDGET < 12**10
-    monkeypatch.setattr(_accel, "count_points", None)
-    with pytest.raises(FracmirrorError, match=f"^a lattice-point scan of {12**10} box points exceeds the budget"):
+def test_lattice_point_count_stops_at_the_step_budget():
+    # the reflexive 9-simplex's scan fits the budget; the 10-simplex's,
+    # 7.4 million steps, does not
+    assert LatticePolytope(GEN.simplex_vertices(9)).lattice_point_count() == math.comb(19, 9)
+    with pytest.raises(FracmirrorError, match="^a lattice-point scan exceeds the budget of 2000000 steps$"):
         LatticePolytope(GEN.simplex_vertices(10)).lattice_point_count()
 
 

@@ -185,8 +185,9 @@ def _modules():
 
 def _statements(path):
     """(qualname, first line stripped, own line numbers) of every statement
-    in a function body of one module, docstrings aside.  A compound
-    statement owns the lines of its header, a simple one all its lines."""
+    in a function body of one module but docstrings and the global and
+    nonlocal declarations, which compile to no code.  A compound statement
+    owns the lines of its header, a simple one all its lines."""
     source = path.read_text()
     lines = source.splitlines()
     found = []
@@ -195,6 +196,7 @@ def _statements(path):
         for child in ast.iter_child_nodes(node):
             if qualname and isinstance(child, ast.stmt) and not (
                 isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)
+                or isinstance(child, (ast.Global, ast.Nonlocal))
             ):
                 body = getattr(child, "body", None)
                 last = max(child.lineno, body[0].lineno - 1) if body else child.end_lineno

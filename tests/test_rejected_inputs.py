@@ -6,8 +6,8 @@ mutations are a flat, a one-point and a zero-dimensional delta, a bad or
 negative ``"dim"``, an empty part, an out-of-range part index, a float,
 bool, string or huge coordinate, index or dim, an added or a removed
 vertex, and a document that is no nef-partition object.  The reflexive
-16-simplex of ``OVER_BUDGET`` is accepted, but its lattice-point count is
-refused before it scans (exit 3).  Every run must
+16-simplex of ``OVER_BUDGET`` is accepted, but its lattice-point scan is
+stopped at its step budget (exit 3).  Every run must
 exit 0, 2 or 3 without an escaping exception, write stderr starting with
 ``error:`` when it fails, and finish within ``BOUND_S``.  The exit codes
 are counted and the accepted inputs named, so a mutation that starts or
@@ -105,9 +105,8 @@ UNDECODABLE = {
 }
 
 # the reflexive 16-simplex with one part: the polar dual of its nabla is the
-# simplex itself, whose vertex box holds 18^16 points, over
-# polytope.SCAN_BUDGET, so euler, hodge and all exit 3 where the scan would
-# not end
+# simplex itself, whose lattice-point scan passes _accel.SCAN_BUDGET, so
+# euler, hodge and all exit 3 where the scan would not end
 OVER_BUDGET = {
     "simplex_16": {"delta": {"dim": 16, "vertices": GEN.simplex_vertices(16)}, "parts": [list(range(17))]},
 }

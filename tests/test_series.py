@@ -384,7 +384,7 @@ def test_coeff_strs_write_the_dilate_of_a_series():
     # the series dilate(f, 1, s) = f(z/s), formed and reduced as a whole.
     # The numerators (zeros and negatives among them) and D > 1 share a
     # factor k with each other and, for k = 256, with s; s f, as z(q) = s x(q),
-    # is written from the numerators times s
+    # is written with the factor c = s
     rng = random.Random(46)
     for _ in range(60):
         N, k = rng.randint(0, 16), rng.choice((1, 2, 6, 256))
@@ -397,7 +397,7 @@ def test_coeff_strs_write_the_dilate_of_a_series():
             assert _coeff_strs(A, D, s) == want, (A, D, s)
             assert f.to_json(s) == {"N": N, "coeffs": want}
             assert _series_text(f.to_json(s), "z") == _series_text(g.to_json(), "z")
-            assert _coeff_strs([s * a for a in A], D) == [fraction_str(s * c) for c in f.c]
+            assert f.to_json(c=s) == {"N": N, "coeffs": [fraction_str(s * c) for c in f.c]}
 
 
 def test_kernels_match_fraction_loops_on_wide_coefficients():
