@@ -123,10 +123,8 @@ def _coeff_strs(A, D, s=1, c=1):
     D need not be in lowest terms."""
     if D == s == c == 1:
         return list(map(str, A))
-    nums = [c * a for a in A]
-    dens = list(accumulate(repeat(s, len(A) - 1), mul, initial=D))
-    G = map(gcd, nums, dens)
-    return [str(a // g) if g == d else f"{a // g}/{d // g}" for a, d, g in zip(nums, dens, G)]
+    dens = accumulate(repeat(s, len(A) - 1), mul, initial=D)
+    return [str(n // g) if (g := gcd(n := c * a, d)) == d else f"{n // g}/{d // g}" for a, d in zip(A, dens)]
 
 
 def _make(A, D, N):
