@@ -148,22 +148,19 @@ def kernel_scale(ell):
 class Slices(Sequence):
     """The m eps-slices of one ``hypergeometric_series`` call, read-only: U[k][n] / E[n]
     is coefficient n of slice k (gcd(E_n, *U_n) = 1, E_n > 0).  Slice k is ``_make``
-    of the numerators scaled to D = lcm(E), formed once, and built on first read."""
+    of the numerators scaled to D = lcm(E), formed once, and built each time it is read."""
 
     def __init__(self, orders, N):
         self.U = tuple(zip(*(U for U, _ in orders)))
         self.E = tuple(E for _, E in orders)
-        self.N, self._D, self._built = N, lcm(*self.E), {}
+        self.N, self._D = N, lcm(*self.E)
 
     def __len__(self):
         return len(self.U)
 
     def __getitem__(self, k):
-        k = range(len(self.U))[k]
-        if k not in self._built:
-            D = self._D
-            self._built[k] = _make([u * (D // E) for u, E in zip(self.U[k], self.E)], D, self.N)
-        return self._built[k]
+        D, U = self._D, self.U[range(len(self.U))[k]]
+        return _make([u * (D // E) for u, E in zip(U, self.E)], D, self.N)
 
 
 def hypergeometric_series(ell, m, N, scale=1):

@@ -100,11 +100,8 @@ def simplex_relation(delta):
 
 def _simplex_labels(relation, part):
     """The vertices m_ij of Delta_i on a simplex, j in delta's facet order:
-    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g.  A
-    single part has C = L and sum_g c_g w_g = 0, so m_j = w_j."""
+    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
     W, c, L = relation
-    if len(part) == len(W):
-        return tuple(W)
     C = sum(c[g] for g in part)
     shift = list(map(sum, zip(*([c[g] * x for x in W[g]] for g in part))))
     # every L m_ij in one list, divided by L in one pass
@@ -232,21 +229,20 @@ def validate_nef_partition(delta, parts):
 class NefPartition:
     """A reflexive polytope with a validated nef-partition of its dual rays.
 
-    ``ray_parts`` holds indices into the lex-sorted vertex list of the polar
-    dual.  Validation keeps ``rays``, ``part_vertices`` (the vertices of
-    each Delta_i, read off its DD cut or, on a simplex, off Delta's
-    vertices) and ``relation`` (``simplex_relation`` of delta, None off a
-    simplex), and checks Delta_1 + ... + Delta_r = Delta without building
-    the sum.  Each polytope below is built on first read and kept:
-    ``nabla_dual`` is the hull of all ``part_vertices`` or, on a simplex,
-    read off their labels; ``nabla`` is its polar dual; ``nabla_parts`` are
-    the vertex tuples of the nabla_k; ``dual_parts()`` looks the vertices of
-    ``nabla_dual`` up in ``part_vertices``.
+    ``delta`` is a ``LatticePolytope``; any other value is refused as not a
+    lattice polytope.  ``ray_parts`` holds indices into the lex-sorted
+    vertex list of the polar dual.  Validation keeps ``rays``,
+    ``part_vertices`` (the vertices of each Delta_i, read off its DD cut or,
+    on a simplex, off Delta's vertices) and ``relation`` (``simplex_relation``
+    of delta, None off a simplex), and checks Delta_1 + ... + Delta_r = Delta
+    without building the sum.  Each polytope below is built on first read
+    and kept: ``nabla_dual`` is the hull of all ``part_vertices`` or, on a
+    simplex, read off their labels; ``nabla`` is its polar dual;
+    ``nabla_parts`` are the vertex tuples of the nabla_k; ``dual_parts()``
+    looks the vertices of ``nabla_dual`` up in ``part_vertices``.
     """
 
     def __init__(self, delta, parts):
-        if not isinstance(delta, LatticePolytope):
-            delta = LatticePolytope(delta)
         parts = tuple(tuple(sorted(_as_ints(part, "part index"))) for part in parts)
         issues, built = _derive(delta, parts)
         if issues:

@@ -47,8 +47,7 @@ def parse_fraction(x):
 
 
 def fraction_str(q):
-    q = parse_fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(parse_fraction(q))
 
 
 def _recurrence(b, w, d):
@@ -88,22 +87,20 @@ def _powers(g, m):
 def _lagrange_powers(h):
     """The baby powers h^0 ... h^m and the giant powers (h^m)^0 ... (h^m)^j
     that ``_lagrange`` reads, at h's order, with m = isqrt(h.N + 1) and
-    j = (h.N - 1) // m: enough for k0 = 0, and one giant power short of k0 = 1
-    when m divides h.N."""
+    j = h.N // m: one ladder that both forms, k0 = 0 and k0 = 1, read."""
     m = isqrt(h.N + 1)
     baby = _powers(h, m)
-    return baby, _powers(baby[m], (h.N - 1) // m)
+    return baby, _powers(baby[m], h.N // m)
 
 
 def _lagrange(powers, k0, F=None):
     """The series of order N + k0 with [z^k] = [w^(k-k0)] F h^k / k^k0, F = 1 if
-    None, from ``powers = _lagrange_powers(h)``: Lagrange-Buermann's two forms.
-    N is the smaller of h.N and F.N, as by a binary operation.  For k = jm + a
-    and 0 < a <= m, each is one integer dot product of F h^a and h^(jm)."""
+    None: Lagrange-Buermann's two forms, both read off the one giant ladder of
+    ``powers = _lagrange_powers(h)``.  N is the smaller of h.N and F.N, as by a
+    binary operation.  For k = jm + a and 0 < a <= m, each is one integer dot
+    product of F h^a and h^(jm)."""
     baby, giant = powers
     m = len(baby) - 1
-    if len(giant) * m < baby[m].N + k0:  # k0 = 1 and m divides h.N
-        giant = [*giant, giant[-1] * baby[m]]
     if F is not None:
         baby = [F] + [F * p for p in baby[1:]]
     N = baby[m].N + k0
@@ -118,11 +115,8 @@ def _lagrange(powers, k0, F=None):
 
 def _coeff_strs(A, D, s=1, c=1):
     """``fraction_str`` of each c A_n / (D s^n) for ints A, D > 0, s > 0 and
-    c, so a series f in x = z/s is written as c f(z/s) in z: the numerators
-    themselves when D == s == c == 1, else one gcd per coefficient, so A and
-    D need not be in lowest terms."""
-    if D == s == c == 1:
-        return list(map(str, A))
+    c, so a series f in x = z/s is written as c f(z/s) in z: one gcd per
+    coefficient, so A and D need not be in lowest terms."""
     dens = accumulate(repeat(s, len(A) - 1), mul, initial=D)
     return [str(n // g) if (g := gcd(n := c * a, d)) == d else f"{n // g}/{d // g}" for a, d in zip(A, dens)]
 

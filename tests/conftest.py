@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,41 @@ SMALL_REFLEXIVE = {
     "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
     "p2_x_p1": [(x, y, z) for x, y in _P2 for z in (1, -1)],
 }
+
+
+@functools.cache
+def reflexive_polygons():
+    """The distinct reflexive polygons spanned by three or more boundary
+    points of one of the three largest reflexive polygons, those of P^2,
+    P(1,1,2) and P^1 x P^1 (Poonen and Rodriguez-Villegas, "Lattice polygons
+    and the number 12", 2000).  A polygon inside a reflexive one whose
+    interior holds the origin has no other interior point, so it is
+    reflexive."""
+    found = {}
+    for cycle in (_P2, [(-1, -1), (3, -1), (-1, 1)], [(1, 1), (-1, 1), (-1, -1), (1, -1)]):
+        boundary = []  # the lattice points of each edge but its end
+        for (a, b), (c, d) in zip(cycle, cycle[1:] + cycle[:1]):
+            g = math.gcd(c - a, d - b)
+            boundary += [(a + t * (c - a) // g, b + t * (d - b) // g) for t in range(g)]
+        for k in range(3, len(boundary) + 1):
+            for points in itertools.combinations(boundary, k):
+                P = LatticePolytope(points, 2)
+                if P.is_reflexive():
+                    found.setdefault(P.vertices, P)
+    return tuple(found.values())
+
+
+@functools.cache
+def reflexive_3polytopes():
+    """The distinct reflexive hulls among 3000 seeded draws of 4 to 12
+    points of {-1, 0, 1}^3 minus the origin."""
+    cube = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)]
+    rng, found = random.Random(1), {}
+    for _ in range(3000):
+        P = LatticePolytope(rng.sample(cube, rng.randint(4, 12)), 3)
+        if P.is_reflexive():
+            found.setdefault(P.vertices, P)
+    return tuple(found.values())
 
 
 @st.composite

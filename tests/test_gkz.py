@@ -264,6 +264,14 @@ def _same_reduced_coefficients(s, oracle):
     # the eps-slices, handed over as integers, equal the RationalSeries built
     # from the oracle's Fractions, in canonical form
     assert (len(s), s[0].N) == (len(oracle), oracle[0].N)
+    # a slice is built each time it is read: an index counts from the end as
+    # a tuple's does, one past either end raises, and two reads agree
+    assert s[-1] == oracle[-1] and s[-len(s)] == oracle[0]
+    for k in (len(s), -len(s) - 1):
+        with pytest.raises(IndexError):
+            s[k]
+    first, again = s[0], s[0]
+    assert (first.N, first.A, first.D) == (again.N, again.A, again.D)
     assert [x.c for x in s] == [x.c for x in oracle]
     assert tuple(s) == oracle and hash(tuple(s)) == hash(oracle)
     assert all(x.D > 0 and math.gcd(x.D, *x.A) == 1 for x in s)

@@ -245,11 +245,12 @@ def test_mirror_map_round_trip(quartic):
     assert matches(compose_by_horner(z, q), RationalSeries((0, 1), 10), 8)
 
 
-@pytest.mark.parametrize("N", [1, 2, 16, 40])
+@pytest.mark.parametrize("N", [1, 2, 10, 16, 17, 40])
 def test_z_of_q_is_the_reversion_of_q_of_x(quartic, eight_hyperplanes, N):
     # z(q) = s x(q) with x(q) the reversion of q(x) = x exp(A1/A0), formed
     # here by every power of w/q(w), and q(x(q)) = q; at N = 1, w/q(w) has
-    # order 0
+    # order 0, and at N = 2, 10 and 17, m = isqrt(N) divides h's order N - 1,
+    # so the reversion reads the last giant power h^(N - 1)
     for data in (quartic, eight_hyperplanes):
         pair, _ = _pair(data, N)
         q_of_x = (pair.A1 / pair.A0).exp().shift(1)
@@ -439,14 +440,14 @@ def test_closed_form_equals_composition(quartic, eight_hyperplanes, k3):
     # Y_z = C/(p4 omega0^2) and K(q) by Lagrange-Buermann over the powers of
     # h = exp(-A1/A0) equal the ODE solution C exp(antitheta g)/omega0^2 and
     # the composition Y_x(x(q)) (theta_q log x(q))^3, exactly, on every
-    # threefold operator
+    # threefold operator; at N = 10 and 17, m = isqrt(N) divides N - 1
     threefolds = 0
     for label, ell, _, _ in _one_parameter_cases(quartic, eight_hyperplanes, k3):
         op = theta_conjugate(ell)
         if op.degree != 4:
             continue
         threefolds += 1
-        for N in (1, 2, 3, 4, 12, 16, 32):
+        for N in (1, 2, 3, 4, 10, 12, 16, 17, 32):
             pair = frobenius_pair(ell, N)
             oracle = a_model_correlation_by_composition(op, pair, mirror_map(pair)[1], 2)
             assert a_model_correlation(op, pair, 2).to_json() == oracle.to_json(), (label, N)

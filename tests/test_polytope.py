@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions
+from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, reflexive_3polytopes, reflexive_polygons
 
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
@@ -534,6 +534,60 @@ def test_is_reflexive_false_cases():
     assert not LatticePolytope([(2, 0), (0, 2), (-2, 0), (0, -2)]).is_reflexive()
     assert not LatticePolytope([(0, 0), (1, 0), (0, 1)]).is_reflexive()
     assert not LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)]).is_reflexive()
+
+
+# ---------------------------------------------- identities of reflexive polytopes
+
+
+def test_reflexive_polygons_satisfy_the_twelve_and_pick():
+    # #dP + #dP* = 12 (Poonen and Rodriguez-Villegas 2000), and by Pick's
+    # theorem the normalized area of a polygon whose one interior point is
+    # the origin is its boundary count; points by the box listing
+    polygons = reflexive_polygons()
+    assert len(polygons) == 116
+    for P in polygons:
+        dual = P.polar_dual()
+        for Q in (P, dual):
+            assert interior_lattice_points(Q) == ((0, 0),), P.vertices
+            assert Q.normalized_volume() == boundary_lattice_point_count(Q), P.vertices
+        assert boundary_lattice_point_count(P) + boundary_lattice_point_count(dual) == 12, P.vertices
+
+
+def _edges(P):
+    """{frozenset({u, v}): the normals of the facets through u and v} over
+    the edges uv of a 3-polytope, read off the facet inequalities: two
+    vertices span an edge iff two or more facets hold both."""
+    tight = [{g for g, c in P.facets if sum(a * b for a, b in zip(g, v)) + c == 0} for v in P.vertices]
+    edges = {}
+    for (u, a), (v, b) in itertools.combinations(zip(P.vertices, tight), 2):
+        if len(a & b) > 1:
+            edges[frozenset((u, v))] = frozenset(a & b)
+    return edges
+
+
+def _length(e):
+    u, v = e
+    return math.gcd(*(a - b for a, b in zip(u, v)))
+
+
+@pytest.mark.parametrize("corpus", ["seeded", "named"])
+def test_reflexive_3polytopes_satisfy_the_twenty_four(corpus):
+    # sum over the edges e of l(e) l(e*) = 24, e* the dual edge of P* and l
+    # the lattice length; each edge lies on two facets, e* joins their
+    # normals and is an edge of P*, and V - E + F = 2, on both sides
+    if corpus == "seeded":
+        polytopes = reflexive_3polytopes()
+        assert len(polytopes) == 265
+    else:
+        polytopes = [LatticePolytope(SMALL_REFLEXIVE[name]) for name in ("quartic", "octahedron", "cube", "p2_x_p1")]
+        polytopes += [LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])]
+    for P in polytopes:
+        for Q in (P, P.polar_dual()):
+            edges = _edges(Q)
+            assert all(len(normals) == 2 for normals in edges.values()), Q.vertices
+            assert set(edges.values()) == set(_edges(Q.polar_dual())), Q.vertices
+            assert len(Q.vertices) - len(edges) + len(Q.facets) == 2, Q.vertices
+            assert sum(_length(e) * _length(normals) for e, normals in edges.items()) == 24, Q.vertices
 
 
 # ------------------------------------------------------------ constructions

@@ -352,11 +352,10 @@ def test_bseries_formats_each_slice_column_once(monkeypatch):
 # series (z^eps shifts eps-slices) and the I-function only divides (B/A).
 # The Frobenius pair divides r = tau/omega0 at z = s x and forms the powers
 # of h = exp(-r) at order N - 1 in baby and giant steps, m = isqrt(N):
-# h^2..h^m and h^(2m)..h^(jm), jm < N - 1 (N = 4: h^2; N = 16: h^2, h^3,
-# h^4, h^8, h^12); the mirror map's Lagrange reversion reads them (and one
-# more giant power when m divides N - 1).  The yukawa job reverts nothing:
-# it forms omega0(s x)^2 for Y in closed form and (1 + theta r)^2, which Y
-# is divided by, and the m products G h^a of K(q) by Lagrange-Buermann
+# h^2..h^m and h^(2m)..h^(jm), jm <= N - 1 (N = 4: h^2; N = 16: h^2, h^3,
+# h^4, h^8, h^12); the mirror map's Lagrange reversion reads them.  The
+# yukawa job reverts nothing: it forms omega0(s x)^2 for Y in closed form
+# and (1 + theta r)^2, which Y is divided by, and the m products G h^a of K(q) by Lagrange-Buermann
 # (N = 4: 2 + 1 + 2; N = 16: 2 + 5 + 4).  An all job forms the powers once
 # for both sections.  No series is moved from x to z (the writer prints
 # each coefficient over D s^n), and the product of omega0(s x)^2 with the
@@ -490,7 +489,7 @@ def test_rational_kernels_build_no_fraction(monkeypatch):
 
 
 def test_cohom_jobs_form_only_the_slices_they_read(monkeypatch):
-    # the kernel hands over by order and builds a slice series on first read:
+    # the kernel hands over by order and builds a slice series when it is read:
     # a JSON bseries job writes every slice from the per-order pairs and forms
     # no series at all, and an ifunction job forms the two slices of B/A
     made = {"slices": 0, "series": 0}
