@@ -304,7 +304,9 @@ def _cmd_ifunction(ctx):
     d = sum(le for le in ell if le > 0)
     m = d + 1
     I = i_function_untwisted(ell, m, ctx.config.N)
-    ratio = i_function_mirror_map(I)
+    # each read of a slice builds it: read A and B once, for both formats
+    A, B = I[0], I[1]
+    ratio = i_function_mirror_map((A, B))
     payload = {
         "num_weights": list(num),
         "den_weights": list(den),
@@ -314,7 +316,7 @@ def _cmd_ifunction(ctx):
     }
     return payload, lambda: [
         f"weights: numerator {list(num)}, denominator {list(den)}",
-        f"A(q) = {_series_text(I[0].to_json(), 'q')}",
+        f"A(q) = {_series_text(A.to_json(), 'q')}",
         f"B/A (mirror map series) = {_series_text(payload['mirror_map_series'], 'q')}",
     ]
 

@@ -13,9 +13,28 @@ and the identity vol(Lambda) = chi(X_dual) is asserted on both sides — its
 failure signals a violated smoothness hypothesis.  Lambda and Lambda_dual
 are read off one Batyrev–Borisov pairing (``polytope.cayley_pyramids``);
 chi(X) and chi(X_dual) are the volumes of the polar duals, so each check
-compares two independent computations.  Hodge numbers off the middle
-degree are inherited from the toric base; middle-degree numbers follow
-from chi in dimensions 2 and 3.
+compares two independent computations.
+
+On a simplex vol(Lambda) has a closed form.  With (W, c, L) =
+``data.relation`` and C_i the sum of c_g over part i, the labels m_ij of
+``nefpart._simplex_labels`` give Delta_i = (C_i / L) Delta + t_i, with
+sum C_i = L.  By the Cayley trick vol(Lambda) is the sum of the mixed
+volumes MV(Delta_1^a_1, ..., Delta_r^a_r) over |a| = n (Huber, Rambau and
+Santos, "The Cayley trick, lifting subdivisions and the Bohne-Dress
+theorem on zonotopal tilings", J. Eur. Math. Soc. 2000), and each is
+vol(Delta) prod (C_i / L)^a_i, so
+
+    vol(Lambda) = vol(Delta) h_n(C_1, ..., C_r) / L^n,
+
+h_n the complete homogeneous symmetric polynomial of degree n.  The check
+is made in integers, vol(Delta) h_n(C) == L^n chi(X_dual), so no inexact
+quotient passes.  Off a simplex Lambda is triangulated.  Lambda_dual is
+triangulated everywhere: on a simplex its volume is vol(Delta*) for every
+partition, and a closed form would leave the dual-side check comparing a
+number with itself.
+
+Hodge numbers off the middle degree are inherited from the toric base;
+middle-degree numbers follow from chi in dimensions 2 and 3.
 
 h^{1,1} counts the lattice points of the polar dual P of the base, a
 reflexive polytope, but for n = 2 it is a middle number, read from chi
@@ -26,6 +45,8 @@ normalized volume.  So #P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).
 The volume is chi(X), which the cover's Euler characteristic already needs,
 so n = 2 and n = 3 count no lattice points.
 """
+
+from fractions import Fraction
 
 from .errors import FracmirrorError, SmoothnessError
 from .polytope import cayley_pyramids
@@ -147,12 +168,23 @@ def euler_double_cover(data):
     lam, lam_dual = cayley_pyramids(
         data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
     )
-    vol_lambda = lam.normalized_volume()
-    if vol_lambda != chi_X_dual:
+    if data.relation:
+        # vol(Lambda) = vol(Delta) h_n(C_1, ..., C_r) / L^n (module docstring)
+        _, c, L = data.relation
+        h = [1] + [0] * n
+        for part in data.ray_parts:
+            C = sum(c[g] for g in part)
+            for k in range(1, n + 1):
+                h[k] += C * h[k - 1]
+        vol, scale = data.delta.normalized_volume() * h[n], L**n
+    else:
+        vol, scale = lam.normalized_volume(), 1
+    if vol != scale * chi_X_dual:
         raise SmoothnessError(
-            f"vol(Λ) ≠ χ(X∨): {vol_lambda} != {chi_X_dual}; "
+            f"vol(Λ) ≠ χ(X∨): {Fraction(vol, scale)} != {chi_X_dual}; "
             "smoothness hypothesis violated"
         )
+    vol_lambda = vol // scale
     vol_lambda_dual = lam_dual.normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(

@@ -342,6 +342,19 @@ def test_ifunction_quartic(capsys):
     assert "1680" in out and "15808" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_ifunction_builds_each_read_slice_once(capsys, monkeypatch, fmt):
+    # gkz.Slices builds a slice on every read, and the job reads A and B
+    from fracmirror import gkz
+
+    reads = []
+    getitem = gkz.Slices.__getitem__
+    monkeypatch.setattr(gkz.Slices, "__getitem__", lambda self, k: reads.append(k) or getitem(self, k))
+    assert main(["ifunction", _data("p3_quartic.json"), "-N", "4", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert reads == [0, 1]
+
+
 def test_bseries_ring_description(capsys):
     assert main(["bseries", _data("p3_quartic.json"), "-N", "4"]) == 0
     out = capsys.readouterr().out

@@ -3,11 +3,19 @@
 import random
 
 import pytest
-from conftest import GEN, accepted_partitions, load_case
+from conftest import (
+    GEN,
+    SMALL_REFLEXIVE,
+    accepted_partitions,
+    load_case,
+    reflexive_3polytopes,
+    reflexive_polygons,
+    set_partitions,
+)
 
 from fracmirror.errors import FracmirrorError, SmoothnessError
-from fracmirror.nefpart import NefPartition
-from fracmirror.polytope import LatticePolytope
+from fracmirror.nefpart import NefPartition, simplex_relation, validate_nef_partition
+from fracmirror.polytope import LatticePolytope, cayley_pyramids
 from fracmirror.topology import _point_count, euler_double_cover, euler_mpcp, hodge_numbers
 from oracles import (
     boundary_lattice_point_count,
@@ -209,6 +217,73 @@ def test_chi_matches_hirzebruch_by_strata(monkeypatch):
         topo = euler_double_cover(NefPartition.from_dict(doc))
         chi = chi_cover_by_strata(n, sizes)
         assert (name, topo.chi_Y, topo.chi_Y_dual) == (name, chi, (-1) ** n * chi)
+
+
+def _triangulated_vol_lambda(data):
+    rays = [[data.rays[j] for j in part] for part in data.ray_parts]
+    return cayley_pyramids(data.part_vertices, rays)[0].normalized_volume()
+
+
+def test_simplex_vol_lambda_matches_the_triangulation():
+    # on a simplex vol(Lambda) is read off the Cayley trick, vol(Delta)
+    # h_n(C) / L^n (topology module docstring), against the pulling
+    # triangulation of Lambda: the 13 generated shapes in seeded frames,
+    # eight more P^n shapes in the identity frame, and every accepted
+    # partition of the reflexive simplices of the corpora, 21 of them
+    # weighted (some c_g != 1)
+    rng = random.Random(48)
+    cases = []
+    for shape, (n, _) in GEN.SHAPES.items():
+        U, Uinv = GEN.random_frame(n, 3, rng)
+        cases.append(NefPartition.from_dict(GEN.framed_input(shape, U, Uinv)))
+    for name in ("p4_2111", "p4_11111", "p5_6", "p5_33", "p5_222", "p5_411", "p5_2211", "p6_43"):
+        n, sizes = EXTRA_SHAPES[name]
+        cases.append(NefPartition(LatticePolytope(GEN.simplex_vertices(n)), GEN.canonical_parts(n, sizes)))
+    corpora = (*reflexive_polygons(), *reflexive_3polytopes(), *map(LatticePolytope, SMALL_REFLEXIVE.values()))
+    simplices = [P for P in corpora if len(P.vertices) == P.ambient_dim + 1]
+    for delta in simplices:
+        for parts in set_partitions(tuple(range(len(delta.facets)))):
+            if not validate_nef_partition(delta, parts):
+                cases.append(NefPartition(delta, parts))
+    weighted = sum(any(c != 1 for c in simplex_relation(delta)[1]) for delta in simplices)
+    assert (len(simplices), weighted, len(cases)) == (33, 21, 13 + 8 + 56)
+    for data in cases:
+        assert data.relation is not None
+        got = euler_double_cover(data).vol_Lambda
+        assert got == _triangulated_vol_lambda(data), (data.delta.vertices, data.ray_parts)
+
+
+def _splits(k):
+    """The set partitions of range(k) into at most two parts, each once."""
+    yield [tuple(range(k))]
+    for mask in range(1, 1 << (k - 1)):  # k - 1 stays in the second part
+        yield [tuple(i for i in range(k) if mask >> i & 1), tuple(i for i in range(k) if not mask >> i & 1)]
+
+
+def test_mirror_checks_on_the_reflexive_corpus():
+    # the paper's chi(Y) = (-1)^n chi(Y_dual), Borisov's involution (the
+    # dual of the dual partition is the partition of delta it came from)
+    # and euler of the dual partition swapping chi(Y) and chi(Y_dual), on
+    # every accepted partition with r <= 2 of the polars of the generated
+    # polygons, and of the generated 3-polytopes with at most five
+    # vertices: all 3-polytopes take about 7 s
+    polytopes = [*reflexive_polygons(), *(P for P in reflexive_3polytopes() if len(P.vertices) <= 5)]
+    accepted = 0
+    for P in polytopes:
+        delta = P.polar_dual()
+        n = delta.ambient_dim
+        for parts in _splits(len(P.vertices)):
+            if validate_nef_partition(delta, parts):
+                continue
+            accepted += 1
+            data = NefPartition(delta, parts)
+            topo = euler_double_cover(data)
+            assert topo.chi_Y == (-1) ** n * topo.chi_Y_dual, (P.vertices, parts)
+            dual = NefPartition(data.nabla, data.dual_parts())
+            assert (dual.nabla, dual.dual_parts()) == (delta, list(map(list, parts))), (P.vertices, parts)
+            flipped = euler_double_cover(dual)
+            assert (flipped.chi_Y, flipped.chi_Y_dual) == (topo.chi_Y_dual, topo.chi_Y), (P.vertices, parts)
+    assert accepted == 459 + 335
 
 
 # ------------------------------------------------------------------ hodge
