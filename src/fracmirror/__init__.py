@@ -7,13 +7,12 @@ maps, Yukawa couplings, and cohomology-valued I-functions).
 """
 
 from .errors import FracmirrorError, InvalidNefPartition, SmoothnessError
-from .polytope import LatticePolytope, cayley_pyramids
+from .polytope import LatticePolytope
 from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
 from .topology import (
     CoverTopology,
     HodgeTable,
     euler_double_cover,
-    euler_mpcp,
     hodge_numbers,
 )
 from .series import RationalSeries, fraction_str, parse_fraction
@@ -45,14 +44,12 @@ __all__ = [
     "InvalidNefPartition",
     "SmoothnessError",
     "LatticePolytope",
-    "cayley_pyramids",
     "NefPartition",
     "dual_nef_partition",
     "validate_nef_partition",
     "CoverTopology",
     "HodgeTable",
     "euler_double_cover",
-    "euler_mpcp",
     "hodge_numbers",
     "RationalSeries",
     "fraction_str",

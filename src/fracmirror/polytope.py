@@ -36,7 +36,8 @@ of every ∇_k that holds it, so only (0, e_k) can fail, and it fails exactly
 when 0 ∈ conv(rays of part k).  The layer t = e_k of Λ∨ is a face, so its
 vertices are the tagged vertices of ∇_k, and off a simplex ``nefpart`` reads
 the ∇_k off the same pairing (``_pairing``).  Λ is read off Λ∨ by
-transposing the incidences, as the polar dual is, with apex and lid swapped.
+transposing the incidences, as the polar dual is, with apex and lid swapped;
+``_pyramid`` builds either, and ``topology`` builds Λ only off a simplex.
 """
 
 import bisect
@@ -48,7 +49,6 @@ from .errors import FracmirrorError, _as_int, _as_ints
 
 __all__ = [
     "LatticePolytope",
-    "cayley_pyramids",
 ]
 
 
@@ -425,12 +425,3 @@ def _pairing(part_vertices, part_rays):
     keep, on_rows = _vertex_test(masks, len(points))
     return rows, [points[j] for j in keep], on_rows
 
-
-def cayley_pyramids(part_vertices, part_rays):
-    """(Λ, Λ∨) of a nef-partition, read off the pairing of ``_pairing``."""
-    r = len(part_rays)
-    rows, verts, on_rows = _pairing(part_vertices, part_rays)
-    return (
-        _pyramid(rows, verts, _transpose(on_rows, len(verts)), r),
-        _pyramid(verts, rows, on_rows, r),
-    )

@@ -10,10 +10,13 @@ lattice volume of the pyramid Lambda over the Cayley polytope of the parts:
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
 and the identity vol(Lambda) = chi(X_dual) is asserted on both sides — its
-failure signals a violated smoothness hypothesis.  Lambda and Lambda_dual
-are read off one Batyrev–Borisov pairing (``polytope.cayley_pyramids``);
-chi(X) and chi(X_dual) are the volumes of the polar duals, so each check
-compares two independent computations.
+failure signals a violated smoothness hypothesis.  The stage reads the two
+fan polytopes, P = Delta* (``data.delta.polar_dual()``, read off Delta with
+no hull) and P_dual = nabla* (``data.nabla_dual``): chi(X) = vol(P) and
+chi(X_dual) = vol(P_dual), and it builds no nabla.  Lambda_dual, and off a
+simplex Lambda, are read off one Batyrev–Borisov pairing
+(``polytope._pairing``) by ``polytope._pyramid``, so each check compares
+two independent computations.
 
 On a simplex vol(Lambda) has a closed form.  With (W, c, L) =
 ``data.relation`` and C_i the sum of c_g over part i, the labels m_ij of
@@ -28,7 +31,8 @@ vol(Delta) prod (C_i / L)^a_i, so
 
 h_n the complete homogeneous symmetric polynomial of degree n.  The check
 is made in integers, vol(Delta) h_n(C) == L^n chi(X_dual), so no inexact
-quotient passes.  Off a simplex Lambda is triangulated.  Lambda_dual is
+quotient passes, and Lambda is not built.  Off a simplex Lambda is built
+from the transposed pairing and triangulated.  Lambda_dual is built and
 triangulated everywhere: on a simplex its volume is vol(Delta*) for every
 partition, and a closed form would leave the dual-side check comparing a
 number with itself.
@@ -36,37 +40,27 @@ number with itself.
 Hodge numbers off the middle degree are inherited from the toric base;
 middle-degree numbers follow from chi in dimensions 2 and 3.
 
-h^{1,1} counts the lattice points of the polar dual P of the base, a
-reflexive polytope, but for n = 2 it is a middle number, read from chi
+h^{1,1} counts the lattice points of the base's fan polytope, P or P_dual,
+a reflexive polytope, but for n = 2 it is a middle number, read from chi
 with no count.  The Ehrhart h*-vector (1, h_1, ..., h_{n-1}, 1) of P is
 palindromic (Hibi, "Dual polytopes of rational convex polytopes",
 Combinatorica 1992), h_1 = #P - n - 1 and the h_i sum to Vol(P), the
 normalized volume.  So #P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).
-The volume is chi(X), which the cover's Euler characteristic already needs,
-so n = 2 and n = 3 count no lattice points.
+The volume is chi of the base, which the cover's Euler characteristic
+already needs, so n = 2 and n = 3 count no lattice points.
 """
 
 from fractions import Fraction
 
 from .errors import FracmirrorError, SmoothnessError
-from .polytope import cayley_pyramids
+from .polytope import _pairing, _pyramid, _transpose
 
 __all__ = [
     "CoverTopology",
     "HodgeTable",
-    "euler_mpcp",
     "euler_double_cover",
     "hodge_numbers",
 ]
-
-
-def euler_mpcp(delta):
-    """Euler characteristic of the crepant-resolved toric variety of delta.
-
-    Equals the normalized volume of the polar dual (the number of maximal
-    cones in a unimodular triangulation of its face fan).
-    """
-    return delta.polar_dual().normalized_volume()
 
 
 class HodgeTable:
@@ -85,36 +79,36 @@ class HodgeTable:
         }
 
 
-def _point_count(delta, vol):
-    """Lattice points of the polar dual of delta (n != 2), whose normalized
-    volume is ``vol``: read off the palindromic h*-vector for n = 3 (module
+def _point_count(P, vol):
+    """Lattice points of the fan polytope P (n != 2), whose normalized volume
+    is ``vol``: read off the palindromic h*-vector for n = 3 (module
     docstring), counted otherwise."""
-    if delta.ambient_dim == 3:
+    if P.ambient_dim == 3:
         return vol // 2 + 3
-    return delta.polar_dual().lattice_point_count()
+    return P.lattice_point_count()
 
 
-def hodge_numbers(delta, chi, vol):
+def hodge_numbers(P, chi, vol):
     """Hodge numbers of the double cover Y with Euler characteristic chi.
 
-    ``delta`` is the reflexive polytope of the toric base (``data.delta``
-    for Y, ``data.nabla`` for its mirror) and ``vol`` the normalized volume
-    of its polar dual, chi of the base (``euler_mpcp(delta)``).  Off-middle
-    numbers are those of the smooth toric base, with h^{1,1} =
-    (#boundary lattice points of the polar dual of delta) - n: all its
-    lattice points but the origin, since a reflexive polytope has no other
-    interior lattice point.  The middle row comes from chi in dimensions 2
-    and 3.  Otherwise the off-middle part is returned with
-    ``complete=False``.
+    ``P`` is the fan polytope of the toric base, the polar dual of its
+    reflexive polytope: Delta* = ``data.delta.polar_dual()`` for Y and
+    nabla* = ``data.nabla_dual`` for its mirror, so the stage builds no
+    nabla.  ``vol`` is the normalized volume of P, chi of the base.
+    Off-middle numbers are those of the smooth toric base, with h^{1,1} =
+    (#boundary lattice points of P) - n: all its lattice points but the
+    origin, since a reflexive polytope has no other interior lattice point.
+    The middle row comes from chi in dimensions 2 and 3.  Otherwise the
+    off-middle part is returned with ``complete=False``.
     """
-    n = delta.ambient_dim
+    n = P.ambient_dim
     table = {(p, q): 0 for p in range(n + 1) for q in range(n + 1) if p + q != n and p != q}
     table[(0, 0)] = table[(n, n)] = 1
     if n == 2:
         table[(2, 0)] = table[(0, 2)] = 1
         table[(1, 1)] = chi - 4
         return HodgeTable(table)
-    h11 = _point_count(delta, vol) - 1 - n
+    h11 = _point_count(P, vol) - 1 - n
     table[(1, 1)] = table[(n - 1, n - 1)] = h11
     if n != 3:
         return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
@@ -163,9 +157,9 @@ def euler_double_cover(data):
     characteristic of the mirror toric variety on either side.
     """
     n = data.delta.ambient_dim
-    chi_X = euler_mpcp(data.delta)
-    chi_X_dual = euler_mpcp(data.nabla)
-    lam, lam_dual = cayley_pyramids(
+    P, P_dual = data.delta.polar_dual(), data.nabla_dual
+    chi_X, chi_X_dual = P.normalized_volume(), P_dual.normalized_volume()
+    rows, verts, on_rows = _pairing(
         data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
     )
     if data.relation:
@@ -178,6 +172,7 @@ def euler_double_cover(data):
                 h[k] += C * h[k - 1]
         vol, scale = data.delta.normalized_volume() * h[n], L**n
     else:
+        lam = _pyramid(rows, verts, _transpose(on_rows, len(verts)), data.r)
         vol, scale = lam.normalized_volume(), 1
     if vol != scale * chi_X_dual:
         raise SmoothnessError(
@@ -185,7 +180,7 @@ def euler_double_cover(data):
             "smoothness hypothesis violated"
         )
     vol_lambda = vol // scale
-    vol_lambda_dual = lam_dual.normalized_volume()
+    vol_lambda_dual = _pyramid(verts, rows, on_rows, data.r).normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(
             f"vol(Λ) ≠ χ(X∨) on the dual side: {vol_lambda_dual} != {chi_X}; "
@@ -201,7 +196,7 @@ def euler_double_cover(data):
         vol_Lambda_dual=vol_lambda_dual,
         chi_Y=chi_Y,
         chi_Y_dual=chi_Y_dual,
-        hodge=hodge_numbers(data.delta, chi_Y, chi_X),
-        hodge_dual=hodge_numbers(data.nabla, chi_Y_dual, chi_X_dual),
+        hodge=hodge_numbers(P, chi_Y, chi_X),
+        hodge_dual=hodge_numbers(P_dual, chi_Y_dual, chi_X_dual),
     )
 

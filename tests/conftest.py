@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fracmirror import NefPartition
 from fracmirror.nefpart import validate_nef_partition
-from fracmirror.polytope import LatticePolytope
+from fracmirror.polytope import LatticePolytope, _pairing, _pyramid, _transpose
 from fracmirror.topology import euler_double_cover
 
 REPO = Path(__file__).resolve().parents[1]
@@ -75,6 +75,24 @@ def reflexive_3polytopes():
         if P.is_reflexive():
             found.setdefault(P.vertices, P)
     return tuple(found.values())
+
+
+def cayley_pyramids(part_vertices, part_rays):
+    """(Lambda, Lambda_dual) of a nef-partition, both read off one
+    ``polytope._pairing`` by ``polytope._pyramid``, Lambda on the transposed
+    masks, as ``topology.euler_double_cover`` reads them."""
+    r = len(part_rays)
+    rows, verts, on_rows = _pairing(part_vertices, part_rays)
+    return _pyramid(rows, verts, _transpose(on_rows, len(verts)), r), _pyramid(verts, rows, on_rows, r)
+
+
+@functools.cache
+def reflexive_4polytopes():
+    """The reflexive 4-polytopes of ``tests/reflexive_4polytopes.json``: a
+    seeded draw, committed so that it does not rerun; its "about" says how
+    it was drawn."""
+    doc = json.loads((REPO / "tests" / "reflexive_4polytopes.json").read_text())
+    return tuple(LatticePolytope(V, 4) for V in doc["polytopes"])
 
 
 @st.composite

@@ -91,10 +91,10 @@ def table(mains, repeats=REPEATS):
 
 
 def _import_as(src, name, tmp):
-    """``fracmirror.cli.main`` of the package in ``src``, imported as ``name``."""
+    """``fracmirror.cli`` of the package in ``src``, imported as ``name``."""
     shutil.copytree(Path(src).resolve() / "fracmirror", Path(tmp) / name)
     sys.path.insert(0, tmp)
-    return importlib.import_module(f"{name}.cli").main
+    return importlib.import_module(f"{name}.cli")
 
 
 def _cell(times):
@@ -123,7 +123,7 @@ def main(argv):
         rows = table([cli_main])
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            rows = table([cli_main, _import_as(against, "fracmirror_against", tmp)], AGAINST_REPEATS)
+            rows = table([cli_main, _import_as(against, "fracmirror_against", tmp).main], AGAINST_REPEATS)
         print(f"ratio src / {against} (median over order-swapped pairs of repetitions), then both best times in ms")
     print("| command | " + " | ".join(f"N={N}" for N in ORDERS) + " |")
     print("| --- |" + " --- |" * len(ORDERS))

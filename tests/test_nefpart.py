@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, set_partitions
+from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, cayley_pyramids, set_partitions
 
 from fracmirror.errors import InvalidNefPartition
 from fracmirror.gkz import build_gkz
@@ -16,7 +16,7 @@ from fracmirror.nefpart import (
     dual_nef_partition,
     validate_nef_partition,
 )
-from fracmirror.polytope import LatticePolytope, cayley_pyramids
+from fracmirror.polytope import LatticePolytope
 from fracmirror.topology import euler_double_cover
 from oracles import (
     SpanHull,

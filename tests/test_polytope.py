@@ -13,12 +13,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import GEN, SMALL_REFLEXIVE, accepted_partitions, reflexive_3polytopes, reflexive_polygons
+from conftest import (
+    GEN,
+    SMALL_REFLEXIVE,
+    accepted_partitions,
+    cayley_pyramids,
+    reflexive_3polytopes,
+    reflexive_polygons,
+)
 
 from fracmirror import linalg
 from fracmirror.errors import FracmirrorError
 from fracmirror.nefpart import NefPartition
-from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, _vertex_test, cayley_pyramids
+from fracmirror.polytope import LatticePolytope, _dd_extreme_rays, _vertex_test
 from oracles import (
     SpanHull,
     boundary_lattice_point_count,

@@ -74,6 +74,7 @@ REJECTED = {
     "negative_dim": _quartic(dim=-1),
     "float_dim": _quartic(dim=3.5),
     "wrong_dim": _quartic(dim=2),
+    "ragged": _quartic(vertices=[[3, -1, -1], [-1, 3], [-1, -1, 3], [-1, -1, -1]]),
     "no_vertices": _quartic(vertices=[]),
     "vertices_not_lists": _quartic(vertices=5),
     "parts_not_lists": {"delta": QUARTIC["delta"], "parts": 5},
@@ -137,7 +138,6 @@ UNRUN = [
     ("picard_fuchs.theta_conjugate", 'raise FracmirrorError("unsupported shape: no positive kernel entries")', _BALANCED),
     ("polytope.LatticePolytope.__eq__", "return (", _EQUALITY),
     ("polytope.LatticePolytope.__hash__", "return hash((self.ambient_dim, self.vertices))", "the hash that goes with __eq__"),
-    ("polytope.LatticePolytope.__init__", 'raise ValueError("points have inconsistent dimension")', _CALLER),
     ("polytope.LatticePolytope._require_full_dimensional", 'raise FracmirrorError(f"{what} requires a full-dimensional polytope")', _CALLER),
     ("polytope.LatticePolytope.polar_dual", "raise FracmirrorError(", _CALLER),
     ("polytope.LatticePolytope.polar_dual", 'raise FracmirrorError("origin is not an interior point")', _CALLER),

@@ -1,22 +1,28 @@
 """Euler characteristics and Hodge tables of the branched double covers."""
 
 import random
+from collections import Counter
 
 import pytest
 from conftest import (
+    DATA,
     GEN,
+    REPO,
     SMALL_REFLEXIVE,
     accepted_partitions,
+    cayley_pyramids,
     load_case,
     reflexive_3polytopes,
+    reflexive_4polytopes,
     reflexive_polygons,
     set_partitions,
 )
 
+from fracmirror import cli, polytope, topology
 from fracmirror.errors import FracmirrorError, SmoothnessError
 from fracmirror.nefpart import NefPartition, simplex_relation, validate_nef_partition
-from fracmirror.polytope import LatticePolytope, cayley_pyramids
-from fracmirror.topology import _point_count, euler_double_cover, euler_mpcp, hodge_numbers
+from fracmirror.polytope import LatticePolytope
+from fracmirror.topology import _point_count, euler_double_cover, hodge_numbers
 from oracles import (
     boundary_lattice_point_count,
     cayley_polytope,
@@ -32,16 +38,24 @@ from oracles import (
 QUARTIC = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 UNIT3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 TRIANGLE_2H = [(2, -1), (-1, 2), (-1, -1)]
+GOLDEN = REPO / "tests" / "golden"
 
 
-# ------------------------------------------------------------- euler_mpcp
+# ------------------------------------------------------- chi of the base
+
+
+def _chi(vertices):
+    """chi of the crepant-resolved toric variety of a reflexive polytope: the
+    normalized volume of its polar dual, the fan polytope, whose unimodular
+    triangulations have that many maximal cones."""
+    return LatticePolytope(vertices).polar_dual().normalized_volume()
 
 
 def test_euler_mpcp_known_values():
-    assert euler_mpcp(LatticePolytope(QUARTIC)) == 4  # smooth ambient space
-    assert euler_mpcp(LatticePolytope(UNIT3)) == 64  # crepant resolution
-    assert euler_mpcp(LatticePolytope(TRIANGLE_2H)) == 3
-    assert euler_mpcp(LatticePolytope([(1, 0), (0, 1), (-1, -1)])) == 9
+    assert _chi(QUARTIC) == 4  # smooth ambient space
+    assert _chi(UNIT3) == 64  # crepant resolution
+    assert _chi(TRIANGLE_2H) == 3
+    assert _chi([(1, 0), (0, 1), (-1, -1)]) == 9
 
 
 # -------------------------------------------------- open-stratum chi values
@@ -120,10 +134,10 @@ def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
 
 def test_smoothness_guard_raises():
     data = NefPartition(LatticePolytope(QUARTIC), [[0, 1, 2, 3]])
-    # Lambda is read off the true parts; a wrong cached nabla (the quartic
-    # simplex itself, whose polar dual has volume 4, not 64) makes chi(X_dual)
+    # Lambda is read off the true parts; a wrong cached nabla_dual (the polar
+    # dual of the quartic simplex, of volume 4, not 64) makes chi(X_dual)
     # wrong, so that only the comparison with vol(Lambda) sees it
-    data.nabla = LatticePolytope(QUARTIC)
+    data.nabla_dual = LatticePolytope(QUARTIC).polar_dual()
     with pytest.raises(SmoothnessError, match="smoothness hypothesis violated"):
         euler_double_cover(data)
 
@@ -253,11 +267,51 @@ def test_simplex_vol_lambda_matches_the_triangulation():
         assert got == _triangulated_vol_lambda(data), (data.delta.vertices, data.ray_parts)
 
 
+TOPOLOGY_INPUTS = [
+    *(DATA / f"{name}.json" for name in GEN.BUNDLED),
+    GOLDEN / "p4_311.json",
+    GOLDEN / "hexagon.json",
+]
+
+
+@pytest.mark.parametrize("path", TOPOLOGY_INPUTS, ids=lambda p: p.stem)
+def test_topology_jobs_read_the_fan_polytopes_and_one_pairing(monkeypatch, path):
+    # euler, hodge and all read Delta* and nabla* and build no nabla; they
+    # pair once and build Lambda_dual, and Lambda only off a simplex (the
+    # hexagon, whose all stops at its multiparameter moduli); dual-nef, which
+    # prints nabla, builds it
+    calls, seen = Counter(), []
+    for name in ("_pairing", "_pyramid"):
+        f = getattr(polytope, name)
+        wrapped = lambda *a, f=f, name=name: calls.update([name]) or f(*a)  # noqa: E731
+        monkeypatch.setattr(topology, name, wrapped, raising=False)
+    stage, nef = cli.euler_double_cover, cli.dual_nef_partition
+    monkeypatch.setattr(cli, "euler_double_cover", lambda data: seen.append(data) or stage(data))
+    monkeypatch.setattr(cli, "dual_nef_partition", lambda data: seen.append(data) or nef(data))
+    pyramids = 1 if path.stem != "hexagon" else 2
+    for command in ("euler", "hodge", "all"):
+        calls.clear()
+        seen.clear()
+        code = 3 if (command, path.stem) == ("all", "hexagon") else 0
+        assert cli.main([command, str(path), "-N", "4", "--format", "json"]) == code
+        [data] = seen
+        assert "nabla" not in vars(data), command
+        assert calls == {"_pairing": 1, "_pyramid": pyramids}, command
+    seen.clear()
+    assert cli.main(["dual-nef", str(path), "--format", "json"]) == 0
+    assert "nabla" in vars(seen[0])
+
+
+def _split(k, mask):
+    """range(k) in two parts: the i with bit i of ``mask`` set, then the rest."""
+    return [tuple(i for i in range(k) if mask >> i & 1), tuple(i for i in range(k) if not mask >> i & 1)]
+
+
 def _splits(k):
     """The set partitions of range(k) into at most two parts, each once."""
     yield [tuple(range(k))]
     for mask in range(1, 1 << (k - 1)):  # k - 1 stays in the second part
-        yield [tuple(i for i in range(k) if mask >> i & 1), tuple(i for i in range(k) if not mask >> i & 1)]
+        yield _split(k, mask)
 
 
 def test_mirror_checks_on_the_reflexive_corpus():
@@ -270,27 +324,50 @@ def test_mirror_checks_on_the_reflexive_corpus():
     polytopes = [*reflexive_polygons(), *(P for P in reflexive_3polytopes() if len(P.vertices) <= 5)]
     accepted = 0
     for P in polytopes:
-        delta = P.polar_dual()
-        n = delta.ambient_dim
         for parts in _splits(len(P.vertices)):
-            if validate_nef_partition(delta, parts):
-                continue
-            accepted += 1
-            data = NefPartition(delta, parts)
-            topo = euler_double_cover(data)
-            assert topo.chi_Y == (-1) ** n * topo.chi_Y_dual, (P.vertices, parts)
-            dual = NefPartition(data.nabla, data.dual_parts())
-            assert (dual.nabla, dual.dual_parts()) == (delta, list(map(list, parts))), (P.vertices, parts)
-            flipped = euler_double_cover(dual)
-            assert (flipped.chi_Y, flipped.chi_Y_dual) == (topo.chi_Y_dual, topo.chi_Y), (P.vertices, parts)
+            accepted += _mirror_checks(P, parts)
     assert accepted == 459 + 335
+
+
+def _mirror_checks(P, parts):
+    """Whether ``parts`` is a nef-partition of the polar dual of P; if so, the
+    paper's chi(Y) = (-1)^n chi(Y_dual), the involution and the swap hold."""
+    delta = P.polar_dual()
+    n = delta.ambient_dim
+    if validate_nef_partition(delta, parts):
+        return False
+    data = NefPartition(delta, parts)
+    topo = euler_double_cover(data)
+    assert topo.chi_Y == (-1) ** n * topo.chi_Y_dual, (P.vertices, parts)
+    dual = NefPartition(data.nabla, data.dual_parts())
+    assert (dual.nabla, dual.dual_parts()) == (delta, list(map(list, parts))), (P.vertices, parts)
+    flipped = euler_double_cover(dual)
+    assert (flipped.chi_Y, flipped.chi_Y_dual) == (topo.chi_Y_dual, topo.chi_Y), (P.vertices, parts)
+    return True
+
+
+def test_mirror_checks_on_reflexive_4polytopes():
+    # the checks above with n = 4 on 20 seeded two-part splits of the rays of
+    # the polar of each committed reflexive 4-polytope, none a simplex: so
+    # Lambda is triangulated off the transposed pairing and h^{1,1} counts
+    # the points of Delta* and nabla*.  The polars have 3936 splits in all,
+    # and a rejected one costs about 160 us to validate
+    polytopes = reflexive_4polytopes()
+    assert len(polytopes) == 40 and all(P.is_reflexive() and len(P.vertices) > 5 for P in polytopes)
+    rng, accepted = random.Random(49), 0
+    for P in polytopes:
+        k = len(P.vertices)
+        for _ in range(20):
+            accepted += _mirror_checks(P, _split(k, rng.randrange(1, 1 << (k - 1))))
+    assert accepted == 85
 
 
 # ------------------------------------------------------------------ hodge
 
 
 def test_hodge_numbers_k3_table(k3):
-    table = hodge_numbers(k3.delta, 12, euler_mpcp(k3.delta))
+    P = k3.delta.polar_dual()
+    table = hodge_numbers(P, 12, P.normalized_volume())
     assert table.table[(1, 1)] == 8
     assert table.table[(0, 0)] == 1 and table.table[(2, 2)] == 1
     assert table.table[(1, 0)] == 0
@@ -302,7 +379,8 @@ def test_hodge_two_routes_agree(quartic):
     h11 = boundary_lattice_point_count(data.delta.polar_dual()) - 3
     chi = euler_double_cover(quartic).chi_Y_dual
     h21 = h11 - chi // 2
-    table = hodge_numbers(data.delta, chi, euler_mpcp(data.delta))
+    P = data.delta.polar_dual()
+    table = hodge_numbers(P, chi, P.normalized_volume())
     assert table.table[(1, 1)] == h11 == 31
     assert table.table[(2, 1)] == h21 == 1
 
@@ -324,7 +402,7 @@ def test_h11_counts_boundary_points(case):
         dual = delta.polar_dual()
         assert interior_lattice_points(dual) == ((0,) * n,)
         if n > 2:  # a surface's h^{1,1} comes from chi
-            h11 = hodge_numbers(delta, 0, euler_mpcp(delta)).table[(1, 1)]
+            h11 = hodge_numbers(dual, 0, dual.normalized_volume()).table[(1, 1)]
             assert h11 == boundary_lattice_point_count(dual) - n
 
 
@@ -338,16 +416,18 @@ def test_point_count_reads_the_volume_for_n_up_to_3():
         if n > 3:
             continue
         for delta in (data.delta, data.nabla):
-            vol = euler_mpcp(delta)
-            count = vol + 1 if n == 2 else _point_count(delta, vol)
-            assert count == len(lattice_points_by_box(delta.polar_dual())), (name, data.ray_parts)
+            P = delta.polar_dual()
+            vol = P.normalized_volume()
+            count = vol + 1 if n == 2 else _point_count(P, vol)
+            assert count == len(lattice_points_by_box(P)), (name, data.ray_parts)
         seen.add(n)
     assert seen == {2, 3}
 
 
 def test_hodge_rejects_odd_chi(quartic):
+    P = quartic.delta.polar_dual()
     with pytest.raises(FracmirrorError, match="odd Euler characteristic"):
-        hodge_numbers(quartic.delta, 7, euler_mpcp(quartic.delta))
+        hodge_numbers(P, 7, P.normalized_volume())
 
 
 def test_hodge_higher_dimension_partial():
@@ -356,7 +436,8 @@ def test_hodge_higher_dimension_partial():
          (-1, -1, -1, -1)]
     )
     data = NefPartition(delta, [[0, 1, 2, 3, 4]])
-    table = hodge_numbers(data.delta, 0, euler_mpcp(data.delta))
+    P = data.delta.polar_dual()
+    table = hodge_numbers(P, 0, P.normalized_volume())
     assert not table.complete
     assert table.note == "middle Hodge numbers not determined"
     assert table.table[(1, 1)] == table.table[(3, 3)]
