@@ -1,6 +1,7 @@
 """fracmirror command line: polytope duality, topology, and mirror series.
 
-Exit codes: 0 success; 2 invalid input (unreadable file, malformed JSON,
+Exit codes: 0 success; 1 stdout closed before the output was written
+(``main`` only); 2 invalid input (unreadable file, malformed JSON,
 invalid nef-partition, bad flags); 3 computational assertion failure
 (violated smoothness identity, unsupported moduli shape, ...).  JSON output
 is ``_json_text`` of a command's payload, in which a value may be a fragment:
@@ -343,6 +344,7 @@ def _cmd_bseries(ctx):
 
 
 def _cmd_all(ctx):
+    ctx.ell  # off a simplex the series sections refuse: refuse before any section runs
     payload = {}
     sections = []
     for name, fn in (
@@ -437,7 +439,16 @@ def main(argv=None):
         normalization=args.normalization,
         fmt=args.fmt,
     )
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit writes nowhere instead of raising again (the Python docs' note
+        # on SIGPIPE in the signal module), and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -48,10 +48,33 @@ Combinatorica 1992), h_1 = #P - n - 1 and the h_i sum to Vol(P), the
 normalized volume.  So #P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).
 The volume is chi of the base, which the cover's Euler characteristic
 already needs, so n = 2 and n = 3 count no lattice points.
+
+For n >= 4 P = Delta* is scanned (``lattice_point_count``), and P_dual =
+nabla* is counted by the nef-partition identity
+
+    #(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1).
+
+nabla = nabla_1 + ... + nabla_r with nabla_k = conv(0, rho_g : g in I_k),
+and support functions add under Minkowski sums, so an integer m has
+min <m, nabla> = sum_k min(0, min_(g in I_k) <m, rho_g>), a sum of integers
+<= 0.  It is >= -1, m in nabla*, exactly when m lies in some Delta_k, and
+two Delta_k meet only at 0 (Batyrev and Borisov, "On Calabi-Yau complete
+intersections in toric varieties", 1996).  On a simplex a point m of
+Delta_k is the vector a >= 0 with a_g = <m, rho_g> + [g in I_k], and
+sum c_g a_g = C_k.  When the rays span Z^n every such a comes from an
+integral m, so #(Delta_k ∩ Z^n) is the coefficient of t^C_k in
+prod_g 1 / (1 - t^c_g), one array knapsack up to the largest C_k.  The rays
+span Z^n exactly when vol(Delta*) = sum c_g: each maximal minor of the rays
+is +-c_g times the index of their lattice, and vol(Delta*) sums their
+absolute values.  So the test reads chi(X), which the stage holds.  Off a
+simplex, on a simplex whose rays span a proper sublattice, and where the
+knapsack would take more than ``_accel.SCAN_BUDGET`` steps, nabla* is
+scanned.
 """
 
 from fractions import Fraction
 
+from . import _accel
 from .errors import FracmirrorError, SmoothnessError
 from .polytope import _pairing, _pyramid, _transpose
 
@@ -79,36 +102,56 @@ class HodgeTable:
         }
 
 
-def _point_count(P, vol):
-    """Lattice points of the fan polytope P (n != 2), whose normalized volume
-    is ``vol``: read off the palindromic h*-vector for n = 3 (module
-    docstring), counted otherwise."""
-    if P.ambient_dim == 3:
-        return vol // 2 + 3
-    return P.lattice_point_count()
+def _point_counts(data, P, chi_X, chi_X_dual):
+    """(#P, #P_dual), the lattice points of Delta* and nabla* (module
+    docstring): None for n = 2, read off the volumes chi_X and chi_X_dual
+    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity."""
+    n = P.ambient_dim
+    if n == 2:
+        return None, None
+    if n == 3:
+        return chi_X // 2 + 3, chi_X_dual // 2 + 3
+    return P.lattice_point_count(), _nabla_dual_count(data, chi_X)
 
 
-def hodge_numbers(P, chi, vol):
-    """Hodge numbers of the double cover Y with Euler characteristic chi.
+def _nabla_dual_count(data, chi_X):
+    """#(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1), each term a
+    knapsack count on a simplex whose rays span Z^n, where vol(Delta*) =
+    chi_X = sum c_g; else one scan of nabla*."""
+    if data.relation:
+        c = data.relation[1]
+        C = [sum(c[g] for g in part) for part in data.ray_parts]
+        if chi_X == sum(c) and len(c) * (max(C) + 1) <= _accel.SCAN_BUDGET:
+            ways = [1] + [0] * max(C)  # ways[s]: the a >= 0 with sum c_g a_g = s
+            for cg in c:
+                for s in range(cg, len(ways)):
+                    ways[s] += ways[s - cg]
+            return sum(ways[Ck] for Ck in C) - (data.r - 1)
+    return data.nabla_dual.lattice_point_count()
 
-    ``P`` is the fan polytope of the toric base, the polar dual of its
-    reflexive polytope: Delta* = ``data.delta.polar_dual()`` for Y and
-    nabla* = ``data.nabla_dual`` for its mirror, so the stage builds no
-    nabla.  ``vol`` is the normalized volume of P, chi of the base.
-    Off-middle numbers are those of the smooth toric base, with h^{1,1} =
-    (#boundary lattice points of P) - n: all its lattice points but the
-    origin, since a reflexive polytope has no other interior lattice point.
-    The middle row comes from chi in dimensions 2 and 3.  Otherwise the
+
+def hodge_numbers(n, chi, points):
+    """Hodge numbers of the n-dimensional double cover Y with Euler
+    characteristic chi.
+
+    ``points`` is #P, the number of lattice points of the fan polytope P of
+    the toric base, the polar dual of its reflexive polytope: Delta* for Y
+    and nabla* for its mirror.  ``euler_double_cover`` reads it off the
+    volume for n = 3 and counts it for n >= 4, nabla* with no scan on a
+    simplex whose rays span Z^n (module docstring); for n = 2 it is not
+    read.  Off-middle numbers are those of the smooth toric base, with
+    h^{1,1} = #P - 1 - n, the boundary lattice points of P but n: a
+    reflexive polytope has no interior lattice point but the origin.  The
+    middle row comes from chi in dimensions 2 and 3.  Otherwise the
     off-middle part is returned with ``complete=False``.
     """
-    n = P.ambient_dim
     table = {(p, q): 0 for p in range(n + 1) for q in range(n + 1) if p + q != n and p != q}
     table[(0, 0)] = table[(n, n)] = 1
     if n == 2:
         table[(2, 0)] = table[(0, 2)] = 1
         table[(1, 1)] = chi - 4
         return HodgeTable(table)
-    h11 = _point_count(P, vol) - 1 - n
+    h11 = points - 1 - n
     table[(1, 1)] = table[(n - 1, n - 1)] = h11
     if n != 3:
         return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
@@ -188,6 +231,7 @@ def euler_double_cover(data):
         )
     chi_Y = chi_X + (-1) ** n * chi_X_dual
     chi_Y_dual = chi_X_dual + (-1) ** n * chi_X
+    points, points_dual = _point_counts(data, P, chi_X, chi_X_dual)
     return CoverTopology(
         n=n,
         chi_X=chi_X,
@@ -196,7 +240,7 @@ def euler_double_cover(data):
         vol_Lambda_dual=vol_lambda_dual,
         chi_Y=chi_Y,
         chi_Y_dual=chi_Y_dual,
-        hodge=hodge_numbers(P, chi_Y, chi_X),
-        hodge_dual=hodge_numbers(P_dual, chi_Y_dual, chi_X_dual),
+        hodge=hodge_numbers(n, chi_Y, points),
+        hodge_dual=hodge_numbers(n, chi_Y_dual, points_dual),
     )
 

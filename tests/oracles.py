@@ -438,6 +438,13 @@ def det(M):
     return sign * prev
 
 
+def ray_lattice_index(rays):
+    """[Z^n : the lattice the n-vectors ``rays`` span], as the gcd of their
+    n x n minors (``det``), the product of the invariant factors of the
+    matrix they form; 0 when they do not span R^n."""
+    return math.gcd(*(det(S) for S in itertools.combinations(rays, len(rays[0]))))
+
+
 def pulling_triangulation(P):
     """Simplices of the pulling triangulation of P, as tuples of vertex indices.
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, warnings, and goldens."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracmirror import cli
 from fracmirror.cli import _DISPATCH, JobConfig, _json_text, main, run
 
 # the 3-part hexagon: not a simplex, so its GKZ kernel has rank 4
@@ -198,6 +200,16 @@ def test_vertices_that_are_not_coordinate_lists_are_input_errors(tmp_path, capsy
 def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
     assert main(["mirror-map", hexagon_file]) == 3
     assert "multiparameter moduli unsupported" in capsys.readouterr().err
+
+
+def test_all_refuses_multiparameter_moduli_before_the_topology_stage(hexagon_file, capsys, monkeypatch):
+    # all reads the kernel vector first, so off a simplex it exits 3 with the
+    # series sections' message and never runs euler_double_cover
+    calls = []
+    monkeypatch.setattr(cli, "euler_double_cover", calls.append)
+    assert main(["all", hexagon_file]) == 3
+    assert capsys.readouterr() == ("", "error: multiparameter moduli unsupported\n")
+    assert calls == []
 
 
 def test_yukawa_residue_at_zero_is_computational_failure(tmp_path, capsys):
@@ -446,6 +458,24 @@ def test_cli_import_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [["euler"], ["mirror-map", "-N", "64", "--format", "json"]])
+def test_a_closed_stdout_exits_1_with_no_traceback(argv):
+    # the reader closes the pipe before the first write, as `| head -1` can:
+    # euler's few lines fail at main's flush, mirror-map's 56 kB inside print
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracmirror.cli", argv[0], _data("p3_quartic.json"), *argv[1:]],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_console_entry_point():

@@ -84,8 +84,8 @@ REJECTED = {
 }
 
 # (environment, command line, exit code): {missing} is a path that does
-# not exist, {malformed} a file that holds no JSON, {simplex_16} the input
-# of ``OVER_BUDGET`` and the others the files of ``UNDECODABLE``
+# not exist, {malformed} a file that holds no JSON, {simplex_8_x_segment}
+# the input of ``OVER_BUDGET`` and the others the files of ``UNDECODABLE``
 ARGS = [
     ({}, ["pf", "{missing}"], 2),
     ({}, ["pf", "{malformed}"], 2),
@@ -98,7 +98,7 @@ ARGS = [
     ({}, ["yukawa", "{p3_quartic}", "--normalization", "x/y"], 2),
     ({"FRACMIRROR_MAX_N": "x"}, ["pf", "{p3_quartic}"], 2),
     ({"FRACMIRROR_MAX_N": "0"}, ["pf", "{p3_quartic}"], 2),
-    ({}, ["euler", "{simplex_16}"], 3),
+    ({}, ["euler", "{simplex_8_x_segment}"], 3),
 ]
 
 _EQUALITY = "value equality, which the tests compare with"
@@ -108,6 +108,7 @@ _JOB = "guards run()'s JobConfig; main's argparse refuses these first"
 _BALANCED = "an accepted input's kernel vector has positive entries that balance its negative ones"
 _IDENTITY = "no input violates the paper's identity (smoothness hypothesis)"
 _VALIDATE = "perfbench/test_perfbench.py checks its inputs with it; the commands load through NefPartition"
+_CLOSED = "a stdout its reader closed, which test_cli closes for a subprocess; these runs write to a StringIO"
 _FRACTIONS = "the Fraction view that library callers, the tests and perfbench/spans.py read; commands write from the integers"
 
 UNRUN = [
@@ -116,6 +117,8 @@ UNRUN = [
     ("cli._json_text", 'raise TypeError(f"Object of type {t.__name__} is not JSON serializable")', "json.dumps' TypeError for what it would not write exactly, as test_cli checks"),
     ("cli._json_text", 'return "[]"', "json.dumps' empty list, which no payload holds; test_cli compares with json.dumps"),
     ("cli._json_text", 'return "{}"', "json.dumps' empty dict, which no payload holds; test_cli compares with json.dumps"),
+    ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", _CLOSED),
+    ("cli.main", "return 1", _CLOSED),
     ("cli.run", 'raise _InputError(f"unknown command {config.command!r}")', _JOB),
     ("cli.run", 'raise _InputError(f"unknown format {config.fmt!r}")', _JOB),
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),

@@ -5,9 +5,9 @@ through all ten commands in both formats at N = 4, in-process.  The
 mutations are a flat, a one-point and a zero-dimensional delta, a bad or
 negative ``"dim"``, an empty part, an out-of-range part index, a float,
 bool, string or huge coordinate, index or dim, an added or a removed
-vertex, and a document that is no nef-partition object.  The reflexive
-16-simplex of ``OVER_BUDGET`` is accepted, but its lattice-point scan is
-stopped at its step budget (exit 3).  Every run must
+vertex, and a document that is no nef-partition object.  The product
+Delta_8 x [-1, 1] of ``OVER_BUDGET`` is accepted, but the lattice-point
+scan of its nabla* is stopped at its step budget (exit 3).  Every run must
 exit 0, 2 or 3 without an escaping exception, write stderr starting with
 ``error:`` when it fails, and finish within ``BOUND_S``.  The exit codes
 are counted and the accepted inputs named, so a mutation that starts or
@@ -104,13 +104,22 @@ UNDECODABLE = {
     "long_int": b'{"delta": {"dim": 1' + b"0" * sys.get_int_max_str_digits() + b"}}",
 }
 
-# the reflexive 16-simplex with one part: the polar dual of its nabla is the
-# simplex itself, whose lattice-point scan passes _accel.SCAN_BUDGET, so
-# euler, hodge and all exit 3 where the scan would not end
-OVER_BUDGET = {
-    "simplex_16": {"delta": {"dim": 16, "vertices": GEN.simplex_vertices(16)}, "parts": [list(range(17))]},
-}
+def _simplex_times_segment(n):
+    """Delta_n x [-1, 1] in the identity frame, partitioned by factor: the
+    rays (w, 0), w a ray of Delta_n, in one part and (0, +-1) in the other."""
+    rays = sorted([(*w, 0) for w in GEN.dual_vertices(n)] + [(0,) * n + (s,) for s in (1, -1)])
+    segment = [i for i, ray in enumerate(rays) if not any(ray[:n])]
+    return {
+        "delta": {"dim": n + 1, "vertices": [[*v, s] for v in GEN.simplex_vertices(n) for s in (1, -1)]},
+        "parts": [[i for i in range(len(rays)) if i not in segment], segment],
+    }
 
+
+# Delta_8 x [-1, 1], partitioned by factor: not a simplex, so nabla* is
+# scanned, and the scan passes _accel.SCAN_BUDGET, so euler and hodge exit 3
+# where the scan would not end; all and the series commands exit 3 on its
+# multiparameter moduli
+OVER_BUDGET = {"simplex_8_x_segment": _simplex_times_segment(8)}
 
 MUTATIONS = (
     _flat, _one_point, _zero_dimensional, _bad_dim, _empty_part, _out_of_range_index,
@@ -153,6 +162,6 @@ def test_every_command_fails_cleanly_on_the_mutated_inputs(tmp_path):
                 codes[code] += 1
     assert slowest[0] < BOUND_S, slowest
     # the point added to the eight-hyperplane delta, (1, -1, -1), lies on an edge
-    assert accepted == {"p3_eight_hyperplanes_added_vertex", "simplex_16"}
-    assert codes == {0: 34, 2: 1040, 3: 6}
+    assert accepted == {"p3_eight_hyperplanes_added_vertex", "simplex_8_x_segment"}
+    assert codes == {0: 24, 2: 1040, 3: 16}
 
