@@ -6,8 +6,9 @@ ray of that part.  Internally the n lattice rows come first and the r
 Kronecker rows last; ``display_rows`` re-orders for display with the Kronecker
 block on top.  Each distinguished column carries the exponent ``EXPONENT``
 = -1/2 (a double cover is a fractional complete intersection) and each ray
-column 0, so beta has the shape (0, ..., 0, -1/2, ..., -1/2) and the series
-read the kernel vector alone.
+column 0, so beta has the shape (0, ..., 0, -1/2, ..., -1/2), ``GkzSystem``
+works out beta and alpha from A and its column labels, and the series read
+the kernel vector alone.
 
 Every series solution in the one-parameter case comes from one kernel,
 ``hypergeometric_series`` of the kernel vector: a ratio of rising factorials
@@ -48,16 +49,17 @@ __all__ = [
 
 
 class GkzSystem:
-    """Assembled GKZ data: matrix, exponents, and kernel lattice basis."""
+    """Assembled GKZ data: matrix, exponents, and kernel lattice basis.  r is
+    the number of distinguished columns and n the rest of A's rows."""
 
-    def __init__(self, A, beta, alpha, kernel, column_labels, n, r):
+    def __init__(self, A, kernel, column_labels):
         self.A = A  # (n+r) x (p+r) integer rows, lattice rows first
-        self.beta = beta  # length n+r, Fractions
-        self.alpha = alpha  # length p+r, Fractions
         self.kernel = kernel  # basis vectors of ker A, saturated
         self.column_labels = column_labels  # (part index i, j) with j = 0 distinguished
-        self.n = n
-        self.r = r
+        self.r = sum(j == 0 for _, j in column_labels)
+        self.n = len(A) - self.r
+        self.beta = (Fraction(0),) * self.n + (EXPONENT,) * self.r
+        self.alpha = tuple(EXPONENT if j == 0 else Fraction(0) for _, j in column_labels)
 
     def display_rows(self):
         """Row order used for display: Kronecker block first."""
@@ -101,8 +103,6 @@ def build_gkz(data):
     A = tuple(
         tuple(col[row] for col in columns) for row in range(n + r)
     )
-    beta = tuple([Fraction(0)] * n + [EXPONENT] * r)
-    alpha = tuple(EXPONENT if lab[1] == 0 else Fraction(0) for lab in labels)
     ell = simplex_kernel_vector(data)
     if ell is not None:
         kernel = (ell,)
@@ -114,15 +114,7 @@ def build_gkz(data):
             tuple(-x for x in v) if next(x for x in v if x) > 0 else tuple(v)
             for v in U[rank:]
         )
-    return GkzSystem(
-        A=A,
-        beta=beta,
-        alpha=alpha,
-        kernel=kernel,
-        column_labels=tuple(labels),
-        n=n,
-        r=r,
-    )
+    return GkzSystem(A, kernel, tuple(labels))
 
 
 def simplex_kernel_vector(data):
@@ -148,12 +140,13 @@ def kernel_scale(ell):
 class Slices(Sequence):
     """The m eps-slices of one ``hypergeometric_series`` call, read-only: U[k][n] / E[n]
     is coefficient n of slice k (gcd(E_n, *U_n) = 1, E_n > 0).  Slice k is ``_make``
-    of the numerators scaled to D = lcm(E), formed once, and built each time it is read."""
+    of the numerators scaled to D = lcm(E), formed once, and built each time it is read.
+    ``orders`` holds (U_n, E_n) for n = 0..N."""
 
-    def __init__(self, orders, N):
+    def __init__(self, orders):
         self.U = tuple(zip(*(U for U, _ in orders)))
         self.E = tuple(E for _, E in orders)
-        self.N, self._D = N, lcm(*self.E)
+        self.N, self._D = len(orders) - 1, lcm(*self.E)
 
     def __len__(self):
         return len(self.U)
@@ -226,7 +219,7 @@ def hypergeometric_series(ell, m, N, scale=1):
         g = gcd(E, *U)
         U, E = [u // g for u in U], E // g
         orders.append((U, E))
-    return Slices(orders, N)
+    return Slices(orders)
 
 
 holo_solution = None  # for perfbench/spans.py until ROADMAP item 5

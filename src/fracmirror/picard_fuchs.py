@@ -28,12 +28,12 @@ __all__ = [
 class ThetaOperator:
     """F(theta) - z G(theta) as ``theta_conjugate`` builds it: z_polys[k] is
     the pair (F_k, -G_k) over the lead of F, so z_polys[degree][0] == 1;
-    ``scale`` is the lead of G over it, ``f_roots`` the theta-roots of F and
-    ``g_roots`` the offsets c of G's linear factors (theta + c)."""
+    ``scale`` is the lead of G over it, -z_polys[degree][1], ``f_roots`` the
+    theta-roots of F and ``g_roots`` the offsets c of G's linear factors (theta + c)."""
 
-    def __init__(self, z_polys, scale, f_roots, g_roots):
+    def __init__(self, z_polys, f_roots, g_roots):
         self.z_polys = z_polys
-        self.scale = scale
+        self.scale = -z_polys[-1][1]
         self.f_roots = f_roots
         self.g_roots = g_roots
 
@@ -127,4 +127,4 @@ def theta_conjugate(ell):
         )
     lead = f_poly[d]
     z_polys = tuple((Fraction(f_poly[k], lead), Fraction(-g_poly[k], Q * lead)) for k in range(d + 1))
-    return ThetaOperator(z_polys, Fraction(g_poly[d], Q * lead), tuple(f_roots), tuple(g_roots))
+    return ThetaOperator(z_polys, tuple(f_roots), tuple(g_roots))

@@ -16,7 +16,7 @@ no hull) and P_dual = nabla* (``data.nabla_dual``): chi(X) = vol(P) and
 chi(X_dual) = vol(P_dual), and it builds no nabla.  Lambda_dual, and off a
 simplex Lambda, are read off one Batyrev–Borisov pairing
 (``polytope._pairing``) by ``polytope._pyramid``, so each check compares
-two independent computations.
+two independent computations; ``CoverTopology`` is built once both pass.
 
 On a simplex vol(Lambda) has a closed form.  With (W, c, L) =
 ``data.relation`` and C_i the sum of c_g over part i, the labels m_ij of
@@ -89,10 +89,11 @@ __all__ = [
 class HodgeTable:
     """Hodge numbers of the singular cover Y (module docstring) as a {(p, q): value} table."""
 
-    def __init__(self, table, complete=True, note=None):
+    def __init__(self, table):
         self.table = table
-        self.complete = complete
-        self.note = note
+        # complete: every h^{p,q} with p, q <= n, (n, n) the largest key
+        self.complete = len(table) == (max(table)[0] + 1) ** 2
+        self.note = None if self.complete else "middle Hodge numbers not determined"
 
     def to_json(self):
         return {
@@ -102,25 +103,25 @@ class HodgeTable:
         }
 
 
-def _point_counts(data, P, chi_X, chi_X_dual):
+def _point_counts(data, P, chi_X, chi_X_dual, C):
     """(#P, #P_dual), the lattice points of Delta* and nabla* (module
     docstring): None for n = 2, read off the volumes chi_X and chi_X_dual
-    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity."""
+    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity
+    from the part sums C (None off a simplex)."""
     n = P.ambient_dim
     if n == 2:
         return None, None
     if n == 3:
         return chi_X // 2 + 3, chi_X_dual // 2 + 3
-    return P.lattice_point_count(), _nabla_dual_count(data, chi_X)
+    return P.lattice_point_count(), _nabla_dual_count(data, chi_X, C)
 
 
-def _nabla_dual_count(data, chi_X):
+def _nabla_dual_count(data, chi_X, C):
     """#(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1), each term a
-    knapsack count on a simplex whose rays span Z^n, where vol(Delta*) =
-    chi_X = sum c_g; else one scan of nabla*."""
-    if data.relation:
+    knapsack count to the part sum C_k on a simplex (C is None off one) whose
+    rays span Z^n, where vol(Delta*) = chi_X = sum c_g; else one scan of nabla*."""
+    if C:
         c = data.relation[1]
-        C = [sum(c[g] for g in part) for part in data.ray_parts]
         if chi_X == sum(c) and len(c) * (max(C) + 1) <= _accel.SCAN_BUDGET:
             ways = [1] + [0] * max(C)  # ways[s]: the a >= 0 with sum c_g a_g = s
             for cg in c:
@@ -142,8 +143,9 @@ def hodge_numbers(n, chi, points):
     read.  Off-middle numbers are those of the smooth toric base, with
     h^{1,1} = #P - 1 - n, the boundary lattice points of P but n: a
     reflexive polytope has no interior lattice point but the origin.  The
-    middle row comes from chi in dimensions 2 and 3.  Otherwise the
-    off-middle part is returned with ``complete=False``.
+    middle row comes from chi in dimensions 2 and 3.  Otherwise the table
+    holds the off-middle part alone, and ``HodgeTable`` reads it as not
+    ``complete``.
     """
     table = {(p, q): 0 for p in range(n + 1) for q in range(n + 1) if p + q != n and p != q}
     table[(0, 0)] = table[(n, n)] = 1
@@ -154,7 +156,7 @@ def hodge_numbers(n, chi, points):
     h11 = points - 1 - n
     table[(1, 1)] = table[(n - 1, n - 1)] = h11
     if n != 3:
-        return HodgeTable(table, complete=False, note="middle Hodge numbers not determined")
+        return HodgeTable(table)
     if chi % 2 != 0:
         raise FracmirrorError("odd Euler characteristic for a threefold")
     table[(3, 0)] = table[(0, 3)] = 1
@@ -163,21 +165,19 @@ def hodge_numbers(n, chi, points):
 
 
 class CoverTopology:
-    """Topological data of the dual pair of branched double covers."""
+    """Topological data of the dual pair of branched double covers: all but the
+    lattice-point counts #P and #P_dual that ``hodge_numbers`` reads follow from
+    n, chi(X) and chi(X_dual), as ``euler_double_cover`` builds it only once
+    vol(Lambda) = chi(X_dual) and vol(Lambda_dual) = chi(X) hold."""
 
-    def __init__(
-        self, n, chi_X, chi_X_dual, vol_Lambda, vol_Lambda_dual, chi_Y, chi_Y_dual,
-        hodge, hodge_dual,
-    ):
+    def __init__(self, n, chi_X, chi_X_dual, points, points_dual):
         self.n = n
-        self.chi_X = chi_X
-        self.chi_X_dual = chi_X_dual
-        self.vol_Lambda = vol_Lambda
-        self.vol_Lambda_dual = vol_Lambda_dual
-        self.chi_Y = chi_Y
-        self.chi_Y_dual = chi_Y_dual
-        self.hodge = hodge
-        self.hodge_dual = hodge_dual
+        self.chi_X, self.chi_X_dual = chi_X, chi_X_dual
+        self.vol_Lambda, self.vol_Lambda_dual = chi_X_dual, chi_X
+        self.chi_Y = chi_X + (-1) ** n * chi_X_dual
+        self.chi_Y_dual = chi_X_dual + (-1) ** n * chi_X
+        self.hodge = hodge_numbers(n, self.chi_Y, points)
+        self.hodge_dual = hodge_numbers(n, self.chi_Y_dual, points_dual)
 
     def to_json(self):
         return {
@@ -205,15 +205,15 @@ def euler_double_cover(data):
     rows, verts, on_rows = _pairing(
         data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
     )
-    if data.relation:
+    # on a simplex the part sums C_k (module docstring), else None
+    C = data.relation and [sum(data.relation[1][g] for g in part) for part in data.ray_parts]
+    if C:
         # vol(Lambda) = vol(Delta) h_n(C_1, ..., C_r) / L^n (module docstring)
-        _, c, L = data.relation
         h = [1] + [0] * n
-        for part in data.ray_parts:
-            C = sum(c[g] for g in part)
+        for Ck in C:
             for k in range(1, n + 1):
-                h[k] += C * h[k - 1]
-        vol, scale = data.delta.normalized_volume() * h[n], L**n
+                h[k] += Ck * h[k - 1]
+        vol, scale = data.delta.normalized_volume() * h[n], data.relation[2] ** n
     else:
         lam = _pyramid(rows, verts, _transpose(on_rows, len(verts)), data.r)
         vol, scale = lam.normalized_volume(), 1
@@ -222,25 +222,11 @@ def euler_double_cover(data):
             f"vol(Λ) ≠ χ(X∨): {Fraction(vol, scale)} != {chi_X_dual}; "
             "smoothness hypothesis violated"
         )
-    vol_lambda = vol // scale
     vol_lambda_dual = _pyramid(verts, rows, on_rows, data.r).normalized_volume()
     if vol_lambda_dual != chi_X:
         raise SmoothnessError(
             f"vol(Λ) ≠ χ(X∨) on the dual side: {vol_lambda_dual} != {chi_X}; "
             "smoothness hypothesis violated"
         )
-    chi_Y = chi_X + (-1) ** n * chi_X_dual
-    chi_Y_dual = chi_X_dual + (-1) ** n * chi_X
-    points, points_dual = _point_counts(data, P, chi_X, chi_X_dual)
-    return CoverTopology(
-        n=n,
-        chi_X=chi_X,
-        chi_X_dual=chi_X_dual,
-        vol_Lambda=vol_lambda,
-        vol_Lambda_dual=vol_lambda_dual,
-        chi_Y=chi_Y,
-        chi_Y_dual=chi_Y_dual,
-        hodge=hodge_numbers(n, chi_Y, points),
-        hodge_dual=hodge_numbers(n, chi_Y_dual, points_dual),
-    )
+    return CoverTopology(n, chi_X, chi_X_dual, *_point_counts(data, P, chi_X, chi_X_dual, C))
 

@@ -829,7 +829,7 @@ def slices_of(coeffs):
     for x in coeffs:
         E = math.lcm(*(c.denominator for c in x.c))
         orders.append(([c.numerator * (E // c.denominator) for c in x.c], E))
-    return Slices(orders, len(coeffs) - 1)
+    return Slices(orders)
 
 
 def hypergeometric_term_by_term(num, den, m, N, scale=1):
@@ -1170,7 +1170,6 @@ def theta_conjugate_by_fractions(ell, alpha):
     lead = f_poly[d]
     return ThetaOperator(
         tuple((f_poly[k] / lead, -g_poly[k] / lead) for k in range(d + 1)),
-        scale=g_poly[d] / lead,
         f_roots=tuple(f_roots),
         g_roots=tuple(g_roots),
     )

@@ -29,6 +29,8 @@ from fracmirror import cli
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import (
+    GkzSystem,
+    Slices,
     build_gkz,
     hypergeometric_series,
     kernel_scale,
@@ -95,6 +97,21 @@ def test_eight_hyperplane_kernel(eight_hyperplanes):
 def test_k3_kernel(k3):
     g = build_gkz(k3)
     assert g.kernel == ((-3, 1, 1, 1),)
+
+
+def test_gkz_system_works_out_the_exponents_and_sizes(quartic):
+    # beta, alpha, n and r follow from A, the labels and EXPONENT: on the
+    # quartic and on the three-part hexagon, against its golden output too
+    golden = REPO / "tests" / "golden"
+    hexagon = NefPartition.from_dict(json.loads((golden / "hexagon.json").read_text()))
+    for data in (quartic, hexagon):
+        g = build_gkz(data)
+        got = GkzSystem(g.A, g.kernel, g.column_labels)
+        assert (got.beta, got.alpha, got.n, got.r) == (g.beta, g.alpha, g.n, g.r)
+    want = json.loads((golden / "hexagon.gkz.json.out").read_text())
+    assert {key: got.to_json()[key] for key in ("beta", "alpha", "n", "r")} == {
+        key: want[key] for key in ("beta", "alpha", "n", "r")
+    }
 
 
 def test_three_part_hexagon_is_multiparameter():
@@ -258,6 +275,16 @@ def test_hypergeometric_series_matches_rebuilt_products(m):
     assert len(s) == m and all(x.N == 7 for x in s)
     for n in range(8):
         assert EpsPoly(m, [x.coeff(n) for x in s]) == product(num, n) / product(den, n)
+
+
+@pytest.mark.parametrize("N", [0, 1, 6])
+def test_slices_work_out_the_order(N):
+    # N is the last order handed over
+    S = hypergeometric_series((-4, 1, 1, 1, 1), 3, N)
+    orders = list(zip(zip(*S.U), S.E))
+    got = Slices(orders)
+    assert got.N == len(orders) - 1 == N
+    assert list(got) == list(S)
 
 
 def _same_reduced_coefficients(s, oracle):

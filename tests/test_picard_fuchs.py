@@ -10,7 +10,7 @@ from conftest import kernel_vectors
 from fracmirror.errors import FracmirrorError
 from fracmirror.cohom import deformed_solution
 from fracmirror.gkz import build_gkz
-from fracmirror.picard_fuchs import theta_conjugate
+from fracmirror.picard_fuchs import ThetaOperator, theta_conjugate
 from fracmirror.series import RationalSeries
 from oracles import (
     ZOperator,
@@ -76,6 +76,14 @@ def test_k3_operator_exact(k3):
         (0, Fraction(-81, 2)),
         (1, -27),
     )
+
+
+def test_theta_operator_works_out_the_scale(quartic, eight_hyperplanes, k3):
+    # the lead of G over F's is minus the z-coefficient at the top theta power
+    for data, scale in ((quartic, 256), (eight_hyperplanes, 1), (k3, 27)):
+        op, _ = _operator(data)
+        assert op.scale == -op.z_polys[-1][1] == scale
+        assert ThetaOperator(op.z_polys, op.f_roots, op.g_roots).scale == scale
 
 
 def test_operator_json_carries_factored_text(quartic):

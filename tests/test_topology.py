@@ -23,9 +23,17 @@ from conftest import (
 
 from fracmirror import _accel, cli, polytope, topology
 from fracmirror.errors import FracmirrorError, SmoothnessError
+from fracmirror.gkz import simplex_kernel_vector
 from fracmirror.nefpart import NefPartition, simplex_relation, validate_nef_partition
 from fracmirror.polytope import LatticePolytope
-from fracmirror.topology import _nabla_dual_count, _point_counts, euler_double_cover, hodge_numbers
+from fracmirror.topology import (
+    CoverTopology,
+    HodgeTable,
+    _nabla_dual_count,
+    _point_counts,
+    euler_double_cover,
+    hodge_numbers,
+)
 from oracles import (
     boundary_lattice_point_count,
     cayley_polytope,
@@ -300,12 +308,19 @@ def test_euler_and_hodge_finish_where_the_nabla_dual_scan_was_refused(tmp_path, 
 # ------------------------------------------------------ the nabla* count
 
 
+def part_sums(data):
+    """The part sums C_k of c_g that the stage passes on, read as minus the
+    distinguished entries of the simplex kernel vector; None off a simplex."""
+    ell = simplex_kernel_vector(data)
+    return ell and [-x for x in ell if x < 0]
+
+
 def checked_nabla_dual_count(data):
     """(count, path) of the stage's nabla* count on a fresh copy of
     ``data``, path "knapsack" or "scan", after checking the count against a
     scan of a hull of nabla*'s vertices: the knapsack reads no nabla*."""
     data = NefPartition(data.delta, data.ray_parts)
-    count = _nabla_dual_count(data, data.delta.polar_dual().normalized_volume())
+    count = _nabla_dual_count(data, data.delta.polar_dual().normalized_volume(), part_sums(data))
     path = "scan" if "nabla_dual" in vars(data) else "knapsack"
     expect = LatticePolytope(data.nabla_dual.vertices).lattice_point_count()
     assert count == expect, (data.delta.vertices, data.ray_parts)
@@ -407,10 +422,10 @@ def test_a_knapsack_past_the_step_budget_goes_to_the_scan(monkeypatch):
     data = framed_shape(4, (5,), 0, random.Random(0))
     chi_X = data.delta.polar_dual().normalized_volume()
     monkeypatch.setattr(_accel, "SCAN_BUDGET", 30)
-    assert _nabla_dual_count(data, chi_X) == 126 and "nabla_dual" not in vars(data)
+    assert _nabla_dual_count(data, chi_X, part_sums(data)) == 126 and "nabla_dual" not in vars(data)
     monkeypatch.setattr(_accel, "SCAN_BUDGET", 29)
     with pytest.raises(FracmirrorError, match="budget of 29 steps"):
-        _nabla_dual_count(data, chi_X)
+        _nabla_dual_count(data, chi_X, part_sums(data))
 
 
 def _triangulated_vol_lambda(data):
@@ -595,7 +610,7 @@ def test_point_count_reads_the_volume_for_n_up_to_3():
             continue
         P, P_dual = data.delta.polar_dual(), data.nabla_dual
         vols = P.normalized_volume(), P_dual.normalized_volume()
-        counts = [vol + 1 for vol in vols] if n == 2 else list(_point_counts(data, P, *vols))
+        counts = [vol + 1 for vol in vols] if n == 2 else list(_point_counts(data, P, *vols, part_sums(data)))
         assert counts == [len(lattice_points_by_box(Q)) for Q in (P, P_dual)], (name, data.ray_parts)
         seen.add(n)
     assert seen == {2, 3}
@@ -616,6 +631,36 @@ def test_hodge_higher_dimension_partial():
     assert not table.complete
     assert table.note == "middle Hodge numbers not determined"
     assert table.table[(1, 1)] == table.table[(3, 3)]
+
+
+def test_hodge_table_reads_complete_and_note_off_the_table():
+    # complete: an h^{p,q} for every p, q <= n.  The bundled surface and
+    # threefolds have one; the segment (n = 1) and p4_311 lack the middle row
+    segment = LatticePolytope([(-1,), (1,)])
+    p4_311 = NefPartition.from_dict(json.loads((GOLDEN / "p4_311.json").read_text()))
+    cases = [(name, load_case(name), True) for name in GEN.BUNDLED]
+    cases += [("segment", NefPartition(segment, [[0, 1]]), False), ("p4_311", p4_311, False)]
+    for name, data, complete in cases:
+        topo = euler_double_cover(data)
+        for table in (topo.hodge.table, topo.hodge_dual.table):
+            got = HodgeTable(table)
+            note = None if complete else "middle Hodge numbers not determined"
+            assert (got.complete, got.note) == (complete, note), name
+
+
+@pytest.mark.parametrize("case", GEN.BUNDLED)
+def test_cover_topology_works_out_the_fields_the_stage_checked(case):
+    # from n, chi(X), chi(X_dual) and the box counts of Delta* and nabla*:
+    # the volumes, chi(Y) on both sides and both Hodge tables
+    data = load_case(case)
+    P, P_dual = data.delta.polar_dual(), data.nabla_dual
+    counts = [len(lattice_points_by_box(Q)) for Q in (P, P_dual)]
+    got = CoverTopology(data.delta.ambient_dim, P.normalized_volume(), P_dual.normalized_volume(), *counts)
+    want = euler_double_cover(data)
+    for field in ("n", "chi_X", "chi_X_dual", "vol_Lambda", "vol_Lambda_dual", "chi_Y", "chi_Y_dual"):
+        assert getattr(got, field) == getattr(want, field), field
+    for field in ("hodge", "hodge_dual"):
+        assert vars(getattr(got, field)) == vars(getattr(want, field)), field
 
 
 def test_hodge_json(quartic):
