@@ -24,7 +24,7 @@ from .cohom import (
     i_weights_from_kernel,
     slices_json,
 )
-from .errors import FracmirrorError, InvalidNefPartition, _as_int
+from .errors import FracmirrorError, _as_int
 from .gkz import build_gkz, simplex_kernel_vector
 from .mirror import a_model_correlation, frobenius_pair, mirror_map
 from .nefpart import NefPartition, dual_nef_partition
@@ -136,7 +136,7 @@ def _load(path):
         raise _InputError(f"malformed JSON: {str(exc).partition(';')[0]}") from exc
     try:
         return NefPartition.from_dict(doc)
-    except (InvalidNefPartition, ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _InputError(f"invalid nef-partition input: {exc}") from exc
 
 

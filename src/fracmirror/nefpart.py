@@ -270,7 +270,7 @@ class NefPartition:
         read off the labels."""
         if self._labels:
             return _simplex_nabla_dual(self.rays, self.ray_parts, self._labels)
-        return LatticePolytope({v for V in self.part_vertices for v in V}, self.delta.ambient_dim)
+        return LatticePolytope({v for V in self.part_vertices for v in V})
 
     @functools.cached_property
     def nabla(self):

@@ -189,11 +189,11 @@ class LatticePolytope:
         "_polar_dual",
     )
 
-    def __init__(self, points, ambient_dim=None):
+    def __init__(self, points):
         pts = sorted({_as_ints(p, "vertex coordinate") for p in points})
         if not pts:
             raise ValueError("no points: a polytope needs at least one point")
-        D = len(pts[0]) if ambient_dim is None else _as_int(ambient_dim, "ambient_dim")
+        D = len(pts[0])
         if any(len(p) != D for p in pts):
             raise ValueError("points have inconsistent dimension")
         self.ambient_dim = D
@@ -354,7 +354,7 @@ class LatticePolytope:
         lengths = {len(v) for v in verts}
         if len(lengths) == 1 and dim not in lengths:
             raise ValueError(f'"dim" is {dim} but the vertices have {lengths.pop()} coordinates')
-        return cls(verts, ambient_dim=dim)
+        return cls(verts)
 
     def __eq__(self, other):
         return (

@@ -1,5 +1,6 @@
+import contextlib
 import functools
-import importlib.util
+import io
 import itertools
 import json
 import math
@@ -10,23 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from fracmirror import NefPartition
+from perfbench_module import load_perfbench
+
+from fracmirror import NefPartition, cli
 from fracmirror.nefpart import validate_nef_partition
 from fracmirror.polytope import LatticePolytope, _pairing, _pyramid, _transpose
 from fracmirror.topology import euler_double_cover
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
-
-
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-GEN = _load_gen()
+GEN = load_perfbench("gen")
 
 _P2 = [(2, -1), (-1, 2), (-1, -1)]
 
@@ -58,7 +52,7 @@ def reflexive_polygons():
             boundary += [(a + t * (c - a) // g, b + t * (d - b) // g) for t in range(g)]
         for k in range(3, len(boundary) + 1):
             for points in itertools.combinations(boundary, k):
-                P = LatticePolytope(points, 2)
+                P = LatticePolytope(points)
                 if P.is_reflexive():
                     found.setdefault(P.vertices, P)
     return tuple(found.values())
@@ -71,7 +65,7 @@ def reflexive_3polytopes():
     cube = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p)]
     rng, found = random.Random(1), {}
     for _ in range(3000):
-        P = LatticePolytope(rng.sample(cube, rng.randint(4, 12)), 3)
+        P = LatticePolytope(rng.sample(cube, rng.randint(4, 12)))
         if P.is_reflexive():
             found.setdefault(P.vertices, P)
     return tuple(found.values())
@@ -92,7 +86,7 @@ def reflexive_4polytopes():
     seeded draw, committed so that it does not rerun; its "about" says how
     it was drawn."""
     doc = json.loads((REPO / "tests" / "reflexive_4polytopes.json").read_text())
-    return tuple(LatticePolytope(V, 4) for V in doc["polytopes"])
+    return tuple(LatticePolytope(V) for V in doc["polytopes"])
 
 
 @st.composite
@@ -150,6 +144,28 @@ def accepted_partitions():
         U, Uinv = GEN.random_frame(n, 3, rng)
         cases.append((shape, NefPartition.from_dict(GEN.framed_input(shape, U, Uinv))))
     return tuple(cases)
+
+
+def calls(monkeypatch, owner, name):
+    """The argument tuples of every call of ``owner.<name>``, in a list that
+    fills as they run; the original still runs.  ``clear()`` the list to
+    count afresh.  A method's tuple starts with its instance."""
+    seen, original = [], getattr(owner, name)
+
+    def record(*args, **kwargs):
+        seen.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, record)
+    return seen
+
+
+def run_job(command, path, N=4, fmt="json"):
+    """(exit code, stdout, stderr) of one in-process CLI call on ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), "-N", str(N), "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
 
 
 def load_case(name):

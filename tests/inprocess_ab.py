@@ -19,7 +19,6 @@ keeps pytest from collecting it.
 
 import contextlib
 import gc
-import importlib.util
 import io
 import statistics
 import sys
@@ -28,14 +27,13 @@ import time
 from pathlib import Path
 
 from inprocess_table import ROOT, _import_as
+from perfbench_module import load_perfbench
 
 
 def _plan(workload, seed):
     """``perfbench/run.py``: its rounds for (workload, seed) and ``write_inputs``."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports gen and check
+    run = load_perfbench("run")
     if workload not in run.WORKLOADS:
         raise SystemExit(f"unknown workload {workload!r}: one of {', '.join(run.WORKLOADS)}")
     return run.plan(workload, seed), run.write_inputs

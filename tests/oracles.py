@@ -520,7 +520,7 @@ class SpanHull:
         diffs = [[x - y for x, y in zip(p, self.x0)] for p in pts]
         self.affine_dim, self.U = linalg.echelon(list(zip(*diffs)))
         self.V = inverse_unimodular(self.U)
-        self.span = LatticePolytope([self.project(p) for p in pts], self.affine_dim)
+        self.span = LatticePolytope([self.project(p) for p in pts])
 
     def _coordinates(self, x):
         diff = [p - q for p, q in zip(x, self.x0)]
@@ -598,7 +598,7 @@ def lattice_transform(U, X):
         return tuple(sum(a * b for a, b in zip(row, p)) for row in rows)
 
     if isinstance(X, LatticePolytope):
-        return LatticePolytope([tf(v) for v in X.vertices], len(rows))
+        return LatticePolytope([tf(v) for v in X.vertices])
     return tuple(tf(tuple(p)) for p in X)
 
 
@@ -647,14 +647,14 @@ def cayley_polytope(polys):
         tag = tuple(1 if t == i else 0 for t in range(r))
         for v in P.vertices:
             pts.append(v + tag)
-    return LatticePolytope(pts, n + r)
+    return LatticePolytope(pts)
 
 
 def pyramid_over(P):
     """Hull of P and the origin of its ambient space."""
     pts = list(P.vertices)
     pts.append(tuple([0] * P.ambient_dim))
-    return LatticePolytope(pts, P.ambient_dim)
+    return LatticePolytope(pts)
 
 
 def dk_intersection_euler(part_polytopes, n):
@@ -1052,7 +1052,7 @@ def minkowski_sum_by_hulls(polys):
     total = polys[0]
     for P in polys[1:]:
         sums = {tuple(x + y for x, y in zip(p, q)) for p in total.vertices for q in P.vertices}
-        total = LatticePolytope(sums, P.ambient_dim)
+        total = LatticePolytope(sums)
     return total
 
 
@@ -1067,7 +1067,7 @@ def nef_diagnostics_by_hulls(delta, parts):
     rays = delta.polar_dual().vertices
     try:
         parts_delta = [
-            LatticePolytope(_part_vertices(delta, [rays[j] for j in p], rays), delta.ambient_dim)
+            LatticePolytope(_part_vertices(delta, [rays[j] for j in p], rays))
             for p in parts
         ]
     except InvalidNefPartition as exc:
@@ -1090,9 +1090,7 @@ def dual_side_by_hull(data):
     the hull of 0 and the rays of part k in their span, and each vertex v
     of nabla^* joins the first Delta_i whose cut holds it,
     <v, rho> + [rho in I_i] >= 0 for every ray rho."""
-    nabla_dual = LatticePolytope(
-        {v for V in data.part_vertices for v in V}, data.delta.ambient_dim
-    )
+    nabla_dual = LatticePolytope({v for V in data.part_vertices for v in V})
     origin = (0,) * data.delta.ambient_dim
     nabla_parts = tuple(
         SpanHull([origin] + [data.rays[j] for j in part]).vertices for part in data.ray_parts

@@ -21,7 +21,6 @@ outputs do.  The name keeps pytest from collecting it.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import random
@@ -29,6 +28,8 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+from perfbench_module import load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -63,16 +64,9 @@ FLAT = {
 }
 
 
-def _load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def inputs(folder):
     """(label, path) of every input; generated ones are written to ``folder``."""
-    gen = _load_gen()
+    gen = load_perfbench("gen")
     found = [(name, ROOT / "data" / f"{name}.json") for name in sorted(gen.BUNDLED)]
     found += [(p.stem, p) for p in sorted(GOLDEN.glob("hexagon*.json"))]
     found.append(("p4_311", GOLDEN / "p4_311.json"))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import DATA, calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,6 @@ def hexagon_file():
 
 
 def _data(name):
-    from conftest import DATA
-
     return str(DATA / name)
 
 
@@ -205,11 +204,10 @@ def test_multiparameter_input_is_computational_failure(hexagon_file, capsys):
 def test_all_refuses_multiparameter_moduli_before_the_topology_stage(hexagon_file, capsys, monkeypatch):
     # all reads the kernel vector first, so off a simplex it exits 3 with the
     # series sections' message and never runs euler_double_cover
-    calls = []
-    monkeypatch.setattr(cli, "euler_double_cover", calls.append)
+    covers = calls(monkeypatch, cli, "euler_double_cover")
     assert main(["all", hexagon_file]) == 3
     assert capsys.readouterr() == ("", "error: multiparameter moduli unsupported\n")
-    assert calls == []
+    assert covers == []
 
 
 def test_yukawa_residue_at_zero_is_computational_failure(tmp_path, capsys):
@@ -359,12 +357,10 @@ def test_ifunction_builds_each_read_slice_once(capsys, monkeypatch, fmt):
     # gkz.Slices builds a slice on every read, and the job reads A and B
     from fracmirror import gkz
 
-    reads = []
-    getitem = gkz.Slices.__getitem__
-    monkeypatch.setattr(gkz.Slices, "__getitem__", lambda self, k: reads.append(k) or getitem(self, k))
+    reads = calls(monkeypatch, gkz.Slices, "__getitem__")
     assert main(["ifunction", _data("p3_quartic.json"), "-N", "4", "--format", fmt]) == 0
     capsys.readouterr()
-    assert reads == [0, 1]
+    assert [k for _, k in reads] == [0, 1]
 
 
 def test_bseries_ring_description(capsys):

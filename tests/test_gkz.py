@@ -23,7 +23,7 @@ from oracles import (
     theta_conjugate_by_fractions,
 )
 
-from conftest import DATA, REPO, kernel_vectors
+from conftest import DATA, REPO, calls, kernel_vectors
 
 from fracmirror import cli
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
@@ -200,14 +200,7 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix(monkeypatch):
         for shape, (n, _) in GEN.SHAPES.items():
             frame = GEN.random_frame(n, 4, random.Random(f"{seed}:{shape}"))
             docs.append(GEN.framed_input(shape, *frame))
-    built = 0
-
-    def counting(data):
-        nonlocal built
-        built += 1
-        return build_gkz(data)
-
-    monkeypatch.setattr(cli, "build_gkz", counting)
+    built = calls(monkeypatch, cli, "build_gkz")
     for doc in docs:
         data = NefPartition.from_dict(doc)
         ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), data)
@@ -217,7 +210,7 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix(monkeypatch):
         assert (ell,) == gkz_kernel_by_echelon(g.A)
         classes = {f"D_{i}_{j}": str(ell[e]) for e, (i, j) in enumerate(g.column_labels)}
         assert cli._cmd_bseries(ctx)[0]["ring"]["classes"] == classes
-        assert built == 0
+        assert built == []
     assert len(docs) == 5 + 2 * len(GEN.SHAPES)
     # off a simplex the kernel has rank p - n > 1, so ell is refused without
     # building the GKZ system
@@ -227,7 +220,7 @@ def test_series_jobs_read_the_kernel_vector_without_the_gkz_matrix(monkeypatch):
     ctx = cli._Context(cli.JobConfig("bseries", "", N=2, fmt="json"), hexagon)
     with pytest.raises(FracmirrorError, match="multiparameter moduli unsupported"):
         ctx.ell
-    assert built == 0
+    assert built == []
 
 
 # ------------------------------------------------------------- solutions

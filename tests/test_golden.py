@@ -23,16 +23,13 @@ rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and review
 the diff.
 """
 
-import contextlib
-import io
 import json
-from pathlib import Path
 
 import pytest
+from conftest import REPO, run_job
 
-from fracmirror.cli import _DISPATCH, main
+from fracmirror.cli import _DISPATCH
 
-REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 STATUS = GOLDEN / "status.json"
 SHAPES = ("p2_k3", "p3_quartic", "p3_eight_hyperplanes")
@@ -83,11 +80,7 @@ def run_case(shape, command, fmt, order):
     path = GOLDEN / f"{shape}.json"
     if not path.exists():
         path = REPO / "data" / f"{shape}.json"
-    argv = [command, str(path), "-N", str(order), "--format", fmt]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return run_job(command, path, order, fmt)
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=[case_name(*c) for c in ALL_CASES])

@@ -37,7 +37,7 @@ HEXAGON = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)]
 
 def _parts_delta(data):
     """The part polytopes Delta_i, one hull of each part's vertices."""
-    return tuple(LatticePolytope(V, data.delta.ambient_dim) for V in data.part_vertices)
+    return tuple(LatticePolytope(V) for V in data.part_vertices)
 
 
 def _dual(data):
@@ -190,7 +190,7 @@ def test_nabla_dual_is_polar_dual_of_nabla(quartic, eight_hyperplanes, k3):
         rays = data.rays
         cuts = [_part_vertices(data.delta, [rays[j] for j in part], rays) for part in data.ray_parts]
         union = [v for V in cuts for v in V]
-        assert data.nabla_dual == LatticePolytope(union, data.delta.ambient_dim)
+        assert data.nabla_dual == LatticePolytope(union)
 
 
 def test_duality_is_an_involution(quartic, eight_hyperplanes, k3):
@@ -385,7 +385,6 @@ def test_support_test_matches_minkowski_hull_on_subpolytopes():
     for verts in SMALL_REFLEXIVE.values():
         delta = LatticePolytope(verts)
         points = lattice_points_by_box(delta)
-        n = delta.ambient_dim
         for _ in range(15):
             S = [p for p in points if rng.random() < 0.6]
             if rng.random() < 0.5:
@@ -393,7 +392,7 @@ def test_support_test_matches_minkowski_hull_on_subpolytopes():
             S = S or [points[0]]
             q = rng.choice(points)
             sets = [[tuple(x - y for x, y in zip(p, q)) for p in S], [q]]
-            expect = minkowski_sum_by_hulls([LatticePolytope(V, n) for V in sets]) == delta
+            expect = minkowski_sum_by_hulls([LatticePolytope(V) for V in sets]) == delta
             assert _sums_to(delta, sets) == expect
             seen.add(expect)
     assert seen == {True, False}

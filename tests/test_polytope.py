@@ -638,7 +638,7 @@ def test_cayley_pyramid_is_the_two_hull_pyramid():
     for name, data in accepted_partitions():
         n = data.delta.ambient_dim
         lam, lam_dual = cayley_pyramids(data.part_vertices, _part_rays(data))
-        parts = [LatticePolytope(V, n) for V in data.part_vertices]
+        parts = [LatticePolytope(V) for V in data.part_vertices]
         for got, ref in (
             (lam, pyramid_over(cayley_polytope(parts))),
             (lam_dual, pyramid_over(cayley_polytope([LatticePolytope(V) for V in data.nabla_parts]))),
@@ -688,7 +688,7 @@ def test_lifted_facets_of_lower_dimensional_polytopes():
             continue
         v0 = [rng.randint(-3, 3) for _ in range(D)]
         pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
-        flat = LatticePolytope(pts, D)
+        flat = LatticePolytope(pts)
         assert (flat.affine_dim, flat.facets) == (a, ())
         P = SpanHull(pts)
         assert P.affine_dim == a
@@ -728,7 +728,7 @@ def test_incidence_vertices_match_rank_oracle():
         v0 = [rng.randint(-3, 3) for _ in range(D)]
         ys = [[rng.randint(-2, 2) for _ in range(a)] for _ in range(rng.randint(1, 9))]
         pts = [tuple(v0[i] + sum(b * y for b, y in zip(B[i], yy)) for i in range(D)) for yy in ys]
-        P = LatticePolytope(pts, D)
+        P = LatticePolytope(pts)
         a, vertices, facets = hull_by_smith_and_rank(pts, D)
         assert P.affine_dim == a
         if 0 < a < D:
@@ -747,12 +747,8 @@ def test_coordinates_must_be_integers():
         LatticePolytope([(0, 0), (1.7, 0), (0, 1)])
     with pytest.raises(TypeError):
         LatticePolytope([(0, 0), (Fraction(1, 2), 0), (0, 1)])
-    with pytest.raises(TypeError):
-        LatticePolytope([(0, 0), (1, 0)], ambient_dim=2.0)
     with pytest.raises(TypeError, match="vertex coordinate True is not an integer"):
         LatticePolytope([(True, False), (False, True), (-1, -1)])
-    with pytest.raises(TypeError, match="ambient_dim True is not an integer"):
-        LatticePolytope([(1,), (-1,)], ambient_dim=True)
     P = LatticePolytope([(0, 0), (np.int64(1), 0), (0, np.int32(1))])
     assert P.vertices == ((0, 0), (0, 1), (1, 0))
     assert all(type(x) is int for v in P.vertices for x in v)

@@ -15,17 +15,15 @@ stops being accepted shows.  The files of ``UNDECODABLE``, which no
 ``json.dump`` writes, run with the corpus.
 """
 
-import contextlib
-import io
 import json
 import random
 import sys
 import time
 from collections import Counter
 
-from conftest import DATA, GEN, REPO
+from conftest import DATA, GEN, REPO, run_job
 
-from fracmirror.cli import _DISPATCH, main
+from fracmirror.cli import _DISPATCH
 
 SEED = 2026
 BOUND_S = 0.5
@@ -147,16 +145,14 @@ def test_every_command_fails_cleanly_on_the_mutated_inputs(tmp_path):
         path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         for command in _DISPATCH:
             for fmt in ("json", "table"):
-                out, err = io.StringIO(), io.StringIO()
                 start = time.perf_counter()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([command, str(path), "-N", "4", "--format", fmt])
+                code, out, err = run_job(command, path, fmt=fmt)
                 slowest = max(slowest, (time.perf_counter() - start, label, command, fmt))
-                run = (label, command, fmt, code, err.getvalue())
+                run = (label, command, fmt, code, err)
                 assert code in (0, 2, 3), run
-                assert "Traceback" not in out.getvalue() + err.getvalue(), run
+                assert "Traceback" not in out + err, run
                 if code:
-                    assert err.getvalue().startswith("error:") and not out.getvalue(), run
+                    assert err.startswith("error:") and not out, run
                 else:
                     accepted.add(label)
                 codes[code] += 1

@@ -13,15 +13,17 @@ from conftest import (
     REPO,
     SMALL_REFLEXIVE,
     accepted_partitions,
+    calls,
     cayley_pyramids,
     load_case,
     reflexive_3polytopes,
     reflexive_4polytopes,
     reflexive_polygons,
+    run_job,
     set_partitions,
 )
 
-from fracmirror import _accel, cli, polytope, topology
+from fracmirror import _accel, cli, topology
 from fracmirror.errors import FracmirrorError, SmoothnessError
 from fracmirror.gkz import simplex_kernel_vector
 from fracmirror.nefpart import NefPartition, simplex_relation, validate_nef_partition
@@ -471,30 +473,24 @@ def test_topology_jobs_read_the_fan_polytopes_and_one_pairing(monkeypatch, path)
     # pair once and build Lambda_dual, and Lambda only off a simplex (the
     # hexagon, whose all refuses its multiparameter moduli first); dual-nef,
     # which prints nabla, builds it
-    calls, seen = Counter(), []
-    for name in ("_pairing", "_pyramid"):
-        f = getattr(polytope, name)
-        wrapped = lambda *a, f=f, name=name: calls.update([name]) or f(*a)  # noqa: E731
-        monkeypatch.setattr(topology, name, wrapped, raising=False)
-    stage, nef = cli.euler_double_cover, cli.dual_nef_partition
-    monkeypatch.setattr(cli, "euler_double_cover", lambda data: seen.append(data) or stage(data))
-    monkeypatch.setattr(cli, "dual_nef_partition", lambda data: seen.append(data) or nef(data))
-    pyramids = 1 if path.stem != "hexagon" else 2
+    pairings, pyramids = calls(monkeypatch, topology, "_pairing"), calls(monkeypatch, topology, "_pyramid")
+    stages = calls(monkeypatch, cli, "euler_double_cover"), calls(monkeypatch, cli, "dual_nef_partition")
+    built = 1 if path.stem != "hexagon" else 2
     for command in ("euler", "hodge", "all"):
-        calls.clear()
-        seen.clear()
+        for seen in (pairings, pyramids, *stages):
+            seen.clear()
         if (command, path.stem) == ("all", "hexagon"):
             # all refuses the hexagon's multiparameter moduli before the stage
-            assert cli.main([command, str(path), "-N", "4", "--format", "json"]) == 3
-            assert (seen, calls) == ([], {})
+            assert run_job(command, path)[0] == 3
+            assert (pairings, pyramids, *stages) == ([], [], [], [])
             continue
-        assert cli.main([command, str(path), "-N", "4", "--format", "json"]) == 0
-        [data] = seen
+        assert run_job(command, path)[0] == 0
+        [(data,)] = stages[0] + stages[1]
         assert "nabla" not in vars(data), command
-        assert calls == {"_pairing": 1, "_pyramid": pyramids}, command
-    seen.clear()
-    assert cli.main(["dual-nef", str(path), "--format", "json"]) == 0
-    assert "nabla" in vars(seen[0])
+        assert (len(pairings), len(pyramids)) == (1, built), command
+    assert run_job("dual-nef", path)[0] == 0
+    [(data,)] = stages[1]
+    assert "nabla" in vars(data)
 
 
 def _split(k, mask):
