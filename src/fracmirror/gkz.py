@@ -83,10 +83,10 @@ def build_gkz(data):
 
     Columns are blockwise in part order, distinguished column first, then
     the part's rays in reverse-lex order.  On a simplex the kernel is the
-    vector with c_g (``data.relation``, see ``nefpart.simplex_relation``) on
-    the column of ray g and -sum_(g in I_i) c_g on that of part i
-    (``simplex_kernel_vector``); otherwise it has rank p - n > 1 for p rays
-    and is read off one echelon of A^T.
+    vector with c_g (``data.c``, see ``nefpart.simplex_relation``) on the
+    column of ray g and minus the part sum C_i (``data.part_sums``) on that
+    of part i (``simplex_kernel_vector``); otherwise it has rank p - n > 1
+    for p rays and is read off one echelon of A^T.
     """
     n = data.delta.ambient_dim
     r = data.r
@@ -119,16 +119,15 @@ def build_gkz(data):
 
 def simplex_kernel_vector(data):
     """A simplex's kernel vector in ``build_gkz``'s column order, without A,
-    alpha or beta: per part i, -sum_(g in I_i) c_g (``data.relation``, kept
-    from validation) and then c_g for its rays in reverse-lex order; None off
-    a simplex."""
-    relation = data.relation
-    if relation is None:
+    alpha or beta: per part i, -C_i (``data.part_sums``, kept from
+    validation) and then c_g for its rays in reverse-lex order; None off a
+    simplex."""
+    if data.part_sums is None:
         return None
     # part indices ascend on the lex-sorted rays: part[::-1] is reverse-lex
-    c, ell = relation[1], []
-    for part in data.ray_parts:
-        ell += [-sum(c[t] for t in part)] + [c[t] for t in part[::-1]]
+    ell = []
+    for Ck, part in zip(data.part_sums, data.ray_parts):
+        ell += [-Ck] + [data.c[t] for t in part[::-1]]
     return tuple(ell)
 
 

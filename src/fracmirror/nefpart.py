@@ -38,10 +38,10 @@ w_g the vertex off the facet of ray rho_g and h_g = <w_g, rho_g> + 1, the
 vertices m_ij = sum_(g in I_i) (w_j - w_g) / h_g, j = 0..n.  Those sum to
 w_j over i, so Delta_1 + ... + Delta_r = Delta on every partition, and
 Delta_i is a lattice polytope exactly when they are integral.  The
-partition keeps that relation, which the GKZ kernel vector is read off,
-and the m_ij by their labels (i, j), which the dual side is read off with
-no hull, as <m_ij, rho_g> = [j = g] h_g C_i / L - [g in I_i] with
-c_g = L / h_g and C_i = sum_(g in I_i) c_g:
+partition keeps c_g = L / h_g, L and the part sums C_i = sum_(g in I_i) c_g,
+which the GKZ kernel vector and the topology stage's closed forms are read
+off, and the m_ij by their labels (i, j), which the dual side is read off
+with no hull, as <m_ij, rho_g> = [j = g] h_g C_i / L - [g in I_i]:
 - the vertices of nabla^* are the m_ij but the origin (I_i = {j}), no two
   alike, and the dual partition puts m_ij in part i;
 - its facets (u, 1), u a vertex of nabla, sum one ray g_k of each part k
@@ -87,7 +87,8 @@ def _part_vertices(delta, part_rays, all_rays):
 def simplex_relation(delta):
     """``(W, c, L)`` on a reflexive simplex delta, else None: W[g] = w_g,
     h_g = <w_g, rho_g> + 1 for ray g, L = lcm(h) and c[g] = L / h_g, so
-    sum c_g w_g = sum c_g rho_g = 0 with c positive and primitive.
+    sum c_g w_g = sum c_g rho_g = 0 with c positive and primitive, and
+    sum c_g = L: the 1/h_g are the barycentric coordinates of the origin.
     """
     if len(delta.vertices) != delta.ambient_dim + 1:
         return None
@@ -95,13 +96,12 @@ def simplex_relation(delta):
     W = [delta.vertices[((m + 1) & ~m).bit_length() - 1] for m in delta._incidences]
     h = [_dot(w, rho) + 1 for w, (rho, _) in zip(W, delta.facets)]
     L = lcm(*h)
-    return W, [L // x for x in h], L
+    return W, tuple(L // x for x in h), L
 
 
-def _simplex_labels(relation, part):
-    """The vertices m_ij of Delta_i on a simplex, j in delta's facet order:
-    L m_ij = C w_j - sum_(g in I_i) c_g w_g with C = sum_(g in I_i) c_g."""
-    W, c, L = relation
+def _simplex_labels(W, c, L, part):
+    """The part sum C = sum_(g in I_i) c_g and the vertices m_ij of Delta_i on
+    a simplex, j in delta's facet order: L m_ij = C w_j - sum_(g in I_i) c_g w_g."""
     C = sum(c[g] for g in part)
     shift = list(map(sum, zip(*([c[g] * x for x in W[g]] for g in part))))
     # every L m_ij in one list, divided by L in one pass
@@ -110,7 +110,7 @@ def _simplex_labels(relation, part):
     if any(r):
         raise InvalidNefPartition("part polytope has non-lattice vertices")
     n = len(shift)
-    return tuple(q[j : j + n] for j in range(0, len(q), n))
+    return C, tuple(q[j : j + n] for j in range(0, len(q), n))
 
 
 def _simplex_nabla_dual(rays, parts, labels):
@@ -140,9 +140,9 @@ def _derive(delta, parts):
     """Check a proposed nef-partition of int indices, cutting out the Delta_i.
 
     Returns ``(issues, built)``: the diagnostics (empty means valid) and
-    ``(rays, part_vertices, relation, labels)`` with ``relation`` the
-    ``simplex_relation`` of delta and ``labels`` the m_ij of each part, both
-    None off a simplex, or None when a check stopped the build early.
+    ``(rays, part_vertices, c, L, part_sums, labels)``, c and L those of
+    ``simplex_relation``, part_sums the C_i and labels the m_ij of each part,
+    the last four None off a simplex, or None when a check stopped the build.
     """
     if not isinstance(delta, LatticePolytope):
         return ["delta is not a lattice polytope"], None
@@ -179,10 +179,12 @@ def _derive(delta, parts):
         # a part reports each kind of problem once, and a shared index once
         return list(dict.fromkeys(issues)), None
 
-    relation, labels = simplex_relation(delta), None
+    relation, simplex = simplex_relation(delta), (None,) * 4
     try:
         if relation:
-            labels = tuple(_simplex_labels(relation, part) for part in parts)
+            W, c, L = relation
+            part_sums, labels = zip(*(_simplex_labels(W, c, L, part) for part in parts))
+            simplex = c, L, part_sums, labels
             part_vertices = tuple(tuple(sorted(row)) for row in labels)
         else:
             part_vertices = tuple(
@@ -195,7 +197,7 @@ def _derive(delta, parts):
     if relation is None and not _sums_to(delta, part_vertices):
         # a sum that differs from delta makes nabla non-reflexive (module docstring)
         issues += ["Minkowski sum of part polytopes differs from delta", "nabla is not reflexive"]
-    return issues, (rays, part_vertices, relation, labels)
+    return issues, (rays, part_vertices, *simplex)
 
 
 def _sums_to(delta, part_vertices):
@@ -233,13 +235,14 @@ class NefPartition:
     lattice polytope.  ``ray_parts`` holds indices into the lex-sorted
     vertex list of the polar dual.  Validation keeps ``rays``,
     ``part_vertices`` (the vertices of each Delta_i, read off its DD cut or,
-    on a simplex, off Delta's vertices) and ``relation`` (``simplex_relation``
-    of delta, None off a simplex), and checks Delta_1 + ... + Delta_r = Delta
-    without building the sum.  Each polytope below is built on first read
-    and kept: ``nabla_dual`` is the hull of all ``part_vertices`` or, on a
-    simplex, read off their labels; ``nabla`` is its polar dual;
-    ``nabla_parts`` are the vertex tuples of the nabla_k; ``dual_parts()``
-    looks the vertices of ``nabla_dual`` up in ``part_vertices``.
+    on a simplex, off Delta's vertices) and ``c``, ``L`` (``simplex_relation``)
+    and ``part_sums``, the C_i = sum_(g in I_i) c_g, all None off a simplex,
+    and checks Delta_1 + ... + Delta_r = Delta without building the sum.
+    Each polytope below is built on first read and kept: ``nabla_dual`` is
+    the hull of all ``part_vertices`` or, on a simplex, read off their
+    labels; ``nabla`` is its polar dual; ``nabla_parts`` are the vertex
+    tuples of the nabla_k; ``dual_parts()`` looks the vertices of
+    ``nabla_dual`` up in ``part_vertices``.
     """
 
     def __init__(self, delta, parts):
@@ -249,7 +252,7 @@ class NefPartition:
             raise InvalidNefPartition("; ".join(issues))
         self.delta = delta
         self.ray_parts = parts
-        self.rays, self.part_vertices, self.relation, self._labels = built
+        self.rays, self.part_vertices, self.c, self.L, self.part_sums, self._labels = built
 
     @functools.cached_property
     def nabla_parts(self):

@@ -18,14 +18,14 @@ simplex Lambda, are read off one Batyrev–Borisov pairing
 (``polytope._pairing``) by ``polytope._pyramid``, so each check compares
 two independent computations; ``CoverTopology`` is built once both pass.
 
-On a simplex vol(Lambda) has a closed form.  With (W, c, L) =
-``data.relation`` and C_i the sum of c_g over part i, the labels m_ij of
-``nefpart._simplex_labels`` give Delta_i = (C_i / L) Delta + t_i, with
-sum C_i = L.  By the Cayley trick vol(Lambda) is the sum of the mixed
-volumes MV(Delta_1^a_1, ..., Delta_r^a_r) over |a| = n (Huber, Rambau and
-Santos, "The Cayley trick, lifting subdivisions and the Bohne-Dress
-theorem on zonotopal tilings", J. Eur. Math. Soc. 2000), and each is
-vol(Delta) prod (C_i / L)^a_i, so
+On a simplex vol(Lambda) has a closed form.  With c, L and the part sums
+C_i = sum of c_g over part i kept on the partition (``data.c``, ``data.L``,
+``data.part_sums``), the labels m_ij of ``nefpart._simplex_labels`` give
+Delta_i = (C_i / L) Delta + t_i, with sum C_i = L.  By the Cayley trick
+vol(Lambda) is the sum of the mixed volumes MV(Delta_1^a_1, ...,
+Delta_r^a_r) over |a| = n (Huber, Rambau and Santos, "The Cayley trick,
+lifting subdivisions and the Bohne-Dress theorem on zonotopal tilings",
+J. Eur. Math. Soc. 2000), and each is vol(Delta) prod (C_i / L)^a_i, so
 
     vol(Lambda) = vol(Delta) h_n(C_1, ..., C_r) / L^n,
 
@@ -64,8 +64,8 @@ Delta_k is the vector a >= 0 with a_g = <m, rho_g> + [g in I_k], and
 sum c_g a_g = C_k.  When the rays span Z^n every such a comes from an
 integral m, so #(Delta_k ∩ Z^n) is the coefficient of t^C_k in
 prod_g 1 / (1 - t^c_g), one array knapsack up to the largest C_k.  The rays
-span Z^n exactly when vol(Delta*) = sum c_g: each maximal minor of the rays
-is +-c_g times the index of their lattice, and vol(Delta*) sums their
+span Z^n exactly when vol(Delta*) = sum c_g = L: each maximal minor of the
+rays is +-c_g times the index of their lattice, and vol(Delta*) sums their
 absolute values.  So the test reads chi(X), which the stage holds.  Off a
 simplex, on a simplex whose rays span a proper sublattice, and where the
 knapsack would take more than ``_accel.SCAN_BUDGET`` steps, nabla* is
@@ -103,31 +103,29 @@ class HodgeTable:
         }
 
 
-def _point_counts(data, P, chi_X, chi_X_dual, C):
+def _point_counts(data, P, chi_X, chi_X_dual):
     """(#P, #P_dual), the lattice points of Delta* and nabla* (module
     docstring): None for n = 2, read off the volumes chi_X and chi_X_dual
-    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity
-    from the part sums C (None off a simplex)."""
+    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity."""
     n = P.ambient_dim
     if n == 2:
         return None, None
     if n == 3:
         return chi_X // 2 + 3, chi_X_dual // 2 + 3
-    return P.lattice_point_count(), _nabla_dual_count(data, chi_X, C)
+    return P.lattice_point_count(), _nabla_dual_count(data, chi_X)
 
 
-def _nabla_dual_count(data, chi_X, C):
+def _nabla_dual_count(data, chi_X):
     """#(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1), each term a
-    knapsack count to the part sum C_k on a simplex (C is None off one) whose
-    rays span Z^n, where vol(Delta*) = chi_X = sum c_g; else one scan of nabla*."""
-    if C:
-        c = data.relation[1]
-        if chi_X == sum(c) and len(c) * (max(C) + 1) <= _accel.SCAN_BUDGET:
-            ways = [1] + [0] * max(C)  # ways[s]: the a >= 0 with sum c_g a_g = s
-            for cg in c:
-                for s in range(cg, len(ways)):
-                    ways[s] += ways[s - cg]
-            return sum(ways[Ck] for Ck in C) - (data.r - 1)
+    knapsack count to the part sum C_k on a simplex whose rays span Z^n,
+    where vol(Delta*) = chi_X = L; else one scan of nabla*."""
+    c, C = data.c, data.part_sums
+    if C and chi_X == data.L and len(c) * (max(C) + 1) <= _accel.SCAN_BUDGET:
+        ways = [1] + [0] * max(C)  # ways[s]: the a >= 0 with sum c_g a_g = s
+        for cg in c:
+            for s in range(cg, len(ways)):
+                ways[s] += ways[s - cg]
+        return sum(ways[Ck] for Ck in C) - (data.r - 1)
     return data.nabla_dual.lattice_point_count()
 
 
@@ -205,15 +203,13 @@ def euler_double_cover(data):
     rows, verts, on_rows = _pairing(
         data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
     )
-    # on a simplex the part sums C_k (module docstring), else None
-    C = data.relation and [sum(data.relation[1][g] for g in part) for part in data.ray_parts]
-    if C:
+    if data.part_sums:
         # vol(Lambda) = vol(Delta) h_n(C_1, ..., C_r) / L^n (module docstring)
         h = [1] + [0] * n
-        for Ck in C:
+        for Ck in data.part_sums:
             for k in range(1, n + 1):
                 h[k] += Ck * h[k - 1]
-        vol, scale = data.delta.normalized_volume() * h[n], data.relation[2] ** n
+        vol, scale = data.delta.normalized_volume() * h[n], data.L ** n
     else:
         lam = _pyramid(rows, verts, _transpose(on_rows, len(verts)), data.r)
         vol, scale = lam.normalized_volume(), 1
@@ -228,5 +224,5 @@ def euler_double_cover(data):
             f"vol(Λ) ≠ χ(X∨) on the dual side: {vol_lambda_dual} != {chi_X}; "
             "smoothness hypothesis violated"
         )
-    return CoverTopology(n, chi_X, chi_X_dual, *_point_counts(data, P, chi_X, chi_X_dual, C))
+    return CoverTopology(n, chi_X, chi_X_dual, *_point_counts(data, P, chi_X, chi_X_dual))
 

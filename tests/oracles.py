@@ -1141,17 +1141,18 @@ def holomorphic_kernel(op, N):
     return RationalSeries(coeffs, N)
 
 
+def poly_mul(p, q):
+    """The product of two coefficient lists, lowest degree first, over Fractions."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def theta_conjugate_by_fractions(ell, alpha):
     """``picard_fuchs.theta_conjugate`` with every linear factor multiplied
     out over Fractions: F(theta) - z G(theta) over the lead of F."""
-
-    def poly_mul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
     f_poly, f_roots, g_poly, g_roots = [Fraction(1)], [], [Fraction(1)], []
     for le, ae in zip(ell, alpha):
         ae = Fraction(ae)

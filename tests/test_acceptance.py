@@ -9,7 +9,6 @@ on the real stdout so the report is visible through pytest's capture.
 """
 
 import functools
-import math
 import random
 import sys
 import time
@@ -25,23 +24,22 @@ from fracmirror.mirror import (
 from fracmirror.nefpart import dual_nef_partition
 from fracmirror.picard_fuchs import theta_conjugate
 from fracmirror.polytope import LatticePolytope
-from fracmirror.series import RationalSeries
 from fracmirror.topology import euler_double_cover
 from oracles import (
     EpsPoly,
     SpanHull,
     apply,
-    compose_by_horner,
     dilate,
     euler_snc_union_oracle,
     frobenius_residue,
     lattice_transform,
-    matches,
     pairing_matrix,
+    poly_mul,
     smith_relations,
     volume_by_dilation_counts,
 )
-from test_series import lagrange_reversion
+from test_polytope import random_unimodular
+from test_series import check_reversion_round_trips
 from test_topology import quartic_plus_planes_strata
 
 
@@ -122,14 +120,6 @@ def test_criterion_04_gkz(quartic):
     assert g.kernel == ((-4, 1, 1, 1, 1),)
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 @criterion(5, "Picard-Fuchs operators equal theta^4-256z(theta+1/8)...(theta+7/8) and theta^4-z(theta+1/2)^4")
 def test_criterion_05_picard_fuchs(quartic, eight_hyperplanes):
     for data, offsets, s in (
@@ -140,7 +130,7 @@ def test_criterion_05_picard_fuchs(quartic, eight_hyperplanes):
         op = theta_conjugate(ell)
         G = [Fraction(1)]
         for off in offsets:
-            G = _poly_mul(G, [off, Fraction(1)])
+            G = poly_mul(G, [off, Fraction(1)])
         expected = tuple(
             ((1 if k == 4 else 0), -s * G[k]) for k in range(5)
         )
@@ -230,18 +220,9 @@ def test_criterion_10_properties(quartic):
          (1, 1, -1), (1, -1, 1), (-1, 1, 1)],
     ]
 
-    def unimodular(n):
-        M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for _ in range(6):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                f = rng.randint(-2, 2)
-                M[i] = [a + f * b for a, b in zip(M[i], M[j])]
-        return M
-
     for _ in range(20):
         base = rng.choice(seeds)
-        P = lattice_transform(unimodular(len(base[0])), LatticePolytope(base))
+        P = lattice_transform(random_unimodular(rng, len(base[0])), LatticePolytope(base))
         assert P.is_reflexive() and P.polar_dual().polar_dual() == P
 
     produced = 0
@@ -258,15 +239,7 @@ def test_criterion_10_properties(quartic):
         produced += 1
         assert P.normalized_volume() == volume_by_dilation_counts(P)
 
-    N = 16
-    for _ in range(3):
-        coeffs = [Fraction(0), Fraction(rng.choice([1, -1, 2]))] + [
-            Fraction(rng.randint(-4, 4)) for _ in range(N - 1)
-        ]
-        f = RationalSeries(coeffs, N)
-        g = lagrange_reversion(f)
-        assert matches(compose_by_horner(f, g), RationalSeries((0, 1), N), N)
-        assert matches(compose_by_horner(g, f), RationalSeries((0, 1), N), N)
+    check_reversion_round_trips(rng, 3)
 
     [ell] = build_gkz(quartic).kernel
     op = theta_conjugate(ell)

@@ -221,7 +221,7 @@ def test_yukawa_residue_at_zero_is_computational_failure(tmp_path, capsys):
     assert (out, err) == ("", "error: Yukawa ODE has a nonzero residue at z = 0\n")
 
 
-def test_bad_flags(capsys, monkeypatch):
+def test_bad_flags(capsys):
     assert run(JobConfig(command="nope", input="x")) == 2
     assert "unknown command" in capsys.readouterr().err
     assert run(JobConfig(command="euler", input="x", fmt="xml")) == 2

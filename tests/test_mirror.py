@@ -16,7 +16,6 @@ order from theta and eta products alone.
 """
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from fracmirror.cohom import deformed_solution, i_weights_from_kernel
 from fracmirror.errors import FracmirrorError
 from fracmirror.gkz import build_gkz
 from fracmirror.mirror import (
-    FrobeniusPair,
     a_model_correlation,
     frobenius_pair,
     mirror_map,

@@ -436,7 +436,7 @@ def _simplex_dual_side_cases():
     ``accepted_partitions``, each perfbench shape in five seeded frames, and
     both partitions of the segment [-1, 1]."""
     for name, data in accepted_partitions():
-        if data.relation is not None:
+        if data.part_sums is not None:
             yield name, data
     rng = random.Random(36)
     for shape, (n, _) in GEN.SHAPES.items():

@@ -1,6 +1,8 @@
-"""Every name that the package or one of its modules exports resolves, and
-``import fracmirror.cli`` does not pay for ``dataclasses``."""
+"""Every name that the package or one of its modules exports resolves, every
+name a module of the package or of the tests imports is read there or
+exported, and ``import fracmirror.cli`` does not pay for ``dataclasses``."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -24,6 +26,21 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= namespace.keys()
+
+
+def test_every_imported_name_is_read_or_exported():
+    # an ast scan: ``import a.b`` binds ``a``, and ``import *`` binds nothing
+    unread = {}
+    for path in sorted([*(REPO / "src" / "fracmirror").glob("*.py"), *(REPO / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.asname or n.name.partition(".")[0] for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        names -= {"*"} | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]:
+                names -= set(ast.literal_eval(node.value))
+        if names:
+            unread[path.name] = sorted(names)
+    assert unread == {}
 
 
 def test_cli_import_adds_no_dataclasses():

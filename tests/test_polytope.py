@@ -764,6 +764,9 @@ def test_extreme_rays_refuse_float_rows():
     with pytest.raises(TypeError, match="row entry True is not an integer"):
         _dd_extreme_rays([(True, 0), (0, 1)])
     assert _dd_extreme_rays([(np.int64(1), 0), (0, np.int32(1))]) == (((0, 1), 0b01), ((1, 0), 0b10))
+    # zero rows constrain nothing, and a cone with no other row is refused
+    with pytest.raises(ValueError, match="cone needs at least one constraint"):
+        _dd_extreme_rays([(0, 0), (0, 0)])
 
 
 def test_lattice_transform_on_points_and_polytopes():

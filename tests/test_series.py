@@ -224,10 +224,10 @@ def test_compose():
     assert matches(comp, expect, N)
 
 
-def test_reversion_round_trip_and_catalan():
-    N = 16
-    rng = random.Random(33)
-    for _ in range(4):
+def check_reversion_round_trips(rng, count, N=16):
+    """f(g) = g(f) = x to order N, g the Lagrange reversion of each of
+    ``count`` seeded series f = a x + ... with a in {1, -1, 2}."""
+    for _ in range(count):
         coeffs = [Fraction(0), Fraction(rng.choice([1, -1, 2]))] + [
             Fraction(rng.randint(-4, 4)) for _ in range(N - 1)
         ]
@@ -235,6 +235,10 @@ def test_reversion_round_trip_and_catalan():
         g = lagrange_reversion(f)
         assert matches(compose_by_horner(f, g), RationalSeries((0, 1), N), N)
         assert matches(compose_by_horner(g, f), RationalSeries((0, 1), N), N)
+
+
+def test_reversion_round_trip_and_catalan():
+    check_reversion_round_trips(random.Random(33), 4)
     q = RationalSeries([0, 1, 1, 0, 0], 4)
     z_of_q = lagrange_reversion(q)
     assert [z_of_q.coeff(i) for i in range(5)] == [0, 1, -1, 2, -5]

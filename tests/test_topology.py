@@ -1,6 +1,7 @@
 """Euler characteristics and Hodge tables of the branched double covers."""
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from conftest import (
 
 from fracmirror import _accel, cli, topology
 from fracmirror.errors import FracmirrorError, SmoothnessError
-from fracmirror.gkz import simplex_kernel_vector
+from fracmirror.gkz import build_gkz
 from fracmirror.nefpart import NefPartition, simplex_relation, validate_nef_partition
 from fracmirror.polytope import LatticePolytope
 from fracmirror.topology import (
@@ -167,22 +168,12 @@ def quartic_plus_planes_strata():
     in a line (chi 2); D meets two planes in 4 points; three planes meet in
     a point; all deeper intersections are empty for generic D.
     """
-    planes = ["1", "2", "3", "4"]
-    strata = {frozenset(["D"]): 24}
-    for a in planes:
-        strata[frozenset([a])] = 3
-        strata[frozenset(["D", a])] = -4
-    for i, a in enumerate(planes):
-        for b in planes[i + 1:]:
-            strata[frozenset([a, b])] = 2
-            strata[frozenset(["D", a, b])] = 4
-    for i, a in enumerate(planes):
-        for j, b in enumerate(planes[i + 1:], start=i + 1):
-            for c in planes[j + 1:]:
-                strata[frozenset([a, b, c])] = 1
-                strata[frozenset(["D", a, b, c])] = 0
-    strata[frozenset(planes)] = 0
-    strata[frozenset(["D"] + planes)] = 0
+    strata = {}
+    for k in range(5):
+        for planes in itertools.combinations("1234", k):
+            if k:
+                strata[frozenset(planes)] = (3, 2, 1, 0)[k - 1]
+            strata[frozenset(("D", *planes))] = (24, -4, 4, 0, 0)[k]
     return strata
 
 
@@ -310,19 +301,12 @@ def test_euler_and_hodge_finish_where_the_nabla_dual_scan_was_refused(tmp_path, 
 # ------------------------------------------------------ the nabla* count
 
 
-def part_sums(data):
-    """The part sums C_k of c_g that the stage passes on, read as minus the
-    distinguished entries of the simplex kernel vector; None off a simplex."""
-    ell = simplex_kernel_vector(data)
-    return ell and [-x for x in ell if x < 0]
-
-
 def checked_nabla_dual_count(data):
     """(count, path) of the stage's nabla* count on a fresh copy of
     ``data``, path "knapsack" or "scan", after checking the count against a
     scan of a hull of nabla*'s vertices: the knapsack reads no nabla*."""
     data = NefPartition(data.delta, data.ray_parts)
-    count = _nabla_dual_count(data, data.delta.polar_dual().normalized_volume(), part_sums(data))
+    count = _nabla_dual_count(data, data.delta.polar_dual().normalized_volume())
     path = "scan" if "nabla_dual" in vars(data) else "knapsack"
     expect = LatticePolytope(data.nabla_dual.vertices).lattice_point_count()
     assert count == expect, (data.delta.vertices, data.ray_parts)
@@ -360,6 +344,22 @@ def check_pn_nabla_dual_counts(shapes, rng, max_sheared_n):
         data = framed_shape(n, sizes, 2 if n <= max_sheared_n else 0, rng)
         expect = sum(math.comb(n + d, n) for d in sizes) - (len(sizes) - 1)
         assert (name, *checked_nabla_dual_count(data)) == (name, expect, "knapsack")
+
+
+def test_a_simplex_keeps_c_L_and_the_part_sums():
+    # sum c_g = L = sum C_k (the 1/h_g are the origin's barycentric
+    # coordinates) and the C_k are minus the distinguished entries of the GKZ
+    # kernel vector: the 56 partitions of the corpus simplices and the 34
+    # simplex cases of accepted_partitions, the 13 generated shapes in seeded
+    # frames among them; off a simplex, on the hexagon, all three are None
+    cases = [*corpus_simplex_partitions(), *(data for _, data in accepted_partitions() if data.c)]
+    assert len(cases) == 56 + 34
+    for data in cases:
+        g = build_gkz(data)
+        assert sum(data.c) == data.L == sum(data.part_sums)
+        assert list(data.part_sums) == [-x for x, (_, j) in zip(g.kernel[0], g.column_labels) if j == 0]
+    hexagon = NefPartition.from_dict(json.loads((GOLDEN / "hexagon.json").read_text()))
+    assert (hexagon.c, hexagon.L, hexagon.part_sums) == (None, None, None)
 
 
 def test_nabla_dual_count_matches_the_scan_on_the_corpus_simplices():
@@ -424,10 +424,10 @@ def test_a_knapsack_past_the_step_budget_goes_to_the_scan(monkeypatch):
     data = framed_shape(4, (5,), 0, random.Random(0))
     chi_X = data.delta.polar_dual().normalized_volume()
     monkeypatch.setattr(_accel, "SCAN_BUDGET", 30)
-    assert _nabla_dual_count(data, chi_X, part_sums(data)) == 126 and "nabla_dual" not in vars(data)
+    assert _nabla_dual_count(data, chi_X) == 126 and "nabla_dual" not in vars(data)
     monkeypatch.setattr(_accel, "SCAN_BUDGET", 29)
     with pytest.raises(FracmirrorError, match="budget of 29 steps"):
-        _nabla_dual_count(data, chi_X, part_sums(data))
+        _nabla_dual_count(data, chi_X)
 
 
 def _triangulated_vol_lambda(data):
@@ -455,7 +455,7 @@ def test_simplex_vol_lambda_matches_the_triangulation():
     weighted = sum(any(c != 1 for c in simplex_relation(delta)[1]) for delta in simplices)
     assert (len(simplices), weighted, len(cases)) == (33, 21, 13 + 8 + 56)
     for data in cases:
-        assert data.relation is not None
+        assert data.part_sums is not None
         got = euler_double_cover(data).vol_Lambda
         assert got == _triangulated_vol_lambda(data), (data.delta.vertices, data.ray_parts)
 
@@ -606,7 +606,7 @@ def test_point_count_reads_the_volume_for_n_up_to_3():
             continue
         P, P_dual = data.delta.polar_dual(), data.nabla_dual
         vols = P.normalized_volume(), P_dual.normalized_volume()
-        counts = [vol + 1 for vol in vols] if n == 2 else list(_point_counts(data, P, *vols, part_sums(data)))
+        counts = [vol + 1 for vol in vols] if n == 2 else list(_point_counts(data, P, *vols))
         assert counts == [len(lattice_points_by_box(Q)) for Q in (P, P_dual)], (name, data.ray_parts)
         seen.add(n)
     assert seen == {2, 3}
