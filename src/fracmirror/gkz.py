@@ -139,7 +139,8 @@ def kernel_scale(ell):
 class Slices(Sequence):
     """The m eps-slices of one ``hypergeometric_series`` call, read-only: U[k][n] / E[n]
     is coefficient n of slice k (gcd(E_n, *U_n) = 1, E_n > 0).  Slice k is ``_make``
-    of the numerators scaled to D = lcm(E), formed once, and built each time it is read.
+    of the numerators scaled to D = lcm(E), formed once, and built each time it is read;
+    a Python slice of the sequence is the tuple of the slices it selects.
     ``orders`` holds (U_n, E_n) for n = 0..N."""
 
     def __init__(self, orders):
@@ -151,8 +152,10 @@ class Slices(Sequence):
         return len(self.U)
 
     def __getitem__(self, k):
-        D, U = self._D, self.U[range(len(self.U))[k]]
-        return _make([u * (D // E) for u, E in zip(U, self.E)], D, self.N)
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        D = self._D
+        return _make([u * (D // E) for u, E in zip(self.U[k], self.E)], D, self.N)
 
 
 def hypergeometric_series(ell, m, N, scale=1):

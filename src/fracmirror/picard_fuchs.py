@@ -14,6 +14,7 @@ for the factored display.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import FracmirrorError, _as_ints
 from .gkz import EXPONENT
@@ -53,17 +54,9 @@ class ThetaOperator:
             return f"(theta - {fraction_str(-offset)})"
 
         def grouped(offsets):
-            out = []
-            for off in offsets:
-                base = factor(off)
-                if out and out[-1][0] == base:
-                    out[-1][1] += 1
-                else:
-                    out.append([base, 1])
-            return " ".join(
-                b if e == 1 else (f"{b}^{e}" if b != "theta" else f"theta^{e}")
-                for b, e in out
-            )
+            # a run of equal adjacent factors is written once, with its length as a power
+            runs = ((b, len(list(run))) for b, run in groupby(map(factor, offsets)))
+            return " ".join(b if e == 1 else f"{b}^{e}" for b, e in runs)
 
         f = grouped(tuple(-root for root in self.f_roots))
         g = grouped(self.g_roots)

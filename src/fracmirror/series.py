@@ -22,7 +22,7 @@ inverse and no product.  ``_lagrange_powers`` splits the powers of one
 series into baby and giant steps (Paterson and Stockmeyer 1973; Brent and
 Kung 1978), about 2 sqrt(N) products instead of N, and every ``_lagrange``
 call on that series reads the same powers.  The coefficients as
-reduced ``Fraction``s (``c``, ``coeff``) are built once.
+reduced ``Fraction``s (``c``, ``coeff``) are read off (N, A, D) each time.
 """
 
 from fractions import Fraction
@@ -137,7 +137,7 @@ class RationalSeries:
     """Truncated series in z over Q: coefficient n is A[n] / D, with D > 0
     and gcd(D, *A) == 1, so (N, A, D) is canonical."""
 
-    __slots__ = ("N", "A", "D", "_c")
+    __slots__ = ("N", "A", "D")
 
     # perfbench/spans.py wraps the methods of ``series._Series`` and labels a
     # span "rational" when ``args[0].ring.m is None``.  This ``m``, ``ring``,
@@ -157,26 +157,23 @@ class RationalSeries:
             raise ValueError("truncation order must be nonnegative")
         vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))
         D = lcm(*(x.denominator for x in vals))  # so gcd(D, *A) == 1
-        self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N, tuple(vals))
+        self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N)
 
-    def _hold(self, A, D, N, c=None):
+    def _hold(self, A, D, N):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("series are immutable")
 
     @property
     def c(self):
-        """The coefficients as reduced Fractions, built on first read."""
-        if self._c is None:
-            object.__setattr__(self, "_c", tuple(Fraction(a, self.D) for a in self.A))
-        return self._c
+        """The coefficients as reduced Fractions, built on each read."""
+        return tuple(Fraction(a, self.D) for a in self.A)
 
     def coeff(self, n):
-        return self.c[n] if 0 <= _as_int(n, "index n") <= self.N else _ZERO
+        return Fraction(self.A[n], self.D) if 0 <= _as_int(n, "index n") <= self.N else _ZERO
 
     def truncate(self, N):
         N = _as_int(N, "order N")

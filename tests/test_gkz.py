@@ -280,6 +280,14 @@ def test_slices_work_out_the_order(N):
     assert list(got) == list(S)
 
 
+def test_a_slice_of_the_slices_is_a_tuple():
+    # a Python slice selects eps-slices as a tuple's does; an int still counts from the end
+    S = hypergeometric_series((-4, 1, 1, 1, 1), 3, 4)
+    assert S[0:2] == (S[0], S[1])
+    assert S[-1] == S[2]
+    assert S[::-1] == (S[2], S[1], S[0]) and S[5:] == ()
+
+
 def _same_reduced_coefficients(s, oracle):
     # the eps-slices, handed over as integers, equal the RationalSeries built
     # from the oracle's Fractions, in canonical form

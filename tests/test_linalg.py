@@ -19,6 +19,7 @@ from oracles import (
     smith_normal_form,
     smith_relations,
 )
+from test_polytope import random_unimodular
 
 
 def rand_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -286,13 +287,7 @@ def test_inverse_unimodular():
     rng = random.Random(99)
     for _ in range(25):
         n = rng.randint(1, 4)
-        # build a unimodular matrix from row operations on the identity
-        M = np.eye(n, dtype=object).astype(object)
-        M = np.array([[int(v) for v in row] for row in M], dtype=object)
-        for _ in range(8):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                M[i] = M[i] + rng.randint(-2, 2) * M[j]
+        M = np.array(random_unimodular(rng, n), dtype=object)
         W = inverse_unimodular(M)
         assert all(type(x) is int for row in W for x in row)
         assert (np.array(W, dtype=object) @ M == np.eye(n, dtype=object)).all()

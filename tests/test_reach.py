@@ -124,6 +124,7 @@ UNRUN = [
     ("cohom.deformed_solution", "raise FracmirrorError(", _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("eps^0 slice of the I-function is not a unit")', _ARGUMENT),
     ("cohom.i_function_mirror_map", 'raise FracmirrorError("the mirror map reads the eps^1 slice of the I-function: m >= 2")', _ARGUMENT),
+    ("gkz.Slices.__getitem__", "return tuple(map(self.__getitem__, range(len(self))[k]))", "a library caller's Python slice; the commands read one eps-slice at a time"),
     ("gkz.hypergeometric_series", 'raise ValueError("truncation order must be nonnegative")', _ARGUMENT),
     ("gkz.hypergeometric_series", 'raise ValueError("nilpotency order m must be at least 1")', _ARGUMENT),
     ("linalg.echelon", "break", "stops once every row holds a pivot; a command's matrix has a kernel, so some row never does"),
@@ -155,15 +156,13 @@ UNRUN = [
     ("series.RationalSeries.__init__", 'N = max(len(vals) - 1, 0) if N is None else _as_int(N, "order N")', "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "if N < 0:", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", 'raise ValueError("truncation order must be nonnegative")', "the constructor that validates its values; commands use _make"),
-    ("series.RationalSeries.__init__", "self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N, tuple(vals))", "the constructor that validates its values; commands use _make"),
+    ("series.RationalSeries.__init__", "self._hold(tuple(x.numerator * (D // x.denominator) for x in vals), D, N)", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = [parse_fraction(x) for x in coeffs]", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__init__", "vals = vals[: N + 1] + [_ZERO] * (N + 1 - len(vals))", "the constructor that validates its values; commands use _make"),
     ("series.RationalSeries.__setattr__", 'raise AttributeError("series are immutable")', "the guard that keeps a series immutable"),
     ("series.RationalSeries.__truediv__", 'raise FracmirrorError("constant term is not invertible")', _ARGUMENT),
-    ("series.RationalSeries.c", "if self._c is None:", _FRACTIONS),
-    ("series.RationalSeries.c", 'object.__setattr__(self, "_c", tuple(Fraction(a, self.D) for a in self.A))', _FRACTIONS),
-    ("series.RationalSeries.c", "return self._c", _FRACTIONS),
-    ("series.RationalSeries.coeff", 'return self.c[n] if 0 <= _as_int(n, "index n") <= self.N else _ZERO', _FRACTIONS),
+    ("series.RationalSeries.c", "return tuple(Fraction(a, self.D) for a in self.A)", _FRACTIONS),
+    ("series.RationalSeries.coeff", 'return Fraction(self.A[n], self.D) if 0 <= _as_int(n, "index n") <= self.N else _ZERO', _FRACTIONS),
     ("series.RationalSeries.exp", 'raise FracmirrorError("exp needs a zero constant term")', _ARGUMENT),
     ("series.RationalSeries.ring", "return self", "perfbench/spans.py labels a series span by it (ROADMAP item 5)"),
     ("series.RationalSeries.shift", 'raise FracmirrorError("division by z is not defined for truncated series")', _ARGUMENT),

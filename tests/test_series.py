@@ -27,6 +27,9 @@ from oracles import (
     theta_log,
 )
 
+from conftest import calls
+
+from fracmirror import series
 from fracmirror.cli import _json_text, _series_text
 from fracmirror.cohom import b_series_json, slices_json
 from fracmirror.errors import FracmirrorError
@@ -545,6 +548,25 @@ def test_truncation_divides_out_the_content_of_the_prefix():
     s = RationalSeries([Fraction(1, 2), Fraction(1, 3)]).truncate(0)
     assert s == RationalSeries([Fraction(1, 2)])
     assert (s.A, s.D) == ((1,), 2)
+
+
+def test_coeff_builds_only_the_fraction_it_returns(monkeypatch):
+    # a product's result holds its integers alone; coeff(n) reads A[n] / D off them
+    f = RationalSeries([Fraction(1, 2), 3, Fraction(-5, 7), 1], 3) * geometric(3)
+    built = calls(monkeypatch, series, "Fraction")
+    assert f.coeff(2) == Fraction(1, 2) + 3 - Fraction(5, 7)
+    assert len(built) == 1
+    assert f.coeff(4) == 0 and f.coeff(-1) == 0 and len(built) == 1
+
+
+def test_the_fraction_view_is_reduced_on_every_read():
+    # unreduced Fractions and 'p/q' strings go in; c is the same reduced tuple each time
+    s = RationalSeries([Fraction(2, 4), "6/9", Fraction(-10, 15), "0/7", 4], 4)
+    first, again = s.c, s.c
+    assert first == again == (Fraction(1, 2), Fraction(2, 3), Fraction(-2, 3), 0, 4)
+    for x in first:
+        assert type(x) is Fraction and math.gcd(x.numerator, x.denominator) == 1
+    assert [s.coeff(n) for n in range(5)] == list(first)
 
 
 def test_truncate_refuses_a_negative_order():
