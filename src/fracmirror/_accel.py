@@ -20,15 +20,13 @@ __all__ = ["backend_name", "count_points"]
 
 # The most steps one scan takes.  The time per prefix visited fits
 # 0.11 µs × (rows + 10) from 4 to 41 rows (one core of an x86-64 server), so
-# a refused scan stops after about 0.25 s in any dimension.  The commands
-# scan only for n >= 4: Delta* on every input, and nabla* off a simplex, on a
-# simplex whose rays span a proper sublattice, or where the knapsack of
-# topology._nabla_dual_count would take more than this many steps.  So the
-# one-parameter inputs reach the budget only through Delta*; the input of
-# tests/test_rejected_inputs.py::OVER_BUDGET, Delta_8 x [-1, 1], reaches it
-# through nabla*.  The largest scan of a digest input takes 890 steps, of a
-# perfbench input 395 (seeds 1-5), the largest in the tests (a random
-# 5-polytope of tests/test_polytope.py) 1.64 million.  As a polytope the
+# a refused scan stops after about 0.25 s in any dimension.  The topology
+# stage scans Delta* and nabla* only where it reads no closed form: off a
+# simplex, on a simplex whose rays span a proper sublattice, or where its
+# closed forms would take more than this many steps.  The input of
+# tests/test_rejected_inputs.py::OVER_BUDGET, Delta_8 x [-1, 1], reaches the
+# budget through nabla*; the largest scan in the tests (a random 5-polytope
+# of tests/test_polytope.py) takes 1.64 million steps.  As a polytope the
 # reflexive 9-simplex takes 1.51 million and is counted; the 10-simplex
 # (7.4 million, 0.5–0.7 s) is refused.
 SCAN_BUDGET = 2_000_000

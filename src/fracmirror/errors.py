@@ -28,8 +28,9 @@ def _as_int(x, what):
 
 
 def _as_ints(values, what):
-    """The sequence ``values`` as a tuple of ints: one scan for bools and one
-    ``index`` pass, with the refused value looked up only on failure."""
+    """An iterable's values as a tuple of ints, read once: one scan for bools
+    and one ``index`` pass, with the refused value looked up only on failure."""
+    values = tuple(values)
     try:
         if bool not in map(type, values):
             return tuple(map(index, values))

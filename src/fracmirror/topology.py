@@ -10,13 +10,13 @@ lattice volume of the pyramid Lambda over the Cayley polytope of the parts:
     chi(Y) = chi(X) + (-1)^n * vol(Lambda),   vol(Lambda) = chi(X_dual),
 
 and the identity vol(Lambda) = chi(X_dual) is asserted on both sides — its
-failure signals a violated smoothness hypothesis.  The stage reads the two
-fan polytopes, P = Delta* (``data.delta.polar_dual()``, read off Delta with
-no hull) and P_dual = nabla* (``data.nabla_dual``): chi(X) = vol(P) and
-chi(X_dual) = vol(P_dual), and it builds no nabla.  Lambda_dual, and off a
-simplex Lambda, are read off one Batyrev–Borisov pairing
-(``polytope._pairing``) by ``polytope._pyramid``, so each check compares
-two independent computations; ``CoverTopology`` is built once both pass.
+failure signals a violated smoothness hypothesis.  chi(X) = vol(P) and
+chi(X_dual) = vol(P_dual) for the two fan polytopes, P = Delta*
+(``data.delta.polar_dual()``, read off Delta with no hull) and P_dual =
+nabla*, and the stage builds no nabla.  Lambda_dual, and off a simplex
+Lambda, are read off one Batyrev–Borisov pairing (``polytope._pairing``) by
+``polytope._pyramid``, so each check compares two independent
+computations; ``CoverTopology`` is built once both pass.
 
 On a simplex vol(Lambda) has a closed form.  With c, L and the part sums
 C_i = sum of c_g over part i kept on the partition (``data.c``, ``data.L``,
@@ -37,42 +37,40 @@ triangulated everywhere: on a simplex its volume is vol(Delta*) for every
 partition, and a closed form would leave the dual-side check comparing a
 number with itself.
 
-Hodge numbers off the middle degree are inherited from the toric base;
-middle-degree numbers follow from chi in dimensions 2 and 3.
+Hodge numbers off the middle degree are inherited from the toric base,
+h^{1,1} = #P - n - 1 for its fan polytope P or P_dual; middle-degree
+numbers follow from chi in dimensions 2 and 3, h^{1,1} among them for n = 2.
 
-h^{1,1} counts the lattice points of the base's fan polytope, P or P_dual,
-a reflexive polytope, but for n = 2 it is a middle number, read from chi
-with no count.  The Ehrhart h*-vector (1, h_1, ..., h_{n-1}, 1) of P is
-palindromic (Hibi, "Dual polytopes of rational convex polytopes",
-Combinatorica 1992), h_1 = #P - n - 1 and the h_i sum to Vol(P), the
-normalized volume.  So #P = Vol/2 + 3 for n = 3, where h* = (1, h_1, h_1, 1).
-The volume is chi of the base, which the cover's Euler characteristic
-already needs, so n = 2 and n = 3 count no lattice points.
-
-For n >= 4 P = Delta* is scanned (``lattice_point_count``), and P_dual =
-nabla* is counted by the nef-partition identity
-
-    #(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1).
-
-nabla = nabla_1 + ... + nabla_r with nabla_k = conv(0, rho_g : g in I_k),
-and support functions add under Minkowski sums, so an integer m has
-min <m, nabla> = sum_k min(0, min_(g in I_k) <m, rho_g>), a sum of integers
-<= 0.  It is >= -1, m in nabla*, exactly when m lies in some Delta_k, and
-two Delta_k meet only at 0 (Batyrev and Borisov, "On Calabi-Yau complete
-intersections in toric varieties", 1996).  On a simplex a point m of
-Delta_k is the vector a >= 0 with a_g = <m, rho_g> + [g in I_k], and
-sum c_g a_g = C_k.  When the rays span Z^n every such a comes from an
-integral m, so #(Delta_k ∩ Z^n) is the coefficient of t^C_k in
-prod_g 1 / (1 - t^c_g), one array knapsack up to the largest C_k.  The rays
-span Z^n exactly when vol(Delta*) = sum c_g = L: each maximal minor of the
-rays is +-c_g times the index of their lattice, and vol(Delta*) sums their
-absolute values.  So the test reads chi(X), which the stage holds.  Off a
-simplex, on a simplex whose rays span a proper sublattice, and where the
-knapsack would take more than ``_accel.SCAN_BUDGET`` steps, nabla* is
-scanned.
+On a simplex whose rays span Z^n the stage reads chi(X_dual), #P and
+#P_dual off c, L and the C_k and builds no nabla*.  The rays span Z^n
+exactly when vol(Delta*) = chi(X) = sum c_g = L: each maximal minor of the
+rays is +-c_g times the index of their lattice.  Then Z^n = Z^(n+1) / Z c,
+and m -> (<m, rho_g>)_g maps Z^n onto the a in Z^(n+1) with c.a = 0.
+- nabla*: support functions add under nabla = nabla_1 + ... + nabla_r, so m
+  lies in t nabla* exactly when sum_k beta_k(m) <= t, beta_k(m) =
+  max(0, -min_(g in I_k) <m, rho_g>) (Batyrev and Borisov, "On Calabi-Yau
+  complete intersections in toric varieties", 1996).  a_g = <m, rho_g> +
+  b_k (g in I_k) maps the m with beta <= b onto the a >= 0 with c.a = b.C,
+  F(b.C) of them, F(s) = [x^s] prod_g 1 / (1 - x^c_g), one array knapsack.
+  Moebius inversion over b gives sum_t #(t nabla*) y^t = (1 - y)^(r-1)
+  G(y), G(y) = sum_b F(b.C) y^|b|, so nabla*'s Ehrhart h*-vector is
+  (1 - y)^(n+r) G(y) mod y^(n+1), with sum h*_i = vol(nabla*) = chi(X_dual)
+  and h*_1 = #nabla* - n - 1 (Hibi, "Dual polytopes of rational convex
+  polytopes", Combinatorica 1992).
+- Delta*: L times the barycentric coordinates of one of its lattice points
+  is a u >= 0 in Z^(n+1) with sum u = L and u = j c mod L for one j, so
+  #Delta* = n + 1 + #{0 < j < L : sum_g (j c_g mod L) = L}, the vertices
+  and the group elements of age 1 (Reid, "Young person's guide to
+  canonical singularities", 1987).
+The check vol(Lambda) = chi(X_dual) then compares two closed forms that
+share no code, Cayley's vol(Delta) h_n(C) / L^n and Ehrhart's sum h*_i.
+Elsewhere, and past ``_accel.SCAN_BUDGET`` steps, nabla* (``data.nabla_dual``)
+is built and triangulated and both fan polytopes are scanned.
 """
 
 from fractions import Fraction
+from math import comb
+from operator import add, mul
 
 from . import _accel
 from .errors import FracmirrorError, SmoothnessError
@@ -103,30 +101,29 @@ class HodgeTable:
         }
 
 
-def _point_counts(data, P, chi_X, chi_X_dual):
-    """(#P, #P_dual), the lattice points of Delta* and nabla* (module
-    docstring): None for n = 2, read off the volumes chi_X and chi_X_dual
-    for n = 3, and for n >= 4 P scanned and P_dual counted by the identity."""
-    n = P.ambient_dim
-    if n == 2:
-        return None, None
-    if n == 3:
-        return chi_X // 2 + 3, chi_X_dual // 2 + 3
-    return P.lattice_point_count(), _nabla_dual_count(data, chi_X)
-
-
-def _nabla_dual_count(data, chi_X):
-    """#(nabla* ∩ Z^n) = sum_k #(Delta_k ∩ Z^n) - (r - 1), each term a
-    knapsack count to the part sum C_k on a simplex whose rays span Z^n,
-    where vol(Delta*) = chi_X = L; else one scan of nabla*."""
-    c, C = data.c, data.part_sums
-    if C and chi_X == data.L and len(c) * (max(C) + 1) <= _accel.SCAN_BUDGET:
-        ways = [1] + [0] * max(C)  # ways[s]: the a >= 0 with sum c_g a_g = s
-        for cg in c:
-            for s in range(cg, len(ways)):
-                ways[s] += ways[s - cg]
-        return sum(ways[Ck] for Ck in C) - (data.r - 1)
-    return data.nabla_dual.lattice_point_count()
+def _counted(data, chi_X):
+    """(chi(X_dual), #P, #P_dual) off c, L and the part sums on a simplex
+    whose rays span Z^n, vol(Delta*) = chi_X = L (module docstring), else
+    None, as past ``_accel.SCAN_BUDGET`` steps (a sum s of a pass, a c_g of an age)."""
+    c, C, L = data.c, data.part_sums, data.L
+    if not C or chi_X != L:
+        return None
+    n, r, top = len(c) - 1, len(C), (len(c) - 1) * max(C)
+    if (2 * n + 2 + r * n) * (top + 1) + (n + 1) * L > _accel.SCAN_BUDGET:
+        return None
+    F = [1] + [0] * top  # F[s]: the a >= 0 with c.a = s
+    for cg in c:
+        for s in range(cg, top + 1):
+            F[s] += F[s - cg]
+    # ways[i][s]: the b >= 0 with |b| = i and b.C = s, i <= n
+    ways = [F[:1] + [0] * top] + [[0] * (top + 1) for _ in range(n)]
+    for Ck in C:
+        for i in range(1, n + 1):
+            ways[i][Ck:] = map(add, ways[i][Ck:], ways[i - 1])
+    G = [sum(map(mul, F, row)) for row in ways]  # h*(y) = (1 - y)^(n+r) G(y) mod y^(n+1)
+    h = [sum((-1) ** k * comb(n + r, k) * G[i - k] for k in range(i + 1)) for i in range(n + 1)]
+    ages = sum(sum(j * cg % L for cg in c) == L for j in range(1, L))
+    return sum(h), n + 1 + ages, h[1] + n + 1
 
 
 def hodge_numbers(n, chi, points):
@@ -135,10 +132,9 @@ def hodge_numbers(n, chi, points):
 
     ``points`` is #P, the number of lattice points of the fan polytope P of
     the toric base, the polar dual of its reflexive polytope: Delta* for Y
-    and nabla* for its mirror.  ``euler_double_cover`` reads it off the
-    volume for n = 3 and counts it for n >= 4, nabla* with no scan on a
-    simplex whose rays span Z^n (module docstring); for n = 2 it is not
-    read.  Off-middle numbers are those of the smooth toric base, with
+    and nabla* for its mirror.  ``euler_double_cover`` counts both, with no
+    scan on a simplex whose rays span Z^n (module docstring); for n = 2 it
+    is not read.  Off-middle numbers are those of the smooth toric base, with
     h^{1,1} = #P - 1 - n, the boundary lattice points of P but n: a
     reflexive polytope has no interior lattice point but the origin.  The
     middle row comes from chi in dimensions 2 and 3.  Otherwise the table
@@ -198,8 +194,13 @@ def euler_double_cover(data):
     characteristic of the mirror toric variety on either side.
     """
     n = data.delta.ambient_dim
-    P, P_dual = data.delta.polar_dual(), data.nabla_dual
-    chi_X, chi_X_dual = P.normalized_volume(), P_dual.normalized_volume()
+    P = data.delta.polar_dual()
+    chi_X = P.normalized_volume()
+    counted = _counted(data, chi_X)
+    if counted is None:  # nabla* built and triangulated, both fan polytopes scanned
+        P_dual = data.nabla_dual
+        counted = P_dual.normalized_volume(), P.lattice_point_count(), P_dual.lattice_point_count()
+    chi_X_dual, points, points_dual = counted
     rows, verts, on_rows = _pairing(
         data.part_vertices, [[data.rays[j] for j in part] for part in data.ray_parts]
     )
@@ -224,5 +225,5 @@ def euler_double_cover(data):
             f"vol(Λ) ≠ χ(X∨) on the dual side: {vol_lambda_dual} != {chi_X}; "
             "smoothness hypothesis violated"
         )
-    return CoverTopology(n, chi_X, chi_X_dual, *_point_counts(data, P, chi_X, chi_X_dual))
+    return CoverTopology(n, chi_X, chi_X_dual, points, points_dual)
 

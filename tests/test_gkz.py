@@ -27,7 +27,7 @@ from conftest import DATA, REPO, calls, kernel_vectors
 
 from fracmirror import cli
 from fracmirror.cohom import deformed_solution, i_weights_from_kernel
-from fracmirror.errors import FracmirrorError
+from fracmirror.errors import FracmirrorError, _as_ints
 from fracmirror.gkz import (
     GkzSystem,
     Slices,
@@ -375,6 +375,20 @@ def test_hypergeometric_series_refuses_non_integer_weights(factor):
     for ell in ((-2, pos, 1), (neg, 1, 1)):
         with pytest.raises(TypeError):
             hypergeometric_series(ell, 2, 3)
+
+
+def test_the_integer_rule_reads_a_one_shot_iterator_once():
+    # errors._as_ints reads its values once, so the bool scan does not use
+    # up an iterator: each caller reads one as the tuple it yields
+    ell = (-4, 1, 1, 1, 1)
+    assert _as_ints(iter([1, 2]), "x") == (1, 2)
+    with pytest.raises(TypeError, match="x True is not an integer"):
+        _as_ints(iter([1, True]), "x")
+    assert tuple(hypergeometric_series(iter(ell), 1, 3)) == tuple(hypergeometric_series(ell, 1, 3))
+    assert hypergeometric_series(iter(ell), 1, 3)[0].coeff(1) == Fraction(105, 16)  # (1/2)_4, not 1
+    assert kernel_scale(iter(ell)) == kernel_scale(ell) == 256
+    triangle = [(1, 0), (0, 1), (-1, -1)]
+    assert LatticePolytope([iter(v) for v in triangle]) == LatticePolytope(triangle)
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,7 @@ from fracmirror.polytope import LatticePolytope
 from fracmirror.topology import (
     CoverTopology,
     HodgeTable,
-    _nabla_dual_count,
-    _point_counts,
+    _counted,
     euler_double_cover,
     hodge_numbers,
 )
@@ -148,11 +147,18 @@ def test_threefold_euler_antisymmetry(quartic, eight_hyperplanes_topology):
 
 
 def test_smoothness_guard_raises():
+    # on a spanning simplex chi(X_dual) is read off c and the part sums, and
+    # vol(Lambda) off L, the part sums and Delta: a corrupted c (L and the
+    # part sums kept) gives the quartic chi(X_dual) = 32, not 64
     data = NefPartition(LatticePolytope(QUARTIC), [[0, 1, 2, 3]])
-    # Lambda is read off the true parts; a wrong cached nabla_dual (the polar
-    # dual of the quartic simplex, of volume 4, not 64) makes chi(X_dual)
+    data.c = (1, 1, 1, 2)
+    with pytest.raises(SmoothnessError, match="smoothness hypothesis violated"):
+        euler_double_cover(data)
+    # off a simplex Lambda is read off the true parts; a wrong cached
+    # nabla_dual (the hexagon's Delta*, of volume 6, not 3) makes chi(X_dual)
     # wrong, so that only the comparison with vol(Lambda) sees it
-    data.nabla_dual = LatticePolytope(QUARTIC).polar_dual()
+    data = NefPartition.from_dict(json.loads((GOLDEN / "hexagon.json").read_text()))
+    data.nabla_dual = data.delta.polar_dual()
     with pytest.raises(SmoothnessError, match="smoothness hypothesis violated"):
         euler_double_cover(data)
 
@@ -269,15 +275,16 @@ def check_chi_by_strata(shapes, rng):
 
 def test_chi_matches_hirzebruch_by_strata():
     # the 13 generated shapes, the 11 above and p10_11, p12_13 and p16_17:
-    # nabla* is counted with no scan, so two shears in every frame stay
-    # cheap up to n = 16 (tests/slow_tier.py runs 260 P^n shapes to n = 16)
+    # chi(X_dual) and the counts are read off c and the part sums with no
+    # nabla* built, so two shears in every frame stay cheap up to n = 16
+    # (tests/slow_tier.py runs all 1208 P^n shapes to n = 16)
     check_chi_by_strata({**GEN.SHAPES, **EXTRA_SHAPES, **LARGE_SHAPES}, random.Random(27))
 
 
 def test_euler_and_hodge_finish_where_the_nabla_dual_scan_was_refused(tmp_path, capsys):
     # the sheared p8_9 and p10_11 and the reflexive 16-simplex: the scan of
-    # nabla* passes the step budget there, its count by the nef-partition
-    # identity reads no scan; Delta* has the n + 2 points of the P^n fan
+    # nabla* passes the step budget there, its count off c and the part sums
+    # reads no scan; Delta* has the n + 2 points of the P^n fan
     rng = random.Random(51)
     docs = {
         name: {"delta": data.delta.to_dict(), "parts": [list(part) for part in data.ray_parts]}
@@ -298,19 +305,60 @@ def test_euler_and_hodge_finish_where_the_nabla_dual_scan_was_refused(tmp_path, 
         assert (h["hodge"]["h"]["1,1"], h["hodge_dual"]["h"]["1,1"]) == (1, math.comb(2 * n + 1, n) - 1 - n)
 
 
-# ------------------------------------------------------ the nabla* count
+def test_euler_and_hodge_do_bounded_work_on_pn_with_n_plus_1_parts(monkeypatch, tmp_path):
+    # P^8 with 9 parts and P^10 with 11, sheared: triangulating nabla* took
+    # seconds to a minute there.  chi(X_dual) = vol(nabla*) = C(2n, n) is
+    # read off nabla*'s h*-vector, and #nabla* = (n + 1)^2 - n, so the
+    # mirror's h^{1,1} is n^2, with no nabla* built and no scan
+    rng = random.Random(56)
+    stages, scans = calls(monkeypatch, cli, "euler_double_cover"), calls(monkeypatch, _accel, "count_points")
+    for n in (8, 10):
+        sizes = (1,) * (n + 1)
+        data = framed_shape(n, sizes, 2, rng)
+        path = tmp_path / f"p{n}.json"
+        path.write_text(json.dumps({"delta": data.delta.to_dict(), "parts": list(map(list, data.ray_parts))}))
+        for command in ("euler", "hodge"):
+            stages.clear()
+            code, out, _ = run_job(command, path)
+            assert (n, command, code) == (n, command, 0)
+            got = json.loads(out)
+            assert got["chi_Y"] == chi_cover_by_strata(n, sizes), (n, command)
+            if command == "euler":
+                assert got["chi_X_dual"] == math.comb(2 * n, n), n
+            else:
+                assert got["hodge_dual"]["h"]["1,1"] == n * n, n
+            [(loaded,)] = stages
+            assert "nabla_dual" not in vars(loaded) and scans == [], (n, command)
 
 
-def checked_nabla_dual_count(data):
-    """(count, path) of the stage's nabla* count on a fresh copy of
-    ``data``, path "knapsack" or "scan", after checking the count against a
-    scan of a hull of nabla*'s vertices: the knapsack reads no nabla*."""
+# ------------------------------------- chi(X_dual), #Delta* and #nabla*
+
+
+def stage_counts(data):
+    """(chi(X_dual), #Delta*, #nabla*) as the topology stage reads them off
+    ``data``, and the path: "counted" where ``topology._counted`` reads them
+    off c, L and the part sums, else "scan", where nabla* is triangulated
+    and both fan polytopes are scanned."""
+    P = data.delta.polar_dual()
+    counted = _counted(data, P.normalized_volume())
+    if counted:
+        return counted, "counted"
+    P_dual = data.nabla_dual
+    return (P_dual.normalized_volume(), P.lattice_point_count(), P_dual.lattice_point_count()), "scan"
+
+
+def checked_counts(data):
+    """``stage_counts`` of a fresh copy of ``data``, after checking them
+    against a fresh hull of the vertices of each fan polytope, the pulling
+    triangulation of nabla*'s and the scans of both: the counted path reads
+    no nabla*."""
     data = NefPartition(data.delta, data.ray_parts)
-    count = _nabla_dual_count(data, data.delta.polar_dual().normalized_volume())
-    path = "scan" if "nabla_dual" in vars(data) else "knapsack"
-    expect = LatticePolytope(data.nabla_dual.vertices).lattice_point_count()
-    assert count == expect, (data.delta.vertices, data.ray_parts)
-    return count, path
+    counts, path = stage_counts(data)
+    assert (path == "scan") == ("nabla_dual" in vars(data))
+    P, P_dual = (LatticePolytope(Q.vertices) for Q in (data.delta.polar_dual(), data.nabla_dual))
+    expect = P_dual.normalized_volume(), P.lattice_point_count(), P_dual.lattice_point_count()
+    assert counts == expect, (data.delta.vertices, data.ray_parts)
+    return counts, path
 
 
 @functools.cache
@@ -337,13 +385,15 @@ def corpus_simplex_partitions():
 
 def check_pn_nabla_dual_counts(shapes, rng, max_sheared_n):
     """On P^n every c_g is 1, so a part of d_k rays has C(n + d_k, n)
-    points: each shape's count takes the knapsack and equals
-    sum_k C(n + d_k, n) - (r - 1), in a seeded frame of two shears up to
-    n = ``max_sheared_n`` and of a signed permutation above it."""
+    points, and Delta* holds the n + 1 rays and the origin: each shape's
+    counts are read off c and the part sums, with #nabla* = sum_k
+    C(n + d_k, n) - (r - 1) and #Delta* = n + 2, in a seeded frame of two
+    shears up to n = ``max_sheared_n`` and of a signed permutation above it."""
     for name, (n, sizes) in shapes.items():
         data = framed_shape(n, sizes, 2 if n <= max_sheared_n else 0, rng)
         expect = sum(math.comb(n + d, n) for d in sizes) - (len(sizes) - 1)
-        assert (name, *checked_nabla_dual_count(data)) == (name, expect, "knapsack")
+        (_, points, points_dual), path = checked_counts(data)
+        assert (name, points, points_dual, path) == (name, n + 2, expect, "counted")
 
 
 def test_a_simplex_keeps_c_L_and_the_part_sums():
@@ -364,14 +414,15 @@ def test_a_simplex_keeps_c_L_and_the_part_sums():
 
 def test_nabla_dual_count_matches_the_scan_on_the_corpus_simplices():
     # the 56 accepted partitions of the 33 corpus simplices, 21 of them
-    # weighted; where the rays span a proper sublattice nabla* is scanned
-    paths = Counter(path for _, path in map(checked_nabla_dual_count, corpus_simplex_partitions()))
-    assert paths == {"knapsack": 34, "scan": 22}
+    # weighted; where the rays span a proper sublattice nabla* is built,
+    # triangulated and scanned
+    paths = Counter(path for _, path in map(checked_counts, corpus_simplex_partitions()))
+    assert paths == {"counted": 34, "scan": 22}
 
 
 def test_nabla_dual_count_on_the_pn_shapes():
     # the 13 generated shapes and the 11 above; the scan that checks the
-    # count refuses p8_9 in a frame of two shears, so shears stop at n = 6
+    # counts refuses p8_9 in a frame of two shears, so shears stop at n = 6
     check_pn_nabla_dual_counts({**GEN.SHAPES, **EXTRA_SHAPES}, random.Random(51), 6)
 
 
@@ -381,25 +432,27 @@ P11112_RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -1, 
 def test_nabla_dual_count_on_a_weighted_4_simplex():
     # P(1,1,1,1,2): the rays e_1, ..., e_4 and -(1, 1, 1, 2) span Z^4, and
     # c holds a 2; the one-part count is 130, the coefficient of t^6 in
-    # 1 / ((1 - t)^4 (1 - t^2)), less r - 1 = 0
+    # 1 / ((1 - t)^4 (1 - t^2)), less r - 1 = 0, and Delta* holds its 5
+    # vertices and the origin, which j = 1 gives: c = (1, 1, 1, 1, 2) has age
+    # 6 / 6 = 1 at L = 6
     delta = LatticePolytope(P11112_RAYS).polar_dual()
     assert sorted(simplex_relation(delta)[1]) == [1, 1, 1, 1, 2]
     counts = {
-        tuple(parts): checked_nabla_dual_count(NefPartition(delta, parts))
+        tuple(parts): checked_counts(NefPartition(delta, parts))
         for parts in set_partitions(tuple(range(5)))
         if not validate_nef_partition(delta, parts)
     }
-    assert counts[((0, 1, 2, 3, 4),)] == (130, "knapsack")
-    assert Counter(path for _, path in counts.values()) == {"knapsack": 11}
+    assert counts[((0, 1, 2, 3, 4),)] == ((648, 6, 130), "counted")
+    assert Counter(path for _, path in counts.values()) == {"counted": 11}
 
 
 def test_nabla_dual_is_scanned_where_the_rays_span_a_sublattice():
     # Delta = conv(e_1, ..., e_4, -1) with one part: its rays, the vertices
     # of the reflexive 4-simplex, span a sublattice of index 125, and nabla*
-    # = Delta has 6 points
+    # = Delta has 6 points and volume 5; Delta* has 126
     data = NefPartition(LatticePolytope(GEN.dual_vertices(4)), [range(5)])
     assert ray_lattice_index(data.rays) == 125
-    assert checked_nabla_dual_count(data) == (6, "scan")
+    assert checked_counts(data) == ((5, 126, 6), "scan")
 
 
 def test_the_rays_span_z_n_exactly_when_vol_delta_star_is_sum_c():
@@ -419,15 +472,17 @@ def test_the_rays_span_z_n_exactly_when_vol_delta_star_is_sum_c():
 
 
 def test_a_knapsack_past_the_step_budget_goes_to_the_scan(monkeypatch):
-    # p4_5's knapsack takes 5 * 6 = 30 steps: under a budget of 30 it runs,
-    # under 29 the count goes to the scan of nabla*, which that budget refuses
+    # p4_5 (n = 4, r = 1, sums to n * 5 = 20, L = 5) takes (2n + 2 + rn) *
+    # 21 = 294 steps over the sums and (n + 1) L = 25 over the ages, 319 in
+    # all: under a budget of 319 the stage reads no nabla*; under 318 it
+    # builds nabla* and scans, which that budget refuses
+    monkeypatch.setattr(_accel, "SCAN_BUDGET", 319)
     data = framed_shape(4, (5,), 0, random.Random(0))
-    chi_X = data.delta.polar_dual().normalized_volume()
-    monkeypatch.setattr(_accel, "SCAN_BUDGET", 30)
-    assert _nabla_dual_count(data, chi_X) == 126 and "nabla_dual" not in vars(data)
-    monkeypatch.setattr(_accel, "SCAN_BUDGET", 29)
-    with pytest.raises(FracmirrorError, match="budget of 29 steps"):
-        _nabla_dual_count(data, chi_X)
+    assert euler_double_cover(data).chi_X_dual == 625 and "nabla_dual" not in vars(data)
+    monkeypatch.setattr(_accel, "SCAN_BUDGET", 318)
+    with pytest.raises(FracmirrorError, match="budget of 318 steps"):
+        euler_double_cover(data)
+    assert "nabla_dual" in vars(data)
 
 
 def _triangulated_vol_lambda(data):
@@ -469,10 +524,10 @@ TOPOLOGY_INPUTS = [
 
 @pytest.mark.parametrize("path", TOPOLOGY_INPUTS, ids=lambda p: p.stem)
 def test_topology_jobs_read_the_fan_polytopes_and_one_pairing(monkeypatch, path):
-    # euler, hodge and all read Delta* and nabla* and build no nabla; they
-    # pair once and build Lambda_dual, and Lambda only off a simplex (the
-    # hexagon, whose all refuses its multiparameter moduli first); dual-nef,
-    # which prints nabla, builds it
+    # euler, hodge and all read Delta* and build no nabla, and nabla* only
+    # off a simplex (the hexagon, whose all refuses its multiparameter
+    # moduli first); they pair once and build Lambda_dual, and Lambda only
+    # off a simplex; dual-nef, which prints nabla, builds it
     pairings, pyramids = calls(monkeypatch, topology, "_pairing"), calls(monkeypatch, topology, "_pyramid")
     stages = calls(monkeypatch, cli, "euler_double_cover"), calls(monkeypatch, cli, "dual_nef_partition")
     built = 1 if path.stem != "hexagon" else 2
@@ -487,6 +542,7 @@ def test_topology_jobs_read_the_fan_polytopes_and_one_pairing(monkeypatch, path)
         assert run_job(command, path)[0] == 0
         [(data,)] = stages[0] + stages[1]
         assert "nabla" not in vars(data), command
+        assert ("nabla_dual" in vars(data)) == (path.stem == "hexagon"), command
         assert (len(pairings), len(pyramids)) == (1, built), command
     assert run_job("dual-nef", path)[0] == 0
     [(data,)] = stages[1]
@@ -595,21 +651,21 @@ def test_h11_counts_boundary_points(case):
             assert table.table[(1, 1)] == boundary_lattice_point_count(dual) - n
 
 
-def test_point_count_reads_the_volume_for_n_up_to_3():
-    # #P = Vol + 1 (n = 2, where no command needs the count) and Vol/2 + 3
-    # (n = 3, read by _point_counts) on both polar duals, Delta* and nabla*,
-    # against the box listing
+def test_point_counts_match_the_box_listing_for_n_up_to_3():
+    # the counts of both fan polytopes, Delta* and nabla*, that the stage
+    # reads off c and the part sums or scans, and chi(X_dual), against the
+    # box listing and the triangulation, on both paths
     seen = set()
     for name, data in accepted_partitions():
         n = data.delta.ambient_dim
         if n > 3:
             continue
+        (chi_X_dual, *counts), path = stage_counts(data)
         P, P_dual = data.delta.polar_dual(), data.nabla_dual
-        vols = P.normalized_volume(), P_dual.normalized_volume()
-        counts = [vol + 1 for vol in vols] if n == 2 else list(_point_counts(data, P, *vols))
+        assert chi_X_dual == P_dual.normalized_volume(), (name, data.ray_parts)
         assert counts == [len(lattice_points_by_box(Q)) for Q in (P, P_dual)], (name, data.ray_parts)
-        seen.add(n)
-    assert seen == {2, 3}
+        seen.add((n, path))
+    assert seen == {(2, "counted"), (2, "scan"), (3, "counted"), (3, "scan")}
 
 
 def test_hodge_rejects_odd_chi():

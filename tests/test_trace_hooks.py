@@ -104,12 +104,11 @@ def test_all_computes_the_mirror_map_once(monkeypatch):
 
 def test_euler_builds_each_polytope_once(monkeypatch):
     # euler on the quartic (r = 1) builds one hull, Delta; Delta is a
-    # simplex, so Delta_1 is read off its vertices and nabla* off their
-    # labels; Delta* and nabla are polar duals read off their primal, Lambda
-    # and Lambda_dual are read off one pairing of the tagged Delta_i
-    # vertices with the tagged rays of each part and no nabla_k is built;
-    # the dual side is read off the primal, so no dual nef-partition is
-    # loaded
+    # simplex, so Delta_1 is read off its vertices and nabla* is not built;
+    # Delta* is the polar dual read off its primal, Lambda and Lambda_dual
+    # are read off one pairing of the tagged Delta_i vertices with the
+    # tagged rays of each part and no nabla_k is built; the dual side is
+    # read off the primal, so no dual nef-partition is loaded
     hulls, loads = _hulls(monkeypatch), calls(monkeypatch, NefPartition, "__init__")
     assert run_job("euler", DATA / "p3_quartic.json")[0] == 0
     assert (len(hulls), len(loads)) == (1, 1)
@@ -153,31 +152,29 @@ def test_euler_scans_no_dilations(monkeypatch):
     # own facet-vertex incidences (a polytope has no dilated-box count) and
     # no face is built as a polytope of its own; validation builds no hull
     # of the Minkowski sum of the parts, the one hull (Delta) is
-    # full-dimensional, nabla* is read off the labels of the Delta_i
-    # vertices, no nabla_k is built and no echelon runs
+    # full-dimensional, nabla* is not built, no nabla_k is built and no
+    # echelon runs
     hulls, echelons = _hulls(monkeypatch), calls(monkeypatch, linalg, "echelon")
     assert run_job("euler", DATA / "p3_eight_hyperplanes.json")[0] == 0
     assert (len(hulls), _flat(hulls), len(echelons)) == (1, 0, 0)
 
 
-def test_topology_jobs_scan_lattice_points_only_for_n_above_3(monkeypatch):
-    # euler, hodge and all build Delta alone (each input is a simplex, so
-    # nabla* is read off the labels of the Delta_i vertices); h^{1,1} is read
-    # off chi for n = 2 and off the volumes of Delta* and nabla* for n = 3,
-    # so only the P4 input counts lattice points: it scans Delta*, and counts
-    # nabla* by the nef-partition identity, since its rays span Z^4
+def test_topology_jobs_on_a_spanning_simplex_scan_no_lattice_points(monkeypatch):
+    # euler, hodge and all build Delta alone: each input is a simplex whose
+    # rays span Z^n, so chi(X_dual), #Delta* and #nabla* are read off c, L
+    # and the part sums, with no nabla* built and no lattice point scanned
     hulls, scans = _hulls(monkeypatch), calls(monkeypatch, _accel, "count_points")
-    for path, count in [
-        (DATA / "p2_k3.json", 0),
-        (DATA / "p3_quartic.json", 0),
-        (DATA / "p3_eight_hyperplanes.json", 0),
-        (GOLDEN / "p4_311.json", 1),
+    for path in [
+        DATA / "p2_k3.json",
+        DATA / "p3_quartic.json",
+        DATA / "p3_eight_hyperplanes.json",
+        GOLDEN / "p4_311.json",
     ]:
         for command in ("euler", "hodge", "all"):
             hulls.clear()
             scans.clear()
             assert run_job(command, path)[0] == 0
-            assert (path.stem, command, len(hulls), len(scans)) == (path.stem, command, 1, count)
+            assert (path.stem, command, len(hulls), len(scans)) == (path.stem, command, 1, 0)
 
 
 def test_quantum_and_cohom_jobs_build_no_nabla(monkeypatch):
