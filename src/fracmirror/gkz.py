@@ -17,8 +17,10 @@ transcendental Gamma value is ever evaluated.  Its recurrence applies each
 linear factor in place to integer numerators U over one denominator E, and
 hands over by order (``Slices``): coefficient n of eps-slice k is U_n[k] / E_n,
 and a slice is made a ``RationalSeries`` over the lcm of the E_n, with no
-Fraction per coefficient, only when read.  The holomorphic solution is its
-eps^0 slice (``cohom.deformed_solution``).
+Fraction per coefficient, only when read.  At m = 2, the Frobenius pair's
+order (``mirror.frobenius_pair``), U is two integers U0 and U1 and each
+factor is two products and a sum, with no list.  The holomorphic solution
+is its eps^0 slice (``cohom.deformed_solution``).
 Its integer ``scale`` gives sum scale^n c_n z^n inside the recurrence: at the
 scale s = 4^(sum k) of ``kernel_scale`` the slices are the untwisted
 I-function in x = z/s (``cohom.i_function_untwisted``), and a scale that
@@ -184,6 +186,11 @@ def hypergeometric_series(ell, m, N, scale=1):
     .. ln: U_i is scaled by x^i, r passes U_i <- U_i - l U_(i-1) upward divide
     by (1 + l t)^r, U_i is scaled by x^(m-1-i) and E by x^(m-1+r).  That is
     exact, and the one division per order is by gcd(E, *U).
+
+    At m = 2 the same steps run on two integers U = (U0, U1), with no list:
+    a numerator factor sets U1 <- x U1 + y U0 and U0 <- x U0, and since
+    (x + l eps)^(-r) = x^(-r-1) (x - r l eps) mod eps^2, a denominator x sets
+    U1 <- x U1 - r l U0 and U0 <- x U0 and scales E by x^(r+1).
     """
     m, N = _as_int(m, "nilpotency order m"), _as_int(N, "order N")
     scale, ell = _as_int(scale, "scale"), _as_ints(ell, "kernel entry")
@@ -199,6 +206,24 @@ def hypergeometric_series(ell, m, N, scale=1):
     y_scale, a_den = scale // g, a_den // g
     U, E = [1] + [0] * (m - 1), 1
     orders = [(U, E)]
+    if m == 2:  # the same steps on two registers, U = (U0, U1)
+        U0, U1 = U
+        for n in range(1, N + 1):
+            U0, U1 = U0 * y_scale, U1 * y_scale
+            for k in num:
+                y = q * k
+                for x in range(p + y * (n - 1), p + y * n, q):
+                    U0, U1 = x * U0, x * U1 + y * U0
+            E *= a_den
+            for l, r in den:
+                rl = r * l
+                for x in range(l * (n - 1) + 1, l * n + 1):
+                    U0, U1 = x * U0, x * U1 - rl * U0
+                    E *= x ** (r + 1)
+            g = gcd(E, U0, U1)
+            U0, U1, E = U0 // g, U1 // g, E // g
+            orders.append(((U0, U1), E))
+        return Slices(orders)
     down, up = range(m - 1, 0, -1), range(1, m)
     for n in range(1, N + 1):
         U = [u * y_scale for u in U]

@@ -12,8 +12,10 @@ prod_(t=1)^(2M) (2a + t) = 4^M prod_(j=1)^M (a + j) prod_(j=0)^(M-1) (a + 1/2 + 
 the eps-slices at z = s x are the untwisted I-function in x
 (``cohom.i_function_untwisted``), so the pair is its first two slices:
 A0(x) = omega0(s x), integral where omega0 carries a denominator near s^N,
-and A1(x) = tau(s x).  Then q = x exp(A1 / A0), and every series here stays
-in x: ``mirror_map`` returns q(x) and x(q), ``yukawa_z`` Y_x(x) = Y_z(s x).
+and A1(x) = tau(s x).  At m = 2 the kernel's recurrence runs on two
+integers per order, the numerators of A0's and A1's coefficients over one
+denominator, with no list.  Then q = x exp(A1 / A0), and every series here
+stays in x: ``mirror_map`` returns q(x) and x(q), ``yukawa_z`` Y_x(x) = Y_z(s x).
 s enters only where they are written (``series._coeff_strs``), as
 q(z) = q(x = z/s), z(q) = s x(q) and Y_z(z) = Y_x(z/s).  The pair forms
 r = A1/A0, h = exp(-r) and h's baby and giant powers once, at order N - 1,
@@ -89,8 +91,9 @@ class YukawaData:
 
 
 def frobenius_pair(ell, N):
-    """(A0, A1, s) for a rank-1 kernel vector: the first two slices of the
-    untwisted I-function in x = z/s, s = ``gkz.kernel_scale(ell)``."""
+    """The ``FrobeniusPair`` of a rank-1 kernel vector to order N: A0 and A1
+    are the first two slices of the untwisted I-function in x = z/s, and
+    its scale is s = ``gkz.kernel_scale(ell)``."""
     A0, A1 = i_function_untwisted(ell, 2, N)
     return FrobeniusPair(A0=A0, A1=A1, scale=kernel_scale(ell))
 

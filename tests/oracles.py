@@ -4,6 +4,7 @@ Each one is a slower, independent route to a result the package computes
 another way; the tests compare the two.
 """
 
+import collections
 import itertools
 import math
 import operator
@@ -700,15 +701,21 @@ def chi_cover_by_strata(n, degrees):
     over its components.  The stratum of t hyperplanes (t <= n) and the
     hypersurfaces of a set S is a complete intersection in P^(n - t)
     (``chi_complete_intersection``); the n + 1 hyperplanes meet nowhere.
-    No polytope is read."""
+    Sets S with the same degrees give the same stratum, so the sum runs over
+    the sub-multisets of the degrees, each weighted by the number of sets it
+    stands for, a product of binomials, and skips those with more than n - t
+    degrees, whose strata are empty.  No polytope is read."""
+    degree_counts = sorted(collections.Counter(degrees).items())
     chi_B = 0
     for t in range(n + 1):
-        for j in range(len(degrees) + 1):
-            if t + j:
-                sign, ways = (-1) ** (t + j + 1), math.comb(n + 1, t)
-                chi_B += sign * ways * sum(
-                    chi_complete_intersection(n - t, S) for S in itertools.combinations(degrees, j)
+        for picks in itertools.product(*(range(min(r, n - t) + 1) for _, r in degree_counts)):
+            j = sum(picks)
+            if t + j and j <= n - t:
+                S = [d for (d, _), a in zip(degree_counts, picks) for _ in range(a)]
+                ways = math.comb(n + 1, t) * math.prod(
+                    math.comb(r, a) for (_, r), a in zip(degree_counts, picks)
                 )
+                chi_B += (-1) ** (t + j + 1) * ways * chi_complete_intersection(n - t, S)
     return 2 * (n + 1) - chi_B
 
 

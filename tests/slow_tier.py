@@ -24,7 +24,7 @@ check fails:
   and the swap) on every split into at most two parts of the rays of the
   polars of the reflexive polygons and all 265 seeded 3-polytopes.
 
-It takes about five minutes, most of it the chi(Y) check on 1208 shapes.
+It takes about a minute and a half, most of it the counts on the P^n shapes.
 The name keeps pytest from collecting it.
 """
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from oracles import (
     EpsPoly,
@@ -320,16 +320,33 @@ def _with_exponents(*ell):
 @example(_with_exponents(-5, 1, 1, 1, 1, 1), 6, 16)
 @example(_with_exponents(-2, 1, 1, -2, 1, 1, -1, 1), 6, 16)
 @example(_with_exponents(-6, 2, 2, 2), 4, 12)
+@example(_with_exponents(-5, 1, 1, 1, 1, 1), 2, 20)
+@example(_with_exponents(-6, 2, 2, 2), 2, 16)
+@example(_with_exponents(-4, 1, 2, 1), 2, 20)
 def test_hypergeometric_series_matches_epspoly_loop(data, m, N):
     # balanced kernel vectors with zeros mixed in, at scale 1 and at the
     # I-function's scale s, which clears the numerator factors' denominators.
     # Pinned: P(1,1,2)'s, the I-function's m = d + 1 = 6 on two P4 shapes,
-    # whose weight 1 repeats five times, and a weight 2 repeated three times
+    # whose weight 1 repeats five times, and a weight 2 repeated three times;
+    # then the two-register form of m = 2 on the quintic's, on the weight 2
+    # repeated three times (r l = 6) and on P(1,1,2)'s
     ell, alpha = data
     factors = kernel_factors(ell, alpha)
     for scale in (1, kernel_scale(ell)):
         oracle = hypergeometric_term_by_term(*factors, m, N, scale)
         _same_reduced_coefficients(hypergeometric_series(ell, m, N, scale), oracle)
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 20])
+@seed(57)
+@settings(max_examples=30, deadline=None)
+@given(kernel_vectors())
+def test_the_two_register_form_is_the_first_two_slices_of_m_3(N, data):
+    # m = 2 runs on two integers; the list recurrence at m = 3 is its oracle,
+    # as the first two eps-slices do not depend on m
+    ell, _ = data
+    for scale in (1, kernel_scale(ell)):
+        assert hypergeometric_series(ell, 2, N, scale)[:] == hypergeometric_series(ell, 3, N, scale)[:2]
 
 
 def test_hypergeometric_series_matches_epspoly_loop_at_order_64(quartic, eight_hyperplanes):
